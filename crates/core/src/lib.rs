@@ -24,7 +24,5 @@ pub mod table;
 
 pub use fq::{FqParams, FqStats, MacFq};
 pub use packet::{FqPacket, PacketArena, PacketFifo, PacketHandle, QueuedPacket};
-#[allow(deprecated)]
-pub use packet::{StationHandle, TidHandle};
 pub use scheduler::{AirtimeParams, AirtimeScheduler, AirtimeStats, QOS_LEVELS, WEIGHT_NEUTRAL};
 pub use table::{Membership, StaId, StationTable, TidId};

@@ -15,32 +15,6 @@ pub trait FqPacket: QueuedPacket {
     fn flow_hash(&self) -> u64;
 }
 
-/// Identifies one TID (station × traffic-identifier pair) registered with
-/// the FQ structure.
-///
-/// Superseded by the generational [`TidId`](crate::table::TidId): the
-/// raw index carries no generation, so a handle held across TID churn
-/// silently addresses the slot's next occupant. See DESIGN.md §14 for
-/// the migration note; this alias is kept for one PR.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the generational wifiq_core::table::TidId instead; raw indices do not catch reuse-after-churn"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TidHandle(pub usize);
-
-/// Identifies a station registered with the airtime scheduler.
-///
-/// Superseded by the generational [`StaId`](crate::table::StaId); kept
-/// for one PR (DESIGN.md §14) as the handle type of the retained
-/// [`ReferenceScheduler`](crate::scheduler::ReferenceScheduler) oracle.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the generational wifiq_core::table::StaId instead; raw indices do not catch reuse-after-churn"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StationHandle(pub usize);
-
 /// Null link in a packet arena's intrusive lists.
 const NIL: u32 = u32::MAX;
 

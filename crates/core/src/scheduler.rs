@@ -5,7 +5,7 @@
 //! accounted in *microseconds of airtime* instead of bytes. Each station
 //! keeps one deficit per 802.11 QoS precedence level (VO/VI/BE/BK).
 //!
-//! Compared to its closest prior work (the DTT scheduler [6]), this design:
+//! Compared to its closest prior work (the DTT scheduler \[6\]), this design:
 //!
 //! 1. uses per-station deficits instead of token buckets (no accounting at
 //!    TX/RX completion beyond one subtraction),
@@ -34,8 +34,6 @@ use std::collections::VecDeque;
 
 use wifiq_sim::Nanos;
 
-#[allow(deprecated)]
-use crate::packet::StationHandle;
 use crate::table::{Membership, StaId, StationTable};
 
 pub use crate::table::{QOS_LEVELS, WEIGHT_NEUTRAL};
@@ -54,7 +52,7 @@ pub struct AirtimeParams {
     pub sparse_stations: bool,
     /// Charge received (upstream) airtime to station deficits (§3.2
     /// item 2). Disabling this reverts to TX-only accounting, the
-    /// behaviour of prior schedulers like DTT [6] — the ablation behind
+    /// behaviour of prior schedulers like DTT \[6\] — the ablation behind
     /// the bidirectional rows of Figure 6.
     pub charge_rx: bool,
 }
@@ -302,7 +300,6 @@ struct RefAcLists {
 /// asserts identical decisions. Not for production use.
 #[doc(hidden)]
 #[derive(Debug)]
-#[allow(deprecated)]
 pub struct ReferenceScheduler {
     params: AirtimeParams,
     stations: Vec<RefStationState>,
@@ -311,7 +308,12 @@ pub struct ReferenceScheduler {
     pub stats: AirtimeStats,
 }
 
-#[allow(deprecated)]
+/// A station registered with [`ReferenceScheduler`]: a raw slot index
+/// with no generation, which is why the oracle is not for production use.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StationHandle(usize);
+
 impl ReferenceScheduler {
     pub fn new(params: AirtimeParams) -> ReferenceScheduler {
         ReferenceScheduler {
@@ -453,9 +455,6 @@ impl ReferenceScheduler {
 }
 
 #[cfg(test)]
-// The oracle proptest drives the retained pre-SoA reference, which still
-// speaks raw `StationHandle` indices.
-#[allow(deprecated)]
 mod tests {
     use super::*;
 

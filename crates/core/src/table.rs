@@ -1,13 +1,12 @@
 //! The flat station/TID state store: a struct-of-arrays table keyed by
 //! generational handles.
 //!
-//! One scheduler round used to walk a `Vec` of per-station structs and
-//! index four parallel side vectors with `tid_index(sta, ac) = 4·sta +
-//! ac` arithmetic scattered across call sites. At 100k+ stations the
-//! per-round working set — deficits, DRR list membership, list links,
-//! TID handles — no longer fits the cache when it is interleaved with
-//! cold configuration, and every raw `usize` index is one churn bug away
-//! from addressing a recycled slot.
+//! Per-station structs in a `Vec` plus parallel side vectors indexed by
+//! `4·sta + ac` arithmetic at every call site do not scale: at 100k+
+//! stations the per-round working set — deficits, DRR list membership,
+//! list links, TID handles — no longer fits the cache when it is
+//! interleaved with cold configuration, and every raw `usize` index is
+//! one churn bug away from addressing a recycled slot.
 //!
 //! [`StationTable`] fixes both:
 //!
@@ -178,8 +177,7 @@ pub struct StationTable<C> {
     prev: Vec<u32>,
     next: Vec<u32>,
     /// The TID handle stripe: `tids[slot×4 + ac]` is the MAC FQ TID
-    /// registered for that (station, ac) — the accessor that replaces
-    /// `tid_index()` call-site arithmetic.
+    /// registered for that (station, ac).
     tids: Vec<TidId>,
 
     lists: [AcLists; QOS_LEVELS],
@@ -416,8 +414,8 @@ impl<C> StationTable<C> {
         self.membership[self.node(sta, ac)]
     }
 
-    /// The registered TID for `(sta, ac)` — the single access path that
-    /// replaces `tid_index()` arithmetic. [`TidId::NONE`] until
+    /// The registered TID for `(sta, ac)` — the single access path to a
+    /// station's MAC FQ TIDs. [`TidId::NONE`] until
     /// [`set_tid`](Self::set_tid).
     pub fn tid(&self, sta: StaId, ac: usize) -> TidId {
         self.tids[self.node(sta, ac)]

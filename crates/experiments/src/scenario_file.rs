@@ -1,5 +1,8 @@
 //! JSON scenario files: declarative network + traffic descriptions for
-//! the `wifiq` runner.
+//! the `wifiq` runner, and the one document model every layer above
+//! `mac` shares — the loader, the `wifiq-search` mutators and shrinker,
+//! and the committed `scenarios/found/` counterexamples all speak
+//! [`ScenarioFile`].
 //!
 //! ```json
 //! {
@@ -50,9 +53,33 @@
 //! [`wifiq_policy`](wifiq_mac::PolicyTimeline) node tree plus timed
 //! switches); `4` adds the `roaming` block (a [`wifiq_roam::SoloRoam`]
 //! hand-off schedule replayed against the scenario network). Files using
-//! a field their declared version does not gate in are rejected.
+//! a field their declared version does not gate in are rejected. The
+//! version is a property of the *text* — it gates outside input and is
+//! not kept on the decoded value.
+//!
+//! Every value is held in its file form (a `burst_loss` fault stores
+//! `bad_frac`/`burst_len`; the Gilbert–Elliott transition probabilities
+//! are derived in [`ScenarioFile::build`]), so decoding loses nothing and
+//! [`ScenarioFile::text`] writes any document back out canonically:
+//!
+//! ```
+//! use wifiq_experiments::scenario_file::ScenarioFile;
+//!
+//! let file = ScenarioFile::from_json(
+//!     r#"{ "secs": 5, "rate_control": true,
+//!          "stations": [{ "rate": "mcs15", "mcs_cliff": 11 }, { "rate": "mcs7" }],
+//!          "traffic": [{ "kind": "web", "station": 0, "page": "large" },
+//!                      { "kind": "tcp_down", "station": 1 }] }"#,
+//! )
+//! .unwrap();
+//! let again = ScenarioFile::from_json(&file.text()).unwrap();
+//! assert_eq!(again, file);
+//! assert_eq!(again.hash(), file.hash());
+//! assert_eq!(again.stations[0].mcs_cliff, Some(11));
+//! ```
 
 use serde_json::Json;
+use wifiq_harness::sha256_hex;
 use wifiq_mac::{
     ErrorModel, FaultEntry, FaultSchedule, FaultTarget, Impairment, NetworkConfig, PolicyNode,
     PolicySet, PolicyTimeline, SchemeKind, StationCfg, WifiNetwork,
@@ -64,7 +91,7 @@ use wifiq_sim::Nanos;
 use wifiq_traffic::{AppMsg, FlowHandle, TrafficApp, WebPage};
 
 /// One station in a scenario file.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StationSpec {
     /// Rate spec: `mcsN`, `vhtN` (2 streams, 80 MHz), or `<x>mbps`.
     pub rate: String,
@@ -76,8 +103,20 @@ pub struct StationSpec {
     pub weight: Option<u32>,
 }
 
+impl StationSpec {
+    /// An error-free, neutral-weight station at `rate`.
+    pub fn new(rate: &str) -> StationSpec {
+        StationSpec {
+            rate: rate.into(),
+            error: 0.0,
+            mcs_cliff: None,
+            weight: None,
+        }
+    }
+}
+
 /// One traffic component in a scenario file.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficSpec {
     /// Bulk TCP download to `station`.
     TcpDown {
@@ -95,7 +134,7 @@ pub enum TrafficSpec {
         station: usize,
         /// Mean offered rate in Mbps.
         mbps: u64,
-        /// Exponential interarrivals instead of CBR.
+        /// Exponential interarrivals instead of CBR (default false).
         poisson: bool,
     },
     /// 10 Hz ping to `station`.
@@ -108,19 +147,46 @@ pub enum TrafficSpec {
         /// Target station.
         station: usize,
         /// QoS marking: "vo", "vi", "be", "bk" (default "be").
-        qos: Option<String>,
+        qos: String,
     },
     /// Web page load from `station`.
     Web {
         /// Fetching station.
         station: usize,
-        /// "small" (56 KB / 3 req) or "large" (3 MB / 110 req).
-        page: Option<String>,
+        /// "small" (56 KB / 3 req) or "large" (3 MB / 110 req); default
+        /// "small".
+        page: String,
     },
 }
 
+impl TrafficSpec {
+    /// The station this component drives.
+    pub fn station(&self) -> usize {
+        match self {
+            TrafficSpec::TcpDown { station }
+            | TrafficSpec::TcpUp { station }
+            | TrafficSpec::UdpDown { station, .. }
+            | TrafficSpec::Ping { station }
+            | TrafficSpec::Voip { station, .. }
+            | TrafficSpec::Web { station, .. } => *station,
+        }
+    }
+
+    /// Mutable access to the station reference (roster remapping).
+    pub fn station_mut(&mut self) -> &mut usize {
+        match self {
+            TrafficSpec::TcpDown { station }
+            | TrafficSpec::TcpUp { station }
+            | TrafficSpec::UdpDown { station, .. }
+            | TrafficSpec::Ping { station }
+            | TrafficSpec::Voip { station, .. }
+            | TrafficSpec::Web { station, .. } => station,
+        }
+    }
+}
+
 /// One fault-schedule entry in a scenario file (schema version ≥ 2).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Window start in seconds of sim time (inclusive).
     pub from_secs: f64,
@@ -128,13 +194,72 @@ pub struct FaultSpec {
     pub until_secs: f64,
     /// Target station slot; absent applies to every station.
     pub station: Option<usize>,
-    /// The decoded impairment.
-    pub impairment: Impairment,
+    /// The impairment and its parameters.
+    pub kind: FaultKind,
+}
+
+/// An impairment with its parameters as the file spells them; the
+/// simulation-side [`Impairment`] is derived in [`ScenarioFile::build`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultKind {
+    /// Uniform i.i.d. frame loss.
+    Loss {
+        /// Per-frame loss probability.
+        prob: f64,
+    },
+    /// Gilbert–Elliott burst loss.
+    BurstLoss {
+        /// Stationary fraction of time in the bad state, in `[0, 1)`.
+        bad_frac: f64,
+        /// Mean bad-state burst length in frames (≥ 1).
+        burst_len: f64,
+        /// Loss probability inside a burst (default 0.8).
+        loss_bad: f64,
+    },
+    /// PHY rate pinned to `rate`.
+    RateCollapse {
+        /// The collapsed rate spec.
+        rate: String,
+    },
+    /// Rate square-wave between the configured rate and `low`.
+    RateOscillate {
+        /// The low rate spec.
+        low: String,
+        /// Oscillation period in ms.
+        period_ms: u64,
+    },
+    /// Total stall.
+    Stall,
+    /// Hardware queue clamped to `depth`.
+    HwBackpressure {
+        /// Clamped queue depth.
+        depth: usize,
+    },
+    /// ACK loss.
+    AckLoss {
+        /// Per-ACK loss probability.
+        prob: f64,
+    },
+}
+
+impl FaultKind {
+    /// The schema `kind` string.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FaultKind::Loss { .. } => "loss",
+            FaultKind::BurstLoss { .. } => "burst_loss",
+            FaultKind::RateCollapse { .. } => "rate_collapse",
+            FaultKind::RateOscillate { .. } => "rate_oscillate",
+            FaultKind::Stall => "stall",
+            FaultKind::HwBackpressure { .. } => "hw_backpressure",
+            FaultKind::AckLoss { .. } => "ack_loss",
+        }
+    }
 }
 
 /// Optional station churn (schema version ≥ 2): a seeded join/leave
 /// schedule layered on the run via [`wifiq_scale::ChurnDriver`].
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnSpec {
     /// Mean interval between churn events in ms (default 100).
     pub mean_interval_ms: u64,
@@ -149,7 +274,7 @@ pub struct ChurnSpec {
 /// scenario roster roams; a hand-off disassociates it mid-flow, carries
 /// its queued downlink frames across the reassociation gap, and re-homes
 /// it with a fresh rate drawn from the palette.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoamingSpec {
     /// Mean dwell time between a station's hand-offs in ms
     /// (exponentially distributed; default 5000).
@@ -163,8 +288,19 @@ pub struct RoamingSpec {
     pub rate_palette: Option<Vec<String>>,
 }
 
+impl Default for RoamingSpec {
+    fn default() -> RoamingSpec {
+        RoamingSpec {
+            mean_dwell_ms: 5000,
+            reassoc_min_ms: 20,
+            reassoc_max_ms: 80,
+            rate_palette: None,
+        }
+    }
+}
+
 /// One node of a policy tree in a scenario file (schema version ≥ 3).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyNodeSpec {
     /// Node name (unique within the tree).
     pub name: String,
@@ -180,7 +316,7 @@ pub struct PolicyNodeSpec {
 }
 
 /// One timed policy switch in a scenario file (schema version ≥ 3).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicySwitchSpec {
     /// When the replacement tree takes effect, in sim seconds.
     pub at_secs: f64,
@@ -191,7 +327,7 @@ pub struct PolicySwitchSpec {
 /// The `policy` block (schema version ≥ 3): an initial tree plus timed
 /// switches, compiled into a [`wifiq_policy`](wifiq_mac::PolicyTimeline)
 /// timeline at build time.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicySpec {
     /// Root nodes of the initial tree.
     pub nodes: Vec<PolicyNodeSpec>,
@@ -202,13 +338,13 @@ pub struct PolicySpec {
 /// Provenance of a searcher-found counterexample (schema version ≥ 3):
 /// how `wifiq-search` derived the file, so `scenarios/found/` entries are
 /// self-describing regression artifacts. Ignored by [`ScenarioFile::build`]
-/// — it documents the discovery, not the simulation.
-#[derive(Debug, Clone)]
+/// and excluded from [`ScenarioFile::hash`] — it documents the discovery,
+/// not the simulation.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProvenanceSpec {
     /// Master seed of the search run that found this counterexample.
     pub searcher_seed: u64,
-    /// The violated objective: `jain_dip`, `latency_spike`, `codel_flap`
-    /// or `convergence_blowout`.
+    /// The violated objective, one of [`OBJECTIVE_KINDS`].
     pub objective: String,
     /// Severity score of the minimal counterexample.
     pub score: f64,
@@ -231,18 +367,19 @@ pub const OBJECTIVE_KINDS: [&str; 6] = [
     "convergence_blowout",
 ];
 
-/// A complete scenario file.
-#[derive(Debug)]
+/// A complete scenario document: what [`ScenarioFile::from_json`] decodes,
+/// what the searcher mutates and shrinks, and what
+/// [`ScenarioFile::text`] writes back. Absent optional fields decode to
+/// their defaults, so two documents that describe the same scenario
+/// compare equal.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioFile {
-    /// Schema version: 1 (legacy, implicit), 2 (faults + churn),
-    /// 3 (airtime policy) or 4 (roaming).
-    pub version: u64,
     /// Scheme: "fifo", "fqcodel", "fqmac", "airtime" (default "airtime").
-    pub scheme: Option<String>,
+    pub scheme: String,
     /// Simulated seconds (default 20).
-    pub secs: Option<u64>,
+    pub secs: u64,
     /// RNG seed (default 1).
-    pub seed: Option<u64>,
+    pub seed: u64,
     /// FQ-CoDel on client uplinks.
     pub station_fq: bool,
     /// Minstrel rate control at the AP.
@@ -303,24 +440,26 @@ impl<'a> Fields<'a> {
         self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
-    fn u64_opt(&self, name: &str) -> Result<Option<u64>, String> {
-        self.raw(name)
-            .map(|v| {
-                v.as_u64().ok_or_else(|| {
-                    format!(
-                        "{}: field `{name}` must be a non-negative integer",
-                        self.what
-                    )
-                })
-            })
-            .transpose()
+    /// An optional non-negative integer field, narrowed to `T` with a
+    /// named error instead of a silent `as` wrap.
+    fn int_opt<T: TryFrom<u64>>(&self, name: &str) -> Result<Option<T>, String> {
+        let Some(v) = self.raw(name) else {
+            return Ok(None);
+        };
+        let v = v.as_u64().ok_or_else(|| {
+            format!(
+                "{}: field `{name}` must be a non-negative integer",
+                self.what
+            )
+        })?;
+        T::try_from(v)
+            .map(Some)
+            .map_err(|_| format!("{}: field `{name}` is out of range ({v})", self.what))
     }
 
-    fn usize_req(&self, name: &str) -> Result<usize, String> {
-        match self.u64_opt(name)? {
-            Some(v) => Ok(v as usize),
-            None => Err(format!("{}: missing field `{name}`", self.what)),
-        }
+    fn int_req<T: TryFrom<u64>>(&self, name: &str) -> Result<T, String> {
+        self.int_opt(name)?
+            .ok_or_else(|| format!("{}: missing field `{name}`", self.what))
     }
 
     fn f64_req(&self, name: &str) -> Result<f64, String> {
@@ -376,7 +515,14 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn usize_array_opt(&self, name: &str) -> Result<Option<Vec<usize>>, String> {
+    /// An optional array field whose every entry `conv` accepts;
+    /// `entries` describes them for the error message.
+    fn array_opt<T>(
+        &self,
+        name: &str,
+        entries: &str,
+        conv: impl Fn(&Json) -> Option<T>,
+    ) -> Result<Option<Vec<T>>, String> {
         let Some(v) = self.raw(name) else {
             return Ok(None);
         };
@@ -385,15 +531,14 @@ impl<'a> Fields<'a> {
             .ok_or_else(|| format!("{}: field `{name}` must be an array", self.what))?;
         arr.iter()
             .map(|x| {
-                x.as_u64().map(|u| u as usize).ok_or_else(|| {
-                    format!(
-                        "{}: `{name}` entries must be non-negative integers",
-                        self.what
-                    )
-                })
+                conv(x).ok_or_else(|| format!("{}: `{name}` entries must be {entries}", self.what))
             })
             .collect::<Result<Vec<_>, _>>()
             .map(Some)
+    }
+
+    fn string_array_opt(&self, name: &str) -> Result<Option<Vec<String>>, String> {
+        self.array_opt(name, "strings", |x| x.as_str().map(str::to_string))
     }
 }
 
@@ -404,8 +549,8 @@ impl StationSpec {
         Ok(StationSpec {
             rate: f.string_req("rate")?,
             error: f.f64_or("error", 0.0)?,
-            mcs_cliff: f.u64_opt("mcs_cliff")?.map(|v| v as u8),
-            weight: f.u64_opt("weight")?.map(|v| v as u32),
+            mcs_cliff: f.int_opt("mcs_cliff")?,
+            weight: f.int_opt("weight")?,
         })
     }
 }
@@ -418,43 +563,41 @@ impl TrafficSpec {
             "tcp_down" => {
                 f.deny_unknown(&["kind", "station"])?;
                 Ok(TrafficSpec::TcpDown {
-                    station: f.usize_req("station")?,
+                    station: f.int_req("station")?,
                 })
             }
             "tcp_up" => {
                 f.deny_unknown(&["kind", "station"])?;
                 Ok(TrafficSpec::TcpUp {
-                    station: f.usize_req("station")?,
+                    station: f.int_req("station")?,
                 })
             }
             "udp_down" => {
                 f.deny_unknown(&["kind", "station", "mbps", "poisson"])?;
                 Ok(TrafficSpec::UdpDown {
-                    station: f.usize_req("station")?,
-                    mbps: f
-                        .u64_opt("mbps")?
-                        .ok_or_else(|| format!("traffic[{index}]: missing field `mbps`"))?,
+                    station: f.int_req("station")?,
+                    mbps: f.int_req("mbps")?,
                     poisson: f.bool_or("poisson", false)?,
                 })
             }
             "ping" => {
                 f.deny_unknown(&["kind", "station"])?;
                 Ok(TrafficSpec::Ping {
-                    station: f.usize_req("station")?,
+                    station: f.int_req("station")?,
                 })
             }
             "voip" => {
                 f.deny_unknown(&["kind", "station", "qos"])?;
                 Ok(TrafficSpec::Voip {
-                    station: f.usize_req("station")?,
-                    qos: f.string_opt("qos")?,
+                    station: f.int_req("station")?,
+                    qos: f.string_opt("qos")?.unwrap_or_else(|| "be".into()),
                 })
             }
             "web" => {
                 f.deny_unknown(&["kind", "station", "page"])?;
                 Ok(TrafficSpec::Web {
-                    station: f.usize_req("station")?,
-                    page: f.string_opt("page")?,
+                    station: f.int_req("station")?,
+                    page: f.string_opt("page")?.unwrap_or_else(|| "small".into()),
                 })
             }
             other => Err(format!("traffic[{index}]: unknown kind `{other}`")),
@@ -471,49 +614,47 @@ impl FaultSpec {
             v.extend_from_slice(extra);
             v
         }
-        let impairment = match kind.as_str() {
+        let kind = match kind.as_str() {
             "loss" => {
                 f.deny_unknown(&allow(&["prob"]))?;
-                Impairment::uniform_loss(f.f64_req("prob")?)
+                FaultKind::Loss {
+                    prob: f.f64_req("prob")?,
+                }
             }
             "burst_loss" => {
                 f.deny_unknown(&allow(&["bad_frac", "burst_len", "loss_bad"]))?;
-                let bad_frac = f.f64_req("bad_frac")?;
-                let burst_len = f.f64_req("burst_len")?;
-                if !(0.0..1.0).contains(&bad_frac) {
-                    return Err(format!("faults[{index}]: bad_frac must be in [0, 1)"));
+                FaultKind::BurstLoss {
+                    bad_frac: f.f64_req("bad_frac")?,
+                    burst_len: f.f64_req("burst_len")?,
+                    loss_bad: f.f64_or("loss_bad", 0.8)?,
                 }
-                if burst_len < 1.0 {
-                    return Err(format!("faults[{index}]: burst_len must be >= 1"));
-                }
-                Impairment::bursty_loss(bad_frac, burst_len, f.f64_or("loss_bad", 0.8)?)
             }
             "rate_collapse" => {
                 f.deny_unknown(&allow(&["rate"]))?;
-                Impairment::RateCollapse {
-                    rate: parse_rate(&f.string_req("rate")?)?,
+                FaultKind::RateCollapse {
+                    rate: f.string_req("rate")?,
                 }
             }
             "rate_oscillate" => {
                 f.deny_unknown(&allow(&["low", "period_ms"]))?;
-                Impairment::RateOscillate {
-                    low: parse_rate(&f.string_req("low")?)?,
-                    period: Nanos::from_millis(f.usize_req("period_ms")? as u64),
+                FaultKind::RateOscillate {
+                    low: f.string_req("low")?,
+                    period_ms: f.int_req("period_ms")?,
                 }
             }
             "stall" => {
                 f.deny_unknown(&allow(&[]))?;
-                Impairment::Stall
+                FaultKind::Stall
             }
             "hw_backpressure" => {
                 f.deny_unknown(&allow(&["depth"]))?;
-                Impairment::HwBackpressure {
-                    depth: f.usize_req("depth")?,
+                FaultKind::HwBackpressure {
+                    depth: f.int_req("depth")?,
                 }
             }
             "ack_loss" => {
                 f.deny_unknown(&allow(&["prob"]))?;
-                Impairment::AckLoss {
+                FaultKind::AckLoss {
                     prob: f.f64_req("prob")?,
                 }
             }
@@ -522,8 +663,39 @@ impl FaultSpec {
         Ok(FaultSpec {
             from_secs: f.f64_req("from_secs")?,
             until_secs: f.f64_req("until_secs")?,
-            station: f.u64_opt("station")?.map(|v| v as usize),
-            impairment,
+            station: f.int_opt("station")?,
+            kind,
+        })
+    }
+
+    /// Derives the simulation-side impairment, range-checking before the
+    /// panicking `Impairment` constructors.
+    fn impairment(&self, index: usize) -> Result<Impairment, String> {
+        Ok(match &self.kind {
+            FaultKind::Loss { prob } => Impairment::uniform_loss(*prob),
+            FaultKind::BurstLoss {
+                bad_frac,
+                burst_len,
+                loss_bad,
+            } => {
+                if !(0.0..1.0).contains(bad_frac) {
+                    return Err(format!("faults[{index}]: bad_frac must be in [0, 1)"));
+                }
+                if *burst_len < 1.0 {
+                    return Err(format!("faults[{index}]: burst_len must be >= 1"));
+                }
+                Impairment::bursty_loss(*bad_frac, *burst_len, *loss_bad)
+            }
+            FaultKind::RateCollapse { rate } => Impairment::RateCollapse {
+                rate: parse_rate(rate)?,
+            },
+            FaultKind::RateOscillate { low, period_ms } => Impairment::RateOscillate {
+                low: parse_rate(low)?,
+                period: millis(*period_ms, &format!("faults[{index}]: `period_ms`"))?,
+            },
+            FaultKind::Stall => Impairment::Stall,
+            FaultKind::HwBackpressure { depth } => Impairment::HwBackpressure { depth: *depth },
+            FaultKind::AckLoss { prob } => Impairment::AckLoss { prob: *prob },
         })
     }
 }
@@ -532,23 +704,6 @@ impl PolicyNodeSpec {
     fn decode(value: &Json, path: String) -> Result<PolicyNodeSpec, String> {
         let f = Fields::of(value, path.clone())?;
         f.deny_unknown(&["name", "weight", "classes", "stations", "nodes"])?;
-        let classes = match f.raw("classes") {
-            None => None,
-            Some(v) => {
-                let arr = v
-                    .as_array()
-                    .ok_or_else(|| format!("{path}: field `classes` must be an array"))?;
-                Some(
-                    arr.iter()
-                        .map(|c| {
-                            c.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| format!("{path}: `classes` entries must be strings"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            }
-        };
         let nodes = match f.raw("nodes") {
             None => None,
             Some(v) => {
@@ -565,9 +720,11 @@ impl PolicyNodeSpec {
         };
         Ok(PolicyNodeSpec {
             name: f.string_req("name")?,
-            weight: f.u64_opt("weight")?.unwrap_or(1) as u32,
-            classes,
-            stations: f.usize_array_opt("stations")?,
+            weight: f.int_opt("weight")?.unwrap_or(1),
+            classes: f.string_array_opt("classes")?,
+            stations: f.array_opt("stations", "non-negative integers", |x| {
+                x.as_u64().and_then(|u| usize::try_from(u).ok())
+            })?,
             nodes,
         })
     }
@@ -651,14 +808,14 @@ impl PolicySpec {
             .map(PolicyNodeSpec::to_node)
             .collect::<Result<Vec<_>, _>>()?;
         let mut timeline = PolicyTimeline::fixed(PolicySet::new(roots));
-        for sw in &self.switches {
+        for (i, sw) in self.switches.iter().enumerate() {
             let roots = sw
                 .nodes
                 .iter()
                 .map(PolicyNodeSpec::to_node)
                 .collect::<Result<Vec<_>, _>>()?;
-            timeline =
-                timeline.with_switch(Nanos::from_secs_f64(sw.at_secs), PolicySet::new(roots));
+            let at = secs_f64(sw.at_secs, &format!("policy.switches[{i}]: `at_secs`"))?;
+            timeline = timeline.with_switch(at, PolicySet::new(roots));
         }
         Ok(timeline)
     }
@@ -680,18 +837,18 @@ impl ProvenanceSpec {
             return Err(format!("provenance: unknown objective `{objective}`"));
         }
         let searcher_seed = f
-            .u64_opt("searcher_seed")?
+            .int_opt("searcher_seed")?
             .ok_or("provenance: missing field `searcher_seed`")?;
         let shrink_steps = f
-            .u64_opt("shrink_steps")?
+            .int_opt("shrink_steps")?
             .ok_or("provenance: missing field `shrink_steps`")?;
         Ok(ProvenanceSpec {
             searcher_seed,
             objective,
             score: f.f64_or("score", 0.0)?,
             shrink_steps,
-            first_failing_bytes: f.u64_opt("first_failing_bytes")?,
-            minimal_bytes: f.u64_opt("minimal_bytes")?,
+            first_failing_bytes: f.int_opt("first_failing_bytes")?,
+            minimal_bytes: f.int_opt("minimal_bytes")?,
         })
     }
 }
@@ -705,28 +862,12 @@ impl RoamingSpec {
             "reassoc_max_ms",
             "rate_palette",
         ])?;
-        let rate_palette = match f.raw("rate_palette") {
-            None => None,
-            Some(v) => {
-                let arr = v
-                    .as_array()
-                    .ok_or("roaming: field `rate_palette` must be an array")?;
-                Some(
-                    arr.iter()
-                        .map(|r| {
-                            r.as_str()
-                                .map(str::to_string)
-                                .ok_or("roaming: `rate_palette` entries must be strings".into())
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                )
-            }
-        };
+        let d = RoamingSpec::default();
         Ok(RoamingSpec {
-            mean_dwell_ms: f.u64_opt("mean_dwell_ms")?.unwrap_or(5000),
-            reassoc_min_ms: f.u64_opt("reassoc_min_ms")?.unwrap_or(20),
-            reassoc_max_ms: f.u64_opt("reassoc_max_ms")?.unwrap_or(80),
-            rate_palette,
+            mean_dwell_ms: f.int_opt("mean_dwell_ms")?.unwrap_or(d.mean_dwell_ms),
+            reassoc_min_ms: f.int_opt("reassoc_min_ms")?.unwrap_or(d.reassoc_min_ms),
+            reassoc_max_ms: f.int_opt("reassoc_max_ms")?.unwrap_or(d.reassoc_max_ms),
+            rate_palette: f.string_array_opt("rate_palette")?,
         })
     }
 }
@@ -736,10 +877,196 @@ impl ChurnSpec {
         let f = Fields::of(value, "churn")?;
         f.deny_unknown(&["mean_interval_ms", "min_stations", "max_stations"])?;
         Ok(ChurnSpec {
-            mean_interval_ms: f.u64_opt("mean_interval_ms")?.unwrap_or(100),
-            min_stations: f.usize_req("min_stations")?,
-            max_stations: f.usize_req("max_stations")?,
+            mean_interval_ms: f.int_opt("mean_interval_ms")?.unwrap_or(100),
+            min_stations: f.int_req("min_stations")?,
+            max_stations: f.int_req("max_stations")?,
         })
+    }
+}
+
+// ---- canonical encoding ----------------------------------------------------
+//
+// Fixed field order; `error`, `mcs_cliff`, `weight`, the two booleans,
+// `aql_ms`, an empty `faults` array and absent blocks are omitted; every
+// other field is written even at its default; floats print shortest
+// round-trip (integral ones as `N.0`). The same document always produces
+// the same bytes — content hashes, harness cache keys and the
+// `scenarios/found/` file names all rest on that.
+
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+fn strs(items: &[String]) -> Json {
+    Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect())
+}
+
+fn idx(i: usize) -> Json {
+    Json::U64(i as u64)
+}
+
+impl StationSpec {
+    fn encode(&self) -> Json {
+        let mut f = vec![("rate", Json::Str(self.rate.clone()))];
+        if self.error != 0.0 {
+            f.push(("error", Json::F64(self.error)));
+        }
+        if let Some(m) = self.mcs_cliff {
+            f.push(("mcs_cliff", Json::U64(u64::from(m))));
+        }
+        if let Some(w) = self.weight {
+            f.push(("weight", Json::U64(u64::from(w))));
+        }
+        obj(f)
+    }
+}
+
+impl TrafficSpec {
+    fn encode(&self) -> Json {
+        let (kind, extra) = match self {
+            TrafficSpec::TcpDown { .. } => ("tcp_down", vec![]),
+            TrafficSpec::TcpUp { .. } => ("tcp_up", vec![]),
+            TrafficSpec::UdpDown { mbps, poisson, .. } => (
+                "udp_down",
+                vec![
+                    ("mbps", Json::U64(*mbps)),
+                    ("poisson", Json::Bool(*poisson)),
+                ],
+            ),
+            TrafficSpec::Ping { .. } => ("ping", vec![]),
+            TrafficSpec::Voip { qos, .. } => ("voip", vec![("qos", Json::Str(qos.clone()))]),
+            TrafficSpec::Web { page, .. } => ("web", vec![("page", Json::Str(page.clone()))]),
+        };
+        let mut f = vec![
+            ("kind", Json::Str(kind.into())),
+            ("station", idx(self.station())),
+        ];
+        f.extend(extra);
+        obj(f)
+    }
+}
+
+impl FaultSpec {
+    fn encode(&self) -> Json {
+        let mut f = vec![
+            ("kind", Json::Str(self.kind.name().into())),
+            ("from_secs", Json::F64(self.from_secs)),
+            ("until_secs", Json::F64(self.until_secs)),
+        ];
+        if let Some(sta) = self.station {
+            f.push(("station", idx(sta)));
+        }
+        match &self.kind {
+            FaultKind::Loss { prob } | FaultKind::AckLoss { prob } => {
+                f.push(("prob", Json::F64(*prob)));
+            }
+            FaultKind::BurstLoss {
+                bad_frac,
+                burst_len,
+                loss_bad,
+            } => {
+                f.push(("bad_frac", Json::F64(*bad_frac)));
+                f.push(("burst_len", Json::F64(*burst_len)));
+                f.push(("loss_bad", Json::F64(*loss_bad)));
+            }
+            FaultKind::RateCollapse { rate } => f.push(("rate", Json::Str(rate.clone()))),
+            FaultKind::RateOscillate { low, period_ms } => {
+                f.push(("low", Json::Str(low.clone())));
+                f.push(("period_ms", Json::U64(*period_ms)));
+            }
+            FaultKind::Stall => {}
+            FaultKind::HwBackpressure { depth } => f.push(("depth", idx(*depth))),
+        }
+        obj(f)
+    }
+}
+
+impl PolicyNodeSpec {
+    fn encode(&self) -> Json {
+        let mut f = vec![
+            ("name", Json::Str(self.name.clone())),
+            ("weight", Json::U64(u64::from(self.weight))),
+        ];
+        if let Some(classes) = &self.classes {
+            f.push(("classes", strs(classes)));
+        }
+        if let Some(stations) = &self.stations {
+            f.push((
+                "stations",
+                Json::Arr(stations.iter().map(|s| idx(*s)).collect()),
+            ));
+        }
+        if let Some(nodes) = &self.nodes {
+            f.push(("nodes", PolicyNodeSpec::encode_all(nodes)));
+        }
+        obj(f)
+    }
+
+    fn encode_all(nodes: &[PolicyNodeSpec]) -> Json {
+        Json::Arr(nodes.iter().map(PolicyNodeSpec::encode).collect())
+    }
+}
+
+impl PolicySpec {
+    fn encode(&self) -> Json {
+        let mut f = vec![("nodes", PolicyNodeSpec::encode_all(&self.nodes))];
+        if !self.switches.is_empty() {
+            let switches = self.switches.iter().map(|sw| {
+                obj(vec![
+                    ("at_secs", Json::F64(sw.at_secs)),
+                    ("nodes", PolicyNodeSpec::encode_all(&sw.nodes)),
+                ])
+            });
+            f.push(("switches", Json::Arr(switches.collect())));
+        }
+        obj(f)
+    }
+}
+
+impl ChurnSpec {
+    fn encode(&self) -> Json {
+        obj(vec![
+            ("mean_interval_ms", Json::U64(self.mean_interval_ms)),
+            ("min_stations", idx(self.min_stations)),
+            ("max_stations", idx(self.max_stations)),
+        ])
+    }
+}
+
+impl RoamingSpec {
+    fn encode(&self) -> Json {
+        let mut f = vec![
+            ("mean_dwell_ms", Json::U64(self.mean_dwell_ms)),
+            ("reassoc_min_ms", Json::U64(self.reassoc_min_ms)),
+            ("reassoc_max_ms", Json::U64(self.reassoc_max_ms)),
+        ];
+        if let Some(palette) = &self.rate_palette {
+            f.push(("rate_palette", strs(palette)));
+        }
+        obj(f)
+    }
+}
+
+impl ProvenanceSpec {
+    fn encode(&self) -> Json {
+        let mut f = vec![
+            ("searcher_seed", Json::U64(self.searcher_seed)),
+            ("objective", Json::Str(self.objective.clone())),
+            ("score", Json::F64(self.score)),
+            ("shrink_steps", Json::U64(self.shrink_steps)),
+        ];
+        if let Some(b) = self.first_failing_bytes {
+            f.push(("first_failing_bytes", Json::U64(b)));
+        }
+        if let Some(b) = self.minimal_bytes {
+            f.push(("minimal_bytes", Json::U64(b)));
+        }
+        obj(f)
     }
 }
 
@@ -787,6 +1114,31 @@ fn parse_qos(s: Option<&str>) -> Result<AccessCategory, String> {
         "bk" => AccessCategory::Bk,
         other => return Err(format!("unknown QoS '{other}'")),
     })
+}
+
+/// A file-form seconds value as sim time. `Nanos::from_secs_f64` panics
+/// on negative, non-finite or beyond-horizon input; this names the field
+/// instead.
+fn secs_f64(v: f64, field: &str) -> Result<Nanos, String> {
+    if v >= 0.0 && v < u64::MAX as f64 / 1e9 {
+        Ok(Nanos::from_secs_f64(v))
+    } else {
+        Err(format!(
+            "{field} must be a finite, non-negative time within the simulated horizon (got {v})"
+        ))
+    }
+}
+
+/// A whole-unit file duration as sim time. `Nanos::from_secs` and
+/// `Nanos::from_millis` wrap on overflow; this names the field instead.
+fn whole(v: u64, unit: Nanos, field: &str) -> Result<Nanos, String> {
+    v.checked_mul(unit.as_nanos())
+        .map(Nanos::from_nanos)
+        .ok_or_else(|| format!("{field} overflows the simulated clock (got {v})"))
+}
+
+fn millis(v: u64, field: &str) -> Result<Nanos, String> {
+    whole(v, Nanos::from_millis(1), field)
 }
 
 /// A traffic handle paired with what it is, for result reporting.
@@ -873,7 +1225,7 @@ impl ScenarioFile {
             "provenance",
             "roaming",
         ])?;
-        let version = f.u64_opt("version")?.unwrap_or(1);
+        let version: u64 = f.int_opt("version")?.unwrap_or(1);
         if !(1..=4).contains(&version) {
             return Err(format!(
                 "unsupported scenario version {version} (this build understands 1 through 4)"
@@ -925,13 +1277,12 @@ impl ScenarioFile {
             .map(ProvenanceSpec::decode)
             .transpose()?;
         Ok(ScenarioFile {
-            version,
-            scheme: f.string_opt("scheme")?,
-            secs: f.u64_opt("secs")?,
-            seed: f.u64_opt("seed")?,
+            scheme: f.string_opt("scheme")?.unwrap_or_else(|| "airtime".into()),
+            secs: f.int_opt("secs")?.unwrap_or(20),
+            seed: f.int_opt("seed")?.unwrap_or(1),
             station_fq: f.bool_or("station_fq", false)?,
             rate_control: f.bool_or("rate_control", false)?,
-            aql_ms: f.u64_opt("aql_ms")?,
+            aql_ms: f.int_opt("aql_ms")?,
             stations,
             traffic,
             faults,
@@ -942,12 +1293,86 @@ impl ScenarioFile {
         })
     }
 
+    fn to_json(&self, with_provenance: bool) -> Json {
+        // Pre-roaming documents keep stamping 3, so their historical
+        // hashes (and `scenarios/found/` names) do not move.
+        let version = if self.roaming.is_some() { 4 } else { 3 };
+        let mut f = vec![
+            ("version", Json::U64(version)),
+            ("scheme", Json::Str(self.scheme.clone())),
+            ("secs", Json::U64(self.secs)),
+            ("seed", Json::U64(self.seed)),
+        ];
+        if self.station_fq {
+            f.push(("station_fq", Json::Bool(true)));
+        }
+        if self.rate_control {
+            f.push(("rate_control", Json::Bool(true)));
+        }
+        if let Some(aql) = self.aql_ms {
+            f.push(("aql_ms", Json::U64(aql)));
+        }
+        f.push((
+            "stations",
+            Json::Arr(self.stations.iter().map(StationSpec::encode).collect()),
+        ));
+        f.push((
+            "traffic",
+            Json::Arr(self.traffic.iter().map(TrafficSpec::encode).collect()),
+        ));
+        if !self.faults.is_empty() {
+            f.push((
+                "faults",
+                Json::Arr(self.faults.iter().map(FaultSpec::encode).collect()),
+            ));
+        }
+        if let Some(c) = &self.churn {
+            f.push(("churn", c.encode()));
+        }
+        if let Some(p) = &self.policy {
+            f.push(("policy", p.encode()));
+        }
+        if let Some(r) = &self.roaming {
+            f.push(("roaming", r.encode()));
+        }
+        if let Some(p) = self.provenance.as_ref().filter(|_| with_provenance) {
+            f.push(("provenance", p.encode()));
+        }
+        obj(f)
+    }
+
+    /// The canonical JSON value of the scenario itself — provenance
+    /// excluded: a document's identity is the scenario it describes, not
+    /// how it was found.
+    pub fn encode(&self) -> Json {
+        self.to_json(false)
+    }
+
+    /// The canonical on-disk form: pretty JSON, the provenance block when
+    /// the document carries one, and a trailing newline.
+    pub fn text(&self) -> String {
+        let mut t = self.to_json(true).pretty();
+        t.push('\n');
+        t
+    }
+
+    /// Content hash: SHA-256 of the compact form of [`ScenarioFile::encode`].
+    pub fn hash(&self) -> String {
+        sha256_hex(self.encode().compact().as_bytes())
+    }
+
+    /// Size in bytes of the on-disk form without provenance — the measure
+    /// the shrinker minimises.
+    pub fn size_bytes(&self) -> u64 {
+        self.encode().pretty().len() as u64 + 1
+    }
+
     /// Validates and builds the network + traffic application.
     pub fn build(&self) -> Result<BuiltScenario, String> {
         if self.stations.is_empty() {
             return Err("scenario needs at least one station".into());
         }
-        let scheme = match self.scheme.as_deref().unwrap_or("airtime") {
+        let scheme = match self.scheme.as_str() {
             "fifo" => SchemeKind::Fifo,
             "fqcodel" => SchemeKind::FqCodelQdisc,
             "fqmac" => SchemeKind::FqMac,
@@ -984,11 +1409,11 @@ impl ScenarioFile {
                 }
             }
             schedule.push(FaultEntry::new(
-                Nanos::from_secs_f64(spec.from_secs),
-                Nanos::from_secs_f64(spec.until_secs),
+                secs_f64(spec.from_secs, &format!("faults[{i}]: `from_secs`"))?,
+                secs_f64(spec.until_secs, &format!("faults[{i}]: `until_secs`"))?,
                 spec.station
                     .map_or(FaultTarget::AllStations, FaultTarget::Station),
-                spec.impairment,
+                spec.impairment(i)?,
             ));
         }
         schedule
@@ -999,13 +1424,15 @@ impl ScenarioFile {
             // ineligible and silently starve all traffic.
             return Err("aql_ms must be positive (omit it to disable AQL)".into());
         }
+        let aql = self.aql_ms.map(|ms| millis(ms, "`aql_ms`")).transpose()?;
+        let duration = whole(self.secs, Nanos::from_secs(1), "`secs`")?;
         let mut builder = NetworkConfig::builder()
             .stations(stations)
             .scheme(scheme)
-            .seed(self.seed.unwrap_or(1))
+            .seed(self.seed)
             .station_fq(self.station_fq)
             .rate_control(self.rate_control)
-            .aql(self.aql_ms.map(Nanos::from_millis))
+            .aql(aql)
             .faults(schedule);
         if let Some(p) = &self.policy {
             let timeline = p.to_timeline()?;
@@ -1027,7 +1454,7 @@ impl ScenarioFile {
                 // so churn never perturbs the network's own draws.
                 Some(ChurnDriver::new(
                     ChurnCfg {
-                        mean_interval: Nanos::from_millis(c.mean_interval_ms),
+                        mean_interval: millis(c.mean_interval_ms, "churn: `mean_interval_ms`")?,
                         min_stations: c.min_stations,
                         max_stations: c.max_stations,
                         ..ChurnCfg::default()
@@ -1060,9 +1487,9 @@ impl ScenarioFile {
                 // so the master seed is passed through unmixed.
                 Some(SoloRoam::new(
                     RoamCfg {
-                        mean_dwell: Nanos::from_millis(r.mean_dwell_ms),
-                        reassoc_min: Nanos::from_millis(r.reassoc_min_ms),
-                        reassoc_max: Nanos::from_millis(r.reassoc_max_ms),
+                        mean_dwell: millis(r.mean_dwell_ms, "roaming: `mean_dwell_ms`")?,
+                        reassoc_min: millis(r.reassoc_min_ms, "roaming: `reassoc_min_ms`")?,
+                        reassoc_max: millis(r.reassoc_max_ms, "roaming: `reassoc_max_ms`")?,
                         rate_palette,
                     },
                     cfg.seed,
@@ -1075,14 +1502,7 @@ impl ScenarioFile {
         let mut app = TrafficApp::with_seed(cfg.seed);
         let mut traffic = Vec::new();
         for t in &self.traffic {
-            let sta = match t {
-                TrafficSpec::TcpDown { station }
-                | TrafficSpec::TcpUp { station }
-                | TrafficSpec::UdpDown { station, .. }
-                | TrafficSpec::Ping { station }
-                | TrafficSpec::Voip { station, .. }
-                | TrafficSpec::Web { station, .. } => *station,
-            };
+            let sta = t.station();
             if sta >= n {
                 return Err(format!(
                     "traffic references station {sta}, but there are only {n}"
@@ -1112,11 +1532,11 @@ impl ScenarioFile {
                 }
                 TrafficSpec::Voip { station, qos } => InstalledTraffic::Voip(app.add_voip(
                     *station,
-                    parse_qos(qos.as_deref())?,
+                    parse_qos(Some(qos))?,
                     Nanos::ZERO,
                 )),
                 TrafficSpec::Web { station, page } => {
-                    let page = match page.as_deref().unwrap_or("small") {
+                    let page = match page.as_str() {
                         "small" => WebPage::small(),
                         "large" => WebPage::large(),
                         other => return Err(format!("unknown page '{other}'")),
@@ -1133,7 +1553,7 @@ impl ScenarioFile {
             net,
             app,
             traffic,
-            duration: Nanos::from_secs(self.secs.unwrap_or(20)),
+            duration,
             churn,
             roam,
         })
@@ -1261,7 +1681,6 @@ mod tests {
     #[test]
     fn v2_scenario_with_faults_and_churn_runs() {
         let sc = ScenarioFile::from_json(V2).unwrap();
-        assert_eq!(sc.version, 2);
         assert_eq!(sc.faults.len(), 3);
         let mut built = sc.build().unwrap();
         assert!(!built.net.config().faults.is_empty());
@@ -1325,7 +1744,6 @@ mod tests {
     #[test]
     fn v3_scenario_with_policy_switch_runs() {
         let sc = ScenarioFile::from_json(V3).unwrap();
-        assert_eq!(sc.version, 3);
         let p = sc.policy.as_ref().expect("policy block");
         assert_eq!(p.nodes.len(), 2);
         assert_eq!(p.switches.len(), 1);
@@ -1525,7 +1943,6 @@ mod tests {
     #[test]
     fn v4_scenario_with_roaming_runs() {
         let sc = ScenarioFile::from_json(V4).unwrap();
-        assert_eq!(sc.version, 4);
         let r = sc.roaming.as_ref().expect("roaming block");
         assert_eq!(r.mean_dwell_ms, 100);
         assert_eq!(r.rate_palette.as_ref().unwrap().len(), 2);
@@ -1594,26 +2011,180 @@ mod tests {
         assert!(err.contains("dwell"), "{err}");
     }
 
+    /// `(path, text)` of every `.json` directly under `scenarios/<sub>`.
+    fn shipped(sub: &str) -> Vec<(std::path::PathBuf, String)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../scenarios")
+            .join(sub);
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(&dir).expect("scenarios dir") {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) == Some("json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                out.push((path, text));
+            }
+        }
+        out
+    }
+
     #[test]
     fn shipped_scenario_files_validate() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
-        let mut seen = 0;
-        for entry in std::fs::read_dir(dir).expect("scenarios dir") {
-            let path = entry.unwrap().path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            let text = std::fs::read_to_string(&path).unwrap();
-            let sc = ScenarioFile::from_json(&text)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            sc.build()
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            seen += 1;
-        }
+        let library = shipped("");
         assert!(
-            seen >= 5,
-            "expected the shipped scenario files, found {seen}"
+            library.len() >= 5,
+            "expected the shipped scenario files, found {}",
+            library.len()
         );
+        let found = shipped("found");
+        assert!(!found.is_empty(), "expected committed counterexamples");
+        // Parses, builds, and re-encodes to an equal document.
+        let load = |(path, text): &(std::path::PathBuf, String)| {
+            let sc =
+                ScenarioFile::from_json(text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            if let Err(e) = sc.build() {
+                panic!("{}: {e}", path.display());
+            }
+            assert_eq!(
+                ScenarioFile::from_json(&sc.text()).as_ref(),
+                Ok(&sc),
+                "{}: lossy round trip",
+                path.display()
+            );
+            sc
+        };
+        for f in &library {
+            load(f);
+        }
+        for f in &found {
+            assert!(
+                load(f).provenance.is_some(),
+                "{}: counterexamples must carry a provenance block",
+                f.0.display()
+            );
+        }
+    }
+
+    /// The pin on "the encoder writes exactly the bytes it always wrote":
+    /// every committed counterexample is named by its content hash and is
+    /// a fixed point of decode → encode.
+    #[test]
+    fn found_files_are_canonical_and_content_addressed() {
+        for (path, text) in shipped("found") {
+            let sc = ScenarioFile::from_json(&text).unwrap();
+            let stem = path.file_stem().unwrap().to_str().unwrap();
+            let (_, suffix) = stem.rsplit_once('_').expect("<objective>_<hash12>.json");
+            assert_eq!(suffix, &sc.hash()[..12], "{}", path.display());
+            assert_eq!(sc.text(), text, "{}", path.display());
+        }
+    }
+
+    fn tiny() -> ScenarioFile {
+        ScenarioFile::from_json(
+            r#"{ "version": 2, "secs": 3,
+                 "stations": [{ "rate": "mcs15" }, { "rate": "mcs7" }],
+                 "traffic": [{ "kind": "tcp_down", "station": 0 },
+                             { "kind": "tcp_down", "station": 1 }],
+                 "faults": [{ "kind": "burst_loss", "from_secs": 0.5, "until_secs": 2.5,
+                              "station": 1, "bad_frac": 0.3, "burst_len": 12,
+                              "loss_bad": 0.9 }] }"#,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn encoding_is_canonical() {
+        // Fixed order, always-written fields at their defaults, optional
+        // ones omitted, integral floats as `N.0`, version stamp 3.
+        assert_eq!(
+            tiny().encode().compact(),
+            concat!(
+                r#"{"version":3,"scheme":"airtime","secs":3,"seed":1,"#,
+                r#""stations":[{"rate":"mcs15"},{"rate":"mcs7"}],"#,
+                r#""traffic":[{"kind":"tcp_down","station":0},{"kind":"tcp_down","station":1}],"#,
+                r#""faults":[{"kind":"burst_loss","from_secs":0.5,"until_secs":2.5,"#,
+                r#""station":1,"bad_frac":0.3,"burst_len":12.0,"loss_bad":0.9}]}"#
+            )
+        );
+        assert_eq!(tiny().size_bytes(), tiny().text().len() as u64);
+    }
+
+    #[test]
+    fn every_field_round_trips() {
+        let sc = ScenarioFile::from_json(&fixture("ok_web_mcs_cliff_roundtrip.json")).unwrap();
+        assert_eq!(sc.stations[0].mcs_cliff, Some(11));
+        assert!(matches!(&sc.traffic[0], TrafficSpec::Web { page, .. } if page == "large"));
+        let back = ScenarioFile::from_json(&sc.text()).unwrap();
+        assert_eq!(back, sc);
+        assert_eq!(back.hash(), sc.hash());
+        assert_eq!(back.text(), sc.text());
+    }
+
+    #[test]
+    fn hash_ignores_provenance() {
+        let plain = tiny();
+        let stamped = ScenarioFile {
+            provenance: Some(ProvenanceSpec {
+                searcher_seed: 7,
+                objective: "jain_dip".into(),
+                score: 2.0,
+                shrink_steps: 3,
+                first_failing_bytes: Some(1000),
+                minimal_bytes: Some(250),
+            }),
+            ..plain.clone()
+        };
+        assert!(stamped.text().contains("provenance"));
+        assert_eq!(stamped.hash(), plain.hash());
+        assert_eq!(stamped.size_bytes(), plain.size_bytes());
+        // The stamped text still loads, provenance intact.
+        assert_eq!(ScenarioFile::from_json(&stamped.text()), Ok(stamped));
+    }
+
+    #[test]
+    fn roaming_bumps_the_version_stamp() {
+        let plain = tiny();
+        let roaming = ScenarioFile {
+            roaming: Some(RoamingSpec {
+                mean_dwell_ms: 300,
+                reassoc_min_ms: 10,
+                reassoc_max_ms: 60,
+                rate_palette: Some(vec!["mcs15".into(), "mcs3".into()]),
+            }),
+            ..plain.clone()
+        };
+        let compact = roaming.encode().compact();
+        assert!(compact.contains("\"version\":4"), "{compact}");
+        assert_ne!(roaming.hash(), plain.hash());
+        assert_eq!(ScenarioFile::from_json(&roaming.text()), Ok(roaming));
+    }
+
+    fn fixture(name: &str) -> String {
+        let dir = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/scenario_schema"
+        );
+        std::fs::read_to_string(format!("{dir}/{name}")).unwrap()
+    }
+
+    /// The fixture test only checks that these are rejected; the CLI's
+    /// promise is an error that names the field.
+    #[test]
+    fn hostile_numbers_are_named_errors() {
+        for (name, field) in [
+            ("bad_fault_negative_window.json", "from_secs"),
+            ("bad_secs_overflow.json", "secs"),
+            ("bad_weight_overflow.json", "weight"),
+            ("bad_mcs_cliff_overflow.json", "mcs_cliff"),
+        ] {
+            let e = match ScenarioFile::from_json(&fixture(name)).and_then(|sc| sc.build()) {
+                Err(e) => e,
+                Ok(_) => panic!("{name} accepted"),
+            };
+            assert!(
+                e.contains(field),
+                "{name}: error should name `{field}`: {e}"
+            );
+        }
     }
 
     #[test]

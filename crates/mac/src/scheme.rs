@@ -40,17 +40,6 @@ use crate::packet::{Packet, StationIdx};
 /// queue slot plus in-flight recycling without holding memory forever.
 const FRAME_POOL_CAP: usize = 32;
 
-/// Dense TID index: one per (station, access category).
-#[deprecated(
-    since = "0.1.0",
-    note = "station/TID state is keyed by generational handles now; read TID \
-            handles from `StationTable::tid` instead of deriving indices \
-            (DESIGN.md §14)"
-)]
-pub fn tid_index(sta: StationIdx, ac: AccessCategory) -> usize {
-    sta * AccessCategory::COUNT + ac.index()
-}
-
 /// Driver FIFO index for the legacy path's per-TID buf_q array. This is
 /// hardware-queue addressing (ath9k keys buf_q by TID number on the air),
 /// not station-state access — the station store itself is only reached

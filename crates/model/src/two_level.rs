@@ -1,5 +1,5 @@
 //! Two-level (A-MSDU inside A-MPDU) aggregation model — the extension the
-//! paper's footnote 1 defers to Kim et al. [16].
+//! paper's footnote 1 defers to Kim et al. \[16\].
 //!
 //! 802.11n permits packing several MSDUs into one MPDU (A-MSDU) before
 //! aggregating MPDUs into an A-MPDU. A-MSDU amortises the MAC header and

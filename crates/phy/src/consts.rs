@@ -1,7 +1,7 @@
 //! 802.11 timing and framing constants.
 //!
 //! Values follow the paper's analytical model (Section 2.2.1) and its source
-//! for the constants, Kim et al. [16]. Where the full standard differs in
+//! for the constants, Kim et al. \[16\]. Where the full standard differs in
 //! detail (e.g. per-AC AIFS), the EDCA table in [`crate::edca`] carries the
 //! per-access-category values and these constants carry the model's.
 

@@ -26,9 +26,9 @@ use std::time::Instant;
 
 use serde::Serialize;
 use wifiq_experiments::report::{results_dir, write_json, Table};
-use wifiq_experiments::scenario_file::ScenarioFile;
+use wifiq_experiments::scenario_file::{ScenarioFile, TrafficSpec};
 use wifiq_search::objective::JAIN_DIP;
-use wifiq_search::{evaluate, run_search, ObjectiveKind, ScenarioDoc, SearchCfg};
+use wifiq_search::{evaluate, run_search, ObjectiveKind, SearchCfg};
 
 /// Walks up from the current directory to the workspace root (the
 /// directory holding `Cargo.toml` and `crates/`).
@@ -153,7 +153,7 @@ fn main() {
                 continue;
             }
         };
-        let Some(prov) = parsed.provenance else {
+        let Some(prov) = &parsed.provenance else {
             println!("replay {file}: missing provenance block");
             replay_ok = false;
             continue;
@@ -163,7 +163,7 @@ fn main() {
             replay_ok = false;
             continue;
         };
-        let still_fails = evaluate(&text).map(|o| o.violates(kind)).unwrap_or(false);
+        let still_fails = evaluate(&parsed).map(|o| o.violates(kind)).unwrap_or(false);
         println!(
             "replay {file}: {} {}",
             prov.objective,
@@ -176,7 +176,7 @@ fn main() {
         replay_ok &= still_fails;
         replays.push(ReplayRow {
             file,
-            objective: prov.objective,
+            objective: prov.objective.clone(),
             still_fails,
         });
     }
@@ -184,12 +184,21 @@ fn main() {
         println!("replay: no committed counterexamples yet");
     }
 
-    // Seed documents: the shipped scenario library (imported through the
-    // searcher's document model).
+    // Seed documents: the shipped scenario library. Import policy: `web`
+    // sessions are one-shot bursts with no sustained demand — nothing the
+    // fairness objectives can score — so seeds carry a ping in their place.
     let mut seed_docs = Vec::new();
     for (name, text) in read_scenarios(&scenarios_dir()) {
-        match ScenarioDoc::from_text(&text) {
-            Ok(doc) if doc.validate().is_ok() => seed_docs.push(doc),
+        let doc = ScenarioFile::from_json(&text).map(|mut doc| {
+            for t in &mut doc.traffic {
+                if let TrafficSpec::Web { station, .. } = *t {
+                    *t = TrafficSpec::Ping { station };
+                }
+            }
+            doc
+        });
+        match doc {
+            Ok(doc) if doc.build().is_ok() => seed_docs.push(doc),
             _ => println!("note: {name} not importable as a seed (skipped)"),
         }
     }

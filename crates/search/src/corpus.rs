@@ -13,15 +13,15 @@ use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use wifiq_experiments::scenario_file::ScenarioFile;
 
-use crate::doc::ScenarioDoc;
 use crate::objective::Objectives;
 
 /// One corpus slot: a scenario and the behaviour that earned it.
 #[derive(Debug, Clone)]
 pub struct CorpusEntry {
     /// The scenario document.
-    pub doc: ScenarioDoc,
+    pub doc: ScenarioFile,
     /// Its extracted objectives.
     pub objectives: Objectives,
     /// Its coverage bucket.
@@ -63,7 +63,7 @@ impl Corpus {
     /// Records an evaluated run; admits it as a corpus entry when its
     /// bucket is new or it out-scores the bucket's incumbent. Returns
     /// `true` when admitted.
-    pub fn record(&mut self, doc: ScenarioDoc, objectives: Objectives) -> bool {
+    pub fn record(&mut self, doc: ScenarioFile, objectives: Objectives) -> bool {
         let signature = objectives.signature();
         let severity = objectives
             .violations()
@@ -131,7 +131,7 @@ impl Corpus {
                     ("hash".into(), serde::Json::Str(hash)),
                     ("signature".into(), serde::Json::Str(e.signature.clone())),
                     ("severity".into(), serde::Json::F64(e.severity)),
-                    ("scenario".into(), e.doc.encode(None)),
+                    ("scenario".into(), e.doc.encode()),
                 ])
             })
             .collect();
@@ -155,27 +155,24 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doc::{StationDoc, TrafficDoc};
     use rand::SeedableRng;
+    use wifiq_experiments::scenario_file::{StationSpec, TrafficSpec};
 
-    fn doc(seed: u64) -> ScenarioDoc {
-        ScenarioDoc {
+    fn doc(seed: u64) -> ScenarioFile {
+        ScenarioFile {
             scheme: "airtime".into(),
             secs: 3,
             seed,
             station_fq: false,
             rate_control: false,
             aql_ms: None,
-            stations: vec![StationDoc {
-                rate: "mcs7".into(),
-                error: 0.0,
-                weight: None,
-            }],
-            traffic: vec![TrafficDoc::TcpDown { station: 0 }],
+            stations: vec![StationSpec::new("mcs7")],
+            traffic: vec![TrafficSpec::TcpDown { station: 0 }],
             faults: vec![],
             churn: None,
             policy: None,
             roaming: None,
+            provenance: None,
         }
     }
 

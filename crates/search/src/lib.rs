@@ -17,17 +17,12 @@
 //! counterexamples regardless of worker count.
 
 pub mod corpus;
-pub mod doc;
 pub mod mutate;
 pub mod objective;
 pub mod search;
 pub mod shrink;
 
 pub use corpus::Corpus;
-pub use doc::{
-    ChurnDoc, FaultDoc, FaultKindDoc, PolicyDoc, PolicyNodeDoc, ProvenanceDoc, ScenarioDoc,
-    StationDoc, TrafficDoc,
-};
 pub use objective::{evaluate, ObjectiveKind, Objectives};
 pub use search::{run_search, Finding, SearchCfg, SearchReport};
 pub use shrink::shrink;

@@ -1,9 +1,9 @@
-//! Seeded mutators over [`ScenarioDoc`].
+//! Seeded mutators over [`ScenarioFile`].
 //!
 //! Every mutation is a pure function of the coordinator RNG's state, so a
 //! search run's entire scenario stream is reproducible from the master
-//! seed. Mutants are validated through the real scenario loader before
-//! they leave this module; an op that produces an invalid document is
+//! seed. Mutants are validated by [`ScenarioFile::build`] before they
+//! leave this module; an op that produces an invalid document is
 //! simply retried, and after a bounded number of attempts the fallback is
 //! the base document with a fresh simulation seed — always valid, never
 //! a dead end.
@@ -14,10 +14,9 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-use crate::doc::{
-    ChurnDoc, FaultDoc, FaultKindDoc, PolicyDoc, PolicyNodeDoc, RoamingDoc, ScenarioDoc,
-    StationDoc, TrafficDoc,
+use wifiq_experiments::scenario_file::{
+    ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, PolicySwitchSpec, ScenarioFile,
+    StationSpec, TrafficSpec,
 };
 
 /// Rates the mutators draw from — spans the anomaly-relevant range from
@@ -46,17 +45,17 @@ fn q2(v: f64) -> f64 {
 /// a budgeted run can't breed itself ever-longer scenarios.
 pub fn mutate(
     rng: &mut SmallRng,
-    base: &ScenarioDoc,
-    other: Option<&ScenarioDoc>,
+    base: &ScenarioFile,
+    other: Option<&ScenarioFile>,
     secs_cap: u64,
-) -> ScenarioDoc {
+) -> ScenarioFile {
     for _ in 0..8 {
         let mut doc = base.clone();
         let ops = rng.gen_range(1..=3usize);
         for _ in 0..ops {
             apply_op(rng, &mut doc, other, secs_cap);
         }
-        if doc != *base && doc.validate().is_ok() {
+        if doc != *base && doc.build().is_ok() {
             return doc;
         }
     }
@@ -67,7 +66,7 @@ pub fn mutate(
     doc
 }
 
-fn apply_op(rng: &mut SmallRng, doc: &mut ScenarioDoc, other: Option<&ScenarioDoc>, cap: u64) {
+fn apply_op(rng: &mut SmallRng, doc: &mut ScenarioFile, other: Option<&ScenarioFile>, cap: u64) {
     match rng.gen_range(0..13u32) {
         0 => perturb_fault_window(rng, doc),
         1 => perturb_fault_intensity(rng, doc),
@@ -104,34 +103,34 @@ fn rand_window(rng: &mut SmallRng, secs: u64) -> (f64, f64) {
     (from, q2(until))
 }
 
-fn rand_fault_kind(rng: &mut SmallRng) -> FaultKindDoc {
+fn rand_fault_kind(rng: &mut SmallRng) -> FaultKind {
     match rng.gen_range(0..7u32) {
-        0 => FaultKindDoc::Loss {
+        0 => FaultKind::Loss {
             prob: q3(rng.gen_range(0.05..0.9)),
         },
-        1 => FaultKindDoc::BurstLoss {
+        1 => FaultKind::BurstLoss {
             bad_frac: q3(rng.gen_range(0.05..0.8)),
             burst_len: q2(rng.gen_range(2.0..64.0)),
             loss_bad: q3(rng.gen_range(0.5..1.0)),
         },
-        2 => FaultKindDoc::RateCollapse {
+        2 => FaultKind::RateCollapse {
             rate: SLOW_RATES[rng.gen_range(0..SLOW_RATES.len())].into(),
         },
-        3 => FaultKindDoc::RateOscillate {
+        3 => FaultKind::RateOscillate {
             low: SLOW_RATES[rng.gen_range(0..SLOW_RATES.len())].into(),
             period_ms: rng.gen_range(20..500u64),
         },
-        4 => FaultKindDoc::Stall,
-        5 => FaultKindDoc::HwBackpressure {
+        4 => FaultKind::Stall,
+        5 => FaultKind::HwBackpressure {
             depth: rng.gen_range(1..8usize),
         },
-        _ => FaultKindDoc::AckLoss {
+        _ => FaultKind::AckLoss {
             prob: q3(rng.gen_range(0.05..0.7)),
         },
     }
 }
 
-fn perturb_fault_window(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn perturb_fault_window(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     if doc.faults.is_empty() {
         return add_fault(rng, doc);
     }
@@ -141,7 +140,7 @@ fn perturb_fault_window(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
     doc.faults[i].until_secs = until;
 }
 
-fn perturb_fault_intensity(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn perturb_fault_intensity(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     if doc.faults.is_empty() {
         return add_fault(rng, doc);
     }
@@ -149,8 +148,8 @@ fn perturb_fault_intensity(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
     let factor = rng.gen_range(0.5..2.0);
     let scale_p = |p: f64| q3((p * factor).clamp(0.01, 1.0));
     match &mut doc.faults[i].kind {
-        FaultKindDoc::Loss { prob } | FaultKindDoc::AckLoss { prob } => *prob = scale_p(*prob),
-        FaultKindDoc::BurstLoss {
+        FaultKind::Loss { prob } | FaultKind::AckLoss { prob } => *prob = scale_p(*prob),
+        FaultKind::BurstLoss {
             bad_frac,
             burst_len,
             loss_bad,
@@ -159,24 +158,24 @@ fn perturb_fault_intensity(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
             1 => *burst_len = q2((*burst_len * factor).clamp(1.0, 256.0)),
             _ => *loss_bad = scale_p(*loss_bad),
         },
-        FaultKindDoc::RateCollapse { rate } | FaultKindDoc::RateOscillate { low: rate, .. } => {
+        FaultKind::RateCollapse { rate } | FaultKind::RateOscillate { low: rate, .. } => {
             *rate = SLOW_RATES[rng.gen_range(0..SLOW_RATES.len())].into();
         }
-        FaultKindDoc::Stall => {}
-        FaultKindDoc::HwBackpressure { depth } => *depth = rng.gen_range(1..8usize),
+        FaultKind::Stall => {}
+        FaultKind::HwBackpressure { depth } => *depth = rng.gen_range(1..8usize),
     }
-    if let FaultKindDoc::RateOscillate { period_ms, .. } = &mut doc.faults[i].kind {
+    if let FaultKind::RateOscillate { period_ms, .. } = &mut doc.faults[i].kind {
         if rng.gen_bool(0.5) {
             *period_ms = rng.gen_range(20..500u64);
         }
     }
 }
 
-fn add_fault(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn add_fault(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     let (from_secs, until_secs) = rand_window(rng, doc.secs);
     let kind = rand_fault_kind(rng);
     let station = rand_target(rng, doc.stations.len());
-    doc.faults.push(FaultDoc {
+    doc.faults.push(FaultSpec {
         from_secs,
         until_secs,
         station,
@@ -184,14 +183,14 @@ fn add_fault(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
     });
 }
 
-fn drop_fault(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn drop_fault(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     if !doc.faults.is_empty() {
         let i = rng.gen_range(0..doc.faults.len());
         doc.faults.remove(i);
     }
 }
 
-fn retarget_fault(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn retarget_fault(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     if doc.faults.is_empty() {
         return add_fault(rng, doc);
     }
@@ -199,14 +198,14 @@ fn retarget_fault(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
     doc.faults[i].station = rand_target(rng, doc.stations.len());
 }
 
-fn mutate_churn(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn mutate_churn(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     let n = doc.stations.len();
     if doc.churn.is_some() && rng.gen_bool(0.3) {
         doc.churn = None;
     } else if n >= 2 {
         let mean_interval_ms = rng.gen_range(50..2000u64);
         let min_stations = rng.gen_range(1..n);
-        doc.churn = Some(ChurnDoc {
+        doc.churn = Some(ChurnSpec {
             mean_interval_ms,
             min_stations,
             max_stations: rng.gen_range(min_stations + 1..=n),
@@ -214,17 +213,12 @@ fn mutate_churn(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
     }
 }
 
-fn mutate_roaming(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn mutate_roaming(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     if doc.roaming.is_some() && rng.gen_bool(0.25) {
         doc.roaming = None;
         return;
     }
-    let mut r = doc.roaming.clone().unwrap_or(RoamingDoc {
-        mean_dwell_ms: 5000,
-        reassoc_min_ms: 20,
-        reassoc_max_ms: 80,
-        rate_palette: None,
-    });
+    let mut r = doc.roaming.clone().unwrap_or_default();
     match rng.gen_range(0..3u32) {
         // Dwell spans per-window flapping to nearly-static.
         0 => r.mean_dwell_ms = rng.gen_range(200..8000u64),
@@ -251,17 +245,15 @@ fn mutate_roaming(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
     doc.roaming = Some(r);
 }
 
-fn mutate_station(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn mutate_station(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     let n = doc.stations.len();
     match rng.gen_range(0..4u32) {
         // Add a station (with bulk traffic so it participates).
         0 if n < 16 => {
-            doc.stations.push(StationDoc {
-                rate: RATE_PALETTE[rng.gen_range(0..RATE_PALETTE.len())].into(),
-                error: 0.0,
-                weight: None,
-            });
-            doc.traffic.push(TrafficDoc::TcpDown { station: n });
+            doc.stations.push(StationSpec::new(
+                RATE_PALETTE[rng.gen_range(0..RATE_PALETTE.len())],
+            ));
+            doc.traffic.push(TrafficSpec::TcpDown { station: n });
             // Keep churn bounds meaningful against the grown roster.
             if let Some(c) = &mut doc.churn {
                 c.max_stations = c.max_stations.max(2).min(n + 1);
@@ -292,7 +284,7 @@ fn mutate_station(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
 /// Removes station `idx` and rewrites every station reference in traffic,
 /// faults, churn, and the policy tree. Shared with the shrinker, which
 /// uses the same remapping when minimising rosters.
-pub(crate) fn drop_station(doc: &mut ScenarioDoc, idx: usize) {
+pub(crate) fn drop_station(doc: &mut ScenarioFile, idx: usize) {
     doc.stations.remove(idx);
     let n = doc.stations.len();
     let remap = |s: usize| {
@@ -304,13 +296,13 @@ pub(crate) fn drop_station(doc: &mut ScenarioDoc, idx: usize) {
     };
     doc.traffic.retain_mut(|t| match remap(t.station()) {
         Some(s) => {
-            t.set_station(s);
+            *t.station_mut() = s;
             true
         }
         None => false,
     });
     if doc.traffic.is_empty() {
-        doc.traffic.push(TrafficDoc::TcpDown { station: 0 });
+        doc.traffic.push(TrafficSpec::TcpDown { station: 0 });
     }
     doc.faults.retain_mut(|f| match f.station {
         None => true,
@@ -332,9 +324,9 @@ pub(crate) fn drop_station(doc: &mut ScenarioDoc, idx: usize) {
     }
     if let Some(p) = &mut doc.policy {
         p.nodes = remap_nodes(std::mem::take(&mut p.nodes), idx);
-        p.switches.retain_mut(|(_, nodes)| {
-            *nodes = remap_nodes(std::mem::take(nodes), idx);
-            !nodes.is_empty()
+        p.switches.retain_mut(|sw| {
+            sw.nodes = remap_nodes(std::mem::take(&mut sw.nodes), idx);
+            !sw.nodes.is_empty()
         });
         if p.nodes.is_empty() {
             doc.policy = None;
@@ -344,7 +336,7 @@ pub(crate) fn drop_station(doc: &mut ScenarioDoc, idx: usize) {
 
 /// Rewrites station refs in a policy forest after dropping `idx`; nodes
 /// left with neither stations nor children disappear.
-fn remap_nodes(nodes: Vec<PolicyNodeDoc>, idx: usize) -> Vec<PolicyNodeDoc> {
+fn remap_nodes(nodes: Vec<PolicyNodeSpec>, idx: usize) -> Vec<PolicyNodeSpec> {
     nodes
         .into_iter()
         .filter_map(|mut node| {
@@ -370,7 +362,7 @@ fn remap_nodes(nodes: Vec<PolicyNodeDoc>, idx: usize) -> Vec<PolicyNodeDoc> {
         .collect()
 }
 
-fn mutate_traffic(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn mutate_traffic(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     let n = doc.stations.len();
     if !doc.traffic.is_empty() && rng.gen_bool(0.35) && doc.traffic.len() > 1 {
         let i = rng.gen_range(0..doc.traffic.len());
@@ -379,22 +371,22 @@ fn mutate_traffic(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
     }
     let station = rng.gen_range(0..n);
     doc.traffic.push(match rng.gen_range(0..5u32) {
-        0 => TrafficDoc::TcpDown { station },
-        1 => TrafficDoc::TcpUp { station },
-        2 => TrafficDoc::UdpDown {
+        0 => TrafficSpec::TcpDown { station },
+        1 => TrafficSpec::TcpUp { station },
+        2 => TrafficSpec::UdpDown {
             station,
             mbps: [1, 5, 10, 20, 50][rng.gen_range(0..5usize)],
             poisson: rng.gen_bool(0.5),
         },
-        3 => TrafficDoc::Ping { station },
-        _ => TrafficDoc::Voip {
+        3 => TrafficSpec::Ping { station },
+        _ => TrafficSpec::Voip {
             station,
             qos: ["vo", "be"][rng.gen_range(0..2usize)].into(),
         },
     });
 }
 
-fn mutate_policy(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
+fn mutate_policy(rng: &mut SmallRng, doc: &mut ScenarioFile) {
     let n = doc.stations.len();
     match &mut doc.policy {
         Some(_) if rng.gen_bool(0.2) => doc.policy = None,
@@ -405,7 +397,7 @@ fn mutate_policy(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
                     &mut p.nodes
                 } else {
                     let i = rng.gen_range(0..p.switches.len());
-                    &mut p.switches[i].1
+                    &mut p.switches[i].nodes
                 };
                 let i = rng.gen_range(0..set.len());
                 set[i].weight = 1 << rng.gen_range(0..7u32); // 1..64
@@ -415,25 +407,28 @@ fn mutate_policy(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
                 let mut nodes = p.nodes.clone();
                 let i = rng.gen_range(0..nodes.len());
                 nodes[i].weight = 1 << rng.gen_range(0..7u32);
-                p.switches.push((at, nodes));
-                p.switches
-                    .sort_by(|(a, _), (b, _)| a.partial_cmp(b).expect("finite switch times"));
+                p.switches.push(PolicySwitchSpec { at_secs: at, nodes });
+                p.switches.sort_by(|a, b| {
+                    a.at_secs
+                        .partial_cmp(&b.at_secs)
+                        .expect("finite switch times")
+                });
             }
         }
         None if n >= 2 => {
             // Introduce a two-group split with skewed weights.
             let cut = rng.gen_range(1..n);
             let (wa, wb) = (1 << rng.gen_range(0..5u32), 1 << rng.gen_range(0..5u32));
-            doc.policy = Some(PolicyDoc {
+            doc.policy = Some(PolicySpec {
                 nodes: vec![
-                    PolicyNodeDoc {
+                    PolicyNodeSpec {
                         name: "ga".into(),
                         weight: wa,
                         classes: None,
                         stations: Some((0..cut).collect()),
                         nodes: None,
                     },
-                    PolicyNodeDoc {
+                    PolicyNodeSpec {
                         name: "gb".into(),
                         weight: wb,
                         classes: None,
@@ -448,20 +443,25 @@ fn mutate_policy(rng: &mut SmallRng, doc: &mut ScenarioDoc) {
     }
 }
 
-fn mutate_secs(rng: &mut SmallRng, doc: &mut ScenarioDoc, cap: u64) {
+fn mutate_secs(rng: &mut SmallRng, doc: &mut ScenarioFile, cap: u64) {
     doc.secs = rng.gen_range(3..=cap.max(4));
+    refit_times(doc);
+}
+
+/// Re-fits fault windows and policy switches after a duration change.
+/// Shared with the shrinker's run-shortening pass.
+pub(crate) fn refit_times(doc: &mut ScenarioFile) {
     let secs = doc.secs as f64;
-    // Re-fit time references to the new duration.
     doc.faults.retain_mut(|f| {
         f.until_secs = f.until_secs.min(secs);
         f.from_secs < f.until_secs
     });
     if let Some(p) = &mut doc.policy {
-        p.switches.retain(|(at, _)| *at < secs);
+        p.switches.retain(|sw| sw.at_secs < secs);
     }
 }
 
-fn crossover(rng: &mut SmallRng, doc: &mut ScenarioDoc, other: &ScenarioDoc) {
+fn crossover(rng: &mut SmallRng, doc: &mut ScenarioFile, other: &ScenarioFile) {
     let n = doc.stations.len();
     let secs = doc.secs as f64;
     match rng.gen_range(0..4u32) {
@@ -491,7 +491,7 @@ fn crossover(rng: &mut SmallRng, doc: &mut ScenarioDoc, other: &ScenarioDoc) {
         2 => doc.roaming = other.roaming.clone(),
         // Take the partner's policy, if its refs fit this roster.
         _ => {
-            fn max_ref(nodes: &[PolicyNodeDoc]) -> usize {
+            fn max_ref(nodes: &[PolicyNodeSpec]) -> usize {
                 nodes
                     .iter()
                     .map(|node| {
@@ -510,7 +510,7 @@ fn crossover(rng: &mut SmallRng, doc: &mut ScenarioDoc, other: &ScenarioDoc) {
                 let fits = max_ref(&p.nodes) < n
                     && p.switches
                         .iter()
-                        .all(|(at, nodes)| *at < secs && max_ref(nodes) < n);
+                        .all(|sw| sw.at_secs < secs && max_ref(&sw.nodes) < n);
                 if fits {
                     doc.policy = Some(p.clone());
                 }
@@ -524,8 +524,8 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn base() -> ScenarioDoc {
-        ScenarioDoc {
+    fn base() -> ScenarioFile {
+        ScenarioFile {
             scheme: "airtime".into(),
             secs: 5,
             seed: 1,
@@ -533,52 +533,43 @@ mod tests {
             rate_control: false,
             aql_ms: None,
             stations: vec![
-                StationDoc {
-                    rate: "mcs15".into(),
-                    error: 0.0,
-                    weight: None,
-                },
-                StationDoc {
-                    rate: "mcs7".into(),
-                    error: 0.0,
-                    weight: None,
-                },
-                StationDoc {
-                    rate: "vht4".into(),
-                    error: 0.0,
+                StationSpec::new("mcs15"),
+                StationSpec::new("mcs7"),
+                StationSpec {
                     weight: Some(512),
+                    ..StationSpec::new("vht4")
                 },
             ],
             traffic: vec![
-                TrafficDoc::TcpDown { station: 0 },
-                TrafficDoc::TcpDown { station: 1 },
-                TrafficDoc::UdpDown {
+                TrafficSpec::TcpDown { station: 0 },
+                TrafficSpec::TcpDown { station: 1 },
+                TrafficSpec::UdpDown {
                     station: 2,
                     mbps: 10,
                     poisson: false,
                 },
             ],
-            faults: vec![FaultDoc {
+            faults: vec![FaultSpec {
                 from_secs: 1.0,
                 until_secs: 3.0,
                 station: Some(1),
-                kind: FaultKindDoc::BurstLoss {
+                kind: FaultKind::BurstLoss {
                     bad_frac: 0.3,
                     burst_len: 16.0,
                     loss_bad: 0.8,
                 },
             }],
             churn: None,
-            policy: Some(PolicyDoc {
+            policy: Some(PolicySpec {
                 nodes: vec![
-                    PolicyNodeDoc {
+                    PolicyNodeSpec {
                         name: "fast".into(),
                         weight: 2,
                         classes: None,
                         stations: Some(vec![0, 2]),
                         nodes: None,
                     },
-                    PolicyNodeDoc {
+                    PolicyNodeSpec {
                         name: "slow".into(),
                         weight: 1,
                         classes: None,
@@ -589,6 +580,7 @@ mod tests {
                 switches: Vec::new(),
             }),
             roaming: None,
+            provenance: None,
         }
     }
 
@@ -599,8 +591,9 @@ mod tests {
         let mut distinct = std::collections::BTreeSet::new();
         for _ in 0..200 {
             let m = mutate(&mut rng, &b, Some(&b), 8);
-            m.validate()
-                .unwrap_or_else(|e| panic!("invalid mutant: {e}\n{}", m.text(None)));
+            if let Err(e) = m.build() {
+                panic!("invalid mutant: {e}\n{}", m.text());
+            }
             distinct.insert(m.hash());
         }
         assert!(
@@ -627,14 +620,14 @@ mod tests {
     fn drop_station_remaps_every_reference() {
         let mut doc = base();
         drop_station(&mut doc, 1);
-        doc.validate().unwrap();
+        doc.build().unwrap();
         assert_eq!(doc.stations.len(), 2);
         // Traffic for station 1 is gone; station 2 became station 1.
         assert_eq!(
             doc.traffic,
             vec![
-                TrafficDoc::TcpDown { station: 0 },
-                TrafficDoc::UdpDown {
+                TrafficSpec::TcpDown { station: 0 },
+                TrafficSpec::UdpDown {
                     station: 1,
                     mbps: 10,
                     poisson: false

@@ -19,7 +19,7 @@
 //!   than bulk, so an aggregate p99 that looks healthy can still hide a
 //!   collapsed Vo queue. Per-AC splits come from the MAC-FQ `Tid` labels
 //!   and are 0 (inapplicable) for qdisc-only schemes.
-//! * **`mos_collapse`** — the worst [`WINDOW`]-sized E-model MOS across
+//! * **`mos_collapse`** — the worst 500 ms-window E-model MOS across
 //!   all VoIP flows drops below [`MOS_FLOOR`]; windowing catches a
 //!   transient voice outage that a whole-run average would smear away.
 //! * **`codel_flap`** — CoDel interval/target parameter switches exceed
@@ -29,7 +29,9 @@
 //!   return (and stay returned) above the dip threshold. Non-quiet
 //!   roaming windows neither extend nor reset the recovery clock.
 
-use wifiq_experiments::scenario_file::{InstalledTraffic, ScenarioFile};
+use wifiq_experiments::scenario_file::{
+    BuiltScenario, InstalledTraffic, ScenarioFile, TrafficSpec,
+};
 use wifiq_harness::JsonCodec;
 use wifiq_phy::AccessCategory;
 use wifiq_sim::Nanos;
@@ -37,8 +39,6 @@ use wifiq_stats::{jain_index, VoipMetrics};
 use wifiq_telemetry::{Label, Telemetry};
 
 use serde::Json;
-
-use crate::doc::ScenarioDoc;
 
 /// Fairness floor: a weighted Jain index below this is a violation.
 pub const JAIN_DIP: f64 = 0.90;
@@ -239,13 +239,37 @@ impl Objectives {
     }
 }
 
-/// Runs the scenario in `text` with telemetry enabled and extracts its
-/// objectives. The input is the canonical file text, so the scenarios the
-/// searcher evaluates in memory and the counterexamples it commits to
-/// disk are definitionally the same artifact.
-pub fn evaluate(text: &str) -> Result<Objectives, String> {
-    let doc = ScenarioDoc::from_text(text)?;
-    let mut built = ScenarioFile::from_json(text)?.build()?;
+/// True when a component offers enough sustained load to claim its
+/// airtime share. The fairness objectives are computed over the stations
+/// driven by such traffic only — a station that just pings or loads one
+/// web page legitimately uses almost no airtime.
+fn is_bulk(t: &TrafficSpec) -> bool {
+    matches!(
+        t,
+        TrafficSpec::TcpDown { .. }
+            | TrafficSpec::TcpUp { .. }
+            | TrafficSpec::UdpDown { mbps: 5.., .. }
+    )
+}
+
+/// Station indices driven by bulk traffic (deduplicated, ascending).
+fn bulk_stations(traffic: &[TrafficSpec]) -> Vec<usize> {
+    let mut out: Vec<usize> = traffic
+        .iter()
+        .filter(|t| is_bulk(t))
+        .map(TrafficSpec::station)
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Runs `doc` with telemetry enabled and extracts its objectives. The
+/// document is built as it stands — the value the searcher mutates is the
+/// value the loader decodes from a committed counterexample, so there is
+/// no second representation for the two to disagree through.
+pub fn evaluate(doc: &ScenarioFile) -> Result<Objectives, String> {
+    let mut built = doc.build()?;
     let tele = Telemetry::enabled();
     built.net.set_telemetry(tele.clone());
 
@@ -286,7 +310,10 @@ pub fn evaluate(text: &str) -> Result<Objectives, String> {
         })
         .collect();
 
-    let bulk: Vec<usize> = doc.bulk_stations().into_iter().filter(|&s| s < n).collect();
+    let bulk: Vec<usize> = bulk_stations(&doc.traffic)
+        .into_iter()
+        .filter(|&s| s < n)
+        .collect();
     let fairness_applicable = bulk.len() >= 2 && doc.churn.is_none();
 
     // Weighted share of `sta` accumulated between two boundaries.
@@ -301,7 +328,7 @@ pub fn evaluate(text: &str) -> Result<Objectives, String> {
     let last_switch = doc
         .policy
         .as_ref()
-        .and_then(|p| p.switches.last().map(|(at, _)| *at))
+        .and_then(|p| p.switches.last().map(|sw| sw.at_secs))
         .unwrap_or(0.0);
     let fair_from = Nanos::from_secs_f64(last_switch.max(0.0)) + Nanos::from_secs(1);
     let jain = if fairness_applicable && fair_from < duration {
@@ -397,7 +424,7 @@ pub fn evaluate(text: &str) -> Result<Objectives, String> {
         .chain(
             doc.policy
                 .iter()
-                .flat_map(|p| p.switches.iter().map(|(at, _)| *at)),
+                .flat_map(|p| p.switches.iter().map(|sw| sw.at_secs)),
         )
         .fold(f64::NEG_INFINITY, f64::max);
     let convergence_ms = if fairness_applicable
@@ -434,7 +461,7 @@ pub fn evaluate(text: &str) -> Result<Objectives, String> {
     })
 }
 
-fn airtime_snapshot(built: &wifiq_experiments::scenario_file::BuiltScenario) -> Vec<u64> {
+fn airtime_snapshot(built: &BuiltScenario) -> Vec<u64> {
     built
         .net
         .meter()
@@ -446,7 +473,7 @@ fn airtime_snapshot(built: &wifiq_experiments::scenario_file::BuiltScenario) -> 
 
 /// `(hand-offs departed so far, stations mid-reassociation)` — the two
 /// facts quiet-window detection needs.
-fn roam_snapshot(built: &wifiq_experiments::scenario_file::BuiltScenario) -> (u64, usize) {
+fn roam_snapshot(built: &BuiltScenario) -> (u64, usize) {
     built
         .roam
         .as_ref()
@@ -567,6 +594,27 @@ mod tests {
         assert_eq!(ObjectiveKind::parse("gremlins"), None);
     }
 
+    #[test]
+    fn bulk_stations_exclude_sparse_traffic() {
+        let mut traffic = vec![
+            TrafficSpec::TcpDown { station: 0 },
+            TrafficSpec::TcpDown { station: 1 },
+            TrafficSpec::Ping { station: 0 },
+            TrafficSpec::UdpDown {
+                station: 1,
+                mbps: 1,
+                poisson: false,
+            },
+            TrafficSpec::Web {
+                station: 2,
+                page: "large".into(),
+            },
+        ];
+        assert_eq!(bulk_stations(&traffic), vec![0, 1]);
+        traffic.remove(0); // drop tcp_down@0 — ping alone is sparse
+        assert_eq!(bulk_stations(&traffic), vec![1]);
+    }
+
     /// A clean symmetric scenario scores fair; a stalled victim dips.
     #[test]
     fn evaluate_detects_a_starved_station() {
@@ -578,7 +626,7 @@ mod tests {
                 {"kind": "tcp_down", "station": 1}
             ]
         }"#;
-        let o = evaluate(fair).unwrap();
+        let o = evaluate(&ScenarioFile::from_json(fair).unwrap()).unwrap();
         let j = o.jain.expect("two bulk stations, no churn");
         assert!(j > JAIN_DIP, "symmetric run should be fair, got {j}");
 
@@ -594,7 +642,7 @@ mod tests {
                  "from_secs": 0.5, "until_secs": 4.0}
             ]
         }"#;
-        let o = evaluate(starved).unwrap();
+        let o = evaluate(&ScenarioFile::from_json(starved).unwrap()).unwrap();
         let j = o.jain.expect("fairness applicable");
         assert!(j < JAIN_DIP, "stalled station should dip fairness, got {j}");
         assert!(o.violates(ObjectiveKind::JainDip));
@@ -614,7 +662,7 @@ mod tests {
             ],
             "roaming": {"mean_dwell_ms": 1500}
         }"#;
-        let o = evaluate(text).unwrap();
+        let o = evaluate(&ScenarioFile::from_json(text).unwrap()).unwrap();
         let mos = o.min_window_mos.expect("voip flow yields a windowed MOS");
         assert!(
             (1.0..=4.5).contains(&mos),

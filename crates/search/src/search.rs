@@ -14,13 +14,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Json;
 
+use wifiq_experiments::scenario_file::{
+    FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, PolicySwitchSpec, ProvenanceSpec,
+    ScenarioFile, StationSpec, TrafficSpec,
+};
 use wifiq_harness::{CellDef, Harness, SweepMeta};
 
 use crate::corpus::Corpus;
-use crate::doc::{
-    FaultDoc, FaultKindDoc, PolicyDoc, PolicyNodeDoc, ProvenanceDoc, ScenarioDoc, StationDoc,
-    TrafficDoc,
-};
 use crate::mutate::mutate;
 use crate::objective::{evaluate, ObjectiveKind, Objectives};
 use crate::shrink::shrink;
@@ -51,7 +51,7 @@ pub struct SearchCfg {
     /// violation to cut its teeth on).
     pub plant: bool,
     /// Additional seed documents (e.g. the shipped `scenarios/*.json`).
-    pub seed_docs: Vec<ScenarioDoc>,
+    pub seed_docs: Vec<ScenarioFile>,
 }
 
 impl SearchCfg {
@@ -81,9 +81,9 @@ pub struct Finding {
     /// Severity of the *minimal* counterexample.
     pub severity: f64,
     /// The first failing document, pre-shrink.
-    pub first: ScenarioDoc,
+    pub first: ScenarioFile,
     /// The minimal counterexample.
-    pub minimal: ScenarioDoc,
+    pub minimal: ScenarioFile,
     /// Accepted shrink steps.
     pub shrink_steps: u64,
     /// File name under `found_dir`, when written.
@@ -124,13 +124,9 @@ pub struct SearchReport {
 /// threshold. It deliberately carries baggage — bystander faults, extra
 /// traffic, an equal-split policy tree — that the shrinker must strip to
 /// prove it reduces counterexamples, not just finds them.
-pub fn planted_doc() -> ScenarioDoc {
-    let station = |rate: &str| StationDoc {
-        rate: rate.into(),
-        error: 0.0,
-        weight: None,
-    };
-    ScenarioDoc {
+pub fn planted_doc() -> ScenarioFile {
+    let station = StationSpec::new;
+    ScenarioFile {
         scheme: "airtime".into(),
         secs: 12,
         seed: 7,
@@ -148,22 +144,22 @@ pub fn planted_doc() -> ScenarioDoc {
             station("mcs15"),
         ],
         traffic: vec![
-            TrafficDoc::TcpDown { station: 0 },
-            TrafficDoc::TcpDown { station: 1 },
-            TrafficDoc::TcpDown { station: 2 },
-            TrafficDoc::TcpDown { station: 3 },
-            TrafficDoc::TcpDown { station: 4 },
-            TrafficDoc::TcpDown { station: 5 },
-            TrafficDoc::TcpDown { station: 6 },
-            TrafficDoc::TcpDown { station: 7 },
-            TrafficDoc::UdpDown {
+            TrafficSpec::TcpDown { station: 0 },
+            TrafficSpec::TcpDown { station: 1 },
+            TrafficSpec::TcpDown { station: 2 },
+            TrafficSpec::TcpDown { station: 3 },
+            TrafficSpec::TcpDown { station: 4 },
+            TrafficSpec::TcpDown { station: 5 },
+            TrafficSpec::TcpDown { station: 6 },
+            TrafficSpec::TcpDown { station: 7 },
+            TrafficSpec::UdpDown {
                 station: 6,
                 mbps: 8,
                 poisson: true,
             },
-            TrafficDoc::Ping { station: 0 },
-            TrafficDoc::Ping { station: 7 },
-            TrafficDoc::Voip {
+            TrafficSpec::Ping { station: 0 },
+            TrafficSpec::Ping { station: 7 },
+            TrafficSpec::Voip {
                 station: 2,
                 qos: "vo".into(),
             },
@@ -171,67 +167,71 @@ pub fn planted_doc() -> ScenarioDoc {
         faults: vec![
             // The actual bug: a long asymmetric burst-loss window on
             // station 1.
-            FaultDoc {
+            FaultSpec {
                 from_secs: 0.5,
                 until_secs: 11.5,
                 station: Some(1),
-                kind: FaultKindDoc::BurstLoss {
+                kind: FaultKind::BurstLoss {
                     bad_frac: 0.7,
                     burst_len: 48.0,
                     loss_bad: 0.95,
                 },
             },
             // Bystanders the shrinker should discard.
-            FaultDoc {
+            FaultSpec {
                 from_secs: 3.0,
                 until_secs: 5.0,
                 station: Some(3),
-                kind: FaultKindDoc::AckLoss { prob: 0.15 },
+                kind: FaultKind::AckLoss { prob: 0.15 },
             },
-            FaultDoc {
+            FaultSpec {
                 from_secs: 6.0,
                 until_secs: 8.0,
                 station: None,
-                kind: FaultKindDoc::HwBackpressure { depth: 6 },
+                kind: FaultKind::HwBackpressure { depth: 6 },
             },
-            FaultDoc {
+            FaultSpec {
                 from_secs: 2.0,
                 until_secs: 4.0,
                 station: Some(4),
-                kind: FaultKindDoc::RateOscillate {
+                kind: FaultKind::RateOscillate {
                     low: "mcs1".into(),
                     period_ms: 250,
                 },
             },
-            FaultDoc {
+            FaultSpec {
                 from_secs: 9.0,
                 until_secs: 10.0,
                 station: Some(6),
-                kind: FaultKindDoc::Loss { prob: 0.05 },
+                kind: FaultKind::Loss { prob: 0.05 },
             },
         ],
         churn: None,
         // Equal split — compiles to neutral weights, pure baggage. The
         // switch re-installs the same tree, so it is baggage too.
-        policy: Some(PolicyDoc {
+        policy: Some(PolicySpec {
             nodes: equal_split(),
-            switches: vec![(2.0, equal_split())],
+            switches: vec![PolicySwitchSpec {
+                at_secs: 2.0,
+                nodes: equal_split(),
+            }],
         }),
         roaming: None,
+        provenance: None,
     }
 }
 
 /// The planted document's policy tree: an even two-way split.
-fn equal_split() -> Vec<PolicyNodeDoc> {
+fn equal_split() -> Vec<PolicyNodeSpec> {
     vec![
-        PolicyNodeDoc {
+        PolicyNodeSpec {
             name: "left".into(),
             weight: 1,
             classes: None,
             stations: Some(vec![0, 1, 2, 3]),
             nodes: None,
         },
-        PolicyNodeDoc {
+        PolicyNodeSpec {
             name: "right".into(),
             weight: 1,
             classes: None,
@@ -271,24 +271,25 @@ impl Evaluator {
     /// Evaluates a batch through the pool; results in input order.
     /// Documents already memoized cost nothing; duplicates within the
     /// batch are evaluated once.
-    fn eval_batch(&mut self, docs: &[ScenarioDoc]) -> Vec<Option<Objectives>> {
+    fn eval_batch(&mut self, docs: &[ScenarioFile]) -> Vec<Option<Objectives>> {
         self.evals += docs.len() as u64;
-        let mut fresh: Vec<(String, String)> = Vec::new(); // (hash, text)
+        let mut fresh: Vec<(String, &ScenarioFile)> = Vec::new(); // (hash, doc)
         for doc in docs {
             let hash = doc.hash();
             if !self.memo.contains_key(&hash) && !fresh.iter().any(|(h, _)| *h == hash) {
-                fresh.push((hash, doc.text(None)));
+                fresh.push((hash, doc));
             }
         }
         if !fresh.is_empty() {
             self.executed += fresh.len() as u64;
-            let texts: HashMap<String, String> = fresh.iter().cloned().collect();
+            let by_hash: HashMap<&str, &ScenarioFile> =
+                fresh.iter().map(|(h, d)| (h.as_str(), *d)).collect();
             let cells: Vec<CellDef> = fresh
                 .iter()
                 .map(|(hash, _)| CellDef::new(hash.clone(), "scenario", 0))
                 .collect();
             let outcome = self.harness.run(&self.sweep, cells, |cell| {
-                evaluate(texts.get(&cell.cell).expect("cell text registered"))
+                evaluate(by_hash[cell.cell.as_str()])
             });
             self.harness_cached += outcome.summary().cached as u64;
             for ((hash, _), result) in fresh.into_iter().zip(outcome.results) {
@@ -303,7 +304,7 @@ impl Evaluator {
     }
 
     /// Evaluates one document (memoized) — the shrink oracle.
-    fn eval_one(&mut self, doc: &ScenarioDoc) -> Option<Objectives> {
+    fn eval_one(&mut self, doc: &ScenarioFile) -> Option<Objectives> {
         self.eval_batch(std::slice::from_ref(doc)).pop().flatten()
     }
 }
@@ -315,11 +316,11 @@ pub fn run_search(cfg: &SearchCfg) -> Result<SearchReport, String> {
     let mut evaluator = Evaluator::new(cfg);
     let mut corpus = Corpus::new();
     // First failing document per objective kind, in encounter order.
-    let mut first_failures: BTreeMap<&'static str, ScenarioDoc> = BTreeMap::new();
+    let mut first_failures: BTreeMap<&'static str, ScenarioFile> = BTreeMap::new();
 
     // Generation 0: the seed corpus (planted bug first, so the known-bad
     // configuration is also the first failure encountered for its kind).
-    let mut seeds: Vec<ScenarioDoc> = Vec::new();
+    let mut seeds: Vec<ScenarioFile> = Vec::new();
     if cfg.plant {
         seeds.push(planted_doc());
     }
@@ -328,14 +329,14 @@ pub fn run_search(cfg: &SearchCfg) -> Result<SearchReport, String> {
         return Err("search needs at least one seed document (plant or seed_docs)".into());
     }
     for doc in &seeds {
-        doc.validate()
+        doc.build()
             .map_err(|e| format!("seed document invalid: {e}"))?;
     }
 
-    let absorb = |docs: &[ScenarioDoc],
+    let absorb = |docs: &[ScenarioFile],
                   results: Vec<Option<Objectives>>,
                   corpus: &mut Corpus,
-                  first_failures: &mut BTreeMap<&'static str, ScenarioDoc>| {
+                  first_failures: &mut BTreeMap<&'static str, ScenarioFile>| {
         for (doc, objectives) in docs.iter().zip(results) {
             let Some(objectives) = objectives else {
                 continue; // evaluation failed; nothing to learn
@@ -403,21 +404,24 @@ pub fn run_search(cfg: &SearchCfg) -> Result<SearchReport, String> {
     if let Some(dir) = &cfg.found_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         for finding in &mut findings {
-            let provenance = ProvenanceDoc {
-                searcher_seed: cfg.master_seed,
-                objective: finding.kind.as_str().into(),
-                score: finding.severity,
-                shrink_steps: finding.shrink_steps,
-                first_failing_bytes: finding.first.size_bytes(),
-                minimal_bytes: finding.minimal.size_bytes(),
-            };
             let name = format!(
                 "{}_{}.json",
                 finding.kind.as_str(),
                 &finding.minimal.hash()[..12]
             );
             let path = dir.join(&name);
-            let text = finding.minimal.text(Some(&provenance));
+            let text = ScenarioFile {
+                provenance: Some(ProvenanceSpec {
+                    searcher_seed: cfg.master_seed,
+                    objective: finding.kind.as_str().into(),
+                    score: finding.severity,
+                    shrink_steps: finding.shrink_steps,
+                    first_failing_bytes: Some(finding.first.size_bytes()),
+                    minimal_bytes: Some(finding.minimal.size_bytes()),
+                }),
+                ..finding.minimal.clone()
+            }
+            .text();
             match std::fs::read_to_string(&path) {
                 // Identical counterexample already committed: keep it.
                 Ok(existing) if existing == text => {}
@@ -450,8 +454,7 @@ mod tests {
     #[test]
     fn planted_doc_validates_and_dips_fairness() {
         let doc = planted_doc();
-        doc.validate().unwrap();
-        let objectives = evaluate(&doc.text(None)).unwrap();
+        let objectives = evaluate(&doc).unwrap();
         assert!(
             objectives.violates(ObjectiveKind::JainDip),
             "planted doc no longer dips: {objectives:?}"

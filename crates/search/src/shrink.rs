@@ -11,36 +11,25 @@
 //! randomness anywhere, which makes the minimal counterexample a pure
 //! function of (input document, oracle).
 
-use crate::doc::ScenarioDoc;
-use crate::mutate::drop_station;
+use wifiq_experiments::scenario_file::ScenarioFile;
 
-/// Re-fits fault windows and policy switches after a duration change.
-fn refit_times(doc: &mut ScenarioDoc) {
-    let secs = doc.secs as f64;
-    doc.faults.retain_mut(|f| {
-        f.until_secs = f.until_secs.min(secs);
-        f.from_secs < f.until_secs
-    });
-    if let Some(p) = &mut doc.policy {
-        p.switches.retain(|(at, _)| *at < secs);
-    }
-}
+use crate::mutate::{drop_station, refit_times};
 
 /// Shrinks `doc` against `still_fails` to a fixpoint. Returns the minimal
 /// document and the number of accepted reduction steps. The oracle is
 /// only consulted on candidates that parse and build, so every call
 /// corresponds to a real (cacheable) simulation.
 pub fn shrink(
-    doc: &ScenarioDoc,
-    mut still_fails: impl FnMut(&ScenarioDoc) -> bool,
-) -> (ScenarioDoc, u64) {
+    doc: &ScenarioFile,
+    mut still_fails: impl FnMut(&ScenarioFile) -> bool,
+) -> (ScenarioFile, u64) {
     let mut current = doc.clone();
     let mut steps = 0u64;
-    let accept = |current: &mut ScenarioDoc,
-                  candidate: ScenarioDoc,
-                  still_fails: &mut dyn FnMut(&ScenarioDoc) -> bool|
+    let accept = |current: &mut ScenarioFile,
+                  candidate: ScenarioFile,
+                  still_fails: &mut dyn FnMut(&ScenarioFile) -> bool|
      -> bool {
-        if candidate == *current || candidate.validate().is_err() || !still_fails(&candidate) {
+        if candidate == *current || candidate.build().is_err() || !still_fails(&candidate) {
             return false;
         }
         *current = candidate;
@@ -191,63 +180,58 @@ pub fn shrink(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doc::{FaultDoc, FaultKindDoc, StationDoc, TrafficDoc};
+    use wifiq_experiments::scenario_file::{FaultKind, FaultSpec, StationSpec, TrafficSpec};
 
     /// A deliberately baggage-laden document: the "real" bug is the stall
     /// on station 1; everything else is removable.
-    fn laden() -> ScenarioDoc {
-        ScenarioDoc {
+    fn laden() -> ScenarioFile {
+        ScenarioFile {
             scheme: "airtime".into(),
             secs: 12,
             seed: 5,
             station_fq: false,
             rate_control: false,
             aql_ms: None,
-            stations: (0..5)
-                .map(|_| StationDoc {
-                    rate: "mcs7".into(),
-                    error: 0.0,
-                    weight: None,
-                })
-                .collect(),
+            stations: (0..5).map(|_| StationSpec::new("mcs7")).collect(),
             traffic: (0..5)
-                .map(|s| TrafficDoc::TcpDown { station: s })
-                .chain([TrafficDoc::Ping { station: 2 }])
+                .map(|s| TrafficSpec::TcpDown { station: s })
+                .chain([TrafficSpec::Ping { station: 2 }])
                 .collect(),
             faults: vec![
-                FaultDoc {
+                FaultSpec {
                     from_secs: 0.5,
                     until_secs: 11.0,
                     station: Some(1),
-                    kind: FaultKindDoc::Stall,
+                    kind: FaultKind::Stall,
                 },
-                FaultDoc {
+                FaultSpec {
                     from_secs: 2.0,
                     until_secs: 4.0,
                     station: Some(3),
-                    kind: FaultKindDoc::AckLoss { prob: 0.2 },
+                    kind: FaultKind::AckLoss { prob: 0.2 },
                 },
-                FaultDoc {
+                FaultSpec {
                     from_secs: 5.0,
                     until_secs: 7.0,
                     station: None,
-                    kind: FaultKindDoc::HwBackpressure { depth: 4 },
+                    kind: FaultKind::HwBackpressure { depth: 4 },
                 },
             ],
             churn: None,
             policy: None,
             roaming: None,
+            provenance: None,
         }
     }
 
     /// Synthetic oracle: "fails" while a stall fault targeting station 1
     /// survives and at least two stations exist. Cheap, deterministic,
     /// and indifferent to everything the shrinker should remove.
-    fn stall_oracle(d: &ScenarioDoc) -> bool {
+    fn stall_oracle(d: &ScenarioFile) -> bool {
         d.stations.len() >= 2
             && d.faults
                 .iter()
-                .any(|f| matches!(f.kind, FaultKindDoc::Stall) && f.station == Some(1))
+                .any(|f| matches!(f.kind, FaultKind::Stall) && f.station == Some(1))
     }
 
     #[test]
@@ -256,7 +240,7 @@ mod tests {
         let (min, steps) = shrink(&doc, stall_oracle);
         assert!(steps > 0);
         assert!(stall_oracle(&min));
-        min.validate().unwrap();
+        min.build().unwrap();
         // All baggage gone: two stations, one fault, three-second run.
         assert_eq!(min.stations.len(), 2);
         assert_eq!(min.faults.len(), 1);
@@ -274,7 +258,7 @@ mod tests {
         let mut checked = 0usize;
         let (_, _) = shrink(&doc, |d| {
             checked += 1;
-            d.validate().expect("oracle saw an invalid candidate");
+            d.build().expect("oracle saw an invalid candidate");
             stall_oracle(d)
         });
         assert!(checked > 0);

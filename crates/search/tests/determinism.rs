@@ -7,46 +7,37 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use wifiq_search::{
-    run_search, FaultDoc, FaultKindDoc, ScenarioDoc, SearchCfg, StationDoc, TrafficDoc,
+use wifiq_experiments::scenario_file::{
+    FaultKind, FaultSpec, ScenarioFile, StationSpec, TrafficSpec,
 };
+use wifiq_search::{run_search, SearchCfg};
 
 /// A small already-failing seed (a stall starves station 1) so the run
 /// exercises the full pipeline — corpus, breeding, shrinking, artifact
 /// writing — without the cost of the large planted document.
-fn failing_seed() -> ScenarioDoc {
-    ScenarioDoc {
+fn failing_seed() -> ScenarioFile {
+    ScenarioFile {
         scheme: "airtime".into(),
         secs: 3,
         seed: 3,
         station_fq: false,
         rate_control: false,
         aql_ms: None,
-        stations: vec![
-            StationDoc {
-                rate: "mcs15".into(),
-                error: 0.0,
-                weight: None,
-            },
-            StationDoc {
-                rate: "mcs7".into(),
-                error: 0.0,
-                weight: None,
-            },
-        ],
+        stations: vec![StationSpec::new("mcs15"), StationSpec::new("mcs7")],
         traffic: vec![
-            TrafficDoc::TcpDown { station: 0 },
-            TrafficDoc::TcpDown { station: 1 },
+            TrafficSpec::TcpDown { station: 0 },
+            TrafficSpec::TcpDown { station: 1 },
         ],
-        faults: vec![FaultDoc {
+        faults: vec![FaultSpec {
             from_secs: 0.5,
             until_secs: 3.0,
             station: Some(1),
-            kind: FaultKindDoc::Stall,
+            kind: FaultKind::Stall,
         }],
         churn: None,
         policy: None,
         roaming: None,
+        provenance: None,
     }
 }
 

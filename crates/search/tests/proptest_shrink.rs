@@ -8,19 +8,20 @@
 //! and the result is a fixpoint — shrinking it again changes nothing.
 
 use proptest::prelude::*;
-use wifiq_search::{
-    shrink, ChurnDoc, FaultDoc, FaultKindDoc, PolicyDoc, PolicyNodeDoc, ScenarioDoc, StationDoc,
-    TrafficDoc,
+use wifiq_experiments::scenario_file::{
+    ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, ScenarioFile, StationSpec,
+    TrafficSpec,
 };
+use wifiq_search::shrink;
 
 /// The synthetic failing objective: a stall fault survives.
-fn fails(doc: &ScenarioDoc) -> bool {
+fn fails(doc: &ScenarioFile) -> bool {
     doc.faults
         .iter()
-        .any(|f| matches!(f.kind, FaultKindDoc::Stall))
+        .any(|f| matches!(f.kind, FaultKind::Stall))
 }
 
-fn extra_fault(idx: usize, n: usize, from: f64, len: f64, secs: u64) -> Option<FaultDoc> {
+fn extra_fault(idx: usize, n: usize, from: f64, len: f64, secs: u64) -> Option<FaultSpec> {
     let from = (from * 10.0).round() / 10.0;
     let until = (((from + len) * 10.0).round() / 10.0).min(secs as f64);
     if until <= from {
@@ -28,23 +29,23 @@ fn extra_fault(idx: usize, n: usize, from: f64, len: f64, secs: u64) -> Option<F
     }
     let station = Some(idx % n);
     let kind = match idx % 6 {
-        0 => FaultKindDoc::Loss { prob: 0.1 },
-        1 => FaultKindDoc::AckLoss { prob: 0.2 },
-        2 => FaultKindDoc::HwBackpressure { depth: 4 },
-        3 => FaultKindDoc::RateCollapse {
+        0 => FaultKind::Loss { prob: 0.1 },
+        1 => FaultKind::AckLoss { prob: 0.2 },
+        2 => FaultKind::HwBackpressure { depth: 4 },
+        3 => FaultKind::RateCollapse {
             rate: "mcs1".into(),
         },
-        4 => FaultKindDoc::RateOscillate {
+        4 => FaultKind::RateOscillate {
             low: "mcs1".into(),
             period_ms: 200,
         },
-        _ => FaultKindDoc::BurstLoss {
+        _ => FaultKind::BurstLoss {
             bad_frac: 0.5,
             burst_len: 16.0,
             loss_bad: 0.9,
         },
     };
-    Some(FaultDoc {
+    Some(FaultSpec {
         from_secs: from,
         until_secs: until,
         station,
@@ -59,28 +60,28 @@ fn laden(
     extras: Vec<(usize, f64, f64)>,
     with_policy: bool,
     with_churn: bool,
-) -> ScenarioDoc {
-    let mut faults = vec![FaultDoc {
+) -> ScenarioFile {
+    let mut faults = vec![FaultSpec {
         from_secs: 0.5,
         until_secs: (secs as f64) - 0.5,
         station: Some(1 % n),
-        kind: FaultKindDoc::Stall,
+        kind: FaultKind::Stall,
     }];
     faults.extend(
         extras
             .into_iter()
             .filter_map(|(idx, from, len)| extra_fault(idx, n, from, len, secs)),
     );
-    let policy = with_policy.then(|| PolicyDoc {
+    let policy = with_policy.then(|| PolicySpec {
         nodes: vec![
-            PolicyNodeDoc {
+            PolicyNodeSpec {
                 name: "a".into(),
                 weight: 1,
                 classes: None,
                 stations: Some((0..n / 2).collect()),
                 nodes: None,
             },
-            PolicyNodeDoc {
+            PolicyNodeSpec {
                 name: "b".into(),
                 weight: 2,
                 classes: None,
@@ -90,12 +91,12 @@ fn laden(
         ],
         switches: Vec::new(),
     });
-    let churn = with_churn.then_some(ChurnDoc {
+    let churn = with_churn.then_some(ChurnSpec {
         mean_interval_ms: 800,
         min_stations: 1,
         max_stations: n,
     });
-    ScenarioDoc {
+    ScenarioFile {
         scheme: "airtime".into(),
         secs,
         seed: 11,
@@ -103,20 +104,17 @@ fn laden(
         rate_control: false,
         aql_ms: None,
         stations: (0..n)
-            .map(|i| StationDoc {
-                rate: if i % 2 == 0 { "mcs15" } else { "mcs7" }.into(),
-                error: 0.0,
-                weight: None,
-            })
+            .map(|i| StationSpec::new(if i % 2 == 0 { "mcs15" } else { "mcs7" }))
             .collect(),
         traffic: (0..n)
-            .map(|s| TrafficDoc::TcpDown { station: s })
-            .chain([TrafficDoc::Ping { station: 0 }])
+            .map(|s| TrafficSpec::TcpDown { station: s })
+            .chain([TrafficSpec::Ping { station: 0 }])
             .collect(),
         faults,
         churn,
         policy,
         roaming: None,
+        provenance: None,
     }
 }
 
@@ -134,14 +132,14 @@ proptest! {
         with_churn in proptest::bool::ANY,
     ) {
         let doc = laden(n, secs, extras, with_policy, with_churn);
-        doc.validate().expect("laden doc must validate");
+        doc.build().expect("laden doc must validate");
         prop_assert!(fails(&doc));
 
         // `shrink` only advances when the oracle approves a candidate, so
         // the approved sequence *is* the accepted reduction chain.
-        let mut approved: Vec<ScenarioDoc> = Vec::new();
+        let mut approved: Vec<ScenarioFile> = Vec::new();
         let (min, steps) = shrink(&doc, |d| {
-            d.validate().expect("oracle consulted on an invalid doc");
+            d.build().expect("oracle consulted on an invalid doc");
             let ok = fails(d);
             if ok {
                 approved.push(d.clone());
@@ -156,7 +154,7 @@ proptest! {
             prop_assert!(fails(step), "accepted step lost the objective");
         }
         prop_assert!(fails(&min));
-        min.validate().expect("minimal doc must validate");
+        min.build().expect("minimal doc must validate");
         prop_assert!(min.size_bytes() <= doc.size_bytes());
 
         // Fixpoint: a second shrink accepts nothing and returns the same

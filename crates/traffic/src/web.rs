@@ -14,7 +14,7 @@ use wifiq_transport::{SendOutcome, TcpReceiver, TcpSender};
 use crate::ctx::FlowCtx;
 use crate::msg::AppMsg;
 
-/// Parallel connections the client uses (the paper's client "fetch[es]
+/// Parallel connections the client uses (the paper's client "fetch\[es\]
 /// multiple requests in parallel over four different TCP connections").
 pub const WEB_CONNS: usize = 4;
 

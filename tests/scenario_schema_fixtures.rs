@@ -1,13 +1,10 @@
-//! Loader/validator drift check over the shared schema fixtures.
+//! The scenario schema, pinned by example.
 //!
 //! `tests/fixtures/scenario_schema/` holds a set of scenario documents
 //! named `ok_*.json` (must load and build) and `bad_*.json` (must be
-//! rejected). `scripts/check_scenarios.py --fixtures` runs the *same*
-//! files through the Python mirror with the same accept/reject
-//! expectations, so any semantic drift between the two validators shows
-//! up as a failure on whichever side disagrees with a fixture's name —
-//! the Python checker can never silently accept a document the Rust
-//! loader rejects, or vice versa.
+//! rejected). They run through the one real loader — the same
+//! `ScenarioFile::from_json` + `build` path as `wifiq --config` and the
+//! searcher — so a fixture's name is a claim about every consumer.
 
 use wifiq_experiments::scenario_file::ScenarioFile;
 
