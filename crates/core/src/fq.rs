@@ -533,8 +533,8 @@ impl<P: FqPacket> MacFq<P> {
 
     /// Capacity probe for the churn-reuse tests: (new-list, old-list,
     /// packet-arena) capacities for one TID slot.
-    #[doc(hidden)]
-    pub fn churn_capacity_probe(&self, tid: TidId) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn churn_capacity_probe(&self, tid: TidId) -> (usize, usize, usize) {
         let t = &self.tids[tid.slot()];
         (
             t.new_flows.capacity(),
@@ -547,9 +547,8 @@ impl<P: FqPacket> MacFq<P> {
     /// queues and panics on any inconsistency: the backlog heap (property,
     /// intrusive positions, exact nonempty membership), per-flow byte
     /// counts, per-TID packet/byte counts, DRR-list membership, and the
-    /// global packet count. Test-only support for the interleaving
-    /// proptests; O(flows), never call it from a hot path.
-    #[doc(hidden)]
+    /// global packet count. An audit for the interleaving proptests;
+    /// O(flows), never call it from a hot path.
     pub fn check_invariants(&self) {
         let mut total = 0usize;
         for (fi, flow) in self.flows.iter().enumerate() {

@@ -26,11 +26,9 @@
 //! slabs, not in this type: the scheduler is a stateless algorithm
 //! (parameters + telemetry counters) over the table, so one store owns
 //! station lifetime for the scheduler, the MAC transmit path, and
-//! roaming alike. The pre-SoA implementation is retained verbatim as
-//! [`ReferenceScheduler`] and drives the oracle proptest that pins the
-//! two byte-for-byte to the same scheduling decisions.
-
-use std::collections::VecDeque;
+//! roaming alike. The pre-SoA implementation is retained verbatim as the
+//! test-only `ReferenceScheduler` in this module's tests, where the
+//! oracle proptest pins the two to the same scheduling decisions.
 
 use wifiq_sim::Nanos;
 
@@ -265,192 +263,6 @@ impl AirtimeScheduler {
     /// True if the station is on any scheduling list for `ac`.
     pub fn is_active<C>(&self, table: &StationTable<C>, sta: StaId, ac: usize) -> bool {
         table.membership(sta, ac) != Membership::Idle
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation (pre-SoA), retained for the oracle proptest.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RefMembership {
-    Idle,
-    New,
-    Old,
-}
-
-#[derive(Debug, Clone)]
-struct RefStationState {
-    deficit: [i64; QOS_LEVELS],
-    membership: [RefMembership; QOS_LEVELS],
-    weights: [u32; QOS_LEVELS],
-    registered: bool,
-}
-
-#[derive(Debug, Default)]
-struct RefAcLists {
-    new_stations: VecDeque<usize>,
-    old_stations: VecDeque<usize>,
-}
-
-/// The pre-SoA scheduler: per-station structs in a `Vec`, `VecDeque`
-/// scheduling lists, non-generational handles. Kept verbatim as the
-/// behavioural oracle for [`AirtimeScheduler`] — the proptest below
-/// drives both through interleaved churn/weight/round schedules and
-/// asserts identical decisions. Not for production use.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct ReferenceScheduler {
-    params: AirtimeParams,
-    stations: Vec<RefStationState>,
-    acs: [RefAcLists; QOS_LEVELS],
-    free_stations: Vec<usize>,
-    pub stats: AirtimeStats,
-}
-
-/// A station registered with [`ReferenceScheduler`]: a raw slot index
-/// with no generation, which is why the oracle is not for production use.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StationHandle(usize);
-
-impl ReferenceScheduler {
-    pub fn new(params: AirtimeParams) -> ReferenceScheduler {
-        ReferenceScheduler {
-            params,
-            stations: Vec::new(),
-            acs: Default::default(),
-            free_stations: Vec::new(),
-            stats: AirtimeStats::default(),
-        }
-    }
-
-    pub fn register_station(&mut self) -> StationHandle {
-        let q = self.params.quantum.as_nanos() as i64;
-        let fresh = RefStationState {
-            deficit: [q; QOS_LEVELS],
-            membership: [RefMembership::Idle; QOS_LEVELS],
-            weights: [WEIGHT_NEUTRAL; QOS_LEVELS],
-            registered: true,
-        };
-        if let Some(idx) = self.free_stations.pop() {
-            self.stations[idx] = fresh;
-            return StationHandle(idx);
-        }
-        let idx = self.stations.len();
-        self.stations.push(fresh);
-        StationHandle(idx)
-    }
-
-    pub fn remove_station(&mut self, sta: StationHandle) {
-        let si = sta.0;
-        assert!(
-            self.stations.get(si).is_some_and(|s| s.registered),
-            "removing unregistered station"
-        );
-        for ac in 0..QOS_LEVELS {
-            if self.stations[si].membership[ac] != RefMembership::Idle {
-                self.acs[ac].new_stations.retain(|&x| x != si);
-                self.acs[ac].old_stations.retain(|&x| x != si);
-                self.stations[si].membership[ac] = RefMembership::Idle;
-            }
-        }
-        self.stations[si].registered = false;
-        self.free_stations.push(si);
-    }
-
-    pub fn set_ac_weights(&mut self, sta: StationHandle, weights: [u32; QOS_LEVELS]) {
-        assert!(
-            weights.iter().all(|&w| w > 0),
-            "airtime weight must be positive"
-        );
-        self.stations[sta.0].weights = weights;
-    }
-
-    fn refill(&self, si: usize, ac: usize) -> i64 {
-        let q = self.params.quantum.as_nanos() as i64;
-        (q * self.stations[si].weights[ac] as i64 / WEIGHT_NEUTRAL as i64).max(1)
-    }
-
-    pub fn deficit(&self, sta: StationHandle, ac: usize) -> i64 {
-        self.stations[sta.0].deficit[ac]
-    }
-
-    pub fn notify_active(&mut self, sta: StationHandle, ac: usize) {
-        assert!(ac < QOS_LEVELS, "QoS level out of range");
-        let st = &mut self.stations[sta.0];
-        assert!(st.registered, "removed station handle");
-        if st.membership[ac] == RefMembership::Idle {
-            if self.params.sparse_stations {
-                st.membership[ac] = RefMembership::New;
-                self.acs[ac].new_stations.push_back(sta.0);
-            } else {
-                st.membership[ac] = RefMembership::Old;
-                self.acs[ac].old_stations.push_back(sta.0);
-            }
-        }
-    }
-
-    pub fn charge(&mut self, sta: StationHandle, ac: usize, airtime: Nanos) {
-        assert!(ac < QOS_LEVELS, "QoS level out of range");
-        assert!(self.stations[sta.0].registered, "removed station handle");
-        self.stations[sta.0].deficit[ac] -= airtime.as_nanos() as i64;
-        self.stats.charged += airtime;
-    }
-
-    pub fn next_station<F>(&mut self, ac: usize, mut has_data: F) -> Option<StationHandle>
-    where
-        F: FnMut(StationHandle) -> bool,
-    {
-        assert!(ac < QOS_LEVELS, "QoS level out of range");
-        loop {
-            let (si, from_new) = {
-                let lists = &self.acs[ac];
-                if let Some(&si) = lists.new_stations.front() {
-                    (si, true)
-                } else if let Some(&si) = lists.old_stations.front() {
-                    (si, false)
-                } else {
-                    return None;
-                }
-            };
-
-            if self.stations[si].deficit[ac] <= 0 {
-                self.stations[si].deficit[ac] += self.refill(si, ac);
-                let lists = &mut self.acs[ac];
-                if from_new {
-                    lists.new_stations.pop_front();
-                } else {
-                    lists.old_stations.pop_front();
-                }
-                lists.old_stations.push_back(si);
-                self.stations[si].membership[ac] = RefMembership::Old;
-                continue;
-            }
-
-            if !has_data(StationHandle(si)) {
-                let lists = &mut self.acs[ac];
-                if from_new {
-                    lists.new_stations.pop_front();
-                    lists.old_stations.push_back(si);
-                    self.stations[si].membership[ac] = RefMembership::Old;
-                } else {
-                    lists.old_stations.pop_front();
-                    self.stations[si].membership[ac] = RefMembership::Idle;
-                }
-                continue;
-            }
-
-            self.stats.scheduled += 1;
-            if from_new {
-                self.stats.sparse_hits += 1;
-            }
-            return Some(StationHandle(si));
-        }
-    }
-
-    pub fn is_active(&self, sta: StationHandle, ac: usize) -> bool {
-        self.stations[sta.0].membership[ac] != RefMembership::Idle
     }
 }
 
@@ -856,6 +668,190 @@ mod tests {
         let a = s.register();
         s.sched.remove_station(&mut s.table, a);
         s.notify(a, BE);
+    }
+
+    // ---- reference implementation (pre-SoA), the oracle's other side ----
+
+    use std::collections::VecDeque;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum RefMembership {
+        Idle,
+        New,
+        Old,
+    }
+
+    #[derive(Debug, Clone)]
+    struct RefStationState {
+        deficit: [i64; QOS_LEVELS],
+        membership: [RefMembership; QOS_LEVELS],
+        weights: [u32; QOS_LEVELS],
+        registered: bool,
+    }
+
+    #[derive(Debug, Default)]
+    struct RefAcLists {
+        new_stations: VecDeque<usize>,
+        old_stations: VecDeque<usize>,
+    }
+
+    /// The pre-SoA scheduler: per-station structs in a `Vec`, `VecDeque`
+    /// scheduling lists, non-generational handles. Kept verbatim as the
+    /// behavioural oracle for [`AirtimeScheduler`] — the proptest below
+    /// drives both through interleaved churn/weight/round schedules and
+    /// asserts identical decisions.
+    #[derive(Debug)]
+    struct ReferenceScheduler {
+        params: AirtimeParams,
+        stations: Vec<RefStationState>,
+        acs: [RefAcLists; QOS_LEVELS],
+        free_stations: Vec<usize>,
+        stats: AirtimeStats,
+    }
+
+    /// A station registered with [`ReferenceScheduler`]: a raw slot index
+    /// with no generation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct StationHandle(usize);
+
+    impl ReferenceScheduler {
+        fn new(params: AirtimeParams) -> ReferenceScheduler {
+            ReferenceScheduler {
+                params,
+                stations: Vec::new(),
+                acs: Default::default(),
+                free_stations: Vec::new(),
+                stats: AirtimeStats::default(),
+            }
+        }
+
+        fn register_station(&mut self) -> StationHandle {
+            let q = self.params.quantum.as_nanos() as i64;
+            let fresh = RefStationState {
+                deficit: [q; QOS_LEVELS],
+                membership: [RefMembership::Idle; QOS_LEVELS],
+                weights: [WEIGHT_NEUTRAL; QOS_LEVELS],
+                registered: true,
+            };
+            if let Some(idx) = self.free_stations.pop() {
+                self.stations[idx] = fresh;
+                return StationHandle(idx);
+            }
+            let idx = self.stations.len();
+            self.stations.push(fresh);
+            StationHandle(idx)
+        }
+
+        fn remove_station(&mut self, sta: StationHandle) {
+            let si = sta.0;
+            assert!(
+                self.stations.get(si).is_some_and(|s| s.registered),
+                "removing unregistered station"
+            );
+            for ac in 0..QOS_LEVELS {
+                if self.stations[si].membership[ac] != RefMembership::Idle {
+                    self.acs[ac].new_stations.retain(|&x| x != si);
+                    self.acs[ac].old_stations.retain(|&x| x != si);
+                    self.stations[si].membership[ac] = RefMembership::Idle;
+                }
+            }
+            self.stations[si].registered = false;
+            self.free_stations.push(si);
+        }
+
+        fn set_ac_weights(&mut self, sta: StationHandle, weights: [u32; QOS_LEVELS]) {
+            assert!(
+                weights.iter().all(|&w| w > 0),
+                "airtime weight must be positive"
+            );
+            self.stations[sta.0].weights = weights;
+        }
+
+        fn refill(&self, si: usize, ac: usize) -> i64 {
+            let q = self.params.quantum.as_nanos() as i64;
+            (q * self.stations[si].weights[ac] as i64 / WEIGHT_NEUTRAL as i64).max(1)
+        }
+
+        fn deficit(&self, sta: StationHandle, ac: usize) -> i64 {
+            self.stations[sta.0].deficit[ac]
+        }
+
+        fn notify_active(&mut self, sta: StationHandle, ac: usize) {
+            assert!(ac < QOS_LEVELS, "QoS level out of range");
+            let st = &mut self.stations[sta.0];
+            assert!(st.registered, "removed station handle");
+            if st.membership[ac] == RefMembership::Idle {
+                if self.params.sparse_stations {
+                    st.membership[ac] = RefMembership::New;
+                    self.acs[ac].new_stations.push_back(sta.0);
+                } else {
+                    st.membership[ac] = RefMembership::Old;
+                    self.acs[ac].old_stations.push_back(sta.0);
+                }
+            }
+        }
+
+        fn charge(&mut self, sta: StationHandle, ac: usize, airtime: Nanos) {
+            assert!(ac < QOS_LEVELS, "QoS level out of range");
+            assert!(self.stations[sta.0].registered, "removed station handle");
+            self.stations[sta.0].deficit[ac] -= airtime.as_nanos() as i64;
+            self.stats.charged += airtime;
+        }
+
+        fn next_station<F>(&mut self, ac: usize, mut has_data: F) -> Option<StationHandle>
+        where
+            F: FnMut(StationHandle) -> bool,
+        {
+            assert!(ac < QOS_LEVELS, "QoS level out of range");
+            loop {
+                let (si, from_new) = {
+                    let lists = &self.acs[ac];
+                    if let Some(&si) = lists.new_stations.front() {
+                        (si, true)
+                    } else if let Some(&si) = lists.old_stations.front() {
+                        (si, false)
+                    } else {
+                        return None;
+                    }
+                };
+
+                if self.stations[si].deficit[ac] <= 0 {
+                    self.stations[si].deficit[ac] += self.refill(si, ac);
+                    let lists = &mut self.acs[ac];
+                    if from_new {
+                        lists.new_stations.pop_front();
+                    } else {
+                        lists.old_stations.pop_front();
+                    }
+                    lists.old_stations.push_back(si);
+                    self.stations[si].membership[ac] = RefMembership::Old;
+                    continue;
+                }
+
+                if !has_data(StationHandle(si)) {
+                    let lists = &mut self.acs[ac];
+                    if from_new {
+                        lists.new_stations.pop_front();
+                        lists.old_stations.push_back(si);
+                        self.stations[si].membership[ac] = RefMembership::Old;
+                    } else {
+                        lists.old_stations.pop_front();
+                        self.stations[si].membership[ac] = RefMembership::Idle;
+                    }
+                    continue;
+                }
+
+                self.stats.scheduled += 1;
+                if from_new {
+                    self.stats.sparse_hits += 1;
+                }
+                return Some(StationHandle(si));
+            }
+        }
+
+        fn is_active(&self, sta: StationHandle, ac: usize) -> bool {
+            self.stations[sta.0].membership[ac] != RefMembership::Idle
+        }
     }
 
     // ---- oracle proptest: SoA scheduler vs the reference ----

@@ -22,17 +22,16 @@
 //! Results land in `results/BENCH_chaos.json` with a `gates` block;
 //! any violated gate fails the process (and thus `run_all`).
 
-use wifiq_experiments::report::{pct, results_dir, write_json, Table};
-use wifiq_experiments::runner::{
-    export_metrics, mean, meter_delta, metrics_enabled, run_seeds, shares_of,
-};
+use wifiq_experiments::report::{pct, write_json, Table};
+use wifiq_experiments::rollup::{rollup_identity, Flood};
+use wifiq_experiments::runner::{mean, meter_delta, run_seeds, shares_of};
 use wifiq_experiments::{scenario, RunCfg};
 use wifiq_mac::{
-    App, Commands, Delivery, FaultEntry, FaultTarget, Impairment, NetworkConfig, NodeAddr, Packet,
-    Preset, SchemeKind, StationMeter, WifiNetwork,
+    FaultEntry, FaultTarget, Impairment, NetworkConfig, Preset, SchemeKind, StationMeter,
+    WifiNetwork,
 };
-use wifiq_phy::{AccessCategory, ChannelWidth, PhyRate};
-use wifiq_scale::{ShardCtx, ShardSet};
+use wifiq_phy::{ChannelWidth, PhyRate};
+use wifiq_scale::ShardCtx;
 use wifiq_sim::Nanos;
 use wifiq_stats::{jain_index, Summary};
 use wifiq_telemetry::{Label, Registry, Telemetry};
@@ -204,44 +203,6 @@ fn param_switch_times(from: Nanos, until: Nanos, duration: Nanos) -> Vec<Nanos> 
     times
 }
 
-/// Downlink flood over the three testbed stations, for the determinism
-/// shards (no transport stack: pure MAC behaviour under faults).
-struct FloodApp {
-    cursor: usize,
-    next_id: u64,
-}
-
-impl App<()> for FloodApp {
-    fn on_packet(
-        &mut self,
-        _at: Delivery,
-        _pkt: Packet<()>,
-        _now: Nanos,
-        _cmds: &mut Commands<()>,
-    ) {
-    }
-
-    fn on_timer(&mut self, _token: u64, now: Nanos, cmds: &mut Commands<()>) {
-        for _ in 0..4 {
-            let dst = self.cursor % 3;
-            self.cursor += 1;
-            self.next_id += 1;
-            cmds.send(Packet {
-                id: self.next_id,
-                src: NodeAddr::Server,
-                dst: NodeAddr::Station(dst),
-                flow: dst as u64,
-                len: 1500,
-                ac: AccessCategory::Be,
-                created: now,
-                enqueued: now,
-                payload: (),
-            });
-        }
-        cmds.set_timer(0, now + Nanos::from_micros(500));
-    }
-}
-
 /// One determinism shard: the paper testbed under every impairment kind
 /// at once, flooded for 3 s, returning its telemetry registry.
 fn chaos_shard(ctx: &ShardCtx) -> ((), Option<Registry>) {
@@ -278,42 +239,10 @@ fn chaos_shard(ctx: &ShardCtx) -> ((), Option<Registry>) {
     let mut net: WifiNetwork<()> = WifiNetwork::new(cfg);
     let tele = Telemetry::enabled();
     net.set_telemetry(tele.clone());
-    let mut app = FloodApp {
-        cursor: 0,
-        next_id: 0,
-    };
+    let mut app = Flood::new(3);
     net.seed_timer(0, Nanos::ZERO);
     net.run(end, &mut app);
     ((), tele.take_registry())
-}
-
-/// The worker-count independence gate: identical fault-ridden shard
-/// decompositions on 1 worker and on 4 must merge to byte-identical
-/// telemetry rollups.
-fn determinism_check(seed: u64) -> bool {
-    let rollup = |workers: usize| {
-        ShardSet::new(2, seed)
-            .with_workers(workers)
-            .run(chaos_shard)
-    };
-    let seq_run = rollup(1);
-    let seq = seq_run.registry.to_json().pretty();
-    let par = rollup(4).registry.to_json().pretty();
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    std::fs::write(dir.join("chaos_rollup_seq.json"), &seq).expect("write seq rollup");
-    std::fs::write(dir.join("chaos_rollup_par.json"), &par).expect("write par rollup");
-    if metrics_enabled() {
-        // Re-export the rollup in the standard snapshot format so
-        // scripts/check_metrics.py validates the chaos counters.
-        let tele = Telemetry::enabled();
-        tele.absorb_registry(&seq_run.registry, |l| l);
-        export_metrics(&tele, "chaos_rollup", seed);
-    }
-    if seq != par {
-        eprintln!("FAIL: chaos rollup differs between 1 and 4 workers");
-    }
-    seq == par
 }
 
 #[derive(serde::Serialize)]
@@ -413,7 +342,7 @@ fn main() {
         .all(|r| r.param_switches_min >= 2 && r.codel_recoveries_min >= 1);
 
     // Gate 4: worker-count independence of the fault-ridden rollup.
-    let rollup_identical = determinism_check(cfg.base_seed);
+    let rollup_identical = rollup_identity("chaos", 2, cfg.base_seed, chaos_shard, |_| {});
 
     let gates = Gates {
         jain_min,

@@ -24,17 +24,16 @@
 //! Results land in `results/BENCH_policy.json` with a `gates` block;
 //! any violated gate fails the process (and thus `run_all`).
 
-use wifiq_experiments::report::{pct, results_dir, write_json, Table};
-use wifiq_experiments::runner::{
-    export_metrics, mean, meter_delta, metrics_enabled, run_seeds, shares_of,
-};
+use wifiq_experiments::report::{pct, write_json, Table};
+use wifiq_experiments::rollup::{rollup_identity, Flood};
+use wifiq_experiments::runner::{mean, meter_delta, run_seeds, shares_of};
 use wifiq_experiments::{scenario, RunCfg};
 use wifiq_mac::{
-    App, Commands, Delivery, FaultEntry, FaultTarget, Impairment, NetworkConfig, NodeAddr, Packet,
-    PolicyNode, PolicySet, Preset, SchemeKind, StationMeter, WifiNetwork,
+    FaultEntry, FaultTarget, Impairment, NetworkConfig, PolicyNode, PolicySet, Preset, SchemeKind,
+    StationMeter, WifiNetwork,
 };
 use wifiq_phy::AccessCategory;
-use wifiq_scale::{ShardCtx, ShardSet};
+use wifiq_scale::ShardCtx;
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{Label, Registry, Telemetry};
 use wifiq_traffic::TrafficApp;
@@ -258,44 +257,6 @@ fn convergence_probe(chaos: bool, seed: u64) -> f64 {
     converged
 }
 
-/// Downlink flood over the three testbed stations (no transport stack:
-/// pure MAC behaviour), for the byte-identity and determinism checks.
-struct FloodApp {
-    cursor: usize,
-    next_id: u64,
-}
-
-impl App<()> for FloodApp {
-    fn on_packet(
-        &mut self,
-        _at: Delivery,
-        _pkt: Packet<()>,
-        _now: Nanos,
-        _cmds: &mut Commands<()>,
-    ) {
-    }
-
-    fn on_timer(&mut self, _token: u64, now: Nanos, cmds: &mut Commands<()>) {
-        for _ in 0..4 {
-            let dst = self.cursor % 3;
-            self.cursor += 1;
-            self.next_id += 1;
-            cmds.send(Packet {
-                id: self.next_id,
-                src: NodeAddr::Server,
-                dst: NodeAddr::Station(dst),
-                flow: dst as u64,
-                len: 1500,
-                ac: AccessCategory::Be,
-                created: now,
-                enqueued: now,
-                payload: (),
-            });
-        }
-        cmds.set_timer(0, now + Nanos::from_micros(500));
-    }
-}
-
 /// Gate 3: a run under an all-equal `PolicySet` must be byte-identical
 /// to one with no policy at all — same meters, same telemetry once the
 /// `policy/*` counters (which only the policy run emits) are set aside.
@@ -311,10 +272,7 @@ fn equal_weights_identity(seed: u64) -> bool {
         let mut net: WifiNetwork<()> = WifiNetwork::new(b.build());
         let tele = Telemetry::enabled();
         net.set_telemetry(tele.clone());
-        let mut app = FloodApp {
-            cursor: 0,
-            next_id: 0,
-        };
+        let mut app = Flood::new(3);
         net.seed_timer(0, Nanos::ZERO);
         net.run(Nanos::from_secs(3), &mut app);
         let meters = format!("{:?}", net.meter().all());
@@ -353,48 +311,10 @@ fn policy_shard(ctx: &ShardCtx) -> ((), Option<Registry>) {
     let mut net: WifiNetwork<()> = WifiNetwork::new(cfg);
     let tele = Telemetry::enabled();
     net.set_telemetry(tele.clone());
-    let mut app = FloodApp {
-        cursor: 0,
-        next_id: 0,
-    };
+    let mut app = Flood::new(3);
     net.seed_timer(0, Nanos::ZERO);
     net.run(end, &mut app);
     ((), tele.take_registry())
-}
-
-/// Gate 4: identical sharded policy runs on 1 worker and on 4 must merge
-/// to byte-identical telemetry rollups.
-fn determinism_check(seed: u64, convergence_ms: f64) -> bool {
-    let rollup = |workers: usize| {
-        ShardSet::new(2, seed)
-            .with_workers(workers)
-            .run(policy_shard)
-    };
-    let seq_run = rollup(1);
-    let seq = seq_run.registry.to_json().pretty();
-    let par = rollup(4).registry.to_json().pretty();
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    std::fs::write(dir.join("policy_rollup_seq.json"), &seq).expect("write seq rollup");
-    std::fs::write(dir.join("policy_rollup_par.json"), &par).expect("write par rollup");
-    if metrics_enabled() {
-        // Re-export the rollup in the standard snapshot format (plus the
-        // harness-measured convergence) so scripts/check_metrics.py
-        // validates the policy vocabulary.
-        let tele = Telemetry::enabled();
-        tele.absorb_registry(&seq_run.registry, |l| l);
-        tele.observe_value(
-            "policy",
-            "convergence_ms",
-            Label::Global,
-            convergence_ms as u64,
-        );
-        export_metrics(&tele, "policy_rollup", seed);
-    }
-    if seq != par {
-        eprintln!("FAIL: policy rollup differs between 1 and 4 workers");
-    }
-    seq == par
 }
 
 #[derive(serde::Serialize)]
@@ -467,8 +387,17 @@ fn main() {
     // Gate 3: equal weights are byte-invisible.
     let equal_weights_identical = equal_weights_identity(cfg.base_seed);
 
-    // Gate 4: worker-count independence of the policy rollup.
-    let rollup_identical = determinism_check(cfg.base_seed, convergence_ms);
+    // Gate 4: worker-count independence of the policy rollup. The
+    // metrics snapshot also carries the harness-measured convergence, so
+    // scripts/check_metrics.py validates the whole policy vocabulary.
+    let rollup_identical = rollup_identity("policy", 2, cfg.base_seed, policy_shard, |tele| {
+        tele.observe_value(
+            "policy",
+            "convergence_ms",
+            Label::Global,
+            convergence_ms as u64,
+        )
+    });
 
     let gates = Gates {
         share_err_max,

@@ -33,7 +33,6 @@
 //! Results land in `results/BENCH_roam.json`.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use wifiq_experiments::report::{results_dir, write_json, Table};
 use wifiq_experiments::runner::{mean, run_seeds};
@@ -214,7 +213,6 @@ struct Row {
     neutral_fallback: u64,
     jain_post_settle: f64,
     throughput_mbps: f64,
-    wall_ms: f64,
 }
 
 fn palette_rates(palette: &'static str) -> Vec<PhyRate> {
@@ -261,16 +259,14 @@ fn run_point(
     );
     let workers = cfg.jobs.max(1);
     // (per-station post-settle bytes, handoffs, roam drops, migrated,
-    //  deferred, max reassoc ns, reattach/fallback packed, wall ms).
-    type Rep = (Vec<u64>, u64, u64, u64, u64, u64, Vec<u64>, f64);
+    //  deferred, max reassoc ns, reattach/fallback packed).
+    type Rep = (Vec<u64>, u64, u64, u64, u64, u64, Vec<u64>);
     let reps: Vec<Rep> = run_seeds("ext_roam", &cell, &config, cfg, |seed| {
-        let wall = Instant::now();
         let run = roam_set(bss, roster, dwell, palette, seed, workers).run(
             duration,
             |ctx| build_host(ctx, settle, false),
             finish_host,
         );
-        let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let shares: Vec<u64> = station_shares(&run, roster)
             .iter()
             .map(|&b| b as u64)
@@ -283,7 +279,6 @@ fn run_point(
             run.stats.deferred,
             run.stats.max_reassoc.as_nanos(),
             vec![run.stats.policy_reattach, run.stats.neutral_fallback],
-            wall_ms,
         )
     });
     let window = (duration - settle).as_secs_f64();
@@ -310,7 +305,6 @@ fn run_point(
         neutral_fallback: reps.iter().map(|r| r.6[1]).sum::<u64>() / n,
         jain_post_settle: mean(&jains),
         throughput_mbps: mean(&mbps),
-        wall_ms: mean(&reps.iter().map(|r| r.7).collect::<Vec<_>>()),
     }
 }
 
@@ -593,7 +587,6 @@ fn main() {
         "Reassoc max (ms)",
         "Jain",
         "Mbps",
-        "Wall (ms)",
     ]);
     for r in &rows {
         t.row(vec![
@@ -607,7 +600,6 @@ fn main() {
             format!("{:.1}", r.max_reassoc_ms),
             format!("{:.3}", r.jain_post_settle),
             format!("{:.1}", r.throughput_mbps),
-            format!("{:.0}", r.wall_ms),
         ]);
     }
     t.print();

@@ -5,9 +5,9 @@
 //! independent BSS shards run through [`wifiq_scale::ShardSet`], with and
 //! without deterministic station churn ([`wifiq_scale::ChurnDriver`]).
 //! Each sweep point records saturated downlink throughput, Jain's
-//! fairness index over per-station delivered bytes, simulated packets
-//! delivered per wall-clock second, and a per-packet FQ hot-path cost
-//! (one enqueue+dequeue pair through [`MacFq`] at that roster size).
+//! fairness index over per-station delivered bytes, and the churn
+//! counters — simulated quantities only, so `results/BENCH_scale.json` is
+//! a pure function of code and seed (host time is `benchmark/`'s job).
 //!
 //! Two artifact pairs back the determinism guarantees: the same shard
 //! decomposition is executed on one worker and on four, and the merged
@@ -18,12 +18,9 @@
 //! `results/scale_lanes_par.json`). CI `cmp`s both pairs. Results land
 //! in `results/BENCH_scale.json`.
 
-use std::time::Instant;
-
-use wifiq_codel::CodelParams;
-use wifiq_core::fq::{FqParams, MacFq};
-use wifiq_experiments::report::{results_dir, write_json, Table};
-use wifiq_experiments::runner::{export_metrics, mean, metrics_enabled, run_seeds};
+use wifiq_experiments::report::{write_json, Table};
+use wifiq_experiments::rollup::rollup_identity;
+use wifiq_experiments::runner::{mean, run_seeds};
 use wifiq_experiments::RunCfg;
 use wifiq_mac::{
     App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, WifiNetwork,
@@ -51,7 +48,6 @@ struct FloodApp {
     cursor: usize,
     next_id: u64,
     bytes: Vec<u64>,
-    pkts: u64,
 }
 
 impl FloodApp {
@@ -61,7 +57,6 @@ impl FloodApp {
             cursor: 0,
             next_id: 0,
             bytes: vec![0; slots],
-            pkts: 0,
         }
     }
 }
@@ -73,7 +68,6 @@ impl App<()> for FloodApp {
                 self.bytes.resize(i + 1, 0);
             }
             self.bytes[i] += pkt.len;
-            self.pkts += 1;
         }
     }
 
@@ -102,10 +96,6 @@ impl App<()> for FloodApp {
 struct ShardOut {
     /// Per-slot delivered bytes inside the measurement window.
     bytes: Vec<u64>,
-    /// Packets delivered inside the measurement window.
-    pkts: u64,
-    /// Packets delivered over the whole run (wall-clock rate numerator).
-    pkts_total: u64,
     joins: u64,
     leaves: u64,
     churn_drops: u64,
@@ -167,7 +157,6 @@ fn run_shard(
     net.seed_timer(0, Nanos::ZERO);
     drive(&mut net, &mut driver, warmup, &mut app);
     let warm_bytes = app.bytes.clone();
-    let warm_pkts = app.pkts;
     drive(&mut net, &mut driver, duration, &mut app);
 
     let bytes = app
@@ -179,8 +168,6 @@ fn run_shard(
     (
         ShardOut {
             bytes,
-            pkts: app.pkts - warm_pkts,
-            pkts_total: app.pkts,
             joins: driver.as_ref().map_or(0, |d| d.joins),
             leaves: driver.as_ref().map_or(0, |d| d.leaves),
             churn_drops: net.churn_drops(),
@@ -198,53 +185,6 @@ fn split_stations(stations: usize, shards: u32) -> Vec<usize> {
         .collect()
 }
 
-/// Per-packet FQ hot-path cost at this roster size: one TID per station,
-/// packets round-robined over TIDs in batches, timed around the
-/// enqueue+dequeue pair. Mirrors `benches/fq_hotpath.rs` but runs inline
-/// so every sweep point carries its own number.
-fn fq_hotpath_ns(stations: usize) -> f64 {
-    let mut fq: MacFq<Packet<()>> = MacFq::new(FqParams {
-        flows: 4096,
-        limit: 16384,
-        ..FqParams::default()
-    });
-    let tids: Vec<_> = (0..stations).map(|_| fq.register_tid()).collect();
-    let params = CodelParams::wifi_default();
-    let pkt = |i: usize, id: u64| Packet {
-        id,
-        src: NodeAddr::Server,
-        dst: NodeAddr::Station(i),
-        flow: i as u64,
-        len: PKT_LEN,
-        ac: AccessCategory::Be,
-        created: Nanos::ZERO,
-        enqueued: Nanos::ZERO,
-        payload: (),
-    };
-    let target_pairs: usize = 200_000;
-    let batch = 4096.min(target_pairs);
-    let rounds = target_pairs.div_ceil(batch);
-    let mut cursor = 0usize;
-    let mut id = 0u64;
-    let mut done = 0usize;
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let base = cursor;
-        for k in 0..batch {
-            let tid = tids[(base + k) % tids.len()];
-            id += 1;
-            fq.enqueue(pkt((base + k) % tids.len(), id), tid, Nanos::from_nanos(id));
-        }
-        for k in 0..batch {
-            let tid = tids[(base + k) % tids.len()];
-            std::hint::black_box(fq.dequeue(tid, Nanos::from_nanos(id), &params));
-        }
-        cursor += batch;
-        done += batch;
-    }
-    start.elapsed().as_nanos() as f64 / done as f64
-}
-
 #[derive(serde::Serialize)]
 struct Row {
     stations: usize,
@@ -252,18 +192,13 @@ struct Row {
     churn: bool,
     throughput_mbps: f64,
     jain: f64,
-    pkts_per_wall_sec: f64,
-    fq_ns_per_pkt: f64,
     joins: u64,
     leaves: u64,
     churn_drops: u64,
-    wall_ms: f64,
 }
 
 /// One sweep point: `reps` seeded repetitions of a sharded run (cached
-/// and parallelised by the experiment harness), plus the inline FQ
-/// hot-path measurement.
-#[allow(clippy::too_many_arguments)]
+/// and parallelised by the experiment harness).
 fn run_point(
     stations: usize,
     shards: u32,
@@ -281,11 +216,10 @@ fn run_point(
     );
     let per_shard = split_stations(stations, shards);
     let workers = cfg.jobs.max(1);
-    // (window bytes across shards, window pkts, total pkts, joins,
-    //  leaves, churn drops, wall ms) per repetition.
-    type Rep = (Vec<u64>, u64, u64, u64, u64, u64, f64);
+    // (window bytes across shards, joins, leaves, churn drops) per
+    // repetition.
+    type Rep = (Vec<u64>, u64, u64, u64);
     let reps: Vec<Rep> = run_seeds("ext_scale", &cell, &config, cfg, |seed| {
-        let wall = Instant::now();
         let run = ShardSet::new(shards, seed)
             .with_workers(workers)
             .run(|ctx| {
@@ -301,17 +235,13 @@ fn run_point(
                     1,
                 )
             });
-        let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let bytes: Vec<u64> = run.outputs.iter().flat_map(|o| o.bytes.clone()).collect();
         let sum = |f: fn(&ShardOut) -> u64| run.outputs.iter().map(f).sum::<u64>();
         (
             bytes,
-            sum(|o| o.pkts),
-            sum(|o| o.pkts_total),
             sum(|o| o.joins),
             sum(|o| o.leaves),
             sum(|o| o.churn_drops),
-            wall_ms,
         )
     });
     let window = (duration - warmup).as_secs_f64();
@@ -326,77 +256,47 @@ fn run_point(
             jain_index(&shares)
         })
         .collect();
-    let rates: Vec<f64> = reps
-        .iter()
-        .map(|r| r.2 as f64 / (r.6 / 1e3).max(1e-9))
-        .collect();
+    let n = reps.len() as u64;
     Row {
         stations,
         shards,
         churn,
         throughput_mbps: mean(&mbps),
         jain: mean(&jains),
-        pkts_per_wall_sec: mean(&rates),
-        fq_ns_per_pkt: fq_hotpath_ns(stations),
-        joins: reps.iter().map(|r| r.3).sum::<u64>() / reps.len() as u64,
-        leaves: reps.iter().map(|r| r.4).sum::<u64>() / reps.len() as u64,
-        churn_drops: reps.iter().map(|r| r.5).sum::<u64>() / reps.len() as u64,
-        wall_ms: mean(&reps.iter().map(|r| r.6).collect::<Vec<_>>()),
+        joins: reps.iter().map(|r| r.1).sum::<u64>() / n,
+        leaves: reps.iter().map(|r| r.2).sum::<u64>() / n,
+        churn_drops: reps.iter().map(|r| r.3).sum::<u64>() / n,
     }
 }
 
-/// The sharding determinism guarantee, executed: the same decomposition
-/// on one worker vs four must produce byte-identical telemetry rollups.
-/// Writes both artifacts for CI to `cmp` and aborts on any divergence.
+/// The sharding determinism guarantee, executed: the same churned
+/// decomposition on one worker vs four must produce byte-identical
+/// telemetry rollups; any divergence aborts the run.
 fn determinism_check(stations: usize, shards: u32, warmup: Nanos, duration: Nanos, seed: u64) {
     let per_shard = split_stations(stations, shards);
-    let rollup = |workers: usize| {
-        ShardSet::new(shards, seed)
-            .with_workers(workers)
-            .run(|ctx| {
-                // Intra-shard lanes are requested here too; the network
-                // collapses them to 1 while telemetry is live (DESIGN.md
-                // §14), which is exactly the determinism contract — the
-                // config knob must never change results either way. The
-                // parallel lane path itself is exercised (telemetry off)
-                // by `lanes_determinism_check`.
-                run_shard(
-                    ctx,
-                    per_shard[ctx.shard as usize],
-                    true,
-                    warmup,
-                    duration,
-                    true,
-                    4,
-                )
-            })
+    // Intra-shard lanes are requested here too; the network collapses
+    // them to 1 while telemetry is live (DESIGN.md §14), which is exactly
+    // the determinism contract — the config knob must never change
+    // results either way. The parallel lane path itself is exercised
+    // (telemetry off) by `lanes_determinism_check`.
+    let shard = |ctx: &ShardCtx| {
+        run_shard(
+            ctx,
+            per_shard[ctx.shard as usize],
+            true,
+            warmup,
+            duration,
+            true,
+            4,
+        )
     };
-    let seq_run = rollup(1);
-    let seq = seq_run.registry.to_json().pretty();
-    let par = rollup(4).registry.to_json().pretty();
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    std::fs::write(dir.join("scale_rollup_seq.json"), &seq).expect("write seq rollup");
-    std::fs::write(dir.join("scale_rollup_par.json"), &par).expect("write par rollup");
-    if seq != par {
-        eprintln!(
-            "determinism check FAILED: {stations} stations / {shards} shards \
-             rolled up differently on 1 vs 4 workers"
-        );
+    if !rollup_identity("scale", shards, seed, shard, |_| {}) {
         std::process::exit(1);
     }
     println!(
         "determinism: {stations} stations / {shards} shards, churned — \
-         1-worker and 4-worker rollups byte-identical ({} bytes)",
-        seq.len()
+         1-worker and 4-worker rollups byte-identical"
     );
-    if metrics_enabled() {
-        // Re-export the rollup in the standard snapshot format so
-        // scripts/check_metrics.py validates the shard-labeled registry.
-        let tele = Telemetry::enabled();
-        tele.absorb_registry(&seq_run.registry, |l| l);
-        export_metrics(&tele, "scale_rollup", seed);
-    }
 }
 
 /// The intra-shard lane determinism guarantee, executed on the real
@@ -520,8 +420,6 @@ fn main() {
             (10, 1, false),
             (10, 2, false),
             (100, 1, false),
-            // 100sta/2shard doubles as the quick-mode gate case, so the
-            // full-grid baseline must carry it too.
             (100, 2, false),
             (100, 4, false),
             (1000, 4, false),
@@ -541,16 +439,7 @@ fn main() {
         .collect();
 
     let mut t = Table::new(vec![
-        "Stations",
-        "Shards",
-        "Churn",
-        "Mbps",
-        "Jain",
-        "pkts/wall-s",
-        "FQ ns/pkt",
-        "Joins",
-        "Leaves",
-        "Wall (ms)",
+        "Stations", "Shards", "Churn", "Mbps", "Jain", "Joins", "Leaves",
     ]);
     for r in &rows {
         t.row(vec![
@@ -559,11 +448,8 @@ fn main() {
             if r.churn { "yes" } else { "no" }.to_string(),
             format!("{:.1}", r.throughput_mbps),
             format!("{:.3}", r.jain),
-            format!("{:.0}", r.pkts_per_wall_sec),
-            format!("{:.0}", r.fq_ns_per_pkt),
             r.joins.to_string(),
             r.leaves.to_string(),
-            format!("{:.0}", r.wall_ms),
         ]);
     }
     t.print();

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use wifiq_experiments::runner::{export_metrics, metrics_telemetry};
 use wifiq_harness::{CellDef, Harness, SweepMeta};
 
-const BINS: [&str; 24] = [
+const BINS: [&str; 23] = [
     "fig04_latency_tcp",
     "table1_model_validation",
     "fig05_airtime_udp",
@@ -39,7 +39,6 @@ const BINS: [&str; 24] = [
     "ext_lossy_channel",
     "ext_chaos",
     "ext_scale",
-    "ext_hotpath",
     "ext_policy",
     "ext_search",
     "ext_roam",

@@ -21,12 +21,16 @@
 //! per-station CoDel parameters, the overlimit drop policy, and the
 //! airtime quantum), driven by the `ablation_design_choices` binary.
 //!
+//! [`rollup`] holds what the sharded extension experiments share: the
+//! 1-vs-4-worker rollup identity check and the flood load its shards run.
+//!
 //! Repetition counts and durations are configurable through the
 //! environment; see [`runner::RunCfg`].
 
 pub mod ablations;
 pub mod latency;
 pub mod report;
+pub mod rollup;
 pub mod runner;
 pub mod scenario;
 pub mod scenario_file;

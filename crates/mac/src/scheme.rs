@@ -242,9 +242,9 @@ impl<M: std::fmt::Debug> ApTxPath<M> {
         }
     }
 
-    /// Pooled frame buffers currently available (test probe).
-    #[doc(hidden)]
-    pub fn frame_pool_len(&self) -> usize {
+    /// Pooled frame buffers currently available.
+    #[cfg(test)]
+    fn frame_pool_len(&self) -> usize {
         self.frame_pool.len()
     }
 

@@ -5,13 +5,13 @@
 //! insertion order (FIFO), which keeps runs deterministic regardless of the
 //! queue's internal structure.
 //!
-//! Internally the queue is a hierarchical timing wheel (see `EventQueue`),
-//! replacing the earlier two-lane binary heap. The old implementation is kept
-//! verbatim as [`ReferenceQueue`] so property tests can model-check the wheel
-//! against it: both must produce byte-identical pop sequences.
+//! Internally the queue is a hierarchical timing wheel (see `EventQueue`).
+//! The two-lane binary heap it replaced lives on as the test-only oracle in
+//! `tests/reference/`: the property tests model-check the wheel against it,
+//! and both must produce byte-identical pop sequences.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::mem;
 
 use crate::time::Nanos;
@@ -145,8 +145,8 @@ struct Node<E> {
 /// provably share one 4096 ns block (each entry's block contains the global
 /// minimum), so their times are reconstructed from a single stored block
 /// base and level 0 needs no per-slot minimum array. Exact (time, insertion
-/// order) pop order is preserved and model-checked against
-/// [`ReferenceQueue`].
+/// order) pop order is preserved and model-checked against the two-lane
+/// heap oracle in `tests/reference/`.
 ///
 /// # Examples
 ///
@@ -661,142 +661,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The pre-wheel two-lane implementation (FIFO front lane over a binary
-/// heap), kept as the oracle for the event-order property tests: the wheel
-/// must produce pop sequences byte-identical to this queue for every
-/// schedule. Not part of the public API.
-#[doc(hidden)]
-pub struct ReferenceQueue<E> {
-    /// In-order lane: non-decreasing times, all strictly earlier than
-    /// every heap entry, popped front-first with no heap churn.
-    front: VecDeque<Entry<E>>,
-    heap: BinaryHeap<Entry<E>>,
-    cancelled: std::collections::HashSet<u64>,
-    /// Sequence numbers currently in the heap; guards `cancel` against
-    /// tombstoning an event that already fired.
-    pending: std::collections::HashSet<u64>,
-    next_seq: u64,
-    now: Nanos,
-}
-
-impl<E> Default for ReferenceQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ReferenceQueue<E> {
-    pub fn new() -> Self {
-        ReferenceQueue {
-            front: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            cancelled: std::collections::HashSet::new(),
-            pending: std::collections::HashSet::new(),
-            next_seq: 0,
-            now: Nanos::ZERO,
-        }
-    }
-
-    #[inline]
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    pub fn push(&mut self, at: Nanos, payload: E) -> EventId {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: {at} < now {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq);
-        let entry = Entry {
-            time: at,
-            seq,
-            payload,
-        };
-        // Front-lane admission: the push keeps the lane's times
-        // non-decreasing and must fire strictly before the earliest heap
-        // entry (an equal-time heap entry holds an older seq and goes
-        // first).
-        let after_front = self.front.back().is_none_or(|back| at >= back.time);
-        let before_heap = self.heap.peek().is_none_or(|top| at < top.time);
-        if after_front && before_heap {
-            self.front.push_back(entry);
-        } else {
-            if !after_front {
-                self.heap.extend(self.front.drain(..));
-            }
-            self.heap.push(entry);
-        }
-        EventId(seq)
-    }
-
-    pub fn push_after(&mut self, delay: Nanos, payload: E) -> EventId {
-        let at = self.now + delay;
-        self.push(at, payload)
-    }
-
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.pending.contains(&id.0) {
-            return false;
-        }
-        self.pending.remove(&id.0);
-        self.cancelled.insert(id.0)
-    }
-
-    pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        while let Some(entry) = self.front.pop_front() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.pending.remove(&entry.seq);
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
-        }
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.pending.remove(&entry.seq);
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
-        }
-        None
-    }
-
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        while let Some(entry) = self.front.front() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.front.pop_front();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
-    }
-
-    pub fn len(&self) -> usize {
-        self.front.len() + self.heap.len() - self.cancelled.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1057,68 +921,6 @@ mod tests {
         assert_eq!(q.pop_tick(Nanos(100), &mut batch), Some(Nanos(10)));
         assert_eq!(batch, vec![2, 3]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wheel_order_matches_reference_model() {
-        // Randomised push/pop/cancel workload cross-checked against the
-        // pre-wheel implementation: pop sequences must be byte-identical.
-        let mut q = EventQueue::new();
-        let mut r = ReferenceQueue::new();
-        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next = |span: u64| {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (rng >> 33) % span
-        };
-        let mut payload = 0u64;
-        let mut live: Vec<(EventId, EventId)> = Vec::new();
-        for _ in 0..5000 {
-            match next(10) {
-                0..=5 => {
-                    // Jitter of 0 creates same-timestamp chains; larger
-                    // jitter creates out-of-order pushes; the huge stride
-                    // exercises coarse levels and the overflow heap.
-                    let jitter = match next(4) {
-                        0 => 0,
-                        1 => next(5) * 10,
-                        2 => next(1 << 20),
-                        _ => next(1 << 44),
-                    };
-                    let at = q.now() + Nanos(jitter);
-                    let qid = q.push(at, payload);
-                    let rid = r.push(at, payload);
-                    live.push((qid, rid));
-                    payload += 1;
-                }
-                6..=8 => {
-                    let got = q.pop();
-                    assert_eq!(got, r.pop());
-                    if let Some((_, p)) = got {
-                        // Both queues assign seqs in push order, so the
-                        // payload (push index) identifies the fired ids.
-                        live.retain(|(qid, _)| qid.0 != p);
-                    }
-                }
-                _ => {
-                    if !live.is_empty() {
-                        let i = next(live.len() as u64) as usize;
-                        let (qid, rid) = live.remove(i);
-                        assert_eq!(q.cancel(qid), r.cancel(rid));
-                    }
-                }
-            }
-            assert_eq!(q.len(), r.len(), "live-event count drifted");
-            assert_eq!(q.now(), r.now());
-        }
-        loop {
-            let got = q.pop();
-            assert_eq!(got, r.pop());
-            if got.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

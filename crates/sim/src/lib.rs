@@ -17,8 +17,6 @@ pub mod event;
 pub mod rng;
 pub mod time;
 
-#[doc(hidden)]
-pub use event::ReferenceQueue;
 pub use event::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use time::Nanos;

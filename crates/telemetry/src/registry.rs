@@ -44,6 +44,20 @@ impl fmt::Display for Label {
 /// Full metric address.
 pub type Key = (&'static str, &'static str, Label);
 
+/// Keyed read behind the three getters. `BTreeMap` is covariant in its
+/// key, so the stored `&'static str` parts shorten to the probe's lifetime
+/// and a read is one tree descent however many per-station and per-TID
+/// keys the run recorded.
+fn lookup<'a, V>(
+    map: &'a BTreeMap<Key, V>,
+    component: &'a str,
+    metric: &'a str,
+    label: Label,
+) -> Option<&'a V> {
+    let map: &'a BTreeMap<(&'a str, &'a str, Label), V> = map;
+    map.get(&(component, metric, label))
+}
+
 /// Holds every metric recorded during a run.
 #[derive(Debug, Default)]
 pub struct Registry {
@@ -111,26 +125,22 @@ impl Registry {
 
     /// Reads a counter, 0 if never touched.
     pub fn counter(&self, component: &str, metric: &str, label: Label) -> u64 {
-        self.counters
-            .iter()
-            .find(|((c, m, l), _)| *c == component && *m == metric && *l == label)
-            .map_or(0, |(_, v)| *v)
+        lookup(&self.counters, component, metric, label).map_or(0, |v| *v)
     }
 
     /// Reads a gauge if set.
     pub fn gauge(&self, component: &str, metric: &str, label: Label) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|((c, m, l), _)| *c == component && *m == metric && *l == label)
-            .map(|(_, v)| *v)
+        lookup(&self.gauges, component, metric, label).copied()
     }
 
     /// Reads a histogram if any sample was recorded.
-    pub fn hist(&self, component: &str, metric: &str, label: Label) -> Option<&Histogram> {
-        self.hists
-            .iter()
-            .find(|((c, m, l), _)| *c == component && *m == metric && *l == label)
-            .map(|(_, v)| v)
+    pub fn hist<'a>(
+        &'a self,
+        component: &'a str,
+        metric: &'a str,
+        label: Label,
+    ) -> Option<&'a Histogram> {
+        lookup(&self.hists, component, metric, label)
     }
 
     /// Iterates counters in deterministic key order.
@@ -312,6 +322,53 @@ mod tests {
         assert_eq!(r.counter("mac", "tx_airtime_ns", Label::Station(1)), 12);
         assert_eq!(r.counter("mac", "tx_airtime_ns", Label::Station(9)), 0);
         assert_eq!(r.counter_total("mac", "tx_airtime_ns"), 15);
+    }
+
+    #[test]
+    fn keyed_reads_agree_with_a_full_scan() {
+        let labels = [
+            Label::Global,
+            Label::Station(0),
+            Label::Station(7),
+            Label::Tid(3),
+            Label::Shard(1),
+        ];
+        let metrics = [("mac", "tx_frames"), ("mac", "tx_bytes"), ("fq", "drops")];
+        let mut r = Registry::new();
+        for (i, (c, m)) in metrics.into_iter().enumerate() {
+            for (j, l) in labels.into_iter().enumerate() {
+                let v = (10 * i + j) as u64 + 1;
+                r.counter_add(c, m, l, v);
+                r.gauge_set(c, m, l, v as f64);
+                r.hist_record(c, m, l, v);
+            }
+        }
+        fn scan<'a, V>(map: &'a BTreeMap<Key, V>, c: &str, m: &str, l: Label) -> Option<&'a V> {
+            map.iter()
+                .find(|((kc, km, kl), _)| *kc == c && *km == m && *kl == l)
+                .map(|(_, v)| v)
+        }
+        // Heap-allocated probes: reads must not need `'static` names.
+        for (c, m) in metrics {
+            let (c, m) = (c.to_string(), m.to_string());
+            for l in labels {
+                let want = scan(&r.counters, &c, &m, l).copied();
+                assert_eq!(Some(r.counter(&c, &m, l)), want);
+                assert_eq!(r.gauge(&c, &m, l), scan(&r.gauges, &c, &m, l).copied());
+                let count = scan(&r.hists, &c, &m, l).map(Histogram::count);
+                assert_eq!(r.hist(&c, &m, l).map(Histogram::count), count);
+                assert!(want.is_some() && count == Some(1));
+            }
+        }
+        for (c, m, l) in [
+            ("mac", "tx_frames", Label::Station(1)),
+            ("mac", "missing", Label::Global),
+            ("absent", "tx_frames", Label::Global),
+        ] {
+            assert_eq!(r.counter(c, m, l), 0);
+            assert_eq!(r.gauge(c, m, l), None);
+            assert!(r.hist(c, m, l).is_none());
+        }
     }
 
     #[test]

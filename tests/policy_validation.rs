@@ -5,53 +5,15 @@
 //! mass when the roster churns underneath a policy tree.
 
 use ending_anomaly::core::{AirtimeParams, AirtimeScheduler, StaId, StationTable, WEIGHT_NEUTRAL};
+use ending_anomaly::experiments::rollup::Flood;
 use ending_anomaly::mac::{
-    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, PolicyNode, PolicySet, SchemeKind,
-    StationCfg, WifiNetwork,
+    NetworkConfig, PolicyNode, PolicySet, SchemeKind, StationCfg, WifiNetwork,
 };
 use ending_anomaly::phy::{AccessCategory, PhyRate};
 use ending_anomaly::policy::NODE_NONE;
 use ending_anomaly::sim::Nanos;
 use ending_anomaly::telemetry::Telemetry;
 use proptest::prelude::*;
-
-/// Downlink flood over `n` stations: deterministic, transport-free load.
-struct FloodApp {
-    n: usize,
-    cursor: usize,
-    next_id: u64,
-}
-
-impl App<()> for FloodApp {
-    fn on_packet(
-        &mut self,
-        _at: Delivery,
-        _pkt: Packet<()>,
-        _now: Nanos,
-        _cmds: &mut Commands<()>,
-    ) {
-    }
-
-    fn on_timer(&mut self, _token: u64, now: Nanos, cmds: &mut Commands<()>) {
-        for _ in 0..4 {
-            let dst = self.cursor % self.n;
-            self.cursor += 1;
-            self.next_id += 1;
-            cmds.send(Packet {
-                id: self.next_id,
-                src: NodeAddr::Server,
-                dst: NodeAddr::Station(dst),
-                flow: dst as u64,
-                len: 1500,
-                ac: AccessCategory::Be,
-                created: now,
-                enqueued: now,
-                payload: (),
-            });
-        }
-        cmds.set_timer(0, now + Nanos::from_micros(500));
-    }
-}
 
 /// Runs an `n`-station flood for 300 ms and returns (meters debug,
 /// telemetry JSON with the `policy` component set aside).
@@ -68,11 +30,7 @@ fn fingerprint(n: usize, seed: u64, policy: Option<PolicySet>) -> (String, Strin
     let mut net: WifiNetwork<()> = WifiNetwork::new(b.build());
     let tele = Telemetry::enabled();
     net.set_telemetry(tele.clone());
-    let mut app = FloodApp {
-        n,
-        cursor: 0,
-        next_id: 0,
-    };
+    let mut app = Flood::new(n);
     net.seed_timer(0, Nanos::ZERO);
     net.run(Nanos::from_millis(300), &mut app);
     let meters = format!("{:?}", net.meter().all());
@@ -191,7 +149,7 @@ proptest! {
             b = b.station(PhyRate::fast_station());
         }
         let mut net: WifiNetwork<()> = WifiNetwork::new(b.build());
-        let mut app = FloodApp { n, cursor: 0, next_id: 0 };
+        let mut app = Flood::new(n);
         net.seed_timer(0, Nanos::ZERO);
         let mut active = vec![true; n];
         let mut t = Nanos::ZERO;
