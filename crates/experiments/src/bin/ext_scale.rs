@@ -300,8 +300,8 @@ fn determinism_check(stations: usize, shards: u32, warmup: Nanos, duration: Nano
 }
 
 /// The intra-shard lane determinism guarantee, executed on the real
-/// parallel path: one BSS, uplink-flooded so the contention scan has set
-/// bits on every ready-bitmap word, run with 1 lane and then with 4.
+/// parallel path: one BSS, uplink-flooded so the contender refresh finds
+/// dirty bits on every bitmap word, run with 1 lane and then with 4.
 /// Telemetry stays off (a live registry collapses lanes to 1, DESIGN.md
 /// §14), so the rollup is the airtime meter plus delivered/event counts.
 /// Both artifacts are written for CI to `cmp`
@@ -457,8 +457,8 @@ fn main() {
 
     let (det_sta, det_shards) = if quick { (100, 2) } else { (5000, 4) };
     determinism_check(det_sta, det_shards, warmup, duration, cfg.base_seed);
-    // 130+ stations span multiple ready-bitmap words, so 4 lanes really
-    // split the contention scan.
+    // 130+ stations span multiple bitmap words, so 4 lanes really split
+    // the contender refresh.
     let lane_sta = if quick { 130 } else { 512 };
     let lane_dur = Nanos::from_millis(if quick { 100 } else { 200 });
     lanes_determinism_check(lane_sta, lane_dur, cfg.base_seed);

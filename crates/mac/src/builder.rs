@@ -236,7 +236,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Intra-shard parallel lanes for the contention scan (DESIGN.md §14).
+    /// Intra-shard parallel lanes for the contention round (DESIGN.md §14).
     ///
     /// Results are byte-identical at any lane count; `0` is clamped to 1.
     pub fn lanes(mut self, lanes: usize) -> Self {

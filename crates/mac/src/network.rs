@@ -94,13 +94,164 @@ struct LaneChunk<'a, M>(&'a mut [StationUplink<M>]);
 
 // SAFETY: `StationUplink` is `!Send` only because its telemetry handles
 // wrap `Rc` slots shared with the registry hub. Lanes are spawned solely
-// from `scan_ready`, which collapses to the sequential path whenever
-// telemetry is enabled; a disabled hub hands out the empty handle
+// from `refresh_contenders`, which collapses to the sequential path
+// whenever telemetry is enabled; a disabled hub hands out the empty handle
 // variant, so no `Rc` is ever live inside an uplink that crosses here.
 // Everything else the uplink owns (queues, arena, private RNG fork) is
 // exclusively held via this chunk's `&mut` slice, and chunks are
 // disjoint by construction (`split_at_mut`).
 unsafe impl<M: Send> Send for LaneChunk<'_, M> {}
+
+/// The cached contender set (DESIGN.md §14): which station slots want the
+/// medium, and with which access category and contention window, as of
+/// each slot's last evaluation.
+///
+/// `StationUplink::best_ready_ac` is idempotent between mutations of its
+/// station, so its answer is cached here and recomputed only for slots
+/// marked dirty. A contention round then reads one packed word per
+/// contender instead of walking every ready station's uplink.
+struct ContenderSet {
+    /// One bit per slot: the station's uplink state changed since it was
+    /// last evaluated.
+    dirty: Vec<u64>,
+    /// Whether any `dirty` bit is set, so a clean round reads no words.
+    any_dirty: bool,
+    /// One bit per slot: the station holds a built aggregate and
+    /// contends, as of its last evaluation.
+    contending: Vec<u64>,
+    /// Number of bits set in `contending`.
+    count: usize,
+    /// Per slot, valid where `contending` is set: `cw << 2 | ac index` of
+    /// the aggregate the station contends with.
+    params: Vec<u32>,
+}
+
+impl ContenderSet {
+    fn new(slots: usize) -> ContenderSet {
+        ContenderSet {
+            dirty: vec![0; slots.div_ceil(64)],
+            any_dirty: false,
+            contending: vec![0; slots.div_ceil(64)],
+            count: 0,
+            params: vec![0; slots],
+        }
+    }
+
+    /// Makes room for one more slot at the end of the roster.
+    fn push_slot(&mut self) {
+        self.params.push(0);
+        if self.params.len() > self.dirty.len() * 64 {
+            self.dirty.push(0);
+            self.contending.push(0);
+        }
+    }
+
+    /// The station in `slot` must be re-evaluated before the next round.
+    fn mark_dirty(&mut self, slot: StationIdx) {
+        self.dirty[slot / 64] |= 1u64 << (slot % 64);
+        self.any_dirty = true;
+    }
+
+    /// Takes `slot` out of contention and drops any pending
+    /// re-evaluation: its station left, or the slot hosts a fresh uplink.
+    fn forget(&mut self, slot: StationIdx) {
+        let (w, mask) = (slot / 64, 1u64 << (slot % 64));
+        self.dirty[w] &= !mask;
+        if self.contending[w] & mask != 0 {
+            self.contending[w] &= !mask;
+            self.count -= 1;
+        }
+    }
+
+    /// Phase B over the stations: every contender, in ascending slot
+    /// order, draws a backoff from `rng` for the access category and
+    /// window cached at its last evaluation. A transmit time earlier than
+    /// `t_min` restarts the tie list in `in_flight`, an equal one joins
+    /// it. Returns the earliest transmit time seen (`t_min` if none beat
+    /// it).
+    ///
+    /// A function of its own so that `rng` is known not to alias anything
+    /// else the loop touches and its state stays in registers.
+    fn draw(
+        &self,
+        rng: &mut SimRng,
+        aifs: &[Nanos; AccessCategory::COUNT],
+        mut t_min: Nanos,
+        in_flight: &mut Vec<Participant>,
+    ) -> Nanos {
+        // `count` bounds the walk: no word is read once every contender
+        // has drawn, and none at all when nobody contends.
+        let mut left = self.count;
+        let mut words = self.contending.iter().enumerate();
+        while left > 0 {
+            let (w, &word) = words.next().expect("count exceeds the contending bits");
+            left -= word.count_ones() as usize;
+            let mut bits = word;
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let packed = self.params[idx];
+                let aci = (packed & 3) as usize;
+                let t = aifs[aci] + SLOT_TIME * rng.backoff_slots(packed >> 2) as u64;
+                if t <= t_min {
+                    if t < t_min {
+                        t_min = t;
+                        in_flight.clear();
+                    }
+                    in_flight.push(Participant::Station {
+                        idx,
+                        ac: AccessCategory::ALL[aci],
+                    });
+                }
+            }
+        }
+        t_min
+    }
+
+    fn pack(ac: AccessCategory, cw: u32) -> u32 {
+        debug_assert!(cw < 1 << 30, "contention window {cw} does not pack");
+        cw << 2 | ac.index() as u32
+    }
+
+    /// Re-evaluates every dirty slot of one word-aligned chunk — the four
+    /// slices cover the same slots, `dirty` and `contending` one bit
+    /// each — and returns the change in the number of contenders. A
+    /// departed station awaiting its deferred teardown is not asked: it
+    /// left contention when it was removed.
+    fn refresh_chunk<M: std::fmt::Debug>(
+        dirty: &mut [u64],
+        contending: &mut [u64],
+        params: &mut [u32],
+        stations: &mut [StationUplink<M>],
+        active: &[bool],
+        now: Nanos,
+    ) -> isize {
+        let mut delta = 0isize;
+        for (w, word) in dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let i = w * 64 + bit;
+                let ready = if active[i] {
+                    stations[i].best_ready_ac(now)
+                } else {
+                    None
+                };
+                let was = contending[w] >> bit & 1 != 0;
+                match ready {
+                    Some(ac) => {
+                        params[i] = ContenderSet::pack(ac, stations[i].cw[ac.index()]);
+                        contending[w] |= 1u64 << bit;
+                    }
+                    None => contending[w] &= !(1u64 << bit),
+                }
+                delta += ready.is_some() as isize - was as isize;
+            }
+        }
+        delta
+    }
+}
 
 /// The simulated WiFi network under one queue-management scheme.
 ///
@@ -132,15 +283,10 @@ pub struct WifiNetwork<M> {
     /// [`detach_station`](Self::detach_station) frees the table slot, so
     /// a deferred slot can never be reused before its teardown runs.
     pending_detach: Vec<StaId>,
-    /// One bit per station slot, set whenever an uplink enqueue may have
-    /// made the slot ready to contend and cleared lazily when a
-    /// contention scan finds the station completely idle. The scan only
-    /// visits set bits, so a mostly-downlink 100k-station roster costs a
-    /// few word tests per round instead of a full sweep.
-    uplink_ready: Vec<u64>,
-    /// Scratch for phase A of the contention round (reused every round):
-    /// the stations that want the medium, in ascending slot order.
-    ready_scratch: Vec<(StationIdx, AccessCategory)>,
+    /// Number of `true` entries in `active`.
+    active_count: usize,
+    /// Which stations contend for the medium, cached between mutations.
+    contenders: ContenderSet,
     /// Monotonic join counter — gives every join (including slot reuse) a
     /// fresh RNG fork salt, so a rejoining station never replays its
     /// predecessor's stream.
@@ -157,8 +303,6 @@ pub struct WifiNetwork<M> {
     /// Participants of the exchange currently on the air; empty when the
     /// medium is idle. The buffer is reused across exchanges.
     in_flight: Vec<Participant>,
-    /// Scratch buffer for contention rounds (reused every round).
-    contenders: Vec<(Participant, Nanos)>,
     meter: AirtimeMeter,
     /// Optional monitor-mode sink receiving every transmission record.
     monitor: Option<Box<dyn TxMonitor>>,
@@ -229,16 +373,15 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             hw: Default::default(),
             ap_cw: AccessCategory::ALL.map(|ac| ac.edca().cw_min),
             active: vec![true; stations.len()],
+            active_count: stations.len(),
             pending_detach: Vec::new(),
-            uplink_ready: vec![0; stations.len().div_ceil(64)],
-            ready_scratch: Vec::new(),
+            contenders: ContenderSet::new(stations.len()),
             join_seq: stations.len() as u64,
             churn_drops: 0,
             roam_drops: 0,
             absent_drops: 0,
             stations,
             in_flight: Vec::new(),
-            contenders: Vec::new(),
             meter: AirtimeMeter::new(cfg.num_stations()),
             monitor: None,
             tele: Telemetry::disabled(),
@@ -452,17 +595,16 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.ratectrl.push(rc);
             self.cfg.stations.push(station);
             self.active.push(true);
-            if self.stations.len() > self.uplink_ready.len() * 64 {
-                self.uplink_ready.push(0);
-            }
+            self.contenders.push_slot();
         } else {
             self.stations[sta] = up;
             self.ratectrl[sta] = rc;
             self.cfg.stations[sta] = station;
             self.active[sta] = true;
             // The reused slot hosts a fresh, empty uplink.
-            self.uplink_ready[sta / 64] &= !(1u64 << (sta % 64));
+            self.contenders.forget(sta);
         }
+        self.active_count += 1;
         self.meter.ensure_station(sta);
         self.meter.reset_station(sta);
         self.chaos.ensure_station(sta);
@@ -488,13 +630,21 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.ap.station_current(id) && self.active.get(sta).copied().unwrap_or(false),
             "removing unknown or already-removed station {id:?}"
         );
-        self.active[sta] = false;
-        self.tele.count("mac", "station_leaves", Label::Global, 1);
+        self.deactivate(sta);
         if self.station_in_flight(sta) {
             self.pending_detach.push(id);
         } else {
             self.detach_station(id);
         }
+    }
+
+    /// Marks `sta` departed: it stops contending and receiving at once,
+    /// whether or not its teardown has to wait for the air to clear.
+    fn deactivate(&mut self, sta: StationIdx) {
+        self.active[sta] = false;
+        self.active_count -= 1;
+        self.contenders.forget(sta);
+        self.tele.count("mac", "station_leaves", Label::Global, 1);
     }
 
     /// Whether the current in-flight exchange involves `sta`, either as
@@ -540,7 +690,9 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.cfg.station_fifo_limit,
         );
         self.ratectrl[sta] = None;
-        self.uplink_ready[sta / 64] &= !(1u64 << (sta % 64));
+        // A deferred teardown follows the station's last exchange, which
+        // marked the slot dirty again.
+        self.contenders.forget(sta);
     }
 
     /// Whether slot `sta` currently hosts an associated station.
@@ -550,7 +702,7 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
 
     /// Number of currently associated stations.
     pub fn active_stations(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        self.active_count
     }
 
     /// Number of station slots ever allocated (associated + tombstoned).
@@ -607,8 +759,7 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.ap.station_current(id) && self.active.get(sta).copied().unwrap_or(false),
             "roaming out unknown or already-removed station {id:?}"
         );
-        self.active[sta] = false;
-        self.tele.count("mac", "station_leaves", Label::Global, 1);
+        self.deactivate(sta);
         if self.station_in_flight(sta) {
             self.pending_detach.push(id);
             return RoamHandoff {
@@ -639,7 +790,6 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.cfg.station_fifo_limit,
         );
         self.ratectrl[sta] = None;
-        self.uplink_ready[sta / 64] &= !(1u64 << (sta % 64));
         self.roam_drops += dropped;
         RoamHandoff {
             packets,
@@ -749,7 +899,7 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
                     }
                     pkt.enqueued = now;
                     self.stations[i].enqueue(pkt);
-                    self.uplink_ready[i / 64] |= 1u64 << (i % 64);
+                    self.contenders.mark_dirty(i);
                 }
             }
         }
@@ -829,160 +979,179 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
     /// Runs one contention round if the medium is idle and anyone has a
     /// frame ready.
     ///
-    /// The round is split into two phases so the station sweep can run on
-    /// parallel lanes ([`NetworkConfig::lanes`]) without perturbing the
-    /// simulation (DESIGN.md §14):
+    /// The round has two phases (DESIGN.md §14):
     ///
-    /// - **Phase A** asks every ready-flagged station for its best ready
-    ///   access category. That call touches only the station's private
-    ///   state and its private RNG fork, so lanes may sweep disjoint slot
-    ///   ranges concurrently; candidates are folded back in slot order.
+    /// - **Phase A** ([`refresh_contenders`](Self::refresh_contenders))
+    ///   brings the cached contender set up to date by re-evaluating only
+    ///   the slots whose uplink state changed since the last round. That
+    ///   touches station-private state alone, so it may run on parallel
+    ///   lanes ([`NetworkConfig::lanes`]).
     /// - **Phase B** draws every backoff from the network's main RNG,
-    ///   sequentially: the AP first, then the phase-A candidates in
-    ///   ascending slot order — the exact draw order of a single-lane
-    ///   sweep, so results are byte-identical at any lane count.
+    ///   sequentially: the AP first, then the contenders in ascending slot
+    ///   order, folding the earliest transmit time and the tied
+    ///   transmitters into `in_flight` in the same pass. Draw order does
+    ///   not depend on the lane count, so results are byte-identical at
+    ///   any lane count.
+    ///
+    /// A round with nothing dirty and nobody contending reads no per-slot
+    /// and no per-word state.
     fn try_contend(&mut self, now: Nanos) {
         if !self.in_flight.is_empty() {
             return;
         }
+        if self.contenders.any_dirty {
+            self.refresh_contenders(now);
+        }
+        // This crate's own tests re-evaluate every slot every round, in any
+        // profile; every other debug build audits one word, rotating.
+        #[cfg(test)]
+        assert_eq!(self.audit_contenders(None, now), Ok(()));
+        #[cfg(not(test))]
+        debug_assert_eq!(
+            self.audit_contenders(Some(self.events_processed as usize), now),
+            Ok(())
+        );
 
-        // Phase A: collect the stations that want the medium.
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        ready.clear();
-        self.scan_ready(now, &mut ready);
-
-        let mut best = std::mem::take(&mut self.contenders);
-        best.clear();
-        // Phase B. The AP contends with its highest-priority non-empty hw
-        // queue and draws first.
+        let aifs = AccessCategory::ALL.map(|ac| ac.edca().aifs());
+        let mut t_min = Nanos::MAX;
+        // The AP contends with its highest-priority non-empty hw queue and
+        // draws first.
         if let Some(ac) = AccessCategory::ALL
             .into_iter()
             .find(|ac| !self.hw[ac.index()].is_empty())
         {
-            let e = ac.edca();
-            let t = e.aifs() + SLOT_TIME * self.rng.backoff_slots(self.ap_cw[ac.index()]) as u64;
-            best.push((Participant::Ap { ac }, t));
+            let slots = self.rng.backoff_slots(self.ap_cw[ac.index()]);
+            t_min = aifs[ac.index()] + SLOT_TIME * slots as u64;
+            self.in_flight.push(Participant::Ap { ac });
         }
-        // Each ready station contends with its highest-priority ready AC.
-        for &(i, ac) in &ready {
-            let e = ac.edca();
-            let cw = self.stations[i].cw[ac.index()];
-            let t = e.aifs() + SLOT_TIME * self.rng.backoff_slots(cw) as u64;
-            best.push((Participant::Station { idx: i, ac }, t));
-        }
-        self.ready_scratch = ready;
-        let Some(&(_, t_min)) = best.iter().min_by_key(|(_, t)| *t) else {
-            self.contenders = best;
-            return;
-        };
-        for &(p, t) in &best {
-            if t == t_min {
-                self.in_flight.push(p);
-            }
-        }
-        self.contenders = best;
+        let t_min = self
+            .contenders
+            .draw(&mut self.rng, &aifs, t_min, &mut self.in_flight);
 
         // The exchange occupies the medium until the slowest tied
         // transmission (plus its ack slot) completes.
-        let dur = self
+        let Some(dur) = self
             .in_flight
             .iter()
             .map(|p| self.participant_airtime(*p))
             .max()
-            .expect("winners is non-empty");
+        else {
+            return;
+        };
         self.queue.push(now + t_min + dur, Event::TxEnd);
     }
 
-    /// Phase A of a contention round: visits every slot whose
-    /// `uplink_ready` bit is set, asks the station for its best ready
-    /// access category, and clears the bit for stations found completely
-    /// idle (only an uplink enqueue can make them ready again).
+    /// Phase A of a contention round: re-evaluates every slot marked
+    /// dirty — asks the station for its best ready access category
+    /// (building its aggregate if one is due) and records the answer, and
+    /// the contention window that goes with it, in the contender set.
     ///
-    /// With `cfg.lanes > 1` the sweep is split into word-aligned chunks
-    /// scanned by scoped worker threads. Each visit mutates only the
-    /// station's own state and private RNG fork, and lane outputs are
-    /// concatenated in chunk order, so the resulting candidate list — and
-    /// every per-station RNG stream — is identical at any lane count.
+    /// With `cfg.lanes > 1` the dirty bitmap is split into word-aligned
+    /// chunks refreshed by scoped worker threads. Each evaluation mutates
+    /// only the station's own state and private RNG fork and writes only
+    /// that slot's cache entries, so the contender set — and every
+    /// per-station RNG stream — is identical at any lane count.
     ///
     /// Lanes engage only while telemetry is disabled: enabled telemetry
     /// threads `Rc`-based counter handles through every uplink, which
     /// must not cross threads. A disabled hub hands out empty handles, so
     /// the uplinks then hold no shared state at all (the basis of the
-    /// `Send` assertion on [`LaneChunk`]); with telemetry on, the sweep
+    /// `Send` assertion on [`LaneChunk`]); with telemetry on, the refresh
     /// silently falls back to one lane — same results, same RNG streams.
-    fn scan_ready(&mut self, now: Nanos, ready: &mut Vec<(StationIdx, AccessCategory)>) {
-        let mut lanes = self.cfg.lanes.max(1).min(self.uplink_ready.len().max(1));
+    fn refresh_contenders(&mut self, now: Nanos) {
+        let set = &mut self.contenders;
+        set.any_dirty = false;
+        let mut lanes = self.cfg.lanes.max(1).min(set.dirty.len().max(1));
         if self.tele.is_enabled() {
             lanes = 1;
         }
-        if lanes <= 1 {
-            for w in 0..self.uplink_ready.len() {
-                let mut bits = self.uplink_ready[w];
-                while bits != 0 {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let i = w * 64 + bit;
-                    if !self.active[i] {
-                        continue;
-                    }
-                    match self.stations[i].best_ready_ac(now) {
-                        Some(ac) => ready.push((i, ac)),
-                        None => self.uplink_ready[w] &= !(1u64 << bit),
-                    }
+        let delta: isize = if lanes <= 1 {
+            ContenderSet::refresh_chunk(
+                &mut set.dirty,
+                &mut set.contending,
+                &mut set.params,
+                &mut self.stations,
+                &self.active,
+                now,
+            )
+        } else {
+            let per = set.dirty.len().div_ceil(lanes);
+            std::thread::scope(|s| {
+                let mut handles = Vec::with_capacity(lanes);
+                let mut dirty: &mut [u64] = &mut set.dirty;
+                let mut contending: &mut [u64] = &mut set.contending;
+                let mut params: &mut [u32] = &mut set.params;
+                let mut stas: &mut [StationUplink<M>] = &mut self.stations;
+                let mut active: &[bool] = &self.active;
+                while !dirty.is_empty() {
+                    let words = per.min(dirty.len());
+                    let slots = (words * 64).min(stas.len());
+                    let (d_chunk, d_rest) = dirty.split_at_mut(words);
+                    let (c_chunk, c_rest) = contending.split_at_mut(words);
+                    let (p_chunk, p_rest) = params.split_at_mut(slots);
+                    let (s_chunk, s_rest) = stas.split_at_mut(slots);
+                    let (a_chunk, a_rest) = active.split_at(slots);
+                    (dirty, contending, params, stas, active) =
+                        (d_rest, c_rest, p_rest, s_rest, a_rest);
+                    let chunk = LaneChunk(s_chunk);
+                    handles.push(s.spawn(move || {
+                        // Bind the whole wrapper so edition-2021 closure
+                        // capture moves `LaneChunk` (the `Send` carrier),
+                        // not the bare `chunk.0` slice path.
+                        let chunk = chunk;
+                        ContenderSet::refresh_chunk(
+                            d_chunk, c_chunk, p_chunk, chunk.0, a_chunk, now,
+                        )
+                    }));
                 }
-            }
-            return;
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("contention lane panicked"))
+                    .sum()
+            })
+        };
+        set.count = set
+            .count
+            .checked_add_signed(delta)
+            .expect("more stations left contention than were in it");
+    }
+
+    /// The consistency check behind the contender set: re-evaluates slots
+    /// from scratch — the full scan every round used to be — and compares
+    /// with what is cached. `None` audits every slot and the contender
+    /// count, `Some(n)` the 64 slots of bitmap word `n` modulo the word
+    /// count. On a sound cache the re-evaluation builds nothing and draws
+    /// nothing.
+    fn audit_contenders(&mut self, word: Option<usize>, now: Nanos) -> Result<(), String> {
+        let set = &self.contenders;
+        let len = set.dirty.len();
+        let words = match word {
+            Some(n) if len > 0 => n % len..n % len + 1,
+            _ => 0..len,
+        };
+        if set.any_dirty || set.dirty[words.clone()].iter().any(|&w| w != 0) {
+            return Err("dirty slots left after the refresh".into());
         }
-        let per = self.uplink_ready.len().div_ceil(lanes);
-        let active = &self.active;
-        let mut outs: Vec<Vec<(StationIdx, AccessCategory)>> = Vec::with_capacity(lanes);
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(lanes);
-            let mut words: &mut [u64] = &mut self.uplink_ready;
-            let mut stas: &mut [StationUplink<M>] = &mut self.stations;
-            let mut base = 0usize;
-            while !words.is_empty() {
-                let take = per.min(words.len());
-                let (w_chunk, w_rest) = words.split_at_mut(take);
-                let split = (take * 64).min(stas.len());
-                let (s_chunk, s_rest) = stas.split_at_mut(split);
-                words = w_rest;
-                stas = s_rest;
-                let chunk = LaneChunk(s_chunk);
-                let b = base;
-                base += take * 64;
-                handles.push(s.spawn(move || {
-                    // Bind the whole wrapper so edition-2021 closure
-                    // capture moves `LaneChunk` (the `Send` carrier), not
-                    // the bare `chunk.0` slice path.
-                    let chunk = chunk;
-                    let s_chunk = chunk.0;
-                    let mut out = Vec::new();
-                    for (wi, word) in w_chunk.iter_mut().enumerate() {
-                        let mut bits = *word;
-                        while bits != 0 {
-                            let bit = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let li = wi * 64 + bit;
-                            if li >= s_chunk.len() || !active[b + li] {
-                                continue;
-                            }
-                            match s_chunk[li].best_ready_ac(now) {
-                                Some(ac) => out.push((b + li, ac)),
-                                None => *word &= !(1u64 << bit),
-                            }
-                        }
-                    }
-                    out
-                }));
+        if word.is_none() {
+            let bits: usize = set.contending.iter().map(|w| w.count_ones() as usize).sum();
+            if bits != set.count {
+                return Err(format!("{bits} contending bits, count {}", set.count));
             }
-            for h in handles {
-                outs.push(h.join().expect("contention lane panicked"));
-            }
-        });
-        for out in outs {
-            ready.extend(out);
         }
+        for i in words.start * 64..(words.end * 64).min(self.stations.len()) {
+            let cached = (set.contending[i / 64] >> (i % 64) & 1 != 0).then(|| set.params[i]);
+            let fresh = match self.active[i] {
+                true => self.stations[i].best_ready_ac(now),
+                false => None,
+            }
+            .map(|ac| ContenderSet::pack(ac, self.stations[i].cw[ac.index()]));
+            if cached != fresh {
+                return Err(format!(
+                    "slot {i}: cached {cached:?}, re-evaluated {fresh:?} (cw << 2 | ac)"
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn participant_airtime(&self, p: Participant) -> Nanos {
@@ -1203,6 +1372,9 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
         collision: bool,
         now: Nanos,
     ) {
+        // Success frees the pending aggregate, failure moves the window
+        // (or drops the aggregate): the cached answer is stale either way.
+        self.contenders.mark_dirty(idx);
         let airtime = self.stations[idx]
             .pending(ac)
             .expect("station attempt with no pending aggregate")
@@ -1635,11 +1807,11 @@ mod tests {
 
     #[test]
     fn lane_count_does_not_change_results() {
-        // Phase A of the contention scan may run on parallel lanes; every
+        // Phase A of the contention round may run on parallel lanes; every
         // main-RNG draw stays sequential in phase B, so any lane count
         // must produce byte-identical results (DESIGN.md §14). 130
         // stations span three bitmap words, so lanes=4 really splits the
-        // sweep.
+        // refresh.
         const N: usize = 130;
         struct ManyUp {
             received: u64,
@@ -1690,6 +1862,218 @@ mod tests {
         let four = run(4);
         assert!(one.0 > 0, "no uplink traffic flowed");
         assert_eq!(one, four, "lane count changed the simulation");
+    }
+
+    /// Sends whatever the test queued since the last timer, then idles.
+    struct Inject {
+        pending: Vec<Packet<()>>,
+    }
+
+    impl App<()> for Inject {
+        fn on_packet(&mut self, _: Delivery, _: Packet<()>, _: Nanos, _: &mut Commands<()>) {}
+        fn on_timer(&mut self, _: u64, _: Nanos, cmds: &mut Commands<()>) {
+            for pkt in self.pending.drain(..) {
+                cmds.send(pkt);
+            }
+        }
+    }
+
+    fn uplink_pkt(sta: StationIdx, ac: AccessCategory, now: Nanos) -> Packet<()> {
+        Packet {
+            id: 0,
+            src: NodeAddr::Station(sta),
+            dst: NodeAddr::Server,
+            flow: sta as u64 * 4 + ac.index() as u64,
+            len: 700,
+            ac,
+            created: now,
+            enqueued: now,
+            payload: (),
+        }
+    }
+
+    #[test]
+    fn audit_catches_a_missed_dirty_mark() {
+        let mut net: WifiNetwork<()> =
+            WifiNetwork::new(NetworkConfig::paper_testbed(SchemeKind::AirtimeFair));
+        assert_eq!(net.audit_contenders(None, Nanos::ZERO), Ok(()));
+        // An enqueue that bypasses `apply` leaves the cache saying "idle"
+        // about a station that would now build an aggregate.
+        net.stations[1].enqueue(uplink_pkt(1, AccessCategory::Be, Nanos::ZERO));
+        let err = net.audit_contenders(None, Nanos::ZERO).unwrap_err();
+        assert!(err.starts_with("slot 1: cached None"), "{err}");
+        // Word audits wrap around the bitmap.
+        assert!(net.audit_contenders(Some(7), Nanos::ZERO).is_err());
+    }
+
+    /// One step of the contender-cache differential test.
+    #[derive(Debug, Clone)]
+    enum CacheOp {
+        /// `n` uplink packets on one access category of station `k`.
+        Up {
+            k: usize,
+            ac: usize,
+            n: usize,
+        },
+        /// One downlink packet to station `k` (the AP contends; `k`
+        /// becomes an on-air target).
+        Down {
+            k: usize,
+        },
+        /// Advance the simulation.
+        Run {
+            us: u64,
+        },
+        Add,
+        /// Remove (or roam out) the `k`-th active station.
+        Leave {
+            k: usize,
+            roam: bool,
+        },
+        /// Remove (or roam out) a station taking part in the exchange on
+        /// the air, if there is one.
+        LeaveOnAir {
+            roam: bool,
+        },
+    }
+
+    fn cache_op() -> impl proptest::Strategy<Value = CacheOp> {
+        use proptest::prelude::*;
+        let up =
+            || (0usize.., 0usize..4, 1usize..4).prop_map(|(k, ac, n)| CacheOp::Up { k, ac, n });
+        let run = || (1u64..600).prop_map(|us| CacheOp::Run { us });
+        prop_oneof![
+            up(),
+            up(),
+            up(),
+            up(),
+            (0usize..).prop_map(|k| CacheOp::Down { k }),
+            run(),
+            run(),
+            run(),
+            Just(CacheOp::Add),
+            (0usize.., proptest::bool::ANY).prop_map(|(k, roam)| CacheOp::Leave { k, roam }),
+            proptest::bool::ANY.prop_map(|roam| CacheOp::LeaveOnAir { roam }),
+            proptest::bool::ANY.prop_map(|roam| CacheOp::LeaveOnAir { roam }),
+        ]
+    }
+
+    /// Replays `ops` on a 200-station BSS (four bitmap words) in which
+    /// every fifth station has a lossy channel and retry chains are short.
+    /// `try_contend` audits the whole contender set against a from-scratch
+    /// re-evaluation on every round of this crate's tests, so any stale
+    /// cache entry panics inside `run`.
+    fn replay_cache_ops(ops: &[CacheOp], fq: bool, rate_control: bool, lanes: usize) -> String {
+        let mut b = NetworkConfig::builder()
+            .scheme(SchemeKind::AirtimeFair)
+            .station_fq(fq)
+            .rate_control(rate_control)
+            .max_retries(2)
+            .lanes(lanes);
+        for i in 0..200 {
+            b = match i % 5 {
+                0 => b.lossy_station(wifiq_phy::PhyRate::slow_station(), 0.4),
+                _ => b.station(wifiq_phy::PhyRate::fast_station()),
+            };
+        }
+        let mut net: WifiNetwork<()> = WifiNetwork::new(b.build());
+        let mut app = Inject {
+            pending: Vec::new(),
+        };
+        let nth_active = |net: &WifiNetwork<()>, k: usize| {
+            let live: Vec<_> = (0..net.station_slots())
+                .filter(|&s| net.station_active(s))
+                .collect();
+            (!live.is_empty()).then(|| live[k % live.len()])
+        };
+        let leave = |net: &mut WifiNetwork<()>, slot: StationIdx, roam: bool| {
+            let id = net.sta_id(slot).expect("active slot has a handle");
+            if roam {
+                net.roam_out(id);
+            } else {
+                net.remove_station(id);
+            }
+        };
+        let mut on_air_leaves = 0u64;
+        for op in ops {
+            let now = net.now();
+            match *op {
+                CacheOp::Up { k, ac, n } => {
+                    let sta = k % net.station_slots();
+                    for _ in 0..n {
+                        app.pending
+                            .push(uplink_pkt(sta, AccessCategory::ALL[ac], now));
+                    }
+                    net.seed_timer(0, now);
+                }
+                CacheOp::Down { k } => {
+                    let sta = k % net.station_slots();
+                    app.pending.push(Packet {
+                        src: NodeAddr::Server,
+                        dst: NodeAddr::Station(sta),
+                        ..uplink_pkt(sta, AccessCategory::Be, now)
+                    });
+                    net.seed_timer(0, now);
+                }
+                CacheOp::Run { us } => net.run(now + Nanos::from_micros(us), &mut app),
+                CacheOp::Add => {
+                    net.add_station(crate::config::StationCfg::clean(
+                        wifiq_phy::PhyRate::fast_station(),
+                    ));
+                }
+                CacheOp::Leave { k, roam } => {
+                    if let Some(slot) = nth_active(&net, k) {
+                        leave(&mut net, slot, roam);
+                    }
+                }
+                CacheOp::LeaveOnAir { roam } => {
+                    let on_air = (0..net.station_slots())
+                        .find(|&s| net.station_active(s) && net.station_in_flight(s));
+                    if let Some(slot) = on_air {
+                        leave(&mut net, slot, roam);
+                        on_air_leaves += 1;
+                    }
+                }
+            }
+            let live = (0..net.station_slots())
+                .filter(|&s| net.station_active(s))
+                .count();
+            assert_eq!(net.active_stations(), live, "active counter drifted");
+        }
+        // Let the air clear and the deferred teardowns land.
+        let end = net.now() + Nanos::from_millis(50);
+        net.run(end, &mut app);
+        let retry_drops: u64 = (0..net.station_slots())
+            .map(|slot| net.station_meter(slot).retry_drops)
+            .sum();
+        format!(
+            "{} events, {on_air_leaves} on-air leaves, {retry_drops} retry drops, {} churn drops, \
+             {} roam drops, shares {:?}",
+            net.events_processed,
+            net.churn_drops(),
+            net.roam_drops(),
+            net.meter().airtime_shares(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        /// The cached contender set equals a full re-evaluation of every
+        /// active station after every round (the audit inside
+        /// `try_contend`), whatever mix of uplink enqueues, channel
+        /// errors, retry-limit drops, joins, removals and roam-outs —
+        /// on-air targets included — produced it, and the lane count
+        /// changes nothing.
+        #[test]
+        fn cached_contenders_match_full_rescan(
+            ops in proptest::collection::vec(cache_op(), 50..400),
+            fq in proptest::bool::ANY,
+            rate_control in proptest::bool::ANY,
+        ) {
+            let one = replay_cache_ops(&ops, fq, rate_control, 1);
+            let four = replay_cache_ops(&ops, fq, rate_control, 4);
+            proptest::prop_assert_eq!(one, four, "lane count changed the run");
+        }
     }
 
     #[test]

@@ -194,6 +194,10 @@ mod tests {
             d.step(&mut net);
             let n = net.active_stations();
             assert!((1..=5).contains(&n), "roster out of bounds: {n}");
+            let recount = (0..net.station_slots())
+                .filter(|&s| net.station_active(s))
+                .count();
+            assert_eq!(n, recount, "active-station counter drifted");
         }
         assert!(d.joins > 0 && d.leaves > 0);
     }

@@ -60,6 +60,10 @@ impl SimRng {
     }
 
     /// Uniform integer in `[0, n]` — the contention-window backoff draw.
+    ///
+    /// Inlined across crates: a contention round makes one of these per
+    /// contender, back to back.
+    #[inline]
     pub fn backoff_slots(&mut self, cw: u32) -> u32 {
         self.inner.gen_range(0..=cw)
     }

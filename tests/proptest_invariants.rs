@@ -408,6 +408,8 @@ proptest! {
                     net.run(deadline, &mut app);
                 }
             }
+            let recount = (0..net.station_slots()).filter(|&s| net.station_active(s)).count();
+            prop_assert_eq!(net.active_stations(), recount, "active-station counter drifted");
         }
         // Tear the whole roster down and let in-flight exchanges land.
         for slot in 0..net.station_slots() {

@@ -153,6 +153,13 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64)
         net.arena_live()
     );
 
+    // The maintained roster size agrees with a recount of the slot table.
+    assert_eq!(
+        net.active_stations(),
+        (0..slots).filter(|&s| net.station_active(s)).count(),
+        "active-station counter drifted from the slot table"
+    );
+
     // No slot leaks: `add_station` must have reused freed slots, so the
     // table never outgrows peak concurrent occupancy — across hundreds
     // of hand-offs and churn events, not one slot per arrival.
