@@ -1,7 +1,7 @@
 //! CoDel parameter sets, including the paper's per-station adaptation.
 
 use wifiq_sim::Nanos;
-use wifiq_telemetry::{EventKind, Label, Telemetry};
+use wifiq_telemetry::{CounterId, EventKind, Label, Telemetry};
 
 /// CoDel control-law parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +79,9 @@ pub struct StationCodelParams {
     hysteresis: Nanos,
     current_degraded: bool,
     last_change: Option<Nanos>,
+    /// `codel/param_switches` for this station, once
+    /// [`StationCodelParams::set_telemetry`] resolved it.
+    switches: CounterId,
 }
 
 impl StationCodelParams {
@@ -107,7 +110,14 @@ impl StationCodelParams {
             hysteresis,
             current_degraded: false,
             last_change: None,
+            switches: CounterId::default(),
         }
+    }
+
+    /// Resolves this station's switch counter against `tele` — the hub
+    /// [`StationCodelParams::update_rate_observed`] will be given.
+    pub fn set_telemetry(&mut self, tele: &Telemetry, station: u32) {
+        self.switches = tele.counter_id("codel", "param_switches", Label::Station(station));
     }
 
     /// Feeds a new rate estimate (from the rate-selection algorithm) and
@@ -140,12 +150,12 @@ impl StationCodelParams {
         let before = self.current_degraded;
         let params = self.update_rate(now, rate_bps);
         if self.current_degraded != before {
-            tele.count("codel", "param_switches", Label::Station(station), 1);
+            tele.add(self.switches, 1);
             tele.event(
                 now,
                 "codel",
                 EventKind::ParamSwitch {
-                    label: Label::Station(station),
+                    station,
                     target: params.target,
                     interval: params.interval,
                 },

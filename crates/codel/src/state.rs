@@ -10,60 +10,46 @@
 //! TCP's throughput-vs-drop-rate response converge to the target delay.
 
 use wifiq_sim::Nanos;
-use wifiq_telemetry::{CounterHandle, DropReason, EventKind, HistHandle, Label, Telemetry};
+use wifiq_telemetry::{CounterId, DropReason, EventKind, HistId, Label, Telemetry};
 
 use crate::params::CodelParams;
 
 /// Pre-resolved telemetry instruments for one CoDel-managed queue — the
 /// per-packet fast path of [`CodelState::dequeue_tracked`]. Resolve once
 /// per queue (at TID registration / `set_telemetry` time), never per
-/// dequeue: each resolve registers a permanent accumulation slot with the
-/// telemetry hub.
+/// dequeue. The default bundle is disabled: with it `dequeue_tracked` is
+/// exactly [`CodelState::dequeue`].
 #[derive(Debug, Clone)]
 pub struct CodelTele {
+    /// The hub the three ids below were resolved from; also takes the
+    /// ring events.
+    tele: Telemetry,
     /// Counts packets the control law dropped.
-    pub drops: CounterHandle,
+    drops: CounterId,
     /// Counts entries into dropping state (the congestion signal).
-    pub marks: CounterHandle,
+    marks: CounterId,
     /// Sojourn time of each delivered packet.
-    pub sojourn: HistHandle,
-    /// Ring-event sink; events need no key lookup, so they stay on the
-    /// plain handle.
-    pub tele: Telemetry,
+    sojourn: HistId,
     /// Component naming this queue in events.
-    pub component: &'static str,
+    component: &'static str,
     /// Label naming this queue in events.
-    pub label: Label,
+    label: Label,
 }
 
 impl Default for CodelTele {
     fn default() -> CodelTele {
-        CodelTele::disabled()
+        CodelTele::resolve(&Telemetry::disabled(), "codel", Label::Global)
     }
 }
 
 impl CodelTele {
-    /// A permanent no-op bundle; [`CodelState::dequeue_tracked`] with this
-    /// is exactly [`CodelState::dequeue`].
-    pub fn disabled() -> CodelTele {
-        CodelTele {
-            drops: CounterHandle::disabled(),
-            marks: CounterHandle::disabled(),
-            sojourn: HistHandle::disabled(),
-            tele: Telemetry::disabled(),
-            component: "codel",
-            label: Label::Global,
-        }
-    }
-
-    /// Resolves the bundle's handles against `tele` under
-    /// `(component, *, label)`.
+    /// Resolves the bundle against `tele` under `(component, *, label)`.
     pub fn resolve(tele: &Telemetry, component: &'static str, label: Label) -> CodelTele {
         CodelTele {
-            drops: tele.counter_handle(component, "drops", label),
-            marks: tele.counter_handle(component, "marks", label),
-            sojourn: tele.hist_handle(component, "sojourn_ns", label),
             tele: tele.clone(),
+            drops: tele.counter_id(component, "drops", label),
+            marks: tele.counter_id(component, "marks", label),
+            sojourn: tele.hist_id(component, "sojourn_ns", label),
             component,
             label,
         }
@@ -224,61 +210,8 @@ impl CodelState {
     /// packet's sojourn time, counts and reports drops, and emits a `mark`
     /// event whenever the control law newly enters dropping state (the
     /// simulator drops rather than ECN-marks, so "entered dropping" is the
-    /// congestion signal). With a disabled handle this is exactly
-    /// `dequeue`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn dequeue_observed<Q, F>(
-        &mut self,
-        now: Nanos,
-        params: &CodelParams,
-        queue: &mut Q,
-        mut on_drop: F,
-        tele: &Telemetry,
-        component: &'static str,
-        label: Label,
-    ) -> Option<Q::Packet>
-    where
-        Q: CodelQueue,
-        F: FnMut(Q::Packet),
-    {
-        if !tele.is_enabled() {
-            return self.dequeue(now, params, queue, on_drop);
-        }
-        let was_dropping = self.dropping;
-        let pkt = self.dequeue(now, params, queue, |victim| {
-            tele.count(component, "drops", label, 1);
-            tele.event(
-                now,
-                component,
-                EventKind::Drop {
-                    label,
-                    bytes: victim.wire_len() as u32,
-                    reason: DropReason::Codel,
-                },
-            );
-            on_drop(victim);
-        });
-        if pkt.is_some() {
-            tele.observe(component, "sojourn_ns", label, self.last_sojourn);
-        }
-        if self.dropping && !was_dropping {
-            tele.count(component, "marks", label, 1);
-            tele.event(
-                now,
-                component,
-                EventKind::Mark {
-                    label,
-                    sojourn: self.last_sojourn,
-                },
-            );
-        }
-        pkt
-    }
-
-    /// [`CodelState::dequeue_observed`] over pre-resolved handles: the
-    /// same drops / sojourn / mark instrumentation without any per-call
-    /// `(component, metric, label)` map lookups. With a disabled bundle
-    /// this is exactly [`CodelState::dequeue`].
+    /// congestion signal). Every record is an indexed write; with a
+    /// disabled bundle this is exactly `dequeue`.
     pub fn dequeue_tracked<Q, F>(
         &mut self,
         now: Nanos,
@@ -296,7 +229,7 @@ impl CodelState {
         }
         let was_dropping = self.dropping;
         let pkt = self.dequeue(now, params, queue, |victim| {
-            ct.drops.add(1);
+            ct.tele.add(ct.drops, 1);
             ct.tele.event(
                 now,
                 ct.component,
@@ -309,10 +242,10 @@ impl CodelState {
             on_drop(victim);
         });
         if pkt.is_some() {
-            ct.sojourn.record(self.last_sojourn.as_nanos());
+            ct.tele.record(ct.sojourn, self.last_sojourn.as_nanos());
         }
         if self.dropping && !was_dropping {
-            ct.marks.add(1);
+            ct.tele.add(ct.marks, 1);
             ct.tele.event(
                 now,
                 ct.component,

@@ -17,9 +17,7 @@ use std::collections::VecDeque;
 
 use wifiq_codel::{CodelParams, CodelQueue, CodelState, CodelTele, QueuedPacket};
 use wifiq_sim::Nanos;
-use wifiq_telemetry::{
-    CounterHandle, DropReason, EventKind, GaugeHandle, HistHandle, Label, Telemetry,
-};
+use wifiq_telemetry::{CounterId, DropReason, EventKind, GaugeId, HistId, Label, Telemetry};
 
 use crate::packet::{FqPacket, PacketArena, PacketFifo};
 use crate::table::TidId;
@@ -133,17 +131,18 @@ impl<P: QueuedPacket> CodelQueue for FlowQueueRef<'_, P> {
     }
 }
 
-/// Pre-resolved per-TID telemetry instruments. Resolved once at
-/// registration (or [`MacFq::set_telemetry`]) so the per-packet paths pay
-/// no `(component, metric, label)` map lookups; all-disabled handles when
-/// telemetry is off.
+/// Pre-resolved per-TID telemetry instruments: recorder ids in
+/// [`MacFq`]'s hub. Resolved once at registration (or
+/// [`MacFq::set_telemetry`]) so the per-packet paths pay no
+/// `(component, metric, label)` lookups; scratch ids when telemetry is
+/// off.
 #[derive(Debug, Default)]
 struct TidTele {
-    enqueued: CounterHandle,
-    collisions: CounterHandle,
-    drr_rounds: CounterHandle,
-    sparse_hits: CounterHandle,
-    victims: CounterHandle,
+    enqueued: CounterId,
+    collisions: CounterId,
+    drr_rounds: CounterId,
+    sparse_hits: CounterId,
+    victims: CounterId,
     codel: CodelTele,
 }
 
@@ -151,11 +150,11 @@ impl TidTele {
     fn resolve(tele: &Telemetry, component: &'static str, ti: usize) -> TidTele {
         let label = Label::Tid(ti as u32);
         TidTele {
-            enqueued: tele.counter_handle(component, "enqueued", label),
-            collisions: tele.counter_handle(component, "hash_collisions", label),
-            drr_rounds: tele.counter_handle(component, "drr_rounds", label),
-            sparse_hits: tele.counter_handle(component, "sparse_hits", label),
-            victims: tele.counter_handle(component, "drop_longest_victims", label),
+            enqueued: tele.counter_id(component, "enqueued", label),
+            collisions: tele.counter_id(component, "hash_collisions", label),
+            drr_rounds: tele.counter_id(component, "drr_rounds", label),
+            sparse_hits: tele.counter_id(component, "sparse_hits", label),
+            victims: tele.counter_id(component, "drop_longest_victims", label),
             codel: CodelTele::resolve(tele, component, label),
         }
     }
@@ -164,17 +163,20 @@ impl TidTele {
 /// Pre-resolved structure-wide instruments (see [`TidTele`]).
 #[derive(Debug, Default)]
 struct FqTele {
-    occupancy_gauge: GaugeHandle,
-    occupancy_hist: HistHandle,
-    drops_overlimit: CounterHandle,
+    occupancy_gauge: GaugeId,
+    occupancy_hist: HistId,
+    drops_overlimit: CounterId,
+    /// Overlimit victims taken from a flow no TID owns.
+    orphan_victims: CounterId,
 }
 
 impl FqTele {
     fn resolve(tele: &Telemetry, component: &'static str) -> FqTele {
         FqTele {
-            occupancy_gauge: tele.gauge_handle(component, "occupancy_packets", Label::Global),
-            occupancy_hist: tele.hist_handle(component, "occupancy_packets", Label::Global),
-            drops_overlimit: tele.counter_handle(component, "drops_overlimit", Label::Global),
+            occupancy_gauge: tele.gauge_id(component, "occupancy_packets", Label::Global),
+            occupancy_hist: tele.hist_id(component, "occupancy_packets", Label::Global),
+            drops_overlimit: tele.counter_id(component, "drops_overlimit", Label::Global),
+            orphan_victims: tele.counter_id(component, "drop_longest_victims", Label::Global),
         }
     }
 }
@@ -194,7 +196,7 @@ struct TidState {
     /// detach no longer matches and panics at first use instead of
     /// addressing the slot's next occupant.
     gen: u32,
-    /// Handles survive detach/reattach — the slot index (and therefore the
+    /// The ids survive detach/reattach — the slot index (and therefore the
     /// `Tid` label) is stable, so a churning roster resolves each
     /// instrument once, not once per join.
     tele: TidTele,
@@ -318,9 +320,9 @@ impl<P: FqPacket> MacFq<P> {
     pub fn set_telemetry(&mut self, tele: Telemetry, component: &'static str) {
         self.tele = tele;
         self.component = component;
-        // Re-resolve every pre-resolved instrument against the new hub —
-        // including parked (detached) slots, whose handles would otherwise
-        // go stale and record into the old hub after a reattach.
+        // Re-resolve every instrument against the new hub — including
+        // parked (detached) slots, whose ids would otherwise index the old
+        // hub's table after a reattach.
         self.fq_tele = FqTele::resolve(&self.tele, component);
         for ti in 0..self.tids.len() {
             self.tids[ti].tele = TidTele::resolve(&self.tele, component, ti);
@@ -336,7 +338,7 @@ impl<P: FqPacket> MacFq<P> {
         if let Some(idx) = self.free_tids.pop() {
             // Revive the slot in place: the DRR list deques (emptied but
             // not shrunk by `unregister_tid`) and the resolved telemetry
-            // handles are kept, so a detach/reattach cycle allocates
+            // ids are kept, so a detach/reattach cycle allocates
             // nothing. The generation was bumped at detach, so the
             // revived handle is distinct from the previous occupant's.
             let t = &mut self.tids[idx];
@@ -738,20 +740,14 @@ impl<P: FqPacket> MacFq<P> {
             self.tids[ti].backlog_packets -= 1;
             self.tids[ti].backlog_bytes -= pkt.wire_len();
         }
-        if self.tele.is_enabled() {
-            self.fq_tele.drops_overlimit.add(1);
-            let label = match victim_tid {
-                Some(ti) => {
-                    self.tids[ti].tele.victims.add(1);
-                    Label::Tid(ti as u32)
-                }
-                None => {
-                    self.tele
-                        .count(self.component, "drop_longest_victims", Label::Global, 1);
-                    Label::Global
-                }
+        if let Some(mut rec) = self.tele.batch() {
+            rec.add(self.fq_tele.drops_overlimit, 1);
+            let (victims, label) = match victim_tid {
+                Some(ti) => (self.tids[ti].tele.victims, Label::Tid(ti as u32)),
+                None => (self.fq_tele.orphan_victims, Label::Global),
             };
-            self.tele.event(
+            rec.add(victims, 1);
+            rec.event(
                 now,
                 self.component,
                 EventKind::Drop {
@@ -781,9 +777,9 @@ impl<P: FqPacket> MacFq<P> {
                 DropPolicy::DropLongest => self.drop_from_longest(now),
                 DropPolicy::TailDrop => {
                     self.stats.drops_overlimit += 1;
-                    if self.tele.is_enabled() {
-                        self.fq_tele.drops_overlimit.add(1);
-                        self.tele.event(
+                    if let Some(mut rec) = self.tele.batch() {
+                        rec.add(self.fq_tele.drops_overlimit, 1);
+                        rec.event(
                             now,
                             self.component,
                             EventKind::Drop {
@@ -810,7 +806,7 @@ impl<P: FqPacket> MacFq<P> {
         if self.flows[fi].tid.is_some_and(|t| t != ti) {
             fi = self.tids[ti].overflow_flow;
             self.stats.collisions += 1;
-            self.tids[ti].tele.collisions.add(1);
+            self.tele.add(self.tids[ti].tele.collisions, 1);
         }
         self.flows[fi].tid = Some(ti);
 
@@ -835,13 +831,11 @@ impl<P: FqPacket> MacFq<P> {
         }
         self.heap_grew(fi);
 
-        if self.tele.is_enabled() {
-            self.tids[ti].tele.enqueued.add(1);
-            self.fq_tele.occupancy_gauge.set(self.total_packets as f64);
-            self.fq_tele
-                .occupancy_hist
-                .record(self.total_packets as u64);
-            self.tele.event(
+        if let Some(mut rec) = self.tele.batch() {
+            rec.add(self.tids[ti].tele.enqueued, 1);
+            rec.set(self.fq_tele.occupancy_gauge, self.total_packets as f64);
+            rec.record(self.fq_tele.occupancy_hist, self.total_packets as u64);
+            rec.event(
                 now,
                 self.component,
                 EventKind::Enqueue {
@@ -885,7 +879,7 @@ impl<P: FqPacket> MacFq<P> {
                 }
                 t.old_flows.push_back(fi);
                 self.flows[fi].membership = Membership::Old;
-                self.tids[ti].tele.drr_rounds.add(1);
+                self.tele.add(self.tids[ti].tele.drr_rounds, 1);
                 continue;
             }
 
@@ -943,7 +937,7 @@ impl<P: FqPacket> MacFq<P> {
                     self.total_packets -= 1;
                     self.stats.dequeued += 1;
                     if from_new {
-                        self.tids[ti].tele.sparse_hits.add(1);
+                        self.tele.add(self.tids[ti].tele.sparse_hits, 1);
                     }
                     let t = &mut self.tids[ti];
                     t.backlog_packets -= 1;
@@ -1383,6 +1377,15 @@ mod tests {
             "steady-state churn grew the packet arena"
         );
         assert_eq!(fq.arena_live(), 0);
+    }
+
+    /// Every workload carries one `TidState` per (station, AC) through its
+    /// caches whether or not the sink is on, so the instrument bundle must
+    /// not fatten it: 200 bytes with eight `Rc` handles, 176 with ids.
+    #[test]
+    fn tid_state_is_no_larger_than_with_rc_handles() {
+        let size = std::mem::size_of::<TidState>();
+        assert!(size <= 200, "TidState grew to {size} bytes");
     }
 
     #[test]

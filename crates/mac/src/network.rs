@@ -26,7 +26,7 @@ use wifiq_phy::consts::SLOT_TIME;
 use wifiq_phy::AccessCategory;
 use wifiq_policy::{CompiledPolicy, NODE_NONE};
 use wifiq_sim::{EventQueue, Nanos, SimRng};
-use wifiq_telemetry::{DropReason, EventKind, GaugeHandle, HistHandle, Label, Telemetry};
+use wifiq_telemetry::{CounterId, DropReason, EventKind, GaugeId, HistId, Label, Telemetry};
 
 use crate::aggregation::Aggregate;
 use crate::app::{App, Commands, Delivery};
@@ -72,6 +72,45 @@ struct PolicyRuntime {
     applied: u64,
 }
 
+/// One station slot's `mac/*` recorders under `Label::Station(slot)`. The
+/// label is the slot, so a slot's ids outlive its occupants.
+#[derive(Debug, Clone, Copy)]
+struct StaTele {
+    tx_airtime: CounterId,
+    rx_airtime: CounterId,
+    aggregate_frames: HistId,
+    retries: CounterId,
+    retry_drops: CounterId,
+}
+
+impl StaTele {
+    fn resolve(tele: &Telemetry, sta: StationIdx) -> StaTele {
+        let sl = Label::Station(sta as u32);
+        StaTele {
+            tx_airtime: tele.counter_id("mac", "tx_airtime_ns", sl),
+            rx_airtime: tele.counter_id("mac", "rx_airtime_ns", sl),
+            aggregate_frames: tele.hist_id("mac", "aggregate_frames", sl),
+            retries: tele.counter_id("mac", "retries", sl),
+            retry_drops: tele.counter_id("mac", "retry_drops", sl),
+        }
+    }
+}
+
+/// What the event loop itself records per aggregate, resolved in
+/// [`WifiNetwork::set_telemetry`] and kept up to date by `add_station` and
+/// policy switches, so that a record is an indexed write.
+#[derive(Debug, Default)]
+struct MacTele {
+    hw_depth_gauge: GaugeId,
+    hw_depth_hist: HistId,
+    collisions: CounterId,
+    /// Per station slot while the sink is on; empty (and never read)
+    /// while it is off.
+    stations: Vec<StaTele>,
+    /// `policy/node_airtime_ns` per node of the policy in force.
+    nodes: Vec<CounterId>,
+}
+
 /// Flow state extracted from a departing roamer by
 /// [`WifiNetwork::roam_out`], to be re-homed on the target BSS via
 /// [`WifiNetwork::roam_in`].
@@ -92,14 +131,17 @@ pub struct RoamHandoff<M> {
 /// contention lane (phase A of [`WifiNetwork::try_contend`]).
 struct LaneChunk<'a, M>(&'a mut [StationUplink<M>]);
 
-// SAFETY: `StationUplink` is `!Send` only because its telemetry handles
-// wrap `Rc` slots shared with the registry hub. Lanes are spawned solely
-// from `refresh_contenders`, which collapses to the sequential path
-// whenever telemetry is enabled; a disabled hub hands out the empty handle
-// variant, so no `Rc` is ever live inside an uplink that crosses here.
-// Everything else the uplink owns (queues, arena, private RNG fork) is
-// exclusively held via this chunk's `&mut` slice, and chunks are
-// disjoint by construction (`split_at_mut`).
+// SAFETY: `StationUplink` is `!Send` only because of the `Telemetry`
+// values inside it — its `MacFq`'s and the one in each TID's CoDel bundle
+// — which are `Option<Rc<RefCell<Hub>>>`; the recorder ids stored beside
+// them are plain `u32` indices. Every one of those values is a clone of
+// `WifiNetwork::tele`, installed by `set_telemetry` / `add_station` and by
+// nothing else. Lanes are spawned solely from `refresh_contenders`, which
+// collapses to the sequential path whenever that handle is enabled; while
+// it is disabled every clone is `None`, so no `Rc` is ever live inside an
+// uplink that crosses here. Everything else the uplink owns (queues,
+// arena, private RNG fork) is exclusively held via this chunk's `&mut`
+// slice, and chunks are disjoint by construction (`split_at_mut`).
 unsafe impl<M: Send> Send for LaneChunk<'_, M> {}
 
 /// The cached contender set (DESIGN.md §14): which station slots want the
@@ -307,10 +349,7 @@ pub struct WifiNetwork<M> {
     /// Optional monitor-mode sink receiving every transmission record.
     monitor: Option<Box<dyn TxMonitor>>,
     tele: Telemetry,
-    /// Pre-resolved handles for the hardware-depth metrics recorded on
-    /// every refill round (hot path under enabled telemetry).
-    hw_depth_gauge: GaugeHandle,
-    hw_depth_hist: HistHandle,
+    mac_tele: MacTele,
     /// Total events processed (telemetry / runaway guard).
     pub events_processed: u64,
 }
@@ -385,8 +424,7 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             meter: AirtimeMeter::new(cfg.num_stations()),
             monitor: None,
             tele: Telemetry::disabled(),
-            hw_depth_gauge: GaugeHandle::disabled(),
-            hw_depth_hist: HistHandle::disabled(),
+            mac_tele: MacTele::default(),
             queue: EventQueue::new(),
             rng,
             cfg,
@@ -417,18 +455,37 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
         for sta in &mut self.stations {
             sta.set_telemetry(tele.clone());
         }
-        self.hw_depth_gauge = tele.gauge_handle("mac", "hw_queue_depth", Label::Global);
-        self.hw_depth_hist = tele.hist_handle("mac", "hw_queue_depth", Label::Global);
+        self.mac_tele = MacTele {
+            hw_depth_gauge: tele.gauge_id("mac", "hw_queue_depth", Label::Global),
+            hw_depth_hist: tele.hist_id("mac", "hw_queue_depth", Label::Global),
+            collisions: tele.counter_id("mac", "collisions", Label::Global),
+            stations: (0..self.stations.len())
+                .filter(|_| tele.is_enabled())
+                .map(|sta| StaTele::resolve(&tele, sta))
+                .collect(),
+            nodes: Vec::new(),
+        };
         self.chaos.set_telemetry(tele.clone());
         self.tele = tele;
-        if let Some(active) = self.policy.as_ref().and_then(|p| p.active.as_ref()) {
-            self.tele.gauge(
-                "policy",
-                "active_nodes",
-                Label::Global,
-                active.node_count() as f64,
-            );
-        }
+        self.observe_active_policy();
+    }
+
+    /// Reports the policy in force (if any) and resolves its per-node
+    /// airtime counters. Runs when the sink is attached and after every
+    /// switch — never per aggregate.
+    fn observe_active_policy(&mut self) {
+        let Some(active) = self.policy.as_ref().and_then(|p| p.active.as_ref()) else {
+            return;
+        };
+        let nodes = active.node_count();
+        self.tele
+            .gauge("policy", "active_nodes", Label::Global, nodes as f64);
+        self.mac_tele.nodes = (0..nodes as u32)
+            .map(|n| {
+                self.tele
+                    .counter_id("policy", "node_airtime_ns", Label::Node(n))
+            })
+            .collect();
     }
 
     /// Pushes a compiled policy's per-(station, AC) weights into the
@@ -466,15 +523,10 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
         while let Some(compiled) = self.due_policy_switch(now) {
             self.apply_policy(&compiled);
             self.tele.count("policy", "switches", Label::Global, 1);
-            self.tele.gauge(
-                "policy",
-                "active_nodes",
-                Label::Global,
-                compiled.node_count() as f64,
-            );
             if let Some(pol) = self.policy.as_mut() {
                 pol.active = Some(compiled);
             }
+            self.observe_active_policy();
         }
     }
 
@@ -591,6 +643,11 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             None
         };
         if sta == self.stations.len() {
+            if self.tele.is_enabled() {
+                self.mac_tele
+                    .stations
+                    .push(StaTele::resolve(&self.tele, sta));
+            }
             self.stations.push(up);
             self.ratectrl.push(rc);
             self.cfg.stations.push(station);
@@ -969,10 +1026,10 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
                 None => continue,
             }
         }
-        if self.tele.is_enabled() {
+        if let Some(mut rec) = self.tele.batch() {
             let total: usize = self.hw.iter().map(|q| q.len()).sum();
-            self.hw_depth_gauge.set(total as f64);
-            self.hw_depth_hist.record(total as u64);
+            rec.set(self.mac_tele.hw_depth_gauge, total as f64);
+            rec.record(self.mac_tele.hw_depth_hist, total as u64);
         }
     }
 
@@ -1172,12 +1229,8 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
         assert!(!participants.is_empty(), "TxEnd with nothing in flight");
         let collision = participants.len() > 1;
         if collision {
-            self.tele.count(
-                "mac",
-                "collisions",
-                Label::Global,
-                participants.len() as u64,
-            );
+            self.tele
+                .add(self.mac_tele.collisions, participants.len() as u64);
         }
 
         for p in participants.drain(..) {
@@ -1223,31 +1276,24 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
 
         // Airtime is consumed whether or not the exchange succeeded.
         self.meter.station_mut(sta).tx_airtime += airtime;
-        if self.tele.is_enabled() {
+        if let Some(mut rec) = self.tele.batch() {
             let front = self.hw[aci].front().expect("checked");
-            let sl = Label::Station(sta as u32);
-            self.tele
-                .count("mac", "tx_airtime_ns", sl, airtime.as_nanos());
+            let st = self.mac_tele.stations[sta];
+            rec.add(st.tx_airtime, airtime.as_nanos());
             // Achieved airtime rolled up to the policy node governing
             // this (station, AC) — the observable the ≤5% share gate
             // checks against the configured tree.
             if let Some(active) = self.policy.as_ref().and_then(|p| p.active.as_ref()) {
                 let node = active.node_of(sta, aci);
                 if node != NODE_NONE {
-                    self.tele.count(
-                        "policy",
-                        "node_airtime_ns",
-                        Label::Node(node),
-                        airtime.as_nanos(),
-                    );
+                    rec.add(self.mac_tele.nodes[node as usize], airtime.as_nanos());
                 }
             }
-            self.tele
-                .observe_value("mac", "aggregate_frames", sl, front.frames.len() as u64);
+            rec.record(st.aggregate_frames, front.frames.len() as u64);
             if front.retries > 0 {
-                self.tele.count("mac", "retries", sl, 1);
+                rec.add(st.retries, 1);
             }
-            self.tele.event(
+            rec.event(
                 now,
                 "mac",
                 EventKind::Tx {
@@ -1324,15 +1370,16 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             if drop {
                 let agg = self.hw[aci].pop_front().expect("checked");
                 self.meter.station_mut(sta).retry_drops += agg.frames.len() as u64;
-                if self.tele.is_enabled() {
-                    let sl = Label::Station(sta as u32);
-                    self.tele
-                        .count("mac", "retry_drops", sl, agg.frames.len() as u64);
-                    self.tele.event(
+                if let Some(mut rec) = self.tele.batch() {
+                    rec.add(
+                        self.mac_tele.stations[sta].retry_drops,
+                        agg.frames.len() as u64,
+                    );
+                    rec.event(
                         now,
                         "mac",
                         EventKind::Drop {
-                            label: sl,
+                            label: Label::Station(sta as u32),
                             bytes: agg.payload_bytes() as u32,
                             reason: DropReason::RetryLimit,
                         },
@@ -1390,19 +1437,17 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             || self.chaos.exchange_lost(idx, now);
 
         self.meter.station_mut(idx).rx_airtime += airtime;
-        if self.tele.is_enabled() {
+        if let Some(mut rec) = self.tele.batch() {
             let agg = self.stations[idx]
                 .pending(ac)
                 .expect("station attempt with no pending aggregate");
-            let sl = Label::Station(idx as u32);
-            self.tele
-                .count("mac", "rx_airtime_ns", sl, airtime.as_nanos());
-            self.tele
-                .observe_value("mac", "aggregate_frames", sl, agg.frames.len() as u64);
+            let st = self.mac_tele.stations[idx];
+            rec.add(st.rx_airtime, airtime.as_nanos());
+            rec.record(st.aggregate_frames, agg.frames.len() as u64);
             if agg.retries > 0 {
-                self.tele.count("mac", "retries", sl, 1);
+                rec.add(st.retries, 1);
             }
-            self.tele.event(
+            rec.event(
                 now,
                 "mac",
                 EventKind::Tx {
@@ -1445,15 +1490,16 @@ impl<M: std::fmt::Debug + Send> WifiNetwork<M> {
             self.meter.station_mut(idx).failures += 1;
             if let Some(agg) = self.stations[idx].on_failure(ac, self.cfg.max_retries, now) {
                 self.meter.station_mut(idx).retry_drops += agg.frames.len() as u64;
-                if self.tele.is_enabled() {
-                    let sl = Label::Station(idx as u32);
-                    self.tele
-                        .count("mac", "retry_drops", sl, agg.frames.len() as u64);
-                    self.tele.event(
+                if let Some(mut rec) = self.tele.batch() {
+                    rec.add(
+                        self.mac_tele.stations[idx].retry_drops,
+                        agg.frames.len() as u64,
+                    );
+                    rec.event(
                         now,
                         "mac",
                         EventKind::Drop {
-                            label: sl,
+                            label: Label::Station(idx as u32),
                             bytes: agg.payload_bytes() as u32,
                             reason: DropReason::RetryLimit,
                         },

@@ -275,6 +275,10 @@ impl<M: std::fmt::Debug> ApTxPath<M> {
             _ => self.table.alloc(cold),
         };
         let slot = id.slot();
+        self.table
+            .cold_mut(id)
+            .codel
+            .set_telemetry(&self.tele, slot as u32);
         match &mut self.inner {
             PathInner::Legacy { bufq, listed, .. } => {
                 while bufq.len() < (slot + 1) * AccessCategory::COUNT {
@@ -470,6 +474,13 @@ impl<M: std::fmt::Debug> ApTxPath<M> {
     pub fn set_telemetry(&mut self, tele: Telemetry) {
         if let PathInner::Fq { fq, .. } = &mut self.inner {
             fq.set_telemetry(tele.clone(), "fq");
+        }
+        let ids: Vec<StaId> = self.table.iter().collect();
+        for id in ids {
+            self.table
+                .cold_mut(id)
+                .codel
+                .set_telemetry(&tele, id.slot() as u32);
         }
         self.tele = tele;
     }
@@ -778,12 +789,12 @@ impl<M: std::fmt::Debug> ApTxPath<M> {
         {
             s.charge(&mut self.table, id, ac.index(), airtime);
         }
-        let slot = id.slot() as u32;
-        let tele = self.tele.clone();
-        self.table
-            .cold_mut(id)
-            .codel
-            .update_rate_observed(now, rate_estimate_bps, &tele, slot);
+        self.table.cold_mut(id).codel.update_rate_observed(
+            now,
+            rate_estimate_bps,
+            &self.tele,
+            id.slot() as u32,
+        );
     }
 
     /// The rate the next aggregate for the station will be built at.

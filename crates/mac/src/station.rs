@@ -309,6 +309,15 @@ mod tests {
     use crate::packet::NodeAddr;
     use wifiq_sim::Nanos;
 
+    /// One uplink per station sits in every workload's working set, sink
+    /// on or off (it embeds a `MacFq` and its instrument bundle):
+    /// 1448 bytes with `Rc` handles, measured on the commit before ids.
+    #[test]
+    fn station_uplink_is_no_larger_than_with_rc_handles() {
+        let size = std::mem::size_of::<StationUplink<()>>();
+        assert!(size <= 1448, "StationUplink<()> grew to {size} bytes");
+    }
+
     fn pkt(ac: AccessCategory) -> Packet<()> {
         Packet {
             id: 0,

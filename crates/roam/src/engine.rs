@@ -117,7 +117,9 @@ enum Reply<M, T> {
     Shard {
         shard: u32,
         out: T,
-        registry: Option<Registry>,
+        /// Boxed: the recorder table is several hundred bytes inline, and
+        /// this variant travels once per shard.
+        registry: Option<Box<Registry>>,
     },
 }
 
@@ -416,7 +418,7 @@ impl RoamSet {
                             registry,
                         }) => {
                             outputs[shard as usize] = Some(out);
-                            regs[shard as usize] = registry;
+                            regs[shard as usize] = registry.map(|r| *r);
                         }
                         _ => panic!("worker exited with an unfinished shard"),
                     }
@@ -512,7 +514,7 @@ fn worker_loop<B, T, F, G>(
                         .send(Reply::Shard {
                             shard,
                             out,
-                            registry,
+                            registry: registry.map(Box::new),
                         })
                         .is_err()
                     {

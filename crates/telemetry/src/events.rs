@@ -1,11 +1,9 @@
-//! Structured events: a bounded ring buffer behind a sink trait.
+//! Structured events: a bounded ring of the most recent ones.
 //!
 //! This generalises the ad-hoc `TxRecord`/`TxMonitor` pair in `wifiq-mac`:
-//! any component can emit typed, sim-clock-stamped events into whatever
-//! sink is installed. The default sink is [`EventRing`], a bounded ring
-//! that keeps the most recent events and counts what it sheds.
-
-use std::collections::VecDeque;
+//! any component can emit typed, sim-clock-stamped events. [`EventRing`]
+//! keeps the most recent `capacity` of them in an array allocated once,
+//! written in place, and counts what it sheds.
 
 use serde::Json;
 use wifiq_sim::Nanos;
@@ -70,8 +68,9 @@ pub enum EventKind {
     },
     /// Per-station CoDel parameters switched (rate hysteresis).
     ParamSwitch {
-        /// Station scope.
-        label: Label,
+        /// The station (exported as its `Label::Station`). A bare index
+        /// rather than a [`Label`] keeps every kind within 32 bytes.
+        station: u32,
         /// New target.
         target: Nanos,
         /// New interval.
@@ -119,23 +118,24 @@ impl EventKind {
     }
 }
 
-/// One timestamped event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
+/// One ring entry, 48 bytes: a timestamped [`EventKind`] with the emitting
+/// component ("codel", "fq", "mac", ...) interned.
+#[derive(Debug)]
+struct Entry {
     /// Sim-clock timestamp (never wall clock).
-    pub at: Nanos,
-    /// Emitting component ("codel", "fq", "mac", ...).
-    pub component: &'static str,
-    /// Payload.
-    pub kind: EventKind,
+    at: Nanos,
+    kind: EventKind,
+    /// Index into [`EventRing::components`].
+    component: u8,
 }
 
-impl Event {
-    /// Lowers the event to its JSON export form.
-    pub fn to_json(&self) -> Json {
+impl Entry {
+    /// Lowers the entry to its JSON export form.
+    fn to_json(&self, components: &[&'static str]) -> Json {
+        let component = components[self.component as usize];
         let mut fields = vec![
             ("at_ns".into(), Json::U64(self.at.as_nanos())),
-            ("component".into(), Json::Str(self.component.into())),
+            ("component".into(), Json::Str(component.into())),
             ("kind".into(), Json::Str(self.kind.name().into())),
         ];
         match &self.kind {
@@ -157,11 +157,12 @@ impl Event {
                 fields.push(("sojourn_ns".into(), Json::U64(sojourn.as_nanos())));
             }
             EventKind::ParamSwitch {
-                label,
+                station,
                 target,
                 interval,
             } => {
-                fields.push(("label".into(), Json::Str(label.to_string())));
+                let label = Label::Station(*station).to_string();
+                fields.push(("label".into(), Json::Str(label)));
                 fields.push(("target_ns".into(), Json::U64(target.as_nanos())));
                 fields.push(("interval_ns".into(), Json::U64(interval.as_nanos())));
             }
@@ -198,44 +199,63 @@ impl Event {
     }
 }
 
-/// Receives events. Implemented by [`EventRing`]; test code and future
-/// components can install their own.
-pub trait EventSink {
-    /// Handles one event.
-    fn on_event(&mut self, event: &Event);
-}
-
 /// A bounded ring keeping the most recent events.
 #[derive(Debug)]
 pub struct EventRing {
-    buf: VecDeque<Event>,
+    /// Grows to `capacity` inside its one allocation, then is overwritten
+    /// in place starting at `head`.
+    buf: Vec<Entry>,
+    /// Oldest retained entry once the ring is full.
+    head: usize,
     capacity: usize,
     total: u64,
+    /// Interned component names; a handful per run.
+    components: Vec<&'static str>,
 }
 
 impl EventRing {
     /// A ring retaining at most `capacity` events.
     pub fn new(capacity: usize) -> EventRing {
         EventRing {
-            buf: VecDeque::with_capacity(capacity.min(1024)),
+            buf: Vec::with_capacity(capacity),
+            head: 0,
             capacity,
             total: 0,
+            components: Vec::new(),
         }
     }
 
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
+    /// Offers one event; the oldest retained one is shed if the ring is
+    /// full.
+    #[inline]
+    pub fn push(&mut self, at: Nanos, component: &'static str, kind: EventKind) {
+        self.total += 1;
+        if self.capacity == 0 {
+            return;
+        }
+        let entry = Entry {
+            at,
+            kind,
+            component: self.intern(component),
+        };
+        if self.buf.len() < self.capacity {
+            self.buf.push(entry);
+        } else {
+            self.buf[self.head] = entry;
+            self.head = (self.head + 1) % self.capacity;
+        }
     }
 
-    /// Number retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// The index of `component` among the interned names.
+    #[inline]
+    fn intern(&mut self, component: &'static str) -> u8 {
+        let found = self.components.iter().position(|c| *c == component);
+        let i = found.unwrap_or_else(|| {
+            assert!(self.components.len() < 256, "over 256 event components");
+            self.components.push(component);
+            self.components.len() - 1
+        });
+        i as u8
     }
 
     /// Total events ever offered, including those the ring shed.
@@ -250,28 +270,18 @@ impl EventRing {
 
     /// Lowers the ring to its JSON export form.
     pub fn to_json(&self) -> Json {
+        // Oldest first: a full ring wraps at `head`.
+        let (newer, older) = self.buf.split_at(self.head);
+        let entries = older.iter().chain(newer);
         Json::Obj(vec![
             ("capacity".into(), Json::U64(self.capacity as u64)),
             ("total".into(), Json::U64(self.total)),
             ("shed".into(), Json::U64(self.shed())),
             (
                 "entries".into(),
-                Json::Arr(self.buf.iter().map(Event::to_json).collect()),
+                Json::Arr(entries.map(|e| e.to_json(&self.components)).collect()),
             ),
         ])
-    }
-}
-
-impl EventSink for EventRing {
-    fn on_event(&mut self, event: &Event) {
-        self.total += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(event.clone());
     }
 }
 
@@ -279,14 +289,22 @@ impl EventSink for EventRing {
 mod tests {
     use super::*;
 
-    fn ev(n: u64) -> Event {
-        Event {
-            at: Nanos::from_nanos(n),
-            component: "test",
-            kind: EventKind::Enqueue {
-                label: Label::Global,
-                bytes: 1,
-            },
+    fn offer(ring: &mut EventRing, n: u64, component: &'static str) {
+        let kind = EventKind::Enqueue {
+            label: Label::Global,
+            bytes: 1,
+        };
+        ring.push(Nanos::from_nanos(n), component, kind);
+    }
+
+    /// One field of every retained entry, oldest first.
+    fn column(ring: &EventRing, field: &str) -> Vec<Json> {
+        match ring.to_json().get("entries") {
+            Some(Json::Arr(rows)) => rows
+                .iter()
+                .map(|e| e.get(field).cloned().unwrap())
+                .collect(),
+            other => panic!("no entries array: {other:?}"),
         }
     }
 
@@ -294,12 +312,39 @@ mod tests {
     fn ring_keeps_most_recent_and_counts_shed() {
         let mut ring = EventRing::new(3);
         for n in 0..10 {
-            ring.on_event(&ev(n));
+            offer(&mut ring, n, "test");
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.buf.len(), 3);
         assert_eq!(ring.total(), 10);
         assert_eq!(ring.shed(), 7);
-        let kept: Vec<u64> = ring.events().map(|e| e.at.as_nanos()).collect();
-        assert_eq!(kept, vec![7, 8, 9]);
+        assert_eq!(column(&ring, "at_ns"), [7, 8, 9].map(Json::U64));
+    }
+
+    #[test]
+    fn ring_is_allocated_once_and_a_zero_ring_only_counts() {
+        let mut ring = EventRing::new(100);
+        let allocated = ring.buf.capacity();
+        assert!(allocated >= 100);
+        for n in 0..1_000 {
+            offer(&mut ring, n, "test");
+        }
+        assert_eq!(ring.buf.capacity(), allocated);
+        let mut none = EventRing::new(0);
+        offer(&mut none, 1, "test");
+        assert_eq!((none.buf.len(), none.total(), none.shed()), (0, 1, 1));
+    }
+
+    #[test]
+    fn entries_are_48_bytes_and_components_interned_by_content() {
+        assert!(std::mem::size_of::<Entry>() <= 48);
+        let mut ring = EventRing::new(8);
+        // The same name at two addresses is one component.
+        let heap: &'static str = String::from("mac").leak();
+        for (n, component) in ["mac", "fq", heap, "fq"].into_iter().enumerate() {
+            offer(&mut ring, n as u64, component);
+        }
+        assert_eq!(ring.components, ["mac", "fq"]);
+        let names = ["mac", "fq", "mac", "fq"].map(|c| Json::Str(c.into()));
+        assert_eq!(column(&ring, "component"), names);
     }
 }

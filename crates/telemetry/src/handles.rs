@@ -1,199 +1,91 @@
-//! Pre-resolved metric handles — the per-packet fast path.
+//! Pre-resolved recorders — the per-packet fast path.
 //!
-//! The addressed API ([`crate::Telemetry::count`] and friends) walks a
-//! `BTreeMap` keyed by `(component, metric, label)` on every call. That is
-//! fine for per-repetition bookkeeping but dominates the cost of an enabled
-//! sink on per-packet paths (measured 64.6 ns → 268.5 ns on the 256-flow
-//! FQ cycle). A handle resolves the address once, accumulates into its own
-//! private cell, and is folded into the registry lazily the next time the
-//! registry is read (snapshot, CSV, `with_registry`, `take_registry`), so
-//! exported artifacts are byte-identical to the addressed slow path.
+//! A keyed write ([`crate::Telemetry::count`] and friends) hashes its
+//! `(component, metric, label)` on every call: fine for cold sites (a
+//! join, a policy switch, per-repetition bookkeeping), far too much per
+//! packet. Resolving a key once — at `set_telemetry` / registration time —
+//! yields the index of its recorder in the hub's table; a write through
+//! that index is one bounds-checked array access, with no key comparison
+//! anywhere. Resolving is idempotent (the same key always yields the same
+//! index), and a recorder that is resolved but never written stays out of
+//! every export.
 //!
-//! Ownership rules:
-//!
-//! - A handle is bound to the [`crate::Telemetry`] hub that resolved it;
-//!   handles resolved from a disabled hub are permanent no-ops (one
-//!   untaken branch per record, same as the addressed API).
-//! - Resolving registers the accumulation slot with the hub for the hub's
-//!   lifetime, so resolve once per instrument — at registration /
-//!   `set_telemetry` time — never per packet.
-//! - Counter and histogram flushes are commutative (sums / bucket merges),
-//!   so several handles may share one key. Gauge flush is last-writer-wins
-//!   in handle registration order; keep one gauge handle per key.
+//! The index comes in two forms. An *id* ([`CounterId`], [`GaugeId`],
+//! [`HistId`]) is the bare `u32`, for structs that already hold the
+//! [`crate::Telemetry`] it was resolved from and write through
+//! [`crate::Telemetry::batch`]; the default id addresses a scratch
+//! recorder no export visits, so an unresolved bundle is harmless. A
+//! *handle* ([`CounterHandle`], [`HistHandle`]) pairs the id with its hub,
+//! for holders that keep nothing else.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use crate::Telemetry;
 
-use crate::hist::Histogram;
-use crate::registry::{Key, Registry};
+/// Index of a counter in the hub that resolved it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CounterId(pub(crate) u32);
 
-#[derive(Debug)]
-pub(crate) struct CounterSlot {
-    key: Key,
-    pending: Cell<u64>,
-}
+/// Index of a gauge in the hub that resolved it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GaugeId(pub(crate) u32);
 
-#[derive(Debug)]
-pub(crate) struct GaugeSlot {
-    key: Key,
-    pending: Cell<f64>,
-    dirty: Cell<bool>,
-}
+/// Index of a histogram in the hub that resolved it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HistId(pub(crate) u32);
 
-#[derive(Debug)]
-pub(crate) struct HistSlot {
-    key: Key,
-    pending: RefCell<Histogram>,
-}
-
-/// Every accumulation slot a hub has handed out; the flush side of the
-/// handle fast path.
-#[derive(Debug, Default)]
-pub(crate) struct HandleSet {
-    counters: Vec<Rc<CounterSlot>>,
-    gauges: Vec<Rc<GaugeSlot>>,
-    hists: Vec<Rc<HistSlot>>,
-}
-
-impl HandleSet {
-    pub(crate) fn new_counter(&mut self, key: Key) -> CounterHandle {
-        let slot = Rc::new(CounterSlot {
-            key,
-            pending: Cell::new(0),
-        });
-        self.counters.push(Rc::clone(&slot));
-        CounterHandle(Some(slot))
-    }
-
-    pub(crate) fn new_gauge(&mut self, key: Key) -> GaugeHandle {
-        let slot = Rc::new(GaugeSlot {
-            key,
-            pending: Cell::new(0.0),
-            dirty: Cell::new(false),
-        });
-        self.gauges.push(Rc::clone(&slot));
-        GaugeHandle(Some(slot))
-    }
-
-    pub(crate) fn new_hist(&mut self, key: Key) -> HistHandle {
-        let slot = Rc::new(HistSlot {
-            key,
-            pending: RefCell::new(Histogram::new()),
-        });
-        self.hists.push(Rc::clone(&slot));
-        HistHandle(Some(slot))
-    }
-
-    /// Drains every slot's accumulation into the registry. Untouched slots
-    /// leave no trace, so a resolved-but-never-recorded handle does not
-    /// invent registry keys and snapshots stay identical to the addressed
-    /// path.
-    pub(crate) fn flush_into(&self, reg: &mut Registry) {
-        for c in &self.counters {
-            let v = c.pending.replace(0);
-            if v != 0 {
-                reg.counter_add(c.key.0, c.key.1, c.key.2, v);
-            }
-        }
-        for g in &self.gauges {
-            if g.dirty.replace(false) {
-                reg.gauge_set(g.key.0, g.key.1, g.key.2, g.pending.get());
-            }
-        }
-        for h in &self.hists {
-            let mut pending = h.pending.borrow_mut();
-            if pending.count() > 0 {
-                reg.hist_merge(h.key.0, h.key.1, h.key.2, &pending);
-                pending.clear();
-            }
-        }
-    }
-}
-
-/// Pre-resolved monotonic counter; [`CounterHandle::add`] is a single
-/// `Cell` addition (plus one untaken branch when disabled).
+/// A recorder id together with the hub that resolved it; the default is
+/// a permanent no-op (what a disabled hub resolves).
 #[derive(Debug, Clone, Default)]
-pub struct CounterHandle(Option<Rc<CounterSlot>>);
+pub struct Handle<I> {
+    pub(crate) tele: Telemetry,
+    pub(crate) id: I,
+}
+
+/// A pre-resolved monotonic counter.
+pub type CounterHandle = Handle<CounterId>;
+
+/// A pre-resolved histogram.
+pub type HistHandle = Handle<HistId>;
 
 impl CounterHandle {
-    /// A permanent no-op handle (what a disabled hub resolves).
-    pub fn disabled() -> CounterHandle {
-        CounterHandle(None)
-    }
-
     /// Adds `delta` to the counter.
     #[inline]
     pub fn add(&self, delta: u64) {
-        if let Some(slot) = &self.0 {
-            slot.pending.set(slot.pending.get().wrapping_add(delta));
-        }
+        self.tele.add(self.id, delta);
     }
 }
-
-/// Pre-resolved gauge; [`GaugeHandle::set`] is two `Cell` stores.
-#[derive(Debug, Clone, Default)]
-pub struct GaugeHandle(Option<Rc<GaugeSlot>>);
-
-impl GaugeHandle {
-    /// A permanent no-op handle.
-    pub fn disabled() -> GaugeHandle {
-        GaugeHandle(None)
-    }
-
-    /// Sets the gauge to its latest value.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        if let Some(slot) = &self.0 {
-            slot.pending.set(value);
-            slot.dirty.set(true);
-        }
-    }
-}
-
-/// Pre-resolved histogram; [`HistHandle::record`] is an O(1) bucket
-/// increment with no map lookup.
-#[derive(Debug, Clone, Default)]
-pub struct HistHandle(Option<Rc<HistSlot>>);
 
 impl HistHandle {
-    /// A permanent no-op handle.
-    pub fn disabled() -> HistHandle {
-        HistHandle(None)
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        if let Some(slot) = &self.0 {
-            slot.pending.borrow_mut().record(value);
-        }
+        self.tele.record(self.id, value);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Label, Telemetry};
+    use crate::{CounterId, GaugeId, HistId, Label, Telemetry};
 
     #[test]
     fn disabled_handles_are_inert() {
         let t = Telemetry::disabled();
         let c = t.counter_handle("fq", "enqueued", Label::Tid(0));
-        let g = t.gauge_handle("fq", "occupancy_packets", Label::Global);
+        let g = t.gauge_id("fq", "occupancy_packets", Label::Global);
         let h = t.hist_handle("fq", "occupancy_packets", Label::Global);
         c.add(3);
-        g.set(1.0);
+        t.set(g, 1.0);
         h.record(7);
         assert_eq!(t.counter("fq", "enqueued", Label::Tid(0)), 0);
+        assert_eq!((t.resolutions(), t.recorders()), (0, 0));
     }
 
     #[test]
-    fn handle_records_flush_on_read() {
+    fn handle_records_are_visible_on_read() {
         let t = Telemetry::enabled();
         let c = t.counter_handle("fq", "enqueued", Label::Tid(2));
         c.add(5);
         c.add(7);
         assert_eq!(t.counter("fq", "enqueued", Label::Tid(2)), 12);
-        // Flush drained the pending cell; further reads don't double-count.
         assert_eq!(t.counter("fq", "enqueued", Label::Tid(2)), 12);
         c.add(1);
         assert_eq!(t.counter("fq", "enqueued", Label::Tid(2)), 13);
@@ -202,22 +94,26 @@ mod tests {
     #[test]
     fn handle_and_addressed_writes_share_a_key() {
         let t = Telemetry::enabled();
-        let c = t.counter_handle("fq", "drops", Label::Global);
+        let c = t.counter_id("fq", "drops", Label::Global);
         t.count("fq", "drops", Label::Global, 2);
-        c.add(3);
+        t.add(c, 3);
         assert_eq!(t.counter("fq", "drops", Label::Global), 5);
     }
 
     #[test]
     fn gauge_handle_last_write_wins() {
+        // Literally the last write, whichever way it was written.
         let t = Telemetry::enabled();
-        let g = t.gauge_handle("fq", "occupancy_packets", Label::Global);
-        g.set(4.0);
-        g.set(9.0);
-        let v = t
-            .with_registry(|r| r.gauge("fq", "occupancy_packets", Label::Global))
-            .flatten();
-        assert_eq!(v, Some(9.0));
+        let g = t.gauge_id("fq", "occupancy_packets", Label::Global);
+        let read = || {
+            t.with_registry(|r| r.gauge("fq", "occupancy_packets", Label::Global))
+                .flatten()
+        };
+        t.set(g, 4.0);
+        t.gauge("fq", "occupancy_packets", Label::Global, 9.0);
+        assert_eq!(read(), Some(9.0));
+        t.set(g, 2.0);
+        assert_eq!(read(), Some(2.0));
     }
 
     #[test]
@@ -241,22 +137,56 @@ mod tests {
     #[test]
     fn untouched_handles_leave_no_keys() {
         let t = Telemetry::enabled();
-        let _c = t.counter_handle("fq", "enqueued", Label::Tid(0));
-        let _g = t.gauge_handle("fq", "occupancy_packets", Label::Global);
-        let _h = t.hist_handle("fq", "occupancy_packets", Label::Global);
+        let c = t.counter_id("fq", "enqueued", Label::Tid(0));
+        let _g = t.gauge_id("fq", "occupancy_packets", Label::Global);
+        let _h = t.hist_id("fq", "occupancy_packets", Label::Global);
+        t.add(c, 0);
         assert!(t.with_registry(|r| r.is_empty()).unwrap());
+        // A keyed zero, by contrast, creates its row.
+        t.count("fq", "enqueued", Label::Tid(0), 0);
+        assert!(t
+            .snapshot_csv("", 0)
+            .contains("counter,fq,enqueued,tid0,value,0\n"));
     }
 
     #[test]
-    fn take_registry_captures_pending_handle_state() {
+    fn default_ids_write_to_a_recorder_no_export_visits() {
         let t = Telemetry::enabled();
-        let c = t.counter_handle("fq", "enqueued", Label::Tid(0));
-        c.add(4);
+        t.add(CounterId::default(), 9);
+        t.set(GaugeId::default(), 9.0);
+        t.record(HistId::default(), 9);
+        assert!(t.with_registry(|r| r.is_empty()).unwrap());
+        assert!(t.take_registry().unwrap().is_empty());
+        assert_eq!(t.recorders(), 0);
+    }
+
+    #[test]
+    fn resolving_is_idempotent() {
+        let t = Telemetry::enabled();
+        let first = t.counter_id("fq", "enqueued", Label::Tid(0));
+        for _ in 0..10_000 {
+            assert_eq!(t.counter_id("fq", "enqueued", Label::Tid(0)), first);
+            assert_eq!(t.counter_handle("fq", "enqueued", Label::Tid(0)).id, first);
+        }
+        assert_eq!(t.recorders(), 1, "one key, one recorder");
+        assert_eq!(t.resolutions(), 20_001);
+        // The three kinds are separate tables: one name may be all three.
+        t.gauge_id("fq", "enqueued", Label::Tid(0));
+        t.hist_id("fq", "enqueued", Label::Tid(0));
+        t.gauge_id("fq", "enqueued", Label::Tid(0));
+        assert_eq!(t.recorders(), 3);
+    }
+
+    #[test]
+    fn take_registry_captures_handle_state_and_keeps_ids() {
+        let t = Telemetry::enabled();
+        let c = t.counter_id("fq", "enqueued", Label::Tid(0));
+        t.add(c, 4);
         let taken = t.take_registry().unwrap();
         assert_eq!(taken.counter("fq", "enqueued", Label::Tid(0)), 4);
-        // The handle survives the take and accumulates into the fresh
-        // registry left behind.
-        c.add(2);
+        // The id survives the take and addresses the emptied recorder.
+        t.add(c, 2);
         assert_eq!(t.counter("fq", "enqueued", Label::Tid(0)), 2);
+        assert_eq!(t.recorders(), 1);
     }
 }

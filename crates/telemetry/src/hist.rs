@@ -40,10 +40,12 @@ fn bucket_upper(index: usize) -> u64 {
     }
 }
 
-/// A fixed-footprint log-linear histogram over `u64` magnitudes
-/// (nanoseconds, bytes, frames, ...).
+/// A log-linear histogram over `u64` magnitudes (nanoseconds, bytes,
+/// frames, ...).
 #[derive(Debug, Clone)]
 pub struct Histogram {
+    /// Empty until the first sample below [`OVERFLOW_THRESHOLD`]: a key
+    /// that is resolved but never recorded costs no bucket array.
     counts: Vec<u32>,
     /// Samples at or above [`OVERFLOW_THRESHOLD`].
     overflow: u64,
@@ -63,7 +65,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             overflow: 0,
             count: 0,
             sum: 0,
@@ -73,6 +75,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
@@ -81,19 +84,11 @@ impl Histogram {
         if v >= OVERFLOW_THRESHOLD {
             self.overflow += 1;
         } else {
+            if self.counts.is_empty() {
+                self.counts = vec![0; BUCKETS];
+            }
             self.counts[bucket_index(v)] += 1;
         }
-    }
-
-    /// Empties the histogram in place, keeping the bucket allocation — the
-    /// reset half of the handle flush cycle.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.overflow = 0;
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
     }
 
     /// Folds another histogram into this one. Buckets are summed, so the
@@ -103,8 +98,12 @@ impl Histogram {
         if other.count == 0 {
             return;
         }
-        for (c, &o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c += o;
+        if self.counts.is_empty() {
+            self.counts.clone_from(&other.counts);
+        } else {
+            for (c, &o) in self.counts.iter_mut().zip(other.counts.iter()) {
+                *c += o;
+            }
         }
         self.overflow += other.overflow;
         self.count += other.count;
@@ -259,6 +258,31 @@ mod tests {
         }
         assert_eq!(h.quantile(1.0 / 16.0), 0);
         assert_eq!(h.quantile(0.5), 7);
+        assert_eq!(h.quantile(0.0), 0);
         assert_eq!(h.min(), 0);
+    }
+
+    #[test]
+    fn buckets_are_allocated_on_first_record_and_merge_either_way() {
+        let mut empty = Histogram::new();
+        assert_eq!(empty.counts.capacity(), 0, "no buckets before a sample");
+        let mut full = Histogram::new();
+        for v in [3u64, 300, 30_000] {
+            full.record(v);
+        }
+        // Into an unallocated histogram, and an unallocated one into a
+        // recorded one: both answer as if every sample were recorded here.
+        empty.merge(&full);
+        full.merge(&Histogram::new());
+        for h in [&empty, &full] {
+            assert_eq!((h.count(), h.min(), h.max()), (3, 3, 30_000));
+            assert!((300..=303).contains(&h.quantile(0.5)));
+        }
+        // Only-overflow samples never allocate buckets, and still merge.
+        let mut over = Histogram::new();
+        over.record(OVERFLOW_THRESHOLD);
+        assert!(over.counts.is_empty());
+        over.merge(&full);
+        assert_eq!((over.count(), over.overflow_count()), (4, 1));
     }
 }

@@ -7,12 +7,16 @@
 //!
 //! ## Design
 //!
-//! A [`Telemetry`] handle is a cheap clone (`Option<Rc<Hub>>`). The
-//! disabled handle is a `None` and every recording method is a single
+//! A [`Telemetry`] handle is a cheap clone (`Option<Rc<RefCell<Hub>>>`).
+//! The disabled handle is a `None` and every recording method is a single
 //! branch — instrumented hot paths pay one predictable-untaken test when
-//! metrics are off. All timestamps come from the sim clock (`Nanos`), never
-//! wall clock, and all storage iterates in `BTreeMap` key order, so two
-//! same-seed runs export byte-identical snapshots.
+//! metrics are off. The hub owns one recorder table ([`Registry`]: dense
+//! value arrays behind a hashed key index) and one event ring. Per-packet
+//! sites resolve their keys once (see [`handles`]) and write by index,
+//! several writes under one [`Telemetry::batch`]; cold sites write by key.
+//! All timestamps come from the sim clock (`Nanos`), never wall clock, and
+//! every export sorts its keys, so two same-seed runs export
+//! byte-identical snapshots.
 //!
 //! ## Use
 //!
@@ -36,16 +40,16 @@ pub mod handles;
 pub mod hist;
 pub mod registry;
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use handles::HandleSet;
-
-pub use events::{DropReason, Event, EventKind, EventRing, EventSink};
-pub use handles::{CounterHandle, GaugeHandle, HistHandle};
+pub use events::{DropReason, EventKind, EventRing};
+pub use handles::{CounterHandle, CounterId, GaugeId, HistHandle, HistId};
 pub use hist::Histogram;
 pub use registry::{Label, Registry};
+
+use registry::{Key, Recorder, Series};
 pub use serde::Json;
 
 use wifiq_sim::Nanos;
@@ -53,30 +57,50 @@ use wifiq_sim::Nanos;
 /// Default event-ring capacity for [`Telemetry::enabled`].
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
-/// Shared state behind an enabled [`Telemetry`] handle.
+/// Shared state behind an enabled [`Telemetry`] handle: the one copy of
+/// every counter, gauge and histogram, and the event ring.
 #[derive(Debug)]
-pub struct Hub {
-    registry: RefCell<Registry>,
-    events: RefCell<EventRing>,
-    /// Accumulation slots behind pre-resolved handles; folded into
-    /// `registry` on every read so snapshots never miss pending records.
-    handles: RefCell<HandleSet>,
+struct Hub {
+    registry: Registry,
+    events: EventRing,
 }
 
-impl Hub {
-    /// Drains pending handle accumulations into the registry. Must run
-    /// before any registry read.
-    fn flush_handles(&self) {
-        self.handles
-            .borrow()
-            .flush_into(&mut self.registry.borrow_mut());
+/// The hub, borrowed for a run of writes (see [`Telemetry::batch`]).
+/// Every write `Telemetry` offers is one of these.
+#[derive(Debug)]
+pub struct Batch<'a>(RefMut<'a, Hub>);
+
+impl Batch<'_> {
+    /// Adds `delta` to a counter this hub resolved.
+    #[inline]
+    pub fn add(&mut self, id: CounterId, delta: u64) {
+        let v = &mut self.0.registry.counters.vals[id.0 as usize];
+        *v = v.wrapping_add(delta);
+    }
+
+    /// Sets a gauge this hub resolved to its latest value.
+    #[inline]
+    pub fn set(&mut self, id: GaugeId, value: f64) {
+        self.0.registry.gauges.vals[id.0 as usize] = Some(value);
+    }
+
+    /// Records one sample into a histogram this hub resolved.
+    #[inline]
+    pub fn record(&mut self, id: HistId, value: u64) {
+        self.0.registry.hists.vals[id.0 as usize].record(value);
+    }
+
+    /// Emits a structured event into the ring.
+    #[inline]
+    pub fn event(&mut self, at: Nanos, component: &'static str, kind: EventKind) {
+        self.0.events.push(at, component, kind);
     }
 }
 
 /// A cheaply clonable telemetry handle; `disabled()` makes every operation
 /// a no-op behind a single branch.
 #[derive(Debug, Clone, Default)]
-pub struct Telemetry(Option<Rc<Hub>>);
+pub struct Telemetry(Option<Rc<RefCell<Hub>>>);
 
 impl Telemetry {
     /// The no-op handle. This is also the `Default`.
@@ -91,11 +115,10 @@ impl Telemetry {
 
     /// A live handle retaining at most `capacity` events.
     pub fn with_event_capacity(capacity: usize) -> Telemetry {
-        Telemetry(Some(Rc::new(Hub {
-            registry: RefCell::new(Registry::new()),
-            events: RefCell::new(EventRing::new(capacity)),
-            handles: RefCell::new(HandleSet::default()),
-        })))
+        Telemetry(Some(Rc::new(RefCell::new(Hub {
+            registry: Registry::new(),
+            events: EventRing::new(capacity),
+        }))))
     }
 
     /// True if this handle records anything.
@@ -103,35 +126,39 @@ impl Telemetry {
         self.0.is_some()
     }
 
-    /// Adds `delta` to a monotonic counter.
+    /// Borrows the hub for several writes in a row: what a per-packet
+    /// site that records more than one thing uses in place of
+    /// `is_enabled()` and one call each. `None` when disabled. Drop it
+    /// before calling anything that may itself record.
     #[inline]
+    pub fn batch(&self) -> Option<Batch<'_>> {
+        self.0.as_ref().map(|hub| Batch(hub.borrow_mut()))
+    }
+
+    /// Runs `f` on the recorder table, if enabled.
+    fn keyed(&self, f: impl FnOnce(&mut Registry)) {
+        if let Some(mut b) = self.batch() {
+            f(&mut b.0.registry);
+        }
+    }
+
+    /// Adds `delta` to a monotonic counter, by key.
     pub fn count(&self, component: &'static str, metric: &'static str, label: Label, delta: u64) {
-        if let Some(hub) = &self.0 {
-            hub.registry
-                .borrow_mut()
-                .counter_add(component, metric, label, delta);
-        }
+        self.keyed(|r| *r.counters.keyed_mut((component, metric, label)) += delta);
     }
 
-    /// Sets a gauge to its latest value.
-    #[inline]
+    /// Sets a gauge to its latest value, by key.
     pub fn gauge(&self, component: &'static str, metric: &'static str, label: Label, value: f64) {
-        if let Some(hub) = &self.0 {
-            hub.registry
-                .borrow_mut()
-                .gauge_set(component, metric, label, value);
-        }
+        self.keyed(|r| *r.gauges.keyed_mut((component, metric, label)) = Some(value));
     }
 
-    /// Records a duration sample into a histogram.
-    #[inline]
+    /// Records a duration sample into a histogram, by key.
     pub fn observe(&self, component: &'static str, metric: &'static str, label: Label, at: Nanos) {
         self.observe_value(component, metric, label, at.as_nanos());
     }
 
     /// Records a dimensionless magnitude (bytes, frames, ...) into a
-    /// histogram.
-    #[inline]
+    /// histogram, by key.
     pub fn observe_value(
         &self,
         component: &'static str,
@@ -139,104 +166,125 @@ impl Telemetry {
         label: Label,
         value: u64,
     ) {
-        if let Some(hub) = &self.0 {
-            hub.registry
-                .borrow_mut()
-                .hist_record(component, metric, label, value);
-        }
+        self.keyed(|r| r.hists.keyed_mut((component, metric, label)).record(value));
     }
 
-    /// Emits a structured event into the ring.
-    #[inline]
-    pub fn event(&self, at: Nanos, component: &'static str, kind: EventKind) {
-        if let Some(hub) = &self.0 {
-            hub.events.borrow_mut().on_event(&Event {
-                at,
-                component,
-                kind,
-            });
-        }
+    /// The index `series` gives `key`; the scratch index when disabled.
+    fn resolve<V: Recorder>(&self, series: fn(&mut Registry) -> &mut Series<V>, key: Key) -> u32 {
+        self.batch()
+            .map_or(0, |mut b| series(&mut b.0.registry).resolve(key))
     }
 
-    /// Resolves a counter handle once; [`CounterHandle::add`] then skips
-    /// the per-call key lookup. Resolve at instrument-registration time,
-    /// never per packet — the accumulation slot lives as long as the hub.
+    /// Resolves a counter's key to its recorder index; [`Telemetry::add`]
+    /// then skips the per-call key lookup. Resolve at
+    /// instrument-registration time, never per packet.
+    pub fn counter_id(
+        &self,
+        component: &'static str,
+        metric: &'static str,
+        label: Label,
+    ) -> CounterId {
+        CounterId(self.resolve(|r| &mut r.counters, (component, metric, label)))
+    }
+
+    /// Resolves a gauge's key (see [`Telemetry::counter_id`]).
+    pub fn gauge_id(&self, component: &'static str, metric: &'static str, label: Label) -> GaugeId {
+        GaugeId(self.resolve(|r| &mut r.gauges, (component, metric, label)))
+    }
+
+    /// Resolves a histogram's key (see [`Telemetry::counter_id`]).
+    pub fn hist_id(&self, component: &'static str, metric: &'static str, label: Label) -> HistId {
+        HistId(self.resolve(|r| &mut r.hists, (component, metric, label)))
+    }
+
+    /// [`Telemetry::counter_id`] paired with this hub, for a holder that
+    /// keeps no `Telemetry` of its own.
     pub fn counter_handle(
         &self,
         component: &'static str,
         metric: &'static str,
         label: Label,
     ) -> CounterHandle {
-        match &self.0 {
-            None => CounterHandle::disabled(),
-            Some(hub) => hub
-                .handles
-                .borrow_mut()
-                .new_counter((component, metric, label)),
-        }
+        let id = self.counter_id(component, metric, label);
+        let tele = self.clone();
+        CounterHandle { tele, id }
     }
 
-    /// Resolves a gauge handle once (see [`Telemetry::counter_handle`]).
-    /// Keep a single gauge handle per key: flush is last-writer-wins in
-    /// registration order.
-    pub fn gauge_handle(
-        &self,
-        component: &'static str,
-        metric: &'static str,
-        label: Label,
-    ) -> GaugeHandle {
-        match &self.0 {
-            None => GaugeHandle::disabled(),
-            Some(hub) => hub
-                .handles
-                .borrow_mut()
-                .new_gauge((component, metric, label)),
-        }
-    }
-
-    /// Resolves a histogram handle once (see
-    /// [`Telemetry::counter_handle`]).
+    /// [`Telemetry::hist_id`] paired with this hub.
     pub fn hist_handle(
         &self,
         component: &'static str,
         metric: &'static str,
         label: Label,
     ) -> HistHandle {
-        match &self.0 {
-            None => HistHandle::disabled(),
-            Some(hub) => hub
-                .handles
-                .borrow_mut()
-                .new_hist((component, metric, label)),
+        let id = self.hist_id(component, metric, label);
+        let tele = self.clone();
+        HistHandle { tele, id }
+    }
+
+    /// [`Batch::add`] on its own.
+    #[inline]
+    pub fn add(&self, id: CounterId, delta: u64) {
+        if let Some(mut b) = self.batch() {
+            b.add(id, delta);
         }
+    }
+
+    /// [`Batch::set`] on its own.
+    #[inline]
+    pub fn set(&self, id: GaugeId, value: f64) {
+        if let Some(mut b) = self.batch() {
+            b.set(id, value);
+        }
+    }
+
+    /// [`Batch::record`] on its own.
+    #[inline]
+    pub fn record(&self, id: HistId, value: u64) {
+        if let Some(mut b) = self.batch() {
+            b.record(id, value);
+        }
+    }
+
+    /// [`Batch::event`] on its own.
+    #[inline]
+    pub fn event(&self, at: Nanos, component: &'static str, kind: EventKind) {
+        if let Some(mut b) = self.batch() {
+            b.event(at, component, kind);
+        }
+    }
+
+    /// Key resolutions performed so far — one per keyed write, one per id
+    /// or handle handed out, none per indexed write. Flat across a window
+    /// means nothing in it looked a key up.
+    pub fn resolutions(&self) -> u64 {
+        self.with_registry(Registry::resolutions).unwrap_or(0)
+    }
+
+    /// Recorders allocated so far, written or not. Bounded by the number
+    /// of distinct keys ever resolved, however often each was.
+    pub fn recorders(&self) -> usize {
+        self.with_registry(Registry::recorders).unwrap_or(0)
     }
 
     /// Runs `f` against the registry (read-only), if enabled.
     pub fn with_registry<R>(&self, f: impl FnOnce(&Registry) -> R) -> Option<R> {
-        self.0.as_ref().map(|hub| {
-            hub.flush_handles();
-            f(&hub.registry.borrow())
-        })
+        self.0.as_ref().map(|hub| f(&hub.borrow().registry))
     }
 
-    /// Takes the recorded registry out of this handle, leaving an empty
-    /// one behind; `None` when disabled. Lets a shard worker hand its
-    /// metrics (a plain `Send` value, unlike the `Rc`-based handle) to a
-    /// coordinator for rollup.
+    /// Takes everything recorded so far out of this handle, leaving every
+    /// recorder empty and every resolved id valid; `None` when disabled.
+    /// Lets a shard worker hand its metrics (a plain `Send` value, unlike
+    /// the `Rc`-based handle) to a coordinator for rollup.
     pub fn take_registry(&self) -> Option<Registry> {
-        self.0.as_ref().map(|hub| {
-            hub.flush_handles();
-            std::mem::take(&mut *hub.registry.borrow_mut())
-        })
+        self.0.as_ref().map(|hub| hub.borrow_mut().registry.take())
     }
 
     /// Folds a detached registry into this handle's registry, rewriting
     /// each label through `relabel` — the cross-shard rollup. No-op when
     /// disabled.
     pub fn absorb_registry(&self, other: &Registry, relabel: impl Fn(Label) -> Label) {
-        if let Some(hub) = &self.0 {
-            hub.registry.borrow_mut().merge_relabeled(other, relabel);
-        }
+        self.keyed(|r| r.merge_relabeled(other, relabel));
     }
 
     /// Reads a counter, 0 when disabled or never touched.
@@ -254,9 +302,9 @@ impl Telemetry {
             ("enabled".into(), Json::Bool(self.is_enabled())),
         ];
         if let Some(hub) = &self.0 {
-            hub.flush_handles();
-            fields.push(("registry".into(), hub.registry.borrow().to_json()));
-            fields.push(("events".into(), hub.events.borrow().to_json()));
+            let hub = hub.borrow();
+            fields.push(("registry".into(), hub.registry.to_json()));
+            fields.push(("events".into(), hub.events.to_json()));
         }
         Json::Obj(fields)
     }
@@ -267,11 +315,10 @@ impl Telemetry {
         out.push_str(&format!("meta,run,,,name,{run}\n"));
         out.push_str(&format!("meta,run,,,seed,{seed}\n"));
         if let Some(hub) = &self.0 {
-            hub.flush_handles();
-            hub.registry.borrow().write_csv(&mut out);
-            let events = hub.events.borrow();
-            out.push_str(&format!("meta,events,,,total,{}\n", events.total()));
-            out.push_str(&format!("meta,events,,,shed,{}\n", events.shed()));
+            let hub = hub.borrow();
+            hub.registry.write_csv(&mut out);
+            out.push_str(&format!("meta,events,,,total,{}\n", hub.events.total()));
+            out.push_str(&format!("meta,events,,,shed,{}\n", hub.events.shed()));
         }
         out
     }

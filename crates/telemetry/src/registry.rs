@@ -1,10 +1,13 @@
-//! The metrics registry: counters, gauges, and histograms addressed by
+//! The recorder table: counters, gauges and histograms addressed by
 //! `(component, metric, label)`.
 //!
-//! Storage is `BTreeMap`-keyed so iteration — and therefore every exported
-//! snapshot — is deterministically ordered regardless of insertion order.
+//! Each kind is a [`Series`]: values in one dense array, a hashed
+//! `key → index` map consulted only when a key is *resolved* (a keyed
+//! write, or [`crate::Telemetry::counter_id`] and friends), and no order
+//! at all until something is *read* — every export sorts the live keys, so
+//! snapshots are deterministically ordered regardless of insertion order.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 use serde::Json;
@@ -44,26 +47,152 @@ impl fmt::Display for Label {
 /// Full metric address.
 pub type Key = (&'static str, &'static str, Label);
 
-/// Keyed read behind the three getters. `BTreeMap` is covariant in its
-/// key, so the stored `&'static str` parts shorten to the probe's lifetime
-/// and a read is one tree descent however many per-station and per-TID
-/// keys the run recorded.
-fn lookup<'a, V>(
-    map: &'a BTreeMap<Key, V>,
-    component: &'a str,
-    metric: &'a str,
-    label: Label,
-) -> Option<&'a V> {
-    let map: &'a BTreeMap<(&'a str, &'a str, Label), V> = map;
-    map.get(&(component, metric, label))
+/// What a [`Series`] stores per key.
+pub(crate) trait Recorder: Default {
+    /// Whether an indexed write has touched this recorder. A key that is
+    /// resolved but never written stays out of every export.
+    fn live(&self) -> bool;
+}
+
+impl Recorder for u64 {
+    fn live(&self) -> bool {
+        *self != 0
+    }
+}
+
+// A gauge is its latest value, once set.
+impl Recorder for Option<f64> {
+    fn live(&self) -> bool {
+        self.is_some()
+    }
+}
+
+impl Recorder for Histogram {
+    fn live(&self) -> bool {
+        self.count() > 0
+    }
+}
+
+/// Every recorder of one kind. Index 0 is a keyless scratch recorder that
+/// no export visits: it is what a default (unresolved) id addresses.
+#[derive(Debug)]
+pub(crate) struct Series<V> {
+    index: HashMap<Key, u32>,
+    keys: Vec<Key>,
+    /// Written through its key at least once: exported even while its
+    /// value is the default (`count(.., 0)` creates its key).
+    keyed: Vec<bool>,
+    pub(crate) vals: Vec<V>,
+    /// One per [`Series::resolve`]; indexed writes perform none.
+    resolutions: u64,
+}
+
+impl<V: Recorder> Default for Series<V> {
+    fn default() -> Series<V> {
+        Series {
+            index: HashMap::new(),
+            keys: vec![("", "", Label::Global)],
+            keyed: vec![false],
+            vals: vec![V::default()],
+            resolutions: 0,
+        }
+    }
+}
+
+impl<V: Recorder> Series<V> {
+    /// The recorder index of `key`, allocated on first sight: the same
+    /// key always resolves to the same recorder.
+    pub(crate) fn resolve(&mut self, key: Key) -> u32 {
+        self.resolutions += 1;
+        *self.index.entry(key).or_insert_with(|| {
+            self.keys.push(key);
+            self.keyed.push(false);
+            self.vals.push(V::default());
+            (self.keys.len() - 1) as u32
+        })
+    }
+
+    /// The recorder of `key`, for a keyed write.
+    pub(crate) fn keyed_mut(&mut self, key: Key) -> &mut V {
+        let i = self.resolve(key) as usize;
+        self.keyed[i] = true;
+        &mut self.vals[i]
+    }
+
+    /// Keyed read. `HashMap` is covariant in its key, so the stored
+    /// `&'static str` parts shorten to the probe's lifetime and a read is
+    /// one hash probe however many keys the run recorded.
+    fn find<'a>(&'a self, component: &'a str, metric: &'a str, label: Label) -> Option<&'a V> {
+        let index: &'a HashMap<(&'a str, &'a str, Label), u32> = &self.index;
+        let i = *index.get(&(component, metric, label))? as usize;
+        (self.keyed[i] || self.vals[i].live()).then(|| &self.vals[i])
+    }
+
+    /// Live recorders in allocation order.
+    fn live(&self) -> impl Iterator<Item = (Key, &V)> {
+        let all = self.keys.iter().zip(&self.keyed).zip(&self.vals).skip(1);
+        all.filter(|((_, keyed), v)| **keyed || v.live())
+            .map(|((key, _), v)| (*key, v))
+    }
+
+    /// Live recorders in key order — the order of every export.
+    fn sorted(&self) -> Vec<(Key, &V)> {
+        let mut rows: Vec<_> = self.live().collect();
+        rows.sort_unstable_by_key(|&(key, _)| key);
+        rows
+    }
+
+    /// Moves every live value out into a fresh series and resets this one
+    /// in place; indices already handed out stay valid.
+    fn take(&mut self) -> Series<V> {
+        let mut out = Series::default();
+        for i in 1..self.keys.len() {
+            if std::mem::take(&mut self.keyed[i]) || self.vals[i].live() {
+                *out.keyed_mut(self.keys[i]) = std::mem::take(&mut self.vals[i]);
+            }
+        }
+        out
+    }
 }
 
 /// Holds every metric recorded during a run.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, f64>,
-    hists: BTreeMap<Key, Histogram>,
+    pub(crate) counters: Series<u64>,
+    pub(crate) gauges: Series<Option<f64>>,
+    pub(crate) hists: Series<Histogram>,
+}
+
+/// Every histogram statistic an export carries, in column order.
+fn hist_stats(h: &Histogram) -> [(&'static str, u64); 8] {
+    [
+        ("count", h.count()),
+        ("sum", h.sum()),
+        ("min", h.min()),
+        ("p50", h.quantile(0.50)),
+        ("p95", h.quantile(0.95)),
+        ("p99", h.quantile(0.99)),
+        ("max", h.max()),
+        ("overflow", h.overflow_count()),
+    ]
+}
+
+/// One kind's live recorders as `{component, metric, label, ...stats}`
+/// rows in key order.
+fn json_rows<V: Recorder, const N: usize>(
+    series: &Series<V>,
+    stats: impl Fn(&V) -> [(&'static str, Json); N],
+) -> Json {
+    let row = |((c, m, l), v): (Key, &V)| {
+        let mut fields = vec![
+            ("component".into(), Json::Str(c.into())),
+            ("metric".into(), Json::Str(m.into())),
+            ("label".into(), Json::Str(l.to_string())),
+        ];
+        fields.extend(stats(v).map(|(name, stat)| (name.into(), stat)));
+        Json::Obj(fields)
+    };
+    Json::Arr(series.sorted().into_iter().map(row).collect())
 }
 
 impl Registry {
@@ -72,65 +201,16 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `delta` to a monotonic counter.
-    pub fn counter_add(
-        &mut self,
-        component: &'static str,
-        metric: &'static str,
-        label: Label,
-        delta: u64,
-    ) {
-        *self.counters.entry((component, metric, label)).or_insert(0) += delta;
-    }
-
-    /// Sets a gauge to its latest value.
-    pub fn gauge_set(
-        &mut self,
-        component: &'static str,
-        metric: &'static str,
-        label: Label,
-        value: f64,
-    ) {
-        self.gauges.insert((component, metric, label), value);
-    }
-
-    /// Folds a detached histogram into the one at this key (bucket-wise
-    /// sum) — how handle-accumulated samples reach the registry.
-    pub fn hist_merge(
-        &mut self,
-        component: &'static str,
-        metric: &'static str,
-        label: Label,
-        h: &Histogram,
-    ) {
-        self.hists
-            .entry((component, metric, label))
-            .or_default()
-            .merge(h);
-    }
-
-    /// Records a sample into a histogram.
-    pub fn hist_record(
-        &mut self,
-        component: &'static str,
-        metric: &'static str,
-        label: Label,
-        value: u64,
-    ) {
-        self.hists
-            .entry((component, metric, label))
-            .or_default()
-            .record(value);
-    }
-
     /// Reads a counter, 0 if never touched.
     pub fn counter(&self, component: &str, metric: &str, label: Label) -> u64 {
-        lookup(&self.counters, component, metric, label).map_or(0, |v| *v)
+        self.counters
+            .find(component, metric, label)
+            .map_or(0, |v| *v)
     }
 
     /// Reads a gauge if set.
     pub fn gauge(&self, component: &str, metric: &str, label: Label) -> Option<f64> {
-        lookup(&self.gauges, component, metric, label).copied()
+        *self.gauges.find(component, metric, label)?
     }
 
     /// Reads a histogram if any sample was recorded.
@@ -140,12 +220,7 @@ impl Registry {
         metric: &'a str,
         label: Label,
     ) -> Option<&'a Histogram> {
-        lookup(&self.hists, component, metric, label)
-    }
-
-    /// Iterates counters in deterministic key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&Key, &u64)> {
-        self.counters.iter()
+        self.hists.find(component, metric, label)
     }
 
     /// Merges every histogram named `component`/`metric` across labels
@@ -154,13 +229,7 @@ impl Registry {
     /// for consumers that need whole-system quantiles (e.g. p99 sojourn
     /// over all stations) without enumerating labels.
     pub fn hist_merged(&self, component: &str, metric: &str) -> Option<Histogram> {
-        let mut merged: Option<Histogram> = None;
-        for ((c, m, _), h) in &self.hists {
-            if *c == component && *m == metric {
-                merged.get_or_insert_with(Histogram::default).merge(h);
-            }
-        }
-        merged
+        self.hist_merged_where(component, metric, |_| true)
     }
 
     /// Merges histograms named `component`/`metric` whose label passes
@@ -174,9 +243,9 @@ impl Registry {
         keep: impl Fn(Label) -> bool,
     ) -> Option<Histogram> {
         let mut merged: Option<Histogram> = None;
-        for ((c, m, l), h) in &self.hists {
-            if *c == component && *m == metric && keep(*l) {
-                merged.get_or_insert_with(Histogram::default).merge(h);
+        for ((c, m, l), h) in self.hists.live() {
+            if c == component && m == metric && keep(l) {
+                merged.get_or_insert_with(Histogram::new).merge(h);
             }
         }
         merged
@@ -184,11 +253,31 @@ impl Registry {
 
     /// Sums every counter named `component`/`metric` across labels.
     pub fn counter_total(&self, component: &str, metric: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((c, m, _), _)| *c == component && *m == metric)
-            .map(|(_, v)| *v)
-            .sum()
+        let named = |&((c, m, _), _): &(Key, &u64)| c == component && m == metric;
+        self.counters.live().filter(named).map(|(_, v)| *v).sum()
+    }
+
+    /// Folds into this registry every metric of `other` whose component
+    /// passes `keep`, its label rewritten through `relabel`. Counters and
+    /// histograms accumulate; a gauge takes the incoming value, in
+    /// `other`'s key order.
+    fn absorb(
+        &mut self,
+        other: &Registry,
+        keep: impl Fn(&str) -> bool,
+        relabel: impl Fn(Label) -> Label,
+    ) {
+        for ((c, m, l), v) in other.counters.live().filter(|((c, ..), _)| keep(c)) {
+            *self.counters.keyed_mut((c, m, relabel(l))) += v;
+        }
+        for ((c, m, l), v) in other.gauges.sorted() {
+            if keep(c) {
+                *self.gauges.keyed_mut((c, m, relabel(l))) = *v;
+            }
+        }
+        for ((c, m, l), h) in other.hists.live().filter(|((c, ..), _)| keep(c)) {
+            self.hists.keyed_mut((c, m, relabel(l))).merge(h);
+        }
     }
 
     /// Folds `other` into this registry, rewriting each key's label
@@ -196,20 +285,7 @@ impl Registry {
     /// histograms accumulate; a gauge takes the incoming value (last merge
     /// wins), so merge shards in a deterministic order.
     pub fn merge_relabeled(&mut self, other: &Registry, relabel: impl Fn(Label) -> Label) {
-        for (&(c, m, l), &v) in &other.counters {
-            self.counter_add(c, m, relabel(l), v);
-        }
-        for (&(c, m, l), &v) in &other.gauges {
-            self.gauge_set(c, m, relabel(l), v);
-        }
-        for (&(c, m, l), h) in &other.hists {
-            self.hists.entry((c, m, relabel(l))).or_default().merge(h);
-        }
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.absorb(other, |_| true, relabel);
     }
 
     /// A copy of this registry with every metric of `component` removed.
@@ -219,90 +295,65 @@ impl Registry {
     /// `policy/*` counters aside).
     pub fn without_component(&self, component: &str) -> Registry {
         let mut out = Registry::new();
-        for (&(c, m, l), &v) in self.counters.iter().filter(|((c, ..), _)| *c != component) {
-            out.counter_add(c, m, l, v);
-        }
-        for (&(c, m, l), &v) in self.gauges.iter().filter(|((c, ..), _)| *c != component) {
-            out.gauge_set(c, m, l, v);
-        }
-        for (&(c, m, l), h) in self.hists.iter().filter(|((c, ..), _)| *c != component) {
-            out.hist_merge(c, m, l, h);
-        }
+        out.absorb(self, |c| c != component, |l| l);
         out
+    }
+
+    /// True if nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.counters.live().next().is_none()
+            && self.gauges.live().next().is_none()
+            && self.hists.live().next().is_none()
+    }
+
+    /// Moves everything recorded so far out into a detached registry,
+    /// leaving every recorder in place and empty.
+    pub(crate) fn take(&mut self) -> Registry {
+        Registry {
+            counters: self.counters.take(),
+            gauges: self.gauges.take(),
+            hists: self.hists.take(),
+        }
+    }
+
+    /// Key resolutions performed so far: one per keyed write and one per
+    /// id handed out.
+    pub(crate) fn resolutions(&self) -> u64 {
+        self.counters.resolutions + self.gauges.resolutions + self.hists.resolutions
+    }
+
+    /// Recorders allocated so far, live or not.
+    pub(crate) fn recorders(&self) -> usize {
+        self.counters.keys.len() + self.gauges.keys.len() + self.hists.keys.len() - 3
     }
 
     /// Lowers the registry to its JSON snapshot form: three arrays of
     /// `{component, metric, label, ...}` rows in deterministic order.
     pub fn to_json(&self) -> Json {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(&(c, m, l), &v)| {
-                Json::Obj(vec![
-                    ("component".into(), Json::Str(c.into())),
-                    ("metric".into(), Json::Str(m.into())),
-                    ("label".into(), Json::Str(l.to_string())),
-                    ("value".into(), Json::U64(v)),
-                ])
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(&(c, m, l), &v)| {
-                Json::Obj(vec![
-                    ("component".into(), Json::Str(c.into())),
-                    ("metric".into(), Json::Str(m.into())),
-                    ("label".into(), Json::Str(l.to_string())),
-                    ("value".into(), Json::F64(v)),
-                ])
-            })
-            .collect();
-        let hists = self
-            .hists
-            .iter()
-            .map(|(&(c, m, l), h)| {
-                Json::Obj(vec![
-                    ("component".into(), Json::Str(c.into())),
-                    ("metric".into(), Json::Str(m.into())),
-                    ("label".into(), Json::Str(l.to_string())),
-                    ("count".into(), Json::U64(h.count())),
-                    ("sum".into(), Json::U64(h.sum())),
-                    ("min".into(), Json::U64(h.min())),
-                    ("p50".into(), Json::U64(h.quantile(0.50))),
-                    ("p95".into(), Json::U64(h.quantile(0.95))),
-                    ("p99".into(), Json::U64(h.quantile(0.99))),
-                    ("max".into(), Json::U64(h.max())),
-                    ("overflow".into(), Json::U64(h.overflow_count())),
-                ])
-            })
-            .collect();
+        let counters = json_rows(&self.counters, |&v| [("value", Json::U64(v))]);
+        let gauges = json_rows(&self.gauges, |v| [("value", Json::F64(v.unwrap_or(0.0)))]);
+        let hists = json_rows(&self.hists, |h| {
+            hist_stats(h).map(|(name, v)| (name, Json::U64(v)))
+        });
         Json::Obj(vec![
-            ("counters".into(), Json::Arr(counters)),
-            ("gauges".into(), Json::Arr(gauges)),
-            ("histograms".into(), Json::Arr(hists)),
+            ("counters".into(), counters),
+            ("gauges".into(), gauges),
+            ("histograms".into(), hists),
         ])
     }
 
     /// Appends the registry to a long-format CSV
     /// (`kind,component,metric,label,stat,value` rows, deterministic order).
     pub fn write_csv(&self, out: &mut String) {
-        for (&(c, m, l), &v) in &self.counters {
+        for ((c, m, l), v) in self.counters.sorted() {
             out.push_str(&format!("counter,{c},{m},{l},value,{v}\n"));
         }
-        for (&(c, m, l), &v) in &self.gauges {
-            out.push_str(&format!("gauge,{c},{m},{l},value,{v}\n"));
+        for ((c, m, l), v) in self.gauges.sorted() {
+            out.push_str(&format!("gauge,{c},{m},{l},value,{}\n", v.unwrap_or(0.0)));
         }
-        for (&(c, m, l), h) in &self.hists {
-            for (stat, v) in [
-                ("count", h.count()),
-                ("sum", h.sum()),
-                ("min", h.min()),
-                ("p50", h.quantile(0.50)),
-                ("p95", h.quantile(0.95)),
-                ("p99", h.quantile(0.99)),
-                ("max", h.max()),
-            ] {
+        for ((c, m, l), h) in self.hists.sorted() {
+            // The CSV has never carried the overflow column.
+            for (stat, v) in &hist_stats(h)[..7] {
                 out.push_str(&format!("hist,{c},{m},{l},{stat},{v}\n"));
             }
         }
@@ -316,9 +367,12 @@ mod tests {
     #[test]
     fn counters_accumulate_and_read_back() {
         let mut r = Registry::new();
-        r.counter_add("mac", "tx_airtime_ns", Label::Station(1), 5);
-        r.counter_add("mac", "tx_airtime_ns", Label::Station(1), 7);
-        r.counter_add("mac", "tx_airtime_ns", Label::Station(2), 3);
+        *r.counters
+            .keyed_mut(("mac", "tx_airtime_ns", Label::Station(1))) += 5;
+        *r.counters
+            .keyed_mut(("mac", "tx_airtime_ns", Label::Station(1))) += 7;
+        *r.counters
+            .keyed_mut(("mac", "tx_airtime_ns", Label::Station(2))) += 3;
         assert_eq!(r.counter("mac", "tx_airtime_ns", Label::Station(1)), 12);
         assert_eq!(r.counter("mac", "tx_airtime_ns", Label::Station(9)), 0);
         assert_eq!(r.counter_total("mac", "tx_airtime_ns"), 15);
@@ -338,13 +392,13 @@ mod tests {
         for (i, (c, m)) in metrics.into_iter().enumerate() {
             for (j, l) in labels.into_iter().enumerate() {
                 let v = (10 * i + j) as u64 + 1;
-                r.counter_add(c, m, l, v);
-                r.gauge_set(c, m, l, v as f64);
-                r.hist_record(c, m, l, v);
+                *r.counters.keyed_mut((c, m, l)) += v;
+                *r.gauges.keyed_mut((c, m, l)) = Some(v as f64);
+                r.hists.keyed_mut((c, m, l)).record(v);
             }
         }
-        fn scan<'a, V>(map: &'a BTreeMap<Key, V>, c: &str, m: &str, l: Label) -> Option<&'a V> {
-            map.iter()
+        fn scan<'a, V: Recorder>(s: &'a Series<V>, c: &str, m: &str, l: Label) -> Option<&'a V> {
+            s.live()
                 .find(|((kc, km, kl), _)| *kc == c && *km == m && *kl == l)
                 .map(|(_, v)| v)
         }
@@ -354,10 +408,11 @@ mod tests {
             for l in labels {
                 let want = scan(&r.counters, &c, &m, l).copied();
                 assert_eq!(Some(r.counter(&c, &m, l)), want);
-                assert_eq!(r.gauge(&c, &m, l), scan(&r.gauges, &c, &m, l).copied());
+                let gauge = scan(&r.gauges, &c, &m, l).copied().flatten();
+                assert_eq!(r.gauge(&c, &m, l), gauge);
                 let count = scan(&r.hists, &c, &m, l).map(Histogram::count);
                 assert_eq!(r.hist(&c, &m, l).map(Histogram::count), count);
-                assert!(want.is_some() && count == Some(1));
+                assert!(want.is_some() && gauge.is_some() && count == Some(1));
             }
         }
         for (c, m, l) in [
@@ -374,9 +429,15 @@ mod tests {
     #[test]
     fn hist_merged_folds_across_labels() {
         let mut r = Registry::new();
-        r.hist_record("codel", "sojourn_ns", Label::Station(0), 10);
-        r.hist_record("codel", "sojourn_ns", Label::Station(1), 1000);
-        r.hist_record("codel", "other", Label::Station(0), 5);
+        r.hists
+            .keyed_mut(("codel", "sojourn_ns", Label::Station(0)))
+            .record(10);
+        r.hists
+            .keyed_mut(("codel", "sojourn_ns", Label::Station(1)))
+            .record(1000);
+        r.hists
+            .keyed_mut(("codel", "other", Label::Station(0)))
+            .record(5);
         let merged = r.hist_merged("codel", "sojourn_ns").expect("samples");
         assert_eq!(merged.count(), 2);
         assert_eq!(merged.min(), 10);
@@ -387,11 +448,51 @@ mod tests {
     #[test]
     fn snapshot_order_is_insertion_independent() {
         let mut a = Registry::new();
-        a.counter_add("x", "n", Label::Station(2), 1);
-        a.counter_add("x", "n", Label::Station(1), 1);
+        *a.counters.keyed_mut(("x", "n", Label::Station(2))) += 1;
+        *a.counters.keyed_mut(("x", "n", Label::Station(1))) += 1;
+        *a.counters.keyed_mut(("w", "z", Label::Flow(9))) += 0;
         let mut b = Registry::new();
-        b.counter_add("x", "n", Label::Station(1), 1);
-        b.counter_add("x", "n", Label::Station(2), 1);
+        *b.counters.keyed_mut(("w", "z", Label::Flow(9))) += 0;
+        *b.counters.keyed_mut(("x", "n", Label::Station(1))) += 1;
+        *b.counters.keyed_mut(("x", "n", Label::Station(2))) += 1;
         assert_eq!(a.to_json().pretty(), b.to_json().pretty());
+        let mut csv = String::new();
+        a.write_csv(&mut csv);
+        assert_eq!(
+            csv,
+            "counter,w,z,flow9,value,0\ncounter,x,n,sta1,value,1\ncounter,x,n,sta2,value,1\n"
+        );
+    }
+
+    #[test]
+    fn take_moves_values_out_and_keeps_indices() {
+        let mut r = Registry::new();
+        let id = r.hists.resolve(("codel", "sojourn_ns", Label::Tid(0))) as usize;
+        r.hists.vals[id].record(40);
+        *r.counters.keyed_mut(("fq", "drops", Label::Global)) += 0;
+        let taken = r.take();
+        assert!(r.is_empty() && !taken.is_empty());
+        assert_eq!(
+            taken.counters.sorted().len(),
+            1,
+            "a zero keyed counter is a row"
+        );
+        assert_eq!(
+            taken
+                .hist("codel", "sojourn_ns", Label::Tid(0))
+                .map(Histogram::count),
+            Some(1)
+        );
+        // The same index still addresses the same key after the take.
+        r.hists.vals[id].record(50);
+        assert_eq!(
+            r.hists.resolve(("codel", "sojourn_ns", Label::Tid(0))) as usize,
+            id
+        );
+        assert_eq!(
+            r.hist("codel", "sojourn_ns", Label::Tid(0))
+                .map(Histogram::max),
+            Some(50)
+        );
     }
 }

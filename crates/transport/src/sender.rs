@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use wifiq_sim::Nanos;
-use wifiq_telemetry::{Label, Telemetry};
+use wifiq_telemetry::{CounterId, GaugeId, HistId, Label, Telemetry};
 
 use crate::cubic::{CcAlgo, BETA};
 use crate::rto::RtoEstimator;
@@ -44,6 +44,18 @@ pub struct SenderStats {
     pub timeouts: u64,
     /// Total data segments sent (including retransmissions).
     pub segments_sent: u64,
+}
+
+/// A sender's recorders under `Label::Flow(flow)`, resolved once by
+/// [`TcpSender::set_telemetry`] so that an ACK writes by index.
+#[derive(Debug, Default)]
+struct SenderTele {
+    hub: Telemetry,
+    cwnd: GaugeId,
+    srtt: GaugeId,
+    srtt_hist: HistId,
+    fast_retransmits: CounterId,
+    timeouts: CounterId,
 }
 
 /// A NewReno TCP sender for a single unidirectional transfer.
@@ -91,9 +103,7 @@ pub struct TcpSender {
     cc: CcAlgo,
     /// Telemetry counters.
     pub stats: SenderStats,
-    tele: Telemetry,
-    /// Flow label under which this sender reports metrics.
-    flow: u64,
+    tele: SenderTele,
 }
 
 impl TcpSender {
@@ -134,16 +144,22 @@ impl TcpSender {
             rto: RtoEstimator::new(),
             cc: CcAlgo::cubic(),
             stats: SenderStats::default(),
-            tele: Telemetry::disabled(),
-            flow: 0,
+            tele: SenderTele::default(),
         }
     }
 
     /// Attaches a telemetry handle; the sender reports cwnd / sRTT gauges
     /// and retransmission counters under `Label::Flow(flow)`.
     pub fn set_telemetry(&mut self, tele: Telemetry, flow: u64) {
-        self.tele = tele;
-        self.flow = flow;
+        let fl = Label::Flow(flow);
+        self.tele = SenderTele {
+            cwnd: tele.gauge_id("tcp", "cwnd_bytes", fl),
+            srtt: tele.gauge_id("tcp", "srtt_ns", fl),
+            srtt_hist: tele.hist_id("tcp", "srtt_ns", fl),
+            fast_retransmits: tele.counter_id("tcp", "fast_retransmits", fl),
+            timeouts: tele.counter_id("tcp", "timeouts", fl),
+            hub: tele,
+        };
     }
 
     /// Overrides the receive-window cap (bytes). Mostly for tests and
@@ -237,13 +253,12 @@ impl TcpSender {
         } else {
             None
         };
-        if self.tele.is_enabled() {
-            let fl = Label::Flow(self.flow);
-            self.tele.gauge("tcp", "cwnd_bytes", fl, self.cwnd);
+        let t = &self.tele;
+        if let Some(mut rec) = t.hub.batch() {
+            rec.set(t.cwnd, self.cwnd);
             if let Some(srtt) = self.rto.srtt() {
-                self.tele
-                    .gauge("tcp", "srtt_ns", fl, srtt.as_nanos() as f64);
-                self.tele.observe("tcp", "srtt_ns", fl, srtt);
+                rec.set(t.srtt, srtt.as_nanos() as f64);
+                rec.record(t.srtt_hist, srtt.as_nanos());
             }
         }
     }
@@ -446,8 +461,7 @@ impl TcpSender {
                 self.rtx_mark = self.snd_una;
                 self.rtx_out = 0;
                 self.stats.fast_retransmits += 1;
-                self.tele
-                    .count("tcp", "fast_retransmits", Label::Flow(self.flow), 1);
+                self.tele.hub.add(self.tele.fast_retransmits, 1);
                 // Always retransmit the first hole immediately, even if
                 // the pipe estimate says the window is full.
                 self.recovery_send(now, &mut out, true);
@@ -474,8 +488,7 @@ impl TcpSender {
             return out;
         }
         self.stats.timeouts += 1;
-        self.tele
-            .count("tcp", "timeouts", Label::Flow(self.flow), 1);
+        self.tele.hub.add(self.tele.timeouts, 1);
         if let CcAlgo::Cubic(cubic) = &mut self.cc {
             cubic.on_timeout(self.cwnd);
         }

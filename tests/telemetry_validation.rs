@@ -7,10 +7,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ending_anomaly::mac::{AirtimeCapture, NetworkConfig, SchemeKind, WifiNetwork};
+use ending_anomaly::mac::{
+    AirtimeCapture, NetworkConfig, Preset, SchemeKind, StationCfg, WifiNetwork,
+};
+use ending_anomaly::phy::{AccessCategory, PhyRate};
 use ending_anomaly::sim::Nanos;
 use ending_anomaly::telemetry::{Label, Telemetry};
-use ending_anomaly::traffic::{AppMsg, TrafficApp};
+use ending_anomaly::traffic::{AppMsg, TrafficApp, WebPage};
 
 /// Runs a busy bidirectional workload with telemetry attached and returns
 /// `(net, capture, tele)` for post-run inspection.
@@ -96,5 +99,289 @@ fn different_seeds_produce_different_snapshots() {
         a.snapshot("det", 0).pretty(),
         b.snapshot("det", 0).pretty(),
         "seeds 1 and 2 produced identical registries"
+    );
+}
+
+// --- Snapshot goldens -------------------------------------------------
+//
+// Full `snapshot` + `snapshot_csv` of three fixed-seed runs, generated on
+// the commit before the recorder table replaced the `BTreeMap` registry
+// and `cmp`-ed ever since: they pin key order, gauge last-write, every
+// histogram statistic and the ring's `capacity/total/shed/entries` tail.
+// The ring is kept short so the fixtures stay reviewable; it still wraps
+// thousands of times. On a mismatch the observed text is written to
+// `$CARGO_TARGET_TMPDIR/<fixture>.actual` for diffing.
+//
+// One value differs from what that commit wrote, and was updated by hand:
+// the gauge `client_fq/occupancy_packets/global` in `telemetry_churn_fq`
+// (1 → 25). Every station's uplink FQ writes it under the one key; the
+// old registry reported the last value of the most recently *registered*
+// uplink that had written since the previous read, the table reports the
+// last write.
+
+const GOLDEN_RING: usize = 96;
+
+/// A network built from `cfg` with `tele` attached through the stack.
+fn observed(cfg: NetworkConfig, tele: &Telemetry) -> WifiNetwork<AppMsg> {
+    let mut net = WifiNetwork::new(cfg);
+    net.set_telemetry(tele.clone());
+    net
+}
+
+fn assert_snapshot_golden(name: &str, seed: u64, tele: &Telemetry) {
+    let mut json = tele.snapshot(name, seed).pretty();
+    json.push('\n');
+    let mut differing = Vec::new();
+    for (ext, actual) in [("json", json), ("csv", tele.snapshot_csv(name, seed))] {
+        let file = format!("{name}.{ext}");
+        let path = format!(
+            "{}/tests/fixtures/golden/{file}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        if std::fs::read_to_string(&path).unwrap_or_default() != actual {
+            let dump = format!("{}/{file}.actual", env!("CARGO_TARGET_TMPDIR"));
+            std::fs::write(&dump, &actual).expect("write the observed snapshot");
+            differing.push(format!("{path} (observed: {dump})"));
+        }
+    }
+    assert!(differing.is_empty(), "snapshot differs from {differing:?}");
+}
+
+/// The paper's anomaly testbed under saturating downstream UDP: FQ
+/// overlimit drops, CoDel drops and marks, the slow station's parameter
+/// switch, per-station airtime and aggregate histograms.
+#[test]
+fn udp3_snapshot_matches_golden() {
+    let cfg = NetworkConfig::builder()
+        .preset(Preset::PaperTestbed4)
+        .scheme(SchemeKind::AirtimeFair)
+        .seed(21)
+        .build();
+    let tele = Telemetry::with_event_capacity(GOLDEN_RING);
+    let mut net = observed(cfg, &tele);
+    let mut app = TrafficApp::new();
+    for (sta, rate) in [(0, 100_000_000), (1, 100_000_000), (2, 10_000_000)] {
+        app.add_udp_down(sta, rate, Nanos::ZERO);
+    }
+    app.add_ping(3, Nanos::ZERO);
+    app.set_telemetry(&tele);
+    app.install(&mut net);
+    net.run(Nanos::from_secs(2), &mut app);
+    assert_snapshot_golden("telemetry_udp3", 21, &tele);
+}
+
+/// §4.1.5's 30-station testbed: TCP both ways (per-flow cwnd / sRTT
+/// gauges and histograms, retransmit counters), one web session (a fresh
+/// sender per request) and a VoIP stream.
+#[test]
+fn tcp30_snapshot_matches_golden() {
+    let cfg = NetworkConfig::builder()
+        .preset(Preset::Testbed30)
+        .scheme(SchemeKind::AirtimeFair)
+        .seed(22)
+        .build();
+    let tele = Telemetry::with_event_capacity(GOLDEN_RING);
+    let mut net = observed(cfg, &tele);
+    let mut app = TrafficApp::with_seed(22);
+    for sta in 0..28 {
+        app.add_tcp_down(sta, Nanos::ZERO);
+    }
+    for sta in 0..10 {
+        app.add_tcp_up(sta, Nanos::ZERO);
+    }
+    app.add_web(28, WebPage::small(), Nanos::from_millis(100));
+    app.add_voip(29, AccessCategory::Vo, Nanos::ZERO);
+    app.add_ping(29, Nanos::ZERO);
+    app.set_telemetry(&tele);
+    app.install(&mut net);
+    net.run(Nanos::from_millis(1_500), &mut app);
+    assert_snapshot_golden("telemetry_tcp30", 22, &tele);
+}
+
+/// A churning roster with FQ-CoDel uplinks, rate control and one lossy
+/// slow station (retry chains and retry-limit drops): every join
+/// builds a fresh uplink on a reused slot (re-resolving its `client_fq`
+/// instruments), leaves drop queued frames as `drops_detached`, and
+/// traffic keeps arriving for absent slots.
+#[test]
+fn churn_fq_snapshot_matches_golden() {
+    const N: usize = 24;
+    let cfg = NetworkConfig::builder()
+        .stations_at(N - 1, PhyRate::fast_station())
+        .lossy_station(PhyRate::slow_station(), 0.35)
+        .max_retries(3)
+        .scheme(SchemeKind::AirtimeFair)
+        .station_fq(true)
+        .rate_control(true)
+        .seed(23)
+        .build();
+    let tele = Telemetry::with_event_capacity(GOLDEN_RING);
+    let mut net = observed(cfg, &tele);
+    let mut app = TrafficApp::with_seed(23);
+    for sta in 0..N {
+        app.add_udp_up(sta, 4_000_000, Nanos::ZERO);
+        if sta % 3 == 0 {
+            app.add_udp_down(sta, 6_000_000, Nanos::ZERO);
+        }
+        if sta % 8 == 1 {
+            app.add_tcp_up(sta, Nanos::ZERO);
+        }
+    }
+    app.set_telemetry(&tele);
+    app.install(&mut net);
+
+    let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut absent = 0usize;
+    for step in 1..=300u64 {
+        net.run(Nanos::from_millis(5 * step), &mut app);
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let slot = (lcg >> 33) as usize % N;
+        match (
+            step % 2,
+            net.sta_id(slot).filter(|_| net.station_active(slot)),
+        ) {
+            (0, Some(id)) if absent < N / 2 => {
+                net.remove_station(id);
+                absent += 1;
+            }
+            (1, _) if absent > 0 => {
+                let rate = if step % 5 == 0 {
+                    PhyRate::slow_station()
+                } else {
+                    PhyRate::fast_station()
+                };
+                net.add_station(StationCfg::clean(rate));
+                absent -= 1;
+            }
+            _ => {}
+        }
+    }
+    assert_snapshot_golden("telemetry_churn_fq", 23, &tele);
+}
+
+// --- Resolution discipline --------------------------------------------
+
+/// After install, recording looks no key up: `resolutions()` counts every
+/// keyed write and every id handed out, and must stay flat across the
+/// second half of a steady run. Checked on the two per-packet regimes —
+/// the ack-clocked 30-station TCP mix (AP FQ, CoDel, per-flow sender
+/// gauges, per-aggregate MAC counters) and an uplink flood through
+/// FQ-CoDel station uplinks (the `client_fq` instruments, collisions).
+#[test]
+fn steady_state_recording_resolves_no_keys() {
+    let tcp = NetworkConfig::builder()
+        .preset(Preset::Testbed30)
+        .scheme(SchemeKind::AirtimeFair)
+        .seed(31)
+        .build();
+    let flood = NetworkConfig::builder()
+        .stations_at(24, PhyRate::fast_station())
+        .scheme(SchemeKind::AirtimeFair)
+        .station_fq(true)
+        .seed(32)
+        .build();
+    fn tcp_mix(app: &mut TrafficApp) {
+        for sta in 0..29 {
+            app.add_tcp_down(sta, Nanos::ZERO);
+        }
+        for sta in 0..10 {
+            app.add_tcp_up(sta, Nanos::ZERO);
+        }
+        app.add_ping(29, Nanos::ZERO);
+    }
+    fn uplink_flood(app: &mut TrafficApp) {
+        for sta in 0..24 {
+            app.add_udp_up(sta, 8_000_000, Nanos::ZERO);
+        }
+        app.add_udp_down(0, 20_000_000, Nanos::ZERO);
+    }
+    type Traffic = fn(&mut TrafficApp);
+    let cases = [
+        ("tcp30", tcp, tcp_mix as Traffic),
+        ("uplink flood", flood, uplink_flood as Traffic),
+    ];
+    for (name, cfg, traffic) in cases {
+        let tele = Telemetry::enabled();
+        let mut net = observed(cfg, &tele);
+        let mut app = TrafficApp::new();
+        traffic(&mut app);
+        app.set_telemetry(&tele);
+        app.install(&mut net);
+        net.run(Nanos::from_secs(1), &mut app);
+        let (resolved, events) = (tele.resolutions(), net.events_processed);
+        assert!(resolved > 0, "{name}: install resolved nothing");
+        net.run(Nanos::from_secs(2), &mut app);
+        assert!(
+            net.events_processed > events + 10_000,
+            "{name}: the second half was idle"
+        );
+        assert_eq!(
+            tele.resolutions(),
+            resolved,
+            "{name}: a per-packet path looked a key up"
+        );
+    }
+}
+
+/// Resolving is idempotent, so the recorder table is bounded by the keys
+/// that exist, not by how often they are resolved: 1 000 leave/join cycles
+/// (each join builds a fresh FQ uplink that re-resolves its instruments)
+/// and a page load that attaches a fresh sender per request leave as many
+/// recorders as the warmed-up roster had.
+#[test]
+fn churn_and_page_loads_do_not_grow_the_recorder_table() {
+    const N: usize = 16;
+    let cfg = NetworkConfig::builder()
+        .stations_at(N, PhyRate::fast_station())
+        .scheme(SchemeKind::AirtimeFair)
+        .station_fq(true)
+        .seed(33)
+        .build();
+    let tele = Telemetry::enabled();
+    let mut net = observed(cfg, &tele);
+    let mut app = TrafficApp::with_seed(33);
+    for sta in 1..N {
+        app.add_udp_up(sta, 2_000_000, Nanos::ZERO);
+        app.add_udp_down(sta, 2_000_000, Nanos::ZERO);
+    }
+    // Station 0 never leaves: its 110-request page keeps making progress.
+    let web = app.add_web(0, WebPage::large(), Nanos::ZERO);
+    app.set_telemetry(&tele);
+    app.install(&mut net);
+
+    let mut warmed = None;
+    for cycle in 0..1_000u64 {
+        net.run(Nanos::from_millis(4 * (cycle + 1)), &mut app);
+        let slot = 1 + (cycle as usize * 7) % (N - 1);
+        let id = net
+            .sta_id(slot)
+            .expect("every slot is occupied between cycles");
+        net.remove_station(id);
+        net.run(Nanos::from_millis(4 * (cycle + 1) + 2), &mut app);
+        net.add_station(StationCfg::clean(PhyRate::fast_station()));
+        if cycle == 100 {
+            warmed = Some((tele.recorders(), app.web(web).completed()));
+        }
+    }
+    let (recorders, pages) = warmed.expect("ran past the warm-up cycle");
+    assert!(
+        app.web(web).completed() > pages + 10,
+        "the page load stalled: {} requests then, {} now",
+        pages,
+        app.web(web).completed()
+    );
+    assert_eq!(
+        tele.recorders(),
+        recorders,
+        "900 more cycles and {} more requests grew the recorder table",
+        app.web(web).completed() - pages
+    );
+    // Per slot: 5 mac/* + 1 codel/param_switches + 4 TIDs x 8 fq/*; shared:
+    // the client_fq set, per-connection tcp/*, and a handful of globals.
+    assert!(
+        recorders <= N * 38 + 120,
+        "{recorders} recorders for {N} slots"
     );
 }
