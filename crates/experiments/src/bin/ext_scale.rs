@@ -9,14 +9,11 @@
 //! counters — simulated quantities only, so `results/BENCH_scale.json` is
 //! a pure function of code and seed (host time is `benchmark/`'s job).
 //!
-//! Two artifact pairs back the determinism guarantees: the same shard
+//! One artifact pair backs the determinism guarantee: the same shard
 //! decomposition is executed on one worker and on four, and the merged
 //! telemetry registries must be byte-identical
 //! (`results/scale_rollup_seq.json` vs `results/scale_rollup_par.json`);
-//! likewise one uplink-flooded BSS is run with 1 and with 4 intra-shard
-//! contention lanes (`results/scale_lanes_seq.json` vs
-//! `results/scale_lanes_par.json`). CI `cmp`s both pairs. Results land
-//! in `results/BENCH_scale.json`.
+//! CI `cmp`s the pair. Results land in `results/BENCH_scale.json`.
 
 use wifiq_experiments::report::{write_json, Table};
 use wifiq_experiments::rollup::rollup_identity;
@@ -123,13 +120,11 @@ fn run_shard(
     warmup: Nanos,
     duration: Nanos,
     metrics: bool,
-    lanes: usize,
 ) -> (ShardOut, Option<Registry>) {
     let net_cfg = NetworkConfig::builder()
         .stations_at(stations, PhyRate::fast_station())
         .scheme(SchemeKind::AirtimeFair)
         .seed(ctx.seed)
-        .lanes(lanes)
         .build();
     let mut net: WifiNetwork<()> = WifiNetwork::new(net_cfg);
     let tele = if metrics {
@@ -232,7 +227,6 @@ fn run_point(
                     warmup,
                     duration,
                     false,
-                    1,
                 )
             });
         let bytes: Vec<u64> = run.outputs.iter().flat_map(|o| o.bytes.clone()).collect();
@@ -274,11 +268,6 @@ fn run_point(
 /// telemetry rollups; any divergence aborts the run.
 fn determinism_check(stations: usize, shards: u32, warmup: Nanos, duration: Nanos, seed: u64) {
     let per_shard = split_stations(stations, shards);
-    // Intra-shard lanes are requested here too; the network collapses
-    // them to 1 while telemetry is live (DESIGN.md §14), which is exactly
-    // the determinism contract — the config knob must never change
-    // results either way. The parallel lane path itself is exercised
-    // (telemetry off) by `lanes_determinism_check`.
     let shard = |ctx: &ShardCtx| {
         run_shard(
             ctx,
@@ -287,7 +276,6 @@ fn determinism_check(stations: usize, shards: u32, warmup: Nanos, duration: Nano
             warmup,
             duration,
             true,
-            4,
         )
     };
     if !rollup_identity("scale", shards, seed, shard, |_| {}) {
@@ -296,95 +284,6 @@ fn determinism_check(stations: usize, shards: u32, warmup: Nanos, duration: Nano
     println!(
         "determinism: {stations} stations / {shards} shards, churned — \
          1-worker and 4-worker rollups byte-identical"
-    );
-}
-
-/// The intra-shard lane determinism guarantee, executed on the real
-/// parallel path: one BSS, uplink-flooded so the contender refresh finds
-/// dirty bits on every bitmap word, run with 1 lane and then with 4.
-/// Telemetry stays off (a live registry collapses lanes to 1, DESIGN.md
-/// §14), so the rollup is the airtime meter plus delivered/event counts.
-/// Both artifacts are written for CI to `cmp`
-/// (`results/scale_lanes_seq.json` vs `results/scale_lanes_par.json`)
-/// and any divergence aborts the run.
-fn lanes_determinism_check(stations: usize, duration: Nanos, seed: u64) {
-    struct UplinkApp {
-        stations: usize,
-        next_id: u64,
-        received: u64,
-    }
-    impl App<()> for UplinkApp {
-        fn on_packet(
-            &mut self,
-            at: Delivery,
-            _pkt: Packet<()>,
-            _now: Nanos,
-            _cmds: &mut Commands<()>,
-        ) {
-            if at == Delivery::AtServer {
-                self.received += 1;
-            }
-        }
-        fn on_timer(&mut self, token: u64, now: Nanos, cmds: &mut Commands<()>) {
-            for i in 0..self.stations {
-                self.next_id += 1;
-                cmds.send(Packet {
-                    id: self.next_id,
-                    src: NodeAddr::Station(i),
-                    dst: NodeAddr::Server,
-                    flow: i as u64,
-                    len: 300,
-                    ac: AccessCategory::Be,
-                    created: now,
-                    enqueued: now,
-                    payload: (),
-                });
-            }
-            cmds.set_timer(token, now + Nanos::from_millis(5));
-        }
-    }
-    #[derive(serde::Serialize, PartialEq)]
-    struct LaneRollup {
-        received: u64,
-        events: u64,
-        airtime_shares: Vec<f64>,
-    }
-    let run = |lanes: usize| {
-        let net_cfg = NetworkConfig::builder()
-            .stations_at(stations, PhyRate::fast_station())
-            .scheme(SchemeKind::AirtimeFair)
-            .seed(seed)
-            .lanes(lanes)
-            .build();
-        let mut net: WifiNetwork<()> = WifiNetwork::new(net_cfg);
-        let mut app = UplinkApp {
-            stations,
-            next_id: 0,
-            received: 0,
-        };
-        net.seed_timer(0, Nanos::ZERO);
-        net.run(duration, &mut app);
-        LaneRollup {
-            received: app.received,
-            events: net.events_processed,
-            airtime_shares: net.meter().airtime_shares(),
-        }
-    };
-    let seq = run(1);
-    let par = run(4);
-    write_json("scale_lanes_seq", &seq);
-    write_json("scale_lanes_par", &par);
-    if seq != par {
-        eprintln!(
-            "lane determinism check FAILED: {stations} stations produced \
-             different results on 1 vs 4 intra-shard lanes"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "determinism: {stations} stations, uplink-flooded — 1-lane and \
-         4-lane runs byte-identical ({} pkts, {} events)",
-        seq.received, seq.events
     );
 }
 
@@ -457,11 +356,6 @@ fn main() {
 
     let (det_sta, det_shards) = if quick { (100, 2) } else { (5000, 4) };
     determinism_check(det_sta, det_shards, warmup, duration, cfg.base_seed);
-    // 130+ stations span multiple bitmap words, so 4 lanes really split
-    // the contender refresh.
-    let lane_sta = if quick { 130 } else { 512 };
-    let lane_dur = Nanos::from_millis(if quick { 100 } else { 200 });
-    lanes_determinism_check(lane_sta, lane_dur, cfg.base_seed);
 
     write_json("BENCH_scale", &rows);
     let max = rows.iter().map(|r| r.stations).max().unwrap_or(0);

@@ -2,11 +2,11 @@
 //! per scheme, fast vs slow station. Pass `--bidir` for the online
 //! appendix's upload+download variant.
 
-use wifiq_experiments::report::{ascii_cdf_labeled, write_json, Table};
+use wifiq_experiments::report::{ascii_cdf_labeled, flag, write_json, Table};
 use wifiq_experiments::{latency, RunCfg};
 
 fn main() {
-    let bidir = std::env::args().any(|a| a == "--bidir");
+    let bidir = flag("--bidir");
     let cfg = RunCfg::from_env();
     let label = if bidir { "bidirectional" } else { "download" };
     println!(

@@ -1,12 +1,12 @@
 //! Figure 7: per-station and average TCP download throughput per scheme.
 //! Pass `--bidir` for the online appendix's bidirectional variant.
 
-use wifiq_experiments::report::{mbps, write_json, Table};
+use wifiq_experiments::report::{flag, mbps, write_json, Table};
 use wifiq_experiments::tcp_fair::{self, TcpPattern};
 use wifiq_experiments::RunCfg;
 
 fn main() {
-    let bidir = std::env::args().any(|a| a == "--bidir");
+    let bidir = flag("--bidir");
     let pattern = if bidir {
         TcpPattern::Bidirectional
     } else {

@@ -1,11 +1,11 @@
 //! Figure 11: web page-load times through a busy network. Pass
 //! `--with-slow` to add the appendix's slow-station-fetches variant.
 
-use wifiq_experiments::report::{write_json, Table};
+use wifiq_experiments::report::{flag, write_json, Table};
 use wifiq_experiments::{web, RunCfg};
 
 fn main() {
-    let with_slow = std::env::args().any(|a| a == "--with-slow");
+    let with_slow = flag("--with-slow");
     let cfg = RunCfg::from_env();
     println!("Figure 11: HTTP page fetch times ({} reps)\n", cfg.reps);
     let cells = web::run_all(&cfg, with_slow);

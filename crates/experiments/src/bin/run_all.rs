@@ -16,7 +16,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use wifiq_experiments::runner::{export_metrics, metrics_telemetry};
-use wifiq_harness::{CellDef, Harness, SweepMeta};
+use wifiq_harness::{budget_from_env, CellDef, Harness, SweepMeta};
 
 const BINS: [&str; 23] = [
     "fig04_latency_tcp",
@@ -44,19 +44,10 @@ const BINS: [&str; 23] = [
     "ext_roam",
 ];
 
-/// Wall-clock budget for one experiment binary; past it the child is
-/// killed and the cell reported as failed.
-fn bin_budget() -> Duration {
-    let secs = std::env::var("WIFIQ_CELL_BUDGET_SECS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1800);
-    Duration::from_secs(secs)
-}
-
 /// Runs one experiment binary to completion, returning its combined
-/// output, or an error with the tail of that output.
-fn run_bin(bin: &str) -> Result<String, String> {
+/// output, or an error with the tail of that output. Past `budget` of
+/// wall clock the child is killed and the cell reported as failed.
+fn run_bin(bin: &str, budget: Duration) -> Result<String, String> {
     let exe = std::env::current_exe().map_err(|e| format!("own path: {e}"))?;
     let dir = exe.parent().ok_or("bin dir")?;
     let started = Instant::now();
@@ -82,7 +73,6 @@ fn run_bin(bin: &str) -> Result<String, String> {
             String::from_utf8_lossy(&buf).into_owned()
         }),
     );
-    let budget = bin_budget();
     let status = loop {
         match child.try_wait() {
             Ok(Some(status)) => break status,
@@ -129,8 +119,9 @@ fn env_salt() -> String {
 
 fn main() {
     let tele = metrics_telemetry();
+    let budget = budget_from_env().unwrap_or(Duration::from_secs(1800));
     let harness = Harness::from_env()
-        .with_budget(bin_budget())
+        .with_budget(budget)
         .with_telemetry(tele.clone());
     let jobs = harness.jobs().min(BINS.len());
     println!(
@@ -141,7 +132,7 @@ fn main() {
     );
     let sweep = SweepMeta::new("run_all", 0, 0).with_salt(env_salt());
     let cells: Vec<CellDef> = BINS.iter().map(|bin| CellDef::new(*bin, "", 0)).collect();
-    let outcome = harness.run(&sweep, cells, |c: &CellDef| run_bin(&c.cell));
+    let outcome = harness.run(&sweep, cells, |c: &CellDef| run_bin(&c.cell, budget));
 
     for (i, report) in outcome.reports.iter().enumerate() {
         let cached = if report.cached { " (cached)" } else { "" };

@@ -208,9 +208,39 @@ pub fn mbps(bps: f64) -> String {
     format!("{:.1}", bps / 1e6)
 }
 
+/// Whether `name`, the one flag this binary accepts, is on its command
+/// line. Any other argument exits 2 naming it: a typo'd flag must not run
+/// the default variant and overwrite that variant's results.
+pub fn flag(name: &str) -> bool {
+    parse_flag(name, std::env::args().skip(1)).unwrap_or_else(|arg| {
+        eprintln!("error: unknown argument {arg:?} (the only flag is {name})");
+        std::process::exit(2)
+    })
+}
+
+fn parse_flag(name: &str, args: impl Iterator<Item = String>) -> Result<bool, String> {
+    let mut on = false;
+    for arg in args {
+        if arg != name {
+            return Err(arg);
+        }
+        on = true;
+    }
+    Ok(on)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_typod_flag_is_an_error_not_the_default() {
+        let of = |args: &[&str]| parse_flag("--bidir", args.iter().map(|a| a.to_string()));
+        assert_eq!(of(&[]), Ok(false));
+        assert_eq!(of(&["--bidir"]), Ok(true));
+        assert_eq!(of(&["--bidr"]), Err("--bidr".into()));
+        assert_eq!(of(&["--bidir", "x"]), Err("x".into()));
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -312,16 +312,9 @@ impl Harness {
     /// with a 120 s floor. The simulator runs much faster than real time,
     /// so an overrun signals a hang, not a slow machine.
     pub fn cell_budget(&self, duration_ns: u64) -> Duration {
-        if let Some(b) = self.budget {
-            return b;
-        }
-        if let Ok(v) = std::env::var("WIFIQ_CELL_BUDGET_SECS") {
-            if let Ok(secs) = v.parse::<u64>() {
-                return Duration::from_secs(secs.max(1));
-            }
-            eprintln!("warning: ignoring WIFIQ_CELL_BUDGET_SECS={v:?}: not a positive integer");
-        }
-        Duration::from_secs((duration_ns / 1_000_000_000).saturating_mul(20).max(120))
+        self.budget.or_else(budget_from_env).unwrap_or_else(|| {
+            Duration::from_secs((duration_ns / 1_000_000_000).saturating_mul(20).max(120))
+        })
     }
 
     /// Executes `cells` through the worker pool and returns results in
@@ -583,6 +576,23 @@ fn journal_entry(sweep: &SweepMeta, report: &CellReport) -> JournalEntry {
     }
 }
 
+/// The `WIFIQ_CELL_BUDGET_SECS` override, in whole seconds and at least
+/// one (a zero budget overruns on the watchdog's first poll). A malformed
+/// value is reported on stderr and ignored.
+pub fn budget_from_env() -> Option<Duration> {
+    parse_budget(&std::env::var("WIFIQ_CELL_BUDGET_SECS").ok()?)
+}
+
+fn parse_budget(v: &str) -> Option<Duration> {
+    match v.parse::<u64>() {
+        Ok(secs) => Some(Duration::from_secs(secs.max(1))),
+        Err(_) => {
+            eprintln!("warning: ignoring WIFIQ_CELL_BUDGET_SECS={v:?}: not a positive integer");
+            None
+        }
+    }
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -775,6 +785,20 @@ mod tests {
         assert_eq!(out.reports[0].retries, 1, "faulted cell recovers on retry");
         assert_eq!(out.reports[1].retries, 0, "non-matching cell untouched");
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn budget_override_parses_one_way() {
+        let secs = Duration::from_secs;
+        assert_eq!(parse_budget("45"), Some(secs(45)));
+        assert_eq!(parse_budget("0"), Some(secs(1)), "zero clamps to 1 s");
+        assert_eq!(parse_budget("abc"), None, "malformed is ignored");
+        // Unset: no override, the simulated duration decides.
+        std::env::remove_var("WIFIQ_CELL_BUDGET_SECS");
+        assert_eq!(budget_from_env(), None);
+        let h = Harness::new(PathBuf::from("unused"));
+        assert_eq!(h.cell_budget(10_000_000_000), secs(200));
+        assert_eq!(h.with_budget(secs(7)).cell_budget(0), secs(7));
     }
 
     #[test]

@@ -236,11 +236,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Intra-shard parallel lanes for the contention round (DESIGN.md §14).
-    ///
-    /// Results are byte-identical at any lane count; `0` is clamped to 1.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.cfg.lanes = lanes.max(1);
+    /// Does nothing: a BSS runs on one thread (DESIGN.md §14; parallelism
+    /// is across BSSs, `wifiq_scale::ShardSet`). Kept only because
+    /// `benchmark/` still calls `.lanes(1)` and a code PR may not edit it;
+    /// the next `[benchmark]` PR drops that call and this method together.
+    pub fn lanes(self, _lanes: usize) -> Self {
         self
     }
 

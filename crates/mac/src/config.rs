@@ -188,15 +188,6 @@ pub struct NetworkConfig {
     /// experiment; entries are replayed deterministically from a
     /// chaos-private fork of [`seed`](Self::seed).
     pub faults: FaultSchedule,
-    /// Intra-shard parallel lanes for the contention round: the
-    /// re-evaluation of the stations whose uplink state changed since
-    /// the last round (which access category each contends with, and at
-    /// which window) is split across this many worker threads (phase
-    /// A), while every draw from the network's main RNG stays
-    /// sequential in slot order (phase B) — so results are byte-identical
-    /// at any lane count (DESIGN.md §14). `1` (the default) keeps the
-    /// refresh on the caller's thread.
-    pub lanes: usize,
     /// Hierarchical airtime policy (wifiq-policy): an optional initial
     /// [`PolicySet`](wifiq_policy::PolicySet) plus timed switches,
     /// compiled at network construction into per-(station, access
@@ -227,7 +218,6 @@ impl NetworkConfig {
             station_fq: false,
             aql: None,
             rate_control: false,
-            lanes: 1,
             faults: FaultSchedule::none(),
             policy: PolicyTimeline::none(),
         }

@@ -22,6 +22,7 @@ pub mod aggregation;
 pub mod app;
 pub mod builder;
 pub mod config;
+mod contention;
 pub mod meter;
 pub mod network;
 pub mod packet;

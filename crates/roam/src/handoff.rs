@@ -89,10 +89,7 @@ pub(crate) fn tele_arrive(tele: &Telemetry, covered: bool, reassoc: Nanos) {
 }
 
 /// Whether any access category of `slot` is owned by a policy node.
-pub(crate) fn policy_covered<M: std::fmt::Debug + Send>(
-    net: &WifiNetwork<M>,
-    slot: StationIdx,
-) -> bool {
+pub(crate) fn policy_covered<M: std::fmt::Debug>(net: &WifiNetwork<M>, slot: StationIdx) -> bool {
     AccessCategory::ALL
         .iter()
         .any(|&ac| net.policy_node_of(slot, ac).is_some())
@@ -123,7 +120,7 @@ pub struct SoloRoam<M> {
     pub stats: RoamStats,
 }
 
-impl<M: std::fmt::Debug + Send> SoloRoam<M> {
+impl<M: std::fmt::Debug> SoloRoam<M> {
     /// A replayer for `roster` stations already associated on slots
     /// `0..roster` of the target network (the usual builder layout).
     pub fn new(cfg: RoamCfg, seed: u64, roster: usize) -> SoloRoam<M> {

@@ -94,7 +94,7 @@ impl ChurnDriver {
     /// after it. At the roster bounds the event direction is forced
     /// (join at the minimum, leave at the maximum); in between it is a
     /// fair coin.
-    pub fn step<M: std::fmt::Debug + Send>(&mut self, net: &mut WifiNetwork<M>) -> ChurnEvent {
+    pub fn step<M: std::fmt::Debug>(&mut self, net: &mut WifiNetwork<M>) -> ChurnEvent {
         let active = net.active_stations();
         let join = if active <= self.cfg.min_stations {
             true
@@ -127,7 +127,7 @@ impl ChurnDriver {
 
     /// Drives `net` to virtual time `until`, applying every churn event
     /// that falls due along the way.
-    pub fn run_until<M: std::fmt::Debug + Send, A: App<M>>(
+    pub fn run_until<M: std::fmt::Debug, A: App<M>>(
         &mut self,
         net: &mut WifiNetwork<M>,
         until: Nanos,

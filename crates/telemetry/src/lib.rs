@@ -2,8 +2,8 @@
 //!
 //! Workspace-wide observability: a simulation-clock-driven metrics registry
 //! (counters, gauges, log-linear histograms with p50/p95/p99/max) addressed
-//! by `(component, metric, label)`, a bounded structured-event ring behind
-//! the [`EventSink`] trait, and deterministic JSON/CSV snapshot export.
+//! by `(component, metric, label)`, a bounded structured-event ring
+//! ([`EventRing`]), and deterministic JSON/CSV snapshot export.
 //!
 //! ## Design
 //!

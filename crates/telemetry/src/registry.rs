@@ -1,7 +1,7 @@
 //! The recorder table: counters, gauges and histograms addressed by
 //! `(component, metric, label)`.
 //!
-//! Each kind is a [`Series`]: values in one dense array, a hashed
+//! Each kind is a `Series`: values in one dense array, a hashed
 //! `key → index` map consulted only when a key is *resolved* (a keyed
 //! write, or [`crate::Telemetry::counter_id`] and friends), and no order
 //! at all until something is *read* — every export sorts the live keys, so

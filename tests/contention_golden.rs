@@ -137,12 +137,12 @@ fn assert_golden(name: &str, actual: &str) {
 /// (a) 130 stations (three bitmap words) flooding uplink through the
 /// stock per-AC FIFOs: everyone sends best-effort, every third station
 /// voice as well, with a little downlink so the AP contends too.
-fn uplink_flood(lanes: usize) -> String {
+#[test]
+fn uplink_flood_130_stations_matches_golden() {
     const N: usize = 130;
     let cfg = NetworkConfig::builder()
         .stations_at(N, PhyRate::fast_station())
         .scheme(SchemeKind::AirtimeFair)
-        .lanes(lanes)
         .seed(11)
         .build();
     let mut sources = Vec::new();
@@ -181,14 +181,7 @@ fn uplink_flood(lanes: usize) -> String {
     }
     let (mut net, mut app) = start(cfg, sources, Nanos::from_millis(1_800));
     net.run(Nanos::from_secs(2), &mut app);
-    render(&net, &[])
-}
-
-#[test]
-fn uplink_flood_130_stations_matches_golden() {
-    let one = uplink_flood(1);
-    assert_golden("contention_uplink_flood.json", &one);
-    assert_eq!(one, uplink_flood(4), "lane count changed the run");
+    assert_golden("contention_uplink_flood.json", &render(&net, &[]));
 }
 
 /// (b) FQ-CoDel uplinks with client and AP rate control, all four access
@@ -250,12 +243,12 @@ fn fq_uplinks_with_rate_control_match_golden() {
 /// (c) 70 saturated stations with a departure or arrival every 2 ms:
 /// plain removals, roam-outs (some carrying queued downlink frames, some
 /// deferred because the roamer was on the air), joins and roam-ins.
-fn churn_and_roam(lanes: usize) -> String {
+#[test]
+fn churn_and_roam_under_contention_match_golden() {
     const N: usize = 70;
     let cfg = NetworkConfig::builder()
         .stations_at(N, PhyRate::fast_station())
         .scheme(SchemeKind::AirtimeFair)
-        .lanes(lanes)
         .seed(13)
         .build();
     let mut sources = Vec::new();
@@ -334,21 +327,12 @@ fn churn_and_roam(lanes: usize) -> String {
     net.run(Nanos::from_millis(2_200), &mut app);
     assert!(deferred > 0, "no roam-out caught its station on the air");
     assert!(carried > 0, "no roam-out carried queued frames");
-    render(
-        &net,
-        &[
-            ("removed", removed),
-            ("roamed", roamed),
-            ("roam_deferred", deferred),
-            ("roam_carried", carried),
-            ("active_stations", net.active_stations() as u64),
-        ],
-    )
-}
-
-#[test]
-fn churn_and_roam_under_contention_match_golden() {
-    let one = churn_and_roam(1);
-    assert_golden("contention_churn_roam.json", &one);
-    assert_eq!(one, churn_and_roam(4), "lane count changed the run");
+    let extra = [
+        ("removed", removed),
+        ("roamed", roamed),
+        ("roam_deferred", deferred),
+        ("roam_carried", carried),
+        ("active_stations", net.active_stations() as u64),
+    ];
+    assert_golden("contention_churn_roam.json", &render(&net, &extra));
 }

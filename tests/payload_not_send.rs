@@ -1,0 +1,100 @@
+//! A BSS runs on one thread, so `WifiNetwork<M>` asks nothing of its
+//! payload but `Debug`: a payload that is `!Send` goes through the event
+//! loop, a churn step and a roaming hand-off like any other. While the
+//! contention round could fan out to worker threads every `impl` here
+//! carried `M: Send`, and this file did not compile.
+
+use std::cell::Cell;
+use std::rc::Rc;
+
+use ending_anomaly::mac::{
+    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, WifiNetwork,
+};
+use ending_anomaly::phy::{AccessCategory, PhyRate};
+use ending_anomaly::roam::{RoamCfg, SoloRoam};
+use ending_anomaly::scale::{ChurnCfg, ChurnDriver, ChurnEvent};
+use ending_anomaly::sim::Nanos;
+
+/// Every packet carries a handle on one shared counter and bumps it on
+/// arrival at its station.
+type Tally = Rc<Cell<u32>>;
+
+struct Flood {
+    tally: Tally,
+    slots: usize,
+}
+
+impl App<Tally> for Flood {
+    fn on_packet(&mut self, at: Delivery, pkt: Packet<Tally>, _: Nanos, _: &mut Commands<Tally>) {
+        if matches!(at, Delivery::AtStation(_)) {
+            pkt.payload.set(pkt.payload.get() + 1);
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, now: Nanos, cmds: &mut Commands<Tally>) {
+        for sta in 0..self.slots {
+            cmds.send(Packet {
+                id: 0,
+                src: NodeAddr::Server,
+                dst: NodeAddr::Station(sta),
+                flow: sta as u64 + 1,
+                len: 1500,
+                ac: AccessCategory::Be,
+                created: now,
+                enqueued: now,
+                payload: self.tally.clone(),
+            });
+        }
+        cmds.set_timer(token, now + Nanos::from_millis(1));
+    }
+}
+
+#[test]
+fn a_payload_that_is_not_send_runs_churns_and_roams() {
+    const N: usize = 4;
+    let cfg = NetworkConfig::builder()
+        .stations_at(N, PhyRate::fast_station())
+        .scheme(SchemeKind::AirtimeFair)
+        .build();
+    let mut net: WifiNetwork<Tally> = WifiNetwork::new(cfg);
+    let tally = Tally::default();
+    let mut app = Flood {
+        tally: tally.clone(),
+        slots: N,
+    };
+    net.seed_timer(0, Nanos::ZERO);
+    net.run(Nanos::from_millis(50), &mut app);
+    let after_run = tally.get();
+    assert!(after_run > 0, "nothing arrived through `run`");
+
+    // At its roster minimum the driver's step is a join.
+    let churn_cfg = ChurnCfg {
+        min_stations: N,
+        ..ChurnCfg::default()
+    };
+    let joined = ChurnDriver::new(churn_cfg, 1).step(&mut net);
+    assert!(matches!(joined, ChurnEvent::Join { id } if id.slot() == N));
+    app.slots = net.station_slots();
+    net.run(Nanos::from_millis(100), &mut app);
+    let after_churn = tally.get();
+    assert!(after_churn > after_run, "nothing arrived after the join");
+
+    // Hand-offs carry queued `Packet<Tally>`s out of the network and back.
+    let roam_cfg = RoamCfg {
+        mean_dwell: Nanos::from_millis(40),
+        reassoc_min: Nanos::from_millis(2),
+        reassoc_max: Nanos::from_millis(5),
+        ..RoamCfg::default()
+    };
+    let mut roam: SoloRoam<Tally> = SoloRoam::new(roam_cfg, 1, N);
+    roam.run_until(&mut net, Nanos::from_millis(400), &mut app);
+    assert!(
+        roam.stats.handoffs > 0,
+        "the schedule never moved a station"
+    );
+    assert!(roam.stats.migrated_frames > 0, "no hand-off carried frames");
+    assert!(
+        tally.get() > after_churn,
+        "nothing arrived across hand-offs"
+    );
+}
