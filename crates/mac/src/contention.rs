@@ -21,6 +21,7 @@ use wifiq_phy::consts::SLOT_TIME;
 use wifiq_phy::AccessCategory;
 use wifiq_sim::{Nanos, SimRng};
 
+use crate::occupancy::Occupancy;
 use crate::packet::StationIdx;
 use crate::station::StationUplink;
 
@@ -102,7 +103,7 @@ impl ContenderSet {
     pub(crate) fn refresh<M: std::fmt::Debug>(
         &mut self,
         stations: &mut [StationUplink<M>],
-        active: &[bool],
+        active: &Occupancy,
         now: Nanos,
     ) {
         if !std::mem::take(&mut self.any_dirty) {
@@ -114,7 +115,7 @@ impl ContenderSet {
                 let bit = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let i = w * 64 + bit;
-                let ready = if active[i] {
+                let ready = if active.contains(i) {
                     stations[i].best_ready_ac(now)
                 } else {
                     None
@@ -194,7 +195,7 @@ impl ContenderSet {
     pub(crate) fn audit<M: std::fmt::Debug>(
         &self,
         stations: &mut [StationUplink<M>],
-        active: &[bool],
+        active: &Occupancy,
         word: Option<usize>,
         now: Nanos,
     ) -> Result<(), String> {
@@ -218,7 +219,7 @@ impl ContenderSet {
         }
         for i in words.start * 64..(words.end * 64).min(stations.len()) {
             let cached = (self.contending[i / 64] >> (i % 64) & 1 != 0).then(|| self.params[i]);
-            let fresh = match active[i] {
+            let fresh = match active.contains(i) {
                 true => stations[i].best_ready_ac(now),
                 false => None,
             }
@@ -243,7 +244,7 @@ mod tests {
         let mut stations: Vec<StationUplink<()>> = (0..3)
             .map(|i| StationUplink::new(i, wifiq_phy::PhyRate::fast_station(), 1000))
             .collect();
-        let active = [true; 3];
+        let active = Occupancy::full(3);
         let mut set = ContenderSet::new(3);
         let now = Nanos::ZERO;
         assert_eq!(set.audit(&mut stations, &active, None, now), Ok(()));

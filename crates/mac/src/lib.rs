@@ -25,6 +25,7 @@ pub mod config;
 mod contention;
 pub mod meter;
 pub mod network;
+mod occupancy;
 pub mod packet;
 pub mod ratectrl;
 pub mod scheme;

@@ -10,7 +10,7 @@
 //! including retries, exactly as §3.2 specifies.
 
 use wifiq_chaos::ChaosInjector;
-use wifiq_core::StaId;
+use wifiq_core::{PacketArena, PacketHandle, StaId};
 use wifiq_phy::consts::SLOT_TIME;
 use wifiq_phy::AccessCategory;
 use wifiq_policy::{CompiledPolicy, NODE_NONE};
@@ -22,22 +22,29 @@ use crate::app::{App, Commands, Delivery};
 use crate::config::{NetworkConfig, SchemeKind};
 use crate::contention::{ContenderSet, Participant};
 use crate::meter::{AirtimeMeter, StationMeter};
+use crate::occupancy::Occupancy;
 use crate::packet::{NodeAddr, Packet, StationIdx};
 use crate::ratectrl::Minstrel;
 use crate::scheme::ApTxPath;
 use crate::station::StationUplink;
 use crate::trace::{TxDirection, TxMonitor, TxRecord};
 
-enum Event<M> {
+/// What the wheel carries. A packet crossing the wire is parked in
+/// `WifiNetwork::wire` and the event holds its handle, so every event is
+/// two words whatever the payload type: the wheel's nodes and the
+/// `pop_tick` batch buffer move 16 bytes per event, not a whole packet.
+enum Event {
     /// A downlink packet reaches the AP from the wired side.
-    WireToAp(Packet<M>),
+    WireToAp(PacketHandle),
     /// An uplink packet reaches the server from the AP.
-    WireToServer(Packet<M>),
+    WireToServer(PacketHandle),
     /// The in-flight exchange (data + ack) completes.
     TxEnd,
     /// An application timer fires.
     AppTimer(u64),
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 /// Compiled airtime-policy state: the active weight table plus pending
 /// runtime switches in ascending time order. Exists only when
@@ -116,7 +123,12 @@ pub struct RoamHandoff<M> {
 /// `M` is the application payload type carried in packets.
 pub struct WifiNetwork<M> {
     cfg: NetworkConfig,
-    queue: EventQueue<Event<M>>,
+    queue: EventQueue<Event>,
+    /// Packets on the wire hop, parked between the push of their
+    /// `WireToAp` / `WireToServer` event and its dispatch. Inserted only
+    /// where those two events are pushed, removed only where they are
+    /// dispatched, so `live()` is the number of packets on the wire.
+    wire: PacketArena<Packet<M>>,
     rng: SimRng,
     ap: ApTxPath<M>,
     /// Per-AC hardware queues of built aggregates (depth
@@ -133,16 +145,13 @@ pub struct WifiNetwork<M> {
     chaos: ChaosInjector,
     /// Airtime policy runtime (`None` unless `cfg.policy` is non-empty).
     policy: Option<PolicyRuntime>,
-    /// Which station slots host an associated station. Departed slots stay
-    /// in every per-station table as tombstones until a join reuses them.
-    active: Vec<bool>,
+    /// Which station slots host an associated station.
+    active: Occupancy,
     /// Stations removed while their exchange was on the air; detached as
     /// soon as that exchange completes. The handles stay current until
     /// [`detach_station`](Self::detach_station) frees the table slot, so
     /// a deferred slot can never be reused before its teardown runs.
     pending_detach: Vec<StaId>,
-    /// Number of `true` entries in `active`.
-    active_count: usize,
     /// Which stations contend for the medium, cached between mutations.
     contenders: ContenderSet,
     /// Monotonic join counter — gives every join (including slot reuse) a
@@ -227,8 +236,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             policy,
             hw: Default::default(),
             ap_cw: AccessCategory::ALL.map(|ac| ac.edca().cw_min),
-            active: vec![true; stations.len()],
-            active_count: stations.len(),
+            active: Occupancy::full(stations.len()),
             pending_detach: Vec::new(),
             contenders: ContenderSet::new(stations.len()),
             join_seq: stations.len() as u64,
@@ -242,6 +250,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             tele: Telemetry::disabled(),
             mac_tele: MacTele::default(),
             queue: EventQueue::new(),
+            wire: PacketArena::new(),
             rng,
             cfg,
             events_processed: 0,
@@ -406,6 +415,14 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         self.ap.arena_live() + self.stations.iter().map(|s| s.arena_live()).sum::<usize>()
     }
 
+    /// Packets on the wire hop right now: sent by the server and not yet at
+    /// the AP, or received from a station and not yet at the server. With
+    /// the backlogs and the drop counters this closes the packet balance
+    /// between two `run` calls.
+    pub fn wire_in_flight(&self) -> usize {
+        self.wire.live()
+    }
+
     /// Packets dropped at AP queueing layers (tail/overlimit drops).
     pub fn ap_queue_drops(&self) -> u64 {
         self.ap.queue_drops
@@ -467,17 +484,15 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             self.stations.push(up);
             self.ratectrl.push(rc);
             self.cfg.stations.push(station);
-            self.active.push(true);
             self.contenders.push_slot();
         } else {
             self.stations[sta] = up;
             self.ratectrl[sta] = rc;
             self.cfg.stations[sta] = station;
-            self.active[sta] = true;
             // The reused slot hosts a fresh, empty uplink.
             self.contenders.forget(sta);
         }
-        self.active_count += 1;
+        self.active.insert(sta);
         self.meter.ensure_station(sta);
         self.meter.reset_station(sta);
         self.chaos.ensure_station(sta);
@@ -500,7 +515,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
     pub fn remove_station(&mut self, id: StaId) {
         let sta = id.slot();
         assert!(
-            self.ap.station_current(id) && self.active.get(sta).copied().unwrap_or(false),
+            self.ap.station_current(id) && self.active.contains(sta),
             "removing unknown or already-removed station {id:?}"
         );
         self.deactivate(sta);
@@ -514,8 +529,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
     /// Marks `sta` departed: it stops contending and receiving at once,
     /// whether or not its teardown has to wait for the air to clear.
     fn deactivate(&mut self, sta: StationIdx) {
-        self.active[sta] = false;
-        self.active_count -= 1;
+        self.active.remove(sta);
         self.contenders.forget(sta);
         self.tele.count("mac", "station_leaves", Label::Global, 1);
     }
@@ -570,12 +584,20 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
 
     /// Whether slot `sta` currently hosts an associated station.
     pub fn station_active(&self, sta: StationIdx) -> bool {
-        self.active.get(sta).copied().unwrap_or(false)
+        self.active.contains(sta)
+    }
+
+    /// The slot of the `k`-th associated station in ascending slot order
+    /// (`k` from 0), or `None` when `k >= active_stations()`. Equals
+    /// `(0..station_slots()).filter(|&s| self.station_active(s)).nth(k)`
+    /// without visiting every slot.
+    pub fn nth_active_station(&self, k: usize) -> Option<StationIdx> {
+        self.active.nth(k)
     }
 
     /// Number of currently associated stations.
     pub fn active_stations(&self) -> usize {
-        self.active_count
+        self.active.count()
     }
 
     /// Number of station slots ever allocated (associated + tombstoned).
@@ -629,7 +651,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
     pub fn roam_out(&mut self, id: StaId) -> RoamHandoff<M> {
         let sta = id.slot();
         assert!(
-            self.ap.station_current(id) && self.active.get(sta).copied().unwrap_or(false),
+            self.ap.station_current(id) && self.active.contains(sta),
             "roaming out unknown or already-removed station {id:?}"
         );
         self.deactivate(sta);
@@ -722,7 +744,8 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                 self.events_processed += 1;
                 debug_assert!(cmds.is_empty(), "command buffer not drained");
                 match ev {
-                    Event::WireToAp(mut pkt) => {
+                    Event::WireToAp(h) => {
+                        let mut pkt = self.wire.remove(h);
                         if !self.station_active(pkt.wireless_peer()) {
                             // Addressed to a departed (or never-associated)
                             // station: the AP has no client to send it to.
@@ -734,7 +757,8 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                             self.ap_schedule(ac, now);
                         }
                     }
-                    Event::WireToServer(pkt) => {
+                    Event::WireToServer(h) => {
+                        let pkt = self.wire.remove(h);
                         app.on_packet(Delivery::AtServer, pkt, now, &mut cmds);
                     }
                     Event::AppTimer(token) => {
@@ -760,11 +784,12 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                 NodeAddr::Server => {
                     // Wire hop: propagation + 1 Gbps serialisation.
                     let delay = self.cfg.wire_delay + Nanos::for_bits(pkt.len * 8, 1_000_000_000);
-                    self.queue.push(now + delay, Event::WireToAp(pkt));
+                    let h = self.wire.insert(pkt);
+                    self.queue.push(now + delay, Event::WireToAp(h));
                 }
                 NodeAddr::Station(i) => {
                     assert!(i < self.stations.len(), "send from unknown station {i}");
-                    if !self.active[i] {
+                    if !self.active.contains(i) {
                         // An application timer outliving its departed
                         // station; nothing to transmit from.
                         self.absent_drops += 1;
@@ -1212,12 +1237,16 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                 self.meter.station_mut(idx).rx_bytes += pkt.len;
                 // Forward across the wire to the server.
                 let delay = self.cfg.wire_delay + Nanos::for_bits(pkt.len * 8, 1_000_000_000);
-                self.queue.push(now + delay, Event::WireToServer(pkt));
+                let h = self.wire.insert(pkt);
+                self.queue.push(now + delay, Event::WireToServer(h));
             }
             self.stations[idx].recycle_frames(frames);
         }
     }
 }
+
+#[cfg(test)]
+mod conservation;
 
 #[cfg(test)]
 mod tests {
@@ -1572,31 +1601,19 @@ mod tests {
     #[derive(Debug, Clone)]
     enum CacheOp {
         /// `n` uplink packets on one access category of station `k`.
-        Up {
-            k: usize,
-            ac: usize,
-            n: usize,
-        },
+        Up { k: usize, ac: usize, n: usize },
         /// One downlink packet to station `k` (the AP contends; `k`
         /// becomes an on-air target).
-        Down {
-            k: usize,
-        },
+        Down { k: usize },
         /// Advance the simulation.
-        Run {
-            us: u64,
-        },
+        Run { us: u64 },
+        /// Join, as a `roam_in` of the last roam-out's frames if any wait.
         Add,
         /// Remove (or roam out) the `k`-th active station.
-        Leave {
-            k: usize,
-            roam: bool,
-        },
+        Leave { k: usize, roam: bool },
         /// Remove (or roam out) a station taking part in the exchange on
         /// the air, if there is one.
-        LeaveOnAir {
-            roam: bool,
-        },
+        LeaveOnAir { roam: bool },
     }
 
     fn cache_op() -> impl proptest::Strategy<Value = CacheOp> {
@@ -1624,7 +1641,10 @@ mod tests {
     /// every fifth station has a lossy channel and retry chains are short.
     /// `try_contend` audits the whole contender set against a from-scratch
     /// re-evaluation on every round of this crate's tests, so any stale
-    /// cache entry panics inside `run`.
+    /// cache entry panics inside `run`. After every op the occupancy
+    /// bitmap is checked against a scan of every slot: the count, and
+    /// `nth_active_station(k)` for every `k` up to and including the first
+    /// that must be `None`.
     fn replay_cache_ops(ops: &[CacheOp], fq: bool, rate_control: bool) {
         let mut b = NetworkConfig::builder()
             .scheme(SchemeKind::AirtimeFair)
@@ -1642,19 +1662,19 @@ mod tests {
             pending: Vec::new(),
         };
         let nth_active = |net: &WifiNetwork<()>, k: usize| {
-            let live: Vec<_> = (0..net.station_slots())
-                .filter(|&s| net.station_active(s))
-                .collect();
-            (!live.is_empty()).then(|| live[k % live.len()])
+            net.nth_active_station(k % net.active_stations().max(1))
         };
+        // Leaves; a roam-out hands back the frames it carries away.
         let leave = |net: &mut WifiNetwork<()>, slot: StationIdx, roam: bool| {
             let id = net.sta_id(slot).expect("active slot has a handle");
             if roam {
-                net.roam_out(id);
+                Some(net.roam_out(id).packets)
             } else {
                 net.remove_station(id);
+                None
             }
         };
+        let mut carried = None;
         for op in ops {
             let now = net.now();
             match *op {
@@ -1677,27 +1697,37 @@ mod tests {
                 }
                 CacheOp::Run { us } => net.run(now + Nanos::from_micros(us), &mut app),
                 CacheOp::Add => {
-                    net.add_station(crate::config::StationCfg::clean(
-                        wifiq_phy::PhyRate::fast_station(),
-                    ));
+                    let cfg = crate::config::StationCfg::clean(wifiq_phy::PhyRate::fast_station());
+                    match carried.take() {
+                        Some(packets) => net.roam_in(cfg, packets),
+                        None => net.add_station(cfg),
+                    };
                 }
                 CacheOp::Leave { k, roam } => {
                     if let Some(slot) = nth_active(&net, k) {
-                        leave(&mut net, slot, roam);
+                        carried = leave(&mut net, slot, roam).or(carried);
                     }
                 }
                 CacheOp::LeaveOnAir { roam } => {
                     let on_air = (0..net.station_slots())
                         .find(|&s| net.station_active(s) && net.station_in_flight(s));
                     if let Some(slot) = on_air {
-                        leave(&mut net, slot, roam);
+                        carried = leave(&mut net, slot, roam).or(carried);
                     }
                 }
             }
-            let live = (0..net.station_slots())
+            let live: Vec<_> = (0..net.station_slots())
                 .filter(|&s| net.station_active(s))
-                .count();
-            assert_eq!(net.active_stations(), live, "active counter drifted");
+                .collect();
+            assert_eq!(net.active_stations(), live.len(), "active count drifted");
+            for k in 0..=live.len() {
+                assert_eq!(
+                    net.nth_active_station(k),
+                    live.get(k).copied(),
+                    "k = {k} of {} after {op:?}",
+                    live.len()
+                );
+            }
         }
         // Let the air clear and the deferred teardowns land.
         let end = net.now() + Nanos::from_millis(50);

@@ -108,6 +108,17 @@ mod tests {
         }
     }
 
+    /// 184 bytes is `Packet<AppMsg>`, the packet every experiment runs
+    /// (`[u64; 13]` stands in for the 104-byte `AppMsg` this crate cannot
+    /// name). It is the number the wire-hop parking arena exists to stop
+    /// copying: events carry an 8-byte handle instead (DESIGN.md §13,
+    /// "Event sizes"). Whoever shrinks `Packet` moves this pin and redoes
+    /// that section's arithmetic — below ~32 bytes parking stops paying.
+    #[test]
+    fn packet_with_a_transport_payload_is_184_bytes() {
+        assert_eq!(std::mem::size_of::<Packet<[u64; 13]>>(), 184);
+    }
+
     #[test]
     fn wireless_peer_resolution() {
         assert_eq!(

@@ -501,6 +501,16 @@ impl<M: std::fmt::Debug> ApTxPath<M> {
         }
     }
 
+    /// Frames pulled for an aggregate that did not fit, waiting in their
+    /// station's stash — what [`ApTxPath::backlog`] leaves out.
+    #[cfg(test)]
+    pub(crate) fn stashed(&self) -> usize {
+        self.table
+            .iter()
+            .map(|id| self.table.cold(id).stash.iter().flatten().count())
+            .sum()
+    }
+
     /// Packets live in the path's packet arena — the teardown audit's
     /// counterpart to [`ApTxPath::backlog`]. Stashed frames and driver
     /// FIFOs hold owned packets outside the arena, so after a full drain

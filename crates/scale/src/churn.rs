@@ -112,9 +112,8 @@ impl ChurnDriver {
             // Pick the k-th currently associated station and resolve its
             // slot to the current handle.
             let k = self.rng.index(active);
-            let id = (0..net.station_slots())
-                .filter(|&s| net.station_active(s))
-                .nth(k)
+            let id = net
+                .nth_active_station(k)
                 .and_then(|s| net.sta_id(s))
                 .expect("active_stations out of sync with the table");
             net.remove_station(id);

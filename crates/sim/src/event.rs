@@ -53,8 +53,10 @@ impl<E> Ord for Entry<E> {
 /// Bits of the fine level 0: 4096 one-nanosecond slots, so anything
 /// scheduled within ~4 µs of the clock needs no cascade at all. The fine
 /// bottom level is the same asymmetry the Linux timer wheel uses (a wide
-/// first ring over narrower upper rings): almost all events are near-future,
-/// so the bottom ring does almost all the work.
+/// first ring over narrower upper rings). The simulator's own pushes are
+/// not that near — wire hops, CBR gaps and exchanges are all ≥ 100 µs, so
+/// they are admitted at levels 1–3 and cascade down (`census.rs`, DESIGN.md
+/// §13); what level 0 buys is that a slot is exactly one timestamp.
 const L0_BITS: u32 = 12;
 /// Level-0 slot count.
 const L0_SLOTS: usize = 1 << L0_BITS;
@@ -126,6 +128,21 @@ struct Node<E> {
     payload: Option<E>,
 }
 
+/// Where pushes were admitted and what settling the minimum cost — kept
+/// in this crate's test builds only, for the traffic census in DESIGN §13.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Census {
+    /// Pushes per admission level; index `LEVELS` is the overflow heap.
+    admitted: [u64; LEVELS + 1],
+    /// Timestamps settled into level 0 (one per `pop` / `pop_tick`).
+    settles: u64,
+    /// `cascade` calls those settles made.
+    cascades: u64,
+    /// Nodes the cascades re-linked.
+    cascaded_nodes: u64,
+}
+
 /// A deterministic, cancellable priority queue of simulation events.
 ///
 /// Internally the queue is a hierarchical timing wheel with an asymmetric
@@ -134,10 +151,11 @@ struct Node<E> {
 /// levels of 64 slots each, where an upper-level-`l` slot spans
 /// `2^(12+6(l-1))` ns. An event is admitted to the finest level whose parent
 /// window contains both the event time and the clock, so anything within
-/// ~4 µs of now — the event loop's common case — lands directly in level 0
-/// with no cascade ever needed, as an O(1) bucket append. Far-future events
-/// (beyond the current ~73 min top-level block) wait in an overflow binary
-/// heap and migrate into the wheel when the clock reaches their block.
+/// ~4 µs of now lands directly in level 0 with no cascade ever needed, and
+/// everything else is an O(1) bucket append one or more levels up.
+/// Far-future events (beyond the current ~73 min top-level block) wait in
+/// an overflow binary heap and migrate into the wheel when the clock
+/// reaches their block.
 /// Upper slots cascade toward level 0 lazily, only when the global minimum
 /// lives inside them; level-0 slots span exactly 1 ns, so a slot is a
 /// complete FIFO batch of one timestamp — this is what
@@ -202,6 +220,8 @@ pub struct EventQueue<E> {
     scratch: Vec<u32>,
     next_seq: u64,
     now: Nanos,
+    #[cfg(test)]
+    census: Census,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -228,6 +248,8 @@ impl<E> EventQueue<E> {
             scratch: Vec::new(),
             next_seq: 0,
             now: Nanos::ZERO,
+            #[cfg(test)]
+            census: Census::default(),
         }
     }
 
@@ -355,6 +377,10 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let level = level_of(at.0, self.now.0);
+        #[cfg(test)]
+        {
+            self.census.admitted[level.min(LEVELS)] += 1;
+        }
         if level >= LEVELS {
             self.overflow.push(Entry {
                 time: at,
@@ -490,9 +516,17 @@ impl<E> EventQueue<E> {
     /// entries carry smaller seqs and must pop first.
     fn cascade(&mut self, level: usize, bucket: usize) {
         let shift = level_shift(level);
+        #[cfg(test)]
+        {
+            self.census.cascades += 1;
+        }
         // Singleton fast path: most cascades move one timer down.
         let head = self.heads[bucket];
         if head != NIL && self.nodes[head as usize].next == NIL {
+            #[cfg(test)]
+            {
+                self.census.cascaded_nodes += 1;
+            }
             self.heads[bucket] = NIL;
             self.tails[bucket] = NIL;
             self.clear_occupied(level, bucket);
@@ -513,6 +547,10 @@ impl<E> EventQueue<E> {
         self.heads[bucket] = NIL;
         self.tails[bucket] = NIL;
         self.clear_occupied(level, bucket);
+        #[cfg(test)]
+        {
+            self.census.cascaded_nodes += scratch.len() as u64;
+        }
         // Reverse iteration + push-front preserves the original order at
         // the front of every target bucket.
         for &i in scratch.iter().rev() {
@@ -557,6 +595,10 @@ impl<E> EventQueue<E> {
     fn settle_min(&mut self) -> usize {
         if self.wheel_len == 0 {
             self.promote_overflow();
+        }
+        #[cfg(test)]
+        {
+            self.census.settles += 1;
         }
         let (min, mut level, mut bucket) = self.best().expect("queue non-empty");
         while level > 0 {
@@ -662,8 +704,19 @@ impl<E> EventQueue<E> {
 }
 
 #[cfg(test)]
+mod census;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The MAC's events are 16 bytes (DESIGN.md §13, "Event sizes"); with
+    /// time, seq and link a node must stay within three quarters of a
+    /// cache line, or pushes, cascades and pops move more than they need.
+    #[test]
+    fn sixteen_byte_payload_node_is_at_most_48_bytes() {
+        assert!(mem::size_of::<Node<[u8; 16]>>() <= 48);
+    }
 
     #[test]
     fn pops_in_time_order() {

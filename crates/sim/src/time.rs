@@ -172,9 +172,19 @@ impl Nanos {
     #[inline]
     pub fn for_bits(bits: u64, rate_bps: u64) -> Nanos {
         assert!(rate_bps > 0, "rate must be positive");
-        // bits * 1e9 may exceed u64 for huge aggregates; widen to u128.
-        let ns = (bits as u128 * 1_000_000_000).div_ceil(rate_bps as u128);
-        Nanos(ns as u64)
+        // bits * 1e9 fits u64 below 2.3 GB — every packet and aggregate —
+        // so the common case is one 64-bit division, not `__udivti3`.
+        match bits.checked_mul(1_000_000_000) {
+            Some(scaled) => Nanos(scaled.div_ceil(rate_bps)),
+            None => Nanos::for_bits_wide(bits, rate_bps),
+        }
+    }
+
+    /// [`for_bits`](Self::for_bits) in 128-bit arithmetic: the overflow
+    /// fallback, and the definition the fast path is tested against.
+    #[cold]
+    fn for_bits_wide(bits: u64, rate_bps: u64) -> Nanos {
+        Nanos((bits as u128 * 1_000_000_000).div_ceil(rate_bps as u128) as u64)
     }
 }
 
@@ -303,6 +313,48 @@ mod tests {
         // Large aggregate at a high rate does not overflow.
         let d = Nanos::for_bits(65535 * 8, 144_400_000);
         assert!(d > Nanos::from_micros(3_600) && d < Nanos::from_micros(3_700));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+        /// The 64-bit fast path and the 128-bit definition agree on every
+        /// input: small packets, anything at all, and both sides of the
+        /// point where `bits * 10⁹` stops fitting `u64`.
+        #[test]
+        fn for_bits_matches_the_wide_definition(
+            bits in proptest::prop_oneof![
+                0u64..=100_000,
+                0u64..,
+                u64::MAX / 1_000_000_000 - 1_000..=u64::MAX / 1_000_000_000 + 1_000,
+            ],
+            rate_bps in proptest::prop_oneof![
+                proptest::Just(1u64),
+                1u64..,
+                1_000_000u64..=1_000_000_000,
+            ],
+        ) {
+            proptest::prop_assert_eq!(
+                Nanos::for_bits(bits, rate_bps),
+                Nanos::for_bits_wide(bits, rate_bps),
+                "bits {}, rate {}", bits, rate_bps
+            );
+        }
+    }
+
+    #[test]
+    fn for_bits_overflow_boundary_is_exact() {
+        let edge = u64::MAX / 1_000_000_000;
+        for bits in [edge - 1, edge, edge + 1] {
+            for rate_bps in [1, 3, 1_000_000_000, u64::MAX] {
+                assert_eq!(
+                    Nanos::for_bits(bits, rate_bps),
+                    Nanos::for_bits_wide(bits, rate_bps),
+                    "bits {bits}, rate {rate_bps}"
+                );
+            }
+        }
+        // The last product that fits: exactly u64::MAX / 1 rounded down.
+        assert_eq!(Nanos::for_bits(edge, 1), Nanos(edge * 1_000_000_000));
     }
 
     #[test]

@@ -143,15 +143,20 @@ pub struct UdpFlood {
     pub delivered_bytes: u64,
     /// `(arrival time, one-way delay)` samples.
     pub delays: Vec<(Nanos, Nanos)>,
+    /// Mean packet spacing: `len * 8` bits at `rate_bps` as the
+    /// constructor saw them. Computed once, not per timer, so writing
+    /// those two fields afterwards does not change the offered load.
+    mean_interval: Nanos,
 }
 
 impl UdpFlood {
     /// A downstream flood of 1500-byte packets at `rate_bps`.
     pub fn down(station: StationIdx, rate_bps: u64, start: Nanos) -> UdpFlood {
+        let len = 1500;
         UdpFlood {
             station,
             rate_bps,
-            len: 1500,
+            len,
             ac: AccessCategory::Be,
             direction: Direction::Down,
             start,
@@ -160,6 +165,7 @@ impl UdpFlood {
             delivered: 0,
             delivered_bytes: 0,
             delays: Vec::new(),
+            mean_interval: Nanos::for_bits(len * 8, rate_bps),
         }
     }
 
@@ -169,10 +175,6 @@ impl UdpFlood {
             direction: Direction::Up,
             ..UdpFlood::down(station, rate_bps, start)
         }
-    }
-
-    fn mean_interval(&self) -> Nanos {
-        Nanos::for_bits(self.len * 8, self.rate_bps)
     }
 
     /// Bytes delivered in `[from, to)` (computed from delay samples).
@@ -195,10 +197,10 @@ impl UdpFlood {
         };
         ctx.send(src, dst, 0, self.len, self.ac, now, AppMsg::Udp);
         let gap = if self.poisson {
-            let mean = self.mean_interval().as_nanos() as f64;
+            let mean = self.mean_interval.as_nanos() as f64;
             Nanos::from_nanos(ctx.rng.exponential(mean).max(1.0) as u64)
         } else {
-            self.mean_interval()
+            self.mean_interval
         };
         ctx.timer(TOK_PERIODIC, now + gap);
     }
