@@ -22,7 +22,7 @@ use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{mean, median, meter_delta, run_seeds, shares_of, RunCfg};
+use crate::runner::{mean, median, meter_delta, meter_window, run_seeds, shares_of, to_ms, RunCfg};
 use crate::scenario::{self, EXTRA, SLOW};
 use crate::udp_sat::SAT_RATE_BPS;
 
@@ -55,13 +55,7 @@ pub fn rx_charging(enabled: bool, cfg: &RunCfg) -> RxChargingResult {
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
         net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = net
-            .meter()
-            .all()
-            .iter()
-            .zip(&before)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
+        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
         let shares = shares_of(&window);
         (jain_index(&shares), shares[SLOW])
     });
@@ -191,19 +185,8 @@ pub fn quantum(quantum_us: u64, cfg: &RunCfg) -> QuantumResult {
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
         net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = net
-            .meter()
-            .all()
-            .iter()
-            .zip(&before)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
-        let ms: Vec<f64> = app
-            .ping(ping)
-            .rtts_after(cfg.warmup)
-            .iter()
-            .map(|r| r.as_millis_f64())
-            .collect();
+        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
+        let ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
         (median(&ms), jain_index(&shares_of(&window[..3])))
     });
     QuantumResult {

@@ -4,8 +4,11 @@
 //! scheduling hooks", §3.3) — so the comparison here is FIFO vs FQ-MAC
 //! at VHT80 rates, showing the latency fix carries over to .11ac.
 
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::RunCfg;
+use std::fmt::Write as _;
+
+use crate::report::{write_json, Table};
+use crate::runner::to_ms;
+use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::{PhyRate, VhtWidth};
 use wifiq_sim::Nanos;
@@ -20,10 +23,10 @@ struct Row {
     total_mbps: f64,
 }
 
-fn run(scheme: SchemeKind, cfg: &RunCfg) -> Row {
+fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Row {
     // (fast RTTs, slow RTTs, total Mbps) per repetition.
     let reps: Vec<(Vec<f64>, Vec<f64>, f64)> =
-        wifiq_experiments::runner::run_seeds("ext_80211ac", scheme.slug(), "", cfg, |seed| {
+        crate::runner::run_seeds("ext_80211ac", scheme.slug(), "", cfg, |seed| {
             // Two 866.7 Mbps laptops and one 32.5 Mbps fringe device.
             let net_cfg = NetworkConfig::builder()
                 .stations_at(2, PhyRate::vht(9, 2, VhtWidth::Mhz80, true))
@@ -38,13 +41,7 @@ fn run(scheme: SchemeKind, cfg: &RunCfg) -> Row {
             let tcps: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
             app.install(&mut net);
             net.run(cfg.duration, &mut app);
-            let rtts = |flow| -> Vec<f64> {
-                app.ping(flow)
-                    .rtts_after(cfg.warmup)
-                    .iter()
-                    .map(|r| r.as_millis_f64())
-                    .collect()
-            };
+            let rtts = |flow| -> Vec<f64> { to_ms(&app.ping(flow).rtts_after(cfg.warmup)) };
             let secs = cfg.window().as_secs_f64();
             let total = tcps
                 .iter()
@@ -59,13 +56,14 @@ fn run(scheme: SchemeKind, cfg: &RunCfg) -> Row {
         scheme: scheme.label().to_string(),
         fast_median_ms: Summary::of(&fast_ms).median,
         slow_median_ms: Summary::of(&slow_ms).median,
-        total_mbps: wifiq_experiments::runner::mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
+        total_mbps: crate::runner::mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
     }
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Extension: 802.11ac (VHT80) network, FQ-MAC without the airtime \
          scheduler — the ath10k configuration ({} reps x {}s)\n",
         cfg.reps,
@@ -77,7 +75,7 @@ fn main() {
         SchemeKind::FqMac,
     ]
     .into_iter()
-    .map(|s| run(s, &cfg))
+    .map(|s| measure(s, cfg))
     .collect();
     let mut t = Table::new(vec![
         "Scheme",
@@ -93,11 +91,13 @@ fn main() {
             format!("{:.1}", r.total_mbps),
         ]);
     }
-    t.print();
-    println!(
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
         "\nThe bufferbloat fix is rate-family agnostic: FQ-MAC collapses\n\
          latency at VHT80 exactly as it does for HT20, even without the\n\
          airtime scheduler ath10k could not host."
     );
     write_json("ext_80211ac", &rows);
+    Ok(out)
 }

@@ -5,23 +5,26 @@
 //! Three identical fast stations with weights 1:2:4 under saturating
 //! UDP; airtime shares should track the weights.
 
-use wifiq_experiments::report::{pct, write_json, Table};
-use wifiq_experiments::runner::{mean, meter_delta, run_seeds, shares_of};
-use wifiq_experiments::RunCfg;
+use std::fmt::Write as _;
+
+use crate::report::{pct, write_json, Table};
+use crate::runner::{mean, meter_window, run_seeds, shares_of};
+use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, PolicySet, SchemeKind, StationMeter, WifiNetwork};
 use wifiq_sim::Nanos;
 use wifiq_traffic::TrafficApp;
 
-fn main() {
-    let cfg = RunCfg::from_env();
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
     let weights = [1u32, 2, 4];
-    println!(
+    let _ = writeln!(
+        out,
         "Extension: weighted airtime fairness (weights 1:2:4, {} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
     // Per-station airtime shares, one vector per repetition.
-    let reps: Vec<Vec<f64>> = run_seeds("ext_airtime_weights", "1_2_4", "", &cfg, |seed| {
+    let reps: Vec<Vec<f64>> = run_seeds("ext_airtime_weights", "1_2_4", "", cfg, |seed| {
         // All three stations fast and identical, so only weights differ.
         let mut b = NetworkConfig::builder()
             .scheme(SchemeKind::AirtimeFair)
@@ -39,13 +42,7 @@ fn main() {
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
         net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = net
-            .meter()
-            .all()
-            .iter()
-            .zip(&before)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
+        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
         shares_of(&window)
     });
     let share_acc: Vec<Vec<f64>> = (0..3)
@@ -75,7 +72,7 @@ fn main() {
             pct(r.measured_share),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
     for r in &rows {
         assert!(
             (r.measured_share - r.expected_share).abs() < 0.03,
@@ -85,6 +82,10 @@ fn main() {
             r.expected_share
         );
     }
-    println!("\nAirtime tracks weights: the policy compiles into the DRR quantum.");
+    let _ = writeln!(
+        out,
+        "\nAirtime tracks weights: the policy compiles into the DRR quantum."
+    );
     write_json("ext_airtime_weights", &rows);
+    Ok(out)
 }

@@ -7,8 +7,11 @@
 //! station may hold in the hardware; frames past the cap wait in the MAC
 //! FQ where CoDel and the scheduler govern them.
 
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::RunCfg;
+use std::fmt::Write as _;
+
+use crate::report::{write_json, Table};
+use crate::runner::to_ms;
+use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::{LegacyRate, PhyRate};
 use wifiq_sim::Nanos;
@@ -24,11 +27,11 @@ struct Row {
     total_mbps: f64,
 }
 
-fn run(aql: Option<Nanos>, cfg: &RunCfg) -> Row {
+fn measure(aql: Option<Nanos>, cfg: &RunCfg) -> Row {
     let config = aql.map_or("off".to_string(), |a| format!("{}ms", a.as_millis()));
     // (fast RTTs in ms, slow Mbps, total Mbps) per repetition.
     let reps: Vec<(Vec<f64>, f64, f64)> =
-        wifiq_experiments::runner::run_seeds("ext_aql", &config, "", cfg, |seed| {
+        crate::runner::run_seeds("ext_aql", &config, "", cfg, |seed| {
             // Two fast stations and a 1 Mbps legacy device — the worst
             // hardware-queue hog the testbed family produces.
             let net_cfg = NetworkConfig::builder()
@@ -44,12 +47,7 @@ fn run(aql: Option<Nanos>, cfg: &RunCfg) -> Row {
             let tcps: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
             app.install(&mut net);
             net.run(cfg.duration, &mut app);
-            let fast_ms: Vec<f64> = app
-                .ping(ping)
-                .rtts_after(cfg.warmup)
-                .iter()
-                .map(|r| r.as_millis_f64())
-                .collect();
+            let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
             let secs = cfg.window().as_secs_f64();
             let per: Vec<f64> = tcps
                 .iter()
@@ -65,16 +63,15 @@ fn run(aql: Option<Nanos>, cfg: &RunCfg) -> Row {
         aql_ms: aql.map(|a| a.as_millis()),
         fast_median_ms: s.median,
         fast_p95_ms: s.p95,
-        slow_goodput_mbps: wifiq_experiments::runner::mean(
-            &reps.iter().map(|r| r.1).collect::<Vec<_>>(),
-        ),
-        total_mbps: wifiq_experiments::runner::mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
+        slow_goodput_mbps: crate::runner::mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
+        total_mbps: crate::runner::mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
     }
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Extension: airtime queue limits (AQL), 2 fast + one 1 Mbps hog \
          under the airtime scheme ({} reps x {}s)\n",
         cfg.reps,
@@ -86,7 +83,7 @@ fn main() {
         Some(Nanos::from_millis(5)),
     ]
     .into_iter()
-    .map(|aql| run(aql, &cfg))
+    .map(|aql| measure(aql, cfg))
     .collect();
     let mut t = Table::new(vec![
         "AQL",
@@ -104,11 +101,13 @@ fn main() {
             format!("{:.1}", r.total_mbps),
         ]);
     }
-    t.print();
-    println!(
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
         "\nAQL trims the residual head-of-line latency the hardware queue\n\
          adds behind a slow station's long frames, at no throughput cost —\n\
          the refinement that followed this machinery into kernel 5.5."
     );
     write_json("ext_aql", &rows);
+    Ok(out)
 }

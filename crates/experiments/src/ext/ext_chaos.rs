@@ -20,12 +20,14 @@
 //!    `results/chaos_rollup_par.json`; CI `cmp`s them).
 //!
 //! Results land in `results/BENCH_chaos.json` with a `gates` block;
-//! any violated gate fails the process (and thus `run_all`).
+//! any violated gate is an `Err` (and so fails `wifiq all`).
 
-use wifiq_experiments::report::{pct, write_json, Table};
-use wifiq_experiments::rollup::{rollup_identity, Flood};
-use wifiq_experiments::runner::{mean, meter_delta, run_seeds, shares_of};
-use wifiq_experiments::{scenario, RunCfg};
+use std::fmt::Write as _;
+
+use crate::report::{pct, write_json, Table};
+use crate::rollup::{rollup_identity, Flood};
+use crate::runner::{mean, meter_window, run_seeds, shares_of, to_ms};
+use crate::{scenario, RunCfg};
 use wifiq_mac::{
     FaultEntry, FaultTarget, Impairment, NetworkConfig, Preset, SchemeKind, StationMeter,
     WifiNetwork,
@@ -109,19 +111,8 @@ fn run_point(burst_len: f64, collapse: Option<PhyRate>, label: &str, cfg: &RunCf
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
         net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = net
-            .meter()
-            .all()
-            .iter()
-            .zip(&before)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
-        let fast_ms: Vec<f64> = app
-            .ping(ping)
-            .rtts_after(cfg.warmup)
-            .iter()
-            .map(|r| r.as_millis_f64())
-            .collect();
+        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
+        let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
         let secs = cfg.window().as_secs_f64();
         let total = tcps
             .iter()
@@ -263,9 +254,10 @@ struct Bench {
     gates: Gates,
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Extension: chaos — fault injection under the airtime scheduler \
          ({} reps x {}s; GE burst loss x rate collapse)\n",
         cfg.reps,
@@ -279,7 +271,7 @@ fn main() {
             (Some(shallow_rate()), "mcs3"),
             (Some(deep_rate()), "mcs0"),
         ] {
-            rows.push(run_point(burst_len, collapse, label, &cfg));
+            rows.push(run_point(burst_len, collapse, label, cfg));
         }
     }
 
@@ -303,7 +295,7 @@ fn main() {
             format!("{}..{}", r.param_switches_min, r.param_switches_max),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
 
     // Gate 1: airtime fairness under asymmetric loss, every sweep point.
     let jain_min = rows.iter().map(|r| r.jain).fold(f64::INFINITY, f64::min);
@@ -312,7 +304,7 @@ fn main() {
     // Gate 2: the §3.1.1 switch engages in a deep-collapse window,
     // releases after it, and honours the 2 s hysteresis when the window
     // is shorter than the hold time.
-    let (c_from, c_until) = collapse_window(&cfg);
+    let (c_from, c_until) = collapse_window(cfg);
     let probe_end = c_until + Nanos::from_secs(3);
     let slack = Nanos::from_secs(1);
     let long = param_switch_times(c_from, c_until, probe_end);
@@ -359,7 +351,8 @@ fn main() {
         && gates.shallow_never_switches
         && gates.rollup_identical;
 
-    println!(
+    let _ = writeln!(
+        out,
         "\nGates: Jain min {:.3} (>= 0.9: {}), hysteresis engage/release {}, \
          1 s window held {:.0} ms ({}), shallow/deep switch contract {}, \
          rollup byte-identical {}.",
@@ -379,7 +372,8 @@ fn main() {
         },
         rollup_identical,
     );
-    println!(
+    let _ = writeln!(
+        out,
         "\nFaults are internalised exactly like organic impairments: burst\n\
          loss burns the lossy station's own airtime budget, a rate collapse\n\
          drags only its victim's CoDel parameters (with the 2 s hysteresis\n\
@@ -388,7 +382,9 @@ fn main() {
     );
     write_json("BENCH_chaos", &Bench { rows, gates });
     if !ok {
-        eprintln!("\next_chaos: one or more gates violated (see above).");
-        std::process::exit(1);
+        return Err(format!(
+            "{out}\next_chaos: one or more gates violated (see above)."
+        ));
     }
+    Ok(out)
 }

@@ -6,8 +6,11 @@
 //! the *client*. Enabling the FQ-CoDel structure on the station gives the
 //! sparse ping flow its own queue and new-flow priority.
 
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::{scenario, RunCfg};
+use std::fmt::Write as _;
+
+use crate::report::{write_json, Table};
+use crate::runner::to_ms;
+use crate::{scenario, RunCfg};
 use wifiq_mac::{SchemeKind, WifiNetwork};
 use wifiq_sim::Nanos;
 use wifiq_stats::Summary;
@@ -21,11 +24,11 @@ struct Row {
     upload_mbps: f64,
 }
 
-fn run(station_fq: bool, cfg: &RunCfg) -> Row {
+fn measure(station_fq: bool, cfg: &RunCfg) -> Row {
     let config = if station_fq { "fq" } else { "fifo" };
     // (ping RTTs in ms, upload Mbps) per repetition.
     let reps: Vec<(Vec<f64>, f64)> =
-        wifiq_experiments::runner::run_seeds("ext_client_fq", config, "", cfg, |seed| {
+        crate::runner::run_seeds("ext_client_fq", config, "", cfg, |seed| {
             let mut net_cfg = scenario::testbed3(SchemeKind::AirtimeFair, seed);
             net_cfg.station_fq = station_fq;
             let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
@@ -36,12 +39,7 @@ fn run(station_fq: bool, cfg: &RunCfg) -> Row {
             let up = app.add_tcp_up(0, Nanos::ZERO);
             app.install(&mut net);
             net.run(cfg.duration, &mut app);
-            let rtts: Vec<f64> = app
-                .ping(ping)
-                .rtts_after(cfg.warmup)
-                .iter()
-                .map(|r| r.as_millis_f64())
-                .collect();
+            let rtts: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
             let b = app.tcp(up).bytes_between(cfg.warmup, cfg.duration);
             (rtts, b as f64 * 8.0 / cfg.window().as_secs_f64() / 1e6)
         });
@@ -51,19 +49,20 @@ fn run(station_fq: bool, cfg: &RunCfg) -> Row {
         station_fq,
         median_ms: s.median,
         p95_ms: s.p95,
-        upload_mbps: wifiq_experiments::runner::mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
+        upload_mbps: crate::runner::mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
     }
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Extension: client-side FQ (ping + bulk upload from the same \
          station, {} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let rows = [run(false, &cfg), run(true, &cfg)];
+    let rows = [measure(false, cfg), measure(true, cfg)];
     let mut t = Table::new(vec![
         "Client uplink",
         "Ping median (ms)",
@@ -78,11 +77,13 @@ fn main() {
             format!("{:.1}", r.upload_mbps),
         ]);
     }
-    t.print();
-    println!(
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
         "\nThe queueing structure is AP-side in the paper; applied at the\n\
          client it removes the client's own uplink bufferbloat without\n\
          costing upload throughput."
     );
     write_json("ext_client_fq", &rows);
+    Ok(out)
 }

@@ -15,9 +15,11 @@
 //! gates (flat fast-station latency under the airtime scheduler) are
 //! unchanged.
 
-use wifiq_experiments::report::{pct, write_json, Table};
-use wifiq_experiments::runner::{mean, meter_delta, run_seeds, shares_of};
-use wifiq_experiments::{scenario, RunCfg};
+use std::fmt::Write as _;
+
+use crate::report::{pct, write_json, Table};
+use crate::runner::{mean, meter_window, run_seeds, shares_of, to_ms};
+use crate::{scenario, RunCfg};
 use wifiq_mac::{FaultEntry, FaultTarget, Impairment, SchemeKind, StationMeter, WifiNetwork};
 use wifiq_sim::Nanos;
 use wifiq_stats::Summary;
@@ -32,7 +34,7 @@ struct Row {
     total_mbps: f64,
 }
 
-fn run(scheme: SchemeKind, err: f64, cfg: &RunCfg) -> Row {
+fn measure(scheme: SchemeKind, err: f64, cfg: &RunCfg) -> Row {
     let error_pct = (err * 100.0).round() as u32;
     let config = format!("err{error_pct}");
     // (slow share, fast RTTs in ms, total Mbps) per repetition.
@@ -55,19 +57,8 @@ fn run(scheme: SchemeKind, err: f64, cfg: &RunCfg) -> Row {
             net.run(cfg.warmup, &mut app);
             let before: Vec<StationMeter> = net.meter().all().to_vec();
             net.run(cfg.duration, &mut app);
-            let window: Vec<StationMeter> = net
-                .meter()
-                .all()
-                .iter()
-                .zip(&before)
-                .map(|(l, e)| meter_delta(l, e))
-                .collect();
-            let fast_ms: Vec<f64> = app
-                .ping(ping)
-                .rtts_after(cfg.warmup)
-                .iter()
-                .map(|r| r.as_millis_f64())
-                .collect();
+            let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
+            let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
             let secs = cfg.window().as_secs_f64();
             let total = tcps
                 .iter()
@@ -86,9 +77,10 @@ fn run(scheme: SchemeKind, err: f64, cfg: &RunCfg) -> Row {
     }
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Extension: channel errors at the slow station, TCP download \
          ({} reps x {}s)\n",
         cfg.reps,
@@ -97,7 +89,7 @@ fn main() {
     let mut rows = Vec::new();
     for scheme in [SchemeKind::Fifo, SchemeKind::AirtimeFair] {
         for err in [0.0, 0.1, 0.3] {
-            rows.push(run(scheme, err, &cfg));
+            rows.push(measure(scheme, err, cfg));
         }
     }
     let mut t = Table::new(vec![
@@ -116,8 +108,9 @@ fn main() {
             format!("{:.1}", r.total_mbps),
         ]);
     }
-    t.print();
-    println!(
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
         "\nThe loss is internalised: retries are charged to the lossy\n\
          station's own deficit (and its TCP backs off when retries are\n\
          exhausted), so the fast stations' latency stays flat under the\n\
@@ -125,4 +118,5 @@ fn main() {
          at every error rate."
     );
     write_json("ext_lossy_channel", &rows);
+    Ok(out)
 }

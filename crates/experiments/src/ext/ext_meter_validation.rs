@@ -10,10 +10,11 @@
 //! on a third, independent code path.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::{scenario, RunCfg};
+use crate::report::{write_json, Table};
+use crate::{scenario, RunCfg};
 use wifiq_mac::{AirtimeCapture, SchemeKind, WifiNetwork};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{Label, Telemetry};
@@ -30,9 +31,10 @@ struct Row {
     telemetry_error_pct: f64,
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Extension: airtime meter vs monitor capture vs telemetry registry \
          ({} reps x {}s; paper: agreement within 1.5%)\n",
         cfg.reps,
@@ -97,12 +99,13 @@ fn main() {
             format!("{:.4}%", r.telemetry_error_pct),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
     let worst = rows
         .iter()
         .map(|r| r.capture_error_pct.max(r.telemetry_error_pct))
         .fold(0.0f64, f64::max);
-    println!(
+    let _ = writeln!(
+        out,
         "\nWorst-case disagreement: {worst:.4}% (paper: <=1.5% average; the\n\
          simulator's meter, monitor and telemetry counters share exact\n\
          timing, so agreement here should be bit-exact — any nonzero error\n\
@@ -110,4 +113,5 @@ fn main() {
     );
     write_json("ext_meter_validation", &rows);
     assert!(worst < 1.5, "airtime accounts diverged by {worst}%");
+    Ok(out)
 }

@@ -22,12 +22,14 @@
 //!    (`results/policy_rollup_seq.json` vs `_par.json`; CI `cmp`s them).
 //!
 //! Results land in `results/BENCH_policy.json` with a `gates` block;
-//! any violated gate fails the process (and thus `run_all`).
+//! any violated gate is an `Err` (and so fails `wifiq all`).
 
-use wifiq_experiments::report::{pct, write_json, Table};
-use wifiq_experiments::rollup::{rollup_identity, Flood};
-use wifiq_experiments::runner::{mean, meter_delta, run_seeds, shares_of};
-use wifiq_experiments::{scenario, RunCfg};
+use std::fmt::Write as _;
+
+use crate::report::{pct, write_json, Table};
+use crate::rollup::{rollup_identity, Flood};
+use crate::runner::{mean, meter_delta, meter_window, run_seeds, shares_of};
+use crate::{scenario, RunCfg};
 use wifiq_mac::{
     FaultEntry, FaultTarget, Impairment, NetworkConfig, PolicyNode, PolicySet, Preset, SchemeKind,
     StationMeter, WifiNetwork,
@@ -110,13 +112,7 @@ fn run_point(tree: &str, set: PolicySet, roster: &str, gate_nodes: bool, cfg: &R
             .map(|n| tele.counter("policy", "node_airtime_ns", Label::Node(n as u32)))
             .collect();
         net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = net
-            .meter()
-            .all()
-            .iter()
-            .zip(&before)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
+        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
         let node_air: Vec<u64> = (0..nodes)
             .map(|n| {
                 tele.counter("policy", "node_airtime_ns", Label::Node(n as u32)) - node_before[n]
@@ -336,9 +332,10 @@ struct Bench {
     gates: Gates,
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Extension: policy — hierarchical airtime weights with runtime \
          switches ({} reps x {}s; trees x rosters)\n",
         cfg.reps,
@@ -346,10 +343,10 @@ fn main() {
     );
 
     let rows = vec![
-        run_point("flat_1_2_4", tree_flat(), "diverse", true, &cfg),
-        run_point("flat_1_2_4", tree_flat(), "fast", true, &cfg),
-        run_point("tenants_1_1", tree_tenants(), "diverse", true, &cfg),
-        run_point("classes_vo_be", tree_classes(), "diverse", false, &cfg),
+        run_point("flat_1_2_4", tree_flat(), "diverse", true, cfg),
+        run_point("flat_1_2_4", tree_flat(), "fast", true, cfg),
+        run_point("tenants_1_1", tree_tenants(), "diverse", true, cfg),
+        run_point("classes_vo_be", tree_classes(), "diverse", false, cfg),
     ];
 
     let mut t = Table::new(vec!["Tree", "Roster", "Expected", "Measured", "Max err"]);
@@ -370,7 +367,7 @@ fn main() {
             format!("{:.3}", r.max_err),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
 
     // Gate 1: achieved airtime tracks the configured tree, per station
     // and per node, at every sweep point.
@@ -416,7 +413,8 @@ fn main() {
         && gates.equal_weights_identical
         && gates.rollup_identical;
 
-    println!(
+    let _ = writeln!(
+        out,
         "\nGates: share err max {:.3} (<= 0.05: {share_ok}), node err max \
          {:.3} (<= 0.05: {node_share_ok}), switch converged in {:.0} ms / \
          {:.0} ms chaos (<= 2000: {convergence_ok}), equal weights \
@@ -424,7 +422,8 @@ fn main() {
          {rollup_identical}.",
         share_err_max, node_share_err_max, convergence_ms, convergence_chaos_ms,
     );
-    println!(
+    let _ = writeln!(
+        out,
         "\nThe policy tree compiles to per-(station, AC) deficit weights, so\n\
          hierarchy costs nothing on the hot path: slices and classes are\n\
          just numbers the DRR quantum already multiplies. Switches swap\n\
@@ -433,7 +432,9 @@ fn main() {
     );
     write_json("BENCH_policy", &Bench { rows, gates });
     if !ok {
-        eprintln!("\next_policy: one or more gates violated (see above).");
-        std::process::exit(1);
+        return Err(format!(
+            "{out}\next_policy: one or more gates violated (see above)."
+        ));
     }
+    Ok(out)
 }

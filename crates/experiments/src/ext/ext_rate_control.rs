@@ -11,9 +11,11 @@
 //! start rate fails badly and its TCP backs off; the background stream is
 //! what real networks' ambient traffic provides).
 
-use wifiq_experiments::report::{pct, write_json, Table};
-use wifiq_experiments::runner::{mean, meter_delta, run_seeds, shares_of};
-use wifiq_experiments::RunCfg;
+use std::fmt::Write as _;
+
+use crate::report::{pct, write_json, Table};
+use crate::runner::{mean, meter_window, run_seeds, shares_of};
+use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, StationMeter, WifiNetwork};
 use wifiq_phy::{ChannelWidth, PhyRate};
 use wifiq_sim::Nanos;
@@ -27,7 +29,7 @@ struct Row {
     goodput_mbps: Vec<f64>,
 }
 
-fn run(scheme: SchemeKind, cfg: &RunCfg) -> Row {
+fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Row {
     let start_rate = PhyRate::ht(3, ChannelWidth::Ht20, true);
     // (shares, rate estimates Mbps, goodput Mbps) per repetition.
     type RateRep = (Vec<f64>, Vec<f64>, Vec<f64>);
@@ -50,13 +52,7 @@ fn run(scheme: SchemeKind, cfg: &RunCfg) -> Row {
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
         net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = net
-            .meter()
-            .all()
-            .iter()
-            .zip(&before)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
+        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
         let est: Vec<f64> = (0..3)
             .map(|sta| net.rate_estimate(sta) as f64 / 1e6)
             .collect();
@@ -80,9 +76,10 @@ fn run(scheme: SchemeKind, cfg: &RunCfg) -> Row {
     }
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Extension: airtime fairness under live rate control \
          ({} reps x {}s; channels support MCS 13/13/0, start at MCS3)\n",
         cfg.reps,
@@ -90,7 +87,7 @@ fn main() {
     );
     let rows: Vec<Row> = [SchemeKind::FqCodelQdisc, SchemeKind::AirtimeFair]
         .into_iter()
-        .map(|s| run(s, &cfg))
+        .map(|s| measure(s, cfg))
         .collect();
     let mut t = Table::new(vec![
         "Scheme",
@@ -117,12 +114,14 @@ fn main() {
             ),
         ]);
     }
-    t.print();
-    println!(
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
         "\nThe anomaly and its fix both survive a live rate controller: the\n\
          third station's estimate drops below 12 Mbps (engaging the slow-\n\
          station CoDel parameters) and the airtime scheduler still splits\n\
          the medium three ways."
     );
     write_json("ext_rate_control", &rows);
+    Ok(out)
 }

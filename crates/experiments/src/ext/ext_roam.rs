@@ -28,15 +28,17 @@
 //! - **Worker count is invisible**: the same run on 1 and 4 workers must
 //!   produce byte-identical telemetry rollups
 //!   (`results/roam_rollup_seq.json` vs `results/roam_rollup_par.json`;
-//!   CI `cmp`s the artifacts this binary already compared).
+//!   CI `cmp`s the artifacts this experiment already compared).
 //!
 //! Results land in `results/BENCH_roam.json`.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use wifiq_experiments::report::{results_dir, write_json, Table};
-use wifiq_experiments::runner::{mean, run_seeds};
-use wifiq_experiments::RunCfg;
+use crate::report::{write_json, Table};
+use crate::runner::{mean, quick, run_seeds};
+use crate::RunCfg;
+use wifiq_harness::results_dir;
 use wifiq_mac::{
     App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, StationIdx, WifiNetwork,
 };
@@ -310,7 +312,7 @@ fn run_point(
 
 /// The leak soak: hammer hand-offs until the coordinator has executed at
 /// least `target` of them, then audit every conservation invariant.
-fn leak_check(target: u64, seed: u64) -> (u64, bool) {
+fn leak_check(target: u64, seed: u64, out: &mut String) -> (u64, bool) {
     let (bss, roster) = (4u32, 16usize);
     let dwell = Nanos::from_millis(20);
     let cfg = RoamCfg {
@@ -374,7 +376,8 @@ fn leak_check(target: u64, seed: u64) -> (u64, bool) {
     if !tele_ok {
         fail("roam/* telemetry does not mirror the coordinator stats");
     }
-    println!(
+    let _ = writeln!(
+        out,
         "leak soak: {} hand-offs over {}s sim — roster conserved, \
          slot tables bounded, telemetry mirrored: {}",
         run.stats.handoffs,
@@ -416,7 +419,7 @@ impl App<()> for SoloFlood {
 /// asymmetric flat policy, every hand-off must land back inside its
 /// slot's policy node with the slot's exact pre-roam weight — no
 /// neutral fallbacks, no weight drift.
-fn policy_check(seed: u64) -> bool {
+fn policy_check(seed: u64, out: &mut String) -> bool {
     let roster = 6usize;
     let weights: Vec<u32> = (0..roster as u32).map(|i| 1 + 3 * (i % 2)).collect();
     let cfg = NetworkConfig::builder()
@@ -462,7 +465,8 @@ fn policy_check(seed: u64) -> bool {
         && s.policy_reattach > 0
         && landed_ok
         && weights_ok;
-    println!(
+    let _ = writeln!(
+        out,
         "policy reattach: {} hand-offs on a policied BSS — {} reattached, \
          {} neutral, slot weights restored: {}",
         s.handoffs,
@@ -478,7 +482,7 @@ fn policy_check(seed: u64) -> bool {
 
 /// The lockstep determinism guarantee, executed: the same roaming run on
 /// one worker vs four must produce byte-identical rollups.
-fn determinism_check(duration: Nanos, settle: Nanos, seed: u64) -> bool {
+fn determinism_check(duration: Nanos, settle: Nanos, seed: u64, out: &mut String) -> bool {
     let rollup = |workers: usize| {
         roam_set(4, 8, Nanos::from_millis(200), "mixed", seed, workers).run(
             duration,
@@ -496,7 +500,8 @@ fn determinism_check(duration: Nanos, settle: Nanos, seed: u64) -> bool {
     std::fs::write(dir.join("roam_rollup_par.json"), &par).expect("write par rollup");
     let identical = seq == par && a.stats == b.stats && a.outputs == b.outputs;
     if identical {
-        println!(
+        let _ = writeln!(
+            out,
             "determinism: 4 BSS / 8 roamers, {} hand-offs — 1-worker and \
              4-worker rollups byte-identical ({} bytes)",
             a.stats.handoffs,
@@ -526,15 +531,16 @@ struct Bench {
     gates: Gates,
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    let quick = std::env::var("WIFIQ_QUICK").is_ok_and(|v| v == "1");
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let quick = quick();
     let (settle, duration, soak_target) = if quick {
         (Nanos::from_millis(500), Nanos::from_secs(2), 1_000)
     } else {
         (Nanos::from_secs(1), Nanos::from_secs(8), 10_000)
     };
-    println!(
+    let _ = writeln!(
+        out,
         "Extension: inter-BSS roaming — hand-off rate x roster x rate \
          asymmetry over the windowed-lockstep engine ({} reps x {}ms sim)\n",
         cfg.reps,
@@ -571,7 +577,7 @@ fn main() {
                 palette,
                 settle,
                 duration,
-                &cfg,
+                cfg,
             )
         })
         .collect();
@@ -602,13 +608,17 @@ fn main() {
             format!("{:.1}", r.throughput_mbps),
         ]);
     }
-    t.print();
-    println!();
+    out.push_str(&t.render());
+    out.push('\n');
 
-    let (soak_handoffs, leaks_ok) = leak_check(soak_target, cfg.base_seed);
-    let policy_ok = policy_check(cfg.base_seed);
-    let rollup_identical =
-        determinism_check(duration.min(Nanos::from_secs(2)), settle, cfg.base_seed);
+    let (soak_handoffs, leaks_ok) = leak_check(soak_target, cfg.base_seed, &mut out);
+    let policy_ok = policy_check(cfg.base_seed, &mut out);
+    let rollup_identical = determinism_check(
+        duration.min(Nanos::from_secs(2)),
+        settle,
+        cfg.base_seed,
+        &mut out,
+    );
 
     let jain_min_uniform = rows
         .iter()
@@ -635,7 +645,8 @@ fn main() {
         && gates.policy_ok
         && gates.rollup_identical;
 
-    println!(
+    let _ = writeln!(
+        out,
         "\nGates: Jain post-settle min {:.3} (>= 0.9: {}), reassoc max \
          {:.1} ms (<= 1000: {}), {} hand-off soak leak-free {}, policy \
          reattach {}, rollup byte-identical {}.",
@@ -650,7 +661,9 @@ fn main() {
     );
     write_json("BENCH_roam", &Bench { rows, gates });
     if !ok {
-        eprintln!("\next_roam: one or more gates violated (see above).");
-        std::process::exit(1);
+        return Err(format!(
+            "{out}\next_roam: one or more gates violated (see above)."
+        ));
     }
+    Ok(out)
 }

@@ -15,10 +15,12 @@
 //! (`results/scale_rollup_seq.json` vs `results/scale_rollup_par.json`);
 //! CI `cmp`s the pair. Results land in `results/BENCH_scale.json`.
 
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::rollup::rollup_identity;
-use wifiq_experiments::runner::{mean, run_seeds};
-use wifiq_experiments::RunCfg;
+use std::fmt::Write as _;
+
+use crate::report::{write_json, Table};
+use crate::rollup::rollup_identity;
+use crate::runner::{mean, quick, run_seeds};
+use crate::RunCfg;
 use wifiq_mac::{
     App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, WifiNetwork,
 };
@@ -265,8 +267,14 @@ fn run_point(
 
 /// The sharding determinism guarantee, executed: the same churned
 /// decomposition on one worker vs four must produce byte-identical
-/// telemetry rollups; any divergence aborts the run.
-fn determinism_check(stations: usize, shards: u32, warmup: Nanos, duration: Nanos, seed: u64) {
+/// telemetry rollups; any divergence fails the run.
+fn determinism_check(
+    stations: usize,
+    shards: u32,
+    warmup: Nanos,
+    duration: Nanos,
+    seed: u64,
+) -> bool {
     let per_shard = split_stations(stations, shards);
     let shard = |ctx: &ShardCtx| {
         run_shard(
@@ -278,18 +286,12 @@ fn determinism_check(stations: usize, shards: u32, warmup: Nanos, duration: Nano
             true,
         )
     };
-    if !rollup_identity("scale", shards, seed, shard, |_| {}) {
-        std::process::exit(1);
-    }
-    println!(
-        "determinism: {stations} stations / {shards} shards, churned — \
-         1-worker and 4-worker rollups byte-identical"
-    );
+    rollup_identity("scale", shards, seed, shard, |_| {})
 }
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    let quick = std::env::var("WIFIQ_QUICK").is_ok_and(|v| v == "1");
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let quick = quick();
     // Scale sweeps set their own (short) windows: the interesting axis is
     // roster size, not duration, and 10k stations at the default 30 s
     // would take hours on one core.
@@ -298,7 +300,8 @@ fn main() {
     } else {
         (Nanos::from_millis(250), Nanos::from_secs(1))
     };
-    println!(
+    let _ = writeln!(
+        out,
         "Extension: scale-out — 10 → 100k stations across 1-8 BSS shards, \
          saturated downlink, with and without churn ({} reps x {}ms sim)\n",
         cfg.reps,
@@ -332,9 +335,7 @@ fn main() {
     };
     let rows: Vec<Row> = grid
         .iter()
-        .map(|&(stations, shards, churn)| {
-            run_point(stations, shards, churn, warmup, duration, &cfg)
-        })
+        .map(|&(stations, shards, churn)| run_point(stations, shards, churn, warmup, duration, cfg))
         .collect();
 
     let mut t = Table::new(vec![
@@ -351,18 +352,29 @@ fn main() {
             r.leaves.to_string(),
         ]);
     }
-    t.print();
-    println!();
+    out.push_str(&t.render());
+    out.push('\n');
 
     let (det_sta, det_shards) = if quick { (100, 2) } else { (5000, 4) };
-    determinism_check(det_sta, det_shards, warmup, duration, cfg.base_seed);
+    if !determinism_check(det_sta, det_shards, warmup, duration, cfg.base_seed) {
+        return Err(format!(
+            "{out}\next_scale: 1-worker and 4-worker rollups differ."
+        ));
+    }
+    let _ = writeln!(
+        out,
+        "determinism: {det_sta} stations / {det_shards} shards, churned — \
+         1-worker and 4-worker rollups byte-identical"
+    );
 
     write_json("BENCH_scale", &rows);
     let max = rows.iter().map(|r| r.stations).max().unwrap_or(0);
-    println!(
+    let _ = writeln!(
+        out,
         "\nscale summary: points={} max_stations={} churn_points={} det=ok",
         rows.len(),
         max,
         rows.iter().filter(|r| r.churn).count()
     );
+    Ok(out)
 }

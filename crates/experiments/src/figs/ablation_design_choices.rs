@@ -1,12 +1,15 @@
 //! Behavioural ablations of the design choices DESIGN.md calls out.
 
-use wifiq_core::fq::DropPolicy;
-use wifiq_experiments::report::{pct, write_json, Table};
-use wifiq_experiments::{ablations, RunCfg};
+use std::fmt::Write as _;
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+use crate::report::{pct, write_json, Table};
+use crate::{ablations, RunCfg};
+use wifiq_core::fq::DropPolicy;
+
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Design-choice ablations ({} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
@@ -15,9 +18,9 @@ fn main() {
     // 1. RX airtime charging (bidirectional TCP fairness).
     let rx: Vec<_> = [true, false]
         .into_iter()
-        .map(|e| ablations::rx_charging(e, &cfg))
+        .map(|e| ablations::rx_charging(e, cfg))
         .collect();
-    println!("1. RX airtime charging (bidirectional TCP):");
+    let _ = writeln!(out, "1. RX airtime charging (bidirectional TCP):");
     let mut t = Table::new(vec!["charge_rx", "Jain", "slow share"]);
     for r in &rx {
         t.row(vec![
@@ -26,15 +29,18 @@ fn main() {
             pct(r.slow_share),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
     write_json("ablation_rx_charging", &rx);
 
     // 2. Per-station CoDel parameters (slow-station goodput).
     let codel: Vec<_> = [true, false]
         .into_iter()
-        .map(|e| ablations::adaptive_codel(e, &cfg))
+        .map(|e| ablations::adaptive_codel(e, cfg))
         .collect();
-    println!("\n2. Per-station CoDel parameters (bulk TCP to the slow station):");
+    let _ = writeln!(
+        out,
+        "\n2. Per-station CoDel parameters (bulk TCP to the slow station):"
+    );
     let mut t = Table::new(vec![
         "adaptive",
         "slow goodput (Mbps)",
@@ -49,15 +55,18 @@ fn main() {
             format!("{:.0}", r.retransmissions),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
     write_json("ablation_adaptive_codel", &codel);
 
     // 3. Overlimit drop policy (fast-station survival under a hog).
     let drop: Vec<_> = [DropPolicy::DropLongest, DropPolicy::TailDrop]
         .into_iter()
-        .map(|p| ablations::drop_policy(p, &cfg))
+        .map(|p| ablations::drop_policy(p, cfg))
         .collect();
-    println!("\n3. Overlimit policy (slow-station UDP flood, tight limit):");
+    let _ = writeln!(
+        out,
+        "\n3. Overlimit policy (slow-station UDP flood, tight limit):"
+    );
     let mut t = Table::new(vec!["policy", "fast goodput (Mbps)", "fast aggregation"]);
     for r in &drop {
         t.row(vec![
@@ -66,15 +75,18 @@ fn main() {
             format!("{:.1}", r.fast_aggregation),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
     write_json("ablation_drop_policy", &drop);
 
     // 4. Airtime quantum sweep.
     let quanta: Vec<_> = [100u64, 300, 1_000, 5_000, 20_000]
         .into_iter()
-        .map(|q| ablations::quantum(q, &cfg))
+        .map(|q| ablations::quantum(q, cfg))
         .collect();
-    println!("\n4. Airtime quantum (sparse-station latency / bulk fairness):");
+    let _ = writeln!(
+        out,
+        "\n4. Airtime quantum (sparse-station latency / bulk fairness):"
+    );
     let mut t = Table::new(vec!["quantum (us)", "sparse median (ms)", "Jain (bulk)"]);
     for r in &quanta {
         t.row(vec![
@@ -83,6 +95,7 @@ fn main() {
             format!("{:.3}", r.jain),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
     write_json("ablation_quantum", &quanta);
+    Ok(out)
 }

@@ -2,21 +2,24 @@
 //! per scheme, fast vs slow station. Pass `--bidir` for the online
 //! appendix's upload+download variant.
 
-use wifiq_experiments::report::{ascii_cdf_labeled, flag, write_json, Table};
-use wifiq_experiments::{latency, RunCfg};
+use std::fmt::Write as _;
 
-fn main() {
-    let bidir = flag("--bidir");
-    let cfg = RunCfg::from_env();
+use crate::report::{ascii_cdf, write_json, Table};
+use crate::{latency, RunCfg};
+
+pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let bidir = args.iter().any(|a| a == "--bidir");
     let label = if bidir { "bidirectional" } else { "download" };
-    println!(
+    let _ = writeln!(
+        out,
         "Figure 4: ICMP latency with simultaneous TCP {label} traffic \
          ({} reps x {}s, {}s warmup)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000,
         cfg.warmup.as_millis() / 1000
     );
-    let results = latency::run_all(&cfg, bidir);
+    let results = latency::run_all(cfg, bidir);
     let mut t = Table::new(vec![
         "Scheme",
         "Station",
@@ -37,12 +40,12 @@ fn main() {
             ]);
         }
     }
-    t.print();
+    out.push_str(&t.render());
 
     // The Figure 4 plot itself: latency CDFs on a log axis. As in the
     // paper, the airtime scheme is omitted from the plot — its curves
     // coincide with FQ-MAC's and only clutter the figure.
-    println!("\nLatency CDF (ms, log scale):\n");
+    let _ = writeln!(out, "\nLatency CDF (ms, log scale):\n");
     let series: Vec<(String, &[(f64, f64)])> = results
         .iter()
         .filter(|r| r.scheme != "Airtime fair FQ")
@@ -53,8 +56,8 @@ fn main() {
             ]
         })
         .collect();
-    print!("{}", ascii_cdf_labeled(&series, 72, 18));
-    wifiq_experiments::report::write_csv_cdf(
+    out.push_str(&ascii_cdf(&series, 72, 18));
+    crate::report::write_csv_cdf(
         if bidir {
             "fig04_latency_bidir_cdf"
         } else {
@@ -71,7 +74,8 @@ fn main() {
         .iter()
         .find(|r| r.scheme == "FQ-MAC")
         .expect("FQ-MAC run");
-    println!(
+    let _ = writeln!(
+        out,
         "\nLatency reduction FIFO -> FQ-MAC: fast {:.1}x, slow {:.1}x (paper: about an order of magnitude)",
         fifo.fast.summary.median / fq.fast.summary.median.max(0.001),
         fifo.slow.summary.median / fq.slow.summary.median.max(0.001),
@@ -84,4 +88,5 @@ fn main() {
         },
         &results,
     );
+    Ok(out)
 }

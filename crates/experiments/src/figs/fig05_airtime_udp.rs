@@ -1,16 +1,19 @@
 //! Figure 5: airtime share per station for one-way UDP, per scheme.
 
-use wifiq_experiments::report::{pct, write_json, Table};
-use wifiq_experiments::{udp_sat, RunCfg};
+use std::fmt::Write as _;
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+use crate::report::{pct, write_json, Table};
+use crate::{udp_sat, RunCfg};
+
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Figure 5: airtime usage for one-way UDP traffic ({} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let results = udp_sat::run_all(&cfg);
+    let results = udp_sat::run_all(cfg);
     let mut t = Table::new(vec![
         "Scheme",
         "Fast 1",
@@ -33,7 +36,11 @@ fn main() {
             ),
         ]);
     }
-    t.print();
-    println!("\nPaper: FIFO slow share ~80%; airtime-fair shares 33%/33%/33%.");
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
+        "\nPaper: FIFO slow share ~80%; airtime-fair shares 33%/33%/33%."
+    );
     write_json("fig05_airtime_udp", &results);
+    Ok(out)
 }

@@ -1,21 +1,24 @@
 //! Figure 6: Jain's fairness index over station airtimes for UDP,
 //! TCP download, and bidirectional TCP, per scheme.
 
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::tcp_fair::{self, TcpPattern};
-use wifiq_experiments::{udp_sat, RunCfg};
+use std::fmt::Write as _;
+
+use crate::report::{write_json, Table};
+use crate::tcp_fair::{self, TcpPattern};
+use crate::{udp_sat, RunCfg};
 use wifiq_stats::jain_index;
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Figure 6: Jain's fairness index over station airtime ({} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let udp = udp_sat::run_all(&cfg);
-    let dl = tcp_fair::run_all(TcpPattern::Download, &cfg);
-    let bi = tcp_fair::run_all(TcpPattern::Bidirectional, &cfg);
+    let udp = udp_sat::run_all(cfg);
+    let dl = tcp_fair::run_all(TcpPattern::Download, cfg);
+    let bi = tcp_fair::run_all(TcpPattern::Bidirectional, cfg);
 
     let mut t = Table::new(vec!["Scheme", "UDP", "TCP dl", "TCP bidir"]);
     #[derive(serde::Serialize)]
@@ -29,7 +32,7 @@ fn main() {
     for i in 0..4 {
         let udp_jain = {
             let med: Vec<f64> = udp[i].rep_shares.iter().map(|s| jain_index(s)).collect();
-            wifiq_experiments::runner::median(&med)
+            crate::runner::median(&med)
         };
         rows.push(Row {
             scheme: udp[i].scheme.clone(),
@@ -44,7 +47,11 @@ fn main() {
             format!("{:.3}", bi[i].jain),
         ]);
     }
-    t.print();
-    println!("\nPaper: FIFO ~0.45-0.55; airtime-fair ~1.0 (slight dip for bidir).");
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
+        "\nPaper: FIFO ~0.45-0.55; airtime-fair ~1.0 (slight dip for bidir)."
+    );
     write_json("fig06_jain", &rows);
+    Ok(out)
 }

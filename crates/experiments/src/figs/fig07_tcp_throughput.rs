@@ -1,25 +1,28 @@
 //! Figure 7: per-station and average TCP download throughput per scheme.
 //! Pass `--bidir` for the online appendix's bidirectional variant.
 
-use wifiq_experiments::report::{flag, mbps, write_json, Table};
-use wifiq_experiments::tcp_fair::{self, TcpPattern};
-use wifiq_experiments::RunCfg;
+use std::fmt::Write as _;
 
-fn main() {
-    let bidir = flag("--bidir");
+use crate::report::{mbps, write_json, Table};
+use crate::tcp_fair::{self, TcpPattern};
+use crate::RunCfg;
+
+pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let bidir = args.iter().any(|a| a == "--bidir");
     let pattern = if bidir {
         TcpPattern::Bidirectional
     } else {
         TcpPattern::Download
     };
-    let cfg = RunCfg::from_env();
-    println!(
+    let _ = writeln!(
+        out,
         "Figure 7: throughput for {} traffic ({} reps x {}s)\n",
         pattern.label(),
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let results = tcp_fair::run_all(pattern, &cfg);
+    let results = tcp_fair::run_all(pattern, cfg);
     let mut t = Table::new(vec![
         "Scheme",
         "Station 1",
@@ -38,8 +41,9 @@ fn main() {
             mbps(r.total()),
         ]);
     }
-    t.print();
-    println!(
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
         "\nPaper (download): fast stations rise with fairness, slow declines; \
          net total increase (Mbps)."
     );
@@ -51,4 +55,5 @@ fn main() {
         },
         &results,
     );
+    Ok(out)
 }

@@ -1,17 +1,20 @@
 //! Figure 8: the sparse-station optimisation's effect on a ping-only
 //! station's latency, with UDP and TCP bulk backgrounds.
 
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::{sparse, RunCfg};
+use std::fmt::Write as _;
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+use crate::report::{write_json, Table};
+use crate::{sparse, RunCfg};
+
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Figure 8: effect of the sparse station optimisation ({} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let cells = sparse::run_all(&cfg);
+    let cells = sparse::run_all(cfg);
     let mut t = Table::new(vec![
         "Bulk",
         "Optimisation",
@@ -28,7 +31,7 @@ fn main() {
             format!("{:.2}", c.summary.mean),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
     let med = |bulk: &str, enabled: bool| {
         cells
             .iter()
@@ -36,10 +39,12 @@ fn main() {
             .map(|c| c.summary.median)
             .unwrap_or(f64::NAN)
     };
-    println!(
+    let _ = writeln!(
+        out,
         "\nMedian reduction: UDP {:.0}%, TCP {:.0}% (paper: 10-15%)",
         (1.0 - med("UDP", true) / med("UDP", false)) * 100.0,
         (1.0 - med("TCP", true) / med("TCP", false)) * 100.0,
     );
     write_json("fig08_sparse", &cells);
+    Ok(out)
 }

@@ -1,23 +1,21 @@
 //! Figure 9 and the Section 4.1.5 observations: airtime shares and
 //! throughput in the 30-station testbed.
 
-use wifiq_experiments::report::{pct, write_json, Table};
-use wifiq_experiments::{thirty, RunCfg};
+use std::fmt::Write as _;
 
-fn main() {
-    let mut cfg = RunCfg::from_env();
-    // The third-party testbed ran 5 x 300 s; default to fewer, longer
-    // runs than the small-testbed experiments.
-    if std::env::var("WIFIQ_REPS").is_err() {
-        cfg.reps = 3;
-    }
-    println!(
+use crate::report::{pct, write_json, Table};
+use crate::{thirty, RunCfg};
+
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Figure 9: airtime share between stations, 30-station TCP test \
          ({} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let results = thirty::run_all(&cfg);
+    let results = thirty::run_all(cfg);
     let mut t = Table::new(vec![
         "Scheme",
         "Slow (1Mbps) share",
@@ -34,10 +32,11 @@ fn main() {
             format!("{:.1}", r.total_goodput_bps / 1e6),
         ]);
     }
-    t.print();
+    out.push_str(&t.render());
     let fqc = &results[0];
     let air = &results[2];
-    println!(
+    let _ = writeln!(
+        out,
         "\nObservations (section 4.1.5):\n\
          1. slow-station share under FQ-CoDel: {} (paper: ~2/3)\n\
          2. throughput gain FQ-CoDel -> Airtime: {:.1}x (paper: 5.4x)\n\
@@ -51,4 +50,5 @@ fn main() {
         air.fast_latency.median,
     );
     write_json("fig09_30sta", &results);
+    Ok(out)
 }

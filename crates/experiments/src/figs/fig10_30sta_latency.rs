@@ -1,19 +1,19 @@
 //! Figure 10: latency distributions in the 30-station TCP test.
 
-use wifiq_experiments::report::{ascii_cdf_labeled, write_json, Table};
-use wifiq_experiments::{thirty, RunCfg};
+use std::fmt::Write as _;
 
-fn main() {
-    let mut cfg = RunCfg::from_env();
-    if std::env::var("WIFIQ_REPS").is_err() {
-        cfg.reps = 3;
-    }
-    println!(
+use crate::report::{ascii_cdf, write_json, Table};
+use crate::{thirty, RunCfg};
+
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Figure 10: latency for the 30-station TCP test ({} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let results = thirty::run_all(&cfg);
+    let results = thirty::run_all(cfg);
     let mut t = Table::new(vec![
         "Scheme",
         "Station",
@@ -32,9 +32,9 @@ fn main() {
             ]);
         }
     }
-    t.print();
+    out.push_str(&t.render());
 
-    println!("\nLatency CDF (ms, log scale):\n");
+    let _ = writeln!(out, "\nLatency CDF (ms, log scale):\n");
     let series: Vec<(String, &[(f64, f64)])> = results
         .iter()
         .flat_map(|r| {
@@ -44,12 +44,14 @@ fn main() {
             ]
         })
         .collect();
-    print!("{}", ascii_cdf_labeled(&series, 72, 18));
-    wifiq_experiments::report::write_csv_cdf("fig10_30sta_cdf", &series);
+    out.push_str(&ascii_cdf(&series, 72, 18));
+    crate::report::write_csv_cdf("fig10_30sta_cdf", &series);
 
-    println!(
+    let _ = writeln!(
+        out,
         "\nPaper: airtime fairness improves fast-station latency, worsens the \
          slow station's by an order of magnitude, and halves the average."
     );
     write_json("fig10_30sta_latency", &results);
+    Ok(out)
 }

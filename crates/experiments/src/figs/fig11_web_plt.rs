@@ -1,14 +1,20 @@
 //! Figure 11: web page-load times through a busy network. Pass
 //! `--with-slow` to add the appendix's slow-station-fetches variant.
 
-use wifiq_experiments::report::{flag, write_json, Table};
-use wifiq_experiments::{web, RunCfg};
+use std::fmt::Write as _;
 
-fn main() {
-    let with_slow = flag("--with-slow");
-    let cfg = RunCfg::from_env();
-    println!("Figure 11: HTTP page fetch times ({} reps)\n", cfg.reps);
-    let cells = web::run_all(&cfg, with_slow);
+use crate::report::{write_json, Table};
+use crate::{web, RunCfg};
+
+pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let with_slow = args.iter().any(|a| a == "--with-slow");
+    let _ = writeln!(
+        out,
+        "Figure 11: HTTP page fetch times ({} reps)\n",
+        cfg.reps
+    );
+    let cells = web::run_all(cfg, with_slow);
     let mut t = Table::new(vec![
         "Fetcher",
         "Page",
@@ -25,10 +31,12 @@ fn main() {
             format!("{}/{}", c.completed, c.reps),
         ]);
     }
-    t.print();
-    println!(
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
         "\nPaper: order-of-magnitude improvement FIFO -> FQ-CoDel for the fast \
          station; large page takes ~35 s under FIFO."
     );
     write_json("fig11_web", &cells);
+    Ok(out)
 }

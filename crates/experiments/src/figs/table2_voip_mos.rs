@@ -1,17 +1,20 @@
 //! Table 2: VoIP MOS and total throughput under different QoS markings.
 
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::{voip, RunCfg};
+use std::fmt::Write as _;
 
-fn main() {
-    let cfg = RunCfg::from_env();
-    println!(
+use crate::report::{write_json, Table};
+use crate::{voip, RunCfg};
+
+pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "Table 2: MOS values and total throughput for VoIP + bulk traffic \
          ({} reps x {}s)\n",
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let cells = voip::run_all(&cfg);
+    let cells = voip::run_all(cfg);
     let mut t = Table::new(vec![
         "Scheme",
         "QoS",
@@ -32,7 +35,11 @@ fn main() {
             format!("{:.1}", fifty.throughput_bps / 1e6),
         ]);
     }
-    t.print();
-    println!("\nPaper: FIFO/FQ-CoDel BE ~1.0-1.2 MOS; FQ-MAC/Airtime >= 4.37 even as BE.");
+    out.push_str(&t.render());
+    let _ = writeln!(
+        out,
+        "\nPaper: FIFO/FQ-CoDel BE ~1.0-1.2 MOS; FQ-MAC/Airtime >= 4.37 even as BE."
+    );
     write_json("table2_voip", &cells);
+    Ok(out)
 }

@@ -6,7 +6,7 @@ use wifiq_mac::{SchemeKind, WifiNetwork};
 use wifiq_stats::{Cdf, Summary};
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{run_seeds, RunCfg};
+use crate::runner::{run_seeds, to_ms, RunCfg};
 use crate::scenario::{self, FAST1, SLOW};
 
 /// Latency distribution for one station class under one scheme.
@@ -59,13 +59,7 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg, bidir: bool) -> SchemeLatenc
             }
             app.install(&mut net);
             net.run(cfg.duration, &mut app);
-            let rtts = |flow| -> Vec<f64> {
-                app.ping(flow)
-                    .rtts_after(cfg.warmup)
-                    .iter()
-                    .map(|r| r.as_millis_f64())
-                    .collect()
-            };
+            let rtts = |flow| -> Vec<f64> { to_ms(&app.ping(flow).rtts_after(cfg.warmup)) };
             (rtts(ping_fast), rtts(ping_slow))
         });
     let fast_ms: Vec<f64> = reps.iter().flat_map(|r| r.0.iter().copied()).collect();

@@ -1,12 +1,13 @@
 //! Experiment harnesses regenerating every table and figure of the
 //! paper's evaluation (Section 4).
 //!
-//! Each module implements one experiment; each `src/bin/` binary runs one
-//! experiment, prints the same rows/series the paper reports, and writes
-//! a JSON artifact under `results/`. See DESIGN.md §4 for the experiment
-//! index and EXPERIMENTS.md for paper-vs-measured values.
+//! Each measurement module below implements one experiment; each module
+//! under [`figs`] and [`ext`] is one `wifiq <name>` subcommand that runs
+//! it, returns the same rows/series the paper reports, and writes a JSON
+//! artifact under `results/`. See DESIGN.md §4 for the experiment index
+//! and EXPERIMENTS.md for paper-vs-measured values.
 //!
-//! | Module      | Paper result | Binary |
+//! | Module      | Paper result | `wifiq` subcommand |
 //! |---|---|---|
 //! | [`latency`]  | Figures 1 & 4 (+ appendix bidir variant) | `fig04_latency_tcp` |
 //! | [`table1`]   | Table 1 | `table1_model_validation` |
@@ -19,15 +20,21 @@
 //!
 //! [`ablations`] holds the design-choice ablations (RX charging,
 //! per-station CoDel parameters, the overlimit drop policy, and the
-//! airtime quantum), driven by the `ablation_design_choices` binary.
+//! airtime quantum), reported by `ablation_design_choices`.
 //!
 //! [`rollup`] holds what the sharded extension experiments share: the
 //! 1-vs-4-worker rollup identity check and the flood load its shards run.
+//!
+//! [`dispatch`] is the row type of `wifiq`'s experiment table and the
+//! in-process `wifiq all` driver over it.
 //!
 //! Repetition counts and durations are configurable through the
 //! environment; see [`runner::RunCfg`].
 
 pub mod ablations;
+pub mod dispatch;
+pub mod ext;
+pub mod figs;
 pub mod latency;
 pub mod report;
 pub mod rollup;

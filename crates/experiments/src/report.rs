@@ -1,9 +1,9 @@
 //! Result reporting: aligned console tables and JSON artifacts.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 use serde::Serialize;
+use wifiq_harness::results_dir;
 
 /// A simple fixed-layout console table.
 pub struct Table {
@@ -62,29 +62,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// The directory experiment artifacts are written to (`results/` at the
-/// workspace root, overridable with `WIFIQ_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("WIFIQ_RESULTS_DIR") {
-        return PathBuf::from(d);
-    }
-    // Walk up from the current directory to find the workspace root.
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
-            return dir.join("results");
-        }
-        if !dir.pop() {
-            return PathBuf::from("results");
-        }
-    }
 }
 
 /// Serialises `value` as pretty JSON into `results/<name>.json`.
@@ -114,7 +91,11 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 ///
 /// Each series is `(label, points)` with points as `(value, probability)`
 /// sorted by value. Returns the multi-line plot.
-pub fn ascii_cdf(series: &[(&str, &[(f64, f64)])], width: usize, height: usize) -> String {
+pub fn ascii_cdf<S: AsRef<str>>(
+    series: &[(S, &[(f64, f64)])],
+    width: usize,
+    height: usize,
+) -> String {
     const MARKS: &[char] = &['*', 'o', '+', 'x', '#', '@'];
     let finite_min = series
         .iter()
@@ -162,7 +143,7 @@ pub fn ascii_cdf(series: &[(&str, &[(f64, f64)])], width: usize, height: usize) 
         w = width.saturating_sub(8)
     );
     for (si, (label, _)) in series.iter().enumerate() {
-        let _ = writeln!(out, "      {} {}", MARKS[si % MARKS.len()], label);
+        let _ = writeln!(out, "      {} {}", MARKS[si % MARKS.len()], label.as_ref());
     }
     out
 }
@@ -187,17 +168,6 @@ pub fn write_csv_cdf(name: &str, series: &[(String, &[(f64, f64)])]) {
     }
 }
 
-/// Convenience wrapper over [`ascii_cdf`] for owned labels, as the
-/// figure binaries produce them.
-pub fn ascii_cdf_labeled(
-    series: &[(String, &[(f64, f64)])],
-    width: usize,
-    height: usize,
-) -> String {
-    let refs: Vec<(&str, &[(f64, f64)])> = series.iter().map(|(l, p)| (l.as_str(), *p)).collect();
-    ascii_cdf(&refs, width, height)
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -208,25 +178,18 @@ pub fn mbps(bps: f64) -> String {
     format!("{:.1}", bps / 1e6)
 }
 
-/// Whether `name`, the one flag this binary accepts, is on its command
-/// line. Any other argument exits 2 naming it: a typo'd flag must not run
-/// the default variant and overwrite that variant's results.
-pub fn flag(name: &str) -> bool {
-    parse_flag(name, std::env::args().skip(1)).unwrap_or_else(|arg| {
-        eprintln!("error: unknown argument {arg:?} (the only flag is {name})");
-        std::process::exit(2)
-    })
-}
-
-fn parse_flag(name: &str, args: impl Iterator<Item = String>) -> Result<bool, String> {
-    let mut on = false;
-    for arg in args {
-        if arg != name {
-            return Err(arg);
-        }
-        on = true;
+/// Whether `flag`, the one flag an experiment accepts (its `flag` entry in
+/// the `wifiq` table), is among `args`. Any other argument is an error
+/// naming it: a typo'd flag must not run the default variant and overwrite
+/// that variant's results.
+pub fn parse_flag(flag: Option<&str>, args: &[String]) -> Result<bool, String> {
+    match args.iter().find(|arg| Some(arg.as_str()) != flag) {
+        Some(arg) => Err(match flag {
+            Some(flag) => format!("unknown argument {arg:?} (the only flag is {flag})"),
+            None => format!("unknown argument {arg:?} (this experiment takes none)"),
+        }),
+        None => Ok(!args.is_empty()),
     }
-    Ok(on)
 }
 
 #[cfg(test)]
@@ -235,11 +198,17 @@ mod tests {
 
     #[test]
     fn a_typod_flag_is_an_error_not_the_default() {
-        let of = |args: &[&str]| parse_flag("--bidir", args.iter().map(|a| a.to_string()));
-        assert_eq!(of(&[]), Ok(false));
-        assert_eq!(of(&["--bidir"]), Ok(true));
-        assert_eq!(of(&["--bidr"]), Err("--bidr".into()));
-        assert_eq!(of(&["--bidir", "x"]), Err("x".into()));
+        let of = |flag, args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse_flag(flag, &args)
+        };
+        let bidir = Some("--bidir");
+        assert_eq!(of(bidir, &[]), Ok(false));
+        assert_eq!(of(bidir, &["--bidir"]), Ok(true));
+        assert!(of(bidir, &["--bidr"]).unwrap_err().contains("\"--bidr\""));
+        assert!(of(bidir, &["--bidir", "x"]).unwrap_err().contains("\"x\""));
+        assert_eq!(of(None, &[]), Ok(false));
+        assert!(of(None, &["--bidir"]).unwrap_err().contains("\"--bidir\""));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The worker-count identity check shared by the sharded extension
 //! experiments, and the transport-free load its shards run.
 
+use wifiq_harness::results_dir;
 use wifiq_mac::{App, Commands, Delivery, NodeAddr, Packet};
 use wifiq_phy::AccessCategory;
 use wifiq_scale::{ShardCtx, ShardSet};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{Registry, Telemetry};
 
-use crate::report::results_dir;
 use crate::runner::{export_metrics, metrics_telemetry};
 
 /// Downlink flood over the first `n` station slots: four MTU packets

@@ -54,12 +54,12 @@ impl RunCfg {
         }
     }
 
-    /// Reads overrides from the environment (see type docs). Experiment
-    /// binaries go through here, so they additionally pick up the harness
-    /// knobs: parallel repetitions and the result cache.
+    /// Reads overrides from the environment (see type docs). The `wifiq`
+    /// experiments go through here, so they additionally pick up the
+    /// harness knobs: parallel repetitions and the result cache.
     pub fn from_env() -> RunCfg {
         let mut cfg = RunCfg::new();
-        if std::env::var("WIFIQ_QUICK").is_ok_and(|v| v == "1") {
+        if quick() {
             cfg.reps = 1;
             cfg.duration = Nanos::from_secs(10);
             cfg.warmup = Nanos::from_secs(2);
@@ -154,6 +154,12 @@ fn sanitize_name(raw: &str) -> String {
         .to_string()
 }
 
+/// Whether the smoke settings are on (`WIFIQ_QUICK=1`): 1 × 10 s for the
+/// repetition sweeps, and the extension experiments' own reduced grids.
+pub fn quick() -> bool {
+    std::env::var("WIFIQ_QUICK").is_ok_and(|v| v == "1")
+}
+
 /// Whether metrics collection is enabled (`WIFIQ_METRICS=1`).
 pub fn metrics_enabled() -> bool {
     std::env::var("WIFIQ_METRICS").is_ok_and(|v| v == "1")
@@ -202,6 +208,21 @@ pub fn meter_delta(later: &StationMeter, earlier: &StationMeter) -> StationMeter
         failures: later.failures - earlier.failures,
         retry_drops: later.retry_drops - earlier.retry_drops,
     }
+}
+
+/// Per-station [`meter_delta`] of two whole-network snapshots
+/// (`net.meter().all()` now, and as copied at the end of warm-up).
+pub fn meter_window(later: &[StationMeter], earlier: &[StationMeter]) -> Vec<StationMeter> {
+    later
+        .iter()
+        .zip(earlier)
+        .map(|(l, e)| meter_delta(l, e))
+        .collect()
+}
+
+/// Sim-time samples (ping RTTs, one-way delays) as milliseconds.
+pub fn to_ms(samples: &[Nanos]) -> Vec<f64> {
+    samples.iter().map(|s| s.as_millis_f64()).collect()
 }
 
 /// Airtime shares over a set of meter windows.

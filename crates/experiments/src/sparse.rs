@@ -8,7 +8,7 @@ use wifiq_sim::Nanos;
 use wifiq_stats::{Cdf, Summary};
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{run_seeds, RunCfg};
+use crate::runner::{run_seeds, to_ms, RunCfg};
 use crate::scenario::{self, EXTRA};
 use crate::udp_sat::SAT_RATE_BPS;
 
@@ -69,11 +69,7 @@ pub fn run_cell(bulk: BulkKind, enabled: bool, cfg: &RunCfg) -> SparseCell {
         }
         app.install(&mut net);
         net.run(cfg.duration, &mut app);
-        app.ping(ping)
-            .rtts_after(cfg.warmup)
-            .iter()
-            .map(|r| r.as_millis_f64())
-            .collect()
+        to_ms(&app.ping(ping).rtts_after(cfg.warmup))
     });
     let rtts_ms: Vec<f64> = reps.into_iter().flatten().collect();
     SparseCell {

@@ -8,7 +8,7 @@ use wifiq_stats::jain_index;
 use wifiq_traffic::TrafficApp;
 
 use crate::runner::{
-    export_metrics, mean, meter_delta, metrics_telemetry, run_seeds, shares_of, RunCfg,
+    export_metrics, mean, meter_window, metrics_telemetry, run_seeds, shares_of, RunCfg,
 };
 use crate::scenario;
 
@@ -92,13 +92,7 @@ pub fn run_scheme(scheme: SchemeKind, pattern: TcpPattern, cfg: &RunCfg) -> TcpR
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
         net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = net
-            .meter()
-            .all()
-            .iter()
-            .zip(&before)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
+        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
 
         let secs = cfg.window().as_secs_f64();
         let down: Vec<f64> = downs

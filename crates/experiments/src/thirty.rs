@@ -8,7 +8,7 @@ use wifiq_sim::Nanos;
 use wifiq_stats::{jain_index, Cdf, Summary};
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{mean, meter_delta, run_seeds, shares_of, RunCfg};
+use crate::runner::{mean, meter_window, run_seeds, shares_of, to_ms, RunCfg};
 use crate::scenario::{self, PINGONLY30, SLOW30};
 
 /// The schemes the third-party testbed ran (no FIFO case).
@@ -64,13 +64,7 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> ThirtyResult {
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
         net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = net
-            .meter()
-            .all()
-            .iter()
-            .zip(&before)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
+        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
 
         // Airtime over the 29 stations that carry traffic (the ping-only
         // client is excluded from the share plot, as in Figure 9).
@@ -86,13 +80,7 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> ThirtyResult {
             .iter()
             .map(|t| app.tcp(*t).bytes_between(cfg.warmup, cfg.duration) as f64 * 8.0 / secs)
             .sum();
-        let rtts = |flow| -> Vec<f64> {
-            app.ping(flow)
-                .rtts_after(cfg.warmup)
-                .iter()
-                .map(|r| r.as_millis_f64())
-                .collect()
-        };
+        let rtts = |flow| -> Vec<f64> { to_ms(&app.ping(flow).rtts_after(cfg.warmup)) };
         (
             shares[SLOW30],
             mean(&shares[1..]),

@@ -7,7 +7,7 @@ use wifiq_sim::Nanos;
 use wifiq_traffic::TrafficApp;
 
 use crate::runner::{
-    export_metrics, mean, meter_delta, metrics_telemetry, run_seeds, shares_of, RunCfg,
+    export_metrics, mean, meter_window, metrics_telemetry, run_seeds, shares_of, RunCfg,
 };
 use crate::scenario;
 
@@ -64,13 +64,7 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> UdpSatResult {
             net.run(cfg.warmup, &mut app);
             let before: Vec<StationMeter> = net.meter().all().to_vec();
             net.run(cfg.duration, &mut app);
-            let window: Vec<StationMeter> = net
-                .meter()
-                .all()
-                .iter()
-                .zip(&before)
-                .map(|(l, e)| meter_delta(l, e))
-                .collect();
+            let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
 
             let shares = shares_of(&window);
             let aggr: Vec<f64> = window.iter().map(StationMeter::mean_aggregation).collect();

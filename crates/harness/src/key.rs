@@ -19,7 +19,7 @@ use crate::sha256::sha256_hex;
 /// Sweep-level identity shared by a batch of cells.
 #[derive(Debug, Clone)]
 pub struct SweepMeta {
-    /// Experiment name (e.g. `"udp_sat"`, `"run_all"`).
+    /// Experiment name (e.g. `"udp_sat"`, `"all"`).
     pub experiment: String,
     /// Simulated duration of one repetition, nanoseconds.
     pub duration_ns: u64,
@@ -51,7 +51,8 @@ impl SweepMeta {
 /// One schedulable cell of a sweep.
 #[derive(Debug, Clone)]
 pub struct CellDef {
-    /// Cell label within the experiment (e.g. a scheme slug or binary name).
+    /// Cell label within the experiment (e.g. a scheme slug, or an
+    /// experiment name under `wifiq all`).
     pub cell: String,
     /// Free-form configuration discriminator (variant flags, QoS marking…).
     pub config: String,
@@ -99,7 +100,7 @@ pub fn cell_key_hash(sweep: &SweepMeta, cell: &CellDef, fingerprint: &str) -> St
 /// lifetime.
 ///
 /// `WIFIQ_CACHE_KEY` overrides it wholesale (useful for tests and for
-/// sharing a cache across binaries built from the same source). Otherwise
+/// sharing a cache across builds known to be equivalent). Otherwise
 /// it combines `git describe --always --dirty` of the working tree with
 /// the executable's size and mtime, so a rebuild with changed code
 /// invalidates previous results while a plain re-run does not.

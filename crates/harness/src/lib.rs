@@ -2,9 +2,9 @@
 //!
 //! Parallel, cached, resumable experiment orchestration.
 //!
-//! The paper evaluation is 18 experiment binaries × up to 30 repetitions;
-//! every repetition is an independent seed sweep of a wall-clock-free
-//! discrete-event simulation. This crate decomposes that work into
+//! The paper evaluation is 23 experiments (the rows of `wifiq`'s table)
+//! × up to 30 repetitions; every repetition is an independent seed sweep
+//! of a wall-clock-free discrete-event simulation. This crate decomposes that work into
 //! **cells** — one (experiment × cell-label × repetition-seed) simulation
 //! each — and executes them on a work-stealing `std::thread` pool, with
 //! three guarantees layered on top:
@@ -17,8 +17,9 @@
 //!    `results/harness.manifest.jsonl`. A re-run (or a run resumed after a
 //!    crash/Ctrl-C) replays only the cells the journal does not record as
 //!    complete. The key covers the full cell configuration, seed,
-//!    duration, and a build fingerprint of the binary, so code or config
-//!    changes invalidate exactly what they affect.
+//!    duration, and a build fingerprint of the binary (there is one,
+//!    `wifiq`, so it is always the binary that computes the cell), so
+//!    code or config changes invalidate what they affect.
 //! 3. **Fault isolation** — a panicking cell is caught (`catch_unwind`),
 //!    retried once, and on second failure reported in the sweep summary
 //!    without aborting the other cells. A wall-clock watchdog (budget
@@ -60,7 +61,7 @@ pub use codec::JsonCodec;
 pub use key::{binary_fingerprint, cell_key_hash, cell_key_json, CellDef, SweepMeta};
 pub use pool::Queues;
 pub use sha256::sha256_hex;
-pub use store::{results_dir, Journal, JournalEntry};
+pub use store::{results_dir, workspace_dir, Journal, JournalEntry};
 
 /// Default worker count: available parallelism.
 pub fn default_jobs() -> usize {

@@ -13,33 +13,40 @@
 //!   the journal therefore replays exactly the missing cells.
 //!
 //! Writes are crash- and concurrency-safe: cache files are written to a
-//! process-unique temp name and atomically renamed, journal lines are
+//! writer-unique temp name and atomically renamed, journal lines are
 //! appended with a single `O_APPEND` write so lines from parallel workers
-//! (or parallel experiment binaries sharing one journal) never interleave,
+//! (or parallel experiments sharing one journal) never interleave,
 //! and a torn final line from a killed run is skipped on load.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Json;
+
+/// `<workspace root>/<name>`, the root found by walking up from the
+/// current directory to the first one holding `Cargo.toml` and `crates/`;
+/// plain `<name>` when there is no such directory.
+pub fn workspace_dir(name: &str) -> PathBuf {
+    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    loop {
+        if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
+            return dir.join(name);
+        }
+        if !dir.pop() {
+            return PathBuf::from(name);
+        }
+    }
+}
 
 /// The directory results, cache, and journal live under: `results/` at the
 /// workspace root, overridable with `WIFIQ_RESULTS_DIR`.
 pub fn results_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("WIFIQ_RESULTS_DIR") {
-        return PathBuf::from(d);
-    }
-    // Walk up from the current directory to find the workspace root.
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
-            return dir.join("results");
-        }
-        if !dir.pop() {
-            return PathBuf::from("results");
-        }
+    match std::env::var("WIFIQ_RESULTS_DIR") {
+        Ok(d) => PathBuf::from(d),
+        Err(_) => workspace_dir("results"),
     }
 }
 
@@ -68,7 +75,14 @@ pub fn cache_store(
         ("key".into(), key_json.clone()),
         ("output".into(), output.clone()),
     ]);
-    let tmp = dir.join(format!(".tmp-{}-{key_hash}", std::process::id()));
+    // Unique per writer, not just per process: `wifiq all` runs experiments
+    // on threads, and two of them may finish the same shared cell at once.
+    static WRITER: AtomicU64 = AtomicU64::new(0);
+    let tmp = dir.join(format!(
+        ".tmp-{}-{}-{key_hash}",
+        std::process::id(),
+        WRITER.fetch_add(1, Ordering::Relaxed)
+    ));
     {
         let mut f = File::create(&tmp)?;
         f.write_all(doc.pretty().as_bytes())?;

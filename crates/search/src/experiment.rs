@@ -1,5 +1,5 @@
-//! Extension: coverage-guided fairness fuzzing over the scenario space
-//! (`wifiq-search`).
+//! The `wifiq ext_search` experiment: coverage-guided fairness fuzzing
+//! over the scenario space.
 //!
 //! Three phases:
 //!
@@ -15,43 +15,26 @@
 //!    corpus must be byte-identical to phase 2's
 //!    (`results/search_corpus_seq.json` vs `search_corpus_par.json`),
 //!    proving the searcher's determinism contract at a different worker
-//!    count exactly as the other extension binaries prove it for rollups.
+//!    count exactly as the other extension experiments prove it for
+//!    rollups.
 //!
-//! Gates (exit 1 on violation): the planted bug is found, it shrinks to
+//! Gates (an `Err` on violation): the planted bug is found, it shrinks to
 //! ≤ 25% of the first failing mutant, the two corpora match, and every
 //! committed counterexample replays.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::Serialize;
-use wifiq_experiments::report::{results_dir, write_json, Table};
+use wifiq_experiments::report::{write_json, Table};
+use wifiq_experiments::runner::quick;
 use wifiq_experiments::scenario_file::{ScenarioFile, TrafficSpec};
-use wifiq_search::objective::JAIN_DIP;
-use wifiq_search::{evaluate, run_search, ObjectiveKind, SearchCfg};
+use wifiq_experiments::RunCfg;
+use wifiq_harness::{results_dir, workspace_dir};
 
-/// Walks up from the current directory to the workspace root (the
-/// directory holding `Cargo.toml` and `crates/`).
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
-
-/// `scenarios/` at the workspace root.
-fn scenarios_dir() -> PathBuf {
-    repo_root().join("scenarios")
-}
-
-fn quick() -> bool {
-    std::env::var("WIFIQ_QUICK").as_deref() == Ok("1")
-}
+use crate::objective::JAIN_DIP;
+use crate::{evaluate, run_search, ObjectiveKind, SearchCfg};
 
 fn master_seed() -> u64 {
     std::env::var("WIFIQ_SEARCH_SEED")
@@ -131,40 +114,46 @@ struct Bench {
     gates: Gates,
 }
 
-fn main() {
+/// Runs the three phases and returns the report; the search sizes itself
+/// from `WIFIQ_QUICK` alone, so the repetition settings go unused.
+pub fn run(_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+    let mut out = String::new();
     let quick = quick();
     let seed = master_seed();
-    println!("== wifiq-search: coverage-guided fairness fuzzing ==");
-    println!(
+    let _ = writeln!(out, "== wifiq-search: coverage-guided fairness fuzzing ==");
+    let _ = writeln!(
+        out,
         "mode: {} (master seed {seed}, jain threshold {JAIN_DIP})",
         if quick { "quick" } else { "full" }
     );
 
     // Phase 1: replay committed counterexamples.
-    let found_dir = scenarios_dir().join("found");
+    let scenarios_dir = workspace_dir("scenarios");
+    let found_dir = scenarios_dir.join("found");
     let mut replays = Vec::new();
     let mut replay_ok = true;
     for (file, text) in read_scenarios(&found_dir) {
         let parsed = match ScenarioFile::from_json(&text) {
             Ok(p) => p,
             Err(e) => {
-                println!("replay {file}: PARSE ERROR {e}");
+                let _ = writeln!(out, "replay {file}: PARSE ERROR {e}");
                 replay_ok = false;
                 continue;
             }
         };
         let Some(prov) = &parsed.provenance else {
-            println!("replay {file}: missing provenance block");
+            let _ = writeln!(out, "replay {file}: missing provenance block");
             replay_ok = false;
             continue;
         };
         let Some(kind) = ObjectiveKind::parse(&prov.objective) else {
-            println!("replay {file}: unknown objective {}", prov.objective);
+            let _ = writeln!(out, "replay {file}: unknown objective {}", prov.objective);
             replay_ok = false;
             continue;
         };
         let still_fails = evaluate(&parsed).map(|o| o.violates(kind)).unwrap_or(false);
-        println!(
+        let _ = writeln!(
+            out,
             "replay {file}: {} {}",
             prov.objective,
             if still_fails {
@@ -181,14 +170,14 @@ fn main() {
         });
     }
     if replays.is_empty() {
-        println!("replay: no committed counterexamples yet");
+        let _ = writeln!(out, "replay: no committed counterexamples yet");
     }
 
     // Seed documents: the shipped scenario library. Import policy: `web`
     // sessions are one-shot bursts with no sustained demand — nothing the
     // fairness objectives can score — so seeds carry a ping in their place.
     let mut seed_docs = Vec::new();
-    for (name, text) in read_scenarios(&scenarios_dir()) {
+    for (name, text) in read_scenarios(&scenarios_dir) {
         let doc = ScenarioFile::from_json(&text).map(|mut doc| {
             for t in &mut doc.traffic {
                 if let TrafficSpec::Web { station, .. } = *t {
@@ -199,7 +188,9 @@ fn main() {
         });
         match doc {
             Ok(doc) if doc.build().is_ok() => seed_docs.push(doc),
-            _ => println!("note: {name} not importable as a seed (skipped)"),
+            _ => {
+                let _ = writeln!(out, "note: {name} not importable as a seed (skipped)");
+            }
         }
     }
 
@@ -219,13 +210,7 @@ fn main() {
 
     // Phase 2: the search, single worker.
     let t0 = Instant::now();
-    let report = match run_search(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("search failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = run_search(&cfg).map_err(|e| format!("{out}search failed: {e}"))?;
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     let corpus_seq = report.corpus_json.pretty();
     let _ = std::fs::create_dir_all(results_dir());
@@ -238,13 +223,7 @@ fn main() {
     let mut par_cfg = cfg.clone();
     par_cfg.jobs = 4;
     par_cfg.found_dir = None; // phase 2 already committed the files
-    let par = match run_search(&par_cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("re-pass failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let par = run_search(&par_cfg).map_err(|e| format!("{out}re-pass failed: {e}"))?;
     let corpus_par = par.corpus_json.pretty();
     let par_path = results_dir().join("search_corpus_par.json");
     if let Err(e) = std::fs::write(&par_path, &corpus_par) {
@@ -284,7 +263,7 @@ fn main() {
             file: f.file.clone(),
         });
     }
-    table.print();
+    out.push_str(&table.render());
 
     let planted = report
         .findings
@@ -302,7 +281,8 @@ fn main() {
         0.0
     };
 
-    println!(
+    let _ = writeln!(
+        out,
         "search summary: evals={} executed={} cached={} corpus={} coverage={} found={} rate={:.2}/s",
         report.evals,
         report.executed,
@@ -312,7 +292,8 @@ fn main() {
         report.findings.len(),
         report.executed as f64 / elapsed,
     );
-    println!(
+    let _ = writeln!(
+        out,
         "Gates: planted_found={} planted_shrunk={} corpus_match={} replay_ok={}",
         gates.planted_found, gates.planted_shrunk, gates.corpus_match, gates.replay_ok
     );
@@ -341,8 +322,8 @@ fn main() {
     );
 
     if violated {
-        eprintln!("GATE VIOLATION: see gates above");
-        std::process::exit(1);
+        return Err(format!("{out}GATE VIOLATION: see gates above"));
     }
-    println!("All search gates hold.");
+    let _ = writeln!(out, "All search gates hold.");
+    Ok(out)
 }

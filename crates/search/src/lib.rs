@@ -17,6 +17,7 @@
 //! counterexamples regardless of worker count.
 
 pub mod corpus;
+pub mod experiment;
 pub mod mutate;
 pub mod objective;
 pub mod search;
