@@ -36,6 +36,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
+use crate::rollup::Flood;
 use crate::runner::{mean, quick, run_seeds};
 use crate::RunCfg;
 use wifiq_harness::results_dir;
@@ -387,34 +388,6 @@ fn leak_check(target: u64, seed: u64, out: &mut String) -> (u64, bool) {
     (run.stats.handoffs, ok)
 }
 
-/// Steady downlink flood over a fixed slot range; sends to a slot whose
-/// occupant is mid-hand-off are dropped (and counted) by the network.
-struct SoloFlood {
-    slots: usize,
-    sent: u64,
-}
-
-impl App<()> for SoloFlood {
-    fn on_packet(&mut self, _: Delivery, _: Packet<()>, _: Nanos, _: &mut Commands<()>) {}
-    fn on_timer(&mut self, token: u64, now: Nanos, cmds: &mut Commands<()>) {
-        for slot in 0..self.slots {
-            self.sent += 1;
-            cmds.send(Packet {
-                id: self.sent,
-                src: NodeAddr::Server,
-                dst: NodeAddr::Station(slot),
-                flow: slot as u64,
-                len: PKT_LEN,
-                ac: AccessCategory::Be,
-                created: now,
-                enqueued: now,
-                payload: (),
-            });
-        }
-        cmds.set_timer(token, now + TICK);
-    }
-}
-
 /// The policy-reattach path: on a single BSS whose roster carries an
 /// asymmetric flat policy, every hand-off must land back inside its
 /// slot's policy node with the slot's exact pre-roam weight — no
@@ -436,10 +409,8 @@ fn policy_check(seed: u64, out: &mut String) -> bool {
                 .and_then(|id| net.station_ac_weight(id, AccessCategory::Be))
         })
         .collect();
-    let mut app = SoloFlood {
-        slots: roster,
-        sent: 0,
-    };
+    // One packet per slot per tick; a slot mid-hand-off drops its share.
+    let mut app = Flood::paced(roster, roster, PKT_LEN, TICK);
     let mut roam = SoloRoam::new(
         RoamCfg {
             mean_dwell: Nanos::from_millis(100),

@@ -18,78 +18,15 @@
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
-use crate::rollup::rollup_identity;
+use crate::rollup::{rollup_identity, Flood};
 use crate::runner::{mean, quick, run_seeds};
 use crate::RunCfg;
-use wifiq_mac::{
-    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, WifiNetwork,
-};
-use wifiq_phy::{AccessCategory, PhyRate};
+use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
+use wifiq_phy::PhyRate;
 use wifiq_scale::{ChurnCfg, ChurnDriver, ShardCtx, ShardSet};
 use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
 use wifiq_telemetry::{Registry, Telemetry};
-
-/// Offered-load pacing: a batch of MTU packets every tick, round-robined
-/// over the roster. 8 × 1500 B / 500 µs ≈ 192 Mbps — saturating for the
-/// fast-station PHY while keeping the event count independent of roster
-/// size (per-station timers at 10k stations would swamp the event loop).
-const TICK: Nanos = Nanos::from_micros(500);
-const BATCH: usize = 8;
-const PKT_LEN: u64 = 1500;
-
-/// Downlink flood: server → stations, one flow per station slot, with
-/// per-slot delivered-byte accounting. Sends to slots whose occupant has
-/// churned away are dropped by the network (and counted there), so the
-/// app never needs to track the roster.
-struct FloodApp {
-    slots: usize,
-    cursor: usize,
-    next_id: u64,
-    bytes: Vec<u64>,
-}
-
-impl FloodApp {
-    fn new(slots: usize) -> FloodApp {
-        FloodApp {
-            slots,
-            cursor: 0,
-            next_id: 0,
-            bytes: vec![0; slots],
-        }
-    }
-}
-
-impl App<()> for FloodApp {
-    fn on_packet(&mut self, at: Delivery, pkt: Packet<()>, _now: Nanos, _cmds: &mut Commands<()>) {
-        if let Delivery::AtStation(i) = at {
-            if i >= self.bytes.len() {
-                self.bytes.resize(i + 1, 0);
-            }
-            self.bytes[i] += pkt.len;
-        }
-    }
-
-    fn on_timer(&mut self, _token: u64, now: Nanos, cmds: &mut Commands<()>) {
-        for _ in 0..BATCH {
-            let dst = self.cursor % self.slots;
-            self.cursor += 1;
-            self.next_id += 1;
-            cmds.send(Packet {
-                id: self.next_id,
-                src: NodeAddr::Server,
-                dst: NodeAddr::Station(dst),
-                flow: dst as u64,
-                len: PKT_LEN,
-                ac: AccessCategory::Be,
-                created: now,
-                enqueued: now,
-                payload: (),
-            });
-        }
-        cmds.set_timer(0, now + TICK);
-    }
-}
 
 /// One shard's measurement-window results.
 struct ShardOut {
@@ -104,7 +41,7 @@ fn drive(
     net: &mut WifiNetwork<()>,
     churn: &mut Option<ChurnDriver>,
     until: Nanos,
-    app: &mut FloodApp,
+    app: &mut Flood,
 ) {
     match churn {
         Some(d) => d.run_until(net, until, app),
@@ -150,14 +87,18 @@ fn run_shard(
         )
     });
 
-    let mut app = FloodApp::new(stations);
+    // Offered-load pacing: a batch of MTU packets every tick, round-robined
+    // over the roster. 8 × 1500 B / 500 µs ≈ 192 Mbps — saturating for the
+    // fast-station PHY while keeping the event count independent of roster
+    // size (per-station timers at 10k stations would swamp the event loop).
+    let mut app = Flood::paced(stations, 8, 1500, Nanos::from_micros(500));
     net.seed_timer(0, Nanos::ZERO);
     drive(&mut net, &mut driver, warmup, &mut app);
-    let warm_bytes = app.bytes.clone();
+    let warm_bytes = app.delivered().to_vec();
     drive(&mut net, &mut driver, duration, &mut app);
 
     let bytes = app
-        .bytes
+        .delivered()
         .iter()
         .enumerate()
         .map(|(i, &b)| b - warm_bytes.get(i).copied().unwrap_or(0))

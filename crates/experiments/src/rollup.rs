@@ -10,30 +10,58 @@ use wifiq_telemetry::{Registry, Telemetry};
 
 use crate::runner::{export_metrics, metrics_telemetry};
 
-/// Downlink flood over the first `n` station slots: four MTU packets
-/// every 500 µs, round-robin — deterministic, transport-free load (pure
-/// MAC behaviour). Arm it with `net.seed_timer(0, Nanos::ZERO)`.
+/// Downlink flood over the first `n` station slots: `per_tick` packets of
+/// `len` bytes every `tick`, round-robin, one flow per slot —
+/// deterministic, transport-free load (pure MAC behaviour) whose event
+/// count does not grow with the roster. Sends to a slot whose occupant
+/// has left are dropped (and counted) by the network, so the app never
+/// tracks the roster. Arm it with `net.seed_timer(0, Nanos::ZERO)`.
 pub struct Flood {
     n: usize,
+    per_tick: usize,
+    len: u64,
+    tick: Nanos,
     cursor: usize,
     next_id: u64,
+    delivered: Vec<u64>,
 }
 
 impl Flood {
+    /// Four MTU packets every 500 µs.
     pub fn new(n: usize) -> Flood {
+        Flood::paced(n, 4, 1500, Nanos::from_micros(500))
+    }
+
+    pub fn paced(n: usize, per_tick: usize, len: u64, tick: Nanos) -> Flood {
         Flood {
             n,
+            per_tick,
+            len,
+            tick,
             cursor: 0,
             next_id: 0,
+            delivered: vec![0; n],
         }
+    }
+
+    /// Bytes delivered so far, per station slot.
+    pub fn delivered(&self) -> &[u64] {
+        &self.delivered
     }
 }
 
 impl App<()> for Flood {
-    fn on_packet(&mut self, _: Delivery, _: Packet<()>, _: Nanos, _: &mut Commands<()>) {}
+    fn on_packet(&mut self, at: Delivery, pkt: Packet<()>, _: Nanos, _: &mut Commands<()>) {
+        if let Delivery::AtStation(slot) = at {
+            if slot >= self.delivered.len() {
+                self.delivered.resize(slot + 1, 0);
+            }
+            self.delivered[slot] += pkt.len;
+        }
+    }
 
     fn on_timer(&mut self, _token: u64, now: Nanos, cmds: &mut Commands<()>) {
-        for _ in 0..4 {
+        for _ in 0..self.per_tick {
             let dst = self.cursor % self.n;
             self.cursor += 1;
             self.next_id += 1;
@@ -42,14 +70,14 @@ impl App<()> for Flood {
                 src: NodeAddr::Server,
                 dst: NodeAddr::Station(dst),
                 flow: dst as u64,
-                len: 1500,
+                len: self.len,
                 ac: AccessCategory::Be,
                 created: now,
                 enqueued: now,
                 payload: (),
             });
         }
-        cmds.set_timer(0, now + Nanos::from_micros(500));
+        cmds.set_timer(0, now + self.tick);
     }
 }
 

@@ -1372,6 +1372,10 @@ impl ScenarioFile {
         if self.stations.is_empty() {
             return Err("scenario needs at least one station".into());
         }
+        if self.secs == 0 {
+            // Every reported rate divides by the duration.
+            return Err("`secs` must be positive".into());
+        }
         let scheme = match self.scheme.as_str() {
             "fifo" => SchemeKind::Fifo,
             "fqcodel" => SchemeKind::FqCodelQdisc,
@@ -1380,8 +1384,14 @@ impl ScenarioFile {
             s => return Err(format!("unknown scheme '{s}'")),
         };
         let mut stations = Vec::new();
-        for spec in &self.stations {
+        for (i, spec) in self.stations.iter().enumerate() {
             let rate = parse_rate(&spec.rate)?;
+            if !(0.0..=1.0).contains(&spec.error) {
+                return Err(format!(
+                    "stations[{i}]: `error` must be a loss probability in [0, 1] (got {})",
+                    spec.error
+                ));
+            }
             let mut cfg = StationCfg::clean(rate);
             cfg.errors = match spec.mcs_cliff {
                 Some(best_mcs) => ErrorModel::McsCliff {
@@ -1501,7 +1511,7 @@ impl ScenarioFile {
 
         let mut app = TrafficApp::with_seed(cfg.seed);
         let mut traffic = Vec::new();
-        for t in &self.traffic {
+        for (i, t) in self.traffic.iter().enumerate() {
             let sta = t.station();
             if sta >= n {
                 return Err(format!(
@@ -1520,10 +1530,16 @@ impl ScenarioFile {
                     mbps,
                     poisson,
                 } => {
+                    // A flood's packet interval is a division by its rate.
+                    let bps = mbps.checked_mul(1_000_000).filter(|&bps| bps > 0);
+                    let bps = bps.ok_or_else(|| {
+                        let max = u64::MAX / 1_000_000;
+                        format!("traffic[{i}]: `mbps` must be in 1..={max} (got {mbps})")
+                    })?;
                     let h = if *poisson {
-                        app.add_udp_down_poisson(*station, mbps * 1_000_000, Nanos::ZERO)
+                        app.add_udp_down_poisson(*station, bps, Nanos::ZERO)
                     } else {
-                        app.add_udp_down(*station, mbps * 1_000_000, Nanos::ZERO)
+                        app.add_udp_down(*station, bps, Nanos::ZERO)
                     };
                     InstalledTraffic::Udp(h)
                 }
@@ -2175,6 +2191,9 @@ mod tests {
             ("bad_secs_overflow.json", "secs"),
             ("bad_weight_overflow.json", "weight"),
             ("bad_mcs_cliff_overflow.json", "mcs_cliff"),
+            ("bad_udp_zero_rate.json", "mbps"),
+            ("bad_zero_secs.json", "secs"),
+            ("bad_station_error_range.json", "error"),
         ] {
             let e = match ScenarioFile::from_json(&fixture(name)).and_then(|sc| sc.build()) {
                 Err(e) => e,

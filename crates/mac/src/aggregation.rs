@@ -14,6 +14,7 @@ use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::Nanos;
 
 use crate::packet::{Packet, StationIdx};
+use crate::ratectrl::Minstrel;
 
 /// A built transmission unit: one A-MPDU (or one plain MPDU for
 /// non-aggregating categories/rates), fixed across retries.
@@ -79,6 +80,39 @@ impl<M> Aggregate<M> {
         } else {
             timing::ack_duration(rate)
         };
+        true
+    }
+
+    /// Moves the 802.11 retry chain one step after an attempt — the one
+    /// place it is written, for the AP's hardware queues and the stations'
+    /// uplinks alike. `cw` is the transmitter's contention window for this
+    /// access category, `rc` its rate controller. A failed attempt counts
+    /// a retry, doubles the window and, under rate control, steps the
+    /// retry rate down the ladder (real drivers' MRR series). Returns
+    /// whether the transmitter is done with the aggregate — acknowledged,
+    /// or past `max_retries` and to be dropped — and the window reset.
+    pub(crate) fn after_attempt(
+        &mut self,
+        success: bool,
+        cw: &mut u32,
+        rc: Option<&Minstrel>,
+        max_retries: u32,
+    ) -> bool {
+        let edca = self.ac.edca();
+        if !success {
+            self.retries += 1;
+            if let Some(rc) = rc {
+                let lower = rc.lower_rate(self.rate);
+                if lower != self.rate {
+                    self.retune(lower);
+                }
+            }
+            if self.retries <= max_retries {
+                *cw = edca.next_cw(*cw);
+                return false;
+            }
+        }
+        *cw = edca.cw_min;
         true
     }
 }

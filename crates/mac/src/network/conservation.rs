@@ -114,7 +114,13 @@ fn accounted(net: &WifiNetwork<()>, app: &Mixed, retry_carry: u64) -> u64 {
     let slots = 0..net.station_slots();
     let tail_drops: u64 = net.stations.iter().map(|s| s.drops).sum();
     let station_backlog: usize = slots.map(|s| net.station_backlog(s)).sum();
-    let in_hardware: usize = net.hw.iter().flatten().map(|agg| agg.frames.len()).sum();
+    let in_hardware: usize = net
+        .medium
+        .hw
+        .iter()
+        .flatten()
+        .map(|agg| agg.frames.len())
+        .sum();
     app.delivered
         + net.absent_drops()
         + net.ap_queue_drops()
@@ -239,7 +245,7 @@ fn packet_conservation() {
     // balance closes on deliveries and drops alone.
     assert_eq!(net.wire_in_flight(), 0);
     assert_eq!(net.ap_backlog() + net.ap.stashed(), 0);
-    assert!(net.hw.iter().all(|q| q.is_empty()));
+    assert!(net.medium.hw.iter().all(|q| q.is_empty()));
     assert!((0..net.station_slots()).all(|s| net.station_backlog(s) == 0));
     // Ten times the traffic later the parking arena is no larger: slots
     // recycle through its free list.

@@ -165,13 +165,6 @@ pub struct ApTxPath<M> {
     tele: Telemetry,
 }
 
-/// What a station teardown yields: the drop count (churn) or the queued
-/// frames themselves (roaming hand-off).
-enum Teardown<M> {
-    Dropped(usize),
-    Moved(Vec<Packet<M>>),
-}
-
 /// CoDel parameter state for one station under the configured policy.
 fn codel_params_for(adaptive: bool) -> StationCodelParams {
     if adaptive {
@@ -313,8 +306,14 @@ impl<M: std::fmt::Debug> ApTxPath<M> {
     /// flows), pulls its TIDs/slot out of all scheduling lists mid-round
     /// without disturbing the survivors' rotation order or deficits, and
     /// frees the table slot — which bumps the generation, so every
-    /// outstanding handle to the station goes stale.
-    fn detach_station(&mut self, id: StaId, now: Nanos, migrate: bool) -> Teardown<M> {
+    /// outstanding handle to the station goes stale. Returns the frames
+    /// handed back (`migrate`) and the number dropped (otherwise).
+    pub(crate) fn detach_station(
+        &mut self,
+        id: StaId,
+        now: Nanos,
+        migrate: bool,
+    ) -> (Vec<Packet<M>>, usize) {
         let mut moved: Vec<Packet<M>> = Vec::new();
         let mut dropped = 0usize;
         // `cold_mut` validates the handle (stale/double-free panics here).
@@ -387,21 +386,14 @@ impl<M: std::fmt::Debug> ApTxPath<M> {
             }
         }
         self.table.free(id);
-        if migrate {
-            Teardown::Moved(moved)
-        } else {
-            Teardown::Dropped(dropped)
-        }
+        (moved, dropped)
     }
 
     /// Detaches a station under churn, dropping every frame queued for it
     /// at the AP. Returns the number of packets dropped. The handle goes
     /// stale; the slot is parked for reuse.
     pub fn remove_station(&mut self, id: StaId, now: Nanos) -> usize {
-        match self.detach_station(id, now, false) {
-            Teardown::Dropped(n) => n,
-            Teardown::Moved(_) => unreachable!(),
-        }
+        self.detach_station(id, now, false).1
     }
 
     /// Detaches a station like [`remove_station`](Self::remove_station),
@@ -409,10 +401,7 @@ impl<M: std::fmt::Debug> ApTxPath<M> {
     /// FIFOs, MAC FQ flows, and — for the pfifo qdiscs — the shared
     /// qdisc) so a roaming hand-off can carry them to the target BSS.
     pub fn remove_station_migrate(&mut self, id: StaId) -> Vec<Packet<M>> {
-        match self.detach_station(id, Nanos::ZERO, true) {
-            Teardown::Moved(v) => v,
-            Teardown::Dropped(_) => unreachable!(),
-        }
+        self.detach_station(id, Nanos::ZERO, true).0
     }
 
     /// The current generational handle for the station at `slot`, or

@@ -259,47 +259,36 @@ impl<M: std::fmt::Debug> StationUplink<M> {
         self.pending[ac.index()].as_ref()
     }
 
-    /// Takes the pending aggregate after a successful transmission and
-    /// resets the contention window.
-    pub fn take_success(&mut self, ac: AccessCategory, now: Nanos) -> Aggregate<M> {
-        self.cw[ac.index()] = ac.edca().cw_min;
-        let agg = self.pending[ac.index()]
-            .take()
-            .expect("success reported with no pending aggregate");
-        if let Some(rc) = self.rc.as_mut() {
-            rc.report(agg.rate, true, now);
-        }
-        agg
-    }
-
-    /// Records a failed attempt: doubles the contention window, counts a
-    /// retry, and steps the retry rate down under rate control. Returns
-    /// the dropped aggregate if retries are exhausted.
-    pub fn on_failure(
+    /// What the network needs to settle the attempt that just left the air
+    /// under `ac`: the pending aggregate, the contention window it
+    /// contended with and the client's rate controller.
+    pub(crate) fn attempt(
         &mut self,
         ac: AccessCategory,
-        max_retries: u32,
-        now: Nanos,
-    ) -> Option<Aggregate<M>> {
-        let aci = ac.index();
-        self.cw[aci] = ac.edca().next_cw(self.cw[aci]);
-        let agg = self.pending[aci]
-            .as_mut()
-            .expect("failure reported with no pending aggregate");
-        agg.retries += 1;
-        if let Some(rc) = self.rc.as_mut() {
-            rc.report(agg.rate, false, now);
-            let lower = rc.lower_rate(agg.rate);
-            if lower != agg.rate {
-                agg.retune(lower);
-            }
-        }
-        if agg.retries > max_retries {
-            self.cw[aci] = ac.edca().cw_min;
-            self.pending[aci].take()
-        } else {
-            None
-        }
+    ) -> (&mut Aggregate<M>, &mut u32, Option<&mut Minstrel>) {
+        let agg = self.pending[ac.index()].as_mut();
+        (
+            agg.expect("station attempt with no pending aggregate"),
+            &mut self.cw[ac.index()],
+            self.rc.as_mut(),
+        )
+    }
+
+    /// Takes the pending aggregate for `ac` once the retry chain is done
+    /// with it: delivered, or dropped at the retry limit.
+    pub(crate) fn take_pending(&mut self, ac: AccessCategory) -> Aggregate<M> {
+        let done = self.pending[ac.index()].take();
+        done.expect("settled attempt with no pending aggregate")
+    }
+
+    /// The station left: discards everything it had queued, built or
+    /// stashed and returns how many packets that was. What remains is an
+    /// inert stand-in that accepts nothing; the network's occupancy bitmap
+    /// keeps it out of contention until the slot's next occupant replaces it.
+    pub(crate) fn vacate(&mut self) -> usize {
+        let discarded = self.backlog();
+        *self = StationUplink::new(self.idx, self.rate, 0);
+        discarded
     }
 }
 
@@ -336,6 +325,13 @@ mod tests {
         StationUplink::new(0, PhyRate::fast_station(), 100)
     }
 
+    /// One step of the retry chain on the pending best-effort aggregate,
+    /// as the network's `settle` takes it.
+    fn fail_or_ack(s: &mut StationUplink<()>, success: bool, max_retries: u32) -> bool {
+        let (agg, cw, rc) = s.attempt(AccessCategory::Be);
+        agg.after_attempt(success, cw, rc.as_deref(), max_retries)
+    }
+
     #[test]
     fn empty_station_has_nothing_ready() {
         let mut s = sta();
@@ -369,7 +365,8 @@ mod tests {
         s.enqueue(pkt(AccessCategory::Be));
         s.best_ready_ac(Nanos::ZERO);
         s.cw[AccessCategory::Be.index()] = 255;
-        let agg = s.take_success(AccessCategory::Be, Nanos::ZERO);
+        assert!(fail_or_ack(&mut s, true, 7), "acknowledged: done");
+        let agg = s.take_pending(AccessCategory::Be);
         assert_eq!(agg.frames.len(), 1);
         assert_eq!(s.cw[AccessCategory::Be.index()], 15);
         assert_eq!(s.backlog(), 0);
@@ -380,13 +377,13 @@ mod tests {
         let mut s = sta();
         s.enqueue(pkt(AccessCategory::Be));
         s.best_ready_ac(Nanos::ZERO);
-        assert!(s.on_failure(AccessCategory::Be, 2, Nanos::ZERO).is_none());
+        assert!(!fail_or_ack(&mut s, false, 2));
         assert_eq!(s.cw[AccessCategory::Be.index()], 31);
-        assert!(s.on_failure(AccessCategory::Be, 2, Nanos::ZERO).is_none());
+        assert!(!fail_or_ack(&mut s, false, 2));
         assert_eq!(s.cw[AccessCategory::Be.index()], 63);
         // Third failure exceeds max_retries = 2: aggregate dropped.
-        let dropped = s.on_failure(AccessCategory::Be, 2, Nanos::ZERO);
-        assert!(dropped.is_some());
+        assert!(fail_or_ack(&mut s, false, 2));
+        assert_eq!(s.take_pending(AccessCategory::Be).retries, 3);
         assert_eq!(s.cw[AccessCategory::Be.index()], 15, "cw resets on drop");
         assert_eq!(s.best_ready_ac(Nanos::ZERO), None);
     }
@@ -470,9 +467,9 @@ mod tests {
         assert_eq!(s.pending(AccessCategory::Be).unwrap().frames.len(), 2);
         assert_eq!(s.backlog(), 5);
         // Draining: 2 + 2 + 1.
-        let mut total = s.take_success(AccessCategory::Be, Nanos::ZERO).frames.len();
+        let mut total = s.take_pending(AccessCategory::Be).frames.len();
         while s.best_ready_ac(Nanos::ZERO).is_some() {
-            total += s.take_success(AccessCategory::Be, Nanos::ZERO).frames.len();
+            total += s.take_pending(AccessCategory::Be).frames.len();
         }
         assert_eq!(total, 5);
     }

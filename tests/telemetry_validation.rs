@@ -8,11 +8,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ending_anomaly::mac::{
-    AirtimeCapture, NetworkConfig, Preset, SchemeKind, StationCfg, WifiNetwork,
+    AirtimeCapture, NetworkConfig, Preset, SchemeKind, StationCfg, TxDirection, TxMonitor,
+    TxRecord, WifiNetwork,
 };
 use ending_anomaly::phy::{AccessCategory, PhyRate};
 use ending_anomaly::sim::Nanos;
-use ending_anomaly::telemetry::{Label, Telemetry};
+use ending_anomaly::telemetry::{Json, Label, Telemetry};
 use ending_anomaly::traffic::{AppMsg, TrafficApp, WebPage};
 
 /// Runs a busy bidirectional workload with telemetry attached and returns
@@ -259,6 +260,148 @@ fn churn_fq_snapshot_matches_golden() {
         }
     }
     assert_snapshot_golden("telemetry_churn_fq", 23, &tele);
+}
+
+// --- One record per attempt --------------------------------------------
+
+/// A monitor that keeps every record it is handed.
+#[derive(Default)]
+struct Tape(Vec<TxRecord>);
+
+impl TxMonitor for Tape {
+    fn on_tx(&mut self, record: &TxRecord) {
+        self.0.push(*record);
+    }
+}
+
+/// Every attempt, uplink or downlink, is billed once and reported the same
+/// way to everyone watching: the monitor's `TxRecord`s and the ring's `Tx`
+/// events pair up one to one and agree field for field, their airtime
+/// sums to the meter's per station and direction exactly, and the
+/// retry-limit `Drop` events are the aggregates whose last allowed retry
+/// failed — their frames are the meter's `retry_drops`. Bidirectional UDP
+/// over two lossy stations with rate control and one retry allowed.
+#[test]
+fn monitor_ring_and_meter_agree_on_every_attempt() {
+    const MAX_RETRIES: u32 = 1;
+    let cfg = NetworkConfig::builder()
+        .station(PhyRate::fast_station())
+        .lossy_station(PhyRate::fast_station(), 0.3)
+        .lossy_station(PhyRate::slow_station(), 0.4)
+        .station(PhyRate::fast_station())
+        .scheme(SchemeKind::AirtimeFair)
+        .rate_control(true)
+        .max_retries(MAX_RETRIES)
+        .seed(41)
+        .build();
+    let tele = Telemetry::with_event_capacity(1 << 18);
+    let mut net = observed(cfg, &tele);
+    let tape = Rc::new(RefCell::new(Tape::default()));
+    net.attach_monitor(Box::new(tape.clone()));
+    let mut app = TrafficApp::with_seed(41);
+    for sta in 0..4 {
+        app.add_udp_down(sta, 20_000_000, Nanos::ZERO);
+        app.add_udp_up(sta, 5_000_000, Nanos::ZERO);
+    }
+    app.install(&mut net);
+    net.run(Nanos::from_millis(250), &mut app);
+
+    let snapshot = tele.snapshot("attempts", 41);
+    let ring = snapshot
+        .get("events")
+        .expect("an enabled sink exports its ring");
+    assert_eq!(ring.get("shed").and_then(|s| s.as_u64()), Some(0));
+    let of_kind = |kind: &str| -> Vec<&Json> {
+        let entries = ring.get("entries").and_then(|e| e.as_array());
+        let mac = |e: &&Json| {
+            let field = |k: &str| e.get(k).and_then(|v| v.as_str());
+            field("component") == Some("mac") && field("kind") == Some(kind)
+        };
+        entries.expect("ring entries").iter().filter(mac).collect()
+    };
+    let num = |e: &Json, k: &str| e.get(k).and_then(|v| v.as_u64()).expect("numeric field");
+    let flag = |e: &Json, k: &str| e.get(k).and_then(|v| v.as_bool()).expect("boolean field");
+
+    let tape = tape.borrow();
+    let txs = of_kind("tx");
+    assert_eq!(txs.len(), tape.0.len(), "one Tx event per TxRecord");
+    // [station][uplink] airtime and retried attempts, from the records.
+    let mut airtime = [[Nanos::ZERO; 2]; 4];
+    let mut retried = [0u32; 2];
+    for (ev, rec) in txs.iter().zip(&tape.0) {
+        let uplink = rec.direction == TxDirection::Uplink;
+        assert_eq!(
+            (
+                num(ev, "at_ns"),
+                num(ev, "station") as usize,
+                num(ev, "ac") as usize,
+                num(ev, "frames") as usize,
+                num(ev, "bytes"),
+                num(ev, "airtime_ns"),
+            ),
+            (
+                rec.at.as_nanos(),
+                rec.station,
+                rec.ac.index(),
+                rec.frames,
+                rec.payload_bytes,
+                rec.airtime.as_nanos(),
+            ),
+            "event {ev:?} against {rec:?}"
+        );
+        assert_eq!(
+            (flag(ev, "uplink"), flag(ev, "success"), flag(ev, "retry")),
+            (uplink, rec.success, rec.retry > 0),
+            "event {ev:?} against {rec:?}"
+        );
+        airtime[rec.station][uplink as usize] += rec.airtime;
+        retried[uplink as usize] += (rec.retry > 0) as u32;
+    }
+    for (sta, [down, up]) in airtime.into_iter().enumerate() {
+        let m = net.station_meter(sta);
+        assert_eq!((down, up), (m.tx_airtime, m.rx_airtime), "station {sta}");
+        assert!(down > Nanos::ZERO && up > Nanos::ZERO, "station {sta} idle");
+    }
+    assert!(retried[0] > 0 && retried[1] > 0, "retries {retried:?}");
+
+    // An attempt that fails with its retry budget spent is the drop.
+    let spent: Vec<&TxRecord> = tape
+        .0
+        .iter()
+        .filter(|r| !r.success && r.retry == MAX_RETRIES)
+        .collect();
+    let drops = of_kind("drop");
+    assert_eq!(
+        drops.len(),
+        spent.len(),
+        "one Drop event per spent aggregate"
+    );
+    for (ev, rec) in drops.iter().zip(&spent) {
+        assert_eq!(
+            ev.get("reason").and_then(|r| r.as_str()),
+            Some("retry_limit")
+        );
+        assert_eq!(
+            (num(ev, "at_ns"), num(ev, "bytes")),
+            (rec.at.as_nanos(), rec.payload_bytes)
+        );
+    }
+    for uplink in [false, true] {
+        let this_way = |r: &&TxRecord| (r.direction == TxDirection::Uplink) == uplink;
+        assert!(spent.iter().any(this_way), "no uplink={uplink} drop");
+    }
+    for sta in 0..4 {
+        let frames: usize = spent
+            .iter()
+            .filter(|r| r.station == sta)
+            .map(|r| r.frames)
+            .sum();
+        assert_eq!(frames as u64, net.station_meter(sta).retry_drops);
+        assert_eq!(
+            tele.counter("mac", "retry_drops", Label::Station(sta as u32)),
+            frames as u64
+        );
+    }
 }
 
 // --- Resolution discipline --------------------------------------------
