@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
-use crate::runner::to_ms;
+use crate::runner::{mbps, to_ms};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::{LegacyRate, PhyRate};
@@ -48,11 +48,11 @@ fn measure(aql: Option<Nanos>, cfg: &RunCfg) -> Row {
             app.install(&mut net);
             net.run(cfg.duration, &mut app);
             let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
-            let secs = cfg.window().as_secs_f64();
             let per: Vec<f64> = tcps
                 .iter()
                 .map(|t| {
-                    app.tcp(*t).bytes_between(cfg.warmup, cfg.duration) as f64 * 8.0 / secs / 1e6
+                    let b = app.tcp(*t).bytes_between(cfg.warmup, cfg.duration);
+                    mbps(b, cfg.window())
                 })
                 .collect();
             (fast_ms, per[2], per.iter().sum())

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
-use crate::runner::to_ms;
+use crate::runner::{mbps, to_ms};
 use crate::{scenario, RunCfg};
 use wifiq_mac::{SchemeKind, WifiNetwork};
 use wifiq_sim::Nanos;
@@ -41,7 +41,7 @@ fn measure(station_fq: bool, cfg: &RunCfg) -> Row {
             net.run(cfg.duration, &mut app);
             let rtts: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
             let b = app.tcp(up).bytes_between(cfg.warmup, cfg.duration);
-            (rtts, b as f64 * 8.0 / cfg.window().as_secs_f64() / 1e6)
+            (rtts, mbps(b, cfg.window()))
         });
     let rtts: Vec<f64> = reps.iter().flat_map(|r| r.0.iter().copied()).collect();
     let s = Summary::of(&rtts);

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::runner::{mean, meter_window, run_seeds, shares_of};
+use crate::runner::{mbps, mean, meter_window, run_seeds, shares_of};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, StationMeter, WifiNetwork};
 use wifiq_phy::{ChannelWidth, PhyRate};
@@ -60,7 +60,7 @@ fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Row {
             .iter()
             .map(|&flow| {
                 let b = app.tcp(flow).bytes_between(cfg.warmup, cfg.duration);
-                b as f64 * 8.0 / cfg.window().as_secs_f64() / 1e6
+                mbps(b, cfg.window())
             })
             .collect();
         (shares_of(&window), est, thr)

@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
 use crate::rollup::Flood;
-use crate::runner::{mean, quick, run_seeds};
+use crate::runner::{mbps, mean, quick, run_seeds};
 use crate::RunCfg;
 use wifiq_harness::results_dir;
 use wifiq_mac::{
@@ -284,14 +284,13 @@ fn run_point(
             vec![run.stats.policy_reattach, run.stats.neutral_fallback],
         )
     });
-    let window = (duration - settle).as_secs_f64();
     let jains: Vec<f64> = reps
         .iter()
         .map(|r| jain_index(&r.0.iter().map(|&b| b as f64).collect::<Vec<_>>()))
         .collect();
-    let mbps: Vec<f64> = reps
+    let throughput: Vec<f64> = reps
         .iter()
-        .map(|r| r.0.iter().sum::<u64>() as f64 * 8.0 / window / 1e6)
+        .map(|r| mbps(r.0.iter().sum(), duration - settle))
         .collect();
     let n = reps.len() as u64;
     Row {
@@ -307,7 +306,7 @@ fn run_point(
         policy_reattach: reps.iter().map(|r| r.6[0]).sum::<u64>() / n,
         neutral_fallback: reps.iter().map(|r| r.6[1]).sum::<u64>() / n,
         jain_post_settle: mean(&jains),
-        throughput_mbps: mean(&mbps),
+        throughput_mbps: mean(&throughput),
     }
 }
 

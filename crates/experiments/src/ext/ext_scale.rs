@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
 use crate::rollup::{rollup_identity, Flood};
-use crate::runner::{mean, quick, run_seeds};
+use crate::runner::{mbps, mean, quick, run_seeds};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::PhyRate;
@@ -181,10 +181,9 @@ fn run_point(
             sum(|o| o.churn_drops),
         )
     });
-    let window = (duration - warmup).as_secs_f64();
-    let mbps: Vec<f64> = reps
+    let throughput: Vec<f64> = reps
         .iter()
-        .map(|r| r.0.iter().sum::<u64>() as f64 * 8.0 / window / 1e6)
+        .map(|r| mbps(r.0.iter().sum(), duration - warmup))
         .collect();
     let jains: Vec<f64> = reps
         .iter()
@@ -198,7 +197,7 @@ fn run_point(
         stations,
         shards,
         churn,
-        throughput_mbps: mean(&mbps),
+        throughput_mbps: mean(&throughput),
         jain: mean(&jains),
         joins: reps.iter().map(|r| r.1).sum::<u64>() / n,
         leaves: reps.iter().map(|r| r.2).sum::<u64>() / n,

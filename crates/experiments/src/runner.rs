@@ -220,6 +220,11 @@ pub fn meter_window(later: &[StationMeter], earlier: &[StationMeter]) -> Vec<Sta
         .collect()
 }
 
+/// `bytes` delivered over a sim-time `window`, in Mbit/s.
+pub fn mbps(bytes: u64, window: Nanos) -> f64 {
+    bytes as f64 * 8.0 / window.as_secs_f64() / 1e6
+}
+
 /// Sim-time samples (ping RTTs, one-way delays) as milliseconds.
 pub fn to_ms(samples: &[Nanos]) -> Vec<f64> {
     samples.iter().map(|s| s.as_millis_f64()).collect()

@@ -6,7 +6,7 @@
 //! × up to 30 repetitions; every repetition is an independent seed sweep
 //! of a wall-clock-free discrete-event simulation. This crate decomposes that work into
 //! **cells** — one (experiment × cell-label × repetition-seed) simulation
-//! each — and executes them on a work-stealing `std::thread` pool, with
+//! each — and executes them on a `std::thread` pool, with
 //! three guarantees layered on top:
 //!
 //! 1. **Determinism** — results are returned in input cell order
@@ -59,7 +59,7 @@ use wifiq_telemetry::{Label, Telemetry};
 
 pub use codec::JsonCodec;
 pub use key::{binary_fingerprint, cell_key_hash, cell_key_json, CellDef, SweepMeta};
-pub use pool::Queues;
+pub use pool::Cursor;
 pub use sha256::sha256_hex;
 pub use store::{results_dir, workspace_dir, Journal, JournalEntry};
 
@@ -380,7 +380,7 @@ impl Harness {
             let cache_dir = self.cache_dir();
             let fault = self.fault.as_ref();
             let jobs = self.jobs.clamp(1, pending.len());
-            let queues = pool::Queues::new(jobs, &pending);
+            let cursor = pool::Cursor::new(pending.len());
             let results_m = Mutex::new(&mut results);
             let reports_m = Mutex::new(&mut reports);
             let journal_m = Mutex::new(journal.as_mut());
@@ -413,7 +413,8 @@ impl Harness {
 
                 let workers: Vec<_> = (0..jobs)
                     .map(|w| {
-                        let queues = &queues;
+                        let cursor = &cursor;
+                        let pending = &pending;
                         let cells = &cells;
                         let keys = &keys;
                         let key_docs = &key_docs;
@@ -424,7 +425,7 @@ impl Harness {
                         let active_slot = &active[w];
                         let cache_dir = &cache_dir;
                         s.spawn(move || {
-                            while let Some(i) = queues.next(w) {
+                            while let Some(i) = cursor.next().map(|k| pending[k]) {
                                 let cell = &cells[i];
                                 let path = cell.path(&sweep.experiment);
                                 *active_slot.lock().unwrap() = Some((i, Instant::now()));

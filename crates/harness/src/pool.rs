@@ -1,61 +1,36 @@
-//! The work-stealing queues behind the worker pool.
+//! The fan-out behind the worker pool.
 //!
-//! Cells are all known up front (repetitions are an independent seed
-//! sweep), so the scheduler is a classic fixed-set work-stealer: every
-//! worker owns a deque seeded round-robin, pops work from its own front
-//! (LIFO locality does not matter here — cells are independent), and when
-//! empty steals from the *back* of the other workers' deques. Because no
-//! cell ever enqueues new work, a worker may exit as soon as every deque
-//! is empty.
+//! Cells are all known before the first worker starts (repetitions are
+//! an independent seed sweep) and no cell ever enqueues new work, so the
+//! scheduler is a shared cursor over `0..len`: each worker claims the
+//! next unclaimed position until none are left. Results are slotted by
+//! input index, never by who ran them, so the claim order is invisible
+//! in every artifact.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Per-worker deques over cell indices.
-pub struct Queues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
+/// A claim cursor over the positions `0..len`, shared by the workers.
+pub struct Cursor {
+    next: AtomicUsize,
+    len: usize,
 }
 
-impl Queues {
-    /// Distributes `items` round-robin over `workers` deques.
-    pub fn new(workers: usize, items: &[usize]) -> Queues {
-        assert!(workers > 0);
-        let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, &item) in items.iter().enumerate() {
-            deques[i % workers].push_back(item);
-        }
-        Queues {
-            deques: deques.into_iter().map(Mutex::new).collect(),
+impl Cursor {
+    /// A cursor over `0..len`.
+    pub fn new(len: usize) -> Cursor {
+        Cursor {
+            next: AtomicUsize::new(0),
+            len,
         }
     }
 
-    /// Next cell index for `worker`: its own front, else a steal from the
-    /// back of the fullest other deque. `None` once every deque is empty.
-    pub fn next(&self, worker: usize) -> Option<usize> {
-        if let Some(i) = self.deques[worker].lock().unwrap().pop_front() {
-            return Some(i);
-        }
-        // Steal from the victim with the most remaining work so stolen
-        // batches stay balanced towards the end of the sweep.
-        let n = self.deques.len();
-        loop {
-            let mut victim: Option<(usize, usize)> = None; // (worker, len)
-            for v in 0..n {
-                if v == worker {
-                    continue;
-                }
-                let len = self.deques[v].lock().unwrap().len();
-                if len > 0 && victim.is_none_or(|(_, best)| len > best) {
-                    victim = Some((v, len));
-                }
-            }
-            let (v, _) = victim?;
-            // Re-lock and steal; the deque may have drained in between, in
-            // which case we rescan.
-            if let Some(i) = self.deques[v].lock().unwrap().pop_back() {
-                return Some(i);
-            }
-        }
+    /// Claims the next position; `None` once all `len` are claimed.
+    pub fn next(&self) -> Option<usize> {
+        // Relaxed: the counter publishes nothing but itself — inputs are
+        // shared before the workers spawn, results go through their own
+        // mutexes and the scope's join.
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.len).then_some(i)
     }
 }
 
@@ -63,48 +38,21 @@ impl Queues {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn drains_every_item_exactly_once() {
-        let items: Vec<usize> = (0..101).collect();
-        let q = Queues::new(4, &items);
+        let q = Cursor::new(101);
         let seen = Mutex::new(BTreeSet::new());
         std::thread::scope(|s| {
-            for w in 0..4 {
-                let (q, seen) = (&q, &seen);
-                s.spawn(move || {
-                    while let Some(i) = q.next(w) {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    while let Some(i) = q.next() {
                         assert!(seen.lock().unwrap().insert(i), "item {i} scheduled twice");
                     }
                 });
             }
         });
-        assert_eq!(seen.into_inner().unwrap().len(), 101);
-    }
-
-    #[test]
-    fn idle_workers_steal_from_busy_ones() {
-        // All work lands on worker 0's deque; workers 1..4 must steal it.
-        let items: Vec<usize> = (0..40).collect();
-        let q = Queues::new(1, &items);
-        // Simulate stealing by giving the single deque to multiple logical
-        // workers through a wrapper: easiest is a 4-worker queue where
-        // worker 0 never polls.
-        let q4 = Queues::new(4, &items);
-        let _ = q; // the 1-worker case is covered by drains_every_item
-        let stolen = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for w in 1..4 {
-                let (q4, stolen) = (&q4, &stolen);
-                s.spawn(move || {
-                    while q4.next(w).is_some() {
-                        stolen.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        // Workers 1..4 drained everything, including worker 0's share.
-        assert_eq!(stolen.load(Ordering::Relaxed), 40);
+        assert_eq!(seen.into_inner().unwrap(), (0..101).collect());
     }
 }

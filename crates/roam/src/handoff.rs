@@ -7,8 +7,8 @@
 //! reoccupies ([`WifiNetwork::roam_in`]). With a single BSS the "target"
 //! is the same network, but the full hand-off machinery runs end to end
 //! — queued-state migration, in-flight loss accounting, MCS re-draw,
-//! policy-tree reattachment — which is exactly what scenario-schema v4
-//! plugs into the scenario runner. The multi-BSS version that carries
+//! policy-tree reattachment — which is exactly what a scenario file's
+//! `roaming` block plugs into the scenario runner. The multi-BSS version that carries
 //! state *between* networks lives in [`crate::engine`].
 
 use wifiq_mac::{App, Packet, StationCfg, StationIdx, WifiNetwork};

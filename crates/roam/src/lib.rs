@@ -21,10 +21,10 @@
 //! what a real hand-off cannot save — hardware-committed frames and the
 //! station's own uplink backlog — is dropped and counted as
 //! `roam_drops`. [`SoloRoam`] replays a schedule against one network
-//! (what scenario-schema v4 plugs into the scenario runner);
-//! [`RoamSet`] couples the shards of a multi-BSS run, moving stations
-//! between networks in windowed lockstep so the merged rollup stays
-//! byte-identical at any worker count.
+//! (what a scenario file's `roaming` block plugs into the scenario
+//! runner); [`RoamSet`] couples the shards of a multi-BSS run, moving
+//! stations between networks in windowed lockstep so the merged rollup
+//! stays byte-identical at any worker count.
 //!
 //! Landings are re-attached to the target's policy tree: a roamer whose
 //! new slot is covered by an active policy node inherits that node's

@@ -16,7 +16,7 @@
 //! ## Sharding
 //!
 //! [`ShardSet`] runs N *independent* BSS instances (shards) across a
-//! work-stealing worker pool. Each shard gets its own RNG seed split from
+//! worker pool. Each shard gets its own RNG seed split from
 //! one master seed, simulates in isolation, and hands back a result plus
 //! an optional telemetry [`Registry`](wifiq_telemetry::Registry). The
 //! coordinator merges registries in shard order under `shardN` labels,

@@ -1,7 +1,7 @@
 //! The sharded multi-BSS engine.
 //!
 //! A shard is one independent BSS simulation. [`ShardSet`] fans shards
-//! out over the experiment harness's work-stealing [`Queues`], collects
+//! out over the experiment harness's claim [`Cursor`], collects
 //! each shard's result and telemetry registry, and merges the registries
 //! **in shard order** under `shardN` labels. Worker count is pure
 //! execution parallelism: because per-shard seeds are split from the
@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 
-use wifiq_harness::Queues;
+use wifiq_harness::Cursor;
 use wifiq_sim::SimRng;
 use wifiq_telemetry::{Label, Registry};
 
@@ -106,13 +106,12 @@ impl ShardSet {
                 *slot.lock().unwrap() = Some(f(ctx));
             }
         } else {
-            let items: Vec<usize> = (0..ctxs.len()).collect();
-            let queues = Queues::new(self.workers, &items);
+            let cursor = Cursor::new(ctxs.len());
             std::thread::scope(|s| {
-                for w in 0..self.workers {
-                    let (queues, ctxs, slots, f) = (&queues, &ctxs, &slots, &f);
+                for _ in 0..self.workers {
+                    let (cursor, ctxs, slots, f) = (&cursor, &ctxs, &slots, &f);
                     s.spawn(move || {
-                        while let Some(i) = queues.next(w) {
+                        while let Some(i) = cursor.next() {
                             *slots[i].lock().unwrap() = Some(f(&ctxs[i]));
                         }
                     });

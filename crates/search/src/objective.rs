@@ -8,7 +8,7 @@
 //!   not itself a violation; measurement starts after the last policy
 //!   switch (plus a 1 s settle) and is skipped entirely under churn,
 //!   where a station's share legitimately depends on its attach time.
-//!   Under roaming (version ≥ 4) fairness stays applicable but only
+//!   Under a `roaming` block fairness stays applicable but only
 //!   *quiet* windows count — windows with no hand-off completed and no
 //!   station in transit at either boundary — so the reassociation gaps
 //!   the schedule itself creates are not misread as scheduler unfairness.
@@ -619,7 +619,7 @@ mod tests {
     #[test]
     fn evaluate_detects_a_starved_station() {
         let fair = r#"{
-            "version": 3, "secs": 4,
+            "secs": 4,
             "stations": [{"rate": "mcs7"}, {"rate": "mcs7"}],
             "traffic": [
                 {"kind": "tcp_down", "station": 0},
@@ -631,7 +631,7 @@ mod tests {
         assert!(j > JAIN_DIP, "symmetric run should be fair, got {j}");
 
         let starved = r#"{
-            "version": 3, "secs": 4,
+            "secs": 4,
             "stations": [{"rate": "mcs7"}, {"rate": "mcs7"}],
             "traffic": [
                 {"kind": "tcp_down", "station": 0},
@@ -648,12 +648,12 @@ mod tests {
         assert!(o.violates(ObjectiveKind::JainDip));
     }
 
-    /// A v4 roaming scenario still extracts: VoIP yields a windowed MOS
+    /// A roaming scenario still extracts: VoIP yields a windowed MOS
     /// and the bulk ACs record per-AC sojourn quantiles.
     #[test]
     fn evaluate_handles_roaming_and_voip() {
         let text = r#"{
-            "version": 4, "secs": 6, "seed": 7,
+            "secs": 6, "seed": 7,
             "stations": [{"rate": "mcs7"}, {"rate": "mcs7"}, {"rate": "mcs7"}],
             "traffic": [
                 {"kind": "tcp_down", "station": 0},

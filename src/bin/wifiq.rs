@@ -25,7 +25,7 @@ use std::time::Duration;
 use wifiq_experiments::dispatch::{run_table, Experiment};
 use wifiq_experiments::report::{parse_flag, pct, Table};
 use wifiq_experiments::runner::{
-    export_metrics, meter_window, metrics_telemetry, shares_of, to_ms,
+    export_metrics, mbps, meter_window, metrics_telemetry, shares_of, to_ms,
 };
 use wifiq_experiments::scenario_file::{InstalledTraffic, ScenarioFile, StationSpec, TrafficSpec};
 use wifiq_experiments::{ext, figs, RunCfg};
@@ -104,7 +104,7 @@ RUN OPTIONS:
     --station-fq                            FQ-CoDel on client uplinks
     --rate-control                          Minstrel rate control at the AP
     --config <FILE.json>                    run a scenario file instead
-                                            (see crates/experiments/src/scenario_file.rs)
+                                            (see crates/experiments/src/scenario_file/mod.rs)
     --help                                  this text
 
 EXAMPLES:
@@ -352,16 +352,19 @@ fn scenario_report(scenario: &ScenarioFile) -> Result<String, String> {
     );
 
     let app = &built.app;
-    let mbps = |bytes: u64| bytes as f64 * 8.0 / (duration - warmup).as_secs_f64() / 1e6;
+    let measured = duration - warmup;
     for (i, traffic) in built.traffic.iter().enumerate() {
         let (what, station) = match traffic {
             InstalledTraffic::Tcp(h) => {
                 let b = app.tcp(*h).bytes_between(warmup, duration);
-                (format!("tcp: {:.1} Mbps", mbps(b)), app.tcp(*h).station)
+                (
+                    format!("tcp: {:.1} Mbps", mbps(b, measured)),
+                    app.tcp(*h).station,
+                )
             }
             InstalledTraffic::Udp(h) => {
                 let b = app.udp(*h).bytes_between(warmup, duration);
-                let what = format!("udp: {:.1} Mbps delivered", mbps(b));
+                let what = format!("udp: {:.1} Mbps delivered", mbps(b, measured));
                 (what, app.udp(*h).station)
             }
             InstalledTraffic::Ping(h) => {
@@ -515,7 +518,7 @@ mod tests {
     }
 
     const TCP: &str = r#"{
-  "version": 3,
+  "version": 4,
   "scheme": "fqmac",
   "secs": 3,
   "seed": 7,
@@ -547,7 +550,7 @@ mod tests {
 }
 "#;
     const UDP_PING: &str = r#"{
-  "version": 3,
+  "version": 4,
   "scheme": "fifo",
   "secs": 2,
   "seed": 1,
@@ -580,7 +583,7 @@ mod tests {
 }
 "#;
     const WEB_STATION_FQ: &str = r#"{
-  "version": 3,
+  "version": 4,
   "scheme": "airtime",
   "secs": 2,
   "seed": 1,
