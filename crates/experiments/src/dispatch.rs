@@ -4,9 +4,9 @@
 //! package is the only one that can name every row, because
 //! `wifiq-search` depends on this crate.
 
-use wifiq_harness::{CellDef, Harness, SweepMeta, SweepOutcome};
+use wifiq_harness::{CellDef, Harness, SweepOutcome};
 
-use crate::runner::{metrics_enabled, quick, RunCfg};
+use crate::runner::RunCfg;
 
 /// One experiment: a `wifiq <name>` subcommand and a cell of `wifiq all`.
 #[derive(Debug, Clone, Copy)]
@@ -44,50 +44,102 @@ impl Experiment {
     /// have always run their 3 repetitions in smoke mode too).
     pub fn cfg(&self, base: &RunCfg) -> RunCfg {
         match self.default_reps {
-            Some(reps) if std::env::var("WIFIQ_REPS").is_err() => RunCfg { reps, ..*base },
-            _ => *base,
+            Some(reps) if !base.reps_given => RunCfg {
+                reps,
+                ..base.clone()
+            },
+            _ => base.clone(),
         }
     }
 }
 
-/// Runs every row of `table` as one harness cell — cached, journalled,
+/// What each row of `table` runs under as a cell of `wifiq all`: its own
+/// repetition default and `jobs = 1`.
+fn cell_cfg(e: &Experiment, cfg: &RunCfg) -> RunCfg {
+    RunCfg {
+        jobs: 1,
+        ..e.cfg(cfg)
+    }
+}
+
+/// One cell per row. A cached report stands for the artifacts its run
+/// wrote, so what changes either is in the key: [`RunCfg::sweep`], and
+/// `reps` here because it is per row.
+fn table_cells(table: &[Experiment], cfg: &RunCfg) -> Vec<CellDef> {
+    table
+        .iter()
+        .map(|e| CellDef::new(e.name, format!("reps={}", e.cfg(cfg).reps), 0))
+        .collect()
+}
+
+/// Runs every row of `table` as one harness cell — cached,
 /// panic-isolated and retried once like any other cell — and returns the
 /// reports in table order. Each cell runs its row's default variant with
 /// `jobs = 1`: the parallelism is across experiments, not within them.
 pub fn run_table(table: &[Experiment], cfg: &RunCfg, harness: &Harness) -> SweepOutcome<String> {
-    // A cached report stands for the artifacts its run wrote, so everything
-    // that changes either is in the key: duration and warm-up in the sweep,
-    // `reps` per cell because it is per row. Not the results directory —
-    // the cache lives inside it, so another directory is another cache.
-    let salt = format!(
-        "quick={},metrics={},base_seed={}",
-        quick(),
-        metrics_enabled(),
-        cfg.base_seed,
-    );
-    let sweep =
-        SweepMeta::new("all", cfg.duration.as_nanos(), cfg.warmup.as_nanos()).with_salt(salt);
-    let cell_cfg = |e: &Experiment| RunCfg {
-        jobs: 1,
-        ..e.cfg(cfg)
-    };
-    let cells = table
-        .iter()
-        .map(|e| CellDef::new(e.name, format!("reps={}", cell_cfg(e).reps), 0))
-        .collect();
-    harness.run(&sweep, cells, |cell: &CellDef| {
+    let cells = table_cells(table, cfg);
+    harness.run(&cfg.sweep("all"), cells, |cell: &CellDef| {
         let e = table
             .iter()
             .find(|e| e.name == cell.cell)
             .expect("cells are built from the table");
-        (e.run)(&cell_cfg(e), &[])
+        (e.run)(&cell_cfg(e, cfg), &[])
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::seed_cells;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use wifiq_harness::cell_key_hash;
+    use wifiq_sim::Nanos;
+
+    /// The cell keys `cfg` gives a repetition sweep and a `wifiq all` sweep.
+    fn keys(cfg: &RunCfg) -> [Vec<String>; 2] {
+        let table = [Experiment::new("stub_ok", ok)];
+        let hashes = |experiment: &str, cells: Vec<CellDef>| {
+            let sweep = cfg.sweep(experiment);
+            let hash = |c| cell_key_hash(&sweep, c, "test-fp");
+            cells.iter().map(hash).collect()
+        };
+        [
+            hashes("udp_sat", seed_cells("airtime", "", cfg)),
+            hashes("all", table_cells(&table, cfg)),
+        ]
+    }
+
+    /// A cached cell stands for what running it would compute and write,
+    /// so no field that changes either may be missing from its key — for
+    /// a repetition and for a row of `wifiq all` alike.
+    #[test]
+    fn every_output_changing_field_changes_both_cell_keys() {
+        let base = RunCfg::new();
+        type Flip = fn(&mut RunCfg);
+        let flips: [(&str, Flip); 6] = [
+            ("quick", |c| c.quick = true),
+            ("metrics", |c| c.metrics = true),
+            ("base_seed", |c| c.base_seed += 1),
+            ("reps", |c| c.reps += 1),
+            ("duration", |c| c.duration = Nanos::from_secs(31)),
+            ("warmup", |c| c.warmup = Nanos::from_secs(6)),
+        ];
+        for (field, flip) in flips {
+            let mut flipped = base.clone();
+            flip(&mut flipped);
+            let [seeds, rows] = keys(&flipped);
+            assert_ne!(seeds, keys(&base)[0], "run_seeds' keys ignore {field}");
+            assert_ne!(rows, keys(&base)[1], "run_table's keys ignore {field}");
+        }
+        // Where and how fast it runs is not what it computes.
+        let elsewhere = RunCfg {
+            jobs: 4,
+            cache: true,
+            results_dir: "elsewhere".into(),
+            ..base.clone()
+        };
+        assert_eq!(keys(&elsewhere), keys(&base));
+    }
 
     /// Attempts per stub, in table order; the largest `jobs` any was handed.
     static ATTEMPTS: [AtomicUsize; 4] = [const { AtomicUsize::new(0) }; 4];

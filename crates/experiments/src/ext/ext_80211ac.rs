@@ -98,6 +98,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          latency at VHT80 exactly as it does for HT20, even without the\n\
          airtime scheduler ath10k could not host."
     );
-    write_json("ext_80211ac", &rows);
+    write_json(cfg, "ext_80211ac", &rows);
     Ok(out)
 }

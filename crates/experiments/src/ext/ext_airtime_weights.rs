@@ -86,6 +86,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         out,
         "\nAirtime tracks weights: the policy compiles into the DRR quantum."
     );
-    write_json("ext_airtime_weights", &rows);
+    write_json(cfg, "ext_airtime_weights", &rows);
     Ok(out)
 }

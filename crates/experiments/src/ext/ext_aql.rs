@@ -108,6 +108,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          adds behind a slow station's long frames, at no throughput cost —\n\
          the refinement that followed this machinery into kernel 5.5."
     );
-    write_json("ext_aql", &rows);
+    write_json(cfg, "ext_aql", &rows);
     Ok(out)
 }

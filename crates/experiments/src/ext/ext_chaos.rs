@@ -334,7 +334,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         .all(|r| r.param_switches_min >= 2 && r.codel_recoveries_min >= 1);
 
     // Gate 4: worker-count independence of the fault-ridden rollup.
-    let rollup_identical = rollup_identity("chaos", 2, cfg.base_seed, chaos_shard, |_| {});
+    let rollup_identical = rollup_identity(cfg, "chaos", 2, chaos_shard, |_| {});
 
     let gates = Gates {
         jain_min,
@@ -380,7 +380,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          of §3.1.1), and every draw replays byte-identically at any worker\n\
          count."
     );
-    write_json("BENCH_chaos", &Bench { rows, gates });
+    write_json(cfg, "BENCH_chaos", &Bench { rows, gates });
     if !ok {
         return Err(format!(
             "{out}\next_chaos: one or more gates violated (see above)."

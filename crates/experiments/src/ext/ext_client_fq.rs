@@ -84,6 +84,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          client it removes the client's own uplink bufferbloat without\n\
          costing upload throughput."
     );
-    write_json("ext_client_fq", &rows);
+    write_json(cfg, "ext_client_fq", &rows);
     Ok(out)
 }

@@ -117,6 +117,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          airtime scheduler while FIFO's stays an order of magnitude worse\n\
          at every error rate."
     );
-    write_json("ext_lossy_channel", &rows);
+    write_json(cfg, "ext_lossy_channel", &rows);
     Ok(out)
 }

@@ -111,7 +111,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          timing, so agreement here should be bit-exact — any nonzero error\n\
          is an accounting bug)."
     );
-    write_json("ext_meter_validation", &rows);
+    write_json(cfg, "ext_meter_validation", &rows);
     assert!(worst < 1.5, "airtime accounts diverged by {worst}%");
     Ok(out)
 }

@@ -387,7 +387,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     // Gate 4: worker-count independence of the policy rollup. The
     // metrics snapshot also carries the harness-measured convergence, so
     // scripts/check_metrics.py validates the whole policy vocabulary.
-    let rollup_identical = rollup_identity("policy", 2, cfg.base_seed, policy_shard, |tele| {
+    let rollup_identical = rollup_identity(cfg, "policy", 2, policy_shard, |tele| {
         tele.observe_value(
             "policy",
             "convergence_ms",
@@ -430,7 +430,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          those numbers at a round boundary — no drain, no deficit reset —\n\
          and the shares re-settle within a couple of scheduler rotations."
     );
-    write_json("BENCH_policy", &Bench { rows, gates });
+    write_json(cfg, "BENCH_policy", &Bench { rows, gates });
     if !ok {
         return Err(format!(
             "{out}\next_policy: one or more gates violated (see above)."

@@ -122,6 +122,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          station CoDel parameters) and the airtime scheduler still splits\n\
          the medium three ways."
     );
-    write_json("ext_rate_control", &rows);
+    write_json(cfg, "ext_rate_control", &rows);
     Ok(out)
 }

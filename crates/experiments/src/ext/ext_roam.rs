@@ -35,11 +35,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::report::{write_json, Table};
+use crate::report::{write_artifact, write_json, Table};
 use crate::rollup::Flood;
-use crate::runner::{mbps, mean, quick, run_seeds};
+use crate::runner::{mbps, mean, run_seeds};
 use crate::RunCfg;
-use wifiq_harness::results_dir;
 use wifiq_mac::{
     App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, StationIdx, WifiNetwork,
 };
@@ -452,22 +451,24 @@ fn policy_check(seed: u64, out: &mut String) -> bool {
 
 /// The lockstep determinism guarantee, executed: the same roaming run on
 /// one worker vs four must produce byte-identical rollups.
-fn determinism_check(duration: Nanos, settle: Nanos, seed: u64, out: &mut String) -> bool {
+fn determinism_check(cfg: &RunCfg, duration: Nanos, settle: Nanos, out: &mut String) -> bool {
     let rollup = |workers: usize| {
-        roam_set(4, 8, Nanos::from_millis(200), "mixed", seed, workers).run(
-            duration,
-            |ctx| build_host(ctx, settle, true),
-            finish_host,
+        roam_set(
+            4,
+            8,
+            Nanos::from_millis(200),
+            "mixed",
+            cfg.base_seed,
+            workers,
         )
+        .run(duration, |ctx| build_host(ctx, settle, true), finish_host)
     };
     let a = rollup(1);
     let b = rollup(4);
     let seq = a.registry.to_json().pretty();
     let par = b.registry.to_json().pretty();
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    std::fs::write(dir.join("roam_rollup_seq.json"), &seq).expect("write seq rollup");
-    std::fs::write(dir.join("roam_rollup_par.json"), &par).expect("write par rollup");
+    write_artifact(cfg, "roam_rollup_seq.json", &seq);
+    write_artifact(cfg, "roam_rollup_par.json", &par);
     let identical = seq == par && a.stats == b.stats && a.outputs == b.outputs;
     if identical {
         let _ = writeln!(
@@ -503,7 +504,7 @@ struct Bench {
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let mut out = String::new();
-    let quick = quick();
+    let quick = cfg.quick;
     let (settle, duration, soak_target) = if quick {
         (Nanos::from_millis(500), Nanos::from_secs(2), 1_000)
     } else {
@@ -583,12 +584,8 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
 
     let (soak_handoffs, leaks_ok) = leak_check(soak_target, cfg.base_seed, &mut out);
     let policy_ok = policy_check(cfg.base_seed, &mut out);
-    let rollup_identical = determinism_check(
-        duration.min(Nanos::from_secs(2)),
-        settle,
-        cfg.base_seed,
-        &mut out,
-    );
+    let rollup_identical =
+        determinism_check(cfg, duration.min(Nanos::from_secs(2)), settle, &mut out);
 
     let jain_min_uniform = rows
         .iter()
@@ -629,7 +626,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         policy_ok,
         rollup_identical,
     );
-    write_json("BENCH_roam", &Bench { rows, gates });
+    write_json(cfg, "BENCH_roam", &Bench { rows, gates });
     if !ok {
         return Err(format!(
             "{out}\next_roam: one or more gates violated (see above)."

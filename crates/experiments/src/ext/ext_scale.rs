@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
 use crate::rollup::{rollup_identity, Flood};
-use crate::runner::{mbps, mean, quick, run_seeds};
+use crate::runner::{mbps, mean, run_seeds};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::PhyRate;
@@ -209,11 +209,11 @@ fn run_point(
 /// decomposition on one worker vs four must produce byte-identical
 /// telemetry rollups; any divergence fails the run.
 fn determinism_check(
+    cfg: &RunCfg,
     stations: usize,
     shards: u32,
     warmup: Nanos,
     duration: Nanos,
-    seed: u64,
 ) -> bool {
     let per_shard = split_stations(stations, shards);
     let shard = |ctx: &ShardCtx| {
@@ -226,12 +226,12 @@ fn determinism_check(
             true,
         )
     };
-    rollup_identity("scale", shards, seed, shard, |_| {})
+    rollup_identity(cfg, "scale", shards, shard, |_| {})
 }
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let mut out = String::new();
-    let quick = quick();
+    let quick = cfg.quick;
     // Scale sweeps set their own (short) windows: the interesting axis is
     // roster size, not duration, and 10k stations at the default 30 s
     // would take hours on one core.
@@ -296,7 +296,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     out.push('\n');
 
     let (det_sta, det_shards) = if quick { (100, 2) } else { (5000, 4) };
-    if !determinism_check(det_sta, det_shards, warmup, duration, cfg.base_seed) {
+    if !determinism_check(cfg, det_sta, det_shards, warmup, duration) {
         return Err(format!(
             "{out}\next_scale: 1-worker and 4-worker rollups differ."
         ));
@@ -307,7 +307,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
          1-worker and 4-worker rollups byte-identical"
     );
 
-    write_json("BENCH_scale", &rows);
+    write_json(cfg, "BENCH_scale", &rows);
     let max = rows.iter().map(|r| r.stations).max().unwrap_or(0);
     let _ = writeln!(
         out,

@@ -30,7 +30,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         ]);
     }
     out.push_str(&t.render());
-    write_json("ablation_rx_charging", &rx);
+    write_json(cfg, "ablation_rx_charging", &rx);
 
     // 2. Per-station CoDel parameters (slow-station goodput).
     let codel: Vec<_> = [true, false]
@@ -56,7 +56,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         ]);
     }
     out.push_str(&t.render());
-    write_json("ablation_adaptive_codel", &codel);
+    write_json(cfg, "ablation_adaptive_codel", &codel);
 
     // 3. Overlimit drop policy (fast-station survival under a hog).
     let drop: Vec<_> = [DropPolicy::DropLongest, DropPolicy::TailDrop]
@@ -76,7 +76,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         ]);
     }
     out.push_str(&t.render());
-    write_json("ablation_drop_policy", &drop);
+    write_json(cfg, "ablation_drop_policy", &drop);
 
     // 4. Airtime quantum sweep.
     let quanta: Vec<_> = [100u64, 300, 1_000, 5_000, 20_000]
@@ -96,6 +96,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         ]);
     }
     out.push_str(&t.render());
-    write_json("ablation_quantum", &quanta);
+    write_json(cfg, "ablation_quantum", &quanta);
     Ok(out)
 }

@@ -57,14 +57,12 @@ pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
         })
         .collect();
     out.push_str(&ascii_cdf(&series, 72, 18));
-    crate::report::write_csv_cdf(
-        if bidir {
-            "fig04_latency_bidir_cdf"
-        } else {
-            "fig04_latency_cdf"
-        },
-        &series,
-    );
+    let stem = if bidir {
+        "fig04_latency_bidir"
+    } else {
+        "fig04_latency"
+    };
+    crate::report::write_csv_cdf(cfg, &format!("{stem}_cdf"), &series);
 
     let fifo = results
         .iter()
@@ -80,13 +78,6 @@ pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
         fifo.fast.summary.median / fq.fast.summary.median.max(0.001),
         fifo.slow.summary.median / fq.slow.summary.median.max(0.001),
     );
-    write_json(
-        if bidir {
-            "fig04_latency_bidir"
-        } else {
-            "fig04_latency"
-        },
-        &results,
-    );
+    write_json(cfg, stem, &results);
     Ok(out)
 }

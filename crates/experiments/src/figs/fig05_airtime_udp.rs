@@ -41,6 +41,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         out,
         "\nPaper: FIFO slow share ~80%; airtime-fair shares 33%/33%/33%."
     );
-    write_json("fig05_airtime_udp", &results);
+    write_json(cfg, "fig05_airtime_udp", &results);
     Ok(out)
 }

@@ -52,6 +52,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         out,
         "\nPaper: FIFO ~0.45-0.55; airtime-fair ~1.0 (slight dip for bidir)."
     );
-    write_json("fig06_jain", &rows);
+    write_json(cfg, "fig06_jain", &rows);
     Ok(out)
 }

@@ -48,6 +48,7 @@ pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
          net total increase (Mbps)."
     );
     write_json(
+        cfg,
         if bidir {
             "fig07_tcp_bidir"
         } else {

@@ -45,6 +45,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         (1.0 - med("UDP", true) / med("UDP", false)) * 100.0,
         (1.0 - med("TCP", true) / med("TCP", false)) * 100.0,
     );
-    write_json("fig08_sparse", &cells);
+    write_json(cfg, "fig08_sparse", &cells);
     Ok(out)
 }

@@ -49,6 +49,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         air.sparse_latency.median,
         air.fast_latency.median,
     );
-    write_json("fig09_30sta", &results);
+    write_json(cfg, "fig09_30sta", &results);
     Ok(out)
 }

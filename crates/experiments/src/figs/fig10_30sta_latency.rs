@@ -45,13 +45,13 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         })
         .collect();
     out.push_str(&ascii_cdf(&series, 72, 18));
-    crate::report::write_csv_cdf("fig10_30sta_cdf", &series);
+    crate::report::write_csv_cdf(cfg, "fig10_30sta_cdf", &series);
 
     let _ = writeln!(
         out,
         "\nPaper: airtime fairness improves fast-station latency, worsens the \
          slow station's by an order of magnitude, and halves the average."
     );
-    write_json("fig10_30sta_latency", &results);
+    write_json(cfg, "fig10_30sta_latency", &results);
     Ok(out)
 }

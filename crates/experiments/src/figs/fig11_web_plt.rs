@@ -37,6 +37,6 @@ pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
         "\nPaper: order-of-magnitude improvement FIFO -> FQ-CoDel for the fast \
          station; large page takes ~35 s under FIFO."
     );
-    write_json("fig11_web", &cells);
+    write_json(cfg, "fig11_web", &cells);
     Ok(out)
 }

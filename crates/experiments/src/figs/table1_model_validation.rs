@@ -52,6 +52,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         "Throughput gain (airtime-fair vs FIFO), measured: {:.1}x (paper: 18.7 -> 76.4 ~ 4.1x)",
         t1.fair.measured_total / t1.baseline.measured_total.max(1.0)
     );
-    write_json("table1", &t1);
+    write_json(cfg, "table1", &t1);
     Ok(out)
 }

@@ -40,6 +40,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         out,
         "\nPaper: FIFO/FQ-CoDel BE ~1.0-1.2 MOS; FQ-MAC/Airtime >= 4.37 even as BE."
     );
-    write_json("table2_voip", &cells);
+    write_json(cfg, "table2_voip", &cells);
     Ok(out)
 }

@@ -28,8 +28,8 @@
 //! [`dispatch`] is the row type of `wifiq`'s experiment table and the
 //! in-process `wifiq all` driver over it.
 //!
-//! Repetition counts and durations are configurable through the
-//! environment; see [`runner::RunCfg`].
+//! Repetition counts, durations and every other setting are fields of
+//! [`runner::RunCfg`], which `wifiq` fills from the environment once.
 
 pub mod ablations;
 pub mod dispatch;

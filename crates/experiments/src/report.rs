@@ -3,7 +3,8 @@
 use std::fmt::Write as _;
 
 use serde::Serialize;
-use wifiq_harness::results_dir;
+
+use crate::runner::RunCfg;
 
 /// A simple fixed-layout console table.
 pub struct Table {
@@ -64,24 +65,21 @@ impl Table {
     }
 }
 
-/// Serialises `value` as pretty JSON into `results/<name>.json`.
-/// Failures are reported but not fatal — the console table is the primary
-/// output.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
+/// Writes `text` to `file` under `cfg.results_dir`. Failures are reported
+/// but not fatal — the console table is the primary output.
+pub fn write_artifact(cfg: &RunCfg, file: &str, text: &str) {
+    let path = cfg.results_dir.join(file);
+    match std::fs::create_dir_all(&cfg.results_dir).and_then(|()| std::fs::write(&path, text)) {
+        Ok(()) => eprintln!("[wrote {}]", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
-    let path = dir.join(format!("{name}.json"));
+}
+
+/// Serialises `value` as pretty JSON into `<name>.json` under
+/// `cfg.results_dir`.
+pub fn write_json<T: Serialize>(cfg: &RunCfg, name: &str, value: &T) {
     match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("[wrote {}]", path.display());
-            }
-        }
+        Ok(json) => write_artifact(cfg, &format!("{name}.json"), &json),
         Err(e) => eprintln!("warning: cannot serialise {name}: {e}"),
     }
 }
@@ -149,23 +147,17 @@ pub fn ascii_cdf<S: AsRef<str>>(
 }
 
 /// Writes labelled CDF series as a long-format CSV
-/// (`series,value,probability`) under `results/<name>.csv` — directly
-/// plottable with gnuplot/matplotlib for paper-style figures.
-pub fn write_csv_cdf(name: &str, series: &[(String, &[(f64, f64)])]) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
+/// (`series,value,probability`) into `<name>.csv` under
+/// `cfg.results_dir` — directly plottable with gnuplot/matplotlib for
+/// paper-style figures.
+pub fn write_csv_cdf(cfg: &RunCfg, name: &str, series: &[(String, &[(f64, f64)])]) {
     let mut csv = String::from("series,value,probability\n");
     for (label, pts) in series {
         for (v, p) in *pts {
             let _ = writeln!(csv, "{label},{v},{p}");
         }
     }
-    let path = dir.join(format!("{name}.csv"));
-    if std::fs::write(&path, csv).is_ok() {
-        eprintln!("[wrote {}]", path.display());
-    }
+    write_artifact(cfg, &format!("{name}.csv"), &csv);
 }
 
 /// Formats a fraction as a percentage with one decimal.
@@ -255,14 +247,16 @@ mod tests {
     #[test]
     fn csv_cdf_writes_long_format() {
         let dir = std::env::temp_dir().join(format!("wifiq_csv_{}", std::process::id()));
-        std::env::set_var("WIFIQ_RESULTS_DIR", &dir);
+        let cfg = RunCfg {
+            results_dir: dir.clone(),
+            ..RunCfg::new()
+        };
         let pts = [(1.0, 0.5), (2.0, 1.0)];
-        write_csv_cdf("unit_test_cdf", &[("a".to_string(), &pts[..])]);
+        write_csv_cdf(&cfg, "unit_test_cdf", &[("a".to_string(), &pts[..])]);
         let body = std::fs::read_to_string(dir.join("unit_test_cdf.csv")).unwrap();
         assert!(body.starts_with("series,value,probability\n"));
         assert!(body.contains("a,1,0.5"));
         assert!(body.contains("a,2,1"));
-        std::env::remove_var("WIFIQ_RESULTS_DIR");
         let _ = std::fs::remove_dir_all(dir);
     }
 

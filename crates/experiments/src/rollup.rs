@@ -1,14 +1,14 @@
 //! The worker-count identity check shared by the sharded extension
 //! experiments, and the transport-free load its shards run.
 
-use wifiq_harness::results_dir;
 use wifiq_mac::{App, Commands, Delivery, NodeAddr, Packet};
 use wifiq_phy::AccessCategory;
 use wifiq_scale::{ShardCtx, ShardSet};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{Registry, Telemetry};
 
-use crate::runner::{export_metrics, metrics_telemetry};
+use crate::report::write_artifact;
+use crate::runner::{export_metrics, RunCfg};
 
 /// Downlink flood over the first `n` station slots: `per_tick` packets of
 /// `len` bytes every `tick`, round-robin, one flow per slot —
@@ -83,17 +83,17 @@ impl App<()> for Flood {
 
 /// The sharding determinism guarantee, executed: runs the same `shards`-way
 /// decomposition on one worker and on four, writes both merged telemetry
-/// rollups to `results/<name>_rollup_{seq,par}.json` for CI to `cmp`, and
-/// returns whether they are byte-identical.
+/// rollups to `<name>_rollup_{seq,par}.json` under `cfg.results_dir` for CI
+/// to `cmp`, and returns whether they are byte-identical.
 ///
-/// Under `WIFIQ_METRICS=1` the one-worker rollup is re-exported as the
+/// With `cfg.metrics` on the one-worker rollup is re-exported as the
 /// `<name>_rollup` snapshot, so `scripts/check_metrics.py` validates the
 /// shard-labelled registry; `annotate` may add harness-side observations
 /// to that snapshot first.
 pub fn rollup_identity<T, F>(
+    cfg: &RunCfg,
     name: &str,
     shards: u32,
-    seed: u64,
     shard_fn: F,
     annotate: impl FnOnce(&Telemetry),
 ) -> bool
@@ -102,7 +102,7 @@ where
     F: Fn(&ShardCtx) -> (T, Option<Registry>) + Sync,
 {
     let rollup = |workers: usize| {
-        ShardSet::new(shards, seed)
+        ShardSet::new(shards, cfg.base_seed)
             .with_workers(workers)
             .run(&shard_fn)
             .registry
@@ -110,14 +110,12 @@ where
     let seq_registry = rollup(1);
     let seq = seq_registry.to_json().pretty();
     let par = rollup(4).to_json().pretty();
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    std::fs::write(dir.join(format!("{name}_rollup_seq.json")), &seq).expect("write seq rollup");
-    std::fs::write(dir.join(format!("{name}_rollup_par.json")), &par).expect("write par rollup");
-    let tele = metrics_telemetry();
+    write_artifact(cfg, &format!("{name}_rollup_seq.json"), &seq);
+    write_artifact(cfg, &format!("{name}_rollup_par.json"), &par);
+    let tele = cfg.telemetry();
     tele.absorb_registry(&seq_registry, |l| l);
     annotate(&tele);
-    export_metrics(&tele, &format!("{name}_rollup"), seed);
+    export_metrics(cfg, &tele, &format!("{name}_rollup"), cfg.base_seed);
     let identical = seq == par;
     if !identical {
         eprintln!("FAIL: {name} rollup differs between 1 and 4 workers");

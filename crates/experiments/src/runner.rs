@@ -1,86 +1,118 @@
-//! Shared experiment-running machinery: repetition/warm-up configuration,
-//! the harness bridge that fans repetitions across worker threads,
-//! meter arithmetic, and the `WIFIQ_METRICS` telemetry gate.
+//! Shared experiment-running machinery: the run configuration (the one
+//! place the process environment is read), the harness bridge that fans
+//! repetitions across worker threads, and meter arithmetic.
 
 use std::path::PathBuf;
 
-use wifiq_harness::{CellDef, Harness, JsonCodec, SweepMeta};
+use wifiq_harness::{workspace_dir, CellDef, FaultSpec, Harness, JsonCodec, SweepMeta};
 use wifiq_mac::StationMeter;
 use wifiq_sim::Nanos;
 use wifiq_telemetry::Telemetry;
 
-/// Repetition and duration settings for an experiment.
+/// The whole configuration of a run, as a value: everything downstream
+/// takes it as an argument and nothing else reads the environment.
 ///
 /// The paper uses 30 × 30 s for the testbed experiments and 5 × 300 s for
-/// the 30-station test; those take a while in a discrete-event simulator,
-/// so the defaults here are scaled down and can be overridden through the
-/// environment:
-///
-/// - `WIFIQ_REPS` — repetitions (seed sweep),
-/// - `WIFIQ_SECS` — seconds of simulated time per repetition,
-/// - `WIFIQ_QUICK=1` — 1 × 10 s smoke settings,
-/// - `WIFIQ_JOBS` — worker threads for the repetition sweep (default:
-///   available parallelism),
-/// - `WIFIQ_CACHE=0` — disable the content-addressed result cache.
-#[derive(Debug, Clone, Copy)]
+/// the 30-station test; the defaults here are scaled down.
+#[derive(Debug, Clone)]
 pub struct RunCfg {
     /// Number of repetitions; repetition `i` uses seed `base_seed + i`.
     pub reps: u64,
+    /// Whether `reps` was asked for, so an experiment's own repetition
+    /// default must not replace it.
+    pub reps_given: bool,
     /// Simulated duration of each repetition.
     pub duration: Nanos,
     /// Samples before this offset are discarded (TCP ramp-up etc.).
     pub warmup: Nanos,
-    /// Seed of the first repetition.
+    /// Seed of the first repetition (and of the scenario search).
     pub base_seed: u64,
+    /// Smoke settings: the extension experiments run their reduced grids.
+    pub quick: bool,
+    /// Whether repetitions export telemetry snapshots (`results_dir/metrics/`).
+    pub metrics: bool,
+    /// Where artifacts, metric snapshots and the result cache are written.
+    pub results_dir: PathBuf,
     /// Worker threads the repetition sweep fans out over.
     pub jobs: usize,
-    /// Whether completed repetitions are cached/journalled under
-    /// `results/` for re-run and resume.
+    /// Whether completed cells are cached under `results_dir` for resume.
     pub cache: bool,
+    /// Fault injection into the harness cells.
+    pub fault: Option<FaultSpec>,
 }
 
 impl RunCfg {
     /// Default: 5 repetitions × 30 s with a 5 s warm-up, single-threaded,
-    /// cache off — library and test callers get the exact historical
-    /// behaviour unless they opt in.
+    /// cache and metrics off, artifacts in the workspace's `results/`.
     pub fn new() -> RunCfg {
         RunCfg {
             reps: 5,
+            reps_given: false,
             duration: Nanos::from_secs(30),
             warmup: Nanos::from_secs(5),
             base_seed: 1,
+            quick: false,
+            metrics: false,
+            results_dir: workspace_dir("results"),
             jobs: 1,
             cache: false,
+            fault: None,
         }
     }
 
-    /// Reads overrides from the environment (see type docs). The `wifiq`
-    /// experiments go through here, so they additionally pick up the
-    /// harness knobs: parallel repetitions and the result cache.
+    /// The configuration the environment asks for — `wifiq`'s, read once
+    /// in `main`. A malformed value warns on stderr and keeps the default.
+    ///
+    /// - `WIFIQ_QUICK=1` — 1 × 10 s smoke settings and reduced grids,
+    /// - `WIFIQ_REPS` — repetitions (seed sweep),
+    /// - `WIFIQ_SECS` — seconds of simulated time per repetition,
+    /// - `WIFIQ_METRICS=1` — per-repetition telemetry snapshots,
+    /// - `WIFIQ_RESULTS_DIR` — relocate `results/` (cache included),
+    /// - `WIFIQ_JOBS` — worker threads (default: available parallelism),
+    /// - `WIFIQ_CACHE=0` — disable the content-addressed result cache,
+    /// - `WIFIQ_FAULT_CELL=<substr>[:once]` — see [`FaultSpec::parse`].
     pub fn from_env() -> RunCfg {
+        let var = |name: &str| std::env::var(name).ok();
+        let number = |name: &str, min: u64| {
+            let raw = var(name)?;
+            let parsed = raw.parse::<u64>().ok().filter(|n| *n >= min);
+            if parsed.is_none() {
+                eprintln!("warning: ignoring {name}={raw:?}: not an integer ≥ {min}");
+            }
+            parsed
+        };
+        let flag = |name: &str, default: bool| match var(name).as_deref() {
+            None => default,
+            Some("0") => false,
+            Some("1") => true,
+            Some(raw) => {
+                eprintln!("warning: ignoring {name}={raw:?}: not 0 or 1");
+                default
+            }
+        };
+
         let mut cfg = RunCfg::new();
-        if quick() {
+        cfg.quick = flag("WIFIQ_QUICK", false);
+        if cfg.quick {
             cfg.reps = 1;
             cfg.duration = Nanos::from_secs(10);
             cfg.warmup = Nanos::from_secs(2);
         }
-        if let Ok(r) = std::env::var("WIFIQ_REPS") {
-            match r.parse::<u64>() {
-                Ok(r) if r >= 1 => cfg.reps = r,
-                _ => eprintln!("warning: ignoring WIFIQ_REPS={r:?}: not a positive integer"),
-            }
+        if let Some(reps) = number("WIFIQ_REPS", 1) {
+            cfg.reps = reps;
+            cfg.reps_given = true;
         }
-        if let Ok(s) = std::env::var("WIFIQ_SECS") {
-            match s.parse::<u64>() {
-                Ok(s) if s >= 2 => {
-                    cfg.duration = Nanos::from_secs(s);
-                    cfg.warmup = Nanos::from_secs((s / 6).max(1));
-                }
-                _ => eprintln!("warning: ignoring WIFIQ_SECS={s:?}: not an integer ≥ 2"),
-            }
+        if let Some(secs) = number("WIFIQ_SECS", 2) {
+            cfg.duration = Nanos::from_secs(secs);
+            cfg.warmup = Nanos::from_secs((secs / 6).max(1));
         }
-        cfg.jobs = wifiq_harness::jobs_from_env();
-        cfg.cache = wifiq_harness::cache_from_env();
+        cfg.metrics = flag("WIFIQ_METRICS", false);
+        if let Some(dir) = var("WIFIQ_RESULTS_DIR") {
+            cfg.results_dir = PathBuf::from(dir);
+        }
+        cfg.jobs = number("WIFIQ_JOBS", 1).map_or_else(wifiq_harness::default_jobs, |n| n as usize);
+        cfg.cache = flag("WIFIQ_CACHE", true);
+        cfg.fault = FaultSpec::parse(&var("WIFIQ_FAULT_CELL").unwrap_or_default());
         cfg
     }
 
@@ -93,6 +125,35 @@ impl RunCfg {
     pub fn window(&self) -> Nanos {
         self.duration - self.warmup
     }
+
+    /// The identity every harness cell of `experiment` is keyed under:
+    /// each field that changes what a cell computes or writes is here or,
+    /// being per cell, in its [`CellDef`] (a repetition's seed, a `wifiq
+    /// all` row's `reps`). Not the results directory: the cache is in it.
+    pub fn sweep(&self, experiment: &str) -> SweepMeta {
+        let salt = format!(
+            "quick={},metrics={},base_seed={}",
+            self.quick, self.metrics, self.base_seed
+        );
+        SweepMeta::new(experiment, self.duration.as_nanos(), self.warmup.as_nanos()).with_salt(salt)
+    }
+
+    /// A harness over `results_dir` with these workers, cache and fault.
+    pub fn harness(&self) -> Harness {
+        Harness::new(self.results_dir.clone())
+            .with_jobs(self.jobs)
+            .with_cache(self.cache)
+            .with_fault(self.fault.clone())
+    }
+
+    /// A telemetry handle for one repetition, live when `metrics` is on.
+    pub fn telemetry(&self) -> Telemetry {
+        if self.metrics {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        }
+    }
 }
 
 impl Default for RunCfg {
@@ -101,36 +162,34 @@ impl Default for RunCfg {
     }
 }
 
+/// One cell per repetition of `cfg`, in seed order.
+pub(crate) fn seed_cells(cell: &str, config: &str, cfg: &RunCfg) -> Vec<CellDef> {
+    cfg.seeds()
+        .map(|seed| CellDef::new(cell, config, seed))
+        .collect()
+}
+
 /// Runs one experiment cell's repetition sweep through the orchestration
 /// harness: `f(seed)` once per repetition, fanned across `cfg.jobs` worker
-/// threads, with completed repetitions cached and journalled under
-/// `results/` when `cfg.cache` is on. Results come back in seed order
-/// regardless of completion order, so parallel runs produce byte-identical
-/// artifacts; failed repetitions (a panicking simulation is caught and
-/// retried once) are reported on stderr and dropped from the returned set.
+/// threads, completed repetitions cached when `cfg.cache` is on. Results
+/// come back in seed order regardless of completion order, so parallel
+/// runs produce byte-identical artifacts; failed repetitions (a panicking
+/// simulation is caught and retried once) are reported on stderr and
+/// dropped from the returned set.
 ///
-/// `experiment` and `cell`/`config` label the cell for the cache key and
-/// journal — everything that changes `f`'s output must be part of them.
+/// `experiment` and `cell`/`config` label the cell for the cache key: with
+/// [`RunCfg::sweep`], everything that changes `f`'s output must be in them.
 pub fn run_seeds<T, F>(experiment: &str, cell: &str, config: &str, cfg: &RunCfg, f: F) -> Vec<T>
 where
     T: JsonCodec + Send,
     F: Fn(u64) -> T + Sync,
 {
-    // Metrics export changes what a repetition does on disk, so a cached
-    // non-metrics result must not satisfy a metrics run (or vice versa).
-    let salt = format!("metrics={}", u8::from(metrics_enabled()));
-    let sweep =
-        SweepMeta::new(experiment, cfg.duration.as_nanos(), cfg.warmup.as_nanos()).with_salt(salt);
-    let cells: Vec<CellDef> = cfg
-        .seeds()
-        .map(|seed| CellDef::new(cell, config, seed))
-        .collect();
-    let tele = metrics_telemetry();
-    let outcome = Harness::from_env()
-        .with_jobs(cfg.jobs)
-        .with_cache(cfg.cache)
-        .with_telemetry(tele.clone())
-        .run(&sweep, cells, |c: &CellDef| Ok(f(c.seed)));
+    let tele = cfg.telemetry();
+    let outcome = cfg.harness().with_telemetry(tele.clone()).run(
+        &cfg.sweep(experiment),
+        seed_cells(cell, config, cfg),
+        |c: &CellDef| Ok(f(c.seed)),
+    );
     let summary = outcome.summary();
     if summary.failed > 0 {
         eprintln!(
@@ -138,57 +197,21 @@ where
             summary.failed, summary.total
         );
     }
-    if tele.is_enabled() {
-        let name = sanitize_name(&format!("harness_{experiment}_{cell}_{config}"));
-        export_metrics(&tele, &name, cfg.base_seed);
-    }
+    // The cell path as a filesystem-safe snapshot name.
+    let name = format!("harness_{experiment}_{cell}_{config}")
+        .replace(|c: char| !c.is_ascii_alphanumeric(), "_");
+    export_metrics(cfg, &tele, name.trim_matches('_'), cfg.base_seed);
     outcome.into_ok_results()
 }
 
-/// Collapses a cell path into a filesystem-safe snapshot name.
-fn sanitize_name(raw: &str) -> String {
-    raw.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect::<String>()
-        .trim_matches('_')
-        .to_string()
-}
-
-/// Whether the smoke settings are on (`WIFIQ_QUICK=1`): 1 × 10 s for the
-/// repetition sweeps, and the extension experiments' own reduced grids.
-pub fn quick() -> bool {
-    std::env::var("WIFIQ_QUICK").is_ok_and(|v| v == "1")
-}
-
-/// Whether metrics collection is enabled (`WIFIQ_METRICS=1`).
-pub fn metrics_enabled() -> bool {
-    std::env::var("WIFIQ_METRICS").is_ok_and(|v| v == "1")
-}
-
-/// A telemetry handle for one repetition: live when `WIFIQ_METRICS=1`,
-/// otherwise the zero-cost disabled handle.
-pub fn metrics_telemetry() -> Telemetry {
-    if metrics_enabled() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    }
-}
-
-/// Where metric snapshots are written: `metrics/` under the results
-/// directory (so `WIFIQ_RESULTS_DIR` relocates snapshots too).
-pub fn metrics_dir() -> PathBuf {
-    wifiq_harness::results_dir().join("metrics")
-}
-
-/// Exports one repetition's snapshot as `results/metrics/<name>.json` and
-/// `.csv`. A disabled handle is a no-op; export failures warn on stderr
-/// rather than aborting the experiment.
-pub fn export_metrics(tele: &Telemetry, name: &str, seed: u64) {
+/// Exports one repetition's snapshot as `<name>.json` and `.csv` under
+/// `cfg.results_dir/metrics/`. A disabled handle is a no-op; export
+/// failures warn on stderr rather than aborting the experiment.
+pub fn export_metrics(cfg: &RunCfg, tele: &Telemetry, name: &str, seed: u64) {
     if !tele.is_enabled() {
         return;
     }
-    if let Err(e) = tele.export(&metrics_dir(), name, seed) {
+    if let Err(e) = tele.export(&cfg.results_dir.join("metrics"), name, seed) {
         eprintln!("warning: failed to export metrics for {name}: {e}");
     }
 }

@@ -7,9 +7,7 @@ use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{
-    export_metrics, mean, meter_window, metrics_telemetry, run_seeds, shares_of, RunCfg,
-};
+use crate::runner::{export_metrics, mean, meter_window, run_seeds, shares_of, RunCfg};
 use crate::scenario;
 
 /// TCP traffic pattern.
@@ -77,7 +75,7 @@ pub fn run_scheme(scheme: SchemeKind, pattern: TcpPattern, cfg: &RunCfg) -> TcpR
     let reps: Vec<TcpRep> = run_seeds("tcp_fair", scheme.slug(), pattern.slug(), cfg, |seed| {
         let net_cfg = scenario::testbed3(scheme, seed);
         let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-        let tele = metrics_telemetry();
+        let tele = cfg.telemetry();
         net.set_telemetry(tele.clone());
         let mut app = TrafficApp::new();
         let downs: Vec<_> = (0..n).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
@@ -105,11 +103,8 @@ pub fn run_scheme(scheme: SchemeKind, pattern: TcpPattern, cfg: &RunCfg) -> TcpR
             .collect();
         let shares = shares_of(&window);
         let jain = jain_index(&shares);
-        export_metrics(
-            &tele,
-            &format!("tcp_{}_{}_seed{}", pattern.slug(), scheme.slug(), seed),
-            seed,
-        );
+        let snapshot = format!("tcp_{}_{}_seed{seed}", pattern.slug(), scheme.slug());
+        export_metrics(cfg, &tele, &snapshot, seed);
         (down, up, shares, jain)
     });
 

@@ -6,9 +6,7 @@ use wifiq_mac::{SchemeKind, StationMeter, WifiNetwork};
 use wifiq_sim::Nanos;
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{
-    export_metrics, mean, meter_window, metrics_telemetry, run_seeds, shares_of, RunCfg,
-};
+use crate::runner::{export_metrics, mean, meter_window, run_seeds, shares_of, RunCfg};
 use crate::scenario;
 
 /// Offered UDP load per station (well above any station's capacity).
@@ -53,7 +51,7 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> UdpSatResult {
         run_seeds("udp_sat", scheme.slug(), "", cfg, |seed| {
             let net_cfg = scenario::testbed3(scheme, seed);
             let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-            let tele = metrics_telemetry();
+            let tele = cfg.telemetry();
             net.set_telemetry(tele.clone());
             let mut app = TrafficApp::new();
             let flows: Vec<_> = (0..n)
@@ -75,11 +73,8 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> UdpSatResult {
                     bytes as f64 * 8.0 / cfg.window().as_secs_f64()
                 })
                 .collect();
-            export_metrics(
-                &tele,
-                &format!("udp_sat_{}_seed{}", scheme.slug(), seed),
-                seed,
-            );
+            let snapshot = format!("udp_sat_{}_seed{seed}", scheme.slug());
+            export_metrics(cfg, &tele, &snapshot, seed);
             (shares, aggr, thr)
         });
 

@@ -99,17 +99,14 @@ pub fn cell_key_hash(sweep: &SweepMeta, cell: &CellDef, fingerprint: &str) -> St
 /// Build fingerprint of the running binary, cached for the process
 /// lifetime.
 ///
-/// `WIFIQ_CACHE_KEY` overrides it wholesale (useful for tests and for
-/// sharing a cache across builds known to be equivalent). Otherwise
-/// it combines `git describe --always --dirty` of the working tree with
+/// It combines `git describe --always --dirty` of the working tree with
 /// the executable's size and mtime, so a rebuild with changed code
-/// invalidates previous results while a plain re-run does not.
+/// invalidates previous results while a plain re-run does not
+/// ([`Harness::with_fingerprint`](crate::Harness::with_fingerprint)
+/// overrides it, for tests).
 pub fn binary_fingerprint() -> &'static str {
     static FP: OnceLock<String> = OnceLock::new();
     FP.get_or_init(|| {
-        if let Ok(v) = std::env::var("WIFIQ_CACHE_KEY") {
-            return v;
-        }
         let git = std::process::Command::new("git")
             .args(["describe", "--always", "--dirty"])
             .output()

@@ -13,10 +13,11 @@
 //!    regardless of completion order, so parallel output is byte-identical
 //!    to sequential output (`WIFIQ_JOBS=1` vs `=N`).
 //! 2. **Caching + resume** — each completed cell is stored content-addressed
-//!    under `results/cache/<sha256(key)>.json` and journalled to
-//!    `results/harness.manifest.jsonl`. A re-run (or a run resumed after a
-//!    crash/Ctrl-C) replays only the cells the journal does not record as
-//!    complete. The key covers the full cell configuration, seed,
+//!    under `results/cache/<sha256(key)>.json`, written to a temp name and
+//!    atomically renamed. That file is the one record of done: a re-run
+//!    (or a run resumed after a crash/Ctrl-C) replays exactly the cells
+//!    whose file is missing, holds another key document, or does not
+//!    decode. The key covers the full cell configuration, seed,
 //!    duration, and a build fingerprint of the binary (there is one,
 //!    `wifiq`, so it is always the binary that computes the cell), so
 //!    code or config changes invalidate what they affect.
@@ -25,17 +26,10 @@
 //!    without aborting the other cells. A wall-clock watchdog (budget
 //!    scaled from the cell's simulated duration) flags runaway cells.
 //!
-//! Environment knobs:
-//!
-//! - `WIFIQ_JOBS` — worker count (default: available parallelism),
-//! - `WIFIQ_CACHE=0` — disable the result cache and journal,
-//! - `WIFIQ_CACHE_KEY` — override the binary build fingerprint,
-//! - `WIFIQ_CELL_BUDGET_SECS` — per-cell wall-clock budget override,
-//! - `WIFIQ_FAULT_CELL=<substr>[:once]` — fault injection: panic any cell
-//!   whose `experiment/cell/config/seed` path contains `<substr>`
-//!   (`:once` limits the panic to the first attempt, exercising the retry
-//!   path end to end),
-//! - `WIFIQ_RESULTS_DIR` — relocate `results/` (cache + journal included).
+//! This crate reads no environment: a [`Harness`] is configured by its
+//! builder methods. `wifiq` fills them from the one value its
+//! configuration is read into, `wifiq_experiments::RunCfg` (`from_env`
+//! there lists the `WIFIQ_*` names).
 //!
 //! Per-sweep cell counters (total/ok/failed, cache hits/misses, retries,
 //! budget overruns, per-cell wall time) are recorded into a
@@ -61,7 +55,7 @@ pub use codec::JsonCodec;
 pub use key::{binary_fingerprint, cell_key_hash, cell_key_json, CellDef, SweepMeta};
 pub use pool::Cursor;
 pub use sha256::sha256_hex;
-pub use store::{results_dir, workspace_dir, Journal, JournalEntry};
+pub use store::workspace_dir;
 
 /// Default worker count: available parallelism.
 pub fn default_jobs() -> usize {
@@ -70,50 +64,29 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker count from `WIFIQ_JOBS`, warning (and falling back to the
-/// default) on malformed or zero values.
-pub fn jobs_from_env() -> usize {
-    match std::env::var("WIFIQ_JOBS") {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("warning: ignoring WIFIQ_JOBS={v:?}: not a positive integer");
-                default_jobs()
-            }
-        },
-        Err(_) => default_jobs(),
-    }
-}
-
-/// Whether the result cache + journal are enabled (`WIFIQ_CACHE=0`
-/// disables; anything else, including unset, enables).
-pub fn cache_from_env() -> bool {
-    std::env::var("WIFIQ_CACHE").map_or(true, |v| v != "0")
-}
-
-/// Fault injection spec parsed from `WIFIQ_FAULT_CELL`.
+/// Fault injection: panic any cell whose `experiment/cell/config/seed`
+/// path contains a needle.
 #[derive(Debug, Clone)]
-struct FaultSpec {
+pub struct FaultSpec {
     needle: String,
     once: bool,
 }
 
 impl FaultSpec {
-    fn from_env() -> Option<FaultSpec> {
-        let raw = std::env::var("WIFIQ_FAULT_CELL").ok()?;
+    /// Parses `<substr>[:once]`; `:once` limits the panic to the first
+    /// attempt, exercising the retry path end to end. Empty is no fault.
+    pub fn parse(raw: &str) -> Option<FaultSpec> {
         if raw.is_empty() {
             return None;
         }
-        match raw.strip_suffix(":once") {
-            Some(prefix) => Some(FaultSpec {
-                needle: prefix.to_string(),
-                once: true,
-            }),
-            None => Some(FaultSpec {
-                needle: raw,
-                once: false,
-            }),
-        }
+        let (needle, once) = match raw.strip_suffix(":once") {
+            Some(prefix) => (prefix, true),
+            None => (raw, false),
+        };
+        Some(FaultSpec {
+            needle: needle.to_string(),
+            once,
+        })
     }
 
     fn matches(&self, path: &str, attempt: u32) -> bool {
@@ -241,25 +214,18 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// A harness rooted at an explicit results directory (cache and
-    /// journal live under it). Jobs/cache/fault default from the
-    /// environment.
+    /// A harness rooted at a results directory (the cache lives under
+    /// it): one worker, cache off, no fault injection.
     pub fn new(root: PathBuf) -> Harness {
         Harness {
             root,
-            jobs: jobs_from_env(),
-            cache: cache_from_env(),
+            jobs: 1,
+            cache: false,
             budget: None,
             telemetry: Telemetry::disabled(),
             fingerprint: binary_fingerprint().to_string(),
-            fault: FaultSpec::from_env(),
+            fault: None,
         }
-    }
-
-    /// A harness rooted at the workspace `results/` directory (respects
-    /// `WIFIQ_RESULTS_DIR`).
-    pub fn from_env() -> Harness {
-        Harness::new(results_dir())
     }
 
     /// Sets the worker count (clamped to ≥ 1).
@@ -268,9 +234,15 @@ impl Harness {
         self
     }
 
-    /// Enables or disables the result cache + journal.
+    /// Enables or disables the result cache.
     pub fn with_cache(mut self, cache: bool) -> Harness {
         self.cache = cache;
+        self
+    }
+
+    /// Injects a panic into the cells `fault` matches.
+    pub fn with_fault(mut self, fault: Option<FaultSpec>) -> Harness {
+        self.fault = fault;
         self
     }
 
@@ -293,27 +265,18 @@ impl Harness {
         self
     }
 
-    /// The journal path: `<root>/harness.manifest.jsonl`.
-    pub fn manifest_path(&self) -> PathBuf {
-        self.root.join("harness.manifest.jsonl")
-    }
-
     /// The cache directory: `<root>/cache/`.
     pub fn cache_dir(&self) -> PathBuf {
         self.root.join("cache")
     }
 
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The wall-clock budget for a cell simulating `duration_ns`:
-    /// `WIFIQ_CELL_BUDGET_SECS` if set, else 20× the simulated duration
-    /// with a 120 s floor. The simulator runs much faster than real time,
-    /// so an overrun signals a hang, not a slow machine.
+    /// The wall-clock budget for a cell simulating `duration_ns`: the
+    /// [`with_budget`](Harness::with_budget) override, else 20× the
+    /// simulated duration with a 120 s floor. The simulator runs much
+    /// faster than real time, so an overrun signals a hang, not a slow
+    /// machine.
     pub fn cell_budget(&self, duration_ns: u64) -> Duration {
-        self.budget.or_else(budget_from_env).unwrap_or_else(|| {
+        self.budget.unwrap_or_else(|| {
             Duration::from_secs((duration_ns / 1_000_000_000).saturating_mul(20).max(120))
         })
     }
@@ -337,35 +300,34 @@ impl Harness {
             .map(|d| sha256_hex(d.compact().as_bytes()))
             .collect();
 
-        let mut journal = self.cache.then(|| Journal::load(self.manifest_path()));
         let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let mut reports: Vec<Option<CellReport>> = (0..n).map(|_| None).collect();
+        let report = |i: usize, cached, wall_ms, retries, error: Option<String>| CellReport {
+            cell: cells[i].cell.clone(),
+            config: cells[i].config.clone(),
+            seed: cells[i].seed,
+            key: keys[i].clone(),
+            status: match error {
+                None => CellStatus::Ok,
+                Some(_) => CellStatus::Failed,
+            },
+            cached,
+            wall_ms,
+            retries,
+            error,
+        };
 
-        // Resolve cache hits up front (journal is the completion
-        // authority; the cache file must also decode).
+        // Resolve cache hits up front. The cache file is the record of
+        // done: present, key document equal, payload decodes.
         let mut pending: Vec<usize> = Vec::new();
         for i in 0..n {
-            let hit = journal.as_ref().is_some_and(|j| j.is_completed(&keys[i]))
+            let hit = self.cache
                 && store::cache_load(&self.cache_dir(), &keys[i], &key_docs[i])
                     .and_then(|out| T::decode(&out))
                     .map(|v| results[i] = Some(v))
                     .is_some();
             if hit {
-                let report = CellReport {
-                    cell: cells[i].cell.clone(),
-                    config: cells[i].config.clone(),
-                    seed: cells[i].seed,
-                    key: keys[i].clone(),
-                    status: CellStatus::Ok,
-                    cached: true,
-                    wall_ms: 0,
-                    retries: 0,
-                    error: None,
-                };
-                if let Some(j) = journal.as_mut() {
-                    j.append(&journal_entry(sweep, &report));
-                }
-                reports[i] = Some(report);
+                reports[i] = Some(report(i, true, 0, 0, None));
             } else {
                 pending.push(i);
             }
@@ -383,7 +345,6 @@ impl Harness {
             let cursor = pool::Cursor::new(pending.len());
             let results_m = Mutex::new(&mut results);
             let reports_m = Mutex::new(&mut reports);
-            let journal_m = Mutex::new(journal.as_mut());
             let active: Vec<Mutex<Option<(usize, Instant)>>> =
                 (0..jobs).map(|_| Mutex::new(None)).collect();
             let done = AtomicBool::new(false);
@@ -418,10 +379,10 @@ impl Harness {
                         let cells = &cells;
                         let keys = &keys;
                         let key_docs = &key_docs;
+                        let report = &report;
                         let f = &f;
                         let results_m = &results_m;
                         let reports_m = &reports_m;
-                        let journal_m = &journal_m;
                         let active_slot = &active[w];
                         let cache_dir = &cache_dir;
                         s.spawn(move || {
@@ -439,7 +400,7 @@ impl Harness {
                                 let wall_ms = started.elapsed().as_millis() as u64;
                                 *active_slot.lock().unwrap() = None;
 
-                                let report = match attempt {
+                                let error = match attempt {
                                     Ok(v) => {
                                         if cache_enabled {
                                             if let Err(e) = store::cache_store(
@@ -452,37 +413,15 @@ impl Harness {
                                             }
                                         }
                                         results_m.lock().unwrap()[i] = Some(v);
-                                        CellReport {
-                                            cell: cell.cell.clone(),
-                                            config: cell.config.clone(),
-                                            seed: cell.seed,
-                                            key: keys[i].clone(),
-                                            status: CellStatus::Ok,
-                                            cached: false,
-                                            wall_ms,
-                                            retries,
-                                            error: None,
-                                        }
+                                        None
                                     }
                                     Err(e) => {
                                         eprintln!("warning: cell {path} failed after retry: {e}");
-                                        CellReport {
-                                            cell: cell.cell.clone(),
-                                            config: cell.config.clone(),
-                                            seed: cell.seed,
-                                            key: keys[i].clone(),
-                                            status: CellStatus::Failed,
-                                            cached: false,
-                                            wall_ms,
-                                            retries,
-                                            error: Some(e),
-                                        }
+                                        Some(e)
                                     }
                                 };
-                                if let Some(j) = journal_m.lock().unwrap().as_deref_mut() {
-                                    j.append(&journal_entry(sweep, &report));
-                                }
-                                reports_m.lock().unwrap()[i] = Some(report);
+                                reports_m.lock().unwrap()[i] =
+                                    Some(report(i, false, wall_ms, retries, error));
                             }
                         })
                     })
@@ -560,38 +499,6 @@ where
     })) {
         Ok(inner) => inner,
         Err(payload) => Err(format!("panicked: {}", panic_message(payload.as_ref()))),
-    }
-}
-
-fn journal_entry(sweep: &SweepMeta, report: &CellReport) -> JournalEntry {
-    JournalEntry {
-        key: report.key.clone(),
-        experiment: sweep.experiment.clone(),
-        cell: report.cell.clone(),
-        config: report.config.clone(),
-        seed: report.seed,
-        ok: report.ok(),
-        cached: report.cached,
-        wall_ms: report.wall_ms,
-        retries: report.retries,
-        error: report.error.clone(),
-    }
-}
-
-/// The `WIFIQ_CELL_BUDGET_SECS` override, in whole seconds and at least
-/// one (a zero budget overruns on the watchdog's first poll). A malformed
-/// value is reported on stderr and ignored.
-pub fn budget_from_env() -> Option<Duration> {
-    parse_budget(&std::env::var("WIFIQ_CELL_BUDGET_SECS").ok()?)
-}
-
-fn parse_budget(v: &str) -> Option<Duration> {
-    match v.parse::<u64>() {
-        Ok(secs) => Some(Duration::from_secs(secs.max(1))),
-        Err(_) => {
-            eprintln!("warning: ignoring WIFIQ_CELL_BUDGET_SECS={v:?}: not a positive integer");
-            None
-        }
     }
 }
 
@@ -687,40 +594,65 @@ mod tests {
         let _ = std::fs::remove_dir_all(root);
     }
 
+    /// The seeds `f` is called for when `cells(6)` re-runs over `root`.
+    fn replayed(root: &Path, sweep: &SweepMeta) -> Vec<u64> {
+        let executed = Mutex::new(Vec::new());
+        let out =
+            harness(root)
+                .with_cache(true)
+                .with_jobs(1)
+                .run(sweep, cells(6), |cell: &CellDef| {
+                    executed.lock().unwrap().push(cell.seed);
+                    compute(cell)
+                });
+        assert_eq!(out.summary().ok, 6);
+        assert!(out.results.iter().all(Option::is_some));
+        let mut executed = executed.into_inner().unwrap();
+        executed.sort_unstable();
+        assert_eq!(out.summary().cached, 6 - executed.len());
+        executed
+    }
+
     #[test]
-    fn truncated_journal_replays_only_missing_cells() {
+    fn deleting_three_cache_files_replays_exactly_those_three_cells() {
         let root = tmp("resume");
         let sweep = SweepMeta::new("resume", 1_000_000_000, 0);
-        harness(&root)
+        let first = harness(&root)
             .with_cache(true)
             .with_jobs(1)
             .run(&sweep, cells(6), compute);
 
-        // Simulate a killed run: keep only the first three journal lines.
-        let manifest = root.join("harness.manifest.jsonl");
-        let text = std::fs::read_to_string(&manifest).unwrap();
-        let kept: Vec<&str> = text.lines().take(3).collect();
-        std::fs::write(&manifest, format!("{}\n", kept.join("\n"))).unwrap();
+        // Simulate a killed run: the last three cells never finished.
+        for report in &first.reports[3..] {
+            std::fs::remove_file(root.join(format!("cache/{}.json", report.key))).unwrap();
+        }
+        assert_eq!(replayed(&root, &sweep), vec![3, 4, 5]);
+        assert_eq!(replayed(&root, &sweep), vec![], "and then they are done");
+        let _ = std::fs::remove_dir_all(root);
+    }
 
-        let executed = Mutex::new(Vec::new());
-        let out =
-            harness(&root)
-                .with_cache(true)
-                .with_jobs(1)
-                .run(&sweep, cells(6), |cell: &CellDef| {
-                    executed.lock().unwrap().push(cell.seed);
-                    compute(cell)
-                });
-        let mut executed = executed.into_inner().unwrap();
-        executed.sort_unstable();
-        assert_eq!(
-            executed,
-            vec![3, 4, 5],
-            "only the unjournalled cells replay"
-        );
-        assert_eq!(out.summary().ok, 6);
-        assert_eq!(out.summary().cached, 3);
-        assert!(out.results.iter().all(Option::is_some));
+    #[test]
+    fn a_truncated_or_key_mismatched_cache_file_is_a_miss_not_an_error() {
+        let root = tmp("badcache");
+        let sweep = SweepMeta::new("badcache", 1_000_000_000, 0);
+        let first = harness(&root)
+            .with_cache(true)
+            .with_jobs(1)
+            .run(&sweep, cells(6), compute);
+        let file = |i: usize| root.join(format!("cache/{}.json", first.reports[i].key));
+
+        // Cell 1: torn mid-write. Cell 2: valid JSON, payload of another
+        // type. Cell 4: another cell's document under this cell's name.
+        let text = std::fs::read_to_string(file(1)).unwrap();
+        std::fs::write(file(1), &text[..text.len() / 2]).unwrap();
+        std::fs::write(
+            file(2),
+            text.replace("\"output\": [", "\"output\": [true, "),
+        )
+        .unwrap();
+        std::fs::copy(file(5), file(4)).unwrap();
+        assert_eq!(replayed(&root, &sweep), vec![1, 2, 4]);
+        assert_eq!(replayed(&root, &sweep), vec![], "the replay repaired them");
         let _ = std::fs::remove_dir_all(root);
     }
 
@@ -776,11 +708,9 @@ mod tests {
     #[test]
     fn env_fault_injection_targets_matching_cells_only() {
         let root = tmp("fault");
-        // The needle is unique to this test's experiment name, so other
-        // tests constructing harnesses concurrently never match it.
-        std::env::set_var("WIFIQ_FAULT_CELL", "fault_env_exp/cell/cfg/0:once");
-        let h = harness(&root).with_cache(false).with_jobs(1);
-        std::env::remove_var("WIFIQ_FAULT_CELL");
+        let h = harness(&root)
+            .with_jobs(1)
+            .with_fault(FaultSpec::parse("fault_env_exp/cell/cfg/0:once"));
         let sweep = SweepMeta::new("fault_env_exp", 1_000_000_000, 0);
         let out = h.run(&sweep, cells(2), compute);
         assert_eq!(out.reports[0].status, CellStatus::Ok);
@@ -792,12 +722,7 @@ mod tests {
     #[test]
     fn budget_override_parses_one_way() {
         let secs = Duration::from_secs;
-        assert_eq!(parse_budget("45"), Some(secs(45)));
-        assert_eq!(parse_budget("0"), Some(secs(1)), "zero clamps to 1 s");
-        assert_eq!(parse_budget("abc"), None, "malformed is ignored");
-        // Unset: no override, the simulated duration decides.
-        std::env::remove_var("WIFIQ_CELL_BUDGET_SECS");
-        assert_eq!(budget_from_env(), None);
+        // No override: the simulated duration decides.
         let h = Harness::new(PathBuf::from("unused"));
         assert_eq!(h.cell_budget(10_000_000_000), secs(200));
         assert_eq!(h.with_budget(secs(7)).cell_budget(0), secs(7));

@@ -27,21 +27,13 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::Serialize;
-use wifiq_experiments::report::{write_json, Table};
-use wifiq_experiments::runner::quick;
+use wifiq_experiments::report::{write_artifact, write_json, Table};
 use wifiq_experiments::scenario_file::{ScenarioFile, TrafficSpec};
 use wifiq_experiments::RunCfg;
-use wifiq_harness::{results_dir, workspace_dir};
+use wifiq_harness::workspace_dir;
 
 use crate::objective::JAIN_DIP;
 use crate::{evaluate, run_search, ObjectiveKind, SearchCfg};
-
-fn master_seed() -> u64 {
-    std::env::var("WIFIQ_SEARCH_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 /// Sorted scenario texts from a directory (`(file_name, text)`).
 fn read_scenarios(dir: &PathBuf) -> Vec<(String, String)> {
@@ -115,11 +107,11 @@ struct Bench {
 }
 
 /// Runs the three phases and returns the report; the search sizes itself
-/// from `WIFIQ_QUICK` alone, so the repetition settings go unused.
-pub fn run(_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
+/// from `run_cfg.quick` alone, so the repetition settings go unused.
+pub fn run(run_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let mut out = String::new();
-    let quick = quick();
-    let seed = master_seed();
+    let quick = run_cfg.quick;
+    let seed = run_cfg.base_seed;
     let _ = writeln!(out, "== wifiq-search: coverage-guided fairness fuzzing ==");
     let _ = writeln!(
         out,
@@ -194,8 +186,9 @@ pub fn run(_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         }
     }
 
-    let mut cfg = SearchCfg::new(results_dir());
+    let mut cfg = SearchCfg::new(run_cfg.results_dir.clone());
     cfg.master_seed = seed;
+    cfg.cache = run_cfg.cache;
     cfg.found_dir = Some(found_dir);
     if quick {
         cfg.generations = 3;
@@ -213,11 +206,7 @@ pub fn run(_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let report = run_search(&cfg).map_err(|e| format!("{out}search failed: {e}"))?;
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
     let corpus_seq = report.corpus_json.pretty();
-    let _ = std::fs::create_dir_all(results_dir());
-    let seq_path = results_dir().join("search_corpus_seq.json");
-    if let Err(e) = std::fs::write(&seq_path, &corpus_seq) {
-        eprintln!("warning: cannot write {}: {e}", seq_path.display());
-    }
+    write_artifact(run_cfg, "search_corpus_seq.json", &corpus_seq);
 
     // Phase 3: identical search at four workers, against the same cache.
     let mut par_cfg = cfg.clone();
@@ -225,10 +214,7 @@ pub fn run(_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     par_cfg.found_dir = None; // phase 2 already committed the files
     let par = run_search(&par_cfg).map_err(|e| format!("{out}re-pass failed: {e}"))?;
     let corpus_par = par.corpus_json.pretty();
-    let par_path = results_dir().join("search_corpus_par.json");
-    if let Err(e) = std::fs::write(&par_path, &corpus_par) {
-        eprintln!("warning: cannot write {}: {e}", par_path.display());
-    }
+    write_artifact(run_cfg, "search_corpus_par.json", &corpus_par);
     let corpus_match = corpus_seq == corpus_par;
 
     // Report.
@@ -302,6 +288,7 @@ pub fn run(_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         !gates.planted_found || !gates.planted_shrunk || !gates.corpus_match || !gates.replay_ok;
 
     write_json(
+        run_cfg,
         "BENCH_search",
         &Bench {
             quick,

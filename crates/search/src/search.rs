@@ -40,7 +40,7 @@ pub struct SearchCfg {
     pub max_found: usize,
     /// Where minimal counterexamples are committed; `None` skips writing.
     pub found_dir: Option<PathBuf>,
-    /// Harness results root (cache + journal live under it).
+    /// Harness results root (the cache lives under it).
     pub results_root: PathBuf,
     /// Harness worker count.
     pub jobs: usize,

@@ -24,12 +24,9 @@ use std::time::Duration;
 
 use wifiq_experiments::dispatch::{run_table, Experiment};
 use wifiq_experiments::report::{parse_flag, pct, Table};
-use wifiq_experiments::runner::{
-    export_metrics, mbps, meter_window, metrics_telemetry, shares_of, to_ms,
-};
+use wifiq_experiments::runner::{export_metrics, mbps, meter_window, shares_of, to_ms};
 use wifiq_experiments::scenario_file::{InstalledTraffic, ScenarioFile, StationSpec, TrafficSpec};
 use wifiq_experiments::{ext, figs, RunCfg};
-use wifiq_harness::{budget_from_env, Harness};
 use wifiq_mac::StationMeter;
 use wifiq_stats::{jain_index, Summary, VoipMetrics};
 
@@ -112,7 +109,7 @@ EXAMPLES:
     wifiq run --scheme airtime --stations mcs15x28,1mbps --traffic tcp --secs 30
 
 ENVIRONMENT (experiments): WIFIQ_REPS, WIFIQ_SECS, WIFIQ_QUICK, WIFIQ_JOBS, WIFIQ_CACHE,
-    WIFIQ_RESULTS_DIR, WIFIQ_METRICS (see README.md)";
+    WIFIQ_RESULTS_DIR, WIFIQ_METRICS, WIFIQ_FAULT_CELL (see README.md)";
 
 /// Reports a command-line error and exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -135,11 +132,11 @@ fn list() -> String {
 
 /// `wifiq <experiment>`: the report on stdout; a violated gate exits 1
 /// with the report so far and what failed on stderr.
-fn one(e: &Experiment, args: &[String]) {
+fn one(e: &Experiment, args: &[String], cfg: &RunCfg) {
     if let Err(msg) = parse_flag(e.flag, args) {
         usage_error(&msg);
     }
-    match (e.run)(&e.cfg(&RunCfg::from_env()), args) {
+    match (e.run)(&e.cfg(cfg), args) {
         Ok(report) => print!("{report}"),
         Err(msg) => {
             eprintln!("{msg}");
@@ -149,23 +146,23 @@ fn one(e: &Experiment, args: &[String]) {
 }
 
 /// `wifiq all`: every experiment as one cell of one harness sweep, fanned
-/// across `WIFIQ_JOBS` workers, then each report and a summary table.
-fn all() {
-    let tele = metrics_telemetry();
+/// across `cfg.jobs` workers, then each report and a summary table.
+fn all(cfg: &RunCfg) {
+    let tele = cfg.telemetry();
     // A cell here is a whole experiment, not one repetition: far longer
     // than the harness's default 20 x simulated-duration allowance.
-    let budget = budget_from_env().unwrap_or(Duration::from_secs(1800));
-    let harness = Harness::from_env()
-        .with_budget(budget)
+    let harness = cfg
+        .harness()
+        .with_budget(Duration::from_secs(1800))
         .with_telemetry(tele.clone());
-    let jobs = harness.jobs().min(EXPERIMENTS.len());
+    let jobs = cfg.jobs.min(EXPERIMENTS.len());
     println!(
         "Running {} experiments across {} worker{}; artifacts in results/.",
         EXPERIMENTS.len(),
         jobs,
         if jobs == 1 { "" } else { "s" },
     );
-    let outcome = run_table(EXPERIMENTS, &RunCfg::from_env(), &harness);
+    let outcome = run_table(EXPERIMENTS, cfg, &harness);
 
     for (report, result) in outcome.reports.iter().zip(&outcome.results) {
         let cached = if report.cached { " (cached)" } else { "" };
@@ -202,7 +199,7 @@ fn all() {
         );
     }
     println!("\nharness summary: {}", summary.line());
-    export_metrics(&tele, "harness_all", 0);
+    export_metrics(cfg, &tele, "harness_all", 0);
     if summary.failed > 0 {
         eprintln!(
             "\n{} of {} experiments failed.",
@@ -426,19 +423,21 @@ fn main() {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
+    // The one read of the environment; everything below takes the value.
+    let cfg = RunCfg::from_env();
     match cmd.as_str() {
         "all" | "list" if !args.is_empty() => usage_error(&format!(
             "`wifiq {cmd}` takes no arguments (got {:?})",
             args[0]
         )),
-        "all" => all(),
+        "all" => all(&cfg),
         "list" => print!("{}", list()),
         "run" => match run(args) {
             Ok(report) => print!("{report}"),
             Err(msg) => usage_error(&msg),
         },
         name => match EXPERIMENTS.iter().find(|e| e.name == name) {
-            Some(e) => one(e, args),
+            Some(e) => one(e, args, &cfg),
             None => usage_error(&format!(
                 "unknown subcommand {name:?} (`wifiq list` names the experiments)"
             )),

@@ -21,7 +21,7 @@
 //!   structured-event ring (counters, gauges, histograms; JSON/CSV export),
 //! - [`harness`](mod@crate::harness) — parallel, cached, resumable
 //!   experiment orchestration (worker pool, content-addressed result
-//!   cache, journal),
+//!   cache),
 //! - [`scale`](mod@crate::scale) — deterministic station churn and the
 //!   sharded multi-BSS engine with cross-shard telemetry rollup,
 //! - [`roam`](mod@crate::roam) — seeded inter-BSS roaming: mid-flow

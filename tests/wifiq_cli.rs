@@ -40,3 +40,47 @@ fn a_typod_experiment_flag_is_rejected() {
 fn a_run_flag_without_its_value_is_rejected() {
     rejects(&["run", "--secs"], "--secs");
 }
+
+/// `wifiq list` under one environment variable: what it printed and warned.
+fn list_with(name: &str, value: &str) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_wifiq"))
+        .arg("list")
+        .env(name, value)
+        .output()
+        .expect("spawn wifiq");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "wifiq list under {name}={value}"
+    );
+    let text = |bytes| String::from_utf8_lossy(bytes).into_owned();
+    (text(&out.stdout), text(&out.stderr))
+}
+
+#[test]
+fn a_boolean_knob_that_is_not_0_or_1_warns_naming_the_variable() {
+    for (name, value) in [
+        ("WIFIQ_QUICK", "true"),
+        ("WIFIQ_METRICS", "yes"),
+        ("WIFIQ_CACHE", "off"),
+    ] {
+        let (stdout, stderr) = list_with(name, value);
+        assert!(stdout.contains("fig05_airtime_udp"), "{name}: {stdout}");
+        assert!(
+            stderr.contains(&format!("warning: ignoring {name}={value:?}")),
+            "{name}={value} is not reported: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_boolean_knob_set_to_0_or_1_is_taken_silently() {
+    for (name, value) in [
+        ("WIFIQ_QUICK", "1"),
+        ("WIFIQ_METRICS", "0"),
+        ("WIFIQ_CACHE", "0"),
+    ] {
+        let (_, stderr) = list_with(name, value);
+        assert!(stderr.is_empty(), "{name}={value} warned: {stderr}");
+    }
+}
