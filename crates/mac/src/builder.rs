@@ -1,11 +1,13 @@
-//! The fluent scenario builder — the single construction path for
-//! [`NetworkConfig`].
+//! The fluent scenario builder — where every [`NetworkConfig`] starts.
 //!
-//! Every experiment binary, scenario file, and test builds its network
-//! through this API instead of hand-rolling `NetworkConfig` /
-//! [`StationCfg`] literals: station rosters via the `*_station`
-//! methods, the paper's testbeds via [`Preset`], impairments via
-//! [`fault`](ScenarioBuilder::fault).
+//! Every experiment, scenario file, and test begins its network here
+//! instead of hand-rolling `NetworkConfig` / [`StationCfg`] literals:
+//! station rosters via the `*_station` methods, the paper's testbeds via
+//! [`Preset`], impairments via [`fault`](ScenarioBuilder::fault). It is
+//! not the only way to *set* a field: `NetworkConfig`'s fields are `pub`,
+//! and a knob one caller turns (an ablation's `adaptive_codel`, the VoIP
+//! runs' `wire_delay`) is set on the built value rather than given a
+//! setter here.
 //!
 //! ```
 //! use wifiq_mac::{NetworkConfig, Preset, SchemeKind};
@@ -136,14 +138,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Appends a clean station with an airtime weight (neutral = 256).
-    pub fn weighted_station(mut self, rate: PhyRate, weight: u32) -> Self {
-        let mut s = StationCfg::clean(rate);
-        s.airtime_weight = weight;
-        self.cfg.stations.push(s);
-        self
-    }
-
     /// Overrides station `idx`'s PHY rate.
     ///
     /// # Panics
@@ -151,26 +145,6 @@ impl ScenarioBuilder {
     /// Panics if `idx` is out of range.
     pub fn rate(mut self, idx: usize, rate: PhyRate) -> Self {
         self.cfg.stations[idx].rate = rate;
-        self
-    }
-
-    /// Overrides station `idx`'s error model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn errors(mut self, idx: usize, errors: ErrorModel) -> Self {
-        self.cfg.stations[idx].errors = errors;
-        self
-    }
-
-    /// Overrides station `idx`'s airtime weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn weight(mut self, idx: usize, weight: u32) -> Self {
-        self.cfg.stations[idx].airtime_weight = weight;
         self
     }
 
@@ -218,12 +192,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// One-way wired-hop delay.
-    pub fn wire_delay(mut self, owd: Nanos) -> Self {
-        self.cfg.wire_delay = owd;
-        self
-    }
-
     /// Airtime queue limit (`None` disables AQL).
     pub fn aql(mut self, limit: Option<Nanos>) -> Self {
         self.cfg.aql = limit;
@@ -247,36 +215,6 @@ impl ScenarioBuilder {
     /// Gives clients the paper's FQ-CoDel uplink structure.
     pub fn station_fq(mut self, on: bool) -> Self {
         self.cfg.station_fq = on;
-        self
-    }
-
-    /// Enables/disables §3.1.1 per-station CoDel parameter adaptation.
-    pub fn adaptive_codel(mut self, on: bool) -> Self {
-        self.cfg.adaptive_codel = on;
-        self
-    }
-
-    /// Enables/disables the sparse-station optimisation (Figure 8).
-    pub fn sparse_stations(mut self, on: bool) -> Self {
-        self.cfg.airtime.sparse_stations = on;
-        self
-    }
-
-    /// Hardware queue depth in aggregates.
-    pub fn hw_queue_depth(mut self, depth: usize) -> Self {
-        self.cfg.hw_queue_depth = depth;
-        self
-    }
-
-    /// pfifo qdisc packet limit (FIFO scheme).
-    pub fn pfifo_limit(mut self, limit: usize) -> Self {
-        self.cfg.pfifo_limit = limit;
-        self
-    }
-
-    /// Legacy driver shared frame budget (FIFO / FQ-CoDel schemes).
-    pub fn driver_buf_frames(mut self, frames: usize) -> Self {
-        self.cfg.driver_buf_frames = frames;
         self
     }
 
@@ -380,14 +318,12 @@ mod tests {
         let cfg = NetworkConfig::builder()
             .lossy_station(PhyRate::fast_station(), 0.1)
             .cliff_station(PhyRate::ht(7, wifiq_phy::ChannelWidth::Ht20, true), 3)
-            .weighted_station(PhyRate::fast_station(), 512)
             .build();
         assert_eq!(cfg.stations[0].errors, ErrorModel::Fixed(0.1));
         assert!(matches!(
             cfg.stations[1].errors,
             ErrorModel::McsCliff { best_mcs: 3, .. }
         ));
-        assert_eq!(cfg.stations[2].airtime_weight, 512);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The hand-off state machine applied to a single BSS.
+//! The hand-off itself — `depart` and `arrive`, which every schedule
+//! executes — and the state machine applied to a single BSS.
 //!
 //! [`SoloRoam`] replays a [`RoamDriver`] schedule against one
 //! [`WifiNetwork`]: every move disassociates the station mid-flow
@@ -11,7 +12,7 @@
 //! `roaming` block plugs into the scenario runner. The multi-BSS version that carries
 //! state *between* networks lives in [`crate::engine`].
 
-use wifiq_mac::{App, Packet, StationCfg, StationIdx, WifiNetwork};
+use wifiq_mac::{App, Packet, StaId, StationCfg, StationIdx, WifiNetwork};
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{Label, Telemetry};
@@ -19,7 +20,7 @@ use wifiq_telemetry::{Label, Telemetry};
 use crate::driver::{RoamCfg, RoamDriver};
 
 /// Aggregate hand-off accounting, kept by both the single-BSS replayer
-/// and the multi-BSS engine coordinator.
+/// and the multi-BSS engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoamStats {
     /// Hand-offs executed (disassociations, deferred or not).
@@ -43,67 +44,84 @@ pub struct RoamStats {
     pub max_reassoc: Nanos,
 }
 
-impl RoamStats {
-    /// Folds one disassociation into the stats.
-    pub(crate) fn on_depart(&mut self, dropped: u64, migrated: usize, deferred: bool) {
-        self.handoffs += 1;
-        self.deferred += u64::from(deferred);
-        self.roam_drops += dropped;
-        self.migrated_frames += migrated as u64;
-    }
-
-    /// Folds one reassociation into the stats.
-    pub(crate) fn on_arrive(&mut self, covered: bool, reassoc: Nanos) {
-        if covered {
-            self.policy_reattach += 1;
-        } else {
-            self.neutral_fallback += 1;
-        }
-        self.max_reassoc = self.max_reassoc.max(reassoc);
-    }
+/// A station between associations: disassociated at `departed_at`, due
+/// on BSS `to` at `rejoin_at` with its carried flow state.
+#[derive(Debug)]
+pub(crate) struct Transit<M> {
+    pub station: u32,
+    pub to: u32,
+    pub departed_at: Nanos,
+    pub rejoin_at: Nanos,
+    pub rate: PhyRate,
+    pub packets: Vec<Packet<M>>,
 }
 
-/// Counts a disassociation into the `roam/*` telemetry family.
-pub(crate) fn tele_depart(tele: &Telemetry, dropped: u64, migrated: usize, deferred: bool) {
+/// The departure half of a hand-off, as both schedules execute it:
+/// disassociates `id` mid-flow and accounts for what was lost and what
+/// is carried. Returns the queued downlink frames that travel with the
+/// station.
+pub(crate) fn depart<M: std::fmt::Debug>(
+    net: &mut WifiNetwork<M>,
+    id: StaId,
+    stats: &mut RoamStats,
+    tele: &Telemetry,
+) -> Vec<Packet<M>> {
+    let h = net.roam_out(id);
+    let migrated = h.packets.len() as u64;
+    stats.handoffs += 1;
+    stats.deferred += u64::from(h.deferred);
+    stats.roam_drops += h.dropped;
+    stats.migrated_frames += migrated;
     tele.count("roam", "handoffs", Label::Global, 1);
-    if deferred {
+    if h.deferred {
         tele.count("roam", "deferred_handoffs", Label::Global, 1);
     }
-    if dropped > 0 {
-        tele.count("roam", "roam_drops", Label::Global, dropped);
+    if h.dropped > 0 {
+        tele.count("roam", "roam_drops", Label::Global, h.dropped);
     }
     if migrated > 0 {
-        tele.count("roam", "migrated_frames", Label::Global, migrated as u64);
+        tele.count("roam", "migrated_frames", Label::Global, migrated);
     }
+    h.packets
 }
 
-/// Counts a reassociation into the `roam/*` telemetry family.
-pub(crate) fn tele_arrive(tele: &Telemetry, covered: bool, reassoc: Nanos) {
+/// The landing half: reassociates `t`'s station on `net` at `now` with
+/// its carried frames, and accounts for whether the slot it took is
+/// owned by a policy node (any access category) or falls back to the
+/// neutral weight.
+pub(crate) fn arrive<M: std::fmt::Debug>(
+    net: &mut WifiNetwork<M>,
+    t: Transit<M>,
+    now: Nanos,
+    stats: &mut RoamStats,
+    tele: &Telemetry,
+) -> StaId {
+    let id = net.roam_in(StationCfg::clean(t.rate), t.packets);
+    let covered = AccessCategory::ALL
+        .iter()
+        .any(|&ac| net.policy_node_of(id.slot(), ac).is_some());
     let metric = if covered {
+        stats.policy_reattach += 1;
         "policy_reattach"
     } else {
+        stats.neutral_fallback += 1;
         "neutral_fallback"
     };
+    let reassoc = now - t.departed_at;
+    stats.max_reassoc = stats.max_reassoc.max(reassoc);
     tele.count("roam", metric, Label::Global, 1);
     tele.observe_value("roam", "reassoc_ms", Label::Global, reassoc.as_millis());
+    id
 }
 
-/// Whether any access category of `slot` is owned by a policy node.
-pub(crate) fn policy_covered<M: std::fmt::Debug>(net: &WifiNetwork<M>, slot: StationIdx) -> bool {
-    AccessCategory::ALL
-        .iter()
-        .any(|&ac| net.policy_node_of(slot, ac).is_some())
-}
-
-/// A station between associations: disassociated at `departed_at`, due
-/// back at `rejoin_at` with its carried flow state.
-#[derive(Debug)]
-struct Transit<M> {
-    station: u32,
-    departed_at: Nanos,
-    rejoin_at: Nanos,
-    rate: PhyRate,
-    packets: Vec<Packet<M>>,
+/// Takes the transits due at or before `now` out of `transit`, lowest
+/// station id first: the landing order (and hence slot assignment) must
+/// not depend on transit-buffer layout.
+pub(crate) fn take_due<M>(transit: &mut Vec<Transit<M>>, now: Nanos) -> Vec<Transit<M>> {
+    let (mut due, keep): (Vec<_>, Vec<_>) = transit.drain(..).partition(|t| t.rejoin_at <= now);
+    *transit = keep;
+    due.sort_by_key(|t| t.station);
+    due
 }
 
 /// Replays a roam schedule against one network, carrying flow state
@@ -205,36 +223,22 @@ impl<M: std::fmt::Debug> SoloRoam<M> {
             self.tele.count("roam", "skipped_moves", Label::Global, 1);
             return;
         };
-        let h = net.roam_out(id);
-        self.stats.on_depart(h.dropped, h.packets.len(), h.deferred);
-        tele_depart(&self.tele, h.dropped, h.packets.len(), h.deferred);
+        let packets = depart(net, id, &mut self.stats, &self.tele);
         self.transit.push(Transit {
             station: m.station,
+            to: m.to,
             departed_at: m.at,
             rejoin_at: m.rejoin_at,
             rate: m.rate,
-            packets: h.packets,
+            packets,
         });
     }
 
     fn process_rejoins(&mut self, net: &mut WifiNetwork<M>, now: Nanos) {
-        if self.transit.iter().all(|t| t.rejoin_at > now) {
-            return;
-        }
-        let (mut rejoins, keep): (Vec<Transit<M>>, Vec<Transit<M>>) =
-            self.transit.drain(..).partition(|t| t.rejoin_at <= now);
-        self.transit = keep;
-        // Lowest station id first: the rejoin order (and hence slot
-        // assignment) must not depend on transit-buffer layout.
-        rejoins.sort_by_key(|t| t.station);
-        for t in rejoins {
-            let id = net.roam_in(StationCfg::clean(t.rate), t.packets);
-            let slot = id.slot();
-            self.slot_of[t.station as usize] = slot;
-            let covered = policy_covered(net, slot);
-            let reassoc = now - t.departed_at;
-            self.stats.on_arrive(covered, reassoc);
-            tele_arrive(&self.tele, covered, reassoc);
+        for t in take_due(&mut self.transit, now) {
+            let station = t.station as usize;
+            let id = arrive(net, t, now, &mut self.stats, &self.tele);
+            self.slot_of[station] = id.slot();
         }
     }
 }

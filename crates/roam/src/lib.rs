@@ -23,14 +23,17 @@
 //! `roam_drops`. [`SoloRoam`] replays a schedule against one network
 //! (what a scenario file's `roaming` block plugs into the scenario
 //! runner); [`RoamSet`] couples the shards of a multi-BSS run, moving
-//! stations between networks in windowed lockstep so the merged rollup
-//! stays byte-identical at any worker count.
+//! stations between networks in windowed lockstep on the calling
+//! thread. Both execute the same two hand-off halves
+//! (`handoff::{depart, arrive}`); they differ only in when — exact
+//! times on one network, window boundaries across many.
 //!
 //! Landings are re-attached to the target's policy tree: a roamer whose
 //! new slot is covered by an active policy node inherits that node's
 //! weights (`roam/policy_reattach`); an uncovered slot falls back to
 //! the neutral weight (`roam/neutral_fallback`). See DESIGN.md §12 for
-//! the full state machine and determinism argument.
+//! the full state machine and the (one thread, fixed iteration order)
+//! determinism argument.
 
 pub mod driver;
 pub mod engine;

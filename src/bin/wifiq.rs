@@ -93,7 +93,8 @@ USAGE:
 RUN OPTIONS:
     --scheme <fifo|fqcodel|fqmac|airtime>   AP scheme (default: airtime)
     --stations <spec,spec,...>              station rates (default: mcs15,mcs15,mcs0)
-                                            spec: mcsN | mcsNxK (K copies) | 1mbps..54mbps | vhtN | vhtNx2
+                                            spec: <rate> | <rate>xK (K copies)
+                                            rate: mcsN | 1mbps..54mbps | vhtN (2 streams, 80 MHz)
     --traffic <tcp|tcp-bidir|udp[:MBPS]|web> workload (default: tcp)
     --secs <N>                              simulated seconds (default: 20)
     --seed <N>                              RNG seed (default: 1)
@@ -213,6 +214,11 @@ fn all(cfg: &RunCfg) {
     );
 }
 
+/// The largest roster `--stations` assembles: five times the biggest one
+/// the repo runs, and small enough that a mistyped copy count is refused
+/// instead of allocated.
+const MAX_FLAG_STATIONS: usize = 100_000;
+
 /// The scenario `wifiq run`'s flags describe: every flag is one
 /// [`ScenarioFile`] field, so flag mode is "assemble the document, then
 /// run it like `--config`". What a value may be (scheme names, rate specs,
@@ -249,12 +255,15 @@ fn scenario_from_flags(argv: &[String]) -> Result<ScenarioFile, String> {
                 scenario.stations.clear();
                 for spec in value()?.split(',') {
                     let (rate, count) = match spec.split_once('x') {
-                        Some((rate, k)) => match k.parse::<usize>() {
-                            Ok(k) if k > 0 => (rate, k),
-                            _ => return Err(format!("bad station count in '{spec}'")),
-                        },
+                        Some((rate, k)) => (rate, k.parse::<usize>().unwrap_or(0)),
                         None => (spec, 1),
                     };
+                    let room = MAX_FLAG_STATIONS - scenario.stations.len();
+                    if !(1..=room).contains(&count) {
+                        return Err(format!(
+                            "bad station count in '{spec}': at least 1, at most {MAX_FLAG_STATIONS} stations in all"
+                        ));
+                    }
                     let copies = std::iter::repeat_n(StationSpec::new(rate), count);
                     scenario.stations.extend(copies);
                 }
@@ -499,6 +508,8 @@ mod tests {
                 UDP_PING,
             ),
             ("--traffic web --station-fq --secs 2", WEB_STATION_FQ),
+            // `x` is the copy count, never a stream count.
+            ("--stations vht9x2 --secs 1", VHT_PAIR),
         ];
         for (line, expected) in cases {
             let scenario = scenario_from_flags(&flags(line)).unwrap();
@@ -516,6 +527,31 @@ mod tests {
         }
     }
 
+    const VHT_PAIR: &str = r#"{
+  "version": 4,
+  "scheme": "airtime",
+  "secs": 1,
+  "seed": 1,
+  "stations": [
+    {
+      "rate": "vht9"
+    },
+    {
+      "rate": "vht9"
+    }
+  ],
+  "traffic": [
+    {
+      "kind": "tcp_down",
+      "station": 0
+    },
+    {
+      "kind": "tcp_down",
+      "station": 1
+    }
+  ]
+}
+"#;
     const TCP: &str = r#"{
   "version": 4,
   "scheme": "fqmac",

@@ -1,17 +1,19 @@
-//! A BSS runs on one thread, so `WifiNetwork<M>` asks nothing of its
-//! payload but `Debug`: a payload that is `!Send` goes through the event
-//! loop, a churn step and a roaming hand-off like any other. While the
-//! contention round could fan out to worker threads every `impl` here
-//! carried `M: Send`, and this file did not compile.
+//! A simulated world runs on one thread, so `WifiNetwork<M>` and the
+//! multi-BSS `RoamSet` ask nothing of a payload but `Debug`: a payload
+//! that is `!Send` goes through the event loop, a churn step, a roaming
+//! hand-off and a hand-off between two networks like any other. While
+//! the contention round, and later the roam set's BSSs, could fan out to
+//! worker threads every `impl` here carried `M: Send`, and this file did
+//! not compile.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use ending_anomaly::mac::{
-    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, WifiNetwork,
+    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, StationIdx, WifiNetwork,
 };
 use ending_anomaly::phy::{AccessCategory, PhyRate};
-use ending_anomaly::roam::{RoamCfg, SoloRoam};
+use ending_anomaly::roam::{BssHost, RoamCfg, RoamSet, SoloRoam};
 use ending_anomaly::scale::{ChurnCfg, ChurnDriver, ChurnEvent};
 use ending_anomaly::sim::Nanos;
 
@@ -49,6 +51,17 @@ impl App<Tally> for Flood {
     }
 }
 
+/// A hand-off every 40 ms per station, with a gap short enough that
+/// queued frames are still there to carry.
+fn brisk_roaming() -> RoamCfg {
+    RoamCfg {
+        mean_dwell: Nanos::from_millis(40),
+        reassoc_min: Nanos::from_millis(2),
+        reassoc_max: Nanos::from_millis(5),
+        ..RoamCfg::default()
+    }
+}
+
 #[test]
 fn a_payload_that_is_not_send_runs_churns_and_roams() {
     const N: usize = 4;
@@ -80,13 +93,7 @@ fn a_payload_that_is_not_send_runs_churns_and_roams() {
     assert!(after_churn > after_run, "nothing arrived after the join");
 
     // Hand-offs carry queued `Packet<Tally>`s out of the network and back.
-    let roam_cfg = RoamCfg {
-        mean_dwell: Nanos::from_millis(40),
-        reassoc_min: Nanos::from_millis(2),
-        reassoc_max: Nanos::from_millis(5),
-        ..RoamCfg::default()
-    };
-    let mut roam: SoloRoam<Tally> = SoloRoam::new(roam_cfg, 1, N);
+    let mut roam: SoloRoam<Tally> = SoloRoam::new(brisk_roaming(), 1, N);
     roam.run_until(&mut net, Nanos::from_millis(400), &mut app);
     assert!(
         roam.stats.handoffs > 0,
@@ -97,4 +104,55 @@ fn a_payload_that_is_not_send_runs_churns_and_roams() {
         tally.get() > after_churn,
         "nothing arrived across hand-offs"
     );
+}
+
+/// One BSS of a roam set, flooding every slot it has ever handed out.
+struct Bss {
+    net: WifiNetwork<Tally>,
+    app: Flood,
+}
+
+impl BssHost for Bss {
+    type M = Tally;
+    fn net_mut(&mut self) -> &mut WifiNetwork<Tally> {
+        &mut self.net
+    }
+    fn advance(&mut self, until: Nanos) {
+        self.net.run(until, &mut self.app);
+    }
+    fn station_arrived(&mut self, _station: u32, slot: StationIdx) {
+        self.app.slots = self.app.slots.max(slot + 1);
+    }
+}
+
+#[test]
+fn a_payload_that_is_not_send_crosses_between_networks() {
+    let tally = Tally::default();
+    let run = RoamSet::new(2, 1)
+        .with_roster(4)
+        .with_roam(brisk_roaming())
+        .with_window(Nanos::from_millis(10))
+        .run(
+            Nanos::from_millis(400),
+            |_| {
+                let cfg = NetworkConfig::builder()
+                    .scheme(SchemeKind::AirtimeFair)
+                    .build();
+                let mut net = WifiNetwork::new(cfg);
+                net.seed_timer(0, Nanos::ZERO);
+                let tally = tally.clone();
+                Bss {
+                    net,
+                    app: Flood { tally, slots: 0 },
+                }
+            },
+            |_, bss| (bss.net.active_stations(), None),
+        );
+    assert!(run.stats.handoffs > 0, "the schedule never moved a station");
+    assert!(
+        run.stats.migrated_frames > 0,
+        "no hand-off carried frames to the other network"
+    );
+    assert_eq!(run.outputs.iter().sum::<usize>(), 4, "roster not conserved");
+    assert!(tally.get() > 0, "nothing arrived");
 }

@@ -41,6 +41,19 @@ fn a_run_flag_without_its_value_is_rejected() {
     rejects(&["run", "--secs"], "--secs");
 }
 
+#[test]
+fn a_station_count_beyond_the_limit_is_rejected_before_allocating() {
+    rejects(
+        &["run", "--stations", "mcs15x18446744073709551615"],
+        "at most 100000",
+    );
+    // The limit is on the summed roster, not on each spec.
+    rejects(
+        &["run", "--stations", "mcs15x60000,mcs0x60000"],
+        "'mcs0x60000'",
+    );
+}
+
 /// `wifiq list` under one environment variable: what it printed and warned.
 fn list_with(name: &str, value: &str) -> (String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_wifiq"))
