@@ -96,8 +96,10 @@ pub fn adaptive_codel(enabled: bool, cfg: &RunCfg) -> AdaptiveCodelResult {
             let mut app = TrafficApp::new();
             let bulk = app.add_tcp_down(SLOW, Nanos::ZERO);
             app.install(&mut net);
+            net.run(cfg.warmup, &mut app);
+            let delivered = app.delivered_bytes(bulk);
             net.run(cfg.duration, &mut app);
-            let bytes = app.tcp(bulk).bytes_between(cfg.warmup, cfg.duration);
+            let bytes = app.delivered_bytes(bulk) - delivered;
             let st = app.tcp(bulk).sender_stats();
             (
                 bytes as f64 * 8.0 / cfg.window().as_secs_f64(),
@@ -142,9 +144,10 @@ pub fn drop_policy(policy: DropPolicy, cfg: &RunCfg) -> DropPolicyResult {
         app.install(&mut net);
         net.run(cfg.warmup, &mut app);
         let before = *net.station_meter(0);
+        let delivered = app.delivered_bytes(fast);
         net.run(cfg.duration, &mut app);
         let window = meter_delta(net.station_meter(0), &before);
-        let bytes = app.udp(fast).bytes_between(cfg.warmup, cfg.duration);
+        let bytes = app.delivered_bytes(fast) - delivered;
         (
             bytes as f64 * 8.0 / cfg.window().as_secs_f64(),
             window.mean_aggregation(),

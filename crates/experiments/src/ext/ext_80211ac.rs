@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
-use crate::runner::to_ms;
+use crate::runner::{delivered_bytes, delivered_since, to_ms};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::{PhyRate, VhtWidth};
@@ -40,12 +40,14 @@ fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Row {
             let ping_slow = app.add_ping(2, Nanos::ZERO);
             let tcps: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
             app.install(&mut net);
+            net.run(cfg.warmup, &mut app);
+            let delivered = delivered_bytes(&app, &tcps);
             net.run(cfg.duration, &mut app);
             let rtts = |flow| -> Vec<f64> { to_ms(&app.ping(flow).rtts_after(cfg.warmup)) };
             let secs = cfg.window().as_secs_f64();
-            let total = tcps
-                .iter()
-                .map(|t| app.tcp(*t).bytes_between(cfg.warmup, cfg.duration) as f64 * 8.0 / secs)
+            let total = delivered_since(&app, &tcps, &delivered)
+                .into_iter()
+                .map(|b| b as f64 * 8.0 / secs)
                 .sum::<f64>()
                 / 1e6;
             (rtts(ping_fast), rtts(ping_slow), total)

@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
-use crate::runner::{mbps, to_ms};
+use crate::runner::{delivered_bytes, delivered_since, mbps, to_ms};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::{LegacyRate, PhyRate};
@@ -46,14 +46,13 @@ fn measure(aql: Option<Nanos>, cfg: &RunCfg) -> Row {
             let ping = app.add_ping(0, Nanos::ZERO);
             let tcps: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
             app.install(&mut net);
+            net.run(cfg.warmup, &mut app);
+            let delivered = delivered_bytes(&app, &tcps);
             net.run(cfg.duration, &mut app);
             let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
-            let per: Vec<f64> = tcps
-                .iter()
-                .map(|t| {
-                    let b = app.tcp(*t).bytes_between(cfg.warmup, cfg.duration);
-                    mbps(b, cfg.window())
-                })
+            let per: Vec<f64> = delivered_since(&app, &tcps, &delivered)
+                .into_iter()
+                .map(|b| mbps(b, cfg.window()))
                 .collect();
             (fast_ms, per[2], per.iter().sum())
         });

@@ -26,7 +26,9 @@ use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
 use crate::rollup::{rollup_identity, Flood};
-use crate::runner::{mean, meter_window, run_seeds, shares_of, to_ms};
+use crate::runner::{
+    delivered_bytes, delivered_since, mean, meter_window, run_seeds, shares_of, to_ms,
+};
 use crate::{scenario, RunCfg};
 use wifiq_mac::{
     FaultEntry, FaultTarget, Impairment, NetworkConfig, Preset, SchemeKind, StationMeter,
@@ -110,13 +112,14 @@ fn run_point(burst_len: f64, collapse: Option<PhyRate>, label: &str, cfg: &RunCf
         app.install(&mut net);
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
+        let delivered = delivered_bytes(&app, &tcps);
         net.run(cfg.duration, &mut app);
         let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
         let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
         let secs = cfg.window().as_secs_f64();
-        let total = tcps
-            .iter()
-            .map(|t| app.tcp(*t).bytes_between(cfg.warmup, cfg.duration) as f64 * 8.0 / secs)
+        let total = delivered_since(&app, &tcps, &delivered)
+            .into_iter()
+            .map(|b| b as f64 * 8.0 / secs)
             .sum::<f64>()
             / 1e6;
         let sta = |s: usize| Label::Station(s as u32);

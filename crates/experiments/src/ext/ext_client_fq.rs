@@ -38,9 +38,11 @@ fn measure(station_fq: bool, cfg: &RunCfg) -> Row {
             let ping = app.add_ping(0, Nanos::ZERO);
             let up = app.add_tcp_up(0, Nanos::ZERO);
             app.install(&mut net);
+            net.run(cfg.warmup, &mut app);
+            let delivered = app.delivered_bytes(up);
             net.run(cfg.duration, &mut app);
             let rtts: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
-            let b = app.tcp(up).bytes_between(cfg.warmup, cfg.duration);
+            let b = app.delivered_bytes(up) - delivered;
             (rtts, mbps(b, cfg.window()))
         });
     let rtts: Vec<f64> = reps.iter().flat_map(|r| r.0.iter().copied()).collect();

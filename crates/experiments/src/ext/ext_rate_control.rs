@@ -14,7 +14,9 @@
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::runner::{mbps, mean, meter_window, run_seeds, shares_of};
+use crate::runner::{
+    delivered_bytes, delivered_since, mbps, mean, meter_window, run_seeds, shares_of,
+};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, StationMeter, WifiNetwork};
 use wifiq_phy::{ChannelWidth, PhyRate};
@@ -51,17 +53,15 @@ fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Row {
         app.install(&mut net);
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
+        let delivered = delivered_bytes(&app, &flows);
         net.run(cfg.duration, &mut app);
         let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
         let est: Vec<f64> = (0..3)
             .map(|sta| net.rate_estimate(sta) as f64 / 1e6)
             .collect();
-        let thr: Vec<f64> = flows
-            .iter()
-            .map(|&flow| {
-                let b = app.tcp(flow).bytes_between(cfg.warmup, cfg.duration);
-                mbps(b, cfg.window())
-            })
+        let thr: Vec<f64> = delivered_since(&app, &flows, &delivered)
+            .into_iter()
+            .map(|b| mbps(b, cfg.window()))
             .collect();
         (shares_of(&window), est, thr)
     });

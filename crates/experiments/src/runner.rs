@@ -8,6 +8,7 @@ use wifiq_harness::{workspace_dir, CellDef, FaultSpec, Harness, JsonCodec, Sweep
 use wifiq_mac::StationMeter;
 use wifiq_sim::Nanos;
 use wifiq_telemetry::Telemetry;
+use wifiq_traffic::{FlowHandle, TrafficApp};
 
 /// The whole configuration of a run, as a value: everything downstream
 /// takes it as an argument and nothing else reads the environment.
@@ -240,6 +241,24 @@ pub fn meter_window(later: &[StationMeter], earlier: &[StationMeter]) -> Vec<Sta
         .iter()
         .zip(earlier)
         .map(|(l, e)| meter_delta(l, e))
+        .collect()
+}
+
+/// Cumulative bytes each of `flows` (UDP floods, bulk TCP) has delivered,
+/// in order: the goodput counterpart of `net.meter().all().to_vec()`,
+/// copied at the end of warm-up for [`delivered_since`].
+pub fn delivered_bytes(app: &TrafficApp, flows: &[FlowHandle]) -> Vec<u64> {
+    flows.iter().map(|&h| app.delivered_bytes(h)).collect()
+}
+
+/// Bytes each of `flows` has delivered since the [`delivered_bytes`]
+/// snapshot `earlier`: goodput over the same events the meter window
+/// between the same two `run`s covers.
+pub fn delivered_since(app: &TrafficApp, flows: &[FlowHandle], earlier: &[u64]) -> Vec<u64> {
+    flows
+        .iter()
+        .zip(earlier)
+        .map(|(&h, e)| app.delivered_bytes(h) - e)
         .collect()
 }
 

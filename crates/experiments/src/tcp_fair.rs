@@ -7,7 +7,10 @@ use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{export_metrics, mean, meter_window, run_seeds, shares_of, RunCfg};
+use crate::runner::{
+    delivered_bytes, delivered_since, export_metrics, mean, meter_window, run_seeds, shares_of,
+    RunCfg,
+};
 use crate::scenario;
 
 /// TCP traffic pattern.
@@ -78,29 +81,26 @@ pub fn run_scheme(scheme: SchemeKind, pattern: TcpPattern, cfg: &RunCfg) -> TcpR
         let tele = cfg.telemetry();
         net.set_telemetry(tele.clone());
         let mut app = TrafficApp::new();
-        let downs: Vec<_> = (0..n).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
-        let ups: Vec<_> = if pattern == TcpPattern::Bidirectional {
-            (0..n).map(|s| app.add_tcp_up(s, Nanos::ZERO)).collect()
-        } else {
-            Vec::new()
-        };
+        // The `n` downloads, then (bidirectional only) the `n` uploads.
+        let mut tcps: Vec<_> = (0..n).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
+        if pattern == TcpPattern::Bidirectional {
+            tcps.extend((0..n).map(|s| app.add_tcp_up(s, Nanos::ZERO)));
+        }
         app.set_telemetry(&tele);
         app.install(&mut net);
 
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
+        let delivered = delivered_bytes(&app, &tcps);
         net.run(cfg.duration, &mut app);
         let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
 
         let secs = cfg.window().as_secs_f64();
-        let down: Vec<f64> = downs
-            .iter()
-            .map(|&d| app.tcp(d).bytes_between(cfg.warmup, cfg.duration) as f64 * 8.0 / secs)
+        let mut down: Vec<f64> = delivered_since(&app, &tcps, &delivered)
+            .into_iter()
+            .map(|b| b as f64 * 8.0 / secs)
             .collect();
-        let up: Vec<f64> = ups
-            .iter()
-            .map(|&u| app.tcp(u).bytes_between(cfg.warmup, cfg.duration) as f64 * 8.0 / secs)
-            .collect();
+        let up = down.split_off(n);
         let shares = shares_of(&window);
         let jain = jain_index(&shares);
         let snapshot = format!("tcp_{}_{}_seed{seed}", pattern.slug(), scheme.slug());

@@ -8,7 +8,9 @@ use wifiq_sim::Nanos;
 use wifiq_stats::{jain_index, Cdf, Summary};
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{mean, meter_window, run_seeds, shares_of, to_ms, RunCfg};
+use crate::runner::{
+    delivered_bytes, delivered_since, mean, meter_window, run_seeds, shares_of, to_ms, RunCfg,
+};
 use crate::scenario::{self, PINGONLY30, SLOW30};
 
 /// The schemes the third-party testbed ran (no FIFO case).
@@ -63,6 +65,7 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> ThirtyResult {
 
         net.run(cfg.warmup, &mut app);
         let before: Vec<StationMeter> = net.meter().all().to_vec();
+        let delivered = delivered_bytes(&app, &tcps);
         net.run(cfg.duration, &mut app);
         let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
 
@@ -76,9 +79,9 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> ThirtyResult {
             .collect();
         let shares = shares_of(&active);
         let secs = cfg.window().as_secs_f64();
-        let goodput: f64 = tcps
-            .iter()
-            .map(|t| app.tcp(*t).bytes_between(cfg.warmup, cfg.duration) as f64 * 8.0 / secs)
+        let goodput: f64 = delivered_since(&app, &tcps, &delivered)
+            .into_iter()
+            .map(|b| b as f64 * 8.0 / secs)
             .sum();
         let rtts = |flow| -> Vec<f64> { to_ms(&app.ping(flow).rtts_after(cfg.warmup)) };
         (

@@ -6,7 +6,10 @@ use wifiq_mac::{SchemeKind, StationMeter, WifiNetwork};
 use wifiq_sim::Nanos;
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{export_metrics, mean, meter_window, run_seeds, shares_of, RunCfg};
+use crate::runner::{
+    delivered_bytes, delivered_since, export_metrics, mean, meter_window, run_seeds, shares_of,
+    RunCfg,
+};
 use crate::scenario;
 
 /// Offered UDP load per station (well above any station's capacity).
@@ -61,17 +64,15 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> UdpSatResult {
 
             net.run(cfg.warmup, &mut app);
             let before: Vec<StationMeter> = net.meter().all().to_vec();
+            let delivered = delivered_bytes(&app, &flows);
             net.run(cfg.duration, &mut app);
             let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
 
             let shares = shares_of(&window);
             let aggr: Vec<f64> = window.iter().map(StationMeter::mean_aggregation).collect();
-            let thr: Vec<f64> = flows
-                .iter()
-                .map(|&flow| {
-                    let bytes = app.udp(flow).bytes_between(cfg.warmup, cfg.duration);
-                    bytes as f64 * 8.0 / cfg.window().as_secs_f64()
-                })
+            let thr: Vec<f64> = delivered_since(&app, &flows, &delivered)
+                .into_iter()
+                .map(|bytes| bytes as f64 * 8.0 / cfg.window().as_secs_f64())
                 .collect();
             let snapshot = format!("udp_sat_{}_seed{seed}", scheme.slug());
             export_metrics(cfg, &tele, &snapshot, seed);

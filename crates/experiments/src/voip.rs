@@ -9,7 +9,7 @@ use wifiq_sim::Nanos;
 use wifiq_stats::VoipMetrics;
 use wifiq_traffic::TrafficApp;
 
-use crate::runner::{mean, run_seeds, RunCfg};
+use crate::runner::{delivered_bytes, delivered_since, mean, run_seeds, RunCfg};
 use crate::scenario::{self, SLOW};
 
 /// One Table 2 cell.
@@ -48,6 +48,8 @@ pub fn run_cell(scheme: SchemeKind, ac: AccessCategory, owd: Nanos, cfg: &RunCfg
             tcps.push(app.add_tcp_down(sta, Nanos::ZERO));
         }
         app.install(&mut net);
+        net.run(cfg.warmup, &mut app);
+        let delivered = delivered_bytes(&app, &tcps);
         net.run(cfg.duration, &mut app);
 
         let flow = app.voip(voip);
@@ -57,9 +59,9 @@ pub fn run_cell(scheme: SchemeKind, ac: AccessCategory, owd: Nanos, cfg: &RunCfg
         let metrics = VoipMetrics::from_delays(&delays, sent.max(delays.len()));
 
         let secs = cfg.window().as_secs_f64();
-        let thr: f64 = tcps
-            .iter()
-            .map(|t| app.tcp(*t).bytes_between(cfg.warmup, cfg.duration) as f64 * 8.0 / secs)
+        let thr: f64 = delivered_since(&app, &tcps, &delivered)
+            .into_iter()
+            .map(|b| b as f64 * 8.0 / secs)
             .sum();
         (metrics.mos(), thr, metrics.mean_delay_ms, metrics.loss)
     });

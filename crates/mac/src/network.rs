@@ -149,7 +149,7 @@ pub struct WifiNetwork<M> {
     stations: Vec<StationUplink<M>>,
     /// Per-station downlink rate controllers (only when
     /// `cfg.rate_control`; legacy-rate stations never adapt).
-    ratectrl: Vec<Option<Minstrel>>,
+    ratectrl: Vec<Option<Box<Minstrel>>>,
     /// Which station slots host an associated station.
     active: Occupancy,
     /// Stations removed while their exchange was on the air; torn down as

@@ -252,7 +252,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                 let agg = agg.expect("AP attempt with empty hw queue");
                 let (cw, rc) = (
                     &mut self.medium.ap_cw[ac.index()],
-                    self.ratectrl[agg.station].as_mut(),
+                    self.ratectrl[agg.station].as_deref_mut(),
                 );
                 (agg.station, ac, TxDirection::Downlink, (agg, cw, rc))
             }

@@ -23,7 +23,7 @@ pub(super) fn associate<M: std::fmt::Debug>(
     sta: StationIdx,
     station: &StationCfg,
     salt: u64,
-) -> (StationUplink<M>, Option<Minstrel>) {
+) -> (StationUplink<M>, Option<Box<Minstrel>>) {
     let mut up = StationUplink::new(sta, station.rate, cfg.station_fifo_limit);
     if cfg.station_fq {
         up.enable_fq();
@@ -34,7 +34,7 @@ pub(super) fn associate<M: std::fmt::Debug>(
     // Legacy and VHT rates keep their configured rate; the Minstrel table
     // only spans the HT MCS set.
     let adapts = cfg.rate_control && matches!(station.rate, PhyRate::Ht { .. });
-    (up, adapts.then(|| Minstrel::new(station.rate)))
+    (up, adapts.then(|| Box::new(Minstrel::new(station.rate))))
 }
 
 impl<M> Medium<M> {

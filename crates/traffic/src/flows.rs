@@ -29,7 +29,10 @@ pub struct PingFlow {
     pub start: Nanos,
     /// Echo requests sent.
     pub sent: u64,
-    /// `(arrival time, RTT)` samples.
+    /// `(arrival time, RTT)` samples. One of the two vectors in this
+    /// crate allowed to grow with run length (the other is
+    /// [`VoipFlow::delays`]): at 10 Hz the samples *are* the measurement.
+    /// Anything per delivered packet is a counter — see [`UdpFlood`].
     pub rtts: Vec<(Nanos, Nanos)>,
     seq: u64,
 }
@@ -117,6 +120,10 @@ pub enum Direction {
 
 /// A UDP flood: constant-bit-rate (iperf-style) or Poisson arrivals at
 /// the same mean rate.
+///
+/// State is O(1) in the packets carried: deliveries are counted, never
+/// logged. Goodput over a window is the difference of two copies of
+/// [`delivered_bytes`](UdpFlood::delivered_bytes), taken between `run`s.
 #[derive(Debug)]
 pub struct UdpFlood {
     /// Peer station.
@@ -141,8 +148,6 @@ pub struct UdpFlood {
     pub delivered: u64,
     /// Bytes delivered end-to-end.
     pub delivered_bytes: u64,
-    /// `(arrival time, one-way delay)` samples.
-    pub delays: Vec<(Nanos, Nanos)>,
     /// Mean packet spacing: `len * 8` bits at `rate_bps` as the
     /// constructor saw them. Computed once, not per timer, so writing
     /// those two fields afterwards does not change the offered load.
@@ -164,7 +169,6 @@ impl UdpFlood {
             sent: 0,
             delivered: 0,
             delivered_bytes: 0,
-            delays: Vec::new(),
             mean_interval: Nanos::for_bits(len * 8, rate_bps),
         }
     }
@@ -175,15 +179,6 @@ impl UdpFlood {
             direction: Direction::Up,
             ..UdpFlood::down(station, rate_bps, start)
         }
-    }
-
-    /// Bytes delivered in `[from, to)` (computed from delay samples).
-    pub fn bytes_between(&self, from: Nanos, to: Nanos) -> u64 {
-        self.delays
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .count() as u64
-            * self.len
     }
 
     pub(crate) fn on_timer(&mut self, sub: u64, now: Nanos, ctx: &mut FlowCtx<'_>) {
@@ -205,10 +200,9 @@ impl UdpFlood {
         ctx.timer(TOK_PERIODIC, now + gap);
     }
 
-    pub(crate) fn on_packet(&mut self, _at: Delivery, pkt: Packet<AppMsg>, now: Nanos) {
+    pub(crate) fn on_packet(&mut self, pkt: Packet<AppMsg>) {
         self.delivered += 1;
         self.delivered_bytes += pkt.len;
-        self.delays.push((now, now.saturating_sub(pkt.created)));
     }
 }
 
@@ -228,7 +222,9 @@ pub struct VoipFlow {
     pub start: Nanos,
     /// Frames sent.
     pub sent: u64,
-    /// `(arrival time, one-way delay)` per received frame.
+    /// `(arrival time, one-way delay)` per received frame. Allowed to
+    /// grow with run length for the same reason as [`PingFlow::rtts`]:
+    /// 50 samples per simulated second, and they are the result.
     pub delays: Vec<(Nanos, Nanos)>,
     seq: u64,
 }
@@ -246,8 +242,8 @@ impl VoipFlow {
         }
     }
 
-    /// Delay samples and sent-count restricted to arrivals in
-    /// `[from, to)`, for E-model inputs that exclude warm-up.
+    /// One-way delays of the frames that arrived at or after `from`, for
+    /// E-model inputs that exclude warm-up.
     pub fn delays_after(&self, from: Nanos) -> Vec<Nanos> {
         self.delays
             .iter()

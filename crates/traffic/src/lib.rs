@@ -212,6 +212,20 @@ impl TrafficApp {
         }
     }
 
+    /// Cumulative bytes a bulk component — UDP flood or TCP transfer — has
+    /// delivered end to end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle refers to any other component type.
+    pub fn delivered_bytes(&self, h: FlowHandle) -> u64 {
+        match &self.flows[h.0] {
+            Flow::Udp(u) => u.delivered_bytes,
+            Flow::Tcp(t) => t.delivered_bytes(),
+            other => panic!("handle {h:?} is not a bulk flow: {other:?}"),
+        }
+    }
+
     /// Access a web session.
     pub fn web(&self, h: FlowHandle) -> &WebSession {
         match &self.flows[h.0] {
@@ -241,7 +255,7 @@ impl App<AppMsg> for TrafficApp {
         };
         match &mut self.flows[comp] {
             Flow::Ping(p) => p.on_packet(at, pkt, now, &mut ctx),
-            Flow::Udp(u) => u.on_packet(at, pkt, now),
+            Flow::Udp(u) => u.on_packet(pkt),
             Flow::Voip(v) => v.on_packet(pkt, now),
             Flow::Tcp(t) => t.on_packet(at, pkt, now, &mut ctx),
             Flow::Web(w) => w.on_packet(at, pkt, now, &mut ctx),
@@ -277,6 +291,15 @@ mod tests {
 
     fn testbed(scheme: SchemeKind) -> WifiNetwork<AppMsg> {
         WifiNetwork::new(NetworkConfig::paper_testbed(scheme))
+    }
+
+    /// One uplink per station, with the payload every workload runs: at
+    /// 20k stations this is the largest term of the per-station budget
+    /// (DESIGN §13 "Where the memory goes"). 1,432 bytes measured.
+    #[test]
+    fn station_uplink_with_the_app_payload_stays_small() {
+        let size = std::mem::size_of::<wifiq_mac::station::StationUplink<AppMsg>>();
+        assert!(size <= 1432, "StationUplink<AppMsg> grew to {size} bytes");
     }
 
     #[test]
@@ -401,10 +424,7 @@ mod tests {
         let mbps = app.udp(u).delivered_bytes as f64 * 8.0 / 4.0 / 1e6;
         // Poisson at 10 Mbps mean on an idle fast link: within 15%.
         assert!((8.5..11.5).contains(&mbps), "poisson mean rate {mbps:.2}");
-        // And it is genuinely bursty: inter-arrival variance visible as
-        // some delay variation even on an idle link.
-        let delays = &app.udp(u).delays;
-        assert!(delays.len() > 1000);
+        assert!(app.udp(u).delivered > 1000);
     }
 
     #[test]

@@ -33,9 +33,6 @@ pub struct TcpBulk {
     receiver: TcpReceiver,
     rto_deadline: Option<Nanos>,
     delack_deadline: Option<Nanos>,
-    /// `(time, cumulative delivered bytes)` checkpoints, one per delivery,
-    /// for windowed throughput computation.
-    pub delivered_log: Vec<(Nanos, u64)>,
 }
 
 impl TcpBulk {
@@ -59,7 +56,6 @@ impl TcpBulk {
             receiver: TcpReceiver::new(),
             rto_deadline: None,
             delack_deadline: None,
-            delivered_log: Vec::new(),
         }
     }
 
@@ -69,21 +65,10 @@ impl TcpBulk {
         self.sender.set_telemetry(tele, flow);
     }
 
-    /// Total bytes delivered in order to the receiving application.
+    /// Total bytes delivered in order to the receiving application. For
+    /// goodput over a window, copy it between two `run`s and subtract.
     pub fn delivered_bytes(&self) -> u64 {
         self.receiver.delivered_bytes
-    }
-
-    /// Bytes delivered within `[from, to)`.
-    pub fn bytes_between(&self, from: Nanos, to: Nanos) -> u64 {
-        let at = |t: Nanos| {
-            self.delivered_log
-                .iter()
-                .rev()
-                .find(|&&(when, _)| when < t)
-                .map_or(0, |&(_, b)| b)
-        };
-        at(to).saturating_sub(at(from))
     }
 
     /// The sender's telemetry (retransmits, timeouts).
@@ -163,8 +148,6 @@ impl TcpBulk {
                 self.delack_deadline = Some(d);
                 ctx.timer(TOK_DELACK, d);
             }
-            self.delivered_log
-                .push((now, self.receiver.delivered_bytes));
         } else if !receiver_side && seg.is_pure_ack() {
             let out = self.sender.on_ack(&seg, now);
             self.emit(out, now, ctx);

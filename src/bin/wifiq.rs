@@ -325,6 +325,15 @@ fn scenario_report(scenario: &ScenarioFile) -> Result<String, String> {
     let warmup = duration / 6;
     built.run_to(warmup);
     let before: Vec<StationMeter> = built.net.meter().all().to_vec();
+    // Per component, in file order; 0 where it reports no goodput.
+    let delivered: Vec<u64> = built
+        .traffic
+        .iter()
+        .map(|t| match t {
+            InstalledTraffic::Tcp(h) | InstalledTraffic::Udp(h) => built.app.delivered_bytes(*h),
+            _ => 0,
+        })
+        .collect();
     built.run_to(duration);
 
     let stations = &built.net.config().stations;
@@ -359,18 +368,15 @@ fn scenario_report(scenario: &ScenarioFile) -> Result<String, String> {
 
     let app = &built.app;
     let measured = duration - warmup;
+    let goodput = |i: usize, h| mbps(app.delivered_bytes(h) - delivered[i], measured);
     for (i, traffic) in built.traffic.iter().enumerate() {
         let (what, station) = match traffic {
-            InstalledTraffic::Tcp(h) => {
-                let b = app.tcp(*h).bytes_between(warmup, duration);
-                (
-                    format!("tcp: {:.1} Mbps", mbps(b, measured)),
-                    app.tcp(*h).station,
-                )
-            }
+            InstalledTraffic::Tcp(h) => (
+                format!("tcp: {:.1} Mbps", goodput(i, *h)),
+                app.tcp(*h).station,
+            ),
             InstalledTraffic::Udp(h) => {
-                let b = app.udp(*h).bytes_between(warmup, duration);
-                let what = format!("udp: {:.1} Mbps delivered", mbps(b, measured));
+                let what = format!("udp: {:.1} Mbps delivered", goodput(i, *h));
                 (what, app.udp(*h).station)
             }
             InstalledTraffic::Ping(h) => {

@@ -28,9 +28,10 @@ fn measure(rate: PhyRate) -> (f64, f64) {
     let end = Nanos::from_secs(5);
     net.run(warmup, &mut app);
     let before = *net.station_meter(0);
+    let delivered = app.delivered_bytes(flow);
     net.run(end, &mut app);
     let m = net.station_meter(0);
-    let bytes = app.udp(flow).bytes_between(warmup, end);
+    let bytes = app.delivered_bytes(flow) - delivered;
     let goodput = bytes as f64 * 8.0 / (end - warmup).as_secs_f64();
     let aggr = (m.tx_aggregate_frames - before.tx_aggregate_frames) as f64
         / (m.tx_aggregates - before.tx_aggregates).max(1) as f64;
