@@ -141,6 +141,23 @@ impl<P> PacketArena<P> {
         slot.payload.as_ref().expect("checked above")
     }
 
+    /// Writes to a live packet in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is stale (see [`PacketArena::remove`]).
+    pub fn get_mut(&mut self, h: PacketHandle) -> &mut P {
+        let slot = &mut self.slots[h.index as usize];
+        assert!(
+            slot.gen == h.gen && slot.payload.is_some(),
+            "stale packet handle: slot {} gen {} vs handle gen {}",
+            h.index,
+            slot.gen,
+            h.gen
+        );
+        slot.payload.as_mut().expect("checked above")
+    }
+
     /// Number of live packets.
     #[inline]
     pub fn live(&self) -> usize {

@@ -597,6 +597,7 @@ fn hostile_numbers_are_named_errors() {
         ("bad_station_error_range.json", "error"),
         ("bad_traffic_station_range.json", "traffic[0]"),
         ("bad_version_from_the_future.json", "version 5"),
+        ("bad_nesting_depth.json", "nesting deeper than 128"),
         ("bad_duplicate_field.json", "duplicate field `secs`"),
         (
             "bad_duplicate_nested_field.json",

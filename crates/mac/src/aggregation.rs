@@ -8,20 +8,25 @@
 //! to the caller to lead the next aggregate (the `retry_q` slot in
 //! Figure 3).
 
+use wifiq_core::packet::QueuedPacket;
 use wifiq_phy::consts::{self, MAX_AGGREGATE_AIRTIME};
 use wifiq_phy::timing;
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::Nanos;
 
-use crate::packet::{Packet, StationIdx};
+use crate::packet::StationIdx;
 use crate::ratectrl::Minstrel;
 
 /// A built transmission unit: one A-MPDU (or one plain MPDU for
 /// non-aggregating categories/rates), fixed across retries.
+///
+/// `F` is whatever stands for a frame: the simulator's aggregates hold
+/// [`Ticket`](crate::packet::Ticket)s, and any [`QueuedPacket`] — a whole
+/// [`Packet`](crate::packet::Packet) included — builds one the same way.
 #[derive(Debug)]
-pub struct Aggregate<M> {
+pub struct Aggregate<F> {
     /// The MPDUs, in order.
-    pub frames: Vec<Packet<M>>,
+    pub frames: Vec<F>,
     /// The wireless peer (destination for downlink, source for uplink).
     pub station: StationIdx,
     /// Access category the aggregate is queued under.
@@ -38,7 +43,7 @@ pub struct Aggregate<M> {
     pub retries: u32,
 }
 
-impl<M> Aggregate<M> {
+impl<F: QueuedPacket> Aggregate<F> {
     /// The medium time one transmission attempt occupies:
     /// data + SIFS + acknowledgement. This is the airtime charged to the
     /// station's scheduler deficit and meter (per attempt — retries are
@@ -49,7 +54,7 @@ impl<M> Aggregate<M> {
 
     /// Total payload bytes carried.
     pub fn payload_bytes(&self) -> u64 {
-        self.frames.iter().map(|f| f.len).sum()
+        self.frames.iter().map(|f| f.wire_len()).sum()
     }
 
     /// Re-tunes the aggregate to a new (usually lower) rate for a retry,
@@ -64,11 +69,11 @@ impl<M> Aggregate<M> {
             let bytes: u64 = self
                 .frames
                 .iter()
-                .map(|f| consts::subframe_len(f.len))
+                .map(|f| consts::subframe_len(f.wire_len()))
                 .sum();
             rate.data_duration(bytes)
         } else {
-            timing::frame_duration(self.frames[0].len, rate)
+            timing::frame_duration(self.frames[0].wire_len(), rate)
         };
         if self.frames.len() > 1 && new_data > MAX_AGGREGATE_AIRTIME * 2 {
             return false;
@@ -121,12 +126,12 @@ impl<M> Aggregate<M> {
 /// from `next`. Returns the aggregate (if any packet was available) and a
 /// packet that was pulled but did not fit, which the caller must stash and
 /// offer first next time.
-pub fn build_aggregate<M>(
+pub fn build_aggregate<F: QueuedPacket>(
     station: StationIdx,
     ac: AccessCategory,
     rate: PhyRate,
-    next: impl FnMut() -> Option<Packet<M>>,
-) -> (Option<Aggregate<M>>, Option<Packet<M>>) {
+    next: impl FnMut() -> Option<F>,
+) -> (Option<Aggregate<F>>, Option<F>) {
     match build_aggregate_into(station, ac, rate, Vec::new(), next) {
         (Ok(agg), stash) => (Some(agg), stash),
         (Err(_), stash) => (None, stash),
@@ -137,20 +142,20 @@ pub fn build_aggregate<M>(
 /// the untouched (still-empty) frame buffer handed back for re-pooling,
 /// plus an over-size packet the caller must stash and offer first next
 /// time.
-pub type BuildOutcome<M> = (Result<Aggregate<M>, Vec<Packet<M>>>, Option<Packet<M>>);
+pub type BuildOutcome<F> = (Result<Aggregate<F>, Vec<F>>, Option<F>);
 
 /// [`build_aggregate`] with a caller-supplied frame buffer, so hot paths
 /// can recycle the `frames` allocation across aggregates instead of
 /// allocating one per A-MPDU. `frames` must be empty; its capacity is
 /// kept. If no packet was available the buffer is handed back in the
 /// `Err` variant for the caller to pool.
-pub fn build_aggregate_into<M>(
+pub fn build_aggregate_into<F: QueuedPacket>(
     station: StationIdx,
     ac: AccessCategory,
     rate: PhyRate,
-    mut frames: Vec<Packet<M>>,
-    mut next: impl FnMut() -> Option<Packet<M>>,
-) -> BuildOutcome<M> {
+    mut frames: Vec<F>,
+    mut next: impl FnMut() -> Option<F>,
+) -> BuildOutcome<F> {
     debug_assert!(frames.is_empty(), "recycled frame buffer not drained");
     let may_aggregate = ac.edca().may_aggregate && rate.supports_aggregation();
     let mut ampdu_bytes: u64 = 0;
@@ -164,7 +169,7 @@ pub fn build_aggregate_into<M>(
             break;
         }
         let Some(pkt) = next() else { break };
-        let sub = consts::subframe_len(pkt.len);
+        let sub = consts::subframe_len(pkt.wire_len());
         if !frames.is_empty() {
             let grown = ampdu_bytes + sub;
             if grown > rate.max_ampdu_bytes() || rate.data_duration(grown) > MAX_AGGREGATE_AIRTIME {
@@ -190,7 +195,7 @@ pub fn build_aggregate_into<M>(
             timing::block_ack_duration(rate),
         )
     } else {
-        let l = frames[0].len;
+        let l = frames[0].wire_len();
         (timing::frame_duration(l, rate), timing::ack_duration(rate))
     };
 
@@ -212,7 +217,7 @@ pub fn build_aggregate_into<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::NodeAddr;
+    use crate::packet::{NodeAddr, Packet};
 
     fn pkt(len: u64) -> Packet<()> {
         Packet {

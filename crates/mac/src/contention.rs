@@ -22,7 +22,7 @@ use wifiq_phy::AccessCategory;
 use wifiq_sim::{Nanos, SimRng};
 
 use crate::occupancy::Occupancy;
-use crate::packet::StationIdx;
+use crate::packet::{StationIdx, Ticket};
 use crate::station::StationUplink;
 
 /// One transmitter of the exchange on the air.
@@ -99,12 +99,14 @@ impl ContenderSet {
     /// the contention window that goes with it. A departed station
     /// awaiting its deferred teardown is not asked: it left contention
     /// when it was removed. A round with nothing dirty reads no per-slot
-    /// and no per-word state.
-    pub(crate) fn refresh<M: std::fmt::Debug>(
+    /// and no per-word state. What an FQ uplink's CoDel drops while
+    /// building goes to `on_drop`.
+    pub(crate) fn refresh(
         &mut self,
-        stations: &mut [StationUplink<M>],
+        stations: &mut [StationUplink],
         active: &Occupancy,
         now: Nanos,
+        mut on_drop: impl FnMut(Ticket),
     ) {
         if !std::mem::take(&mut self.any_dirty) {
             return;
@@ -116,7 +118,7 @@ impl ContenderSet {
                 bits &= bits - 1;
                 let i = w * 64 + bit;
                 let ready = if active.contains(i) {
-                    stations[i].best_ready_ac(now)
+                    stations[i].best_ready_ac(now, &mut on_drop)
                 } else {
                     None
                 };
@@ -191,13 +193,15 @@ impl ContenderSet {
     /// scratch — the full scan every round used to be — and compares with
     /// what is cached. `None` audits every slot and the contender count,
     /// `Some(n)` the 64 slots of bitmap word `n` modulo the word count. On
-    /// a sound cache the re-evaluation builds nothing and draws nothing.
-    pub(crate) fn audit<M: std::fmt::Debug>(
+    /// a sound cache the re-evaluation builds nothing, draws nothing and
+    /// drops nothing; on an unsound one, `on_drop` takes what it dropped.
+    pub(crate) fn audit(
         &self,
-        stations: &mut [StationUplink<M>],
+        stations: &mut [StationUplink],
         active: &Occupancy,
         word: Option<usize>,
         now: Nanos,
+        mut on_drop: impl FnMut(Ticket),
     ) -> Result<(), String> {
         let len = self.dirty.len();
         let words = match word {
@@ -220,7 +224,7 @@ impl ContenderSet {
         for i in words.start * 64..(words.end * 64).min(stations.len()) {
             let cached = (self.contending[i / 64] >> (i % 64) & 1 != 0).then(|| self.params[i]);
             let fresh = match active.contains(i) {
-                true => stations[i].best_ready_ac(now),
+                true => stations[i].best_ready_ac(now, &mut on_drop),
                 false => None,
             }
             .map(|ac| ContenderSet::pack(ac, stations[i].cw[ac.index()]));
@@ -239,18 +243,21 @@ mod tests {
     use super::*;
     use crate::packet::{NodeAddr, Packet};
 
+    /// Tickets the uplinks drop, unfreed: no store here.
+    fn ignore(_: Ticket) {}
+
     #[test]
     fn audit_catches_a_missed_dirty_mark() {
-        let mut stations: Vec<StationUplink<()>> = (0..3)
+        let mut stations: Vec<StationUplink> = (0..3)
             .map(|i| StationUplink::new(i, wifiq_phy::PhyRate::fast_station(), 1000))
             .collect();
         let active = Occupancy::full(3);
         let mut set = ContenderSet::new(3);
         let now = Nanos::ZERO;
-        assert_eq!(set.audit(&mut stations, &active, None, now), Ok(()));
+        assert_eq!(set.audit(&mut stations, &active, None, now, ignore), Ok(()));
         // An enqueue nobody marked leaves the cache saying "idle" about a
         // station that would now build an aggregate.
-        stations[1].enqueue(Packet {
+        let pkt = Packet {
             id: 0,
             src: NodeAddr::Station(1),
             dst: NodeAddr::Server,
@@ -260,15 +267,20 @@ mod tests {
             created: now,
             enqueued: now,
             payload: (),
-        });
-        let err = set.audit(&mut stations, &active, None, now).unwrap_err();
+        };
+        stations[1].enqueue(pkt.loose_ticket(), ignore);
+        let err = set
+            .audit(&mut stations, &active, None, now, ignore)
+            .unwrap_err();
         assert!(err.starts_with("slot 1: cached None"), "{err}");
         // Word audits wrap around the bitmap.
-        assert!(set.audit(&mut stations, &active, Some(7), now).is_err());
+        assert!(set
+            .audit(&mut stations, &active, Some(7), now, ignore)
+            .is_err());
         // The mark the enqueue owed puts the station into contention.
         set.mark_dirty(1);
-        set.refresh(&mut stations, &active, now);
-        assert_eq!(set.audit(&mut stations, &active, None, now), Ok(()));
+        set.refresh(&mut stations, &active, now, ignore);
+        assert_eq!(set.audit(&mut stations, &active, None, now, ignore), Ok(()));
         assert_eq!(set.count, 1);
     }
 }

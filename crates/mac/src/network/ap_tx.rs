@@ -6,7 +6,7 @@ use wifiq_core::StaId;
 use wifiq_phy::AccessCategory;
 use wifiq_sim::Nanos;
 
-use super::WifiNetwork;
+use super::{discard, WifiNetwork};
 
 impl<M: std::fmt::Debug> WifiNetwork<M> {
     /// Refills the hardware queue for `ac` — the paper's `schedule()`
@@ -63,7 +63,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                     None => self.ap.set_rate(sta, self.cfg.stations[slot].rate),
                 }
             }
-            match self.ap.build(sta, ac, now) {
+            match self.ap.build(sta, ac, now, discard(&mut self.packets)) {
                 Some(agg) => self.medium.hw[ac.index()].push_back(agg),
                 // The TID drained (e.g. CoDel dropped the rest): loop and
                 // ask the scheduler again; it will rotate the station out.

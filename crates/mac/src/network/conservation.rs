@@ -1,10 +1,13 @@
 //! Packet conservation: every packet an application sends is, at any
 //! instant between two `run` calls, in exactly one place — delivered,
 //! counted by one drop counter, queued, committed to hardware, or on the
-//! wire. The wire hop is countable because its packets are parked in
-//! `WifiNetwork::wire`; the hardware queues, the AP's stash and the
-//! stations' tail-drop counters are private, which is why this lives here
-//! (the root `tests/packet_conservation.rs` checks the public half).
+//! wire. And the packet store holds exactly the packets that are still in
+//! the network: a drop site that counts a packet but never frees its slot
+//! (a CoDel or overlimit victim, a purged aggregate) leaks it, and the
+//! store audit catches that at the next slice. The hardware queues, the
+//! AP's stash, the store and the stations' tail-drop counters are
+//! private, which is why this lives here (the root
+//! `tests/packet_conservation.rs` checks the public half).
 
 use wifiq_core::FqParams;
 use wifiq_phy::PhyRate;
@@ -109,10 +112,11 @@ fn rejoin(net: &mut WifiNetwork<()>, carried: Option<Vec<Packet<()>>>) -> u64 {
     before - retry_drops(net)
 }
 
-/// Everywhere a sent packet can be, summed.
-fn accounted(net: &WifiNetwork<()>, app: &Mixed, retry_carry: u64) -> u64 {
+/// Every place a sent packet can still be in the network, summed: queued
+/// at the AP or in its stash, committed to hardware, queued at a station,
+/// or on the wire.
+fn in_network(net: &WifiNetwork<()>) -> usize {
     let slots = 0..net.station_slots();
-    let tail_drops: u64 = net.stations.iter().map(|s| s.drops).sum();
     let station_backlog: usize = slots.map(|s| net.station_backlog(s)).sum();
     let in_hardware: usize = net
         .medium
@@ -121,6 +125,12 @@ fn accounted(net: &WifiNetwork<()>, app: &Mixed, retry_carry: u64) -> u64 {
         .flatten()
         .map(|agg| agg.frames.len())
         .sum();
+    net.ap_backlog() + net.ap.stashed() + station_backlog + in_hardware + net.wire_in_flight()
+}
+
+/// Everywhere a sent packet can be, summed.
+fn accounted(net: &WifiNetwork<()>, app: &Mixed, retry_carry: u64) -> u64 {
+    let tail_drops: u64 = net.stations.iter().map(|s| s.drops).sum();
     app.delivered
         + net.absent_drops()
         + net.ap_queue_drops()
@@ -130,11 +140,7 @@ fn accounted(net: &WifiNetwork<()>, app: &Mixed, retry_carry: u64) -> u64 {
         + retry_carry
         + retry_drops(net)
         + tail_drops
-        + (net.ap_backlog()
-            + net.ap.stashed()
-            + station_backlog
-            + in_hardware
-            + net.wire_in_flight()) as u64
+        + in_network(net) as u64
 }
 
 /// Twelve slots: 0 and 1 flood uplink through a 16-packet FIFO and never
@@ -180,7 +186,7 @@ fn packet_conservation() {
     let slice = Nanos::from_millis(3);
     let (busy, slices) = (160, 200);
     app.stop = slice * busy;
-    let mut wire_cap_early = 0;
+    let mut store_cap_early = 0;
     let mut seen_deferred = false;
     for i in 1..=slices {
         net.run(slice * i, &mut app);
@@ -189,12 +195,17 @@ fn packet_conservation() {
             accounted(&net, &app, retry_carry),
             "slice {i}: packets unaccounted for"
         );
+        assert_eq!(
+            net.packets.live(),
+            in_network(&net),
+            "slice {i}: the store holds a packet no queue does, or lost one"
+        );
         assert!(
             net.stations[2..].iter().all(|s| s.drops == 0),
             "slice {i}: a churned slot tail-dropped; its count would not survive the slot"
         );
-        if i == busy / 10 {
-            wire_cap_early = net.wire.capacity();
+        if i == busy / 2 {
+            store_cap_early = net.packets.capacity();
         }
         // Lifecycle between slices, only among slots 2 and up.
         let leavers = net.active_stations() - 2;
@@ -227,6 +238,11 @@ fn packet_conservation() {
             accounted(&net, &app, retry_carry),
             "slice {i}: a lifecycle call lost or double-counted packets"
         );
+        assert_eq!(
+            net.packets.live(),
+            in_network(&net),
+            "slice {i}: a lifecycle call leaked or double-freed a stored packet"
+        );
     }
     // The run exercised what it claims to.
     assert!(seen_deferred, "no removal ever hit a station on the air");
@@ -247,13 +263,21 @@ fn packet_conservation() {
     assert_eq!(net.ap_backlog() + net.ap.stashed(), 0);
     assert!(net.medium.hw.iter().all(|q| q.is_empty()));
     assert!((0..net.station_slots()).all(|s| net.station_backlog(s) == 0));
-    // Ten times the traffic later the parking arena is no larger: slots
-    // recycle through its free list.
-    assert!(wire_cap_early > 0);
+    assert_eq!(
+        net.packets.live(),
+        0,
+        "the drained network still stores packets"
+    );
+    // The store's capacity is the network's peak occupancy, reached in the
+    // first half of the traffic (it creeps up by a few slots for ~60
+    // slices as stashes, hardware queues and the wire fill together); as
+    // much traffic again later it is no larger: slots recycle through its
+    // free list.
+    assert!(store_cap_early > 0);
     assert!(
-        net.wire.capacity() <= wire_cap_early,
-        "wire arena grew from {wire_cap_early} to {} slots",
-        net.wire.capacity()
+        net.packets.capacity() <= store_cap_early,
+        "packet store grew from {store_cap_early} to {} slots",
+        net.packets.capacity()
     );
 }
 
@@ -270,10 +294,10 @@ fn a_packet_on_the_wire_to_a_leaving_station_is_an_absent_drop() {
     net.run(Nanos::from_millis(1), &mut app);
     assert_eq!(net.absent_drops(), 1);
     assert_eq!((app.delivered, net.wire_in_flight()), (0, 0));
-    // The freed slot parks the next packet: no second slot is allocated.
+    // The freed slot stores the next packet: no second slot is allocated.
     app.stop = Nanos::MAX;
     app.down = vec![2];
     net.seed_timer(DOWN, net.now());
     net.run(net.now() + Nanos::from_micros(100), &mut app);
-    assert_eq!((net.wire_in_flight(), net.wire.capacity()), (1, 1));
+    assert_eq!((net.wire_in_flight(), net.packets.capacity()), (1, 1));
 }

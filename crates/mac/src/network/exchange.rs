@@ -9,11 +9,11 @@ use wifiq_policy::{CompiledPolicy, NODE_NONE};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{DropReason, EventKind, Label};
 
-use super::{policy_rt, Event, Observers, WifiNetwork};
+use super::{discard, policy_rt, Event, Observers, WifiNetwork};
 use crate::aggregation::Aggregate;
 use crate::app::{App, Commands, Delivery};
 use crate::contention::Participant;
-use crate::packet::{NodeAddr, StationIdx};
+use crate::packet::{NodeAddr, StationIdx, Ticket};
 use crate::trace::{TxDirection, TxRecord};
 
 impl Observers {
@@ -21,11 +21,11 @@ impl Observers {
     /// the station's meter, its `mac/*` recorders and `Tx` event, the
     /// monitor's [`TxRecord`]. Airtime is consumed — and billed here —
     /// whether or not the exchange succeeded.
-    fn attempt<M>(
+    fn attempt(
         &mut self,
         now: Nanos,
         direction: TxDirection,
-        agg: &Aggregate<M>,
+        agg: &Aggregate<Ticket>,
         success: bool,
         policy: Option<&CompiledPolicy>,
     ) {
@@ -86,7 +86,7 @@ impl Observers {
     }
 
     /// Records an aggregate dropped at the retry limit.
-    fn retry_drop<M>(&mut self, now: Nanos, agg: &Aggregate<M>) {
+    fn retry_drop(&mut self, now: Nanos, agg: &Aggregate<Ticket>) {
         let frames = agg.frames.len() as u64;
         self.meter.station_mut(agg.station).retry_drops += frames;
         if let Some(mut rec) = self.tele.batch() {
@@ -115,13 +115,19 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         if !medium.in_flight.is_empty() {
             return;
         }
+        let packets = &mut self.packets;
         self.contenders
-            .refresh(&mut self.stations, &self.active, now);
+            .refresh(&mut self.stations, &self.active, now, discard(packets));
         // This crate's own tests re-evaluate every slot every round, in any
         // profile; every other debug build audits one word, rotating.
         let mut audit = |word| {
-            self.contenders
-                .audit(&mut self.stations, &self.active, word, now)
+            self.contenders.audit(
+                &mut self.stations,
+                &self.active,
+                word,
+                now,
+                discard(packets),
+            )
         };
         #[cfg(test)]
         assert_eq!(audit(None), Ok(()));
@@ -188,10 +194,11 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                     m.tx_aggregates += 1;
                     m.tx_aggregate_frames += agg.frames.len() as u64;
                     let mut frames = agg.frames;
-                    for pkt in frames.drain(..) {
+                    for t in frames.drain(..) {
                         let m = self.obs.meter.station_mut(sta);
                         m.tx_frames += 1;
-                        m.tx_bytes += pkt.len;
+                        m.tx_bytes += t.len;
+                        let pkt = self.packets.remove(t.handle);
                         app.on_packet(Delivery::AtStation(sta), pkt, now, cmds);
                     }
                     self.ap.recycle_frames(frames);
@@ -199,17 +206,17 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                 (Participant::Station { .. }, Some(agg)) => {
                     self.obs.meter.station_mut(sta).rx_frames += agg.frames.len() as u64;
                     let mut frames = agg.frames;
-                    for pkt in frames.drain(..) {
+                    for t in frames.drain(..) {
                         // Station-to-station forwarding through the AP is
                         // not modelled; every uplink frame terminates at
                         // the server.
                         debug_assert!(
-                            pkt.dst == NodeAddr::Server,
+                            self.packets.get(t.handle).dst == NodeAddr::Server,
                             "uplink packet addressed to {:?}; peer-to-peer traffic is unsupported",
-                            pkt.dst
+                            self.packets.get(t.handle).dst
                         );
-                        self.obs.meter.station_mut(sta).rx_bytes += pkt.len;
-                        self.wire_hop(pkt, now, Event::WireToServer);
+                        self.obs.meter.station_mut(sta).rx_bytes += t.len;
+                        self.wire_hop(t.handle, t.len, now, Event::WireToServer);
                     }
                     self.stations[sta].recycle_frames(frames);
                 }
@@ -245,7 +252,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         p: Participant,
         collision: bool,
         now: Nanos,
-    ) -> (StationIdx, Option<Aggregate<M>>) {
+    ) -> (StationIdx, Option<Aggregate<Ticket>>) {
         let (sta, ac, direction, (agg, cw, mut rc)) = match p {
             Participant::Ap { ac } => {
                 let agg = self.medium.hw[ac.index()].front_mut();
@@ -318,6 +325,10 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             return (sta, Some(agg));
         }
         self.obs.retry_drop(now, &agg);
+        agg.frames
+            .iter()
+            .copied()
+            .for_each(discard(&mut self.packets));
         match p {
             Participant::Ap { .. } => self.ap.recycle_frames(agg.frames),
             Participant::Station { idx, .. } => self.stations[idx].recycle_frames(agg.frames),

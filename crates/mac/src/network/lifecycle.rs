@@ -7,23 +7,23 @@ use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::SimRng;
 use wifiq_telemetry::Label;
 
-use super::{Medium, RoamHandoff, StaTele, WifiNetwork};
+use super::{discard, Medium, RoamHandoff, StaTele, WifiNetwork};
 use crate::config::{NetworkConfig, StationCfg};
 use crate::contention::Participant;
-use crate::packet::{NodeAddr, Packet, StationIdx};
+use crate::packet::{NodeAddr, Packet, StationIdx, Ticket};
 use crate::ratectrl::Minstrel;
 use crate::station::StationUplink;
 
 /// Builds what slot `sta` holds for an associating station: its uplink
 /// stack and, under rate control, the AP's downlink controller for it.
 /// Only under rate control is `rng` forked, `salt` telling joins apart.
-pub(super) fn associate<M: std::fmt::Debug>(
+pub(super) fn associate(
     cfg: &NetworkConfig,
     rng: &mut SimRng,
     sta: StationIdx,
     station: &StationCfg,
     salt: u64,
-) -> (StationUplink<M>, Option<Box<Minstrel>>) {
+) -> (StationUplink, Option<Box<Minstrel>>) {
     let mut up = StationUplink::new(sta, station.rate, cfg.station_fifo_limit);
     if cfg.station_fq {
         up.enable_fq();
@@ -37,11 +37,11 @@ pub(super) fn associate<M: std::fmt::Debug>(
     (up, adapts.then(|| Box::new(Minstrel::new(station.rate))))
 }
 
-impl<M> Medium<M> {
+impl Medium {
     /// Discards every aggregate queued for `sta` in the hardware, sparing
-    /// one that is on the air at the head of its queue. Returns the number
-    /// of frames discarded.
-    fn purge(&mut self, sta: StationIdx) -> u64 {
+    /// one that is on the air at the head of its queue, and hands their
+    /// frames to `on_drop`. Returns the number of frames discarded.
+    fn purge(&mut self, sta: StationIdx, mut on_drop: impl FnMut(Ticket)) -> u64 {
         let mut purged = 0;
         for (ac, q) in AccessCategory::ALL.into_iter().zip(&mut self.hw) {
             let mut head_on_air = self.in_flight.contains(&Participant::Ap { ac });
@@ -50,6 +50,7 @@ impl<M> Medium<M> {
                 let keep = agg.station != sta || on_air;
                 if !keep {
                     purged += agg.frames.len() as u64;
+                    agg.frames.iter().copied().for_each(&mut on_drop);
                 }
                 keep
             });
@@ -171,20 +172,27 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
 
     /// Tears down a departed station's state, once nothing of it is on
     /// the air: purges its hardware-queued aggregates, detaches its TIDs
-    /// and scheduler slot at the AP — handing the frames queued there back
-    /// when `migrate`, dropping them otherwise — and discards its uplink
-    /// backlog. `dropped` counts what was lost; the caller books it.
+    /// and scheduler slot at the AP — taking the frames queued there out
+    /// of the store to carry when `migrate`, dropping them otherwise — and
+    /// discards its uplink backlog. `dropped` counts what was lost; the
+    /// caller books it.
     pub(super) fn teardown(&mut self, id: StaId, migrate: bool) -> RoamHandoff<M> {
         let sta = id.slot();
-        let mut dropped = self.medium.purge(sta);
-        let (packets, at_ap) = self.ap.detach_station(id, self.queue.now(), migrate);
-        dropped += (at_ap + self.stations[sta].vacate()) as u64;
+        let now = self.queue.now();
+        let mut carried = Vec::new();
+        let mut dropped = self.medium.purge(sta, discard(&mut self.packets));
+        let carry = migrate.then_some(&mut carried);
+        let at_ap = self
+            .ap
+            .detach_station(id, now, carry, discard(&mut self.packets));
+        dropped += (at_ap + self.stations[sta].vacate(discard(&mut self.packets))) as u64;
         self.ratectrl[sta] = None;
         // A deferred teardown follows the station's last exchange, which
         // marked the slot dirty again.
         self.contenders.forget(sta);
+        let packets = carried.into_iter();
         RoamHandoff {
-            packets,
+            packets: packets.map(|t| self.packets.remove(t.handle)).collect(),
             dropped,
             deferred: false,
         }
@@ -205,7 +213,8 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             pkt.dst = NodeAddr::Station(slot);
             pkt.enqueued = now;
             acs[pkt.ac.index()] = true;
-            self.ap.enqueue(pkt, now);
+            let t = self.admit(pkt);
+            self.ap.enqueue(t, now, discard(&mut self.packets));
         }
         for ac in AccessCategory::ALL {
             if acs[ac.index()] {

@@ -1,6 +1,6 @@
 //! The simulator's packet type and addressing.
 
-use wifiq_core::packet::{FqPacket, QueuedPacket};
+use wifiq_core::packet::{FqPacket, PacketHandle, QueuedPacket};
 use wifiq_phy::AccessCategory;
 use wifiq_sim::Nanos;
 
@@ -68,6 +68,71 @@ impl<M> Packet<M> {
     pub fn is_downlink(&self) -> bool {
         matches!(self.dst, NodeAddr::Station(_))
     }
+
+    /// The ticket the queueing layers carry for this packet, stored under
+    /// `handle`: its queueing fields as they stand now.
+    pub(crate) fn ticket(&self, handle: PacketHandle) -> Ticket {
+        Ticket {
+            handle,
+            len: self.len,
+            flow_hash: self.flow_hash(),
+            enqueued: self.enqueued,
+            peer: u32::try_from(self.wireless_peer()).expect("station slots fit u32"),
+            ac: self.ac,
+        }
+    }
+}
+
+/// What every layer between `send` and delivery carries instead of the
+/// packet: the packet's handle in its network's store, plus the fields
+/// queueing reads (DESIGN.md §13, "One store, and tickets").
+///
+/// A network writes each packet into its store once, when the application's
+/// send is applied, and takes it out once — at delivery, where it drops, or
+/// when a roaming hand-off carries it away. The station FIFOs, the MAC FQ
+/// structures, the qdiscs and driver FIFOs, both stashes, the aggregates,
+/// the hardware queues and the wire hop move this `Copy` value, never the
+/// packet. A ticket dropped anywhere must reach the network's drop sink, so
+/// that its slot is freed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ticket {
+    /// Where the packet lives in its network's store.
+    pub(crate) handle: PacketHandle,
+    /// On-wire length in bytes (`Packet::len`).
+    pub(crate) len: u64,
+    /// The packet's [`FqPacket::flow_hash`], computed once.
+    pub(crate) flow_hash: u64,
+    /// When the packet entered its current queue (read by CoDel).
+    pub(crate) enqueued: Nanos,
+    /// The packet's [`Packet::wireless_peer`].
+    pub(crate) peer: u32,
+    /// The packet's access category.
+    pub(crate) ac: AccessCategory,
+}
+
+const _: () = assert!(std::mem::size_of::<Ticket>() <= 40);
+
+impl Ticket {
+    /// The station this packet concerns on the wireless hop.
+    pub(crate) fn peer(&self) -> StationIdx {
+        self.peer as StationIdx
+    }
+}
+
+impl QueuedPacket for Ticket {
+    fn enqueue_time(&self) -> Nanos {
+        self.enqueued
+    }
+
+    fn wire_len(&self) -> u64 {
+        self.len
+    }
+}
+
+impl FqPacket for Ticket {
+    fn flow_hash(&self) -> u64 {
+        self.flow_hash
+    }
 }
 
 impl<M> QueuedPacket for Packet<M> {
@@ -91,6 +156,15 @@ impl<M> FqPacket for Packet<M> {
 }
 
 #[cfg(test)]
+impl<M> Packet<M> {
+    /// A ticket whose handle addresses no store: for the queueing layers'
+    /// own unit tests, which carry tickets and never follow them.
+    pub(crate) fn loose_ticket(&self) -> Ticket {
+        self.ticket(wifiq_core::PacketArena::new().insert(()))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -110,13 +184,35 @@ mod tests {
 
     /// 184 bytes is `Packet<AppMsg>`, the packet every experiment runs
     /// (`[u64; 13]` stands in for the 104-byte `AppMsg` this crate cannot
-    /// name). It is the number the wire-hop parking arena exists to stop
-    /// copying: events carry an 8-byte handle instead (DESIGN.md §13,
-    /// "Event sizes"). Whoever shrinks `Packet` moves this pin and redoes
-    /// that section's arithmetic — below ~32 bytes parking stops paying.
+    /// name). It is the number the packet store exists to stop copying:
+    /// events carry an 8-byte handle and queues a [`Ticket`] instead
+    /// (DESIGN.md §13). Whoever shrinks `Packet` moves this pin and redoes
+    /// that section's arithmetic — near 40 bytes a ticket stops paying.
     #[test]
     fn packet_with_a_transport_payload_is_184_bytes() {
         assert_eq!(std::mem::size_of::<Packet<[u64; 13]>>(), 184);
+    }
+
+    /// A ticket is at most 40 bytes (also a `const` assertion), and a stash
+    /// slot holding one costs nothing more: the access category's spare
+    /// values encode `None`.
+    #[test]
+    fn a_ticket_and_a_stash_slot_are_40_bytes() {
+        assert_eq!(std::mem::size_of::<Ticket>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Ticket>>(), 40);
+    }
+
+    #[test]
+    fn a_ticket_carries_the_fields_queueing_reads() {
+        let mut p = pkt(NodeAddr::Station(3), NodeAddr::Server);
+        p.ac = AccessCategory::Vi;
+        p.enqueued = Nanos::from_micros(7);
+        let t = p.loose_ticket();
+        assert_eq!((t.len, t.peer(), t.ac), (1500, 3, AccessCategory::Vi));
+        assert_eq!(
+            (t.flow_hash(), t.enqueue_time()),
+            (p.flow_hash(), p.enqueued)
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use wifiq_sim::{Nanos, SimRng};
 use wifiq_telemetry::Telemetry;
 
 use crate::aggregation::{build_aggregate_into, Aggregate};
-use crate::packet::{Packet, StationIdx};
+use crate::packet::{StationIdx, Ticket};
 use crate::ratectrl::Minstrel;
 
 /// Pooled frame buffers per station: one pending aggregate per AC plus a
@@ -29,37 +29,33 @@ const FRAME_POOL_CAP: usize = 8;
 // path; boxing the large variant would trade a few one-off bytes for
 // an extra pointer chase per packet.
 #[allow(clippy::large_enum_variant)]
-enum UplinkQueues<M> {
+enum UplinkQueues {
     Fifo {
-        queues: [VecDeque<Packet<M>>; AccessCategory::COUNT],
+        queues: [VecDeque<Ticket>; AccessCategory::COUNT],
         limit: usize,
     },
     Fq {
-        fq: MacFq<Packet<M>>,
+        fq: MacFq<Ticket>,
         tids: [TidId; AccessCategory::COUNT],
         codel: CodelParams,
     },
 }
 
-impl<M: std::fmt::Debug> UplinkQueues<M> {
-    fn enqueue(&mut self, pkt: Packet<M>, now: Nanos) -> bool {
+impl UplinkQueues {
+    /// Queues `t`, returning the packet dropped to make room: `t` itself
+    /// at a full FIFO, the FQ's longest-queue victim on overlimit — "one
+    /// packet was dropped at this uplink", not necessarily the offered one.
+    fn enqueue(&mut self, t: Ticket) -> Option<Ticket> {
         match self {
             UplinkQueues::Fifo { queues, limit } => {
-                let q = &mut queues[pkt.ac.index()];
+                let q = &mut queues[t.ac.index()];
                 if q.len() >= *limit {
-                    return false;
+                    return Some(t);
                 }
-                q.push_back(pkt);
-                true
+                q.push_back(t);
+                None
             }
-            UplinkQueues::Fq { fq, tids, .. } => {
-                let tid = tids[pkt.ac.index()];
-                // On overlimit the FQ evicts from its longest queue, not
-                // necessarily the offered packet; `false` here means "one
-                // packet was dropped at this uplink", not "this packet
-                // was rejected".
-                fq.enqueue(pkt, tid, now).is_none()
-            }
+            UplinkQueues::Fq { fq, tids, .. } => fq.enqueue(t, tids[t.ac.index()], t.enqueued),
         }
     }
 
@@ -70,10 +66,19 @@ impl<M: std::fmt::Debug> UplinkQueues<M> {
         }
     }
 
-    fn pop(&mut self, ac: AccessCategory, now: Nanos) -> Option<Packet<M>> {
+    /// The next packet for `ac`; CoDel's victims on the way (FQ uplink
+    /// only) go to `on_drop`.
+    fn pop(
+        &mut self,
+        ac: AccessCategory,
+        now: Nanos,
+        on_drop: impl FnMut(Ticket),
+    ) -> Option<Ticket> {
         match self {
             UplinkQueues::Fifo { queues, .. } => queues[ac.index()].pop_front(),
-            UplinkQueues::Fq { fq, tids, codel } => fq.dequeue(tids[ac.index()], now, codel),
+            UplinkQueues::Fq { fq, tids, codel } => {
+                fq.dequeue_with(tids[ac.index()], now, codel, on_drop)
+            }
         }
     }
 
@@ -92,16 +97,18 @@ impl<M: std::fmt::Debug> UplinkQueues<M> {
     }
 }
 
-/// One wireless client's transmit state.
-pub struct StationUplink<M> {
+/// One wireless client's transmit state. It holds [`Ticket`]s: the packets
+/// themselves stay in the network's store, and every packet this uplink
+/// drops leaves through the `on_drop` sink its caller passes.
+pub struct StationUplink {
     idx: StationIdx,
     rate: PhyRate,
-    queues: UplinkQueues<M>,
+    queues: UplinkQueues,
     /// A packet pulled for an aggregate that didn't fit, offered first
     /// next time (per AC).
-    stash: [Option<Packet<M>>; AccessCategory::COUNT],
+    stash: [Option<Ticket>; AccessCategory::COUNT],
     /// A built aggregate awaiting (re)transmission, per AC.
-    pending: [Option<Aggregate<M>>; AccessCategory::COUNT],
+    pending: [Option<Aggregate<Ticket>>; AccessCategory::COUNT],
     /// Current contention window per AC (doubles on failure).
     pub cw: [u32; AccessCategory::COUNT],
     /// Packets tail-dropped at the uplink FIFO.
@@ -114,13 +121,13 @@ pub struct StationUplink<M> {
     rng: SimRng,
     /// Recycled `Aggregate::frames` buffers (see
     /// [`recycle_frames`](Self::recycle_frames)).
-    frame_pool: Vec<Vec<Packet<M>>>,
+    frame_pool: Vec<Vec<Ticket>>,
 }
 
-impl<M: std::fmt::Debug> StationUplink<M> {
+impl StationUplink {
     /// Creates the uplink stack for station `idx` at `rate` with the
     /// given per-AC FIFO `limit`.
-    pub fn new(idx: StationIdx, rate: PhyRate, limit: usize) -> StationUplink<M> {
+    pub fn new(idx: StationIdx, rate: PhyRate, limit: usize) -> StationUplink {
         StationUplink {
             idx,
             rate,
@@ -141,7 +148,7 @@ impl<M: std::fmt::Debug> StationUplink<M> {
     /// Returns an emptied `Aggregate::frames` buffer for the next
     /// aggregate build to reuse (the network layer calls this after
     /// delivering or dropping an uplink aggregate).
-    pub fn recycle_frames(&mut self, mut frames: Vec<Packet<M>>) {
+    pub fn recycle_frames(&mut self, mut frames: Vec<Ticket>) {
         frames.clear();
         if self.frame_pool.len() < FRAME_POOL_CAP && frames.capacity() > 0 {
             self.frame_pool.push(frames);
@@ -189,12 +196,14 @@ impl<M: std::fmt::Debug> StationUplink<M> {
         self.rate
     }
 
-    /// Queues an uplink packet. The packet's `enqueued` stamp must be
-    /// current (CoDel reads it under the FQ uplink).
-    pub fn enqueue(&mut self, pkt: Packet<M>) {
-        let now = pkt.enqueued;
-        if !self.queues.enqueue(pkt, now) {
+    /// Queues an uplink packet. The ticket's `enqueued` stamp must be
+    /// current (CoDel reads it under the FQ uplink). A packet dropped to
+    /// make room — this one at a full FIFO — is counted in
+    /// [`drops`](Self::drops) and handed to `on_drop`.
+    pub fn enqueue(&mut self, t: Ticket, mut on_drop: impl FnMut(Ticket)) {
+        if let Some(victim) = self.queues.enqueue(t) {
             self.drops += 1;
+            on_drop(victim);
         }
     }
 
@@ -209,10 +218,10 @@ impl<M: std::fmt::Debug> StationUplink<M> {
                 .sum::<usize>()
     }
 
-    /// Packets live in the uplink's packet arena (zero for the FIFO
-    /// uplink, which owns its packets directly). Stash and pending
-    /// aggregates hold owned packets outside the arena, so a fully
-    /// drained station must report exactly zero.
+    /// Tickets live in the uplink's FQ arena (zero for the FIFO uplink,
+    /// which queues them in plain deques). Stash and pending aggregates
+    /// hold tickets outside the arena, so a fully drained station must
+    /// report exactly zero.
     pub fn arena_live(&self) -> usize {
         self.queues.arena_live()
     }
@@ -220,8 +229,13 @@ impl<M: std::fmt::Debug> StationUplink<M> {
     /// The highest-priority access category with traffic ready to
     /// transmit, building its aggregate if needed.
     ///
-    /// `now` is needed because the FQ uplink runs CoDel at dequeue.
-    pub fn best_ready_ac(&mut self, now: Nanos) -> Option<AccessCategory> {
+    /// `now` is needed because the FQ uplink runs CoDel at dequeue; its
+    /// victims go to `on_drop`.
+    pub fn best_ready_ac(
+        &mut self,
+        now: Nanos,
+        mut on_drop: impl FnMut(Ticket),
+    ) -> Option<AccessCategory> {
         for ac in AccessCategory::ALL {
             let aci = ac.index();
             let has = self.stash[aci].is_some() || self.queues.has_data(ac);
@@ -235,7 +249,7 @@ impl<M: std::fmt::Debug> StationUplink<M> {
                 let frames_buf = self.frame_pool.pop().unwrap_or_default();
                 let (built, leftover) =
                     build_aggregate_into(self.idx, ac, rate, frames_buf, || {
-                        stash.take().or_else(|| queues.pop(ac, now))
+                        stash.take().or_else(|| queues.pop(ac, now, &mut on_drop))
                     });
                 self.stash[aci] = leftover;
                 self.pending[aci] = match built {
@@ -256,7 +270,7 @@ impl<M: std::fmt::Debug> StationUplink<M> {
     }
 
     /// The pending aggregate for `ac`, if built.
-    pub fn pending(&self, ac: AccessCategory) -> Option<&Aggregate<M>> {
+    pub fn pending(&self, ac: AccessCategory) -> Option<&Aggregate<Ticket>> {
         self.pending[ac.index()].as_ref()
     }
 
@@ -266,7 +280,7 @@ impl<M: std::fmt::Debug> StationUplink<M> {
     pub(crate) fn attempt(
         &mut self,
         ac: AccessCategory,
-    ) -> (&mut Aggregate<M>, &mut u32, Option<&mut Minstrel>) {
+    ) -> (&mut Aggregate<Ticket>, &mut u32, Option<&mut Minstrel>) {
         let agg = self.pending[ac.index()].as_mut();
         (
             agg.expect("station attempt with no pending aggregate"),
@@ -277,18 +291,36 @@ impl<M: std::fmt::Debug> StationUplink<M> {
 
     /// Takes the pending aggregate for `ac` once the retry chain is done
     /// with it: delivered, or dropped at the retry limit.
-    pub(crate) fn take_pending(&mut self, ac: AccessCategory) -> Aggregate<M> {
+    pub(crate) fn take_pending(&mut self, ac: AccessCategory) -> Aggregate<Ticket> {
         let done = self.pending[ac.index()].take();
         done.expect("settled attempt with no pending aggregate")
     }
 
-    /// The station left: discards everything it had queued, built or
-    /// stashed and returns how many packets that was. What remains is an
-    /// inert stand-in that accepts nothing; the network's occupancy bitmap
-    /// keeps it out of contention until the slot's next occupant replaces it.
-    pub(crate) fn vacate(&mut self) -> usize {
+    /// The station left: hands everything it had queued, built or stashed
+    /// to `on_drop` and returns how many packets that was. What remains is
+    /// an inert stand-in that accepts nothing; the network's occupancy
+    /// bitmap keeps it out of contention until the slot's next occupant
+    /// replaces it.
+    pub(crate) fn vacate(&mut self, mut on_drop: impl FnMut(Ticket)) -> usize {
         let discarded = self.backlog();
-        *self = StationUplink::new(self.idx, self.rate, 0);
+        let gone = std::mem::replace(self, StationUplink::new(self.idx, self.rate, 0));
+        match gone.queues {
+            UplinkQueues::Fifo { queues, .. } => {
+                queues.into_iter().flatten().for_each(&mut on_drop)
+            }
+            // Taken out whole, as the uplink is discarded whole: no
+            // per-TID detach drops are recorded for a departed client.
+            UplinkQueues::Fq { mut fq, tids, .. } => {
+                for tid in tids {
+                    fq.unregister_tid_migrate(tid)
+                        .into_iter()
+                        .for_each(&mut on_drop);
+                }
+            }
+        }
+        gone.stash.into_iter().flatten().for_each(&mut on_drop);
+        let built = gone.pending.into_iter().flatten();
+        built.flat_map(|agg| agg.frames).for_each(&mut on_drop);
         discarded
     }
 }
@@ -296,10 +328,11 @@ impl<M: std::fmt::Debug> StationUplink<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::NodeAddr;
+    use crate::packet::{NodeAddr, Packet};
+    use wifiq_core::packet::FqPacket;
     use wifiq_sim::Nanos;
 
-    fn pkt(ac: AccessCategory) -> Packet<()> {
+    fn pkt(ac: AccessCategory) -> Ticket {
         Packet {
             id: 0,
             src: NodeAddr::Station(0),
@@ -311,15 +344,23 @@ mod tests {
             enqueued: Nanos::ZERO,
             payload: (),
         }
+        .loose_ticket()
     }
 
-    fn sta() -> StationUplink<()> {
+    /// Tickets these tests let the uplink drop, unfreed: no store here.
+    fn ignore(_: Ticket) {}
+
+    fn ready(s: &mut StationUplink) -> Option<AccessCategory> {
+        s.best_ready_ac(Nanos::ZERO, ignore)
+    }
+
+    fn sta() -> StationUplink {
         StationUplink::new(0, PhyRate::fast_station(), 100)
     }
 
     /// One step of the retry chain on the pending best-effort aggregate,
     /// as the network's `settle` takes it.
-    fn fail_or_ack(s: &mut StationUplink<()>, success: bool, max_retries: u32) -> bool {
+    fn fail_or_ack(s: &mut StationUplink, success: bool, max_retries: u32) -> bool {
         let (agg, cw, rc) = s.attempt(AccessCategory::Be);
         agg.after_attempt(success, cw, rc.as_deref(), max_retries)
     }
@@ -327,7 +368,7 @@ mod tests {
     #[test]
     fn empty_station_has_nothing_ready() {
         let mut s = sta();
-        assert_eq!(s.best_ready_ac(Nanos::ZERO), None);
+        assert_eq!(ready(&mut s), None);
         assert_eq!(s.backlog(), 0);
     }
 
@@ -335,9 +376,9 @@ mod tests {
     fn builds_aggregate_from_fifo() {
         let mut s = sta();
         for _ in 0..5 {
-            s.enqueue(pkt(AccessCategory::Be));
+            s.enqueue(pkt(AccessCategory::Be), ignore);
         }
-        assert_eq!(s.best_ready_ac(Nanos::ZERO), Some(AccessCategory::Be));
+        assert_eq!(ready(&mut s), Some(AccessCategory::Be));
         let agg = s.pending(AccessCategory::Be).unwrap();
         assert_eq!(agg.frames.len(), 5);
         assert_eq!(s.backlog(), 5, "frames moved to pending, not lost");
@@ -346,16 +387,16 @@ mod tests {
     #[test]
     fn vo_preempts_be() {
         let mut s = sta();
-        s.enqueue(pkt(AccessCategory::Be));
-        s.enqueue(pkt(AccessCategory::Vo));
-        assert_eq!(s.best_ready_ac(Nanos::ZERO), Some(AccessCategory::Vo));
+        s.enqueue(pkt(AccessCategory::Be), ignore);
+        s.enqueue(pkt(AccessCategory::Vo), ignore);
+        assert_eq!(ready(&mut s), Some(AccessCategory::Vo));
     }
 
     #[test]
     fn success_resets_cw_and_clears_pending() {
         let mut s = sta();
-        s.enqueue(pkt(AccessCategory::Be));
-        s.best_ready_ac(Nanos::ZERO);
+        s.enqueue(pkt(AccessCategory::Be), ignore);
+        ready(&mut s);
         s.cw[AccessCategory::Be.index()] = 255;
         assert!(fail_or_ack(&mut s, true, 7), "acknowledged: done");
         let agg = s.take_pending(AccessCategory::Be);
@@ -367,8 +408,8 @@ mod tests {
     #[test]
     fn failure_doubles_cw_until_drop() {
         let mut s = sta();
-        s.enqueue(pkt(AccessCategory::Be));
-        s.best_ready_ac(Nanos::ZERO);
+        s.enqueue(pkt(AccessCategory::Be), ignore);
+        ready(&mut s);
         assert!(!fail_or_ack(&mut s, false, 2));
         assert_eq!(s.cw[AccessCategory::Be.index()], 31);
         assert!(!fail_or_ack(&mut s, false, 2));
@@ -377,14 +418,14 @@ mod tests {
         assert!(fail_or_ack(&mut s, false, 2));
         assert_eq!(s.take_pending(AccessCategory::Be).retries, 3);
         assert_eq!(s.cw[AccessCategory::Be.index()], 15, "cw resets on drop");
-        assert_eq!(s.best_ready_ac(Nanos::ZERO), None);
+        assert_eq!(ready(&mut s), None);
     }
 
     #[test]
     fn fifo_limit_tail_drops() {
-        let mut s = StationUplink::<()>::new(0, PhyRate::fast_station(), 3);
+        let mut s = StationUplink::new(0, PhyRate::fast_station(), 3);
         for _ in 0..5 {
-            s.enqueue(pkt(AccessCategory::Be));
+            s.enqueue(pkt(AccessCategory::Be), ignore);
         }
         assert_eq!(s.drops, 2);
         assert_eq!(s.backlog(), 3);
@@ -392,13 +433,13 @@ mod tests {
 
     #[test]
     fn fq_uplink_enqueues_and_builds() {
-        let mut s = StationUplink::<()>::new(0, PhyRate::fast_station(), 100);
+        let mut s = StationUplink::new(0, PhyRate::fast_station(), 100);
         s.enable_fq();
         for _ in 0..5 {
-            s.enqueue(pkt(AccessCategory::Be));
+            s.enqueue(pkt(AccessCategory::Be), ignore);
         }
         assert_eq!(s.backlog(), 5);
-        assert_eq!(s.best_ready_ac(Nanos::ZERO), Some(AccessCategory::Be));
+        assert_eq!(ready(&mut s), Some(AccessCategory::Be));
         assert_eq!(s.pending(AccessCategory::Be).unwrap().frames.len(), 5);
     }
 
@@ -409,7 +450,7 @@ mod tests {
         #[derive(Debug)]
         struct FlowMsg;
         let _ = FlowMsg;
-        let mut s = StationUplink::<()>::new(0, PhyRate::slow_station(), 100);
+        let mut s = StationUplink::new(0, PhyRate::slow_station(), 100);
         s.enable_fq();
         let mk = |flow: u64| Packet {
             id: 0,
@@ -422,28 +463,32 @@ mod tests {
             enqueued: Nanos::ZERO,
             payload: (),
         };
+        let sparse = mk(2).flow_hash();
         for _ in 0..6 {
-            s.enqueue(mk(1));
+            s.enqueue(mk(1).loose_ticket(), ignore);
         }
-        s.enqueue(mk(2));
+        s.enqueue(mk(2).loose_ticket(), ignore);
         // Slow rate: 2-frame aggregates. The sparse flow 2 should appear
         // in the first aggregate thanks to new-flow priority.
-        s.best_ready_ac(Nanos::ZERO);
+        ready(&mut s);
         let flows: Vec<u64> = s
             .pending(AccessCategory::Be)
             .unwrap()
             .frames
             .iter()
-            .map(|p| p.flow)
+            .map(|t| t.flow_hash)
             .collect();
-        assert!(flows.contains(&2), "sparse flow missing from {flows:?}");
+        assert!(
+            flows.contains(&sparse),
+            "sparse flow missing from {flows:?}"
+        );
     }
 
     #[test]
     #[should_panic(expected = "enable_fq on a non-empty station")]
     fn enable_fq_rejects_queued_traffic() {
-        let mut s = StationUplink::<()>::new(0, PhyRate::fast_station(), 100);
-        s.enqueue(pkt(AccessCategory::Be));
+        let mut s = StationUplink::new(0, PhyRate::fast_station(), 100);
+        s.enqueue(pkt(AccessCategory::Be), ignore);
         s.enable_fq();
     }
 
@@ -451,16 +496,16 @@ mod tests {
     fn leftover_goes_back_to_fifo_front() {
         // Slow rate: 4 ms cap → 2 frames per aggregate; the third pulled
         // packet must return to the FIFO head.
-        let mut s = StationUplink::<()>::new(0, PhyRate::slow_station(), 100);
+        let mut s = StationUplink::new(0, PhyRate::slow_station(), 100);
         for _ in 0..5 {
-            s.enqueue(pkt(AccessCategory::Be));
+            s.enqueue(pkt(AccessCategory::Be), ignore);
         }
-        s.best_ready_ac(Nanos::ZERO);
+        ready(&mut s);
         assert_eq!(s.pending(AccessCategory::Be).unwrap().frames.len(), 2);
         assert_eq!(s.backlog(), 5);
         // Draining: 2 + 2 + 1.
         let mut total = s.take_pending(AccessCategory::Be).frames.len();
-        while s.best_ready_ac(Nanos::ZERO).is_some() {
+        while ready(&mut s).is_some() {
             total += s.take_pending(AccessCategory::Be).frames.len();
         }
         assert_eq!(total, 5);

@@ -232,6 +232,12 @@ impl<P: FqPacket> FqCodelQdisc<P> {
     pub fn arena_live(&self) -> usize {
         self.fq.arena_live()
     }
+
+    /// [`Qdisc::dequeue`], handing every packet CoDel drops on the way to
+    /// `on_drop`.
+    pub fn dequeue_with(&mut self, now: Nanos, on_drop: impl FnMut(P)) -> Option<P> {
+        self.fq.dequeue_with(self.tid, now, &self.codel, on_drop)
+    }
 }
 
 impl<P: FqPacket> Qdisc<P> for FqCodelQdisc<P> {
@@ -240,7 +246,7 @@ impl<P: FqPacket> Qdisc<P> for FqCodelQdisc<P> {
     }
 
     fn dequeue(&mut self, now: Nanos) -> Option<P> {
-        self.fq.dequeue(self.tid, now, &self.codel)
+        self.dequeue_with(now, |_| {})
     }
 
     fn len(&self) -> usize {
