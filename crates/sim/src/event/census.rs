@@ -17,13 +17,52 @@ enum Ev {
     /// A data packet reaches the AP.
     AtAp,
     /// An ACK reaches the server, which answers with two segments and
-    /// re-arms its retransmission timer.
+    /// re-arms that flow's retransmission timer.
     AtServer,
     /// The exchange on the air ends.
     TxEnd,
-    /// A timer nobody waits for any more (stale RTO, delayed ACK).
-    Stale,
+    /// Flow `i`'s retransmission timer.
+    Rto(usize),
+    /// The receiver's delayed-ACK timer.
+    DelAck,
 }
+
+/// A timer re-armed in place, by the rule of `wifiq-traffic`'s
+/// `Deadline`: an arm pushes only when no event of the timer is pending at
+/// or before the new deadline, and an event that fires before a deadline
+/// moved later re-pushes it once.
+#[derive(Default)]
+struct Timer {
+    live: Option<u64>,
+    pending: Option<u64>,
+}
+
+impl Timer {
+    /// The instant to push at, if the arm needs an event.
+    fn arm(&mut self, at: u64) -> Option<u64> {
+        self.live = Some(at);
+        let push = self.pending.is_none_or(|p| at < p);
+        if push {
+            self.pending = Some(at);
+        }
+        push.then_some(at)
+    }
+
+    /// The instant to re-push at, if an event firing at `now` came early.
+    fn fire(&mut self, now: u64) -> Option<u64> {
+        if self.pending != Some(now) {
+            return None;
+        }
+        self.pending = self.live.filter(|&at| at > now);
+        if self.pending.is_none() {
+            self.live = None;
+        }
+        self.pending
+    }
+}
+
+/// Bulk flows of `tcp30_mixed`, each with one retransmission timer.
+const TCP_FLOWS: usize = 39;
 
 const WIRE: u64 = 200_000;
 /// Serialisation of 1500 B / 64 B at 1 Gbit/s.
@@ -44,6 +83,11 @@ struct Shape {
     up: u64,
     /// Delivered segments not yet covered by an ACK (0 or 1).
     unacked: u64,
+    /// One retransmission timer per flow; ACKs reach the server's flows in
+    /// turn.
+    rtos: Vec<Timer>,
+    next_flow: usize,
+    delack: Timer,
     /// Frames on the air and their direction, if the medium is busy.
     on_air: Option<(u64, bool)>,
     /// CBR gaps of the open-loop sources.
@@ -58,6 +102,9 @@ impl Shape {
             down: 0,
             up: 0,
             unacked: 0,
+            rtos: (0..TCP_FLOWS).map(|_| Timer::default()).collect(),
+            next_flow: 0,
+            delack: Timer::default(),
             on_air: None,
             gaps,
         }
@@ -110,8 +157,12 @@ impl Shape {
                     Ev::AtServer => {
                         self.after(WIRE + DATA_NS, Ev::AtAp);
                         self.after(WIRE + DATA_NS, Ev::AtAp);
-                        let rto = 200_000_000 + self.draw(50_000_000);
-                        self.after(rto, Ev::Stale);
+                        let flow = self.next_flow;
+                        self.next_flow = (flow + 1) % TCP_FLOWS;
+                        let at = self.q.now().0 + 200_000_000 + self.draw(50_000_000);
+                        if let Some(at) = self.rtos[flow].arm(at) {
+                            self.q.push(Nanos(at), Ev::Rto(flow));
+                        }
                     }
                     Ev::TxEnd => {
                         let (frames, uplink) = self.on_air.take().expect("TxEnd with idle air");
@@ -122,16 +173,34 @@ impl Shape {
                         } else if self.gaps.is_empty() {
                             // Ack-clocked: one ACK per two segments; an odd
                             // one out arms the 40 ms delayed-ACK timer and
-                            // is acknowledged with the next to arrive.
+                            // is acknowledged (the timer disarmed) with the
+                            // next to arrive.
                             self.unacked += frames;
                             self.up += self.unacked / 2;
                             self.unacked %= 2;
                             if self.unacked == 1 {
-                                self.after(40_000_000, Ev::Stale);
+                                let at = self.q.now().0 + 40_000_000;
+                                if let Some(at) = self.delack.arm(at) {
+                                    self.q.push(Nanos(at), Ev::DelAck);
+                                }
+                            } else {
+                                self.delack.live = None;
                             }
                         }
                     }
-                    Ev::Stale => {}
+                    // A timer that comes due changes nothing here: ACKs
+                    // keep every window open.
+                    Ev::Rto(flow) => {
+                        let now = self.q.now().0;
+                        if let Some(at) = self.rtos[flow].fire(now) {
+                            self.q.push(Nanos(at), Ev::Rto(flow));
+                        }
+                    }
+                    Ev::DelAck => {
+                        if let Some(at) = self.delack.fire(self.q.now().0) {
+                            self.q.push(Nanos(at), Ev::DelAck);
+                        }
+                    }
                 }
                 self.contend();
             }
@@ -182,7 +251,7 @@ fn census_udp_flood_shape() {
 }
 
 /// 30 stations' worth of ack-clocked windows (39 flows × 20 segments) and
-/// the timers each ACK re-arms: `tcp30_mixed`'s shape.
+/// the timers the ACKs re-arm in place: `tcp30_mixed`'s shape.
 #[test]
 fn census_tcp30_shape() {
     let mut s = Shape::new(Vec::new());

@@ -8,6 +8,7 @@ use wifiq_transport::{SendOutcome, TcpReceiver, TcpSender};
 use crate::ctx::FlowCtx;
 use crate::flows::Direction;
 use crate::msg::AppMsg;
+use crate::timer::Deadline;
 
 const TOK_START: u64 = 0;
 const TOK_RTO: u64 = 1;
@@ -31,8 +32,8 @@ pub struct TcpBulk {
     pub start: Nanos,
     sender: TcpSender,
     receiver: TcpReceiver,
-    rto_deadline: Option<Nanos>,
-    delack_deadline: Option<Nanos>,
+    rto: Deadline,
+    delack: Deadline,
 }
 
 impl TcpBulk {
@@ -54,8 +55,8 @@ impl TcpBulk {
             start,
             sender: TcpSender::bulk(),
             receiver: TcpReceiver::new(),
-            rto_deadline: None,
-            delack_deadline: None,
+            rto: Deadline::default(),
+            delack: Deadline::default(),
         }
     }
 
@@ -89,9 +90,9 @@ impl TcpBulk {
         for seg in out.segments {
             ctx.send(src, dst, 0, seg.wire_len(), self.ac, now, AppMsg::Tcp(seg));
         }
-        self.rto_deadline = out.rearm_rto;
-        if let Some(d) = out.rearm_rto {
-            ctx.timer(TOK_RTO, d);
+        match out.rearm_rto {
+            Some(at) => self.rto.arm(at, |t| ctx.timer(TOK_RTO, t)),
+            None => self.rto.disarm(),
         }
     }
 
@@ -107,20 +108,15 @@ impl TcpBulk {
                 let out = self.sender.start(now);
                 self.emit(out, now, ctx);
             }
-            TOK_RTO
-                // Only the live deadline counts; earlier rearms left stale
-                // timer events behind.
-                if self.rto_deadline == Some(now) => {
-                    let out = self.sender.on_rto(now);
-                    self.emit(out, now, ctx);
+            TOK_RTO if self.rto.fire(now, |t| ctx.timer(TOK_RTO, t)) => {
+                let out = self.sender.on_rto(now);
+                self.emit(out, now, ctx);
+            }
+            TOK_DELACK if self.delack.fire(now, |t| ctx.timer(TOK_DELACK, t)) => {
+                if let Some(ack) = self.receiver.on_delack_timer(now) {
+                    self.send_ack(ack, now, ctx);
                 }
-            TOK_DELACK
-                if self.delack_deadline == Some(now) => {
-                    self.delack_deadline = None;
-                    if let Some(ack) = self.receiver.on_delack_timer(now) {
-                        self.send_ack(ack, now, ctx);
-                    }
-                }
+            }
             _ => {}
         }
     }
@@ -142,11 +138,11 @@ impl TcpBulk {
         if receiver_side && seg.len > 0 {
             let out = self.receiver.on_data(&seg, now);
             if let Some(ack) = out.ack {
+                self.delack.disarm();
                 self.send_ack(ack, now, ctx);
             }
-            if let Some(d) = out.arm_delack {
-                self.delack_deadline = Some(d);
-                ctx.timer(TOK_DELACK, d);
+            if let Some(at) = out.arm_delack {
+                self.delack.arm(at, |t| ctx.timer(TOK_DELACK, t));
             }
         } else if !receiver_side && seg.is_pure_ack() {
             let out = self.sender.on_ack(&seg, now);

@@ -13,6 +13,7 @@ use wifiq_transport::{SendOutcome, TcpReceiver, TcpSender};
 
 use crate::ctx::FlowCtx;
 use crate::msg::AppMsg;
+use crate::timer::Deadline;
 
 /// Parallel connections the client uses (the paper's client "fetch\[es\]
 /// multiple requests in parallel over four different TCP connections").
@@ -73,8 +74,8 @@ struct Conn {
     client_req: Option<usize>,
     expected: u64,
     got_any: bool,
-    rto_deadline: Option<Nanos>,
-    delack_deadline: Option<Nanos>,
+    rto: Deadline,
+    delack: Deadline,
 }
 
 /// One emulated page load from a station.
@@ -202,9 +203,10 @@ impl WebSession {
                 AppMsg::WebTcp { req, seg },
             );
         }
-        self.conns[c].rto_deadline = out.rearm_rto;
-        if let Some(d) = out.rearm_rto {
-            ctx.timer(TOK_RTO_BASE + c as u64, d);
+        let rto = &mut self.conns[c].rto;
+        match out.rearm_rto {
+            Some(at) => rto.arm(at, |t| ctx.timer(TOK_RTO_BASE + c as u64, t)),
+            None => rto.disarm(),
         }
     }
 
@@ -238,7 +240,7 @@ impl WebSession {
             }
             s if (TOK_RTO_BASE..TOK_RTO_BASE + WEB_CONNS as u64).contains(&s) => {
                 let c = (s - TOK_RTO_BASE) as usize;
-                if self.conns[c].rto_deadline == Some(now) {
+                if self.conns[c].rto.fire(now, |t| ctx.timer(s, t)) {
                     if let Some(sender) = self.conns[c].sender.as_mut() {
                         let out = sender.on_rto(now);
                         self.emit(c, out, now, ctx);
@@ -247,8 +249,7 @@ impl WebSession {
             }
             s if (TOK_DELACK_BASE..TOK_DELACK_BASE + WEB_CONNS as u64).contains(&s) => {
                 let c = (s - TOK_DELACK_BASE) as usize;
-                if self.conns[c].delack_deadline == Some(now) {
-                    self.conns[c].delack_deadline = None;
+                if self.conns[c].delack.fire(now, |t| ctx.timer(s, t)) {
                     let req = self.conns[c].client_req;
                     if let (Some(req), Some(rx)) = (req, self.conns[c].receiver.as_mut()) {
                         if let Some(ack) = rx.on_delack_timer(now) {
@@ -320,11 +321,12 @@ impl WebSession {
                     rx.on_data(&seg, now)
                 };
                 if let Some(ack) = out.ack {
+                    self.conns[c].delack.disarm();
                     self.send_client_ack(c, req, ack, now, ctx);
                 }
-                if let Some(d) = out.arm_delack {
-                    self.conns[c].delack_deadline = Some(d);
-                    ctx.timer(TOK_DELACK_BASE + c as u64, d);
+                if let Some(at) = out.arm_delack {
+                    let push = |t| ctx.timer(TOK_DELACK_BASE + c as u64, t);
+                    self.conns[c].delack.arm(at, push);
                 }
                 let done = self.conns[c]
                     .receiver
