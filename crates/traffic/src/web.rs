@@ -73,9 +73,11 @@ struct Conn {
     /// Which request the client currently awaits.
     client_req: Option<usize>,
     expected: u64,
-    got_any: bool,
     rto: Deadline,
     delack: Deadline,
+    /// The client's request timeout: live from sending the request until
+    /// the first byte of its response.
+    retry: Deadline,
 }
 
 /// One emulated page load from a station.
@@ -167,13 +169,12 @@ impl WebSession {
         conn.client_req = Some(req);
         conn.receiver = Some(TcpReceiver::new());
         conn.expected = size;
-        conn.got_any = false;
         self.send_request(c, now, ctx);
     }
 
     fn send_request(&mut self, c: usize, now: Nanos, ctx: &mut FlowCtx<'_>) {
-        let conn = &self.conns[c];
-        let req = conn.client_req.expect("request must be active");
+        let conn = &mut self.conns[c];
+        assert!(conn.client_req.is_some(), "request must be active");
         let size = conn.expected;
         ctx.send(
             NodeAddr::Station(self.station),
@@ -185,8 +186,8 @@ impl WebSession {
             AppMsg::WebReq { conn: c, size },
         );
         // Morally an HTTP client's connect/response timeout.
-        ctx.timer(TOK_REQ_RETRY_BASE + c as u64, now + RETRY_TIMEOUT);
-        let _ = req;
+        let push = |t| ctx.timer(TOK_REQ_RETRY_BASE + c as u64, t);
+        conn.retry.arm(now + RETRY_TIMEOUT, push);
     }
 
     /// Server side: emit a sender outcome for connection `c`.
@@ -260,7 +261,7 @@ impl WebSession {
             }
             s if (TOK_REQ_RETRY_BASE..TOK_REQ_RETRY_BASE + WEB_CONNS as u64).contains(&s) => {
                 let c = (s - TOK_REQ_RETRY_BASE) as usize;
-                if self.conns[c].client_req.is_some() && !self.conns[c].got_any {
+                if self.conns[c].retry.fire(now, |t| ctx.timer(s, t)) {
                     self.send_request(c, now, ctx);
                 }
             }
@@ -314,7 +315,7 @@ impl WebSession {
                 if seg.len == 0 {
                     return;
                 }
-                self.conns[c].got_any = true;
+                self.conns[c].retry.disarm();
                 let expected = self.conns[c].expected;
                 let out = {
                     let rx = self.conns[c].receiver.as_mut().expect("receiver active");
@@ -514,6 +515,74 @@ mod tests {
         assert!(
             dup.is_empty(),
             "duplicate DNS response re-triggered requests"
+        );
+    }
+
+    /// Request 4 follows request 0 on connection 0 half a second in: the
+    /// timeout request 0 left behind fires at 1.002 s, before request 4
+    /// has had its own second, and must not re-send it.
+    #[test]
+    fn a_retry_timer_of_the_previous_request_does_not_resend_the_next() {
+        let page = WebPage {
+            sizes: vec![1_000; 5],
+        };
+        let mut web = WebSession::new(0, page, Nanos::ZERO);
+        let mut pkt_id = 0u64;
+        let mut cmds = Commands::new();
+        web.on_timer(
+            TOK_START,
+            Nanos::ZERO,
+            &mut ctx(&mut cmds, &mut pkt_id, &mut rng()),
+        );
+        let query = drain(&mut cmds).remove(0);
+        let ms = Nanos::from_millis;
+        let answer = step(&mut web, Delivery::AtServer, query, ms(1), &mut pkt_id).remove(0);
+        let gets = step(&mut web, Delivery::AtStation(0), answer, ms(2), &mut pkt_id);
+        let get0 = gets
+            .into_iter()
+            .find(|p| matches!(p.payload, AppMsg::WebReq { conn: 0, .. }))
+            .expect("request 0 on connection 0");
+        let data = step(&mut web, Delivery::AtServer, get0, ms(3), &mut pkt_id).remove(0);
+        let next = step(&mut web, Delivery::AtStation(0), data, ms(500), &mut pkt_id);
+        assert!(
+            matches!(
+                next[..],
+                [Packet {
+                    payload: AppMsg::WebReq { conn: 0, .. },
+                    ..
+                }]
+            ),
+            "request 4 follows on connection 0"
+        );
+
+        let mut cmds = Commands::new();
+        let retry = TOK_REQ_RETRY_BASE;
+        web.on_timer(
+            retry,
+            ms(1_002),
+            &mut ctx(&mut cmds, &mut pkt_id, &mut rng()),
+        );
+        assert!(
+            cmds.sends().is_empty(),
+            "request 4 re-sent by request 0's timer"
+        );
+        assert_eq!(cmds.timers(), [(retry, ms(1_500))]);
+
+        let mut cmds = Commands::new();
+        web.on_timer(
+            retry,
+            ms(1_500),
+            &mut ctx(&mut cmds, &mut pkt_id, &mut rng()),
+        );
+        assert!(
+            matches!(
+                cmds.sends(),
+                [Packet {
+                    payload: AppMsg::WebReq { conn: 0, .. },
+                    ..
+                }]
+            ),
+            "request 4's own timeout re-sends it"
         );
     }
 
