@@ -4,8 +4,8 @@
 //! TCP moves its retransmission and delayed-ACK deadlines on nearly every
 //! segment, as Linux moves a socket's timers in place. Pushing one wheel
 //! event per move would leave the queue holding events that fire only to
-//! be ignored (on `tcp30_mixed`, 96 % of the timer dispatches and a third
-//! of all events). A [`Deadline`] keeps the live deadline beside the time
+//! be ignored (on `tcp30_mixed`, over nine in ten timer dispatches and a
+//! third of all events). A [`Deadline`] keeps the live deadline beside the time
 //! of the one event it counts on, and pushes only when the deadline moves
 //! ahead of that event.
 
@@ -17,7 +17,7 @@ use wifiq_sim::Nanos;
 /// before it (`pending <= live`). So the timer fires at exactly the live
 /// deadline, as a push per re-arm would; only its place among other
 /// events of that same nanosecond can differ.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default)]
 pub(crate) struct Deadline {
     /// When the timer is due; `None` while disarmed.
     live: Option<Nanos>,
