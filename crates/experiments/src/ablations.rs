@@ -17,14 +17,16 @@
 
 use serde::Serialize;
 use wifiq_core::fq::DropPolicy;
-use wifiq_mac::{SchemeKind, StationMeter, WifiNetwork};
+use wifiq_mac::SchemeKind;
 use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
-use crate::runner::{mean, median, meter_delta, meter_window, run_seeds, shares_of, to_ms, RunCfg};
-use crate::scenario::{self, EXTRA, SLOW};
-use crate::udp_sat::SAT_RATE_BPS;
+use crate::runner::{bps, mean, median, run_seeds, shares_of, to_ms, RunCfg};
+use crate::scenario::{self, tcp_down, tcp_up, SLOW, TESTBED3};
+use crate::scenario_file::ScenarioFile;
+use crate::sparse::{self, BulkKind};
+use crate::udp_sat::SAT_MBPS;
 
 /// Result of the RX-charging ablation (bidirectional TCP).
 #[derive(Debug, Clone, Serialize)]
@@ -37,33 +39,30 @@ pub struct RxChargingResult {
     pub slow_share: f64,
 }
 
-/// Runs bidirectional TCP under the airtime scheme with RX charging
-/// toggled.
-pub fn rx_charging(enabled: bool, cfg: &RunCfg) -> RxChargingResult {
+/// One repetition of the RX-charging ablation: bidirectional TCP to every
+/// testbed station under the airtime scheme.
+pub fn rx_charging_cell(seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let traffic = (0..3)
+        .flat_map(|station| [tcp_down(station), tcp_up(station)])
+        .collect();
+    scenario::cell(SchemeKind::AirtimeFair, &TESTBED3, traffic, seed, cfg)
+}
+
+/// Runs [`rx_charging_cell`] with RX charging toggled.
+pub fn rx_charging(enabled: bool, cfg: &RunCfg) -> Result<RxChargingResult, String> {
     let config = if enabled { "on" } else { "off" };
     // (jain, slow share) per repetition.
     let reps: Vec<(f64, f64)> = run_seeds("ablations", "rx_charging", config, cfg, |seed| {
-        let mut net_cfg = scenario::testbed3(SchemeKind::AirtimeFair, seed);
-        net_cfg.airtime.charge_rx = enabled;
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-        let mut app = TrafficApp::new();
-        for sta in 0..3 {
-            app.add_tcp_down(sta, Nanos::ZERO);
-            app.add_tcp_up(sta, Nanos::ZERO);
-        }
-        app.install(&mut net);
-        net.run(cfg.warmup, &mut app);
-        let before: Vec<StationMeter> = net.meter().all().to_vec();
-        net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
-        let shares = shares_of(&window);
-        (jain_index(&shares), shares[SLOW])
-    });
-    RxChargingResult {
+        let doc = rx_charging_cell(seed, cfg);
+        let mut built = doc.build_with(|c| c.airtime.charge_rx = enabled)?;
+        let shares = shares_of(&built.measure(cfg.warmup).meters);
+        Ok((jain_index(&shares), shares[SLOW]))
+    })?;
+    Ok(RxChargingResult {
         charge_rx: enabled,
         jain: median(&reps.iter().map(|r| r.0).collect::<Vec<_>>()),
         slow_share: mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
-    }
+    })
 }
 
 /// Result of the per-station CoDel ablation.
@@ -79,40 +78,40 @@ pub struct AdaptiveCodelResult {
     pub retransmissions: f64,
 }
 
-/// Bulk TCP to a very slow (1 Mbps legacy) station, with and without the
-/// §3.1.1 parameter adaptation. At 1 Mbps the default 20 ms target allows
-/// under two full-size packets of queue, which is where the
-/// over-aggressive-CoDel starvation bites.
-pub fn adaptive_codel(enabled: bool, cfg: &RunCfg) -> AdaptiveCodelResult {
+/// One repetition of the per-station CoDel ablation: bulk TCP to a very
+/// slow (1 Mbps legacy) station in place of the testbed's MCS0 one. At
+/// 1 Mbps the default 20 ms target allows under two full-size packets of
+/// queue, which is where the over-aggressive-CoDel starvation bites.
+pub fn adaptive_codel_cell(seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut rates = TESTBED3;
+    rates[SLOW] = "1mbps";
+    let traffic = vec![tcp_down(SLOW)];
+    scenario::cell(SchemeKind::AirtimeFair, &rates, traffic, seed, cfg)
+}
+
+/// Runs [`adaptive_codel_cell`] with and without the §3.1.1 parameter
+/// adaptation.
+pub fn adaptive_codel(enabled: bool, cfg: &RunCfg) -> Result<AdaptiveCodelResult, String> {
     let config = if enabled { "on" } else { "off" };
     // (goodput, drops, retransmissions) per repetition.
     let reps: Vec<(f64, f64, f64)> =
         run_seeds("ablations", "adaptive_codel", config, cfg, |seed| {
-            let mut net_cfg = scenario::testbed3(SchemeKind::AirtimeFair, seed);
-            net_cfg.stations[scenario::SLOW].rate =
-                wifiq_phy::PhyRate::Legacy(wifiq_phy::LegacyRate::Dsss1);
-            net_cfg.adaptive_codel = enabled;
-            let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-            let mut app = TrafficApp::new();
-            let bulk = app.add_tcp_down(SLOW, Nanos::ZERO);
-            app.install(&mut net);
-            net.run(cfg.warmup, &mut app);
-            let delivered = app.delivered_bytes(bulk);
-            net.run(cfg.duration, &mut app);
-            let bytes = app.delivered_bytes(bulk) - delivered;
-            let st = app.tcp(bulk).sender_stats();
-            (
-                bytes as f64 * 8.0 / cfg.window().as_secs_f64(),
-                net.ap_codel_drops() as f64,
+            let doc = adaptive_codel_cell(seed, cfg);
+            let mut built = doc.build_with(|c| c.adaptive_codel = enabled)?;
+            let bytes = built.measure(cfg.warmup).delivered[0];
+            let st = built.app.tcp(FlowHandle(0)).sender_stats();
+            Ok((
+                bps(bytes, cfg.window()),
+                built.net.ap_codel_drops() as f64,
                 (st.fast_retransmits + st.timeouts) as f64,
-            )
-        });
-    AdaptiveCodelResult {
+            ))
+        })?;
+    Ok(AdaptiveCodelResult {
         adaptive: enabled,
         slow_goodput_bps: mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>()),
         codel_drops: mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
         retransmissions: mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
-    }
+    })
 }
 
 /// Result of the overlimit drop-policy ablation.
@@ -126,38 +125,37 @@ pub struct DropPolicyResult {
     pub fast_aggregation: f64,
 }
 
-/// UDP saturation with a tight global limit, under each overlimit policy.
+/// One repetition of the drop-policy ablation: saturating UDP to a fast
+/// station and to the slow one.
+pub fn drop_policy_cell(seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let traffic = vec![scenario::udp(0, SAT_MBPS), scenario::udp(SLOW, SAT_MBPS)];
+    scenario::cell(SchemeKind::AirtimeFair, &TESTBED3, traffic, seed, cfg)
+}
+
+/// Runs [`drop_policy_cell`] with a tight global limit under each
+/// overlimit policy.
 ///
 /// The limit is reduced so the saturating slow-station flow can actually
 /// fill it within the run; with tail drop it then monopolises the budget.
-pub fn drop_policy(policy: DropPolicy, cfg: &RunCfg) -> DropPolicyResult {
+pub fn drop_policy(policy: DropPolicy, cfg: &RunCfg) -> Result<DropPolicyResult, String> {
     let config = format!("{policy:?}");
     // (fast goodput, fast aggregation) per repetition.
     let reps: Vec<(f64, f64)> = run_seeds("ablations", "drop_policy", &config, cfg, |seed| {
-        let mut net_cfg = scenario::testbed3(SchemeKind::AirtimeFair, seed);
-        net_cfg.fq.drop_policy = policy;
-        net_cfg.fq.limit = 512;
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-        let mut app = TrafficApp::new();
-        let fast = app.add_udp_down(0, SAT_RATE_BPS, Nanos::ZERO);
-        app.add_udp_down(SLOW, SAT_RATE_BPS, Nanos::ZERO);
-        app.install(&mut net);
-        net.run(cfg.warmup, &mut app);
-        let before = *net.station_meter(0);
-        let delivered = app.delivered_bytes(fast);
-        net.run(cfg.duration, &mut app);
-        let window = meter_delta(net.station_meter(0), &before);
-        let bytes = app.delivered_bytes(fast) - delivered;
-        (
-            bytes as f64 * 8.0 / cfg.window().as_secs_f64(),
-            window.mean_aggregation(),
-        )
-    });
-    DropPolicyResult {
+        let mut built = drop_policy_cell(seed, cfg).build_with(|c| {
+            c.fq.drop_policy = policy;
+            c.fq.limit = 512;
+        })?;
+        let window = built.measure(cfg.warmup);
+        Ok((
+            bps(window.delivered[0], cfg.window()),
+            window.meters[0].mean_aggregation(),
+        ))
+    })?;
+    Ok(DropPolicyResult {
         policy: config,
         fast_goodput_bps: mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>()),
         fast_aggregation: mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
-    }
+    })
 }
 
 /// Result of the quantum-sweep ablation.
@@ -171,30 +169,22 @@ pub struct QuantumResult {
     pub jain: f64,
 }
 
-/// Airtime-quantum sweep: bulk UDP on three stations, ping on a fourth.
-pub fn quantum(quantum_us: u64, cfg: &RunCfg) -> QuantumResult {
+/// Airtime-quantum sweep over Figure 8's UDP cell ([`sparse::cell`]):
+/// bulk UDP on three stations, ping on a fourth (component 0), with a
+/// `quantum_us` airtime quantum.
+pub fn quantum(quantum_us: u64, cfg: &RunCfg) -> Result<QuantumResult, String> {
     let config = format!("{quantum_us}us");
     // (median sparse RTT, jain) per repetition.
     let reps: Vec<(f64, f64)> = run_seeds("ablations", "quantum", &config, cfg, |seed| {
-        let mut net_cfg = scenario::testbed4(SchemeKind::AirtimeFair, seed);
-        net_cfg.airtime.quantum = Nanos::from_micros(quantum_us);
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-        let mut app = TrafficApp::new();
-        let ping = app.add_ping(EXTRA, Nanos::ZERO);
-        for sta in 0..3 {
-            app.add_udp_down(sta, SAT_RATE_BPS, Nanos::ZERO);
-        }
-        app.install(&mut net);
-        net.run(cfg.warmup, &mut app);
-        let before: Vec<StationMeter> = net.meter().all().to_vec();
-        net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
-        let ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
-        (median(&ms), jain_index(&shares_of(&window[..3])))
-    });
-    QuantumResult {
+        let doc = sparse::cell(BulkKind::Udp, seed, cfg);
+        let mut built = doc.build_with(|c| c.airtime.quantum = Nanos::from_micros(quantum_us))?;
+        let window = built.measure(cfg.warmup);
+        let ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
+        Ok((median(&ms), jain_index(&shares_of(&window.meters[..3]))))
+    })?;
+    Ok(QuantumResult {
         quantum_us,
         sparse_median_ms: median(&reps.iter().map(|r| r.0).collect::<Vec<_>>()),
         jain: median(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
-    }
+    })
 }

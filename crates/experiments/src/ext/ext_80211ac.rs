@@ -7,13 +7,14 @@
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
-use crate::runner::{delivered_bytes, delivered_since, to_ms};
+use crate::runner::{bps, mean, run_seeds, to_ms};
+use crate::scenario::{self, ping, tcp_down};
+use crate::scenario_file::ScenarioFile;
 use crate::RunCfg;
-use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
+use wifiq_mac::SchemeKind;
 use wifiq_phy::{PhyRate, VhtWidth};
-use wifiq_sim::Nanos;
 use wifiq_stats::Summary;
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -23,43 +24,37 @@ struct Row {
     total_mbps: f64,
 }
 
-fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Row {
+/// Two 866.7 Mbps laptops and a fringe device under bulk TCP download,
+/// with a ping to a laptop and to the fringe device (components 0 and 1).
+/// The fringe device is `vht0` here, single-stream (32.5 Mbps) once
+/// [`measure`] tunes it: `vhtN` means two streams.
+pub(crate) fn cell(scheme: SchemeKind, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic = vec![ping(0), ping(2)];
+    traffic.extend((0..3).map(tcp_down));
+    scenario::cell(scheme, &["vht9", "vht9", "vht0"], traffic, seed, cfg)
+}
+
+fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Result<Row, String> {
     // (fast RTTs, slow RTTs, total Mbps) per repetition.
     let reps: Vec<(Vec<f64>, Vec<f64>, f64)> =
-        crate::runner::run_seeds("ext_80211ac", scheme.slug(), "", cfg, |seed| {
-            // Two 866.7 Mbps laptops and one 32.5 Mbps fringe device.
-            let net_cfg = NetworkConfig::builder()
-                .stations_at(2, PhyRate::vht(9, 2, VhtWidth::Mhz80, true))
-                .station(PhyRate::vht(0, 1, VhtWidth::Mhz80, true))
-                .scheme(scheme)
-                .seed(seed)
-                .build();
-            let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-            let mut app = TrafficApp::new();
-            let ping_fast = app.add_ping(0, Nanos::ZERO);
-            let ping_slow = app.add_ping(2, Nanos::ZERO);
-            let tcps: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
-            app.install(&mut net);
-            net.run(cfg.warmup, &mut app);
-            let delivered = delivered_bytes(&app, &tcps);
-            net.run(cfg.duration, &mut app);
-            let rtts = |flow| -> Vec<f64> { to_ms(&app.ping(flow).rtts_after(cfg.warmup)) };
-            let secs = cfg.window().as_secs_f64();
-            let total = delivered_since(&app, &tcps, &delivered)
-                .into_iter()
-                .map(|b| b as f64 * 8.0 / secs)
-                .sum::<f64>()
-                / 1e6;
-            (rtts(ping_fast), rtts(ping_slow), total)
-        });
+        run_seeds("ext_80211ac", scheme.slug(), "", cfg, |seed| {
+            let mut built = cell(scheme, seed, cfg).build_with(|c| {
+                c.stations[2].rate = PhyRate::vht(0, 1, VhtWidth::Mhz80, true);
+            })?;
+            let window = built.measure(cfg.warmup);
+            let rtts = |flow| to_ms(&built.app.ping(FlowHandle(flow)).rtts_after(window.from));
+            let total = window.delivered[2..].iter().map(|&b| bps(b, cfg.window()));
+            let total = total.sum::<f64>() / 1e6;
+            Ok((rtts(0), rtts(1), total))
+        })?;
     let fast_ms: Vec<f64> = reps.iter().flat_map(|r| r.0.iter().copied()).collect();
     let slow_ms: Vec<f64> = reps.iter().flat_map(|r| r.1.iter().copied()).collect();
-    Row {
+    Ok(Row {
         scheme: scheme.label().to_string(),
         fast_median_ms: Summary::of(&fast_ms).median,
         slow_median_ms: Summary::of(&slow_ms).median,
-        total_mbps: crate::runner::mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
-    }
+        total_mbps: mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
+    })
 }
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
@@ -78,7 +73,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     ]
     .into_iter()
     .map(|s| measure(s, cfg))
-    .collect();
+    .collect::<Result<_, _>>()?;
     let mut t = Table::new(vec![
         "Scheme",
         "Fast median (ms)",

@@ -1,6 +1,6 @@
 //! Extension experiment: weighted airtime fairness — the per-station
-//! weight knob, now expressed as a flat [`PolicySet`] compiled onto the
-//! scheduler through the builder's policy path.
+//! weight knob, now expressed as a flat policy tree compiled onto the
+//! scheduler through the document's `policy` block.
 //!
 //! Three identical fast stations with weights 1:2:4 under saturating
 //! UDP; airtime shares should track the weights.
@@ -8,15 +8,38 @@
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::runner::{mean, meter_window, run_seeds, shares_of};
+use crate::runner::{mean, run_seeds, shares_of};
+use crate::scenario;
+use crate::scenario_file::{PolicyNodeSpec, PolicySpec, ScenarioFile};
+use crate::udp_sat::SAT_MBPS;
 use crate::RunCfg;
-use wifiq_mac::{NetworkConfig, PolicySet, SchemeKind, StationMeter, WifiNetwork};
-use wifiq_sim::Nanos;
-use wifiq_traffic::TrafficApp;
+use wifiq_mac::SchemeKind;
+
+const WEIGHTS: [u32; 3] = [1, 2, 4];
+
+/// Saturating UDP to three identical fast stations, so only their
+/// weights differ: one `staN` policy leaf each, the flat set
+/// [`PolicySet::flat`](wifiq_mac::PolicySet::flat) builds.
+pub(crate) fn cell(seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let traffic = (0..3).map(|sta| scenario::udp(sta, SAT_MBPS)).collect();
+    let leaf = |(sta, &weight): (usize, &u32)| PolicyNodeSpec {
+        name: format!("sta{sta}"),
+        weight,
+        classes: None,
+        stations: Some(vec![sta]),
+        nodes: None,
+    };
+    ScenarioFile {
+        policy: Some(PolicySpec {
+            nodes: WEIGHTS.iter().enumerate().map(leaf).collect(),
+            switches: Vec::new(),
+        }),
+        ..scenario::cell(SchemeKind::AirtimeFair, &["mcs15"; 3], traffic, seed, cfg)
+    }
+}
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let mut out = String::new();
-    let weights = [1u32, 2, 4];
     let _ = writeln!(
         out,
         "Extension: weighted airtime fairness (weights 1:2:4, {} reps x {}s)\n",
@@ -25,26 +48,9 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     );
     // Per-station airtime shares, one vector per repetition.
     let reps: Vec<Vec<f64>> = run_seeds("ext_airtime_weights", "1_2_4", "", cfg, |seed| {
-        // All three stations fast and identical, so only weights differ.
-        let mut b = NetworkConfig::builder()
-            .scheme(SchemeKind::AirtimeFair)
-            .seed(seed)
-            .policy(PolicySet::flat(&weights));
-        for _ in 0..3 {
-            b = b.station(wifiq_phy::PhyRate::fast_station());
-        }
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(b.build());
-        let mut app = TrafficApp::new();
-        for sta in 0..3 {
-            app.add_udp_down(sta, 100_000_000, Nanos::ZERO);
-        }
-        app.install(&mut net);
-        net.run(cfg.warmup, &mut app);
-        let before: Vec<StationMeter> = net.meter().all().to_vec();
-        net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
-        shares_of(&window)
-    });
+        let mut built = cell(seed, cfg).build()?;
+        Ok(shares_of(&built.measure(cfg.warmup).meters))
+    })?;
     let share_acc: Vec<Vec<f64>> = (0..3)
         .map(|sta| reps.iter().map(|r| r[sta]).collect())
         .collect();
@@ -54,8 +60,8 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         expected_share: f64,
         measured_share: f64,
     }
-    let total_w: u32 = weights.iter().sum();
-    let rows: Vec<Row> = weights
+    let total_w: u32 = WEIGHTS.iter().sum();
+    let rows: Vec<Row> = WEIGHTS
         .iter()
         .enumerate()
         .map(|(sta, &w)| Row {

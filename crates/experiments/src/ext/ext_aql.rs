@@ -10,13 +10,13 @@
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
-use crate::runner::{delivered_bytes, delivered_since, mbps, to_ms};
+use crate::runner::{mbps, mean, run_seeds, to_ms};
+use crate::scenario::{self, ping, tcp_down};
+use crate::scenario_file::ScenarioFile;
 use crate::RunCfg;
-use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
-use wifiq_phy::{LegacyRate, PhyRate};
-use wifiq_sim::Nanos;
+use wifiq_mac::SchemeKind;
 use wifiq_stats::Summary;
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -27,44 +27,42 @@ struct Row {
     total_mbps: f64,
 }
 
-fn measure(aql: Option<Nanos>, cfg: &RunCfg) -> Row {
-    let config = aql.map_or("off".to_string(), |a| format!("{}ms", a.as_millis()));
+/// Two fast stations and a 1 Mbps legacy device — the worst
+/// hardware-queue hog the testbed family produces — under the airtime
+/// scheme with an `aql_ms` limit: a ping to a fast station (component 0),
+/// then a TCP download to every station.
+pub(crate) fn cell(aql_ms: Option<u64>, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic = vec![ping(0)];
+    traffic.extend((0..3).map(tcp_down));
+    let rates = ["mcs15", "mcs15", "1mbps"];
+    ScenarioFile {
+        aql_ms,
+        ..scenario::cell(SchemeKind::AirtimeFair, &rates, traffic, seed, cfg)
+    }
+}
+
+fn measure(aql_ms: Option<u64>, cfg: &RunCfg) -> Result<Row, String> {
+    let config = aql_ms.map_or("off".to_string(), |ms| format!("{ms}ms"));
     // (fast RTTs in ms, slow Mbps, total Mbps) per repetition.
-    let reps: Vec<(Vec<f64>, f64, f64)> =
-        crate::runner::run_seeds("ext_aql", &config, "", cfg, |seed| {
-            // Two fast stations and a 1 Mbps legacy device — the worst
-            // hardware-queue hog the testbed family produces.
-            let net_cfg = NetworkConfig::builder()
-                .stations_at(2, PhyRate::fast_station())
-                .station(PhyRate::Legacy(LegacyRate::Dsss1))
-                .scheme(SchemeKind::AirtimeFair)
-                .aql(aql)
-                .seed(seed)
-                .build();
-            let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-            let mut app = TrafficApp::new();
-            let ping = app.add_ping(0, Nanos::ZERO);
-            let tcps: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
-            app.install(&mut net);
-            net.run(cfg.warmup, &mut app);
-            let delivered = delivered_bytes(&app, &tcps);
-            net.run(cfg.duration, &mut app);
-            let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
-            let per: Vec<f64> = delivered_since(&app, &tcps, &delivered)
-                .into_iter()
-                .map(|b| mbps(b, cfg.window()))
-                .collect();
-            (fast_ms, per[2], per.iter().sum())
-        });
+    let reps: Vec<(Vec<f64>, f64, f64)> = run_seeds("ext_aql", &config, "", cfg, |seed| {
+        let mut built = cell(aql_ms, seed, cfg).build()?;
+        let window = built.measure(cfg.warmup);
+        let fast_ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
+        let per: Vec<f64> = window.delivered[1..]
+            .iter()
+            .map(|&b| mbps(b, cfg.window()))
+            .collect();
+        Ok((fast_ms, per[2], per.iter().sum()))
+    })?;
     let fast_ms: Vec<f64> = reps.iter().flat_map(|r| r.0.iter().copied()).collect();
     let s = Summary::of(&fast_ms);
-    Row {
-        aql_ms: aql.map(|a| a.as_millis()),
+    Ok(Row {
+        aql_ms,
         fast_median_ms: s.median,
         fast_p95_ms: s.p95,
-        slow_goodput_mbps: crate::runner::mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
-        total_mbps: crate::runner::mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
-    }
+        slow_goodput_mbps: mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
+        total_mbps: mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
+    })
 }
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
@@ -76,14 +74,10 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let rows: Vec<Row> = [
-        None,
-        Some(Nanos::from_millis(12)),
-        Some(Nanos::from_millis(5)),
-    ]
-    .into_iter()
-    .map(|aql| measure(aql, cfg))
-    .collect();
+    let rows: Vec<Row> = [None, Some(12), Some(5)]
+        .into_iter()
+        .map(|aql_ms| measure(aql_ms, cfg))
+        .collect::<Result<_, _>>()?;
     let mut t = Table::new(vec![
         "AQL",
         "Fast ping median (ms)",

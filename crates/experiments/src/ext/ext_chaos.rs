@@ -24,31 +24,23 @@ use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
 use crate::rollup::{write_rollup, Flood};
-use crate::runner::{
-    delivered_bytes, delivered_since, mean, meter_window, shares_of, to_ms, try_run_seeds,
-};
-use crate::{scenario, RunCfg};
+use crate::runner::{bps, mean, run_seeds, shares_of, to_ms};
+use crate::scenario::{self, fault, ping, tcp_down, udp, FAST1, FAST2, SLOW, TESTBED3};
+use crate::scenario_file::{FaultKind, FaultSpec, ScenarioFile};
+use crate::RunCfg;
 use wifiq_mac::{
-    FaultEntry, FaultTarget, Impairment, NetworkConfig, Preset, SchemeKind, StationMeter,
-    WifiNetwork,
+    FaultEntry, FaultTarget, Impairment, NetworkConfig, Preset, SchemeKind, WifiNetwork,
 };
-use wifiq_phy::{ChannelWidth, PhyRate};
+use wifiq_phy::PhyRate;
 use wifiq_scale::ShardCtx;
 use wifiq_sim::Nanos;
 use wifiq_stats::{jain_index, Summary};
 use wifiq_telemetry::{Label, Registry, Telemetry};
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
 /// Deep collapse: MCS0 HT20 SGI = 7.2 Mbps, below the 12 Mbps CoDel
-/// threshold.
-fn deep_rate() -> PhyRate {
-    PhyRate::ht(0, ChannelWidth::Ht20, true)
-}
-
-/// Shallow collapse: MCS3 HT20 SGI = 28.9 Mbps, above the threshold.
-fn shallow_rate() -> PhyRate {
-    PhyRate::ht(3, ChannelWidth::Ht20, true)
-}
+/// threshold. The sweep also collapses to `mcs3` (28.9 Mbps, above it).
+const DEEP: &str = "mcs0";
 
 /// The mid-run rate-collapse window: 1 s into the measurement window,
 /// 3 s long — longer than the 2 s CoDel hysteresis, so the switch
@@ -73,67 +65,62 @@ struct Row {
     codel_recoveries_min: u64,
 }
 
-/// One sweep point: bursty loss pinned at the slow station for the whole
-/// run, plus an optional mid-run rate collapse at the second fast
-/// station.
-fn run_point(
+/// One repetition of a sweep point: a ping to a fast station (component
+/// 0) and a TCP download to every station, with bursty loss pinned at the
+/// slow station for the whole run, plus an optional mid-run collapse of
+/// the second fast station to the `collapse` rate.
+pub(crate) fn cell(
     burst_len: f64,
-    collapse: Option<PhyRate>,
-    label: &str,
+    collapse: Option<&str>,
+    seed: u64,
     cfg: &RunCfg,
-) -> Result<Row, String> {
-    let (c_from, c_until) = collapse_window(cfg);
-    let cell = format!("burst{burst_len:.0}_{label}");
+) -> ScenarioFile {
+    let mut traffic = vec![ping(FAST1)];
+    traffic.extend((0..3).map(tcp_down));
+    let mut doc = scenario::cell(SchemeKind::AirtimeFair, &TESTBED3, traffic, seed, cfg);
+    let burst = FaultKind::BurstLoss {
+        bad_frac: 0.25,
+        burst_len,
+        loss_bad: 0.5,
+    };
+    doc.faults
+        .push(fault(0.0, doc.secs as f64, Some(SLOW), burst));
+    if let Some(rate) = collapse {
+        let (from, until) = collapse_window(cfg);
+        doc.faults.push(collapse_fault(from, until, rate));
+    }
+    doc
+}
+
+/// `rate` pinned at the second fast station over `[from, until)`.
+fn collapse_fault(from: Nanos, until: Nanos, rate: &str) -> FaultSpec {
+    let kind = FaultKind::RateCollapse { rate: rate.into() };
+    fault(from.as_secs_f64(), until.as_secs_f64(), Some(FAST2), kind)
+}
+
+fn run_point(burst_len: f64, collapse: Option<&str>, cfg: &RunCfg) -> Result<Row, String> {
+    let label = collapse.unwrap_or("none");
+    let cell_name = format!("burst{burst_len:.0}_{label}");
     // (airtime shares, fast RTTs ms, total Mbps, forced loss,
     //  param switches, codel recoveries) per repetition.
     type Rep = (Vec<f64>, Vec<f64>, f64, u64, u64, u64);
-    let reps: Vec<Rep> = try_run_seeds("ext_chaos", &cell, "", cfg, |seed| {
-        let mut b = NetworkConfig::builder()
-            .preset(Preset::PaperTestbed)
-            .scheme(SchemeKind::AirtimeFair)
-            .seed(seed)
-            .fault(FaultEntry::new(
-                Nanos::ZERO,
-                cfg.duration,
-                FaultTarget::Station(scenario::SLOW),
-                Impairment::bursty_loss(0.25, burst_len, 0.5),
-            ));
-        if let Some(rate) = collapse {
-            b = b.fault(FaultEntry::new(
-                c_from,
-                c_until,
-                FaultTarget::Station(scenario::FAST2),
-                Impairment::RateCollapse { rate },
-            ));
-        }
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(b.build());
+    let reps: Vec<Rep> = run_seeds("ext_chaos", &cell_name, "", cfg, |seed| {
+        let mut built = cell(burst_len, collapse, seed, cfg).build()?;
         let tele = Telemetry::enabled();
-        net.set_telemetry(tele.clone());
-        let mut app = TrafficApp::new();
-        let ping = app.add_ping(scenario::FAST1, Nanos::ZERO);
-        let tcps: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
-        app.install(&mut net);
-        net.run(cfg.warmup, &mut app);
-        let before: Vec<StationMeter> = net.meter().all().to_vec();
-        let delivered = delivered_bytes(&app, &tcps);
-        net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
-        let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
-        let secs = cfg.window().as_secs_f64();
-        let total = delivered_since(&app, &tcps, &delivered)
-            .into_iter()
-            .map(|b| b as f64 * 8.0 / secs)
-            .sum::<f64>()
-            / 1e6;
+        built.net.set_telemetry(tele.clone());
+        let window = built.measure(cfg.warmup);
+        let fast_ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
+        let total = window.delivered[1..].iter().map(|&b| bps(b, cfg.window()));
+        let total = total.sum::<f64>() / 1e6;
         let sta = |s: usize| Label::Station(s as u32);
-        (
-            shares_of(&window),
+        Ok((
+            shares_of(&window.meters),
             fast_ms,
             total,
-            tele.counter("chaos", "forced_loss", sta(scenario::SLOW)),
-            tele.counter("codel", "param_switches", sta(scenario::FAST2)),
-            tele.counter("chaos", "codel_recoveries", sta(scenario::FAST2)),
-        )
+            tele.counter("chaos", "forced_loss", sta(SLOW)),
+            tele.counter("codel", "param_switches", sta(FAST2)),
+            tele.counter("chaos", "codel_recoveries", sta(FAST2)),
+        ))
     })?;
     let fast_ms: Vec<f64> = reps.iter().flat_map(|r| r.1.iter().copied()).collect();
     let jains: Vec<f64> = reps.iter().map(|r| jain_index(&r.0)).collect();
@@ -141,7 +128,7 @@ fn run_point(
         burst_len,
         collapse: label.to_string(),
         jain: mean(&jains),
-        slow_share: mean(&reps.iter().map(|r| r.0[scenario::SLOW]).collect::<Vec<_>>()),
+        slow_share: mean(&reps.iter().map(|r| r.0[SLOW]).collect::<Vec<_>>()),
         fast_median_ms: Summary::of(&fast_ms).median,
         total_mbps: mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
         forced_loss: reps.iter().map(|r| r.3).sum::<u64>() / reps.len() as u64,
@@ -151,32 +138,26 @@ fn run_point(
     })
 }
 
-/// One instrumented run: collapse the second fast station to MCS0 over
-/// `[from, until)` and return the sim-time stamps of its CoDel
-/// `param_switch` events, in order.
-fn param_switch_times(from: Nanos, until: Nanos, duration: Nanos) -> Vec<Nanos> {
-    let cfg = NetworkConfig::builder()
-        .preset(Preset::PaperTestbed)
-        .scheme(SchemeKind::AirtimeFair)
-        .seed(7)
-        .fault(FaultEntry::new(
-            from,
-            until,
-            FaultTarget::Station(scenario::FAST2),
-            Impairment::RateCollapse { rate: deep_rate() },
-        ))
-        .build();
-    let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(cfg);
+/// The hysteresis probe, seed 7: light UDP to every station (it keeps
+/// each rate estimate fresh without flooding the event ring the way bulk
+/// TCP would) while the second fast station collapses to MCS0 from the
+/// collapse window's start until `until`; it runs 3 s past the window.
+pub(crate) fn probe_cell(until: Nanos, cfg: &RunCfg) -> ScenarioFile {
+    let (from, end) = collapse_window(cfg);
+    let traffic = (0..3).map(|station| udp(station, 5)).collect();
+    let mut doc = scenario::cell(SchemeKind::AirtimeFair, &TESTBED3, traffic, 7, cfg);
+    doc.secs = (end + Nanos::from_secs(3)).as_millis() / 1000;
+    doc.faults.push(collapse_fault(from, until, DEEP));
+    doc
+}
+
+/// One [`probe_cell`] run: the sim-time stamps of the second fast
+/// station's CoDel `param_switch` events, in order.
+fn param_switch_times(until: Nanos, cfg: &RunCfg) -> Result<Vec<Nanos>, String> {
+    let mut built = probe_cell(until, cfg).build()?;
     let tele = Telemetry::with_event_capacity(1 << 18);
-    net.set_telemetry(tele.clone());
-    // Light UDP keeps every station's rate estimate fresh without
-    // flooding the event ring the way bulk TCP would.
-    let mut app = TrafficApp::new();
-    for s in 0..3 {
-        app.add_udp_down(s, 5_000_000, Nanos::ZERO);
-    }
-    app.install(&mut net);
-    net.run(duration, &mut app);
+    built.net.set_telemetry(tele.clone());
+    built.run_to(built.duration);
 
     let snap = tele.snapshot("ext_chaos_probe", 7);
     let mut times = Vec::new();
@@ -185,9 +166,9 @@ fn param_switch_times(from: Nanos, until: Nanos, duration: Nanos) -> Vec<Nanos> 
         .and_then(|v| v.get("entries"))
         .and_then(|v| v.as_array())
     else {
-        return times;
+        return Ok(times);
     };
-    let want = format!("sta{}", scenario::FAST2);
+    let want = format!("sta{FAST2}");
     for ev in events {
         if ev.get("kind").and_then(|v| v.as_str()) == Some("param_switch")
             && ev.get("label").and_then(|v| v.as_str()) == Some(want.as_str())
@@ -197,7 +178,7 @@ fn param_switch_times(from: Nanos, until: Nanos, duration: Nanos) -> Vec<Nanos> 
             }
         }
     }
-    times
+    Ok(times)
 }
 
 /// One rollup shard: the paper testbed under every impairment kind
@@ -211,14 +192,16 @@ fn chaos_shard(ctx: &ShardCtx) -> ((), Option<Registry>) {
         .fault(FaultEntry::new(
             Nanos::ZERO,
             end,
-            FaultTarget::Station(scenario::SLOW),
+            FaultTarget::Station(SLOW),
             Impairment::bursty_loss(0.3, 8.0, 0.9),
         ))
         .fault(FaultEntry::new(
             Nanos::from_secs(1),
             Nanos::from_secs(2),
-            FaultTarget::Station(scenario::FAST2),
-            Impairment::RateCollapse { rate: deep_rate() },
+            FaultTarget::Station(FAST2),
+            Impairment::RateCollapse {
+                rate: PhyRate::slow_station(),
+            },
         ))
         .fault(FaultEntry::new(
             Nanos::ZERO,
@@ -271,12 +254,8 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
 
     let mut rows = Vec::new();
     for burst_len in [1.0, 8.0, 32.0] {
-        for (collapse, label) in [
-            (None, "none"),
-            (Some(shallow_rate()), "mcs3"),
-            (Some(deep_rate()), "mcs0"),
-        ] {
-            rows.push(run_point(burst_len, collapse, label, cfg)?);
+        for collapse in [None, Some("mcs3"), Some(DEEP)] {
+            rows.push(run_point(burst_len, collapse, cfg)?);
         }
     }
 
@@ -310,14 +289,12 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     // releases after it, and honours the 2 s hysteresis when the window
     // is shorter than the hold time.
     let (c_from, c_until) = collapse_window(cfg);
-    let probe_end = c_until + Nanos::from_secs(3);
     let slack = Nanos::from_secs(1);
-    let long = param_switch_times(c_from, c_until, probe_end);
+    let long = param_switch_times(c_until, cfg)?;
     let engage_in_window =
         long.len() == 2 && long[0] >= c_from && long[0] < c_from + slack && long[0] < c_until;
     let release_after_restore = long.len() == 2 && long[1] >= c_until && long[1] < c_until + slack;
-    let short_until = c_from + Nanos::from_secs(1);
-    let short = param_switch_times(c_from, short_until, probe_end);
+    let short = param_switch_times(c_from + Nanos::from_secs(1), cfg)?;
     let hold = if short.len() == 2 {
         short[1] - short[0]
     } else {
@@ -335,7 +312,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         .all(|r| r.param_switches_max == 0);
     let deep_ok = rows
         .iter()
-        .filter(|r| r.collapse == "mcs0")
+        .filter(|r| r.collapse == DEEP)
         .all(|r| r.param_switches_min >= 2 && r.codel_recoveries_min >= 1);
 
     write_rollup(cfg, "chaos", 2, chaos_shard, |_| {});

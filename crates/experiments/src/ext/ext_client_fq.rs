@@ -9,12 +9,13 @@
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
-use crate::runner::{mbps, to_ms};
-use crate::{scenario, RunCfg};
-use wifiq_mac::{SchemeKind, WifiNetwork};
-use wifiq_sim::Nanos;
+use crate::runner::{mbps, mean, run_seeds, to_ms};
+use crate::scenario::{self, ping, tcp_up, TESTBED3};
+use crate::scenario_file::ScenarioFile;
+use crate::RunCfg;
+use wifiq_mac::SchemeKind;
 use wifiq_stats::Summary;
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -24,35 +25,34 @@ struct Row {
     upload_mbps: f64,
 }
 
-fn measure(station_fq: bool, cfg: &RunCfg) -> Row {
+/// A ping (component 0) and a bulk upload from the same station, with
+/// or without the FQ-CoDel uplink: the ping crosses the station's uplink
+/// behind the upload, so the reply is what queues at the client.
+pub(crate) fn cell(station_fq: bool, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let traffic = vec![ping(0), tcp_up(0)];
+    ScenarioFile {
+        station_fq,
+        ..scenario::cell(SchemeKind::AirtimeFair, &TESTBED3, traffic, seed, cfg)
+    }
+}
+
+fn measure(station_fq: bool, cfg: &RunCfg) -> Result<Row, String> {
     let config = if station_fq { "fq" } else { "fifo" };
     // (ping RTTs in ms, upload Mbps) per repetition.
-    let reps: Vec<(Vec<f64>, f64)> =
-        crate::runner::run_seeds("ext_client_fq", config, "", cfg, |seed| {
-            let mut net_cfg = scenario::testbed3(SchemeKind::AirtimeFair, seed);
-            net_cfg.station_fq = station_fq;
-            let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-            let mut app = TrafficApp::new();
-            // The ping crosses the same station's uplink as the bulk upload —
-            // the reply is what queues at the client.
-            let ping = app.add_ping(0, Nanos::ZERO);
-            let up = app.add_tcp_up(0, Nanos::ZERO);
-            app.install(&mut net);
-            net.run(cfg.warmup, &mut app);
-            let delivered = app.delivered_bytes(up);
-            net.run(cfg.duration, &mut app);
-            let rtts: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
-            let b = app.delivered_bytes(up) - delivered;
-            (rtts, mbps(b, cfg.window()))
-        });
+    let reps: Vec<(Vec<f64>, f64)> = run_seeds("ext_client_fq", config, "", cfg, |seed| {
+        let mut built = cell(station_fq, seed, cfg).build()?;
+        let window = built.measure(cfg.warmup);
+        let rtts: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
+        Ok((rtts, mbps(window.delivered[1], cfg.window())))
+    })?;
     let rtts: Vec<f64> = reps.iter().flat_map(|r| r.0.iter().copied()).collect();
     let s = Summary::of(&rtts);
-    Row {
+    Ok(Row {
         station_fq,
         median_ms: s.median,
         p95_ms: s.p95,
-        upload_mbps: crate::runner::mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
-    }
+        upload_mbps: mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
+    })
 }
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
@@ -64,7 +64,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let rows = [measure(false, cfg), measure(true, cfg)];
+    let rows = [measure(false, cfg)?, measure(true, cfg)?];
     let mut t = Table::new(vec![
         "Client uplink",
         "Ping median (ms)",

@@ -18,14 +18,13 @@
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::runner::{
-    delivered_bytes, delivered_since, mean, meter_window, run_seeds, shares_of, to_ms,
-};
-use crate::{scenario, RunCfg};
-use wifiq_mac::{FaultEntry, FaultTarget, Impairment, SchemeKind, StationMeter, WifiNetwork};
-use wifiq_sim::Nanos;
+use crate::runner::{bps, mean, run_seeds, shares_of, to_ms};
+use crate::scenario::{self, fault, ping, tcp_down, FAST1, SLOW, TESTBED3};
+use crate::scenario_file::{FaultKind, ScenarioFile};
+use crate::RunCfg;
+use wifiq_mac::SchemeKind;
 use wifiq_stats::Summary;
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -36,48 +35,42 @@ struct Row {
     total_mbps: f64,
 }
 
-fn measure(scheme: SchemeKind, err: f64, cfg: &RunCfg) -> Row {
+/// A ping to a fast station (component 0) and a TCP download to every
+/// station, with uniform loss `err` at the slow station for the whole
+/// run (none at 0).
+pub(crate) fn cell(scheme: SchemeKind, err: f64, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic = vec![ping(FAST1)];
+    traffic.extend((0..3).map(tcp_down));
+    let mut doc = scenario::cell(scheme, &TESTBED3, traffic, seed, cfg);
+    if err > 0.0 {
+        let loss = FaultKind::Loss { prob: err };
+        doc.faults
+            .push(fault(0.0, doc.secs as f64, Some(SLOW), loss));
+    }
+    doc
+}
+
+fn measure(scheme: SchemeKind, err: f64, cfg: &RunCfg) -> Result<Row, String> {
     let error_pct = (err * 100.0).round() as u32;
     let config = format!("err{error_pct}");
     // (slow share, fast RTTs in ms, total Mbps) per repetition.
     let reps: Vec<(f64, Vec<f64>, f64)> =
         run_seeds("ext_lossy_channel", scheme.slug(), &config, cfg, |seed| {
-            let mut net_cfg = scenario::testbed3(scheme, seed);
-            if err > 0.0 {
-                net_cfg.faults.push(FaultEntry::new(
-                    Nanos::ZERO,
-                    cfg.duration,
-                    FaultTarget::Station(scenario::SLOW),
-                    Impairment::uniform_loss(err),
-                ));
-            }
-            let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-            let mut app = TrafficApp::new();
-            let ping = app.add_ping(scenario::FAST1, Nanos::ZERO);
-            let tcps: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
-            app.install(&mut net);
-            net.run(cfg.warmup, &mut app);
-            let before: Vec<StationMeter> = net.meter().all().to_vec();
-            let delivered = delivered_bytes(&app, &tcps);
-            net.run(cfg.duration, &mut app);
-            let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
-            let fast_ms: Vec<f64> = to_ms(&app.ping(ping).rtts_after(cfg.warmup));
-            let secs = cfg.window().as_secs_f64();
-            let total = delivered_since(&app, &tcps, &delivered)
-                .into_iter()
-                .map(|b| b as f64 * 8.0 / secs)
-                .sum::<f64>()
-                / 1e6;
-            (shares_of(&window)[scenario::SLOW], fast_ms, total)
-        });
+            let mut built = cell(scheme, err, seed, cfg).build()?;
+            let window = built.measure(cfg.warmup);
+            let fast_ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
+            let total = window.delivered[1..].iter().map(|&b| bps(b, cfg.window()));
+            let total = total.sum::<f64>() / 1e6;
+            Ok((shares_of(&window.meters)[SLOW], fast_ms, total))
+        })?;
     let fast_ms: Vec<f64> = reps.iter().flat_map(|r| r.1.iter().copied()).collect();
-    Row {
+    Ok(Row {
         scheme: scheme.label().to_string(),
         error_pct,
         slow_share: mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>()),
         fast_median_ms: Summary::of(&fast_ms).median,
         total_mbps: mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
-    }
+    })
 }
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
@@ -92,7 +85,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let mut rows = Vec::new();
     for scheme in [SchemeKind::Fifo, SchemeKind::AirtimeFair] {
         for err in [0.0, 0.1, 0.3] {
-            rows.push(measure(scheme, err, cfg));
+            rows.push(measure(scheme, err, cfg)?);
         }
     }
     let mut t = Table::new(vec![

@@ -14,11 +14,11 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::report::{write_json, Table};
-use crate::{scenario, RunCfg};
-use wifiq_mac::{AirtimeCapture, SchemeKind, WifiNetwork};
-use wifiq_sim::Nanos;
+use crate::scenario::{self, ping, tcp_down, tcp_up, TESTBED3};
+use crate::scenario_file::ScenarioFile;
+use crate::RunCfg;
+use wifiq_mac::{AirtimeCapture, SchemeKind};
 use wifiq_telemetry::{Label, Telemetry};
-use wifiq_traffic::TrafficApp;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -29,6 +29,16 @@ struct Row {
     telemetry_ms: f64,
     capture_error_pct: f64,
     telemetry_error_pct: f64,
+}
+
+/// A busy bidirectional run: TCP both ways to every station, plus a ping
+/// to the slow one.
+pub(crate) fn cell(seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic: Vec<_> = (0..3)
+        .flat_map(|station| [tcp_down(station), tcp_up(station)])
+        .collect();
+    traffic.push(ping(2));
+    scenario::cell(SchemeKind::AirtimeFair, &TESTBED3, traffic, seed, cfg)
 }
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
@@ -42,22 +52,16 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     );
     let mut rows: Vec<Row> = Vec::new();
     for seed in cfg.seeds() {
-        let net_cfg = scenario::testbed3(SchemeKind::AirtimeFair, seed);
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
+        let mut built = cell(seed, cfg).build()?;
         let capture = Rc::new(RefCell::new(AirtimeCapture::new(3)));
-        net.attach_monitor(Box::new(capture.clone()));
+        built.net.attach_monitor(Box::new(capture.clone()));
         // This experiment *is* the telemetry cross-check, so the registry
         // records unconditionally (no WIFIQ_METRICS gate here).
         let tele = Telemetry::enabled();
-        net.set_telemetry(tele.clone());
-        let mut app = TrafficApp::new();
-        for sta in 0..3 {
-            app.add_tcp_down(sta, Nanos::ZERO);
-            app.add_tcp_up(sta, Nanos::ZERO);
-        }
-        app.add_ping(2, Nanos::ZERO);
-        app.install(&mut net);
-        net.run(cfg.duration, &mut app);
+        built.net.set_telemetry(tele.clone());
+        // The whole run is compared, warm-up included.
+        built.run_to(built.duration);
+        let net = &built.net;
 
         let capture = capture.borrow();
         for sta in 0..3 {

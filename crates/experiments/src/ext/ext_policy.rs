@@ -27,17 +27,19 @@ use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
 use crate::rollup::{write_rollup, Flood};
-use crate::runner::{mean, meter_delta, meter_window, run_seeds, shares_of};
-use crate::{scenario, RunCfg};
+use crate::runner::{mean, meter_delta, run_seeds, shares_of};
+use crate::scenario::{self, fault, udp, SLOW, TESTBED3};
+use crate::scenario_file::{FaultKind, ScenarioFile};
+use crate::udp_sat::SAT_MBPS;
+use crate::RunCfg;
 use wifiq_mac::{
-    FaultEntry, FaultTarget, Impairment, NetworkConfig, PolicyNode, PolicySet, Preset, SchemeKind,
-    StationMeter, WifiNetwork,
+    FaultEntry, FaultTarget, Impairment, NetworkConfig, PolicyNode, PolicySet, PolicyTimeline,
+    Preset, SchemeKind, StationMeter, WifiNetwork,
 };
 use wifiq_phy::AccessCategory;
 use wifiq_scale::ShardCtx;
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{Label, Registry, Telemetry};
-use wifiq_traffic::TrafficApp;
 
 const BE: usize = 2; // AccessCategory::Be.index()
 
@@ -79,46 +81,49 @@ struct Row {
     node_max_err: f64,
 }
 
-/// One sweep point: the tree applied to the (possibly re-rated) testbed
-/// under saturating BE UDP; returns measured vs compiled shares, both
-/// per station and rolled up per policy node.
-fn run_point(tree: &str, set: PolicySet, roster: &str, gate_nodes: bool, cfg: &RunCfg) -> Row {
-    let compiled = set.compile(3).expect("sweep trees are valid");
+/// One repetition of a sweep point: saturating BE UDP to the testbed, or
+/// to three fast stations when `roster` is `"fast"`. Its policy tree is
+/// [`run_point`]'s tune: the trees are shared with the hand-built rollup
+/// shard and compiled for the expected shares.
+pub(crate) fn cell(roster: &str, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let rates = if roster == "fast" {
+        ["mcs15"; 3]
+    } else {
+        TESTBED3
+    };
+    let traffic = (0..3).map(|station| udp(station, SAT_MBPS)).collect();
+    scenario::cell(SchemeKind::AirtimeFair, &rates, traffic, seed, cfg)
+}
+
+/// One sweep point: the tree applied to [`cell`]; returns measured vs
+/// compiled shares, both per station and rolled up per policy node.
+fn run_point(
+    tree: &str,
+    set: PolicySet,
+    roster: &str,
+    gate_nodes: bool,
+    cfg: &RunCfg,
+) -> Result<Row, String> {
+    let compiled = set.compile(3)?;
     let expected: Vec<f64> = (0..3).map(|s| compiled.share(s, BE)).collect();
     let nodes = compiled.node_count();
-    let cell = format!("{tree}_{roster}");
+    let cell_name = format!("{tree}_{roster}");
     // (per-station airtime shares, per-node airtime ns) per repetition.
     type Rep = (Vec<f64>, Vec<u64>);
-    let reps: Vec<Rep> = run_seeds("ext_policy", &cell, "", cfg, |seed| {
-        let mut net_cfg = scenario::testbed3(SchemeKind::AirtimeFair, seed);
-        if roster == "fast" {
-            for station in net_cfg.stations.iter_mut() {
-                station.rate = wifiq_phy::PhyRate::fast_station();
-            }
-        }
-        net_cfg.policy = wifiq_mac::PolicyTimeline::fixed(set.clone());
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
+    let reps: Vec<Rep> = run_seeds("ext_policy", &cell_name, "", cfg, |seed| {
+        let doc = cell(roster, seed, cfg);
+        let mut built = doc.build_with(|c| c.policy = PolicyTimeline::fixed(set.clone()))?;
         let tele = Telemetry::enabled();
-        net.set_telemetry(tele.clone());
-        let mut app = TrafficApp::new();
-        for sta in 0..3 {
-            app.add_udp_down(sta, 100_000_000, Nanos::ZERO);
-        }
-        app.install(&mut net);
-        net.run(cfg.warmup, &mut app);
-        let before: Vec<StationMeter> = net.meter().all().to_vec();
-        let node_before: Vec<u64> = (0..nodes)
-            .map(|n| tele.counter("policy", "node_airtime_ns", Label::Node(n as u32)))
-            .collect();
-        net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
-        let node_air: Vec<u64> = (0..nodes)
-            .map(|n| {
-                tele.counter("policy", "node_airtime_ns", Label::Node(n as u32)) - node_before[n]
-            })
-            .collect();
-        (shares_of(&window), node_air)
-    });
+        built.net.set_telemetry(tele.clone());
+        let node_air = |n: usize| tele.counter("policy", "node_airtime_ns", Label::Node(n as u32));
+        // The node counters are read at the warm-up's end, which `measure`
+        // then runs to again without an event left to process.
+        built.run_to(cfg.warmup);
+        let before: Vec<u64> = (0..nodes).map(node_air).collect();
+        let window = built.measure(cfg.warmup);
+        let node_air = (0..nodes).map(|n| node_air(n) - before[n]).collect();
+        Ok((shares_of(&window.meters), node_air))
+    })?;
     let measured: Vec<f64> = (0..3)
         .map(|sta| mean(&reps.iter().map(|r| r.0[sta]).collect::<Vec<_>>()))
         .collect();
@@ -154,7 +159,7 @@ fn run_point(tree: &str, set: PolicySet, roster: &str, gate_nodes: bool, cfg: &R
     } else {
         0.0
     };
-    Row {
+    Ok(Row {
         tree: tree.to_string(),
         roster: roster.to_string(),
         expected,
@@ -166,58 +171,56 @@ fn run_point(tree: &str, set: PolicySet, roster: &str, gate_nodes: bool, cfg: &R
         node_expected,
         node_measured,
         node_max_err,
+    })
+}
+
+/// The convergence probe's network, seeded from `cfg`: saturating UDP to
+/// the testbed for 8 s and, when `chaos`, bursty loss at the slow station
+/// plus global ACK loss from 3 s to 6 s, straddling the policy switch at
+/// 4 s. Its policy timeline is [`convergence_probe`]'s tune.
+pub(crate) fn probe_cell(chaos: bool, cfg: &RunCfg) -> ScenarioFile {
+    let traffic = (0..3).map(|station| udp(station, SAT_MBPS)).collect();
+    let seed = cfg.base_seed;
+    let mut doc = scenario::cell(SchemeKind::AirtimeFair, &TESTBED3, traffic, seed, cfg);
+    doc.secs = 8;
+    if chaos {
+        let burst = FaultKind::BurstLoss {
+            bad_frac: 0.25,
+            burst_len: 8.0,
+            loss_bad: 0.5,
+        };
+        let ack = FaultKind::AckLoss { prob: 0.05 };
+        doc.faults = vec![
+            fault(3.0, 6.0, Some(SLOW), burst),
+            fault(3.0, 6.0, None, ack),
+        ];
     }
+    doc
 }
 
 /// The convergence probe: a 1:2:4 split reversed by a mid-run switch;
 /// returns how long after the switch the measured shares first land (and
 /// stay, for the probe's final window) within 5 points of the new tree.
 /// `f64::INFINITY` means it never converged inside the probe.
-fn convergence_probe(chaos: bool, seed: u64) -> f64 {
+fn convergence_probe(chaos: bool, cfg: &RunCfg) -> Result<f64, String> {
     let switch_at = Nanos::from_secs(4);
-    let end = switch_at + Nanos::from_secs(4);
     let after = PolicySet::flat(&[4, 2, 1]);
-    let mut b = NetworkConfig::builder()
-        .preset(Preset::PaperTestbed)
-        .scheme(SchemeKind::AirtimeFair)
-        .seed(seed)
-        .policy(tree_flat())
-        .policy_switch(switch_at, after.clone());
-    if chaos {
-        // The chaos matrix straddles the switch: bursty loss at the slow
-        // station plus global ACK loss while shares re-settle.
-        b = b
-            .fault(FaultEntry::new(
-                Nanos::from_secs(3),
-                Nanos::from_secs(6),
-                FaultTarget::Station(scenario::SLOW),
-                Impairment::bursty_loss(0.25, 8.0, 0.5),
-            ))
-            .fault(FaultEntry::new(
-                Nanos::from_secs(3),
-                Nanos::from_secs(6),
-                FaultTarget::AllStations,
-                Impairment::AckLoss { prob: 0.05 },
-            ));
-    }
-    let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(b.build());
-    let mut app = TrafficApp::new();
-    for sta in 0..3 {
-        app.add_udp_down(sta, 100_000_000, Nanos::ZERO);
-    }
-    app.install(&mut net);
-    net.run(switch_at, &mut app);
-    let backlog_at_switch = net.ap_backlog();
-    let target = after.compile(3).expect("valid");
+    let mut built = probe_cell(chaos, cfg).build_with(|c| {
+        c.policy = PolicyTimeline::fixed(tree_flat()).with_switch(switch_at, after.clone());
+    })?;
+    let end = built.duration;
+    built.run_to(switch_at);
+    let backlog_at_switch = built.net.ap_backlog();
+    let target = after.compile(3)?;
     let expected: Vec<f64> = (0..3).map(|s| target.share(s, BE)).collect();
     let step = Nanos::from_millis(500);
     let mut t = switch_at;
-    let mut prev: Vec<StationMeter> = net.meter().all().to_vec();
+    let mut prev: Vec<StationMeter> = built.net.meter().all().to_vec();
     let mut converged = f64::INFINITY;
     while t < end {
         t += step;
-        net.run(t, &mut app);
-        let cur: Vec<StationMeter> = net.meter().all().to_vec();
+        built.run_to(t);
+        let cur: Vec<StationMeter> = built.net.meter().all().to_vec();
         let window: Vec<StationMeter> = cur
             .iter()
             .zip(&prev)
@@ -241,7 +244,7 @@ fn convergence_probe(chaos: bool, seed: u64) -> f64 {
         }
     }
     assert_eq!(
-        net.policy_switches_applied(),
+        built.net.policy_switches_applied(),
         1,
         "the probe's switch must fire"
     );
@@ -249,7 +252,7 @@ fn convergence_probe(chaos: bool, seed: u64) -> f64 {
         backlog_at_switch > 0,
         "probe stations must be backlogged across the switch"
     );
-    converged
+    Ok(converged)
 }
 
 /// Gate 3: a run under an all-equal `PolicySet` must be byte-identical
@@ -299,7 +302,7 @@ fn policy_shard(ctx: &ShardCtx) -> ((), Option<Registry>) {
         .fault(FaultEntry::new(
             Nanos::from_secs(1),
             Nanos::from_secs(2),
-            FaultTarget::Station(scenario::SLOW),
+            FaultTarget::Station(SLOW),
             Impairment::bursty_loss(0.3, 8.0, 0.9),
         ))
         .build();
@@ -341,10 +344,10 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     );
 
     let rows = vec![
-        run_point("flat_1_2_4", tree_flat(), "diverse", true, cfg),
-        run_point("flat_1_2_4", tree_flat(), "fast", true, cfg),
-        run_point("tenants_1_1", tree_tenants(), "diverse", true, cfg),
-        run_point("classes_vo_be", tree_classes(), "diverse", false, cfg),
+        run_point("flat_1_2_4", tree_flat(), "diverse", true, cfg)?,
+        run_point("flat_1_2_4", tree_flat(), "fast", true, cfg)?,
+        run_point("tenants_1_1", tree_tenants(), "diverse", true, cfg)?,
+        run_point("classes_vo_be", tree_classes(), "diverse", false, cfg)?,
     ];
 
     let mut t = Table::new(vec!["Tree", "Roster", "Expected", "Measured", "Max err"]);
@@ -375,8 +378,8 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let node_share_ok = node_share_err_max <= 0.05;
 
     // Gate 2: a mid-run switch converges within 2 s, clean and chaotic.
-    let convergence_ms = convergence_probe(false, cfg.base_seed);
-    let convergence_chaos_ms = convergence_probe(true, cfg.base_seed);
+    let convergence_ms = convergence_probe(false, cfg)?;
+    let convergence_chaos_ms = convergence_probe(true, cfg)?;
     let convergence_ok = convergence_ms <= 2000.0 && convergence_chaos_ms <= 2000.0;
 
     // Gate 3: equal weights are byte-invisible.

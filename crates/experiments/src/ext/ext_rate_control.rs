@@ -14,14 +14,11 @@
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::runner::{
-    delivered_bytes, delivered_since, mbps, mean, meter_window, run_seeds, shares_of,
-};
+use crate::runner::{mbps, mean, run_seeds, shares_of};
+use crate::scenario::{self, tcp_down, udp};
+use crate::scenario_file::ScenarioFile;
 use crate::RunCfg;
-use wifiq_mac::{NetworkConfig, SchemeKind, StationMeter, WifiNetwork};
-use wifiq_phy::{ChannelWidth, PhyRate};
-use wifiq_sim::Nanos;
-use wifiq_traffic::TrafficApp;
+use wifiq_mac::SchemeKind;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -31,49 +28,44 @@ struct Row {
     goodput_mbps: Vec<f64>,
 }
 
-fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Row {
-    let start_rate = PhyRate::ht(3, ChannelWidth::Ht20, true);
+/// Three stations starting at MCS3 over channels with cliffs at MCS 13,
+/// 13 and 0, under rate control: a TCP download to each (components 0–2),
+/// then a light UDP stream to each.
+pub(crate) fn cell(scheme: SchemeKind, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic: Vec<_> = (0..3).map(tcp_down).collect();
+    traffic.extend((0..3).map(|station| udp(station, 1)));
+    let mut doc = scenario::cell(scheme, &["mcs3"; 3], traffic, seed, cfg);
+    for (station, best_mcs) in doc.stations.iter_mut().zip([13, 13, 0]) {
+        station.mcs_cliff = Some(best_mcs);
+    }
+    doc.rate_control = true;
+    doc
+}
+
+fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Result<Row, String> {
     // (shares, rate estimates Mbps, goodput Mbps) per repetition.
     type RateRep = (Vec<f64>, Vec<f64>, Vec<f64>);
     let reps: Vec<RateRep> = run_seeds("ext_rate_control", scheme.slug(), "", cfg, |seed| {
-        let net_cfg = NetworkConfig::builder()
-            .cliff_station(start_rate, 13)
-            .cliff_station(start_rate, 13)
-            .cliff_station(start_rate, 0)
-            .scheme(scheme)
-            .rate_control(true)
-            .seed(seed)
-            .build();
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-        let mut app = TrafficApp::new();
-        let flows: Vec<_> = (0..3).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
-        for s in 0..3 {
-            app.add_udp_down(s, 1_000_000, Nanos::ZERO);
-        }
-        app.install(&mut net);
-        net.run(cfg.warmup, &mut app);
-        let before: Vec<StationMeter> = net.meter().all().to_vec();
-        let delivered = delivered_bytes(&app, &flows);
-        net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
+        let mut built = cell(scheme, seed, cfg).build()?;
+        let window = built.measure(cfg.warmup);
         let est: Vec<f64> = (0..3)
-            .map(|sta| net.rate_estimate(sta) as f64 / 1e6)
+            .map(|sta| built.net.rate_estimate(sta) as f64 / 1e6)
             .collect();
-        let thr: Vec<f64> = delivered_since(&app, &flows, &delivered)
-            .into_iter()
-            .map(|b| mbps(b, cfg.window()))
+        let thr: Vec<f64> = window.delivered[..3]
+            .iter()
+            .map(|&b| mbps(b, cfg.window()))
             .collect();
-        (shares_of(&window), est, thr)
-    });
+        Ok((shares_of(&window.meters), est, thr))
+    })?;
     let col = |pick: fn(&RateRep) -> &Vec<f64>, sta: usize| {
         mean(&reps.iter().map(|r| pick(r)[sta]).collect::<Vec<_>>())
     };
-    Row {
+    Ok(Row {
         scheme: scheme.label().to_string(),
         shares: (0..3).map(|sta| col(|r| &r.0, sta)).collect(),
         estimates_mbps: (0..3).map(|sta| col(|r| &r.1, sta)).collect(),
         goodput_mbps: (0..3).map(|sta| col(|r| &r.2, sta)).collect(),
-    }
+    })
 }
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
@@ -88,7 +80,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let rows: Vec<Row> = [SchemeKind::FqCodelQdisc, SchemeKind::AirtimeFair]
         .into_iter()
         .map(|s| measure(s, cfg))
-        .collect();
+        .collect::<Result<_, _>>()?;
     let mut t = Table::new(vec![
         "Scheme",
         "Shares (1/2/slow)",

@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 
 use crate::report::{write_artifact, write_json, Table};
 use crate::rollup::Flood;
-use crate::runner::{mbps, mean, try_run_seeds};
+use crate::runner::{mbps, mean, run_seeds};
 use crate::RunCfg;
 use wifiq_mac::{
     App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, StationIdx, WifiNetwork,
@@ -249,7 +249,7 @@ fn run_point(
     // (per-station post-settle bytes, handoffs, roam drops, migrated,
     //  deferred, max reassoc ns, reattach/fallback packed).
     type Rep = (Vec<u64>, u64, u64, u64, u64, u64, Vec<u64>);
-    let reps: Vec<Rep> = try_run_seeds("ext_roam", &cell, &config, cfg, |seed| {
+    let reps: Vec<Rep> = run_seeds("ext_roam", &cell, &config, cfg, |seed| {
         let run = roam_set(bss, roster, dwell, palette, seed).run(
             duration,
             |ctx| build_host(ctx, settle, false),
@@ -259,7 +259,7 @@ fn run_point(
             .iter()
             .map(|&b| b as u64)
             .collect();
-        (
+        Ok((
             shares,
             run.stats.handoffs,
             run.stats.roam_drops,
@@ -267,7 +267,7 @@ fn run_point(
             run.stats.deferred,
             run.stats.max_reassoc.as_nanos(),
             vec![run.stats.policy_reattach, run.stats.neutral_fallback],
-        )
+        ))
     })?;
     let jains: Vec<f64> = reps
         .iter()

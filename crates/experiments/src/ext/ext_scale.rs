@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
 use crate::rollup::{write_rollup, Flood};
-use crate::runner::{mbps, mean, try_run_seeds};
+use crate::runner::{mbps, mean, run_seeds};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::PhyRate;
@@ -154,7 +154,7 @@ fn run_point(
     // (window bytes across shards, joins, leaves, churn drops) per
     // repetition.
     type Rep = (Vec<u64>, u64, u64, u64);
-    let reps: Vec<Rep> = try_run_seeds("ext_scale", &cell, &config, cfg, |seed| {
+    let reps: Vec<Rep> = run_seeds("ext_scale", &cell, &config, cfg, |seed| {
         // Sweep reps skip per-shard telemetry (the rollup run records it).
         let run = ShardSet::new(shards, seed).run(|ctx| {
             run_shard(
@@ -168,12 +168,12 @@ fn run_point(
         });
         let bytes: Vec<u64> = run.outputs.iter().flat_map(|o| o.bytes.clone()).collect();
         let sum = |f: fn(&ShardOut) -> u64| run.outputs.iter().map(f).sum::<u64>();
-        (
+        Ok((
             bytes,
             sum(|o| o.joins),
             sum(|o| o.leaves),
             sum(|o| o.churn_drops),
-        )
+        ))
     })?;
     let throughput: Vec<f64> = reps
         .iter()

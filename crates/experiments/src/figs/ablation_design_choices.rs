@@ -16,10 +16,10 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     );
 
     // 1. RX airtime charging (bidirectional TCP fairness).
-    let rx: Vec<_> = [true, false]
+    let rx = [true, false]
         .into_iter()
         .map(|e| ablations::rx_charging(e, cfg))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let _ = writeln!(out, "1. RX airtime charging (bidirectional TCP):");
     let mut t = Table::new(vec!["charge_rx", "Jain", "slow share"]);
     for r in &rx {
@@ -33,10 +33,10 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     write_json(cfg, "ablation_rx_charging", &rx);
 
     // 2. Per-station CoDel parameters (slow-station goodput).
-    let codel: Vec<_> = [true, false]
+    let codel = [true, false]
         .into_iter()
         .map(|e| ablations::adaptive_codel(e, cfg))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let _ = writeln!(
         out,
         "\n2. Per-station CoDel parameters (bulk TCP to the slow station):"
@@ -59,10 +59,10 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     write_json(cfg, "ablation_adaptive_codel", &codel);
 
     // 3. Overlimit drop policy (fast-station survival under a hog).
-    let drop: Vec<_> = [DropPolicy::DropLongest, DropPolicy::TailDrop]
+    let drop = [DropPolicy::DropLongest, DropPolicy::TailDrop]
         .into_iter()
         .map(|p| ablations::drop_policy(p, cfg))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let _ = writeln!(
         out,
         "\n3. Overlimit policy (slow-station UDP flood, tight limit):"
@@ -79,10 +79,10 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     write_json(cfg, "ablation_drop_policy", &drop);
 
     // 4. Airtime quantum sweep.
-    let quanta: Vec<_> = [100u64, 300, 1_000, 5_000, 20_000]
+    let quanta = [100u64, 300, 1_000, 5_000, 20_000]
         .into_iter()
         .map(|q| ablations::quantum(q, cfg))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let _ = writeln!(
         out,
         "\n4. Airtime quantum (sparse-station latency / bulk fairness):"

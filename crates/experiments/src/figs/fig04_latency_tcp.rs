@@ -19,7 +19,7 @@ pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
         cfg.duration.as_millis() / 1000,
         cfg.warmup.as_millis() / 1000
     );
-    let results = latency::run_all(cfg, bidir);
+    let results = latency::run_all(cfg, bidir)?;
     let mut t = Table::new(vec![
         "Scheme",
         "Station",

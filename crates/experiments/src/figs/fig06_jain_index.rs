@@ -16,9 +16,9 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let udp = udp_sat::run_all(cfg);
-    let dl = tcp_fair::run_all(TcpPattern::Download, cfg);
-    let bi = tcp_fair::run_all(TcpPattern::Bidirectional, cfg);
+    let udp = udp_sat::run_all(cfg)?;
+    let dl = tcp_fair::run_all(TcpPattern::Download, cfg)?;
+    let bi = tcp_fair::run_all(TcpPattern::Bidirectional, cfg)?;
 
     let mut t = Table::new(vec!["Scheme", "UDP", "TCP dl", "TCP bidir"]);
     #[derive(serde::Serialize)]

@@ -22,7 +22,7 @@ pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let results = tcp_fair::run_all(pattern, cfg);
+    let results = tcp_fair::run_all(pattern, cfg)?;
     let mut t = Table::new(vec![
         "Scheme",
         "Station 1",

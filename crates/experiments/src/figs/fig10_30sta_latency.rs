@@ -13,7 +13,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let results = thirty::run_all(cfg);
+    let results = thirty::run_all(cfg)?;
     let mut t = Table::new(vec![
         "Scheme",
         "Station",

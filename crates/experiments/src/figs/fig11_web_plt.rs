@@ -14,7 +14,7 @@ pub fn run(cfg: &RunCfg, args: &[String]) -> Result<String, String> {
         "Figure 11: HTTP page fetch times ({} reps)\n",
         cfg.reps
     );
-    let cells = web::run_all(cfg, with_slow);
+    let cells = web::run_all(cfg, with_slow)?;
     let mut t = Table::new(vec![
         "Fetcher",
         "Page",

@@ -15,7 +15,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let t1 = table1::run(cfg);
+    let t1 = table1::run(cfg)?;
     for half in [&t1.baseline, &t1.fair] {
         let _ = writeln!(out, "{}", half.label);
         let mut t = Table::new(vec![

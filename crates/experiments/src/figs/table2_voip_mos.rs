@@ -14,7 +14,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         cfg.reps,
         cfg.duration.as_millis() / 1000
     );
-    let cells = voip::run_all(cfg);
+    let cells = voip::run_all(cfg)?;
     let mut t = Table::new(vec![
         "Scheme",
         "QoS",

@@ -2,12 +2,13 @@
 //! TCP traffic, per scheme, for a fast and the slow station.
 
 use serde::Serialize;
-use wifiq_mac::{SchemeKind, WifiNetwork};
+use wifiq_mac::SchemeKind;
 use wifiq_stats::{Cdf, Summary};
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
 use crate::runner::{run_seeds, to_ms, RunCfg};
-use crate::scenario::{self, FAST1, SLOW};
+use crate::scenario::{self, ping, tcp_down, tcp_up, FAST1, SLOW, TESTBED3};
+use crate::scenario_file::ScenarioFile;
 
 /// Latency distribution for one station class under one scheme.
 #[derive(Debug, Clone, Serialize)]
@@ -38,42 +39,44 @@ pub struct SchemeLatency {
     pub slow: LatencyDist,
 }
 
-/// Runs the Figure 4 workload (ping + TCP download to every station)
-/// under one scheme; `bidir` adds simultaneous uploads (the online
-/// appendix variant mentioned in §4.1.1).
-pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg, bidir: bool) -> SchemeLatency {
+/// One repetition of the Figure 4 workload: pings to a fast and to the
+/// slow station (components 0 and 1) and a TCP download to every station;
+/// `bidir` adds simultaneous uploads (the online appendix variant
+/// mentioned in §4.1.1).
+pub fn cell(scheme: SchemeKind, bidir: bool, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic = vec![ping(FAST1), ping(SLOW)];
+    for station in 0..3 {
+        traffic.push(tcp_down(station));
+        if bidir {
+            traffic.push(tcp_up(station));
+        }
+    }
+    scenario::cell(scheme, &TESTBED3, traffic, seed, cfg)
+}
+
+/// Runs [`cell`] under one scheme over `cfg`'s repetitions.
+pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg, bidir: bool) -> Result<SchemeLatency, String> {
     let config = if bidir { "bidir" } else { "down" };
     // (fast RTTs, slow RTTs) in ms, one tuple per repetition.
     let reps: Vec<(Vec<f64>, Vec<f64>)> =
         run_seeds("latency", scheme.slug(), config, cfg, |seed| {
-            let net_cfg = scenario::testbed3(scheme, seed);
-            let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-            let mut app = TrafficApp::new();
-            let ping_fast = app.add_ping(FAST1, wifiq_sim::Nanos::ZERO);
-            let ping_slow = app.add_ping(SLOW, wifiq_sim::Nanos::ZERO);
-            for sta in 0..3 {
-                app.add_tcp_down(sta, wifiq_sim::Nanos::ZERO);
-                if bidir {
-                    app.add_tcp_up(sta, wifiq_sim::Nanos::ZERO);
-                }
-            }
-            app.install(&mut net);
-            net.run(cfg.duration, &mut app);
-            let rtts = |flow| -> Vec<f64> { to_ms(&app.ping(flow).rtts_after(cfg.warmup)) };
-            (rtts(ping_fast), rtts(ping_slow))
-        });
+            let mut built = cell(scheme, bidir, seed, cfg).build()?;
+            let window = built.measure(cfg.warmup);
+            let rtts = |flow| to_ms(&built.app.ping(FlowHandle(flow)).rtts_after(window.from));
+            Ok((rtts(0), rtts(1)))
+        })?;
     let fast_ms: Vec<f64> = reps.iter().flat_map(|r| r.0.iter().copied()).collect();
     let slow_ms: Vec<f64> = reps.iter().flat_map(|r| r.1.iter().copied()).collect();
-    SchemeLatency {
+    Ok(SchemeLatency {
         scheme: scheme.label().to_string(),
         fast: LatencyDist::of(&fast_ms),
         slow: LatencyDist::of(&slow_ms),
-    }
+    })
 }
 
 /// Runs all four schemes (Figure 4; Figure 1 is the FIFO-vs-modified
 /// subset of the same data).
-pub fn run_all(cfg: &RunCfg, bidir: bool) -> Vec<SchemeLatency> {
+pub fn run_all(cfg: &RunCfg, bidir: bool) -> Result<Vec<SchemeLatency>, String> {
     SchemeKind::ALL
         .into_iter()
         .map(|s| run_scheme(s, cfg, bidir))

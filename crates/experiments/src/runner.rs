@@ -8,7 +8,6 @@ use wifiq_harness::{workspace_dir, CellDef, FaultSpec, Harness, JsonCodec, Sweep
 use wifiq_mac::StationMeter;
 use wifiq_sim::Nanos;
 use wifiq_telemetry::Telemetry;
-use wifiq_traffic::{FlowHandle, TrafficApp};
 
 /// The whole configuration of a run, as a value: everything downstream
 /// takes it as an argument and nothing else reads the environment.
@@ -174,25 +173,15 @@ pub(crate) fn seed_cells(cell: &str, config: &str, cfg: &RunCfg) -> Vec<CellDef>
 /// harness: `f(seed)` once per repetition, fanned across `cfg.jobs` worker
 /// threads, completed repetitions cached when `cfg.cache` is on. Results
 /// come back in seed order regardless of completion order, so parallel
-/// runs produce byte-identical artifacts; failed repetitions (a panicking
-/// simulation is caught and retried once) are reported on stderr and
-/// dropped from the returned set.
+/// runs produce byte-identical artifacts; failed repetitions (an `Err`,
+/// or a panicking simulation caught and retried once) are reported on
+/// stderr and dropped from the returned set. A sweep point means nothing
+/// without a repetition: when every one failed, the `Err` names
+/// `experiment/cell` and the first repetition's error.
 ///
 /// `experiment` and `cell`/`config` label the cell for the cache key: with
 /// [`RunCfg::sweep`], everything that changes `f`'s output must be in them.
-pub fn run_seeds<T, F>(experiment: &str, cell: &str, config: &str, cfg: &RunCfg, f: F) -> Vec<T>
-where
-    T: JsonCodec + Send,
-    F: Fn(u64) -> T + Sync,
-{
-    try_run_seeds(experiment, cell, config, cfg, f).unwrap_or_default()
-}
-
-/// [`run_seeds`] for a sweep point that means nothing without a
-/// repetition: when every repetition failed, an `Err` naming
-/// `experiment/cell` and the first repetition's error instead of an empty
-/// set for the caller to divide by.
-pub fn try_run_seeds<T, F>(
+pub fn run_seeds<T, F>(
     experiment: &str,
     cell: &str,
     config: &str,
@@ -201,13 +190,13 @@ pub fn try_run_seeds<T, F>(
 ) -> Result<Vec<T>, String>
 where
     T: JsonCodec + Send,
-    F: Fn(u64) -> T + Sync,
+    F: Fn(u64) -> Result<T, String> + Sync,
 {
     let tele = cfg.telemetry();
     let outcome = cfg.harness().with_telemetry(tele.clone()).run(
         &cfg.sweep(experiment),
         seed_cells(cell, config, cfg),
-        |c: &CellDef| Ok(f(c.seed)),
+        |c: &CellDef| f(c.seed),
     );
     let summary = outcome.summary();
     if summary.failed > 0 {
@@ -259,37 +248,14 @@ pub fn meter_delta(later: &StationMeter, earlier: &StationMeter) -> StationMeter
     }
 }
 
-/// Per-station [`meter_delta`] of two whole-network snapshots
-/// (`net.meter().all()` now, and as copied at the end of warm-up).
-pub fn meter_window(later: &[StationMeter], earlier: &[StationMeter]) -> Vec<StationMeter> {
-    later
-        .iter()
-        .zip(earlier)
-        .map(|(l, e)| meter_delta(l, e))
-        .collect()
-}
-
-/// Cumulative bytes each of `flows` (UDP floods, bulk TCP) has delivered,
-/// in order: the goodput counterpart of `net.meter().all().to_vec()`,
-/// copied at the end of warm-up for [`delivered_since`].
-pub fn delivered_bytes(app: &TrafficApp, flows: &[FlowHandle]) -> Vec<u64> {
-    flows.iter().map(|&h| app.delivered_bytes(h)).collect()
-}
-
-/// Bytes each of `flows` has delivered since the [`delivered_bytes`]
-/// snapshot `earlier`: goodput over the same events the meter window
-/// between the same two `run`s covers.
-pub fn delivered_since(app: &TrafficApp, flows: &[FlowHandle], earlier: &[u64]) -> Vec<u64> {
-    flows
-        .iter()
-        .zip(earlier)
-        .map(|(&h, e)| app.delivered_bytes(h) - e)
-        .collect()
+/// `bytes` delivered over a sim-time `window`, in bit/s.
+pub fn bps(bytes: u64, window: Nanos) -> f64 {
+    bytes as f64 * 8.0 / window.as_secs_f64()
 }
 
 /// `bytes` delivered over a sim-time `window`, in Mbit/s.
 pub fn mbps(bytes: u64, window: Nanos) -> f64 {
-    bytes as f64 * 8.0 / window.as_secs_f64() / 1e6
+    bps(bytes, window) / 1e6
 }
 
 /// Sim-time samples (ping RTTs, one-way delays) as milliseconds.

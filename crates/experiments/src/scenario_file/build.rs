@@ -1,12 +1,13 @@
 //! [`ScenarioFile`] → a network ready to run: range checks, the
 //! file-form → simulation-form derivations (rate specs, Gilbert–Elliott
-//! parameters, durations), and the runner that interleaves churn and
-//! roaming with the simulation. Each spec validates and constructs what
-//! its own fields describe; [`ScenarioFile::build`] assembles them.
+//! parameters, durations), the runner that interleaves churn and
+//! roaming with the simulation, and the one measured window. Each spec
+//! validates and constructs what its own fields describe;
+//! [`ScenarioFile::build_with`] assembles them.
 
 use wifiq_mac::{
     ErrorModel, FaultEntry, FaultSchedule, FaultTarget, Impairment, NetworkConfig, PolicyNode,
-    PolicySet, PolicyTimeline, SchemeKind, StationCfg, WifiNetwork,
+    PolicySet, PolicyTimeline, SchemeKind, StationCfg, StationMeter, WifiNetwork,
 };
 use wifiq_phy::{AccessCategory, ChannelWidth, LegacyRate, PhyRate, VhtWidth};
 use wifiq_roam::{RoamCfg, SoloRoam};
@@ -18,6 +19,17 @@ use super::{
     ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, RoamingSpec, ScenarioFile,
     StationSpec, TrafficSpec,
 };
+use crate::runner::meter_delta;
+
+/// The document's name for `kind` (its `scheme` field).
+pub(crate) fn scheme_name(kind: SchemeKind) -> &'static str {
+    match kind {
+        SchemeKind::Fifo => "fifo",
+        SchemeKind::FqCodelQdisc => "fqcodel",
+        SchemeKind::FqMac => "fqmac",
+        SchemeKind::AirtimeFair => "airtime",
+    }
+}
 
 /// A parsed rate spec (shared with the CLI's `--stations` grammar).
 pub fn parse_rate(spec: &str) -> Result<PhyRate, String> {
@@ -341,7 +353,7 @@ pub struct BuiltScenario {
     pub net: WifiNetwork<AppMsg>,
     /// The traffic application.
     pub app: TrafficApp,
-    /// Handles in file order.
+    /// Handles in file order: `traffic[i]`'s handle is `FlowHandle(i)`.
     pub traffic: Vec<InstalledTraffic>,
     /// Simulated duration.
     pub duration: Nanos,
@@ -381,11 +393,65 @@ impl BuiltScenario {
         }
         self.net.run(until, &mut self.app);
     }
+
+    /// Runs the warm-up, then the rest of the scenario, and returns what
+    /// happened between the two: the one measured window every
+    /// experiment and `wifiq run` read.
+    pub fn measure(&mut self, warmup: Nanos) -> Window {
+        self.run_to(warmup);
+        let (meters, delivered) = (self.net.meter().all().to_vec(), self.delivered());
+        self.run_to(self.duration);
+        let meters = self.net.meter().all().iter().zip(&meters);
+        let delivered = self.delivered().into_iter().zip(delivered);
+        Window {
+            from: warmup,
+            meters: meters
+                .map(|(later, earlier)| meter_delta(later, earlier))
+                .collect(),
+            delivered: delivered.map(|(later, earlier)| later - earlier).collect(),
+        }
+    }
+
+    /// Cumulative bytes per component, in file order; 0 for a component
+    /// that reports no goodput (ping, VoIP, web).
+    fn delivered(&self) -> Vec<u64> {
+        let bytes = |t: &InstalledTraffic| match t {
+            InstalledTraffic::Tcp(h) | InstalledTraffic::Udp(h) => self.app.delivered_bytes(*h),
+            _ => 0,
+        };
+        self.traffic.iter().map(bytes).collect()
+    }
+}
+
+/// One measured window, from the end of warm-up to the scenario's end.
+#[derive(Debug)]
+pub struct Window {
+    /// Where the window starts (the warm-up's end); samples logged by
+    /// time, such as ping RTTs, are read from here on.
+    pub from: Nanos,
+    /// Per-station meter deltas over the window, one per station the
+    /// meter table held when the window opened.
+    pub meters: Vec<StationMeter>,
+    /// Bytes each traffic component delivered over the window, in file
+    /// order; 0 for a component that reports no goodput.
+    pub delivered: Vec<u64>,
 }
 
 impl ScenarioFile {
     /// Validates and builds the network + traffic application.
     pub fn build(&self) -> Result<BuiltScenario, String> {
+        self.build_with(|_| {})
+    }
+
+    /// [`build`](Self::build), with `tune` applied to the assembled
+    /// network configuration before the network is constructed. `tune`
+    /// sets what the schema has no field for because fewer than two
+    /// experiments need it (an ablation's switch, the VoIP runs' wire
+    /// delay); a setting two experiments share becomes a field instead.
+    pub fn build_with(
+        &self,
+        tune: impl FnOnce(&mut NetworkConfig),
+    ) -> Result<BuiltScenario, String> {
         if self.stations.is_empty() {
             return Err("scenario needs at least one station".into());
         }
@@ -393,13 +459,10 @@ impl ScenarioFile {
             // Every reported rate divides by the duration.
             return Err("`secs` must be positive".into());
         }
-        let scheme = match self.scheme.as_str() {
-            "fifo" => SchemeKind::Fifo,
-            "fqcodel" => SchemeKind::FqCodelQdisc,
-            "fqmac" => SchemeKind::FqMac,
-            "airtime" => SchemeKind::AirtimeFair,
-            s => return Err(format!("unknown scheme '{s}'")),
-        };
+        let scheme = SchemeKind::ALL
+            .into_iter()
+            .find(|&k| scheme_name(k) == self.scheme);
+        let scheme = scheme.ok_or_else(|| format!("unknown scheme '{}'", self.scheme))?;
         let stations = self.stations.iter().enumerate();
         let stations: Vec<_> = stations
             .map(|(i, spec)| spec.cfg(i))
@@ -430,7 +493,8 @@ impl ScenarioFile {
         if let Some(p) = &self.policy {
             builder = builder.policy_timeline(p.timeline(n)?);
         }
-        let cfg = builder.build();
+        let mut cfg = builder.build();
+        tune(&mut cfg);
         let churn = self.churn.as_ref().map(|c| c.driver(cfg.seed));
         let roam = self.roaming.as_ref().map(|r| r.driver(cfg.seed, n));
         let (churn, roam) = (churn.transpose()?, roam.transpose()?);

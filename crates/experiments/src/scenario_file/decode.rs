@@ -346,6 +346,7 @@ impl ScenarioFile {
     /// Parses a scenario from JSON text.
     pub fn from_json(text: &str) -> Result<ScenarioFile, String> {
         let value = serde_json::from_str(text).map_err(|e| format!("scenario parse error: {e}"))?;
+        let d = ScenarioFile::default();
         Fields::of(&value, ROOT, |f| {
             // Every earlier stamp names a subset of today's grammar with
             // the same meanings, so it is checked only against the future.
@@ -357,15 +358,15 @@ impl ScenarioFile {
                 ));
             }
             Ok(ScenarioFile {
-                scheme: f.opt("scheme")?.unwrap_or_else(|| "airtime".into()),
-                secs: f.opt("secs")?.unwrap_or(20),
-                seed: f.opt("seed")?.unwrap_or(1),
-                station_fq: f.opt("station_fq")?.unwrap_or(false),
-                rate_control: f.opt("rate_control")?.unwrap_or(false),
+                scheme: f.opt("scheme")?.unwrap_or(d.scheme),
+                secs: f.opt("secs")?.unwrap_or(d.secs),
+                seed: f.opt("seed")?.unwrap_or(d.seed),
+                station_fq: f.opt("station_fq")?.unwrap_or(d.station_fq),
+                rate_control: f.opt("rate_control")?.unwrap_or(d.rate_control),
                 aql_ms: f.opt("aql_ms")?,
                 stations: f.req_list("stations", StationSpec::decode)?,
                 traffic: f.req_list("traffic", TrafficSpec::decode)?,
-                faults: f.list("faults", FaultSpec::decode)?.unwrap_or_default(),
+                faults: f.list("faults", FaultSpec::decode)?.unwrap_or(d.faults),
                 churn: f.block("churn", ChurnSpec::decode)?,
                 policy: f.block("policy", PolicySpec::decode)?,
                 roaming: f.block("roaming", RoamingSpec::decode)?,

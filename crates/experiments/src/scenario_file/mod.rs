@@ -87,7 +87,8 @@ mod build;
 mod decode;
 mod encode;
 
-pub use build::{parse_rate, BuiltScenario, InstalledTraffic};
+pub(crate) use build::scheme_name;
+pub use build::{parse_rate, BuiltScenario, InstalledTraffic, Window};
 
 /// The schema version [`ScenarioFile::text`] stamps and the newest one
 /// [`ScenarioFile::from_json`] accepts.
@@ -405,6 +406,28 @@ pub struct ScenarioFile {
     /// Search provenance, present on `scenarios/found/`
     /// counterexamples.
     pub provenance: Option<ProvenanceSpec>,
+}
+
+/// The one set of document defaults: what an absent field decodes to and
+/// what a document built in code starts from (`..ScenarioFile::default()`).
+impl Default for ScenarioFile {
+    fn default() -> ScenarioFile {
+        ScenarioFile {
+            scheme: "airtime".into(),
+            secs: 20,
+            seed: 1,
+            station_fq: false,
+            rate_control: false,
+            aql_ms: None,
+            stations: Vec::new(),
+            traffic: Vec::new(),
+            faults: Vec::new(),
+            churn: None,
+            policy: None,
+            roaming: None,
+            provenance: None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -77,6 +77,11 @@ fn bad_rate_and_qos_rejected() {
 fn defaults_apply() {
     let sc =
         ScenarioFile::from_json(r#"{ "stations": [{ "rate": "mcs7" }], "traffic": [] }"#).unwrap();
+    let in_code = ScenarioFile {
+        stations: vec![StationSpec::new("mcs7")],
+        ..ScenarioFile::default()
+    };
+    assert_eq!(sc, in_code, "the decoder's defaults are `Default`'s");
     let built = sc.build().unwrap();
     assert_eq!(built.duration, Nanos::from_secs(20));
     assert_eq!(built.net.scheme(), SchemeKind::AirtimeFair);

@@ -3,14 +3,14 @@
 //! traffic; latency is compared with the optimisation enabled/disabled.
 
 use serde::Serialize;
-use wifiq_mac::{SchemeKind, WifiNetwork};
-use wifiq_sim::Nanos;
+use wifiq_mac::SchemeKind;
 use wifiq_stats::{Cdf, Summary};
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
 use crate::runner::{run_seeds, to_ms, RunCfg};
-use crate::scenario::{self, EXTRA};
-use crate::udp_sat::SAT_RATE_BPS;
+use crate::scenario::{self, ping, tcp_down, EXTRA, TESTBED4};
+use crate::scenario_file::ScenarioFile;
+use crate::udp_sat::SAT_MBPS;
 
 /// The bulk workload carried by the three busy stations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -44,49 +44,46 @@ pub struct SparseCell {
     pub cdf: Cdf,
 }
 
-/// Runs one cell of the Figure 8 matrix under the airtime-fair scheme.
-pub fn run_cell(bulk: BulkKind, enabled: bool, cfg: &RunCfg) -> SparseCell {
+/// One repetition of a Figure 8 cell under the airtime-fair scheme: a
+/// ping to the extra station (component 0), `bulk` to the other three.
+pub fn cell(bulk: BulkKind, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic = vec![ping(EXTRA)];
+    traffic.extend((0..3).map(|station| match bulk {
+        BulkKind::Udp => scenario::udp(station, SAT_MBPS),
+        BulkKind::Tcp => tcp_down(station),
+    }));
+    scenario::cell(SchemeKind::AirtimeFair, &TESTBED4, traffic, seed, cfg)
+}
+
+/// Runs [`cell`] with the sparse-station optimisation `enabled` or not.
+pub fn run_cell(bulk: BulkKind, enabled: bool, cfg: &RunCfg) -> Result<SparseCell, String> {
     let config = if enabled { "on" } else { "off" };
-    let cell = if bulk == BulkKind::Udp { "udp" } else { "tcp" };
+    let cell_name = if bulk == BulkKind::Udp { "udp" } else { "tcp" };
     // Ping RTTs in ms, one vector per repetition.
-    let reps: Vec<Vec<f64>> = run_seeds("sparse", cell, config, cfg, |seed| {
-        let mut net_cfg = scenario::testbed4(SchemeKind::AirtimeFair, seed);
-        if !enabled {
-            net_cfg = scenario::without_sparse(net_cfg);
-        }
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-        let mut app = TrafficApp::new();
-        let ping = app.add_ping(EXTRA, Nanos::ZERO);
-        for sta in 0..3 {
-            match bulk {
-                BulkKind::Udp => {
-                    app.add_udp_down(sta, SAT_RATE_BPS, Nanos::ZERO);
-                }
-                BulkKind::Tcp => {
-                    app.add_tcp_down(sta, Nanos::ZERO);
-                }
-            }
-        }
-        app.install(&mut net);
-        net.run(cfg.duration, &mut app);
-        to_ms(&app.ping(ping).rtts_after(cfg.warmup))
-    });
+    let reps: Vec<Vec<f64>> = run_seeds("sparse", cell_name, config, cfg, |seed| {
+        let doc = cell(bulk, seed, cfg);
+        let mut built = doc.build_with(|c| c.airtime.sparse_stations = enabled)?;
+        let window = built.measure(cfg.warmup);
+        Ok(to_ms(
+            &built.app.ping(FlowHandle(0)).rtts_after(window.from),
+        ))
+    })?;
     let rtts_ms: Vec<f64> = reps.into_iter().flatten().collect();
-    SparseCell {
+    Ok(SparseCell {
         bulk: bulk.label().to_string(),
         enabled,
         summary: Summary::of(&rtts_ms),
         cdf: Cdf::of(&rtts_ms, 200),
-    }
+    })
 }
 
 /// Runs the full 2×2 matrix (UDP/TCP × enabled/disabled).
-pub fn run_all(cfg: &RunCfg) -> Vec<SparseCell> {
+pub fn run_all(cfg: &RunCfg) -> Result<Vec<SparseCell>, String> {
     let mut cells = Vec::new();
     for bulk in [BulkKind::Udp, BulkKind::Tcp] {
         for enabled in [true, false] {
-            cells.push(run_cell(bulk, enabled, cfg));
+            cells.push(run_cell(bulk, enabled, cfg)?);
         }
     }
-    cells
+    Ok(cells)
 }

@@ -92,11 +92,11 @@ fn half_from(label: &str, sat: &UdpSatResult, fairness: bool) -> Table1Half {
 /// Regenerates Table 1: runs the UDP saturation workload under FIFO and
 /// under the airtime-fair scheme, then evaluates the model on the
 /// measured aggregation levels.
-pub fn run(cfg: &RunCfg) -> Table1 {
-    let fifo = udp_sat::run_scheme(SchemeKind::Fifo, cfg);
-    let fair = udp_sat::run_scheme(SchemeKind::AirtimeFair, cfg);
-    Table1 {
+pub fn run(cfg: &RunCfg) -> Result<Table1, String> {
+    let fifo = udp_sat::run_scheme(SchemeKind::Fifo, cfg)?;
+    let fair = udp_sat::run_scheme(SchemeKind::AirtimeFair, cfg)?;
+    Ok(Table1 {
         baseline: half_from("Baseline (FIFO queue)", &fifo, false),
         fair: half_from("Airtime Fairness", &fair, true),
-    }
+    })
 }

@@ -2,16 +2,12 @@
 //! (Figure 7) and airtime fairness under TCP (Figure 6's TCP columns).
 
 use serde::Serialize;
-use wifiq_mac::{SchemeKind, StationMeter, WifiNetwork};
-use wifiq_sim::Nanos;
+use wifiq_mac::SchemeKind;
 use wifiq_stats::jain_index;
-use wifiq_traffic::TrafficApp;
 
-use crate::runner::{
-    delivered_bytes, delivered_since, export_metrics, mean, meter_window, run_seeds, shares_of,
-    RunCfg,
-};
-use crate::scenario;
+use crate::runner::{bps, export_metrics, mean, run_seeds, shares_of, RunCfg};
+use crate::scenario::{self, tcp_down, tcp_up, TESTBED3};
+use crate::scenario_file::{ScenarioFile, Window};
 
 /// TCP traffic pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -70,43 +66,42 @@ impl TcpRunResult {
     }
 }
 
-/// Runs `pattern` under `scheme` on the 3-station testbed.
-pub fn run_scheme(scheme: SchemeKind, pattern: TcpPattern, cfg: &RunCfg) -> TcpRunResult {
+/// One repetition of `pattern` under `scheme` on the 3-station testbed:
+/// the three downloads, then (bidirectional only) the three uploads.
+pub fn cell(scheme: SchemeKind, pattern: TcpPattern, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic: Vec<_> = (0..3).map(tcp_down).collect();
+    if pattern == TcpPattern::Bidirectional {
+        traffic.extend((0..3).map(tcp_up));
+    }
+    scenario::cell(scheme, &TESTBED3, traffic, seed, cfg)
+}
+
+/// Runs [`cell`] over `cfg`'s repetitions.
+pub fn run_scheme(
+    scheme: SchemeKind,
+    pattern: TcpPattern,
+    cfg: &RunCfg,
+) -> Result<TcpRunResult, String> {
     let n = 3;
     // (down bps, up bps, shares, jain) per repetition.
     type TcpRep = (Vec<f64>, Vec<f64>, Vec<f64>, f64);
     let reps: Vec<TcpRep> = run_seeds("tcp_fair", scheme.slug(), pattern.slug(), cfg, |seed| {
-        let net_cfg = scenario::testbed3(scheme, seed);
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
+        let mut built = cell(scheme, pattern, seed, cfg).build()?;
         let tele = cfg.telemetry();
-        net.set_telemetry(tele.clone());
-        let mut app = TrafficApp::new();
-        // The `n` downloads, then (bidirectional only) the `n` uploads.
-        let mut tcps: Vec<_> = (0..n).map(|s| app.add_tcp_down(s, Nanos::ZERO)).collect();
-        if pattern == TcpPattern::Bidirectional {
-            tcps.extend((0..n).map(|s| app.add_tcp_up(s, Nanos::ZERO)));
-        }
-        app.set_telemetry(&tele);
-        app.install(&mut net);
+        built.net.set_telemetry(tele.clone());
+        built.app.set_telemetry(&tele);
+        let Window {
+            meters, delivered, ..
+        } = built.measure(cfg.warmup);
 
-        net.run(cfg.warmup, &mut app);
-        let before: Vec<StationMeter> = net.meter().all().to_vec();
-        let delivered = delivered_bytes(&app, &tcps);
-        net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
-
-        let secs = cfg.window().as_secs_f64();
-        let mut down: Vec<f64> = delivered_since(&app, &tcps, &delivered)
-            .into_iter()
-            .map(|b| b as f64 * 8.0 / secs)
-            .collect();
+        let mut down: Vec<f64> = delivered.iter().map(|&b| bps(b, cfg.window())).collect();
         let up = down.split_off(n);
-        let shares = shares_of(&window);
+        let shares = shares_of(&meters);
         let jain = jain_index(&shares);
         let snapshot = format!("tcp_{}_{}_seed{seed}", pattern.slug(), scheme.slug());
         export_metrics(cfg, &tele, &snapshot, seed);
-        (down, up, shares, jain)
-    });
+        Ok((down, up, shares, jain))
+    })?;
 
     let per_sta = |pick: fn(&TcpRep) -> &Vec<f64>, sta: usize| {
         mean(
@@ -116,18 +111,18 @@ pub fn run_scheme(scheme: SchemeKind, pattern: TcpPattern, cfg: &RunCfg) -> TcpR
                 .collect::<Vec<_>>(),
         )
     };
-    TcpRunResult {
+    Ok(TcpRunResult {
         scheme: scheme.label().to_string(),
         pattern: pattern.label().to_string(),
         down_bps: (0..n).map(|sta| per_sta(|r| &r.0, sta)).collect(),
         up_bps: (0..n).map(|sta| per_sta(|r| &r.1, sta)).collect(),
         airtime_shares: (0..n).map(|sta| per_sta(|r| &r.2, sta)).collect(),
         jain: crate::runner::median(&reps.iter().map(|r| r.3).collect::<Vec<_>>()),
-    }
+    })
 }
 
 /// Runs a pattern under all four schemes.
-pub fn run_all(pattern: TcpPattern, cfg: &RunCfg) -> Vec<TcpRunResult> {
+pub fn run_all(pattern: TcpPattern, cfg: &RunCfg) -> Result<Vec<TcpRunResult>, String> {
     SchemeKind::ALL
         .into_iter()
         .map(|s| run_scheme(s, pattern, cfg))

@@ -3,15 +3,13 @@
 //! 1 Mbps legacy rate, under FQ-CoDel / FQ-MAC / Airtime.
 
 use serde::Serialize;
-use wifiq_mac::{SchemeKind, StationMeter, WifiNetwork};
-use wifiq_sim::Nanos;
+use wifiq_mac::{SchemeKind, StationMeter};
 use wifiq_stats::{jain_index, Cdf, Summary};
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
-use crate::runner::{
-    delivered_bytes, delivered_since, mean, meter_window, run_seeds, shares_of, to_ms, RunCfg,
-};
-use crate::scenario::{self, PINGONLY30, SLOW30};
+use crate::runner::{bps, mean, run_seeds, shares_of, to_ms, RunCfg};
+use crate::scenario::{self, ping, tcp_down, PINGONLY30, SLOW30, TESTBED30};
+use crate::scenario_file::ScenarioFile;
 
 /// The schemes the third-party testbed ran (no FIFO case).
 pub const SCHEMES30: [SchemeKind; 3] = [
@@ -45,60 +43,52 @@ pub struct ThirtyResult {
     pub fast_cdf: Cdf,
 }
 
-/// Runs one scheme of the 30-station experiment.
-pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> ThirtyResult {
+/// One repetition of the 30-station test under `scheme`: pings to the
+/// ping-only client, the slow client and one bulk fast client (components
+/// 0–2), then a TCP download to the slow client and to each bulk client.
+pub fn cell(scheme: SchemeKind, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic = vec![ping(PINGONLY30), ping(SLOW30), ping(1), tcp_down(SLOW30)];
+    traffic.extend(scenario::bulk30().map(tcp_down));
+    scenario::cell(scheme, &TESTBED30, traffic, seed, cfg)
+}
+
+/// Runs [`cell`] under one scheme over `cfg`'s repetitions.
+pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> Result<ThirtyResult, String> {
     // (slow share, fast share mean, jain, goodput, slow/fast/sparse RTTs)
     // per repetition.
     type ThirtyRep = (f64, f64, f64, f64, Vec<f64>, Vec<f64>, Vec<f64>);
     let reps: Vec<ThirtyRep> = run_seeds("thirty", scheme.slug(), "", cfg, |seed| {
-        let net_cfg = scenario::testbed30(scheme, seed);
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-        let mut app = TrafficApp::new();
-        let ping_sparse = app.add_ping(PINGONLY30, Nanos::ZERO);
-        let ping_slow = app.add_ping(SLOW30, Nanos::ZERO);
-        let ping_fast = app.add_ping(1, Nanos::ZERO); // one bulk fast client
-        let mut tcps = vec![app.add_tcp_down(SLOW30, Nanos::ZERO)];
-        for sta in scenario::bulk30() {
-            tcps.push(app.add_tcp_down(sta, Nanos::ZERO));
-        }
-        app.install(&mut net);
-
-        net.run(cfg.warmup, &mut app);
-        let before: Vec<StationMeter> = net.meter().all().to_vec();
-        let delivered = delivered_bytes(&app, &tcps);
-        net.run(cfg.duration, &mut app);
-        let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
+        let mut built = cell(scheme, seed, cfg).build()?;
+        let window = built.measure(cfg.warmup);
 
         // Airtime over the 29 stations that carry traffic (the ping-only
         // client is excluded from the share plot, as in Figure 9).
         let active: Vec<StationMeter> = window
+            .meters
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != PINGONLY30)
             .map(|(_, m)| *m)
             .collect();
         let shares = shares_of(&active);
-        let secs = cfg.window().as_secs_f64();
-        let goodput: f64 = delivered_since(&app, &tcps, &delivered)
-            .into_iter()
-            .map(|b| b as f64 * 8.0 / secs)
-            .sum();
-        let rtts = |flow| -> Vec<f64> { to_ms(&app.ping(flow).rtts_after(cfg.warmup)) };
-        (
+        let goodput = window.delivered[3..].iter().map(|&b| bps(b, cfg.window()));
+        let goodput: f64 = goodput.sum();
+        let rtts = |flow| to_ms(&built.app.ping(FlowHandle(flow)).rtts_after(window.from));
+        Ok((
             shares[SLOW30],
             mean(&shares[1..]),
             jain_index(&shares),
             goodput,
-            rtts(ping_slow),
-            rtts(ping_fast),
-            rtts(ping_sparse),
-        )
-    });
+            rtts(1),
+            rtts(2),
+            rtts(0),
+        ))
+    })?;
 
     let slow_ms: Vec<f64> = reps.iter().flat_map(|r| r.4.iter().copied()).collect();
     let fast_ms: Vec<f64> = reps.iter().flat_map(|r| r.5.iter().copied()).collect();
     let sparse_ms: Vec<f64> = reps.iter().flat_map(|r| r.6.iter().copied()).collect();
-    ThirtyResult {
+    Ok(ThirtyResult {
         scheme: scheme.label().to_string(),
         slow_share: mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>()),
         fast_share_mean: mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
@@ -109,10 +99,10 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> ThirtyResult {
         sparse_latency: Summary::of(&sparse_ms),
         slow_cdf: Cdf::of(&slow_ms, 150),
         fast_cdf: Cdf::of(&fast_ms, 150),
-    }
+    })
 }
 
 /// Runs all three schemes of the 30-station experiment.
-pub fn run_all(cfg: &RunCfg) -> Vec<ThirtyResult> {
+pub fn run_all(cfg: &RunCfg) -> Result<Vec<ThirtyResult>, String> {
     SCHEMES30.into_iter().map(|s| run_scheme(s, cfg)).collect()
 }

@@ -2,18 +2,14 @@
 //! Figure 5, and the UDP column of Figure 6.
 
 use serde::Serialize;
-use wifiq_mac::{SchemeKind, StationMeter, WifiNetwork};
-use wifiq_sim::Nanos;
-use wifiq_traffic::TrafficApp;
+use wifiq_mac::{SchemeKind, StationMeter};
 
-use crate::runner::{
-    delivered_bytes, delivered_since, export_metrics, mean, meter_window, run_seeds, shares_of,
-    RunCfg,
-};
-use crate::scenario;
+use crate::runner::{bps, export_metrics, mean, run_seeds, shares_of, RunCfg};
+use crate::scenario::{self, TESTBED3};
+use crate::scenario_file::{ScenarioFile, Window};
 
-/// Offered UDP load per station (well above any station's capacity).
-pub const SAT_RATE_BPS: u64 = 100_000_000;
+/// Offered UDP load per station, Mbps (well above any station's capacity).
+pub const SAT_MBPS: u64 = 100;
 
 /// Per-station measurements from one saturation run (averaged over
 /// repetitions).
@@ -45,41 +41,35 @@ impl UdpSatResult {
     }
 }
 
-/// Runs one-way UDP saturation to every station of the 3-station testbed
-/// under `scheme`.
-pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> UdpSatResult {
+/// One repetition of the saturation workload: saturating UDP to every
+/// station of the 3-station testbed under `scheme`.
+pub fn cell(scheme: SchemeKind, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let traffic = (0..3).map(|sta| scenario::udp(sta, SAT_MBPS)).collect();
+    scenario::cell(scheme, &TESTBED3, traffic, seed, cfg)
+}
+
+/// Runs [`cell`] under `scheme` over `cfg`'s repetitions.
+pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> Result<UdpSatResult, String> {
     let n = 3;
     // (shares, aggregation, goodput) per station, one tuple per repetition.
     let reps: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> =
         run_seeds("udp_sat", scheme.slug(), "", cfg, |seed| {
-            let net_cfg = scenario::testbed3(scheme, seed);
-            let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
+            let mut built = cell(scheme, seed, cfg).build()?;
             let tele = cfg.telemetry();
-            net.set_telemetry(tele.clone());
-            let mut app = TrafficApp::new();
-            let flows: Vec<_> = (0..n)
-                .map(|sta| app.add_udp_down(sta, SAT_RATE_BPS, Nanos::ZERO))
-                .collect();
-            app.install(&mut net);
+            built.net.set_telemetry(tele.clone());
+            let Window {
+                meters, delivered, ..
+            } = built.measure(cfg.warmup);
 
-            net.run(cfg.warmup, &mut app);
-            let before: Vec<StationMeter> = net.meter().all().to_vec();
-            let delivered = delivered_bytes(&app, &flows);
-            net.run(cfg.duration, &mut app);
-            let window: Vec<StationMeter> = meter_window(net.meter().all(), &before);
-
-            let shares = shares_of(&window);
-            let aggr: Vec<f64> = window.iter().map(StationMeter::mean_aggregation).collect();
-            let thr: Vec<f64> = delivered_since(&app, &flows, &delivered)
-                .into_iter()
-                .map(|bytes| bytes as f64 * 8.0 / cfg.window().as_secs_f64())
-                .collect();
+            let shares = shares_of(&meters);
+            let aggr: Vec<f64> = meters.iter().map(StationMeter::mean_aggregation).collect();
+            let thr: Vec<f64> = delivered.iter().map(|&b| bps(b, cfg.window())).collect();
             let snapshot = format!("udp_sat_{}_seed{seed}", scheme.slug());
             export_metrics(cfg, &tele, &snapshot, seed);
-            (shares, aggr, thr)
-        });
+            Ok((shares, aggr, thr))
+        })?;
 
-    UdpSatResult {
+    Ok(UdpSatResult {
         scheme: scheme.label().to_string(),
         stations: (0..n)
             .map(|sta| UdpStation {
@@ -89,11 +79,11 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> UdpSatResult {
             })
             .collect(),
         rep_shares: reps.into_iter().map(|r| r.0).collect(),
-    }
+    })
 }
 
 /// Runs the workload under all four schemes (Figure 5).
-pub fn run_all(cfg: &RunCfg) -> Vec<UdpSatResult> {
+pub fn run_all(cfg: &RunCfg) -> Result<Vec<UdpSatResult>, String> {
     SchemeKind::ALL
         .into_iter()
         .map(|s| run_scheme(s, cfg))

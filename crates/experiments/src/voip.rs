@@ -3,14 +3,15 @@
 //! markings and 5 ms vs 50 ms baseline one-way delay.
 
 use serde::Serialize;
-use wifiq_mac::{SchemeKind, WifiNetwork};
+use wifiq_mac::SchemeKind;
 use wifiq_phy::AccessCategory;
 use wifiq_sim::Nanos;
 use wifiq_stats::VoipMetrics;
-use wifiq_traffic::TrafficApp;
+use wifiq_traffic::FlowHandle;
 
-use crate::runner::{delivered_bytes, delivered_since, mean, run_seeds, RunCfg};
-use crate::scenario::{self, SLOW};
+use crate::runner::{bps, mean, run_seeds, RunCfg};
+use crate::scenario::{self, tcp_down, SLOW, TESTBED4};
+use crate::scenario_file::{ScenarioFile, TrafficSpec};
 
 /// One Table 2 cell.
 #[derive(Debug, Clone, Serialize)]
@@ -31,42 +32,43 @@ pub struct VoipCell {
     pub loss: f64,
 }
 
-/// Runs one Table 2 cell: VoIP (+bulk) to the slow station, bulk TCP to
-/// the three fast stations, under `scheme`.
-pub fn run_cell(scheme: SchemeKind, ac: AccessCategory, owd: Nanos, cfg: &RunCfg) -> VoipCell {
+/// One repetition of a Table 2 cell under `scheme`: VoIP marked `ac` to
+/// the slow station (component 0), then bulk TCP to all four stations —
+/// "the slow station receives both VoIP traffic and bulk traffic, while
+/// the fast stations receive bulk traffic".
+pub fn cell(scheme: SchemeKind, ac: AccessCategory, seed: u64, cfg: &RunCfg) -> ScenarioFile {
+    let mut traffic = vec![TrafficSpec::Voip {
+        station: SLOW,
+        qos: ac.label().to_lowercase(),
+    }];
+    traffic.extend((0..4).map(tcp_down));
+    scenario::cell(scheme, &TESTBED4, traffic, seed, cfg)
+}
+
+/// Runs [`cell`] with a baseline one-way wire delay of `owd`.
+pub fn run_cell(
+    scheme: SchemeKind,
+    ac: AccessCategory,
+    owd: Nanos,
+    cfg: &RunCfg,
+) -> Result<VoipCell, String> {
     let config = format!("{}_{}ms", ac.label(), owd.as_millis());
     // (mos, throughput, delay, loss) per repetition.
     let reps: Vec<(f64, f64, f64, f64)> = run_seeds("voip", scheme.slug(), &config, cfg, |seed| {
-        let net_cfg = scenario::with_wire_delay(scenario::testbed4(scheme, seed), owd);
-        let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
-        let mut app = TrafficApp::new();
-        let voip = app.add_voip(SLOW, ac, Nanos::ZERO);
-        // "the slow station receives both VoIP traffic and bulk traffic,
-        // while the fast stations receive bulk traffic".
-        let mut tcps = Vec::new();
-        for sta in 0..4 {
-            tcps.push(app.add_tcp_down(sta, Nanos::ZERO));
-        }
-        app.install(&mut net);
-        net.run(cfg.warmup, &mut app);
-        let delivered = delivered_bytes(&app, &tcps);
-        net.run(cfg.duration, &mut app);
+        let mut built = cell(scheme, ac, seed, cfg).build_with(|c| c.wire_delay = owd)?;
+        let window = built.measure(cfg.warmup);
 
-        let flow = app.voip(voip);
-        let delays = flow.delays_after(cfg.warmup);
+        let delays = built.app.voip(FlowHandle(0)).delays_after(window.from);
         // Frames sent within the window (20 ms spacing).
         let sent = (cfg.window().as_millis() / 20) as usize;
         let metrics = VoipMetrics::from_delays(&delays, sent.max(delays.len()));
 
-        let secs = cfg.window().as_secs_f64();
-        let thr: f64 = delivered_since(&app, &tcps, &delivered)
-            .into_iter()
-            .map(|b| b as f64 * 8.0 / secs)
-            .sum();
-        (metrics.mos(), thr, metrics.mean_delay_ms, metrics.loss)
-    });
+        let thr = window.delivered[1..].iter().map(|&b| bps(b, cfg.window()));
+        let thr: f64 = thr.sum();
+        Ok((metrics.mos(), thr, metrics.mean_delay_ms, metrics.loss))
+    })?;
 
-    VoipCell {
+    Ok(VoipCell {
         scheme: scheme.label().to_string(),
         qos: ac.label().to_string(),
         owd_ms: owd.as_millis(),
@@ -74,18 +76,18 @@ pub fn run_cell(scheme: SchemeKind, ac: AccessCategory, owd: Nanos, cfg: &RunCfg
         throughput_bps: mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
         delay_ms: mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
         loss: mean(&reps.iter().map(|r| r.3).collect::<Vec<_>>()),
-    }
+    })
 }
 
 /// Runs the full Table 2 matrix: 4 schemes × {VO, BE} × {5 ms, 50 ms}.
-pub fn run_all(cfg: &RunCfg) -> Vec<VoipCell> {
+pub fn run_all(cfg: &RunCfg) -> Result<Vec<VoipCell>, String> {
     let mut cells = Vec::new();
     for scheme in SchemeKind::ALL {
         for ac in [AccessCategory::Vo, AccessCategory::Be] {
             for owd in [Nanos::from_millis(5), Nanos::from_millis(50)] {
-                cells.push(run_cell(scheme, ac, owd, cfg));
+                cells.push(run_cell(scheme, ac, owd, cfg)?);
             }
         }
     }
-    cells
+    Ok(cells)
 }

@@ -1,13 +1,17 @@
 //! The web page-load experiment (Figure 11): PLT for small and large
 //! pages fetched through a busy network.
+//!
+//! The one `TrafficApp` experiment that is not a scenario document: its
+//! page load starts at 3 s, once the bulk traffic has filled the queues,
+//! and a document's traffic has no start time (DESIGN.md §9).
 
 use serde::Serialize;
-use wifiq_mac::{SchemeKind, WifiNetwork};
+use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_sim::Nanos;
 use wifiq_traffic::{TrafficApp, WebPage};
 
 use crate::runner::{mean, run_seeds, RunCfg};
-use crate::scenario::{self, FAST1, FAST2, SLOW};
+use crate::scenario::{FAST1, FAST2, SLOW};
 
 /// Which station does the fetching (the paper's two scenarios, §4.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -61,7 +65,12 @@ pub struct WebCell {
 const PLT_CAP: Nanos = Nanos::from_secs(90);
 
 /// Runs one cell: repeated page loads of `page` under `scheme`.
-pub fn run_cell(scheme: SchemeKind, page: &WebPage, fetcher: Fetcher, cfg: &RunCfg) -> WebCell {
+pub fn run_cell(
+    scheme: SchemeKind,
+    page: &WebPage,
+    fetcher: Fetcher,
+    cfg: &RunCfg,
+) -> Result<WebCell, String> {
     let config = format!(
         "{}_{}",
         page_label(page),
@@ -73,7 +82,8 @@ pub fn run_cell(scheme: SchemeKind, page: &WebPage, fetcher: Fetcher, cfg: &RunC
     );
     // (PLT seconds, completed-within-cap) per repetition.
     let reps: Vec<(f64, bool)> = run_seeds("web", scheme.slug(), &config, cfg, |seed| {
-        let net_cfg = scenario::testbed3(scheme, seed);
+        let mut net_cfg = NetworkConfig::paper_testbed(scheme);
+        net_cfg.seed = seed;
         let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
         let mut app = TrafficApp::new();
         // Bulk load starts first; the page load begins once the bulk
@@ -97,24 +107,24 @@ pub fn run_cell(scheme: SchemeKind, page: &WebPage, fetcher: Fetcher, cfg: &RunC
             t += Nanos::from_secs(1);
             net.run(t, &mut app);
         }
-        match app.web(web).plt {
+        Ok(match app.web(web).plt {
             Some(plt) => (plt.as_secs_f64(), true),
             None => (PLT_CAP.as_secs_f64(), false),
-        }
-    });
-    WebCell {
+        })
+    })?;
+    Ok(WebCell {
         scheme: scheme.label().to_string(),
         page: page_label(page).to_string(),
         fetcher: fetcher.label().to_string(),
         plt_secs: mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>()),
         completed: reps.iter().filter(|r| r.1).count(),
         reps: cfg.reps as usize,
-    }
+    })
 }
 
 /// Runs Figure 11 (fast-station fetches) and the appendix variant
 /// (slow-station fetches) across all schemes and both pages.
-pub fn run_all(cfg: &RunCfg, include_slow_fetcher: bool) -> Vec<WebCell> {
+pub fn run_all(cfg: &RunCfg, include_slow_fetcher: bool) -> Result<Vec<WebCell>, String> {
     let mut cells = Vec::new();
     for fetcher in [Fetcher::Fast, Fetcher::Slow] {
         if fetcher == Fetcher::Slow && !include_slow_fetcher {
@@ -122,9 +132,9 @@ pub fn run_all(cfg: &RunCfg, include_slow_fetcher: bool) -> Vec<WebCell> {
         }
         for page in [WebPage::small(), WebPage::large()] {
             for scheme in SchemeKind::ALL {
-                cells.push(run_cell(scheme, &page, fetcher, cfg));
+                cells.push(run_cell(scheme, &page, fetcher, cfg)?);
             }
         }
     }
-    cells
+    Ok(cells)
 }

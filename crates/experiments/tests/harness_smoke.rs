@@ -23,7 +23,7 @@ fn tiny() -> RunCfg {
 
 #[test]
 fn udp_sat_shares_sum_to_one() {
-    let r = udp_sat::run_scheme(SchemeKind::AirtimeFair, &tiny());
+    let r = udp_sat::run_scheme(SchemeKind::AirtimeFair, &tiny()).unwrap();
     let sum: f64 = r.stations.iter().map(|s| s.airtime_share).sum();
     assert!((sum - 1.0).abs() < 1e-6, "shares sum {sum}");
     assert!(r.total_goodput() > 10e6, "implausibly low goodput");
@@ -32,7 +32,7 @@ fn udp_sat_shares_sum_to_one() {
 
 #[test]
 fn latency_produces_samples_and_cdfs() {
-    let r = latency::run_scheme(SchemeKind::FqMac, &tiny(), false);
+    let r = latency::run_scheme(SchemeKind::FqMac, &tiny(), false).unwrap();
     assert!(r.fast.summary.count > 10, "too few fast samples");
     assert!(r.slow.summary.count > 10);
     assert!(!r.fast.cdf.points.is_empty());
@@ -43,7 +43,8 @@ fn latency_produces_samples_and_cdfs() {
 
 #[test]
 fn tcp_fair_bidirectional_reports_uploads() {
-    let r = tcp_fair::run_scheme(SchemeKind::AirtimeFair, TcpPattern::Bidirectional, &tiny());
+    let r =
+        tcp_fair::run_scheme(SchemeKind::AirtimeFair, TcpPattern::Bidirectional, &tiny()).unwrap();
     assert!(r.up_bps.iter().any(|&b| b > 0.0), "no upload measured");
     assert!(r.jain > 0.3 && r.jain <= 1.0 + 1e-9);
     assert!(r.total() > 10e6);
@@ -51,7 +52,7 @@ fn tcp_fair_bidirectional_reports_uploads() {
 
 #[test]
 fn table1_model_and_measurement_agree_roughly() {
-    let t = table1::run(&tiny());
+    let t = table1::run(&tiny()).unwrap();
     // Model vs measured within a factor of two at miniature scale.
     for half in [&t.baseline, &t.fair] {
         let ratio = half.model_total / half.measured_total.max(1.0);
@@ -70,7 +71,7 @@ fn table1_model_and_measurement_agree_roughly() {
 
 #[test]
 fn sparse_cell_produces_distribution() {
-    let c = sparse::run_cell(sparse::BulkKind::Udp, true, &tiny());
+    let c = sparse::run_cell(sparse::BulkKind::Udp, true, &tiny()).unwrap();
     assert!(c.summary.count > 5);
     assert!(c.enabled);
     assert_eq!(c.bulk, "UDP");
@@ -78,7 +79,7 @@ fn sparse_cell_produces_distribution() {
 
 #[test]
 fn thirty_station_harness_runs() {
-    let r = thirty::run_scheme(SchemeKind::AirtimeFair, &tiny());
+    let r = thirty::run_scheme(SchemeKind::AirtimeFair, &tiny()).unwrap();
     assert!((0.0..=1.0).contains(&r.slow_share));
     assert!(r.jain > 0.5, "airtime scheme should be fair: {}", r.jain);
     assert!(r.total_goodput_bps > 1e6);
@@ -92,7 +93,8 @@ fn voip_cell_reports_mos_in_range() {
         AccessCategory::Be,
         Nanos::from_millis(5),
         &tiny(),
-    );
+    )
+    .unwrap();
     assert!((1.0..=4.5).contains(&c.mos), "MOS {}", c.mos);
     assert!((0.0..=1.0).contains(&c.loss));
     assert!(c.throughput_bps > 1e6);
@@ -105,18 +107,19 @@ fn web_cell_completes_small_page() {
         &WebPage::small(),
         web::Fetcher::Fast,
         &tiny(),
-    );
+    )
+    .unwrap();
     assert_eq!(c.completed, 1, "page load did not finish");
     assert!(c.plt_secs > 0.0 && c.plt_secs < 10.0);
 }
 
 #[test]
 fn ablation_cells_run() {
-    let rx = ablations::rx_charging(true, &tiny());
+    let rx = ablations::rx_charging(true, &tiny()).unwrap();
     assert!(rx.jain > 0.3);
-    let dp = ablations::drop_policy(wifiq_core::fq::DropPolicy::DropLongest, &tiny());
+    let dp = ablations::drop_policy(wifiq_core::fq::DropPolicy::DropLongest, &tiny()).unwrap();
     assert!(dp.fast_goodput_bps > 1e6);
-    let q = ablations::quantum(300, &tiny());
+    let q = ablations::quantum(300, &tiny()).unwrap();
     assert!(q.sparse_median_ms > 0.0);
 }
 

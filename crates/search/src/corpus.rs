@@ -160,19 +160,11 @@ mod tests {
 
     fn doc(seed: u64) -> ScenarioFile {
         ScenarioFile {
-            scheme: "airtime".into(),
             secs: 3,
             seed,
-            station_fq: false,
-            rate_control: false,
-            aql_ms: None,
             stations: vec![StationSpec::new("mcs7")],
             traffic: vec![TrafficSpec::TcpDown { station: 0 }],
-            faults: vec![],
-            churn: None,
-            policy: None,
-            roaming: None,
-            provenance: None,
+            ..ScenarioFile::default()
         }
     }
 

@@ -526,12 +526,7 @@ mod tests {
 
     fn base() -> ScenarioFile {
         ScenarioFile {
-            scheme: "airtime".into(),
             secs: 5,
-            seed: 1,
-            station_fq: false,
-            rate_control: false,
-            aql_ms: None,
             stations: vec![
                 StationSpec::new("mcs15"),
                 StationSpec::new("mcs7"),
@@ -559,7 +554,6 @@ mod tests {
                     loss_bad: 0.8,
                 },
             }],
-            churn: None,
             policy: Some(PolicySpec {
                 nodes: vec![
                     PolicyNodeSpec {
@@ -579,8 +573,7 @@ mod tests {
                 ],
                 switches: Vec::new(),
             }),
-            roaming: None,
-            provenance: None,
+            ..ScenarioFile::default()
         }
     }
 

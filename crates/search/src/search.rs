@@ -127,12 +127,8 @@ pub struct SearchReport {
 pub fn planted_doc() -> ScenarioFile {
     let station = StationSpec::new;
     ScenarioFile {
-        scheme: "airtime".into(),
         secs: 12,
         seed: 7,
-        station_fq: false,
-        rate_control: false,
-        aql_ms: None,
         stations: vec![
             station("mcs15"),
             station("mcs7"),
@@ -206,7 +202,6 @@ pub fn planted_doc() -> ScenarioFile {
                 kind: FaultKind::Loss { prob: 0.05 },
             },
         ],
-        churn: None,
         // Equal split — compiles to neutral weights, pure baggage. The
         // switch re-installs the same tree, so it is baggage too.
         policy: Some(PolicySpec {
@@ -216,8 +211,7 @@ pub fn planted_doc() -> ScenarioFile {
                 nodes: equal_split(),
             }],
         }),
-        roaming: None,
-        provenance: None,
+        ..ScenarioFile::default()
     }
 }
 

@@ -186,12 +186,8 @@ mod tests {
     /// on station 1; everything else is removable.
     fn laden() -> ScenarioFile {
         ScenarioFile {
-            scheme: "airtime".into(),
             secs: 12,
             seed: 5,
-            station_fq: false,
-            rate_control: false,
-            aql_ms: None,
             stations: (0..5).map(|_| StationSpec::new("mcs7")).collect(),
             traffic: (0..5)
                 .map(|s| TrafficSpec::TcpDown { station: s })
@@ -217,10 +213,7 @@ mod tests {
                     kind: FaultKind::HwBackpressure { depth: 4 },
                 },
             ],
-            churn: None,
-            policy: None,
-            roaming: None,
-            provenance: None,
+            ..ScenarioFile::default()
         }
     }
 

@@ -24,10 +24,10 @@ use std::time::Duration;
 
 use wifiq_experiments::dispatch::{run_table, Experiment};
 use wifiq_experiments::report::{parse_flag, pct, Table};
-use wifiq_experiments::runner::{export_metrics, mbps, meter_window, shares_of, to_ms};
+use wifiq_experiments::runner::{export_metrics, mbps, shares_of, to_ms};
+use wifiq_experiments::scenario::TESTBED3;
 use wifiq_experiments::scenario_file::{InstalledTraffic, ScenarioFile, StationSpec, TrafficSpec};
 use wifiq_experiments::{ext, figs, RunCfg};
-use wifiq_mac::StationMeter;
 use wifiq_stats::{jain_index, Summary, VoipMetrics};
 
 /// Every experiment, in `wifiq all` order; README.md describes each (the
@@ -225,19 +225,8 @@ const MAX_FLAG_STATIONS: usize = 100_000;
 /// station indices) is [`ScenarioFile::build`]'s to say.
 fn scenario_from_flags(argv: &[String]) -> Result<ScenarioFile, String> {
     let mut scenario = ScenarioFile {
-        scheme: "airtime".into(),
-        secs: 20,
-        seed: 1,
-        station_fq: false,
-        rate_control: false,
-        aql_ms: None,
-        stations: ["mcs15", "mcs15", "mcs0"].map(StationSpec::new).into(),
-        traffic: Vec::new(),
-        faults: Vec::new(),
-        churn: None,
-        policy: None,
-        roaming: None,
-        provenance: None,
+        stations: TESTBED3.map(StationSpec::new).into(),
+        ..ScenarioFile::default()
     };
     // `--traffic` names what every station runs, written here for station 0.
     let mut per_station = vec![TrafficSpec::TcpDown { station: 0 }];
@@ -322,19 +311,8 @@ fn scenario_from_flags(argv: &[String]) -> Result<ScenarioFile, String> {
 fn scenario_report(scenario: &ScenarioFile) -> Result<String, String> {
     let mut built = scenario.build()?;
     let duration = built.duration;
-    let warmup = duration / 6;
-    built.run_to(warmup);
-    let before: Vec<StationMeter> = built.net.meter().all().to_vec();
-    // Per component, in file order; 0 where it reports no goodput.
-    let delivered: Vec<u64> = built
-        .traffic
-        .iter()
-        .map(|t| match t {
-            InstalledTraffic::Tcp(h) | InstalledTraffic::Udp(h) => built.app.delivered_bytes(*h),
-            _ => 0,
-        })
-        .collect();
-    built.run_to(duration);
+    let window = built.measure(duration / 6);
+    let warmup = window.from;
 
     let stations = &built.net.config().stations;
     let mut out = String::new();
@@ -346,17 +324,16 @@ fn scenario_report(scenario: &ScenarioFile) -> Result<String, String> {
         duration.as_millis() / 1000,
         scenario.seed
     );
-    let window = meter_window(built.net.meter().all(), &before);
     // Churn can grow the meter table past the configured roster; shares
     // are of all the air used, the table and the index cover the roster.
-    let shares = shares_of(&window);
+    let shares = shares_of(&window.meters);
     let mut t = Table::new(vec!["Station", "Rate", "Airtime share", "Mean aggr"]);
     for (sta, cfg) in stations.iter().enumerate() {
         t.row(vec![
             sta.to_string(),
             cfg.rate.to_string(),
             pct(shares[sta]),
-            format!("{:.1}", window[sta].mean_aggregation()),
+            format!("{:.1}", window.meters[sta].mean_aggregation()),
         ]);
     }
     out.push_str(&t.render());
@@ -368,45 +345,29 @@ fn scenario_report(scenario: &ScenarioFile) -> Result<String, String> {
 
     let app = &built.app;
     let measured = duration - warmup;
-    let goodput = |i: usize, h| mbps(app.delivered_bytes(h) - delivered[i], measured);
     for (i, traffic) in built.traffic.iter().enumerate() {
-        let (what, station) = match traffic {
-            InstalledTraffic::Tcp(h) => (
-                format!("tcp: {:.1} Mbps", goodput(i, *h)),
-                app.tcp(*h).station,
-            ),
-            InstalledTraffic::Udp(h) => {
-                let what = format!("udp: {:.1} Mbps delivered", goodput(i, *h));
-                (what, app.udp(*h).station)
-            }
+        let goodput = mbps(window.delivered[i], measured);
+        let what = match traffic {
+            InstalledTraffic::Tcp(_) => format!("tcp: {goodput:.1} Mbps"),
+            InstalledTraffic::Udp(_) => format!("udp: {goodput:.1} Mbps delivered"),
             InstalledTraffic::Ping(h) => {
                 let s = Summary::of(&to_ms(&app.ping(*h).rtts_after(warmup)));
-                let what = format!(
-                    "ping: median {:.1} ms, p95 {:.1} ms, n={}",
-                    s.median, s.p95, s.count
-                );
-                (what, app.ping(*h).station)
+                let (median, p95, n) = (s.median, s.p95, s.count);
+                format!("ping: median {median:.1} ms, p95 {p95:.1} ms, n={n}")
             }
             InstalledTraffic::Voip(h) => {
                 let delays = app.voip(*h).delays_after(warmup);
-                let sent = ((duration - warmup).as_millis() / 20) as usize;
+                let sent = (measured.as_millis() / 20) as usize;
                 let m = VoipMetrics::from_delays(&delays, sent.max(delays.len()));
-                let what = format!(
-                    "voip: MOS {:.2} (delay {:.1} ms, loss {:.1}%)",
-                    m.mos(),
-                    m.mean_delay_ms,
-                    m.loss * 100.0
-                );
-                (what, app.voip(*h).station)
+                let (mos, delay, loss) = (m.mos(), m.mean_delay_ms, m.loss * 100.0);
+                format!("voip: MOS {mos:.2} (delay {delay:.1} ms, loss {loss:.1}%)")
             }
-            InstalledTraffic::Web(h) => {
-                let what = match app.web(*h).plt {
-                    Some(plt) => format!("web: PLT {:.3} s", plt.as_secs_f64()),
-                    None => "web: did not complete".to_string(),
-                };
-                (what, app.web(*h).station)
-            }
+            InstalledTraffic::Web(h) => match app.web(*h).plt {
+                Some(plt) => format!("web: PLT {:.3} s", plt.as_secs_f64()),
+                None => "web: did not complete".to_string(),
+            },
         };
+        let station = scenario.traffic[i].station();
         let _ = writeln!(out, "traffic[{i}] {what} (station {station})");
     }
     Ok(out)

@@ -34,7 +34,7 @@ fn cfg(name: &str) -> RunCfg {
 }
 
 fn run(cfg: &RunCfg) -> (UdpSatResult, String) {
-    let result = udp_sat::run_scheme(SchemeKind::AirtimeFair, cfg);
+    let result = udp_sat::run_scheme(SchemeKind::AirtimeFair, cfg).expect("a repetition survives");
     let json = serde_json::to_string_pretty(&result).expect("serialize");
     (result, json)
 }
