@@ -3,7 +3,6 @@
 //! through the same `settle`: they differ only in where the aggregate
 //! waits and in where its frames go once delivered.
 
-use wifiq_phy::consts::SLOT_TIME;
 use wifiq_phy::AccessCategory;
 use wifiq_policy::{CompiledPolicy, NODE_NONE};
 use wifiq_sim::Nanos;
@@ -108,8 +107,8 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
     /// Runs one contention round if the medium is idle and anyone has a
     /// frame ready (DESIGN.md §14): phase A brings the cached contender
     /// set up to date, phase B draws every backoff from the main RNG — the
-    /// AP first, then the contenders in ascending slot order — folding the
-    /// earliest transmit time and the tied transmitters into `in_flight`.
+    /// AP first, then the contenders in ascending slot order — and puts the
+    /// earliest transmitters into `in_flight`.
     pub(super) fn try_contend(&mut self, now: Nanos) {
         let medium = &mut self.medium;
         if !medium.in_flight.is_empty() {
@@ -134,21 +133,15 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         #[cfg(not(test))]
         debug_assert_eq!(audit(Some(self.events_processed as usize)), Ok(()));
 
-        let aifs = AccessCategory::ALL.map(|ac| ac.edca().aifs());
-        let mut t_min = Nanos::MAX;
-        // The AP contends with its highest-priority non-empty hw queue and
-        // draws first.
-        if let Some(ac) = AccessCategory::ALL
+        // The AP contends with its highest-priority non-empty hw queue.
+        let ap = AccessCategory::ALL
             .into_iter()
             .find(|ac| !medium.hw[ac.index()].is_empty())
-        {
-            let slots = self.rng.backoff_slots(medium.ap_cw[ac.index()]);
-            t_min = aifs[ac.index()] + SLOT_TIME * slots as u64;
-            medium.in_flight.push(Participant::Ap { ac });
-        }
-        let t_min = self
-            .contenders
-            .draw(&mut self.rng, &aifs, t_min, &mut medium.in_flight);
+            .map(|ac| (ac, medium.ap_cw[ac.index()]));
+        let in_flight = &mut medium.in_flight;
+        let Some(wait) = self.contenders.round(&mut self.rng, ap, in_flight) else {
+            return;
+        };
 
         // The exchange occupies the medium until the slowest tied
         // transmission (plus its ack slot) completes.
@@ -162,10 +155,11 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                 .expect("station contended with no pending aggregate")
                 .exchange_airtime(),
         };
-        let Some(dur) = medium.in_flight.iter().map(airtime).max() else {
-            return;
-        };
-        self.queue.push(now + t_min + dur, Event::TxEnd);
+        let dur = medium.in_flight.iter().map(airtime).max();
+        self.queue.push(
+            now + wait + dur.expect("a round has a winner"),
+            Event::TxEnd,
+        );
     }
 
     /// `TxEnd`: settles every attempt of the exchange that just left the

@@ -79,7 +79,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             self.stations.push(up);
             self.ratectrl.push(rc);
             self.cfg.stations.push(station);
-            self.contenders.push_slot();
+            self.contenders.push_slot(sta);
         } else {
             self.stations[sta] = up;
             self.ratectrl[sta] = rc;

@@ -68,6 +68,21 @@ impl SimRng {
         self.inner.gen_range(0..=cw)
     }
 
+    /// Runs `draws` on a copy of this generator held in a local, then
+    /// continues from where the copy stopped: the same stream as running
+    /// `draws` on `self`. A loop of draws through `&mut self` loads and
+    /// stores the generator's state around every draw; through the local
+    /// copy the state stays in registers for the whole loop.
+    #[inline(always)]
+    pub fn in_registers<R>(&mut self, draws: impl FnOnce(&mut SimRng) -> R) -> R {
+        let mut local = SimRng {
+            inner: self.inner.clone(),
+        };
+        let out = draws(&mut local);
+        self.inner = local.inner;
+        out
+    }
+
     /// Uniform float in `[0, 1)`.
     pub fn gen_f64(&mut self) -> f64 {
         self.inner.gen_range(0.0..1.0)
@@ -161,6 +176,16 @@ mod tests {
             assert!(rng.backoff_slots(15) <= 15);
         }
         assert_eq!(rng.backoff_slots(0), 0);
+    }
+
+    #[test]
+    fn in_registers_continues_the_stream() {
+        let (mut a, mut b) = (SimRng::new(6), SimRng::new(6));
+        let inside: Vec<u32> =
+            a.in_registers(|rng| (0..100).map(|_| rng.backoff_slots(31)).collect());
+        let outside: Vec<u32> = (0..100).map(|_| b.backoff_slots(31)).collect();
+        assert_eq!(inside, outside);
+        assert_eq!(a.gen_range_u64(0, 1 << 40), b.gen_range_u64(0, 1 << 40));
     }
 
     #[test]
