@@ -17,12 +17,13 @@
 
 use serde::Serialize;
 use wifiq_core::fq::DropPolicy;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::SchemeKind;
 use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
 use wifiq_traffic::FlowHandle;
 
-use crate::runner::{bps, mean, median, run_seeds, shares_of, to_ms, RunCfg};
+use crate::runner::{bps, mean, median, run_seeds, to_ms, RunCfg};
 use crate::scenario::{self, tcp_down, tcp_up, SLOW, TESTBED3};
 use crate::scenario_file::ScenarioFile;
 use crate::sparse::{self, BulkKind};
@@ -55,7 +56,7 @@ pub fn rx_charging(enabled: bool, cfg: &RunCfg) -> Result<RxChargingResult, Stri
     let reps: Vec<(f64, f64)> = run_seeds("ablations", "rx_charging", config, cfg, |seed| {
         let doc = rx_charging_cell(seed, cfg);
         let mut built = doc.build_with(|c| c.airtime.charge_rx = enabled)?;
-        let shares = shares_of(&built.measure(cfg.warmup).meters);
+        let shares = airtime_shares(&built.measure(cfg.warmup).meters);
         Ok((jain_index(&shares), shares[SLOW]))
     })?;
     Ok(RxChargingResult {
@@ -180,7 +181,10 @@ pub fn quantum(quantum_us: u64, cfg: &RunCfg) -> Result<QuantumResult, String> {
         let mut built = doc.build_with(|c| c.airtime.quantum = Nanos::from_micros(quantum_us))?;
         let window = built.measure(cfg.warmup);
         let ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
-        Ok((median(&ms), jain_index(&shares_of(&window.meters[..3]))))
+        Ok((
+            median(&ms),
+            jain_index(&airtime_shares(&window.meters[..3])),
+        ))
     })?;
     Ok(QuantumResult {
         quantum_us,

@@ -8,11 +8,12 @@
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::runner::{mean, run_seeds, shares_of};
+use crate::runner::{mean, run_seeds};
 use crate::scenario;
 use crate::scenario_file::{PolicyNodeSpec, PolicySpec, ScenarioFile};
 use crate::udp_sat::SAT_MBPS;
 use crate::RunCfg;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::SchemeKind;
 
 const WEIGHTS: [u32; 3] = [1, 2, 4];
@@ -49,7 +50,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     // Per-station airtime shares, one vector per repetition.
     let reps: Vec<Vec<f64>> = run_seeds("ext_airtime_weights", "1_2_4", "", cfg, |seed| {
         let mut built = cell(seed, cfg).build()?;
-        Ok(shares_of(&built.measure(cfg.warmup).meters))
+        Ok(airtime_shares(&built.measure(cfg.warmup).meters))
     })?;
     let share_acc: Vec<Vec<f64>> = (0..3)
         .map(|sta| reps.iter().map(|r| r[sta]).collect())

@@ -24,10 +24,11 @@ use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
 use crate::rollup::{write_rollup, Flood};
-use crate::runner::{bps, mean, run_seeds, shares_of, to_ms};
+use crate::runner::{bps, mean, run_seeds, to_ms};
 use crate::scenario::{self, fault, ping, tcp_down, udp, FAST1, FAST2, SLOW, TESTBED3};
 use crate::scenario_file::{FaultKind, FaultSpec, ScenarioFile};
 use crate::RunCfg;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::{
     FaultEntry, FaultTarget, Impairment, NetworkConfig, Preset, SchemeKind, WifiNetwork,
 };
@@ -114,7 +115,7 @@ fn run_point(burst_len: f64, collapse: Option<&str>, cfg: &RunCfg) -> Result<Row
         let total = total.sum::<f64>() / 1e6;
         let sta = |s: usize| Label::Station(s as u32);
         Ok((
-            shares_of(&window.meters),
+            airtime_shares(&window.meters),
             fast_ms,
             total,
             tele.counter("chaos", "forced_loss", sta(SLOW)),

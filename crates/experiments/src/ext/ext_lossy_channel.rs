@@ -18,10 +18,11 @@
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::runner::{bps, mean, run_seeds, shares_of, to_ms};
+use crate::runner::{bps, mean, run_seeds, to_ms};
 use crate::scenario::{self, fault, ping, tcp_down, FAST1, SLOW, TESTBED3};
 use crate::scenario_file::{FaultKind, ScenarioFile};
 use crate::RunCfg;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::SchemeKind;
 use wifiq_stats::Summary;
 use wifiq_traffic::FlowHandle;
@@ -61,7 +62,7 @@ fn measure(scheme: SchemeKind, err: f64, cfg: &RunCfg) -> Result<Row, String> {
             let fast_ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
             let total = window.delivered[1..].iter().map(|&b| bps(b, cfg.window()));
             let total = total.sum::<f64>() / 1e6;
-            Ok((shares_of(&window.meters)[SLOW], fast_ms, total))
+            Ok((airtime_shares(&window.meters)[SLOW], fast_ms, total))
         })?;
     let fast_ms: Vec<f64> = reps.iter().flat_map(|r| r.1.iter().copied()).collect();
     Ok(Row {

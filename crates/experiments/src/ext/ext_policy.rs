@@ -27,11 +27,12 @@ use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
 use crate::rollup::{write_rollup, Flood};
-use crate::runner::{mean, meter_delta, run_seeds, shares_of};
+use crate::runner::{mean, meter_delta, run_seeds};
 use crate::scenario::{self, fault, udp, SLOW, TESTBED3};
 use crate::scenario_file::{FaultKind, ScenarioFile};
 use crate::udp_sat::SAT_MBPS;
 use crate::RunCfg;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::{
     FaultEntry, FaultTarget, Impairment, NetworkConfig, PolicyNode, PolicySet, PolicyTimeline,
     Preset, SchemeKind, StationMeter, WifiNetwork,
@@ -122,7 +123,7 @@ fn run_point(
         let before: Vec<u64> = (0..nodes).map(node_air).collect();
         let window = built.measure(cfg.warmup);
         let node_air = (0..nodes).map(|n| node_air(n) - before[n]).collect();
-        Ok((shares_of(&window.meters), node_air))
+        Ok((airtime_shares(&window.meters), node_air))
     })?;
     let measured: Vec<f64> = (0..3)
         .map(|sta| mean(&reps.iter().map(|r| r.0[sta]).collect::<Vec<_>>()))
@@ -227,7 +228,7 @@ fn convergence_probe(chaos: bool, cfg: &RunCfg) -> Result<f64, String> {
             .map(|(l, e)| meter_delta(l, e))
             .collect();
         prev = cur;
-        let shares = shares_of(&window);
+        let shares = airtime_shares(&window);
         let err = expected
             .iter()
             .zip(&shares)

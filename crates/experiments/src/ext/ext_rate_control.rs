@@ -14,10 +14,11 @@
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::runner::{mbps, mean, run_seeds, shares_of};
+use crate::runner::{mbps, mean, run_seeds};
 use crate::scenario::{self, tcp_down, udp};
 use crate::scenario_file::ScenarioFile;
 use crate::RunCfg;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::SchemeKind;
 
 #[derive(serde::Serialize)]
@@ -55,7 +56,7 @@ fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Result<Row, String> {
             .iter()
             .map(|&b| mbps(b, cfg.window()))
             .collect();
-        Ok((shares_of(&window.meters), est, thr))
+        Ok((airtime_shares(&window.meters), est, thr))
     })?;
     let col = |pick: fn(&RateRep) -> &Vec<f64>, sta: usize| {
         mean(&reps.iter().map(|r| pick(r)[sta]).collect::<Vec<_>>())

@@ -3,7 +3,7 @@
 //!
 //! Sweeps hand-off rate (mean dwell) × roster size × rate asymmetry
 //! (uniform fast palette vs the fast/slow mix that re-rolls each roamer's
-//! MCS on arrival) through [`wifiq_roam::RoamSet`]: every BSS runs a
+//! MCS on arrival) through [`wifiq_scale::RoamSet`]: every BSS runs a
 //! saturating downlink flood to whatever schedule stations currently sit
 //! on it, and delivered bytes are attributed per *schedule station* so a
 //! station's share follows it across BSS boundaries.
@@ -40,8 +40,7 @@ use wifiq_mac::{
 };
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_policy::PolicySet;
-use wifiq_roam::{BssHost, RoamCfg, RoamRun, RoamSet, SoloRoam};
-use wifiq_scale::ShardCtx;
+use wifiq_scale::{BssHost, RoamCfg, RoamRun, RoamSet, Roster, ShardCtx, SoloRoam};
 use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
 use wifiq_telemetry::{Label, Registry, Telemetry};
@@ -325,7 +324,6 @@ fn leak_check(target: u64, seed: u64, out: &mut String) -> (u64, bool) {
     let mapped_ok = run.outputs.iter().all(|o| o.mapped == o.active);
     let slots_ok = run.outputs.iter().all(|o| o.slots <= roster);
     let drops: u64 = run.outputs.iter().map(|o| o.roam_drops).sum();
-    let landed = run.stats.policy_reattach + run.stats.neutral_fallback;
     let tele_ok = run.registry.counter("roam", "handoffs", Label::Global) == run.stats.handoffs;
 
     let mut ok = true;
@@ -348,11 +346,9 @@ fn leak_check(target: u64, seed: u64, out: &mut String) -> (u64, bool) {
     if !slots_ok {
         fail("a shard's slot table outgrew the roster (slots leaked)");
     }
-    if landed != run.stats.handoffs {
-        fail(&format!(
-            "{} departures but {landed} reassociations — a station is lost in transit",
-            run.stats.handoffs
-        ));
+    // The flush window lands every hand-off still in flight.
+    if !run.stats.is_conserved(0) {
+        fail(&format!("a station is lost in transit: {:?}", run.stats));
     }
     if drops != run.stats.roam_drops {
         fail("shard-side roam_drops disagree with the coordinator's");
@@ -394,7 +390,7 @@ fn policy_check(seed: u64, out: &mut String) -> bool {
         .collect();
     // One packet per slot per tick; a slot mid-hand-off drops its share.
     let mut app = Flood::paced(roster, roster, PKT_LEN, TICK);
-    let mut roam = SoloRoam::new(
+    let roam = SoloRoam::new(
         RoamCfg {
             mean_dwell: Nanos::from_millis(100),
             ..RoamCfg::default()
@@ -402,11 +398,15 @@ fn policy_check(seed: u64, out: &mut String) -> bool {
         seed,
         roster,
     );
-    roam.run_until(&mut net, Nanos::from_secs(3), &mut app);
+    let mut pump = Roster {
+        churn: None,
+        roam: Some(roam),
+    };
+    pump.run_to(&mut net, &mut app, Nanos::from_secs(3));
+    let roam = pump.roam.expect("the roster keeps its replayer");
 
     let s = roam.stats;
-    let landed_ok =
-        s.policy_reattach + s.neutral_fallback + roam.in_transit() as u64 + s.skipped == s.handoffs;
+    let landed_ok = s.is_conserved(roam.in_transit());
     let weights_ok = (0..roster).all(|slot| {
         !net.station_active(slot)
             || net

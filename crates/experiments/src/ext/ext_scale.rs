@@ -21,7 +21,7 @@ use crate::runner::{mbps, mean, run_seeds};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 use wifiq_phy::PhyRate;
-use wifiq_scale::{ChurnCfg, ChurnDriver, ShardCtx, ShardSet};
+use wifiq_scale::{ChurnCfg, ChurnDriver, Roster, ShardCtx, ShardSet};
 use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
 use wifiq_telemetry::{Registry, Telemetry};
@@ -33,18 +33,6 @@ struct ShardOut {
     joins: u64,
     leaves: u64,
     churn_drops: u64,
-}
-
-fn drive(
-    net: &mut WifiNetwork<()>,
-    churn: &mut Option<ChurnDriver>,
-    until: Nanos,
-    app: &mut Flood,
-) {
-    match churn {
-        Some(d) => d.run_until(net, until, app),
-        None => net.run(until, app),
-    }
 }
 
 /// Runs one BSS shard: `stations` fast stations under the airtime-fair
@@ -73,7 +61,7 @@ fn run_shard(
 
     // Start at the roster maximum so slot tables never grow past
     // `stations` (the first churn event is forced to be a leave).
-    let mut driver = (churn && stations >= 2).then(|| {
+    let churn = (churn && stations >= 2).then(|| {
         ChurnDriver::new(
             ChurnCfg {
                 mean_interval: Nanos::from_millis(20),
@@ -90,10 +78,11 @@ fn run_shard(
     // fast-station PHY while keeping the event count independent of roster
     // size (per-station timers at 10k stations would swamp the event loop).
     let mut app = Flood::paced(stations, 8, 1500, Nanos::from_micros(500));
+    let mut roster = Roster { churn, roam: None };
     net.seed_timer(0, Nanos::ZERO);
-    drive(&mut net, &mut driver, warmup, &mut app);
+    roster.run_to(&mut net, &mut app, warmup);
     let warm_bytes = app.delivered().to_vec();
-    drive(&mut net, &mut driver, duration, &mut app);
+    roster.run_to(&mut net, &mut app, duration);
 
     let bytes = app
         .delivered()
@@ -104,8 +93,8 @@ fn run_shard(
     (
         ShardOut {
             bytes,
-            joins: driver.as_ref().map_or(0, |d| d.joins),
-            leaves: driver.as_ref().map_or(0, |d| d.leaves),
+            joins: roster.churn.as_ref().map_or(0, |d| d.joins),
+            leaves: roster.churn.as_ref().map_or(0, |d| d.leaves),
             churn_drops: net.churn_drops(),
         },
         tele.take_registry(),

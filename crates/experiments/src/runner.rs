@@ -263,21 +263,6 @@ pub fn to_ms(samples: &[Nanos]) -> Vec<f64> {
     samples.iter().map(|s| s.as_millis_f64()).collect()
 }
 
-/// Airtime shares over a set of meter windows.
-pub fn shares_of(meters: &[StationMeter]) -> Vec<f64> {
-    let total: f64 = meters
-        .iter()
-        .map(|m| m.total_airtime().as_nanos() as f64)
-        .sum();
-    if total == 0.0 {
-        return vec![0.0; meters.len()];
-    }
-    meters
-        .iter()
-        .map(|m| m.total_airtime().as_nanos() as f64 / total)
-        .collect()
-}
-
 /// Median of a slice (empty → 0).
 pub fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -325,21 +310,6 @@ mod tests {
         let d = meter_delta(&b, &a);
         assert_eq!(d.tx_bytes, 150);
         assert_eq!(d.tx_airtime, Nanos::from_millis(4));
-    }
-
-    #[test]
-    fn shares_normalise() {
-        let a = StationMeter {
-            tx_airtime: Nanos::from_millis(1),
-            ..StationMeter::default()
-        };
-        let b = StationMeter {
-            tx_airtime: Nanos::from_millis(3),
-            ..StationMeter::default()
-        };
-        let s = shares_of(&[a, b]);
-        assert!((s[0] - 0.25).abs() < 1e-12);
-        assert!((s[1] - 0.75).abs() < 1e-12);
     }
 
     #[test]

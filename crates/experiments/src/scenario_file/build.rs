@@ -10,8 +10,7 @@ use wifiq_mac::{
     PolicySet, PolicyTimeline, SchemeKind, StationCfg, StationMeter, WifiNetwork,
 };
 use wifiq_phy::{AccessCategory, ChannelWidth, LegacyRate, PhyRate, VhtWidth};
-use wifiq_roam::{RoamCfg, SoloRoam};
-use wifiq_scale::{ChurnCfg, ChurnDriver};
+use wifiq_scale::{ChurnCfg, ChurnDriver, RoamCfg, Roster, SoloRoam};
 use wifiq_sim::Nanos;
 use wifiq_traffic::{AppMsg, FlowHandle, TrafficApp, WebPage};
 
@@ -357,10 +356,8 @@ pub struct BuiltScenario {
     pub traffic: Vec<InstalledTraffic>,
     /// Simulated duration.
     pub duration: Nanos,
-    /// Churn driver, when the scenario declares one.
-    pub churn: Option<ChurnDriver>,
-    /// Roaming replayer, when the scenario declares one.
-    pub roam: Option<SoloRoam<AppMsg>>,
+    /// The churn driver and roaming replayer the scenario declares.
+    pub roster: Roster<AppMsg>,
 }
 
 impl BuiltScenario {
@@ -368,30 +365,9 @@ impl BuiltScenario {
     /// roaming events along the way. With both drivers present their
     /// schedules interleave in time order; a roam move whose slot churn
     /// has vacated is skipped (counted in
-    /// [`RoamStats::skipped`](wifiq_roam::RoamStats)).
+    /// [`RoamStats::skipped`](wifiq_scale::RoamStats)).
     pub fn run_to(&mut self, until: Nanos) {
-        loop {
-            let tc = self.churn.as_ref().map_or(Nanos::MAX, |c| c.next_at());
-            let tr = self.roam.as_ref().map_or(Nanos::MAX, |r| r.next_at());
-            let t = tc.min(tr);
-            if t >= until {
-                break;
-            }
-            self.net.run(t, &mut self.app);
-            // Roam actions before the churn event at the same instant:
-            // a rejoin must land before churn can fill the free slot.
-            if let Some(r) = &mut self.roam {
-                if tr <= t {
-                    r.catch_up(&mut self.net, t);
-                }
-            }
-            if let Some(c) = &mut self.churn {
-                if tc <= t {
-                    c.step(&mut self.net);
-                }
-            }
-        }
-        self.net.run(until, &mut self.app);
+        self.roster.run_to(&mut self.net, &mut self.app, until);
     }
 
     /// Runs the warm-up, then the rest of the scenario, and returns what
@@ -513,8 +489,7 @@ impl ScenarioFile {
             app,
             traffic,
             duration,
-            churn,
-            roam,
+            roster: Roster { churn, roam },
         })
     }
 }

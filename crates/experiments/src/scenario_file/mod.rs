@@ -50,7 +50,7 @@
 //! array (a [`wifiq_chaos`](wifiq_mac::FaultSchedule) schedule), a `churn`
 //! block, a `policy` block (a [`wifiq_policy`](wifiq_mac::PolicyTimeline)
 //! node tree plus timed switches), a `roaming` block (a
-//! [`wifiq_roam::SoloRoam`] hand-off schedule replayed against the
+//! [`wifiq_scale::SoloRoam`] hand-off schedule replayed against the
 //! scenario network) and, on searcher-found counterexamples, a
 //! `provenance` block.
 //!
@@ -275,7 +275,7 @@ pub struct ChurnSpec {
 }
 
 /// Optional roaming: a seeded hand-off schedule layered on the run via
-/// [`wifiq_roam::SoloRoam`]. Every station in the scenario roster roams;
+/// [`wifiq_scale::SoloRoam`]. Every station in the scenario roster roams;
 /// a hand-off disassociates it mid-flow, carries its queued downlink
 /// frames across the reassociation gap, and re-homes it with a fresh
 /// rate drawn from the palette.

@@ -130,10 +130,10 @@ fn v2_scenario_with_faults_and_churn_runs() {
     assert_eq!(sc.faults.len(), 3);
     let mut built = sc.build().unwrap();
     assert!(!built.net.config().faults.is_empty());
-    assert!(built.churn.is_some());
+    assert!(built.roster.churn.is_some());
     let duration = built.duration;
     built.run_to(duration);
-    let churn = built.churn.as_ref().unwrap();
+    let churn = built.roster.churn.as_ref().unwrap();
     assert!(churn.joins + churn.leaves > 0, "churn never fired");
 }
 
@@ -353,10 +353,10 @@ fn v4_scenario_with_roaming_runs() {
     assert_eq!(r.mean_dwell_ms, 100);
     assert_eq!(r.rate_palette.as_ref().unwrap().len(), 2);
     let mut built = sc.build().unwrap();
-    assert!(built.roam.is_some());
+    assert!(built.roster.roam.is_some());
     let duration = built.duration;
     built.run_to(duration);
-    let roam = built.roam.as_ref().unwrap();
+    let roam = built.roster.roam.as_ref().unwrap();
     assert!(roam.stats.handoffs > 5, "roam schedule never fired");
     assert_eq!(built.net.roam_drops(), roam.stats.roam_drops);
     // Everyone not mid-transit is back on the air.
@@ -376,12 +376,17 @@ fn v4_roaming_interleaves_with_churn() {
     let mut built = sc.build().unwrap();
     let duration = built.duration;
     built.run_to(duration);
-    let churn = built.churn.as_ref().unwrap();
-    let roam = built.roam.as_ref().unwrap();
+    let churn = built.roster.churn.as_ref().unwrap();
+    let roam = built.roster.roam.as_ref().unwrap();
     assert!(churn.joins + churn.leaves > 0, "churn never fired");
     assert!(
         roam.stats.handoffs + roam.stats.skipped > 0,
         "roam never fired"
+    );
+    assert!(
+        roam.stats.is_conserved(roam.in_transit()),
+        "{:?}",
+        roam.stats
     );
 }
 

@@ -2,10 +2,11 @@
 //! (Figure 7) and airtime fairness under TCP (Figure 6's TCP columns).
 
 use serde::Serialize;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::SchemeKind;
 use wifiq_stats::jain_index;
 
-use crate::runner::{bps, export_metrics, mean, run_seeds, shares_of, RunCfg};
+use crate::runner::{bps, export_metrics, mean, run_seeds, RunCfg};
 use crate::scenario::{self, tcp_down, tcp_up, TESTBED3};
 use crate::scenario_file::{ScenarioFile, Window};
 
@@ -96,7 +97,7 @@ pub fn run_scheme(
 
         let mut down: Vec<f64> = delivered.iter().map(|&b| bps(b, cfg.window())).collect();
         let up = down.split_off(n);
-        let shares = shares_of(&meters);
+        let shares = airtime_shares(&meters);
         let jain = jain_index(&shares);
         let snapshot = format!("tcp_{}_{}_seed{seed}", pattern.slug(), scheme.slug());
         export_metrics(cfg, &tele, &snapshot, seed);

@@ -3,11 +3,12 @@
 //! 1 Mbps legacy rate, under FQ-CoDel / FQ-MAC / Airtime.
 
 use serde::Serialize;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::{SchemeKind, StationMeter};
 use wifiq_stats::{jain_index, Cdf, Summary};
 use wifiq_traffic::FlowHandle;
 
-use crate::runner::{bps, mean, run_seeds, shares_of, to_ms, RunCfg};
+use crate::runner::{bps, mean, run_seeds, to_ms, RunCfg};
 use crate::scenario::{self, ping, tcp_down, PINGONLY30, SLOW30, TESTBED30};
 use crate::scenario_file::ScenarioFile;
 
@@ -70,7 +71,7 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> Result<ThirtyResult, Stri
             .filter(|&(i, _)| i != PINGONLY30)
             .map(|(_, m)| *m)
             .collect();
-        let shares = shares_of(&active);
+        let shares = airtime_shares(&active);
         let goodput = window.delivered[3..].iter().map(|&b| bps(b, cfg.window()));
         let goodput: f64 = goodput.sum();
         let rtts = |flow| to_ms(&built.app.ping(FlowHandle(flow)).rtts_after(window.from));

@@ -2,9 +2,10 @@
 //! Figure 5, and the UDP column of Figure 6.
 
 use serde::Serialize;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::{SchemeKind, StationMeter};
 
-use crate::runner::{bps, export_metrics, mean, run_seeds, shares_of, RunCfg};
+use crate::runner::{bps, export_metrics, mean, run_seeds, RunCfg};
 use crate::scenario::{self, TESTBED3};
 use crate::scenario_file::{ScenarioFile, Window};
 
@@ -61,7 +62,7 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> Result<UdpSatResult, Stri
                 meters, delivered, ..
             } = built.measure(cfg.warmup);
 
-            let shares = shares_of(&meters);
+            let shares = airtime_shares(&meters);
             let aggr: Vec<f64> = meters.iter().map(StationMeter::mean_aggregation).collect();
             let thr: Vec<f64> = delivered.iter().map(|&b| bps(b, cfg.window())).collect();
             let snapshot = format!("udp_sat_{}_seed{seed}", scheme.slug());

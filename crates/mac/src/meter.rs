@@ -95,18 +95,24 @@ impl AirtimeMeter {
         &self.stations
     }
 
-    /// Each station's share of the total airtime used (sums to 1 when any
-    /// airtime was used) — the quantity plotted in Figures 5 and 9.
+    /// Each station's share of the total airtime used; see
+    /// [`airtime_shares`].
     pub fn airtime_shares(&self) -> Vec<f64> {
-        let total: Nanos = self.stations.iter().map(|s| s.total_airtime()).sum();
-        if total.is_zero() {
-            return vec![0.0; self.stations.len()];
-        }
-        self.stations
-            .iter()
-            .map(|s| s.total_airtime().as_nanos() as f64 / total.as_nanos() as f64)
-            .collect()
+        airtime_shares(&self.stations)
     }
+}
+
+/// Each meter's share of the total airtime the meters used (sums to 1
+/// when any airtime was used, all zeros otherwise) — the quantity plotted
+/// in Figures 5 and 9, for a network's meters or a window of meter
+/// deltas alike. The total is summed in f64, exact below 2^53 ns.
+pub fn airtime_shares(meters: &[StationMeter]) -> Vec<f64> {
+    let airtime = |m: &StationMeter| m.total_airtime().as_nanos() as f64;
+    let total: f64 = meters.iter().map(airtime).sum();
+    if total == 0.0 {
+        return vec![0.0; meters.len()];
+    }
+    meters.iter().map(|m| airtime(m) / total).collect()
 }
 
 #[cfg(test)]
@@ -129,6 +135,21 @@ mod tests {
     fn zero_airtime_gives_zero_shares() {
         let m = AirtimeMeter::new(2);
         assert_eq!(m.airtime_shares(), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn shares_normalise() {
+        let a = StationMeter {
+            tx_airtime: Nanos::from_millis(1),
+            ..StationMeter::default()
+        };
+        let b = StationMeter {
+            tx_airtime: Nanos::from_millis(3),
+            ..StationMeter::default()
+        };
+        let s = airtime_shares(&[a, b]);
+        assert!((s[0] - 0.25).abs() < 1e-12);
+        assert!((s[1] - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! what the network itself does in between — attaching churn to an
 //! experiment never perturbs the experiment's other random draws.
 
-use wifiq_mac::{App, StaId, StationCfg, WifiNetwork};
+use wifiq_mac::{StaId, StationCfg, WifiNetwork};
 use wifiq_phy::PhyRate;
 use wifiq_sim::{Nanos, SimRng};
 
@@ -70,7 +70,7 @@ impl ChurnDriver {
         );
         assert!(!cfg.rate_palette.is_empty(), "empty rate palette");
         let mut rng = SimRng::new(seed);
-        let first = Self::draw_interval(&mut rng, cfg.mean_interval);
+        let first = draw_interval(&mut rng, cfg.mean_interval);
         ChurnDriver {
             cfg,
             rng,
@@ -83,11 +83,6 @@ impl ChurnDriver {
     /// Virtual time of the next scheduled churn event.
     pub fn next_at(&self) -> Nanos {
         self.next_at
-    }
-
-    fn draw_interval(rng: &mut SimRng, mean: Nanos) -> Nanos {
-        let ns = rng.exponential(mean.as_nanos() as f64) as u64;
-        Nanos::from_nanos(ns.max(1))
     }
 
     /// Applies the next scheduled event to `net` and schedules the one
@@ -120,38 +115,22 @@ impl ChurnDriver {
             self.leaves += 1;
             ChurnEvent::Leave { id }
         };
-        self.next_at += Self::draw_interval(&mut self.rng, self.cfg.mean_interval);
+        self.next_at += draw_interval(&mut self.rng, self.cfg.mean_interval);
         ev
     }
+}
 
-    /// Drives `net` to virtual time `until`, applying every churn event
-    /// that falls due along the way.
-    pub fn run_until<M: std::fmt::Debug, A: App<M>>(
-        &mut self,
-        net: &mut WifiNetwork<M>,
-        until: Nanos,
-        app: &mut A,
-    ) {
-        while self.next_at < until {
-            let at = self.next_at;
-            net.run(at, app);
-            self.step(net);
-        }
-        net.run(until, app);
-    }
+/// An exponentially distributed gap of mean `mean`, at least 1 ns — the
+/// one draw behind churn intervals and roaming dwell times.
+pub(crate) fn draw_interval(rng: &mut SimRng, mean: Nanos) -> Nanos {
+    let ns = rng.exponential(mean.as_nanos() as f64) as u64;
+    Nanos::from_nanos(ns.max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wifiq_mac::{Commands, Delivery, NetworkConfig, Packet, SchemeKind};
-
-    /// No-op traffic: churn alone must keep the network consistent.
-    struct Idle;
-    impl App<()> for Idle {
-        fn on_packet(&mut self, _: Delivery, _: Packet<()>, _: Nanos, _: &mut Commands<()>) {}
-        fn on_timer(&mut self, _: u64, _: Nanos, _: &mut Commands<()>) {}
-    }
+    use wifiq_mac::{NetworkConfig, SchemeKind};
 
     fn driver(seed: u64) -> ChurnDriver {
         ChurnDriver::new(
@@ -199,19 +178,5 @@ mod tests {
             assert_eq!(n, recount, "active-station counter drifted");
         }
         assert!(d.joins > 0 && d.leaves > 0);
-    }
-
-    #[test]
-    fn run_until_interleaves_events_with_sim_time() {
-        let mut net: WifiNetwork<()> =
-            WifiNetwork::new(NetworkConfig::paper_testbed(SchemeKind::AirtimeFair));
-        net.seed_timer(0, Nanos::ZERO);
-        let mut d = driver(11);
-        d.run_until(&mut net, Nanos::from_secs(1), &mut Idle);
-        assert!(
-            d.joins + d.leaves > 50,
-            "too few events for 1s at 10ms mean"
-        );
-        assert!(d.next_at() >= Nanos::from_secs(1));
     }
 }

@@ -10,6 +10,8 @@
 use wifiq_phy::PhyRate;
 use wifiq_sim::{Nanos, SimRng};
 
+use crate::churn::draw_interval;
+
 /// Salt mixed into the master seed for the roaming stream (the churn and
 /// chaos subsystems reserve their own salts; see DESIGN.md §12).
 pub const ROAM_SEED_SALT: u64 = 0x0BA5_55ED;
@@ -102,7 +104,7 @@ impl RoamDriver {
         for station in 0..roster {
             homes.push(station as u32 % bss);
             rates.push(cfg.rate_palette[rng.index(cfg.rate_palette.len())]);
-            next_move_at.push(Self::draw_dwell(&mut rng, cfg.mean_dwell));
+            next_move_at.push(draw_interval(&mut rng, cfg.mean_dwell));
         }
         RoamDriver {
             cfg,
@@ -113,11 +115,6 @@ impl RoamDriver {
             next_move_at,
             seq: 0,
         }
-    }
-
-    fn draw_dwell(rng: &mut SimRng, mean: Nanos) -> Nanos {
-        let ns = rng.exponential(mean.as_nanos() as f64) as u64;
-        Nanos::from_nanos(ns.max(1))
     }
 
     fn draw_reassoc(&mut self) -> Nanos {
@@ -131,16 +128,6 @@ impl RoamDriver {
         Nanos::from_nanos(self.rng.gen_range_u64(lo, hi + 1).max(1))
     }
 
-    /// Number of roaming stations in the schedule.
-    pub fn roster(&self) -> usize {
-        self.homes.len()
-    }
-
-    /// Number of BSS instances moves are drawn over.
-    pub fn bss_count(&self) -> u32 {
-        self.bss
-    }
-
     /// The station's current home BSS (as of the last drawn move).
     pub fn home(&self, station: usize) -> u32 {
         self.homes[station]
@@ -149,11 +136,6 @@ impl RoamDriver {
     /// The station's current PHY rate (as of the last drawn move).
     pub fn rate(&self, station: usize) -> PhyRate {
         self.rates[station]
-    }
-
-    /// Hand-offs drawn so far.
-    pub fn moves_drawn(&self) -> u64 {
-        self.seq
     }
 
     /// Virtual time of the next scheduled hand-off (ties break toward
@@ -188,7 +170,7 @@ impl RoamDriver {
         };
         let rate = self.cfg.rate_palette[self.rng.index(self.cfg.rate_palette.len())];
         let rejoin_at = at + self.draw_reassoc();
-        let dwell = Self::draw_dwell(&mut self.rng, self.cfg.mean_dwell);
+        let dwell = draw_interval(&mut self.rng, self.cfg.mean_dwell);
         self.homes[station] = to;
         self.rates[station] = rate;
         self.next_move_at[station] = rejoin_at + dwell;
@@ -274,11 +256,11 @@ mod tests {
         for s in 0..4 {
             assert_eq!(d.home(s), s as u32 % 4);
         }
-        for _ in 0..40 {
+        for seq in 0..40 {
             let m = d.next_move();
+            assert_eq!(m.seq, seq, "moves are numbered in draw order");
             assert_eq!(d.home(m.station as usize), m.to);
             assert_eq!(d.rate(m.station as usize), m.rate);
         }
-        assert_eq!(d.moves_drawn(), 40);
     }
 }

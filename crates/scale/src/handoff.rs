@@ -9,10 +9,11 @@
 //! is the same network, but the full hand-off machinery runs end to end
 //! — queued-state migration, in-flight loss accounting, MCS re-draw,
 //! policy-tree reattachment — which is exactly what a scenario file's
-//! `roaming` block plugs into the scenario runner. The multi-BSS version that carries
-//! state *between* networks lives in [`crate::engine`].
+//! `roaming` block plugs into its [`Roster`](crate::Roster). The
+//! multi-BSS version that carries state *between* networks lives in
+//! [`crate::engine`].
 
-use wifiq_mac::{App, Packet, StaId, StationCfg, StationIdx, WifiNetwork};
+use wifiq_mac::{Packet, StaId, StationCfg, StationIdx, WifiNetwork};
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{Label, Telemetry};
@@ -42,6 +43,16 @@ pub struct RoamStats {
     pub skipped: u64,
     /// Longest observed reassociation gap.
     pub max_reassoc: Nanos,
+}
+
+impl RoamStats {
+    /// The hand-off conservation law: every hand-off has landed —
+    /// reattached under a policy node or on the neutral weight — or is
+    /// one of the `in_transit` stations still between associations. A
+    /// skipped move never departed, so it is not a hand-off.
+    pub fn is_conserved(&self, in_transit: usize) -> bool {
+        self.policy_reattach + self.neutral_fallback + in_transit as u64 == self.handoffs
+    }
 }
 
 /// A station between associations: disassociated at `departed_at`, due
@@ -157,23 +168,13 @@ impl<M: std::fmt::Debug> SoloRoam<M> {
         self.tele = tele;
     }
 
-    /// The schedule driver (for inspecting upcoming moves).
-    pub fn driver(&self) -> &RoamDriver {
-        &self.driver
-    }
-
     /// Stations currently between associations.
     pub fn in_transit(&self) -> usize {
         self.transit.len()
     }
 
-    /// The slot station `station` last occupied.
-    pub fn slot_of(&self, station: usize) -> StationIdx {
-        self.slot_of[station]
-    }
-
     /// Virtual time of the next hand-off action (departure or rejoin).
-    pub fn next_at(&self) -> Nanos {
+    pub(crate) fn next_at(&self) -> Nanos {
         let arrive = self
             .transit
             .iter()
@@ -183,26 +184,11 @@ impl<M: std::fmt::Debug> SoloRoam<M> {
         arrive.min(self.driver.next_at())
     }
 
-    /// Drives `net` to virtual time `until`, applying every hand-off
-    /// action that falls due along the way. A schedule whose first move
-    /// lies beyond `until` never touches the network at all.
-    pub fn run_until<A: App<M>>(&mut self, net: &mut WifiNetwork<M>, until: Nanos, app: &mut A) {
-        loop {
-            let at = self.next_at();
-            if at >= until {
-                break;
-            }
-            net.run(at, app);
-            self.catch_up(net, at);
-        }
-        net.run(until, app);
-    }
-
     /// Applies every hand-off action due at or before `now`. The caller
-    /// must already have advanced `net` to `now` — this is the hook for
-    /// pumps that interleave several drivers (churn + roaming) over one
-    /// network.
-    pub fn catch_up(&mut self, net: &mut WifiNetwork<M>, now: Nanos) {
+    /// — [`Roster::step`](crate::Roster::step) — must already have
+    /// advanced `net` to `now`. A schedule whose first move lies beyond
+    /// the run never touches the network at all.
+    pub(crate) fn catch_up(&mut self, net: &mut WifiNetwork<M>, now: Nanos) {
         // Rejoins before departures at the same instant, so a slot
         // freed by a departure is never resurrected out of order.
         self.process_rejoins(net, now);
@@ -246,7 +232,8 @@ impl<M: std::fmt::Debug> SoloRoam<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wifiq_mac::{Commands, Delivery, NetworkConfig, NodeAddr, SchemeKind};
+    use crate::Roster;
+    use wifiq_mac::{App, Commands, Delivery, NetworkConfig, NodeAddr, SchemeKind};
 
     /// Steady downlink flood to every station slot the app knows about.
     struct Flood {
@@ -290,17 +277,38 @@ mod tests {
         }
     }
 
+    /// Replays `roam` against `net` to `until` through the roster pump
+    /// and hands the replayer back for inspection.
+    fn replay(
+        roam: SoloRoam<()>,
+        net: &mut WifiNetwork<()>,
+        until: Nanos,
+        app: &mut impl App<()>,
+    ) -> SoloRoam<()> {
+        let mut roster = Roster {
+            churn: None,
+            roam: Some(roam),
+        };
+        roster.run_to(net, app, until);
+        roster.roam.expect("the roster keeps its replayer")
+    }
+
     #[test]
     fn handoffs_preserve_roster_and_count_consistently() {
         let mut n = net(4);
         n.seed_timer(0, Nanos::ZERO);
         let mut app = Flood { slots: 4, sent: 0 };
-        let mut roam = SoloRoam::new(roam_cfg(100), 9, 4);
-        roam.run_until(&mut n, Nanos::from_secs(5), &mut app);
+        let roam = SoloRoam::new(roam_cfg(100), 9, 4);
+        let roam = replay(roam, &mut n, Nanos::from_secs(5), &mut app);
         assert!(roam.stats.handoffs > 10, "schedule too quiet");
         // Whoever is not mid-transit is associated.
         assert_eq!(n.active_stations() + roam.in_transit(), 4);
         assert_eq!(n.roam_drops(), roam.stats.roam_drops);
+        assert!(
+            roam.stats.is_conserved(roam.in_transit()),
+            "a hand-off left no trace: {:?}",
+            roam.stats
+        );
         assert!(
             roam.stats.max_reassoc <= Nanos::from_millis(80) + Nanos::from_millis(1),
             "reassociation gap beyond the configured bound: {:?}",
@@ -313,8 +321,12 @@ mod tests {
         let mut n = net(3);
         n.seed_timer(0, Nanos::ZERO);
         let mut app = Flood { slots: 3, sent: 0 };
-        let mut roam = SoloRoam::new(roam_cfg(50), 4, 3);
-        roam.run_until(&mut n, Nanos::from_secs(4), &mut app);
+        let roam = replay(
+            SoloRoam::new(roam_cfg(50), 4, 3),
+            &mut n,
+            Nanos::from_secs(4),
+            &mut app,
+        );
         assert!(
             roam.stats.migrated_frames > 0,
             "a busy downlink never migrated a queued frame across {} handoffs",
@@ -336,7 +348,7 @@ mod tests {
                 // never fires.
                 let mut roam = SoloRoam::new(roam_cfg(3_600_000), 7, 3);
                 roam.set_telemetry(tele.clone());
-                roam.run_until(&mut n, until, &mut app);
+                let roam = replay(roam, &mut n, until, &mut app);
                 assert_eq!(roam.stats.handoffs, 0, "schedule was not quiet");
             } else {
                 n.run(until, &mut app);
@@ -355,7 +367,8 @@ mod tests {
         let mut app = Flood { slots: 4, sent: 0 };
         let mut roam = SoloRoam::new(roam_cfg(80), 21, 4);
         roam.set_telemetry(tele.clone());
-        roam.run_until(&mut n, Nanos::from_secs(3), &mut app);
+        let roam = replay(roam, &mut n, Nanos::from_secs(3), &mut app);
+        assert!(roam.stats.is_conserved(roam.in_transit()));
         assert_eq!(
             tele.counter("roam", "handoffs", Label::Global),
             roam.stats.handoffs

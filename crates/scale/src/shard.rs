@@ -49,11 +49,6 @@ impl ShardSet {
         }
     }
 
-    /// Number of shards in the set.
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
     /// The per-shard contexts, with seeds split from the master seed in
     /// shard order. Splitting happens up front: shard 3's seed does not
     /// depend on anything shards 0..3 do.
@@ -79,17 +74,25 @@ impl ShardSet {
     where
         F: Fn(&ShardCtx) -> (T, Option<Registry>),
     {
-        let mut outputs = Vec::with_capacity(self.shards as usize);
-        let mut registry = Registry::new();
-        for ctx in self.contexts() {
-            let (out, reg) = f(&ctx);
-            outputs.push(out);
-            if let Some(reg) = reg {
-                registry.merge_relabeled(&reg, |_| Label::Shard(ctx.shard));
-            }
-        }
-        ShardRun { outputs, registry }
+        merge_in_shard_order(self.contexts().iter().map(f))
     }
+}
+
+/// Collects per-shard `(result, registry)` pairs given in shard order,
+/// merging each registry under its shard's [`Label::Shard`] — the one
+/// rollup rule of a shard set and a roam set.
+pub(crate) fn merge_in_shard_order<T>(
+    shards: impl Iterator<Item = (T, Option<Registry>)>,
+) -> ShardRun<T> {
+    let mut outputs = Vec::new();
+    let mut registry = Registry::new();
+    for (shard, (out, reg)) in shards.enumerate() {
+        outputs.push(out);
+        if let Some(reg) = reg {
+            registry.merge_relabeled(&reg, |_| Label::Shard(shard as u32));
+        }
+    }
+    ShardRun { outputs, registry }
 }
 
 #[cfg(test)]

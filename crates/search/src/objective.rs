@@ -475,6 +475,7 @@ fn airtime_snapshot(built: &BuiltScenario) -> Vec<u64> {
 /// facts quiet-window detection needs.
 fn roam_snapshot(built: &BuiltScenario) -> (u64, usize) {
     built
+        .roster
         .roam
         .as_ref()
         .map_or((0, 0), |r| (r.stats.handoffs, r.in_transit()))

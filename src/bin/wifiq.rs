@@ -24,10 +24,11 @@ use std::time::Duration;
 
 use wifiq_experiments::dispatch::{run_table, Experiment};
 use wifiq_experiments::report::{parse_flag, pct, Table};
-use wifiq_experiments::runner::{export_metrics, mbps, shares_of, to_ms};
+use wifiq_experiments::runner::{export_metrics, mbps, to_ms};
 use wifiq_experiments::scenario::TESTBED3;
 use wifiq_experiments::scenario_file::{InstalledTraffic, ScenarioFile, StationSpec, TrafficSpec};
 use wifiq_experiments::{ext, figs, RunCfg};
+use wifiq_mac::meter::airtime_shares;
 use wifiq_stats::{jain_index, Summary, VoipMetrics};
 
 /// Every experiment, in `wifiq all` order; README.md describes each (the
@@ -326,7 +327,7 @@ fn scenario_report(scenario: &ScenarioFile) -> Result<String, String> {
     );
     // Churn can grow the meter table past the configured roster; shares
     // are of all the air used, the table and the index cover the roster.
-    let shares = shares_of(&window.meters);
+    let shares = airtime_shares(&window.meters);
     let mut t = Table::new(vec!["Station", "Rate", "Airtime share", "Mean aggr"]);
     for (sta, cfg) in stations.iter().enumerate() {
         t.row(vec![

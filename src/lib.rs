@@ -22,11 +22,11 @@
 //! - [`harness`](mod@crate::harness) — parallel, cached, resumable
 //!   experiment orchestration (worker pool, content-addressed result
 //!   cache),
-//! - [`scale`](mod@crate::scale) — deterministic station churn and the
-//!   sharded multi-BSS engine with cross-shard telemetry rollup,
-//! - [`roam`](mod@crate::roam) — seeded inter-BSS roaming: mid-flow
-//!   hand-offs that migrate queued downlink state across the shard set
-//!   under a windowed-lockstep determinism guarantee,
+//! - [`scale`](mod@crate::scale) — the station lifecycle: deterministic
+//!   churn, seeded inter-BSS roaming (mid-flow hand-offs that migrate
+//!   queued downlink state), the one roster pump that interleaves both
+//!   on a network, and the sharded and roaming multi-BSS engines with
+//!   their telemetry rollups,
 //! - [`chaos`](mod@crate::chaos) — deterministic seeded fault injection
 //!   (burst loss, rate collapse, stalls, backpressure, ACK loss) driven
 //!   by a declarative fault schedule,
@@ -49,7 +49,6 @@ pub use wifiq_model as model;
 pub use wifiq_phy as phy;
 pub use wifiq_policy as policy;
 pub use wifiq_qdisc as qdisc;
-pub use wifiq_roam as roam;
 pub use wifiq_scale as scale;
 pub use wifiq_sim as sim;
 pub use wifiq_stats as stats;

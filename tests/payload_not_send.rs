@@ -13,8 +13,9 @@ use ending_anomaly::mac::{
     App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, StationIdx, WifiNetwork,
 };
 use ending_anomaly::phy::{AccessCategory, PhyRate};
-use ending_anomaly::roam::{BssHost, RoamCfg, RoamSet, SoloRoam};
-use ending_anomaly::scale::{ChurnCfg, ChurnDriver, ChurnEvent};
+use ending_anomaly::scale::{
+    BssHost, ChurnCfg, ChurnDriver, ChurnEvent, RoamCfg, RoamSet, Roster, SoloRoam,
+};
 use ending_anomaly::sim::Nanos;
 
 /// Every packet carries a handle on one shared counter and bumps it on
@@ -93,8 +94,12 @@ fn a_payload_that_is_not_send_runs_churns_and_roams() {
     assert!(after_churn > after_run, "nothing arrived after the join");
 
     // Hand-offs carry queued `Packet<Tally>`s out of the network and back.
-    let mut roam: SoloRoam<Tally> = SoloRoam::new(brisk_roaming(), 1, N);
-    roam.run_until(&mut net, Nanos::from_millis(400), &mut app);
+    let mut roster = Roster {
+        churn: None,
+        roam: Some(SoloRoam::<Tally>::new(brisk_roaming(), 1, N)),
+    };
+    roster.run_to(&mut net, &mut app, Nanos::from_millis(400));
+    let roam = roster.roam.expect("the roster keeps its replayer");
     assert!(
         roam.stats.handoffs > 0,
         "the schedule never moved a station"

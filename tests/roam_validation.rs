@@ -8,8 +8,7 @@ use ending_anomaly::mac::{
     App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, PolicySet, SchemeKind, WifiNetwork,
 };
 use ending_anomaly::phy::{AccessCategory, PhyRate};
-use ending_anomaly::roam::{RoamCfg, SoloRoam};
-use ending_anomaly::scale::{ChurnCfg, ChurnDriver};
+use ending_anomaly::scale::{ChurnCfg, ChurnDriver, RoamCfg, Roster, SoloRoam};
 use ending_anomaly::sim::Nanos;
 use ending_anomaly::telemetry::{Label, Telemetry};
 use ending_anomaly::traffic::{AppMsg, TrafficApp};
@@ -49,10 +48,9 @@ impl App<()> for Flood {
 
 /// One arbitrary roam/churn interleaving, audited for leaks at the end.
 ///
-/// The pump mirrors `BuiltScenario::run_to`: both drivers interleave in
-/// time order, roam actions land before churn at the same instant. Peak
-/// occupancy (active + in transit) is tracked across every event so the
-/// final slot table can be held to it exactly.
+/// The roster is stepped event by event, as `Roster::run_to` steps it,
+/// so peak occupancy (active + in transit) can be tracked across every
+/// event and the final slot table held to it exactly.
 fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64) {
     let weights: Vec<u32> = (0..n as u32).map(|i| 1 + 2 * (i % 2)).collect();
     let cfg = NetworkConfig::builder()
@@ -81,7 +79,7 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64)
         n,
     );
     roam.set_telemetry(tele.clone());
-    let mut churn = ChurnDriver::new(
+    let churn = ChurnDriver::new(
         ChurnCfg {
             mean_interval: Nanos::from_millis(churn_ms),
             min_stations: 1,
@@ -90,24 +88,23 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64)
         },
         seed ^ 0x00C0_FFEE,
     );
+    let mut roster = Roster {
+        churn: Some(churn),
+        roam: Some(roam),
+    };
 
     let mut peak = net.active_stations();
     loop {
-        let tr = roam.next_at();
-        let tc = churn.next_at();
-        let t = tr.min(tc);
+        let t = roster.next_at();
         if t >= horizon {
             break;
         }
         net.run(t, &mut app);
-        if tr <= t {
-            roam.catch_up(&mut net, t);
-        }
-        if tc <= t {
-            churn.step(&mut net);
-        }
-        peak = peak.max(net.active_stations() + roam.in_transit());
+        roster.step(&mut net, t);
+        let in_transit = roster.roam.as_ref().map_or(0, |r| r.in_transit());
+        peak = peak.max(net.active_stations() + in_transit);
     }
+    let roam = roster.roam.expect("the roster keeps its replayer");
     // Load stops at the horizon; give every queue time to empty (a slow
     // station drains a deep FQ backlog at single-digit Mbps, so the
     // drain is adaptive). The drivers stay parked, so in-transit
@@ -171,9 +168,8 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64)
     // Every departure is accounted for: reattached under the policy,
     // reattached neutral, or still in transit — nothing vanished. (A
     // skipped move never departed; it is not a hand-off.)
-    assert_eq!(
-        s.policy_reattach + s.neutral_fallback + roam.in_transit() as u64,
-        s.handoffs,
+    assert!(
+        s.is_conserved(roam.in_transit()),
         "a hand-off left no trace: {s:?}"
     );
 
@@ -246,8 +242,13 @@ fn fingerprint(seed: u64, parked_roam: bool) -> (u64, Vec<u64>, String) {
             3,
         );
         roam.set_telemetry(tele.clone());
-        roam.run_until(&mut net, until, &mut app);
-        assert_eq!(roam.stats.handoffs, 0, "schedule was not quiet");
+        let mut roster = Roster {
+            churn: None,
+            roam: Some(roam),
+        };
+        roster.run_to(&mut net, &mut app, until);
+        let handoffs = roster.roam.map_or(0, |r| r.stats.handoffs);
+        assert_eq!(handoffs, 0, "schedule was not quiet");
     } else {
         net.run(until, &mut app);
     }
