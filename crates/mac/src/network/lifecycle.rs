@@ -40,11 +40,18 @@ pub(super) fn associate(
 impl Medium {
     /// Discards every aggregate queued for `sta` in the hardware, sparing
     /// one that is on the air at the head of its queue, and hands their
-    /// frames to `on_drop`. Returns the number of frames discarded.
-    fn purge(&mut self, sta: StationIdx, mut on_drop: impl FnMut(Ticket)) -> u64 {
+    /// frames to `on_drop`. Returns the number of frames discarded and, per
+    /// access category, whether its queue lost an aggregate.
+    fn purge(
+        &mut self,
+        sta: StationIdx,
+        mut on_drop: impl FnMut(Ticket),
+    ) -> (u64, [bool; AccessCategory::COUNT]) {
         let mut purged = 0;
+        let mut shrunk = [false; AccessCategory::COUNT];
         for (ac, q) in AccessCategory::ALL.into_iter().zip(&mut self.hw) {
             let mut head_on_air = self.in_flight.contains(&Participant::Ap { ac });
+            let before = q.len();
             q.retain(|agg| {
                 let on_air = std::mem::take(&mut head_on_air);
                 let keep = agg.station != sta || on_air;
@@ -54,8 +61,9 @@ impl Medium {
                 }
                 keep
             });
+            shrunk[ac.index()] = q.len() < before;
         }
-        purged
+        (purged, shrunk)
     }
 }
 
@@ -180,12 +188,20 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         let sta = id.slot();
         let now = self.queue.now();
         let mut carried = Vec::new();
-        let mut dropped = self.medium.purge(sta, discard(&mut self.packets));
+        let (mut dropped, shrunk) = self.medium.purge(sta, discard(&mut self.packets));
         let carry = migrate.then_some(&mut carried);
         let at_ap = self
             .ap
             .detach_station(id, now, carry, discard(&mut self.packets));
         dropped += (at_ap + self.stations[sta].vacate(discard(&mut self.packets))) as u64;
+        // A purge frees hardware room that nothing else would refill: with
+        // no arrival or AP exchange left to come, the other stations'
+        // frames would stay queued at the AP for good.
+        for ac in AccessCategory::ALL {
+            if shrunk[ac.index()] {
+                self.ap_schedule(ac, now);
+            }
+        }
         self.ratectrl[sta] = None;
         // A deferred teardown follows the station's last exchange, which
         // marked the slot dirty again.
