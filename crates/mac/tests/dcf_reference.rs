@@ -383,6 +383,23 @@ fn simulator_agrees_with_the_redraw_rule() {
 }
 
 #[test]
+fn simulator_agrees_with_the_redraw_rule_at_scale() {
+    // The order-statistics round draws per class, not per contender: at
+    // hundreds of contenders nearly every class holds many members, and
+    // the class minimum and tie draws carry the whole round.
+    for n in [128, 512] {
+        let (sim, exchange) = simulator_measures(n, 60);
+        let reference = reference_measures(n, exchange, redraw_every_round, 240);
+        let (gap, what) = sim.gap(&reference);
+        assert!(
+            gap < BAND,
+            "n = {n}: {what} off by {:.1} %: simulator {sim:?}, reference {reference:?}",
+            gap * 100.0
+        );
+    }
+}
+
+#[test]
 fn the_band_tells_the_rules_apart() {
     // Agreement within the band is only worth something if no other rule
     // would agree too: each pair of rules must miss it on some measure at
