@@ -18,18 +18,17 @@
 //! shortest wait and by who ties at it, and those are drawn per *class* —
 //! the contenders sharing one access category and window — from order
 //! statistics: one draw for the class minimum, and for the classes at the
-//! shortest wait one draw of who tied there. A round costs O(classes +
-//! winners), not O(contenders), and is exact in distribution.
+//! shortest wait one draw of how many tied there and a uniform pick of
+//! which. A round costs O(classes + winners), not O(contenders), and is
+//! exact in distribution.
 //!
 //! A round is sequential, like the medium it models (DESIGN.md §14):
 //! [`ContenderSet::refresh`] re-evaluates the stations whose uplink state
 //! changed since the last round, and [`ContenderSet::round`] draws every
-//! class minimum from the network's main RNG — all through
-//! [`ContenderSet::wait`], the one place a backoff is drawn — and picks
-//! the winners. `WifiNetwork::try_contend` owns that RNG, the AP's
+//! class minimum, and each tie count, from the network's main RNG — all
+//! through [`ContenderSet::wait`], the one place a backoff is drawn — and
+//! picks the winners. `WifiNetwork::try_contend` owns that RNG, the AP's
 //! hardware queues and the in-flight list, and glues the two together.
-
-use std::cell::Cell;
 
 use wifiq_phy::consts::{SIFS, SLOT_TIME};
 use wifiq_phy::AccessCategory;
@@ -56,10 +55,16 @@ struct Class {
     params: u32,
     /// Member slots, in no particular order: a leaver is swap-removed.
     members: Vec<StationIdx>,
-    /// The shortest wait the class drew in the current round, `u32::MAX`
-    /// if it could not transmit, kept by [`ContenderSet::round`] between
-    /// its two passes.
-    wait: Cell<u32>,
+}
+
+/// What [`ContenderSet::wait`] draws of a class's waits.
+#[derive(Clone, Copy)]
+enum Draw {
+    /// The shortest, if it is at most this many slots.
+    Shortest { at_most: u32 },
+    /// How many of them are this many slots, given that it is the
+    /// shortest.
+    Tied { wait: u32 },
 }
 
 /// The cached contender set (DESIGN.md §14): which station slots want the
@@ -108,7 +113,6 @@ impl ContenderSet {
                 .map(|c| Class {
                     params: ContenderSet::pack(AccessCategory::ALL[c % 4], (1 << (c / 4)) - 1),
                     members: Vec::new(),
-                    wait: Cell::new(u32::MAX),
                 })
                 .collect(),
             occupied: 0,
@@ -212,36 +216,33 @@ impl ContenderSet {
         exponent * 4 + (params & 3) as usize
     }
 
-    /// The classes with members, by ascending `params`.
-    fn occupied(&self) -> impl Iterator<Item = &Class> {
-        let mut bits = self.occupied;
-        std::iter::from_fn(move || {
-            let c = bits.trailing_zeros() as usize;
-            bits &= bits.wrapping_sub(1);
-            self.classes.get(c)
-        })
-    }
-
     /// The backoff rule, and the one place a backoff is drawn: `m`
     /// transmitters contending with `params` (`cw << 2 | ac`) each wait
     /// their category's AIFSN plus a uniform draw from `[0, cw]` idle
-    /// slots past SIFS. Returns the shortest of those `m` waits, in slots,
-    /// drawn at once ([`SimRng::backoff_min`]) — or `None`, when it is
-    /// longer than `shortest` and so cannot transmit. Another rule —
-    /// frozen counters, or the ECA and EIED backoffs of the parked
-    /// contention-window comparison — replaces this function and what it
-    /// is passed.
+    /// slots past SIFS. A round asks two things of those `m` waits, each
+    /// drawn at once: the shortest ([`Draw::Shortest`], by
+    /// [`SimRng::backoff_min`]) — `None` when it is longer than the bound
+    /// and so cannot transmit — and, for a class at the round's shortest
+    /// wait, how many of them tied there ([`Draw::Tied`], by
+    /// [`SimRng::backoff_ties`]) — `None` when all of them did for
+    /// certain, and nothing was drawn. Another rule — frozen counters, or
+    /// the ECA and EIED backoffs of the parked contention-window
+    /// comparison — replaces this function and what it is passed.
     #[inline(always)]
     fn wait(
         rng: &mut SimRng,
         aifsn: &[u32; AccessCategory::COUNT],
         params: u32,
         m: usize,
-        shortest: u32,
+        draw: Draw,
     ) -> Option<u32> {
-        let aifsn = aifsn[(params & 3) as usize];
-        let slots = rng.backoff_min(params >> 2, m, shortest.checked_sub(aifsn)?)?;
-        Some(aifsn + slots)
+        let (aifsn, cw) = (aifsn[(params & 3) as usize], params >> 2);
+        match draw {
+            Draw::Shortest { at_most } => {
+                Some(aifsn + rng.backoff_min(cw, m, at_most.checked_sub(aifsn)?)?)
+            }
+            Draw::Tied { wait } => rng.backoff_ties(cw, m, wait - aifsn).map(|t| t as u32),
+        }
     }
 
     /// Phase B: draws each transmitter class's shortest wait from `rng` —
@@ -250,10 +251,11 @@ impl ContenderSet {
     /// `cw << 2 | ac` — and the shortest wait transmits. A class that
     /// cannot beat or tie the shortest wait so far learns only that, and
     /// one whose AIFSN alone is longer is not drawn at all. Once every
-    /// class has drawn, the ones at the shortest wait draw who of them tied
-    /// there ([`tied`]) into `in_flight`: the AP first, then the stations
-    /// by ascending slot. Returns how long the medium stays idle before
-    /// they transmit, or `None` if nobody contends.
+    /// class has drawn, each class at the shortest wait draws how many of
+    /// it tied there, and [`pick`] picks them into `in_flight`: the AP
+    /// first, then the stations by ascending slot. Returns how long the
+    /// medium stays idle before they transmit, or `None` if nobody
+    /// contends.
     ///
     /// The draws run on [`SimRng::in_registers`]: through `&mut SimRng`
     /// every draw would load and store the generator's four state words.
@@ -267,26 +269,34 @@ impl ContenderSet {
         let shortest = rng.in_registers(|rng| {
             let ap = ap.map(|(ac, cw)| {
                 let params = ContenderSet::pack(ac, cw);
-                let wait = ContenderSet::wait(rng, &aifsn, params, 1, u32::MAX);
+                let draw = Draw::Shortest { at_most: u32::MAX };
+                let wait = ContenderSet::wait(rng, &aifsn, params, 1, draw);
                 (ac, wait.expect("an unbounded draw"))
             });
             let mut shortest = ap.map_or(u32::MAX, |(_, wait)| wait);
-            for class in self.occupied() {
-                let (params, m) = (class.params, class.members.len());
-                let wait = ContenderSet::wait(rng, &aifsn, params, m, shortest);
-                class.wait.set(wait.unwrap_or(u32::MAX));
-                shortest = shortest.min(class.wait.get());
-            }
-            if shortest == u32::MAX {
-                return shortest;
+            // The station classes at `shortest` so far, one bit each.
+            let mut at_shortest = 0u128;
+            for c in ones(self.occupied) {
+                let class = &self.classes[c];
+                let draw = Draw::Shortest { at_most: shortest };
+                let m = class.members.len();
+                if let Some(wait) = ContenderSet::wait(rng, &aifsn, class.params, m, draw) {
+                    if wait < shortest {
+                        (shortest, at_shortest) = (wait, 0);
+                    }
+                    at_shortest |= 1 << c;
+                }
             }
             if let Some((ac, _)) = ap.filter(|&(_, wait)| wait == shortest) {
                 in_flight.push(Participant::Ap { ac });
             }
-            for class in self.occupied().filter(|c| c.wait.get() == shortest) {
+            for c in ones(at_shortest) {
+                let class = &self.classes[c];
+                let draw = Draw::Tied { wait: shortest };
+                let m = class.members.len();
+                let ties = ContenderSet::wait(rng, &aifsn, class.params, m, draw);
                 let ac = AccessCategory::ALL[(class.params & 3) as usize];
-                let k = shortest - aifsn[ac.index()];
-                tied(rng, &class.members, ac, class.params >> 2, k, in_flight);
+                pick(rng, &class.members, ac, ties, in_flight);
             }
             shortest
         });
@@ -403,57 +413,40 @@ impl ContenderSet {
     }
 }
 
-/// Pushes the `members` of a class, contending at `ac` and drawing from
-/// `[0, cw]`, that drew its minimum `k`. Given that minimum, their draws
-/// are independent and uniform on `[k, cw]`, conditioned on at least one
-/// being `k`: each ties at `k` with p = 1/(cw + 1 − k), and the tie count
-/// is Binomial(m, p) conditioned on ≥ 1. It is drawn by inverse CDF, from
-/// P(t = 1) = m p q^(m−1)/(1 − q^m) with q = 1 − p and the ratio
-/// P(t + 1)/P(t) = (m − t)/(t + 1) · p/q, and the `t` tied members are
-/// picked uniformly without replacement (Floyd's algorithm, the ones
-/// already picked being the tail of `in_flight`): O(ties²) steps and no
-/// logarithm. When over 16 are expected to tie, each member draws its own
-/// tie instead, until somebody has.
-fn tied(
+/// The indices of the bits set in `bits`, ascending.
+fn ones(mut bits: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let c = bits.trailing_zeros() as usize;
+        bits &= bits.wrapping_sub(1);
+        (c < 128).then_some(c)
+    })
+}
+
+/// Pushes `ties` of a class's `members`, contending at `ac` — all of
+/// them when that is `None` — picked uniformly without replacement by
+/// Floyd's algorithm, the ones already picked being the tail of
+/// `in_flight`: O(ties²) steps. Which members tied is no part of the
+/// backoff rule ([`ContenderSet::wait`]): a class's members are alike.
+fn pick(
     rng: &mut SimRng,
     members: &[StationIdx],
     ac: AccessCategory,
-    cw: u32,
-    k: u32,
+    ties: Option<u32>,
     in_flight: &mut Vec<Participant>,
 ) {
-    let m = members.len();
-    let start = in_flight.len();
     let tie = |idx| Participant::Station { idx, ac };
-    let p = 1.0 / (cw - k + 1) as f64;
-    if m == 1 || k == cw {
+    let Some(ties) = ties else {
         in_flight.extend(members.iter().map(|&idx| tie(idx)));
-    } else if m as f64 * p > 16.0 {
-        // All miss with probability q^m < e^−16 per pass.
-        while in_flight.len() == start {
-            let hits = members.iter().filter(|_| rng.gen_f64() < p);
-            in_flight.extend(hits.map(|&idx| tie(idx)));
-        }
-    } else {
-        // Over 16 expected ties is the branch above, so q^(m−1) > e^−23:
-        // nothing here underflows.
-        let q = 1.0 - p;
-        let q_m1 = q.powi(m as i32 - 1);
-        let mut pmf = m as f64 * p * q_m1 / (1.0 - q_m1 * q);
-        let (mut u, mut t) = (rng.gen_f64(), 1);
-        while u >= pmf && t < m {
-            u -= pmf;
-            pmf *= (m - t) as f64 / (t + 1) as f64 * (p / q);
-            t += 1;
-        }
-        for j in m - t..m {
-            let r = members[rng.index(j + 1)];
-            let idx = match in_flight[start..].contains(&tie(r)) {
-                true => members[j],
-                false => r,
-            };
-            in_flight.push(tie(idx));
-        }
+        return;
+    };
+    let (m, start) = (members.len(), in_flight.len());
+    for j in m - ties as usize..m {
+        let r = members[rng.index(j + 1)];
+        let idx = match in_flight[start..].contains(&tie(r)) {
+            true => members[j],
+            false => r,
+        };
+        in_flight.push(tie(idx));
     }
 }
 
@@ -565,9 +558,8 @@ mod tests {
         set.refresh(&mut stations, &active, now, ignore);
         let mut audit = |set: &ContenderSet| set.audit(&mut stations, &active, None, now, ignore);
         assert_eq!(audit(&set), Ok(()));
-        let sizes: Vec<(u32, usize)> = set
-            .occupied()
-            .map(|c| (c.params, c.members.len()))
+        let sizes: Vec<(u32, usize)> = ones(set.occupied)
+            .map(|c| (set.classes[c].params, set.classes[c].members.len()))
             .collect();
         assert_eq!(sizes, [(3 << 2, 1), (15 << 2 | 2, 2), (31 << 2 | 2, 1)]);
         // Slot 129's cached word moved to window 31, its class did not.
@@ -669,30 +661,37 @@ mod tests {
         // by the plain fold, from two independent streams. Over all the
         // rounds, (shortest wait, tie count) must have one distribution,
         // and so must the class of each winner.
-        let mut pick = SimRng::new(7);
+        let mut sets = SimRng::new(7);
         let (mut a, mut b) = (SimRng::new(1), SimRng::new(2));
         let mut outcomes: BTreeMap<(Nanos, usize), [u64; 2]> = BTreeMap::new();
         let mut wins: BTreeMap<(bool, u32), [u64; 2]> = BTreeMap::new();
         let mut set = ContenderSet::new(300);
         let mut in_flight = Vec::new();
+        // What each of 300 slots contends with when it is below the limit,
+        // `slots`: a slot contends with probability 1/2, in one of four
+        // categories and one of seven windows, all equally likely. Each
+        // case re-draws 16 slots and the limit, and re-places only the
+        // slots that changed.
+        let mut drawn: Vec<Option<u32>> = vec![None; 300];
+        let mut slots = 0;
         for case in 0..100_000 {
-            let slots = 1 + pick.index(300);
-            // Each slot contends with probability 1/2, in one of four
-            // categories and one of seven windows, all equally likely.
-            for i in 0..300 {
-                let params = match i < slots {
-                    true => Some(pick.index(56)).filter(|&x| x < 28).map(|x| {
-                        let ac = AccessCategory::ALL[x % 4];
-                        ContenderSet::pack(ac, [0, 1, 3, 7, 15, 31, 1023][x / 4])
-                    }),
-                    false => None,
-                };
-                set.place(i, params);
+            let before = slots;
+            slots = 1 + sets.index(300);
+            let redrawn: [usize; 16] = std::array::from_fn(|_| sets.index(300));
+            for &i in &redrawn {
+                drawn[i] = Some(sets.index(56)).filter(|&x| x < 28).map(|x| {
+                    let ac = AccessCategory::ALL[x % 4];
+                    ContenderSet::pack(ac, [0, 1, 3, 7, 15, 31, 1023][x / 4])
+                });
             }
-            let ap = pick.chance(0.5).then(|| {
+            let crossed = slots.min(before)..slots.max(before);
+            for i in redrawn.into_iter().chain(crossed) {
+                set.place(i, drawn[i].filter(|_| i < slots));
+            }
+            let ap = sets.chance(0.5).then(|| {
                 (
-                    AccessCategory::ALL[pick.index(4)],
-                    [3, 15, 63][pick.index(3)],
+                    AccessCategory::ALL[sets.index(4)],
+                    [3, 15, 63][sets.index(3)],
                 )
             });
             in_flight.clear();
@@ -758,8 +757,9 @@ mod tests {
     #[test]
     fn crowded_classes_draw_what_a_plain_fold_draws() {
         // 200 stations at window 7 expect 25 ties at a minimum of 0, past
-        // the inverse-CDF count's range: each member draws its own tie.
-        // 60 at window 15 take the inverse-CDF count and Floyd's pick.
+        // the inverse-CDF count's range: the count is of per-member trials.
+        // 60 at window 15 take the inverse-CDF count. Floyd's algorithm
+        // picks the tied members of both.
         let mut set = ContenderSet::new(260);
         for i in 0..260 {
             let cw = if i < 200 { 7 } else { 15 };

@@ -386,10 +386,12 @@ fn simulator_agrees_with_the_redraw_rule() {
 fn simulator_agrees_with_the_redraw_rule_at_scale() {
     // The order-statistics round draws per class, not per contender: at
     // hundreds of contenders nearly every class holds many members, and
-    // the class minimum and tie draws carry the whole round.
+    // the class minimum and tie draws carry the whole round. The
+    // reference steps every station every slot, so these run shorter:
+    // 2 s and 4 s measured, where the gaps stay under 2.5 %.
     for n in [128, 512] {
-        let (sim, exchange) = simulator_measures(n, 60);
-        let reference = reference_measures(n, exchange, redraw_every_round, 240);
+        let (sim, exchange) = simulator_measures(n, 20);
+        let reference = reference_measures(n, exchange, redraw_every_round, 40);
         let (gap, what) = sim.gap(&reference);
         assert!(
             gap < BAND,
