@@ -49,7 +49,10 @@ struct ChaosState {
 }
 
 impl ChaosState {
-    fn ensure_station(&mut self, sta: usize) {
+    /// Grows per-station state through slot `sta` — every query that
+    /// reads a station's state calls it first, so a slot churn adds is
+    /// covered on first use.
+    fn grow_to(&mut self, sta: usize) {
         while self.stations.len() <= sta {
             let idx = self.stations.len() as u64;
             self.stations.push(StationState {
@@ -107,7 +110,7 @@ impl ChaosInjector {
             master_seed: seed,
             tele: Telemetry::disabled(),
         };
-        state.ensure_station(num_stations.saturating_sub(1));
+        state.grow_to(num_stations.saturating_sub(1));
         ChaosInjector {
             inner: Some(Box::new(state)),
         }
@@ -126,13 +129,6 @@ impl ChaosInjector {
         }
     }
 
-    /// Grows per-station state when churn adds a station slot.
-    pub fn ensure_station(&mut self, sta: usize) {
-        if let Some(st) = self.inner.as_mut() {
-            st.ensure_station(sta);
-        }
-    }
-
     /// Whether an exchange involving `sta` at `now` is forced to fail
     /// (burst loss, stall window, or ACK loss). Draws come from the
     /// station's chaos stream in schedule order; the caller's RNG is
@@ -142,7 +138,7 @@ impl ChaosInjector {
         let Some(st) = self.inner.as_mut() else {
             return false;
         };
-        st.ensure_station(sta);
+        st.grow_to(sta);
         let mut lost = false;
         let mut stalled = false;
         let mut burst = false;
@@ -274,7 +270,7 @@ impl ChaosInjector {
         let Some(st) = self.inner.as_mut() else {
             return;
         };
-        st.ensure_station(sta);
+        st.grow_to(sta);
         let was = st.stations[sta].was_degraded;
         st.stations[sta].was_degraded = degraded;
         let sl = Label::Station(sta as u32);

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
 use crate::rollup::{write_rollup, Flood};
-use crate::runner::{mean, meter_delta, run_seeds};
+use crate::runner::{mean, run_seeds};
 use crate::scenario::{self, fault, udp, SLOW, TESTBED3};
 use crate::scenario_file::{FaultKind, ScenarioFile};
 use crate::udp_sat::SAT_MBPS;
@@ -222,11 +222,7 @@ fn convergence_probe(chaos: bool, cfg: &RunCfg) -> Result<f64, String> {
         t += step;
         built.run_to(t);
         let cur: Vec<StationMeter> = built.net.meter().all().to_vec();
-        let window: Vec<StationMeter> = cur
-            .iter()
-            .zip(&prev)
-            .map(|(l, e)| meter_delta(l, e))
-            .collect();
+        let window: Vec<StationMeter> = cur.iter().zip(&prev).map(|(&l, &e)| l - e).collect();
         prev = cur;
         let shares = airtime_shares(&window);
         let err = expected

@@ -4,9 +4,10 @@
 //! Sweeps hand-off rate (mean dwell) × roster size × rate asymmetry
 //! (uniform fast palette vs the fast/slow mix that re-rolls each roamer's
 //! MCS on arrival) through [`wifiq_scale::RoamSet`]: every BSS runs a
-//! saturating downlink flood to whatever schedule stations currently sit
-//! on it, and delivered bytes are attributed per *schedule station* so a
-//! station's share follows it across BSS boundaries.
+//! saturating downlink flood over its slots, and delivered bytes are read
+//! per *schedule station* from the meters — a station's meter identity
+//! is its schedule number on every BSS — so a station's share follows it
+//! across BSS boundaries.
 //!
 //! Four gates back the roaming contract:
 //!
@@ -28,16 +29,13 @@
 //! Results land in `results/BENCH_roam.json`; one telemetry-on run's
 //! merged rollup lands in `results/roam_rollup.json`.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::report::{write_artifact, write_json, Table};
 use crate::rollup::Flood;
 use crate::runner::{mbps, mean, run_seeds};
 use crate::RunCfg;
-use wifiq_mac::{
-    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, StationIdx, WifiNetwork,
-};
+use wifiq_mac::{NetworkConfig, SchemeKind, StationMeter, WifiNetwork};
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_policy::PolicySet;
 use wifiq_scale::{BssHost, RoamCfg, RoamRun, RoamSet, Roster, ShardCtx, SoloRoam};
@@ -48,58 +46,13 @@ use wifiq_telemetry::{Label, Registry, Telemetry};
 const PKT_LEN: u64 = 1200;
 const TICK: Nanos = Nanos::from_millis(1);
 
-/// Downlink flood to whatever slots are currently associated, with
-/// delivered bytes attributed to *schedule* stations (the identity that
-/// survives hand-offs), not slots.
-#[derive(Default)]
-struct RoamFlood {
-    /// slot → schedule station, maintained from roster notifications.
-    slots: BTreeMap<StationIdx, u32>,
-    /// schedule station → delivered bytes (cumulative).
-    bytes: BTreeMap<u32, u64>,
-    /// `bytes` frozen at the settle boundary.
-    settled: Option<BTreeMap<u32, u64>>,
-    pkts: u64,
-    sent: u64,
-}
-
-impl App<()> for RoamFlood {
-    fn on_packet(&mut self, at: Delivery, pkt: Packet<()>, _now: Nanos, _cmds: &mut Commands<()>) {
-        if let Delivery::AtStation(slot) = at {
-            // Attribute to the current occupant; a frame landing in the
-            // gap after its addressee left is dropped by the MAC before
-            // it reaches us, so the map lookup cannot misattribute.
-            if let Some(&sta) = self.slots.get(&slot) {
-                *self.bytes.entry(sta).or_insert(0) += pkt.len;
-                self.pkts += 1;
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, now: Nanos, cmds: &mut Commands<()>) {
-        for &slot in self.slots.keys() {
-            self.sent += 1;
-            cmds.send(Packet {
-                id: self.sent,
-                src: NodeAddr::Server,
-                dst: NodeAddr::Station(slot),
-                flow: slot as u64,
-                len: PKT_LEN,
-                ac: AccessCategory::Be,
-                created: now,
-                enqueued: now,
-                payload: (),
-            });
-        }
-        cmds.set_timer(token, now + TICK);
-    }
-}
-
 struct Host {
     net: WifiNetwork<()>,
-    app: RoamFlood,
+    app: Flood,
     tele: Telemetry,
     settle: Nanos,
+    /// The meters at the settle boundary.
+    settled: Option<Vec<StationMeter>>,
 }
 
 impl BssHost for Host {
@@ -111,32 +64,24 @@ impl BssHost for Host {
         self.net.run(until, &mut self.app);
         // All shards cross the settle point at the same lockstep
         // boundary, so the per-shard snapshots are mutually consistent.
-        if self.app.settled.is_none() && until >= self.settle {
-            self.app.settled = Some(self.app.bytes.clone());
+        if self.settled.is_none() && until >= self.settle {
+            self.settled = Some(self.net.meter().all().to_vec());
         }
-    }
-    fn station_arrived(&mut self, station: u32, slot: StationIdx) {
-        self.app.slots.insert(slot, station);
-    }
-    fn station_departed(&mut self, _station: u32, slot: StationIdx) {
-        self.app.slots.remove(&slot);
     }
 }
 
 /// One shard's contribution after a run.
 #[derive(Debug, PartialEq)]
 struct ShardOut {
-    /// Post-settle delivered bytes per schedule station on this shard.
-    bytes: BTreeMap<u32, u64>,
-    total_bytes: u64,
+    /// Post-settle delivered bytes per schedule station (its meter
+    /// identity on every BSS), for those that visited this shard.
+    bytes: Vec<u64>,
     active: usize,
-    /// Live slot-map entries at the end (must equal `active`).
-    mapped: usize,
     slots: usize,
     roam_drops: u64,
 }
 
-fn build_host(ctx: &ShardCtx, settle: Nanos, metrics: bool) -> Host {
+fn build_host(ctx: &ShardCtx, roster: usize, settle: Nanos, metrics: bool) -> Host {
     // Engine-managed nets must start with an empty roster, and a policy
     // tree cannot reference stations that do not exist yet — so every
     // multi-BSS landing takes the neutral-fallback path here. The
@@ -154,28 +99,26 @@ fn build_host(ctx: &ShardCtx, settle: Nanos, metrics: bool) -> Host {
     };
     net.set_telemetry(tele.clone());
     net.seed_timer(0, Nanos::ZERO);
+    // A BSS never holds more slots than the roster; one packet per slot
+    // per tick, and a vacant slot's share is dropped at the AP.
     Host {
         net,
-        app: RoamFlood::default(),
+        app: Flood::paced(roster, roster, PKT_LEN, TICK),
         tele,
         settle,
+        settled: None,
     }
 }
 
 fn finish_host(_shard: u32, host: Host) -> (ShardOut, Option<Registry>) {
-    let settled = host.app.settled.unwrap_or_default();
-    let bytes = host
-        .app
-        .bytes
-        .iter()
-        .map(|(&sta, &b)| (sta, b - settled.get(&sta).copied().unwrap_or(0)))
-        .collect();
+    let mut settled = host.settled.unwrap_or_default();
+    let meters = host.net.meter().all();
+    settled.resize(meters.len(), StationMeter::default());
+    let bytes = meters.iter().zip(settled).map(|(&m, s)| (m - s).tx_bytes);
     (
         ShardOut {
-            bytes,
-            total_bytes: host.app.bytes.values().sum(),
+            bytes: bytes.collect(),
             active: host.net.active_stations(),
-            mapped: host.app.slots.len(),
             slots: host.net.station_slots(),
             roam_drops: host.net.roam_drops(),
         },
@@ -185,14 +128,14 @@ fn finish_host(_shard: u32, host: Host) -> (ShardOut, Option<Registry>) {
 
 /// Sums each schedule station's post-settle bytes across the shards it
 /// visited, in schedule-station order over the whole roster.
-fn station_shares(run: &RoamRun<ShardOut>, roster: usize) -> Vec<f64> {
+fn station_shares(run: &RoamRun<ShardOut>, roster: usize) -> Vec<u64> {
     let mut per_sta = vec![0u64; roster];
     for out in &run.outputs {
-        for (&sta, &b) in &out.bytes {
-            per_sta[sta as usize] += b;
+        for (sta, &b) in out.bytes.iter().enumerate() {
+            per_sta[sta] += b;
         }
     }
-    per_sta.iter().map(|&b| b as f64).collect()
+    per_sta
 }
 
 #[derive(serde::Serialize)]
@@ -251,15 +194,11 @@ fn run_point(
     let reps: Vec<Rep> = run_seeds("ext_roam", &cell, &config, cfg, |seed| {
         let run = roam_set(bss, roster, dwell, palette, seed).run(
             duration,
-            |ctx| build_host(ctx, settle, false),
+            |ctx| build_host(ctx, roster, settle, false),
             finish_host,
         );
-        let shares: Vec<u64> = station_shares(&run, roster)
-            .iter()
-            .map(|&b| b as u64)
-            .collect();
         Ok((
-            shares,
+            station_shares(&run, roster),
             run.stats.handoffs,
             run.stats.roam_drops,
             run.stats.migrated_frames,
@@ -316,12 +255,11 @@ fn leak_check(target: u64, seed: u64, out: &mut String) -> (u64, bool) {
         .with_window(Nanos::from_millis(25))
         .run(
             Nanos::from_secs(secs.max(1)),
-            |ctx| build_host(ctx, settle, false),
+            |ctx| build_host(ctx, roster, settle, false),
             finish_host,
         );
 
     let active: usize = run.outputs.iter().map(|o| o.active).sum();
-    let mapped_ok = run.outputs.iter().all(|o| o.mapped == o.active);
     let slots_ok = run.outputs.iter().all(|o| o.slots <= roster);
     let drops: u64 = run.outputs.iter().map(|o| o.roam_drops).sum();
     let tele_ok = run.registry.counter("roam", "handoffs", Label::Global) == run.stats.handoffs;
@@ -339,9 +277,6 @@ fn leak_check(target: u64, seed: u64, out: &mut String) -> (u64, bool) {
     }
     if active != roster {
         fail(&format!("{active} active stations != roster {roster}"));
-    }
-    if !mapped_ok {
-        fail("a shard's roster map disagrees with its network");
     }
     if !slots_ok {
         fail("a shard's slot table outgrew the roster (slots leaked)");
@@ -439,7 +374,7 @@ fn policy_check(seed: u64, out: &mut String) -> bool {
 fn write_rollup(cfg: &RunCfg, duration: Nanos, settle: Nanos) {
     let run = roam_set(4, 8, Nanos::from_millis(200), "mixed", cfg.base_seed).run(
         duration,
-        |ctx| build_host(ctx, settle, true),
+        |ctx| build_host(ctx, 8, settle, true),
         finish_host,
     );
     write_artifact(cfg, "roam_rollup.json", &run.registry.to_json().pretty());

@@ -5,7 +5,8 @@
 //! independent BSS shards run through [`wifiq_scale::ShardSet`], with and
 //! without deterministic station churn ([`wifiq_scale::ChurnDriver`]).
 //! Each sweep point records saturated downlink throughput, Jain's
-//! fairness index over per-station delivered bytes, and the churn
+//! fairness index over the window bytes of the stations associated for
+//! the whole window (`benchmark/`'s eligibility rule), and the churn
 //! counters — simulated quantities only, so `results/BENCH_scale.json` is
 //! a pure function of code and seed (host time is `benchmark/`'s job).
 //!
@@ -13,6 +14,7 @@
 //! run with telemetry on writes its merged rollup to
 //! `results/scale_rollup.json`.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::report::{write_json, Table};
@@ -28,11 +30,23 @@ use wifiq_telemetry::{Registry, Telemetry};
 
 /// One shard's measurement-window results.
 struct ShardOut {
-    /// Per-slot delivered bytes inside the measurement window.
-    bytes: Vec<u64>,
+    /// Bytes delivered inside the measurement window, all stations.
+    total_bytes: u64,
+    /// Window bytes of each station associated for the whole window.
+    eligible_bytes: Vec<u64>,
     joins: u64,
     leaves: u64,
     churn_drops: u64,
+}
+
+/// The meter identities of the stations associated now. A churn join
+/// takes a fresh identity, so one associated at both ends of a window
+/// stayed associated all through it.
+fn associated(net: &WifiNetwork<()>) -> BTreeSet<usize> {
+    (0..net.station_slots())
+        .filter(|&s| net.station_active(s))
+        .map(|s| net.meter().identity(s))
+        .collect()
 }
 
 /// Runs one BSS shard: `stations` fast stations under the airtime-fair
@@ -81,18 +95,21 @@ fn run_shard(
     let mut roster = Roster { churn, roam: None };
     net.seed_timer(0, Nanos::ZERO);
     roster.run_to(&mut net, &mut app, warmup);
-    let warm_bytes = app.delivered().to_vec();
+    let (warm, present) = (net.meter().all().to_vec(), associated(&net));
     roster.run_to(&mut net, &mut app, duration);
 
-    let bytes = app
-        .delivered()
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| b - warm_bytes.get(i).copied().unwrap_or(0))
-        .collect();
+    let window = |who: usize| {
+        let earlier = warm.get(who).copied().unwrap_or_default();
+        (net.meter().all()[who] - earlier).tx_bytes
+    };
+    let stayed = associated(&net);
     (
         ShardOut {
-            bytes,
+            total_bytes: (0..net.meter().all().len()).map(window).sum(),
+            eligible_bytes: present
+                .intersection(&stayed)
+                .map(|&who| window(who))
+                .collect(),
             joins: roster.churn.as_ref().map_or(0, |d| d.joins),
             leaves: roster.churn.as_ref().map_or(0, |d| d.leaves),
             churn_drops: net.churn_drops(),
@@ -140,9 +157,9 @@ fn run_point(
         duration.as_millis()
     );
     let per_shard = split_stations(stations, shards);
-    // (window bytes across shards, joins, leaves, churn drops) per
-    // repetition.
-    type Rep = (Vec<u64>, u64, u64, u64);
+    // (window bytes, eligible stations' window bytes across shards,
+    // joins, leaves, churn drops) per repetition.
+    type Rep = (u64, Vec<u64>, u64, u64, u64);
     let reps: Vec<Rep> = run_seeds("ext_scale", &cell, &config, cfg, |seed| {
         // Sweep reps skip per-shard telemetry (the rollup run records it).
         let run = ShardSet::new(shards, seed).run(|ctx| {
@@ -155,25 +172,20 @@ fn run_point(
                 false,
             )
         });
-        let bytes: Vec<u64> = run.outputs.iter().flat_map(|o| o.bytes.clone()).collect();
+        let eligible = run.outputs.iter().flat_map(|o| o.eligible_bytes.clone());
         let sum = |f: fn(&ShardOut) -> u64| run.outputs.iter().map(f).sum::<u64>();
         Ok((
-            bytes,
+            sum(|o| o.total_bytes),
+            eligible.collect(),
             sum(|o| o.joins),
             sum(|o| o.leaves),
             sum(|o| o.churn_drops),
         ))
     })?;
-    let throughput: Vec<f64> = reps
-        .iter()
-        .map(|r| mbps(r.0.iter().sum(), duration - warmup))
-        .collect();
+    let throughput: Vec<f64> = reps.iter().map(|r| mbps(r.0, duration - warmup)).collect();
     let jains: Vec<f64> = reps
         .iter()
-        .map(|r| {
-            let shares: Vec<f64> = r.0.iter().map(|&b| b as f64).collect();
-            jain_index(&shares)
-        })
+        .map(|r| jain_index(&r.1.iter().map(|&b| b as f64).collect::<Vec<_>>()))
         .collect();
     let n = reps.len() as u64;
     Ok(Row {
@@ -182,9 +194,9 @@ fn run_point(
         churn,
         throughput_mbps: mean(&throughput),
         jain: mean(&jains),
-        joins: reps.iter().map(|r| r.1).sum::<u64>() / n,
-        leaves: reps.iter().map(|r| r.2).sum::<u64>() / n,
-        churn_drops: reps.iter().map(|r| r.3).sum::<u64>() / n,
+        joins: reps.iter().map(|r| r.2).sum::<u64>() / n,
+        leaves: reps.iter().map(|r| r.3).sum::<u64>() / n,
+        churn_drops: reps.iter().map(|r| r.4).sum::<u64>() / n,
     })
 }
 

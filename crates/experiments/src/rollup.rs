@@ -15,7 +15,8 @@ use crate::runner::{export_metrics, RunCfg};
 /// deterministic, transport-free load (pure MAC behaviour) whose event
 /// count does not grow with the roster. Sends to a slot whose occupant
 /// has left are dropped (and counted) by the network, so the app never
-/// tracks the roster. Arm it with `net.seed_timer(0, Nanos::ZERO)`.
+/// tracks the roster; what each station received is on its meter. Arm it
+/// with `net.seed_timer(0, Nanos::ZERO)`.
 pub struct Flood {
     n: usize,
     per_tick: usize,
@@ -23,7 +24,6 @@ pub struct Flood {
     tick: Nanos,
     cursor: usize,
     next_id: u64,
-    delivered: Vec<u64>,
 }
 
 impl Flood {
@@ -40,25 +40,12 @@ impl Flood {
             tick,
             cursor: 0,
             next_id: 0,
-            delivered: vec![0; n],
         }
-    }
-
-    /// Bytes delivered so far, per station slot.
-    pub fn delivered(&self) -> &[u64] {
-        &self.delivered
     }
 }
 
 impl App<()> for Flood {
-    fn on_packet(&mut self, at: Delivery, pkt: Packet<()>, _: Nanos, _: &mut Commands<()>) {
-        if let Delivery::AtStation(slot) = at {
-            if slot >= self.delivered.len() {
-                self.delivered.resize(slot + 1, 0);
-            }
-            self.delivered[slot] += pkt.len;
-        }
-    }
+    fn on_packet(&mut self, _: Delivery, _: Packet<()>, _: Nanos, _: &mut Commands<()>) {}
 
     fn on_timer(&mut self, _token: u64, now: Nanos, cmds: &mut Commands<()>) {
         for _ in 0..self.per_tick {

@@ -1,11 +1,10 @@
 //! Shared experiment-running machinery: the run configuration (the one
 //! place the process environment is read), the harness bridge that fans
-//! repetitions across worker threads, and meter arithmetic.
+//! repetitions across worker threads, and window arithmetic.
 
 use std::path::PathBuf;
 
 use wifiq_harness::{workspace_dir, CellDef, FaultSpec, Harness, JsonCodec, SweepMeta};
-use wifiq_mac::StationMeter;
 use wifiq_sim::Nanos;
 use wifiq_telemetry::Telemetry;
 
@@ -231,23 +230,6 @@ pub fn export_metrics(cfg: &RunCfg, tele: &Telemetry, name: &str, seed: u64) {
     }
 }
 
-/// Difference of two meter snapshots (`later − earlier`), for measuring a
-/// window that excludes warm-up.
-pub fn meter_delta(later: &StationMeter, earlier: &StationMeter) -> StationMeter {
-    StationMeter {
-        tx_airtime: later.tx_airtime - earlier.tx_airtime,
-        rx_airtime: later.rx_airtime - earlier.rx_airtime,
-        tx_frames: later.tx_frames - earlier.tx_frames,
-        tx_bytes: later.tx_bytes - earlier.tx_bytes,
-        rx_frames: later.rx_frames - earlier.rx_frames,
-        rx_bytes: later.rx_bytes - earlier.rx_bytes,
-        tx_aggregates: later.tx_aggregates - earlier.tx_aggregates,
-        tx_aggregate_frames: later.tx_aggregate_frames - earlier.tx_aggregate_frames,
-        failures: later.failures - earlier.failures,
-        retry_drops: later.retry_drops - earlier.retry_drops,
-    }
-}
-
 /// `bytes` delivered over a sim-time `window`, in bit/s.
 pub fn bps(bytes: u64, window: Nanos) -> f64 {
     bytes as f64 * 8.0 / window.as_secs_f64()
@@ -293,23 +275,6 @@ mod tests {
             ..RunCfg::new()
         };
         assert_eq!(cfg.seeds().collect::<Vec<_>>(), vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn meter_delta_subtracts() {
-        let a = StationMeter {
-            tx_bytes: 100,
-            tx_airtime: Nanos::from_millis(5),
-            ..StationMeter::default()
-        };
-        let b = StationMeter {
-            tx_bytes: 250,
-            tx_airtime: Nanos::from_millis(9),
-            ..a
-        };
-        let d = meter_delta(&b, &a);
-        assert_eq!(d.tx_bytes, 150);
-        assert_eq!(d.tx_airtime, Nanos::from_millis(4));
     }
 
     #[test]

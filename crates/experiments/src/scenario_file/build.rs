@@ -18,7 +18,6 @@ use super::{
     ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, RoamingSpec, ScenarioFile,
     StationSpec, TrafficSpec,
 };
-use crate::runner::meter_delta;
 
 /// The document's name for `kind` (its `scheme` field).
 pub(crate) fn scheme_name(kind: SchemeKind) -> &'static str {
@@ -375,15 +374,16 @@ impl BuiltScenario {
     /// experiment and `wifiq run` read.
     pub fn measure(&mut self, warmup: Nanos) -> Window {
         self.run_to(warmup);
-        let (meters, delivered) = (self.net.meter().all().to_vec(), self.delivered());
+        let (mut meters, delivered) = (self.net.meter().all().to_vec(), self.delivered());
         self.run_to(self.duration);
-        let meters = self.net.meter().all().iter().zip(&meters);
+        // An identity that joined inside the window had a zero meter at
+        // its start.
+        let later = self.net.meter().all();
+        meters.resize(later.len(), StationMeter::default());
         let delivered = self.delivered().into_iter().zip(delivered);
         Window {
             from: warmup,
-            meters: meters
-                .map(|(later, earlier)| meter_delta(later, earlier))
-                .collect(),
+            meters: later.iter().zip(meters).map(|(&l, e)| l - e).collect(),
             delivered: delivered.map(|(later, earlier)| later - earlier).collect(),
         }
     }
@@ -405,8 +405,9 @@ pub struct Window {
     /// Where the window starts (the warm-up's end); samples logged by
     /// time, such as ping RTTs, are read from here on.
     pub from: Nanos,
-    /// Per-station meter deltas over the window, one per station the
-    /// meter table held when the window opened.
+    /// Meter deltas over the window, one per station identity
+    /// ([`AirtimeMeter`](wifiq_mac::AirtimeMeter)): the roster's first,
+    /// then every later join, departed stations included.
     pub meters: Vec<StationMeter>,
     /// Bytes each traffic component delivered over the window, in file
     /// order; 0 for a component that reports no goodput.

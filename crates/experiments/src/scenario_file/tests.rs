@@ -1,6 +1,7 @@
 use super::build::parse_qos;
 use super::*;
 use serde_json::Json;
+use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::SchemeKind;
 use wifiq_phy::AccessCategory;
 use wifiq_sim::Nanos;
@@ -466,6 +467,48 @@ fn shipped_scenario_files_validate() {
             "{}: counterexamples must carry a provenance block",
             f.0.display()
         );
+    }
+}
+
+/// Every shipped scenario measures its window as `wifiq run` does — the
+/// first sixth is warm-up — shortened to eight seconds so a debug build
+/// stays quick, yet long enough that churn and roaming re-seat stations
+/// inside the window. The window's rows must still cover all the air
+/// used; a slot-keyed meter underflowed here.
+#[test]
+fn shipped_scenarios_measure_cleanly() {
+    for (path, text) in shipped("") {
+        let mut sc = ScenarioFile::from_json(&text).unwrap();
+        sc.secs = sc.secs.min(8);
+        let mut built = sc.build().unwrap();
+        let warmup = built.duration / 6;
+        let reseats = |b: &BuiltScenario| {
+            let joins = b.roster.churn.as_ref().map_or(0, |c| c.joins);
+            let landed = b
+                .roster
+                .roam
+                .as_ref()
+                .map_or(0, |r| r.stats.policy_reattach + r.stats.neutral_fallback);
+            joins + landed
+        };
+        built.run_to(warmup);
+        let before = reseats(&built);
+        let window = built.measure(warmup);
+        let air: u64 = window
+            .meters
+            .iter()
+            .map(|m| m.total_airtime().as_nanos())
+            .sum();
+        let shares: f64 = airtime_shares(&window.meters).iter().sum();
+        assert!(air > 0, "{}: no air used", path.display());
+        assert!((shares - 1.0).abs() < 1e-9, "{}", path.display());
+        if sc.churn.is_some() || sc.roaming.is_some() {
+            assert!(
+                reseats(&built) > before,
+                "{}: no station re-seated inside the window",
+                path.display()
+            );
+        }
     }
 }
 

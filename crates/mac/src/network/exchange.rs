@@ -184,21 +184,22 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             let (sta, delivered) = self.settle(p, collision, now);
             match (p, delivered) {
                 (Participant::Ap { .. }, Some(agg)) => {
-                    let m = self.obs.meter.station_mut(sta);
+                    let (m, n) = (self.obs.meter.station_mut(sta), agg.frames.len() as u64);
                     m.tx_aggregates += 1;
-                    m.tx_aggregate_frames += agg.frames.len() as u64;
+                    m.tx_aggregate_frames += n;
+                    m.tx_frames += n;
+                    m.tx_bytes += agg.payload_bytes();
                     let mut frames = agg.frames;
                     for t in frames.drain(..) {
-                        let m = self.obs.meter.station_mut(sta);
-                        m.tx_frames += 1;
-                        m.tx_bytes += t.len;
                         let pkt = self.packets.remove(t.handle);
                         app.on_packet(Delivery::AtStation(sta), pkt, now, cmds);
                     }
                     self.ap.recycle_frames(frames);
                 }
                 (Participant::Station { .. }, Some(agg)) => {
-                    self.obs.meter.station_mut(sta).rx_frames += agg.frames.len() as u64;
+                    let m = self.obs.meter.station_mut(sta);
+                    m.rx_frames += agg.frames.len() as u64;
+                    m.rx_bytes += agg.payload_bytes();
                     let mut frames = agg.frames;
                     for t in frames.drain(..) {
                         // Station-to-station forwarding through the AP is
@@ -209,7 +210,6 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                             "uplink packet addressed to {:?}; peer-to-peer traffic is unsupported",
                             self.packets.get(t.handle).dst
                         );
-                        self.obs.meter.station_mut(sta).rx_bytes += t.len;
                         self.wire_hop(t.handle, t.len, now, Event::WireToServer);
                     }
                     self.stations[sta].recycle_frames(frames);

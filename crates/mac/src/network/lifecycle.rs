@@ -72,8 +72,15 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
     /// slot when one exists (the station table's LIFO free list governs
     /// slot choice). Returns the station's generational handle; read the
     /// wire slot it occupies from [`StaId::slot`]. Safe to call between
-    /// [`run`](Self::run) windows.
+    /// [`run`](Self::run) windows. The station's meter is a fresh row,
+    /// [`AirtimeMeter::all`](crate::AirtimeMeter::all)'s next.
     pub fn add_station(&mut self, station: StationCfg) -> StaId {
+        self.join(station, None)
+    }
+
+    /// The association both ways of joining share: `who` is the meter
+    /// identity the station bills, `None` for a fresh one.
+    fn join(&mut self, station: StationCfg, who: Option<usize>) -> StaId {
         let id = self.ap.add_station(&station);
         let sta = id.slot();
         self.join_seq += 1;
@@ -96,9 +103,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             self.contenders.forget(sta);
         }
         self.active.insert(sta);
-        self.obs.meter.ensure_station(sta);
-        self.obs.meter.reset_station(sta);
-        self.chaos.ensure_station(sta);
+        self.obs.meter.seat(sta, who);
         // A joining station inherits the weights of the policy in force;
         // a slot the roster never covered falls back to neutral.
         if let Some(active) = super::policy_rt::active(&self.policy) {
@@ -161,6 +166,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
                 packets: Vec::new(),
                 dropped: 0,
                 deferred: true,
+                identity: self.obs.meter.identity(sta),
             };
         }
         self.teardown(id, migrate)
@@ -211,6 +217,7 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             packets: packets.map(|t| self.packets.remove(t.handle)).collect(),
             dropped,
             deferred: false,
+            identity: self.obs.meter.identity(sta),
         }
     }
 
@@ -219,9 +226,11 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
     /// re-addressed to the slot the roamer now occupies and re-enters the
     /// AP queueing path with a fresh enqueue stamp (CoDel sojourn restarts;
     /// end-to-end `created` timestamps survive, so latency metrics see the
-    /// full hand-off cost). Returns the roamer's new handle.
-    pub fn roam_in(&mut self, station: StationCfg, carried: Vec<Packet<M>>) -> StaId {
-        let id = self.add_station(station);
+    /// full hand-off cost). `who` is the roamer's meter identity — the
+    /// [`RoamHandoff::identity`] it left with — so its meter row follows
+    /// it. Returns the roamer's new handle.
+    pub fn roam_in(&mut self, station: StationCfg, carried: Vec<Packet<M>>, who: usize) -> StaId {
+        let id = self.join(station, Some(who));
         let slot = id.slot();
         let now = self.queue.now();
         let mut acs = [false; AccessCategory::COUNT];

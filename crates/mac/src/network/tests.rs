@@ -398,17 +398,18 @@ fn replay_cache_ops(ops: &[CacheOp], fq: bool, rate_control: bool) {
     };
     let nth_active =
         |net: &WifiNetwork<()>, k: usize| net.nth_active_station(k % net.active_stations().max(1));
-    // Leaves; a roam-out hands back the frames it carries away.
+    // Leaves; a roam-out hands back the frames it carries away and its
+    // meter identity.
     let leave = |net: &mut WifiNetwork<()>, slot: StationIdx, roam: bool| {
         let id = net.sta_id(slot).expect("active slot has a handle");
         if roam {
-            Some(net.roam_out(id).packets)
+            Some(net.roam_out(id))
         } else {
             net.remove_station(id);
             None
         }
     };
-    let mut carried = None;
+    let mut carried: Option<RoamHandoff<()>> = None;
     for op in ops {
         let now = net.now();
         match *op {
@@ -433,7 +434,7 @@ fn replay_cache_ops(ops: &[CacheOp], fq: bool, rate_control: bool) {
             CacheOp::Add => {
                 let cfg = crate::config::StationCfg::clean(wifiq_phy::PhyRate::fast_station());
                 match carried.take() {
-                    Some(packets) => net.roam_in(cfg, packets),
+                    Some(h) => net.roam_in(cfg, h.packets, h.identity),
                     None => net.add_station(cfg),
                 };
             }

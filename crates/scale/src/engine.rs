@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use wifiq_mac::{StaId, StationCfg, StationIdx, WifiNetwork};
+use wifiq_mac::{StaId, StationCfg, WifiNetwork};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{Registry, Telemetry};
 
@@ -38,8 +38,9 @@ use crate::shard::{merge_in_shard_order, ShardCtx, ShardRun, ShardSet};
 ///
 /// The engine calls [`roam_in`](WifiNetwork::roam_in) /
 /// [`roam_out`](WifiNetwork::roam_out) on the wrapped network itself;
-/// the host only has to advance simulation time and keep its traffic
-/// sources aware of the roster.
+/// the host only has to advance simulation time. A schedule station's
+/// meter identity on every BSS is its station number, so a host reads
+/// per-station results from the meters, not from a slot map.
 pub trait BssHost {
     /// Packet payload carried across hand-offs.
     type M: std::fmt::Debug;
@@ -49,13 +50,6 @@ pub trait BssHost {
 
     /// Advances the simulation to `until`, driving traffic.
     fn advance(&mut self, until: Nanos);
-
-    /// Roster notification: schedule station `station` now occupies
-    /// `slot` on this BSS.
-    fn station_arrived(&mut self, _station: u32, _slot: StationIdx) {}
-
-    /// Roster notification: schedule station `station` left `slot`.
-    fn station_departed(&mut self, _station: u32, _slot: StationIdx) {}
 }
 
 /// The merged outcome of a roaming multi-BSS run.
@@ -121,9 +115,9 @@ impl RoamSet {
     ///
     /// `build` constructs one host per shard (the network must start
     /// with an empty roster — the engine places every schedule station
-    /// at its home BSS at time zero, announcing it through
-    /// [`BssHost::station_arrived`]). `finish` consumes each host into
-    /// its result and optional registry.
+    /// at its home BSS at time zero, under its station number as meter
+    /// identity). `finish` consumes each host into its result and
+    /// optional registry.
     pub fn run<B, T, F, G>(&self, duration: Nanos, build: F, finish: G) -> RoamRun<T>
     where
         B: BssHost,
@@ -163,9 +157,8 @@ impl RoamSet {
             let (host, slots) = &mut hosts[driver.home(g) as usize];
             let id = host
                 .net_mut()
-                .roam_in(StationCfg::clean(driver.rate(g)), Vec::new());
+                .roam_in(StationCfg::clean(driver.rate(g)), Vec::new(), g);
             slots.insert(g as u32, id);
-            host.station_arrived(g as u32, id.slot());
         }
 
         // One window per boundary, plus a flush window at `duration`
@@ -179,7 +172,6 @@ impl RoamSet {
                 let (host, slots) = &mut hosts[t.to as usize];
                 let id = arrive(host.net_mut(), t, start, &mut stats, &tele);
                 slots.insert(station, id);
-                host.station_arrived(station, id.slot());
             }
 
             for (host, _) in &mut hosts {
@@ -209,7 +201,6 @@ impl RoamSet {
                     .remove(&m.station)
                     .expect("departing station is not on its BSS");
                 let packets = depart(host.net_mut(), id, &mut stats, &tele);
-                host.station_departed(m.station, id.slot());
                 // First boundary past the reassociation gap; a gap
                 // outliving the run lands at the flush.
                 let rejoin_at = boundaries[wi..]
@@ -249,19 +240,19 @@ impl RoamSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
     use wifiq_mac::{App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind};
     use wifiq_phy::AccessCategory;
     use wifiq_telemetry::Label;
 
-    /// Downlink flood to whatever slots the roster notifications say are
-    /// currently associated.
+    /// Downlink flood to slots `0..ROSTER`: no BSS holds more, and the AP
+    /// drops what is sent to a vacant one.
     #[derive(Default)]
     struct Flood {
-        slots: BTreeSet<StationIdx>,
         sent: u64,
         delivered: u64,
     }
+
+    const ROSTER: usize = 8;
 
     impl App<()> for Flood {
         fn on_packet(&mut self, at: Delivery, _: Packet<()>, _: Nanos, _: &mut Commands<()>) {
@@ -270,7 +261,7 @@ mod tests {
             }
         }
         fn on_timer(&mut self, token: u64, now: Nanos, cmds: &mut Commands<()>) {
-            for &sta in &self.slots {
+            for sta in 0..ROSTER {
                 self.sent += 1;
                 cmds.send(Packet {
                     id: self.sent,
@@ -301,12 +292,6 @@ mod tests {
         }
         fn advance(&mut self, until: Nanos) {
             self.net.run(until, &mut self.app);
-        }
-        fn station_arrived(&mut self, _station: u32, slot: StationIdx) {
-            self.app.slots.insert(slot);
-        }
-        fn station_departed(&mut self, _station: u32, slot: StationIdx) {
-            self.app.slots.remove(&slot);
         }
     }
 
@@ -339,7 +324,7 @@ mod tests {
 
     fn set() -> RoamSet {
         RoamSet::new(4, 42)
-            .with_roster(8)
+            .with_roster(ROSTER)
             .with_roam(RoamCfg {
                 mean_dwell: Nanos::from_millis(300),
                 ..RoamCfg::default()
@@ -351,7 +336,10 @@ mod tests {
     fn roster_is_conserved_across_handoffs() {
         let run = set().run(Nanos::from_secs(2), build, finish);
         let active: usize = run.outputs.iter().map(|&(a, _, _)| a).sum();
-        assert_eq!(active, 8, "stations leaked or duplicated while roaming");
+        assert_eq!(
+            active, ROSTER,
+            "stations leaked or duplicated while roaming"
+        );
         let delivered: u64 = run.outputs.iter().map(|&(_, d, _)| d).sum();
         assert!(delivered > 0, "no traffic flowed");
     }
@@ -384,13 +372,11 @@ mod tests {
         let until = Nanos::from_millis(400);
         let a = set().with_roam(quiet.clone()).run(until, build, finish);
         let b = ShardSet::new(4, 42).run(|ctx| {
-            let driver = RoamDriver::new(quiet.clone(), 42, 8, 4);
+            let driver = RoamDriver::new(quiet.clone(), 42, ROSTER, 4);
             let mut host = build(ctx);
-            for g in (0..8).filter(|&g| driver.home(g) == ctx.shard) {
-                let id = host
-                    .net
-                    .roam_in(StationCfg::clean(driver.rate(g)), Vec::new());
-                host.station_arrived(g as u32, id.slot());
+            for g in (0..ROSTER).filter(|&g| driver.home(g) == ctx.shard) {
+                host.net
+                    .roam_in(StationCfg::clean(driver.rate(g)), Vec::new(), g);
             }
             host.advance(until);
             finish(ctx.shard, host)

@@ -97,7 +97,8 @@ pub(crate) fn depart<M: std::fmt::Debug>(
 }
 
 /// The landing half: reassociates `t`'s station on `net` at `now` with
-/// its carried frames, and accounts for whether the slot it took is
+/// its carried frames — under its schedule number as meter identity, so
+/// its meter row follows it — and accounts for whether the slot it took is
 /// owned by a policy node (any access category) or falls back to the
 /// neutral weight.
 pub(crate) fn arrive<M: std::fmt::Debug>(
@@ -107,7 +108,7 @@ pub(crate) fn arrive<M: std::fmt::Debug>(
     stats: &mut RoamStats,
     tele: &Telemetry,
 ) -> StaId {
-    let id = net.roam_in(StationCfg::clean(t.rate), t.packets);
+    let id = net.roam_in(StationCfg::clean(t.rate), t.packets, t.station as usize);
     let covered = AccessCategory::ALL
         .iter()
         .any(|&ac| net.policy_node_of(id.slot(), ac).is_some());
@@ -151,7 +152,8 @@ pub struct SoloRoam<M> {
 
 impl<M: std::fmt::Debug> SoloRoam<M> {
     /// A replayer for `roster` stations already associated on slots
-    /// `0..roster` of the target network (the usual builder layout).
+    /// `0..roster` of the target network (the usual builder layout), so
+    /// station `i`'s meter identity is `i`.
     pub fn new(cfg: RoamCfg, seed: u64, roster: usize) -> SoloRoam<M> {
         SoloRoam {
             driver: RoamDriver::new(cfg, seed, roster, 1),

@@ -316,9 +316,10 @@ pub fn evaluate(doc: &ScenarioFile) -> Result<Objectives, String> {
         .collect();
     let fairness_applicable = bulk.len() >= 2 && doc.churn.is_none();
 
-    // Weighted share of `sta` accumulated between two boundaries.
+    // Weighted share of `sta` accumulated between two boundaries; a meter
+    // row follows its station, so it never shrinks.
     let delta = |from: &[u64], to: &[u64], sta: usize| -> f64 {
-        to[sta].saturating_sub(from[sta]) as f64 * NEUTRAL_WEIGHT / weights[sta]
+        (to[sta] - from[sta]) as f64 * NEUTRAL_WEIGHT / weights[sta]
     };
 
     // jain_dip: settle for 1 s (or until after the last policy switch),

@@ -311,37 +311,45 @@ fn scenario_from_flags(argv: &[String]) -> Result<ScenarioFile, String> {
 /// the per-station and per-component report.
 fn scenario_report(scenario: &ScenarioFile) -> Result<String, String> {
     let mut built = scenario.build()?;
+    // The document's rates: a hand-off re-draws its station's rate.
+    let rates: Vec<String> = built
+        .net
+        .config()
+        .stations
+        .iter()
+        .map(|c| c.rate.to_string())
+        .collect();
     let duration = built.duration;
     let window = built.measure(duration / 6);
     let warmup = window.from;
 
-    let stations = &built.net.config().stations;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "wifiq: {} | {} stations | {} s (seed {})\n",
         built.net.scheme(),
-        stations.len(),
+        rates.len(),
         duration.as_millis() / 1000,
         scenario.seed
     );
-    // Churn can grow the meter table past the configured roster; shares
-    // are of all the air used, the table and the index cover the roster.
+    // One row per station identity: the document's roster first, at its
+    // rates (a roamer keeps its row), then each churn join. The index
+    // covers the roster.
     let shares = airtime_shares(&window.meters);
     let mut t = Table::new(vec!["Station", "Rate", "Airtime share", "Mean aggr"]);
-    for (sta, cfg) in stations.iter().enumerate() {
+    for (sta, m) in window.meters.iter().enumerate() {
         t.row(vec![
             sta.to_string(),
-            cfg.rate.to_string(),
+            rates.get(sta).map_or("joined", String::as_str).to_string(),
             pct(shares[sta]),
-            format!("{:.1}", window.meters[sta].mean_aggregation()),
+            format!("{:.1}", m.mean_aggregation()),
         ]);
     }
     out.push_str(&t.render());
     let _ = writeln!(
         out,
         "\nJain's airtime fairness index: {:.3}\n",
-        jain_index(&shares[..stations.len()])
+        jain_index(&shares[..rates.len()])
     );
 
     let app = &built.app;

@@ -318,7 +318,7 @@ fn churn_and_roam_under_contention_match_golden() {
             }
             (12, _) if !in_transit.is_empty() => {
                 let handoff = in_transit.remove(0);
-                net.roam_in(cfg_of(step), handoff.packets);
+                net.roam_in(cfg_of(step), handoff.packets, handoff.identity);
                 absent -= 1;
             }
             _ => {}

@@ -46,27 +46,14 @@ impl App<AppMsg> for Tap {
     }
 }
 
+/// Every retry drop so far: one meter row per station identity, departed
+/// stations' included.
 fn retry_drops(net: &WifiNetwork<AppMsg>) -> u64 {
-    (0..net.station_slots())
-        .map(|s| net.station_meter(s).retry_drops)
-        .sum()
+    net.meter().all().iter().map(|m| m.retry_drops).sum()
 }
 
-/// Joins a station, bringing `carried` frames along if there are any.
-/// Returns the retry drops the join wiped from the reused slot's meter.
-fn rejoin(net: &mut WifiNetwork<AppMsg>, carried: Option<Vec<Packet<AppMsg>>>) -> u64 {
-    let before = retry_drops(net);
-    let cfg = StationCfg::clean(PhyRate::fast_station());
-    match carried {
-        Some(packets) => net.roam_in(cfg, packets),
-        None => net.add_station(cfg),
-    };
-    before - retry_drops(net)
-}
-
-/// Offered packets no public getter can see. `retry_carry` holds the
-/// retry drops of meters that a join has since zeroed.
-fn unseen(net: &WifiNetwork<AppMsg>, tap: &Tap, retry_carry: u64) -> i64 {
+/// Offered packets no public getter can see.
+fn unseen(net: &WifiNetwork<AppMsg>, tap: &Tap) -> i64 {
     let backlog: usize = (0..net.station_slots())
         .map(|s| net.station_backlog(s))
         .sum::<usize>()
@@ -78,7 +65,6 @@ fn unseen(net: &WifiNetwork<AppMsg>, tap: &Tap, retry_carry: u64) -> i64 {
         + net.ap_codel_drops()
         + net.churn_drops()
         + net.roam_drops()
-        + retry_carry
         + retry_drops(net)
         + backlog as u64;
     tap.offered as i64 - seen as i64
@@ -114,7 +100,7 @@ fn the_getters_balance_up_to_the_hardware_queues_and_exactly_once_drained() {
     };
 
     let slice = Nanos::from_millis(10);
-    let mut retry_carry = 0;
+    let fast = || StationCfg::clean(PhyRate::fast_station());
     let mut roamed = 0;
     for i in 1..=60u64 {
         net.run(slice * i, &mut tap);
@@ -125,12 +111,14 @@ fn the_getters_balance_up_to_the_hardware_queues_and_exactly_once_drained() {
                     .expect("k below the active count");
                 net.remove_station(net.sta_id(slot).expect("active slot"));
             }
-            3 => retry_carry += rejoin(&mut net, None),
+            3 => {
+                net.add_station(fast());
+            }
             4 if i == 34 => {
                 // Mid-run hand-off of a flooded station, straight back in.
                 let out = net.roam_out(net.sta_id(3).expect("slot 3 occupied"));
                 roamed += out.packets.len();
-                retry_carry += rejoin(&mut net, Some(out.packets));
+                net.roam_in(fast(), out.packets, out.identity);
             }
             _ => {}
         }
@@ -138,7 +126,7 @@ fn the_getters_balance_up_to_the_hardware_queues_and_exactly_once_drained() {
         // window each per access category, and stashes one frame per TID.
         let hidden = hw_depth * AccessCategory::COUNT * BA_WINDOW
             + AccessCategory::COUNT * net.station_slots();
-        let gap = unseen(&net, &tap, retry_carry);
+        let gap = unseen(&net, &tap);
         assert!(
             (0..=hidden as i64).contains(&gap),
             "slice {i}: {gap} packets unseen, at most {hidden} can be in hardware"
@@ -153,7 +141,7 @@ fn the_getters_balance_up_to_the_hardware_queues_and_exactly_once_drained() {
     assert_eq!(net.wire_in_flight(), 0, "packets parked on an idle wire");
     assert_eq!(net.ap_backlog(), 0);
     assert_eq!(
-        unseen(&net, &tap, retry_carry),
+        unseen(&net, &tap),
         0,
         "drained, yet the getters do not add up to what was offered"
     );

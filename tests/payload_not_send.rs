@@ -10,7 +10,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use ending_anomaly::mac::{
-    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, StationIdx, WifiNetwork,
+    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind, WifiNetwork,
 };
 use ending_anomaly::phy::{AccessCategory, PhyRate};
 use ending_anomaly::scale::{
@@ -111,7 +111,8 @@ fn a_payload_that_is_not_send_runs_churns_and_roams() {
     );
 }
 
-/// One BSS of a roam set, flooding every slot it has ever handed out.
+/// One BSS of a roam set, flooding slots `0..4`: no BSS of a 4-station
+/// roster holds more.
 struct Bss {
     net: WifiNetwork<Tally>,
     app: Flood,
@@ -124,9 +125,6 @@ impl BssHost for Bss {
     }
     fn advance(&mut self, until: Nanos) {
         self.net.run(until, &mut self.app);
-    }
-    fn station_arrived(&mut self, _station: u32, slot: StationIdx) {
-        self.app.slots = self.app.slots.max(slot + 1);
     }
 }
 
@@ -148,7 +146,7 @@ fn a_payload_that_is_not_send_crosses_between_networks() {
                 let tally = tally.clone();
                 Bss {
                     net,
-                    app: Flood { tally, slots: 0 },
+                    app: Flood { tally, slots: 4 },
                 }
             },
             |_, bss| (bss.net.active_stations(), None),

@@ -1,11 +1,17 @@
 //! Roaming validation: arbitrary interleavings of hand-offs and station
 //! churn must leak nothing — no orphaned flow queues, no slot-table
 //! growth beyond peak occupancy, no policy nodes or telemetry labels
-//! referencing slots that never existed — and a roaming driver whose
-//! schedule never fires must be byte-invisible to the simulation.
+//! referencing slots that never existed — and bill every microsecond of
+//! air to exactly one station identity, as an independent monitor counts
+//! it. A roaming driver whose schedule never fires must be byte-invisible
+//! to the simulation.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ending_anomaly::mac::{
-    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, PolicySet, SchemeKind, WifiNetwork,
+    App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, PolicySet, SchemeKind, StationMeter,
+    TxMonitor, TxRecord, WifiNetwork,
 };
 use ending_anomaly::phy::{AccessCategory, PhyRate};
 use ending_anomaly::scale::{ChurnCfg, ChurnDriver, RoamCfg, Roster, SoloRoam};
@@ -46,12 +52,25 @@ impl App<()> for Flood {
     }
 }
 
+/// The airtime oracle: sums what a monitor sees on the medium, knowing
+/// nothing of meters, slots or identities.
+#[derive(Default)]
+struct AirSum(Nanos);
+
+impl TxMonitor for AirSum {
+    fn on_tx(&mut self, record: &TxRecord) {
+        self.0 += record.airtime;
+    }
+}
+
 /// One arbitrary roam/churn interleaving, audited for leaks at the end.
 ///
 /// The roster is stepped event by event, as `Roster::run_to` steps it,
 /// so peak occupancy (active + in transit) can be tracked across every
-/// event and the final slot table held to it exactly.
-fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64) {
+/// event and the final slot table held to it exactly. The meter rows are
+/// read at every step: no row may shrink, and over the windows between
+/// the `cuts` they must bill exactly the air the monitor saw.
+fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64, cuts: &[usize]) {
     let weights: Vec<u32> = (0..n as u32).map(|i| 1 + 2 * (i % 2)).collect();
     let cfg = NetworkConfig::builder()
         .stations_at(n, PhyRate::fast_station())
@@ -63,6 +82,10 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64)
     let tele = Telemetry::enabled();
     net.set_telemetry(tele.clone());
     net.seed_timer(0, Nanos::ZERO);
+    let air = Rc::new(RefCell::new(AirSum::default()));
+    net.attach_monitor(Box::new(air.clone()));
+    let read = |net: &WifiNetwork<()>| (net.meter().all().to_vec(), air.borrow().0);
+    let mut reads = vec![read(&net)];
 
     let horizon = Nanos::from_millis(1_500);
     let mut app = Flood {
@@ -103,6 +126,7 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64)
         roster.step(&mut net, t);
         let in_transit = roster.roam.as_ref().map_or(0, |r| r.in_transit());
         peak = peak.max(net.active_stations() + in_transit);
+        reads.push(read(&net));
     }
     let roam = roster.roam.expect("the roster keeps its replayer");
     // Load stops at the horizon; give every queue time to empty (a slow
@@ -119,6 +143,33 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64)
         }
         drained_to += Nanos::from_millis(250);
         net.run(drained_to, &mut app);
+    }
+    reads.push(read(&net));
+
+    // Each step's rows minus the last step's: `StationMeter`'s `-` panics
+    // on a row that shrank. Over a window between two cuts the rows bill
+    // exactly what the monitor saw, departed and re-seated stations
+    // included.
+    let window = |(from, from_air): &(Vec<StationMeter>, Nanos),
+                  (to, to_air): &(Vec<StationMeter>, Nanos)| {
+        let mut from = from.clone();
+        from.resize(to.len(), StationMeter::default());
+        let billed: u64 = to
+            .iter()
+            .zip(from)
+            .map(|(&l, e)| (l - e).total_airtime().as_nanos())
+            .sum();
+        (billed, (*to_air - *from_air).as_nanos())
+    };
+    for pair in reads.windows(2) {
+        let (billed, seen) = window(&pair[0], &pair[1]);
+        assert_eq!(billed, seen, "a step billed air the monitor did not see");
+    }
+    let mut cuts: Vec<usize> = cuts.iter().map(|c| c % reads.len()).collect();
+    cuts.sort_unstable();
+    for pair in cuts.windows(2) {
+        let (billed, seen) = window(&reads[pair[0]], &reads[pair[1]]);
+        assert_eq!(billed, seen, "window {pair:?} of {}", reads.len());
     }
 
     let slots = net.station_slots();
@@ -269,15 +320,17 @@ proptest! {
 
     /// Whatever the interleaving of hand-offs and churn, the network
     /// ends clean: queues drained, slots bounded by peak occupancy,
-    /// policy coverage intact, telemetry labels within the slot table.
+    /// policy coverage intact, telemetry labels within the slot table,
+    /// and the identity meters agree with the monitor over random cuts.
     #[test]
     fn roam_churn_interleavings_leak_nothing(
         n in 3usize..6,
         dwell_ms in 30u64..200,
         churn_ms in 25u64..150,
         seed in 0u64..1_000_000,
+        cuts in proptest::collection::vec(0usize..10_000, 2..6),
     ) {
-        interleaving_leaks_nothing(n, dwell_ms, churn_ms, seed);
+        interleaving_leaks_nothing(n, dwell_ms, churn_ms, seed, &cuts);
     }
 
     /// A roaming driver whose first move lies beyond the horizon is
