@@ -383,7 +383,7 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let equal_weights_identical = equal_weights_identity(cfg.base_seed);
 
     // The rollup's metrics snapshot also carries the harness-measured
-    // convergence, so scripts/check_metrics.py validates the whole policy
+    // convergence, so tests/telemetry_validation.rs validates the whole policy
     // vocabulary.
     write_rollup(cfg, "policy", 2, policy_shard, |tele| {
         tele.observe_value(

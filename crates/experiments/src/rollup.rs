@@ -73,7 +73,7 @@ impl App<()> for Flood {
 /// `cfg.results_dir`.
 ///
 /// With `cfg.metrics` on the rollup is re-exported as the `<name>_rollup`
-/// snapshot, so `scripts/check_metrics.py` validates the shard-labelled
+/// snapshot, so `tests/telemetry_validation.rs` validates the shard-labelled
 /// registry; `annotate` may add harness-side observations to that
 /// snapshot first.
 pub fn write_rollup<T>(

@@ -3,8 +3,16 @@
 //! cross-checked against the airtime meter and the monitor-mode capture
 //! the same way the paper validated its in-kernel measurement against a
 //! capture tool (§4.1.5, agreement "to within 1.5%, on average").
+//!
+//! The `observed` tests run the `wifiq` binary with the sink on: the
+//! fig04–fig11 figures must match their byte goldens, and every snapshot
+//! those runs export must keep the exported-snapshot rules.
 
 use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::rc::Rc;
 
 use ending_anomaly::mac::{
@@ -527,4 +535,273 @@ fn churn_and_page_loads_do_not_grow_the_recorder_table() {
         recorders <= N * 38 + 120,
         "{recorders} recorders for {N} slots"
     );
+}
+
+// --- Exported snapshots -----------------------------------------------
+//
+// Under `WIFIQ_METRICS=1`, `wifiq` exports one snapshot per repetition,
+// per harness sweep and per shard rollup: `<name>.json` beside
+// `<name>.csv`. Each rule below holds for every such pair.
+
+type Verdict = Result<(), String>;
+type Rule = fn(&Json, &str) -> Verdict;
+
+fn check(ok: bool, why: String) -> Verdict {
+    ok.then_some(()).ok_or(why)
+}
+
+/// `[component, metric, label]` and the entry itself, for each of the
+/// registry's `counters`, `gauges` or `histograms`.
+fn entries<'a>(snap: &'a Json, kind: &str) -> impl Iterator<Item = ([&'a str; 3], &'a Json)> {
+    let list = snap.get("registry").and_then(|r| r.get(kind));
+    let list = list.and_then(Json::as_array).unwrap_or(&[]);
+    let part = |e: &'a Json, k| e.get(k).and_then(Json::as_str).unwrap_or("");
+    list.iter()
+        .map(move |e| (["component", "metric", "label"].map(|k| part(e, k)), e))
+}
+
+/// A numeric field of an entry; NaN, which fails every comparison, if absent.
+fn num(entry: &Json, field: &str) -> f64 {
+    entry.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN)
+}
+
+/// `field` of the counter or histogram keyed `component/metric/label`.
+fn stat(snap: &Json, key: &str, field: &str) -> f64 {
+    let all = entries(snap, "counters").chain(entries(snap, "histograms"));
+    let mut found = all.filter(|(k, _)| k.join("/") == key);
+    found.next().map_or(f64::NAN, |(_, e)| num(e, field))
+}
+
+/// The `kind` entries of `component` whose metric is none of the
+/// space-separated `known`.
+fn unknown(snap: &Json, kind: &str, component: &str, known: &str) -> Vec<String> {
+    let known = |m: &str| known.split(' ').any(|k| k == m);
+    let odd = entries(snap, kind).filter(|([c, m, _], _)| *c == component && !known(m));
+    odd.map(|(k, _)| k.join("/")).collect()
+}
+
+/// Every histogram reports all its statistics, and
+/// `min <= p50 <= p95 <= p99 <= max` once it holds a sample.
+fn monotone_quantiles(snap: &Json, _: &str) -> Verdict {
+    for (key, h) in entries(snap, "histograms") {
+        let stats = ["count", "sum", "min", "p50", "p95", "p99", "max"].map(|f| num(h, f));
+        let sorted = stats[2..].windows(2).all(|w| w[0] <= w[1]);
+        let ok = !stats.iter().any(|s| s.is_nan()) && (stats[0] == 0.0 || sorted);
+        check(ok, format!("{}: {stats:?}", key.join("/")))?;
+    }
+    Ok(())
+}
+
+/// A harness sweep accounts for each cell once: as ok or failed, as a
+/// cache hit or miss, and as one `cell_wall_ms` sample.
+fn harness_accounting(snap: &Json, _: &str) -> Verdict {
+    if !entries(snap, "counters").any(|([c, ..], _)| c == "harness") {
+        return Ok(());
+    }
+    let n = |m: &str| stat(snap, &format!("harness/{m}/global"), "value");
+    let total = n("cells_total");
+    let walls = stat(snap, "harness/cell_wall_ms/global", "count");
+    let outcomes = n("cells_ok") + n("cells_failed");
+    let lookups = n("cache_hits") + n("cache_misses");
+    let ok = total >= 1.0 && [outcomes, lookups, walls] == [total; 3];
+    let why = format!("{total} cells: {outcomes} outcomes, {lookups} lookups, {walls} walls");
+    check(ok && (n("retries") + n("budget_exceeded")).is_finite(), why)
+}
+
+/// A shard rollup labels each shard's metrics `shard0`, `shard1`, ...
+/// with no gap, and every shard transmitted.
+fn shard_labels(snap: &Json, _: &str) -> Verdict {
+    let labels = entries(snap, "counters").map(|([_, _, l], _)| l);
+    let shards: BTreeSet<&str> = labels.filter(|l| l.starts_with("shard")).collect();
+    let ids: BTreeSet<usize> = shards.iter().filter_map(|l| l[5..].parse().ok()).collect();
+    let sent = |l: &&str| stat(snap, &format!("mac/tx_airtime_ns/{l}"), "value") > 0.0;
+    let ok = ids.len() == shards.len() && ids.iter().copied().eq(0..ids.len());
+    check(ok && shards.iter().all(sent), format!("{shards:?}"))
+}
+
+/// Chaos metrics come from the injector's vocabulary, and no station
+/// leaves degraded CoDel more often than it entered it.
+fn chaos_vocabulary(snap: &Json, _: &str) -> Verdict {
+    let counters = "stalled_exchanges forced_loss acks_lost rate_overrides hw_clamped_rounds \
+                    codel_degraded_entries codel_recoveries";
+    let mut bad = unknown(snap, "counters", "chaos", counters);
+    bad.extend(unknown(
+        snap,
+        "histograms",
+        "chaos",
+        "loss_burst_len recovery_ms",
+    ));
+    for ([c, m, l], e) in entries(snap, "counters") {
+        let entered = stat(snap, &format!("chaos/codel_degraded_entries/{l}"), "value");
+        if [c, m] == ["chaos", "codel_recoveries"] && num(e, "value") > entered.max(0.0) {
+            bad.push(format!("{l} recovered more often than it degraded"));
+        }
+    }
+    check(bad.is_empty(), format!("{bad:?}"))
+}
+
+/// Policy metrics come from the engine's vocabulary, and achieved airtime
+/// is labelled by its node (or, rolled up, its shard).
+fn policy_vocabulary(snap: &Json, _: &str) -> Verdict {
+    let mut bad = unknown(snap, "counters", "policy", "switches node_airtime_ns");
+    bad.extend(unknown(snap, "gauges", "policy", "active_nodes"));
+    bad.extend(unknown(snap, "histograms", "policy", "convergence_ms"));
+    let labelled = |l: &str| l.starts_with("node") || l.starts_with("shard");
+    let airtime = entries(snap, "counters").map(|(k, _)| k);
+    let odd = airtime.filter(|[c, m, l]| [*c, *m] == ["policy", "node_airtime_ns"] && !labelled(l));
+    bad.extend(odd.map(|k| k.join("/")));
+    check(bad.is_empty(), format!("{bad:?}"))
+}
+
+/// A repetition's snapshot shows a station transmitting, so a disabled
+/// sink's empty export fails here (a sweep's or a rollup's answers to the
+/// two rules above instead).
+fn station_airtime(snap: &Json, _: &str) -> Verdict {
+    let exempt = |[c, _, l]: [&str; 3]| c == "harness" || l.starts_with("shard");
+    let sent = |[c, m, l]: [&str; 3], e| {
+        [c, m] == ["mac", "tx_airtime_ns"] && l.starts_with("sta") && num(e, "value") > 0.0
+    };
+    let ok = entries(snap, "counters").any(|(k, e)| exempt(k) || sent(k, e));
+    check(ok, "no station transmitted".to_string())
+}
+
+/// The `.csv` sibling is in long format.
+fn csv_header(_: &Json, csv: &str) -> Verdict {
+    let header = csv.lines().next().unwrap_or("no .csv sibling");
+    let ok = header == "kind,component,metric,label,stat,value";
+    check(ok, header.to_string())
+}
+
+const RULES: [(&str, Rule); 7] = [
+    ("monotone_quantiles", monotone_quantiles),
+    ("harness_accounting", harness_accounting),
+    ("shard_labels", shard_labels),
+    ("chaos_vocabulary", chaos_vocabulary),
+    ("policy_vocabulary", policy_vocabulary),
+    ("station_airtime", station_airtime),
+    ("csv_header", csv_header),
+];
+
+/// `rule: why` for each rule the snapshot `json`, with `csv`, breaks.
+fn broken(json: &str, csv: &str) -> Vec<String> {
+    let snap = serde_json::from_str(json).expect("an exported snapshot parses");
+    let why = |(name, rule): &(&str, Rule)| rule(&snap, csv).err().map(|e| format!("{name}: {e}"));
+    RULES.iter().filter_map(why).collect()
+}
+
+/// A snapshot that keeps every rule; each case below breaks one.
+const GOOD: &str = r#"{"run": "r", "seed": 1, "enabled": true, "events": {}, "registry": {
+  "counters": [
+    {"component": "mac", "metric": "tx_airtime_ns", "label": "sta1", "value": 9},
+    {"component": "chaos", "metric": "codel_degraded_entries", "label": "sta0", "value": 2},
+    {"component": "chaos", "metric": "codel_recoveries", "label": "sta0", "value": 1},
+    {"component": "policy", "metric": "node_airtime_ns", "label": "node0", "value": 9}],
+  "gauges": [],
+  "histograms": [{"component": "policy", "metric": "convergence_ms", "label": "global",
+    "count": 3, "sum": 6, "min": 1, "p50": 2, "p95": 2, "p99": 3, "max": 3}]}}"#;
+
+/// Each case edits `GOOD` (the last, its CSV) so that exactly the named
+/// rule breaks.
+#[test]
+fn each_snapshot_rule_catches_its_own_violation() {
+    let csv = "kind,component,metric,label,stat,value\n";
+    assert_eq!(broken(GOOD, csv), Vec::<String>::new());
+    let sweep = r#""counters": [{"component": "harness", "metric": "cells_total", "value": 1},"#;
+    let cases = [
+        ("monotone_quantiles", "\"p95\": 2", "\"p95\": 4"),
+        ("harness_accounting", "\"counters\": [", sweep),
+        ("shard_labels", "sta1", "shard1"),
+        ("chaos_vocabulary", "\"value\": 1}", "\"value\": 3}"),
+        ("policy_vocabulary", "node0", "tenant0"),
+        ("station_airtime", "\"value\": 9", "\"value\": 0"),
+        ("csv_header", csv, "kind,metric\n"),
+    ];
+    for (rule, from, to) in cases {
+        let broken = broken(&GOOD.replace(from, to), &csv.replace(from, to));
+        let named: Vec<&str> = broken
+            .iter()
+            .map(|b| b.split(':').next().unwrap())
+            .collect();
+        assert_eq!(named, [rule], "{broken:?}");
+    }
+}
+
+/// Runs `wifiq <experiment>` quick, uncached and observed, into a fresh
+/// results directory and under no other environment, and holds every
+/// snapshot it exports to the rules above. Returns the directory.
+fn run_observed(experiment: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(experiment);
+    let _ = fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_wifiq"))
+        .arg(experiment)
+        .env_clear()
+        .env("WIFIQ_QUICK", "1")
+        .env("WIFIQ_CACHE", "0")
+        .env("WIFIQ_METRICS", "1")
+        .env("WIFIQ_RESULTS_DIR", &dir)
+        .output()
+        .expect("spawn wifiq");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "wifiq {experiment}: {stderr}");
+    let (mut snapshots, mut bad) = (0, Vec::new());
+    for entry in fs::read_dir(dir.join("metrics")).expect("exported metrics") {
+        let path = entry.expect("a metrics entry").path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let json = fs::read_to_string(&path).expect("read a snapshot");
+            let csv = fs::read_to_string(path.with_extension("csv")).unwrap_or_default();
+            for why in broken(&json, &csv) {
+                bad.push(format!("{}: {why}", path.display()));
+            }
+            snapshots += 1;
+        }
+    }
+    assert!(
+        snapshots > 0 && bad.is_empty(),
+        "{snapshots} snapshots: {bad:#?}"
+    );
+    dir
+}
+
+/// One test per observed run, so the test harness overlaps them; each
+/// `=> golden` names the figure JSON that must equal its golden
+/// `tests/fixtures/golden/<golden>_quick.json` byte for byte.
+macro_rules! observed_runs {
+    ($($test:ident: $experiment:literal $(=> $golden:literal)?;)*) => {$(
+        #[test]
+        fn $test() {
+            let _results = run_observed($experiment);
+            $(
+                let ran = _results.join(concat!($golden, ".json"));
+                let root = env!("CARGO_MANIFEST_DIR");
+                let golden = format!("{root}/tests/fixtures/golden/{}_quick.json", $golden);
+                let same = fs::read(&ran).expect("the figure's JSON") == fs::read(&golden).unwrap();
+                assert!(same, "{} differs from {golden}", ran.display());
+            )?
+        }
+    )*};
+}
+
+/// fig04–fig11 on fixed seeds: a divergence means event or packet
+/// ordering changed. fig04 was captured before the timing-wheel, arena
+/// and batched-dispatch rewrite and survived the SoA station-table
+/// rewrite unchanged; fig05–fig11 pin the full figure set from the SoA
+/// cutover on. The goldens were written with the sink off and these runs
+/// have it on, so they also show that observing a figure changes nothing
+/// it reports. The extensions add the shard, chaos and policy snapshots.
+mod observed {
+    use super::*;
+
+    observed_runs! {
+        fig04_latency: "fig04_latency_tcp" => "fig04_latency";
+        fig05_airtime_udp: "fig05_airtime_udp" => "fig05_airtime_udp";
+        fig06_jain: "fig06_jain_index" => "fig06_jain";
+        fig07_tcp_download: "fig07_tcp_throughput" => "fig07_tcp_download";
+        fig08_sparse: "fig08_sparse_station" => "fig08_sparse";
+        fig09_30sta: "fig09_30sta_airtime" => "fig09_30sta";
+        fig10_30sta_latency: "fig10_30sta_latency" => "fig10_30sta_latency";
+        fig11_web: "fig11_web_plt" => "fig11_web";
+        ext_scale: "ext_scale";
+        ext_chaos: "ext_chaos";
+        ext_policy: "ext_policy";
+    }
 }
