@@ -242,11 +242,6 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         self.obs.monitor = Some(monitor);
     }
 
-    /// Detaches and returns the monitor, if one was attached.
-    pub fn take_monitor(&mut self) -> Option<Box<dyn TxMonitor>> {
-        self.obs.monitor.take()
-    }
-
     /// Attaches a telemetry handle and propagates it through the stack:
     /// the AP transmit path (FQ/CoDel metrics), every station's FQ uplink,
     /// and the MAC-level counters recorded by the event loop itself.

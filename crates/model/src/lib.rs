@@ -16,8 +16,6 @@
 //! mean aggregation sizes from the simulator back into these expressions,
 //! exactly as the paper does.
 
-pub mod two_level;
-
 use wifiq_phy::consts::{self, DIFS, SIFS, T_BO_MEAN};
 use wifiq_phy::timing::block_ack_duration;
 use wifiq_phy::PhyRate;

@@ -2,8 +2,9 @@
 //!
 //! These are the two baselines the paper evaluates against:
 //!
-//! - [`PfifoQdisc`] — the default `pfifo` discipline (1000-packet tail-drop
-//!   FIFO), the "FIFO" scheme,
+//! - [`PfifoFastQdisc`] — the Linux default `pfifo_fast` discipline (three
+//!   strict-priority bands, each a tail-drop [`PfifoQdisc`]), the "FIFO"
+//!   scheme,
 //! - [`FqCodelQdisc`] — the FQ-CoDel qdisc with wired-link defaults
 //!   (1024 flows, 5 ms target, 100 ms interval, 10240-packet limit), the
 //!   "FQ-CoDel" scheme.

@@ -1,4 +1,4 @@
-//! Time-ordered event queue with cancellation.
+//! Time-ordered event queue: push and pop, nothing else.
 //!
 //! The queue is the heart of the discrete-event engine: events are pushed
 //! with an absolute firing time and popped in time order. Ties are broken by
@@ -15,10 +15,6 @@ use std::collections::BinaryHeap;
 use std::mem;
 
 use crate::time::Nanos;
-
-/// Opaque handle identifying a scheduled event, used for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
 
 struct Entry<E> {
     time: Nanos,
@@ -123,7 +119,6 @@ const NIL: u32 = u32::MAX;
 /// holds, not traffic across hundreds of separate buffers.
 struct Node<E> {
     time: u64,
-    seq: u64,
     next: u32,
     payload: Option<E>,
 }
@@ -143,7 +138,7 @@ struct Census {
     cascaded_nodes: u64,
 }
 
-/// A deterministic, cancellable priority queue of simulation events.
+/// A deterministic priority queue of simulation events.
 ///
 /// Internally the queue is a hierarchical timing wheel with an asymmetric
 /// geometry: a fine level 0 of 4096 one-nanosecond slots (tracked by a
@@ -175,11 +170,11 @@ struct Census {
 /// let mut q = EventQueue::new();
 /// q.push(Nanos::from_micros(20), "b");
 /// q.push(Nanos::from_micros(10), "a");
-/// let id = q.push(Nanos::from_micros(15), "cancelled");
-/// q.cancel(id);
+/// q.push(Nanos::from_micros(20), "c");
 ///
 /// assert_eq!(q.pop(), Some((Nanos::from_micros(10), "a")));
 /// assert_eq!(q.pop(), Some((Nanos::from_micros(20), "b")));
+/// assert_eq!(q.pop(), Some((Nanos::from_micros(20), "c")));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
@@ -191,8 +186,8 @@ pub struct EventQueue<E> {
     free_head: u32,
     /// Per-bucket list heads/tails (level-0 buckets first, then upper
     /// levels). Within a bucket, equal-time entries are always in insertion
-    /// (seq) order: pushes append monotonically increasing seqs, and
-    /// cascades prepend entries that were necessarily pushed before
+    /// order, so list position alone is the FIFO tie-break: pushes append,
+    /// and cascades prepend entries that were necessarily pushed before
     /// anything already there.
     heads: Vec<u32>,
     tails: Vec<u32>,
@@ -214,10 +209,12 @@ pub struct EventQueue<E> {
     up_min: [u64; UP_LEVELS * UP_SLOTS],
     /// Events scheduled beyond the current top-level block, earliest first.
     overflow: BinaryHeap<Entry<E>>,
-    /// Live entries resident in the wheel (excludes `overflow`).
+    /// Entries resident in the wheel (excludes `overflow`).
     wheel_len: usize,
     /// Reusable buffer for cascade re-linking.
     scratch: Vec<u32>,
+    /// Insertion counter of `overflow` entries: the heap's FIFO
+    /// tie-break (the wheel's lists keep order by position).
     next_seq: u64,
     now: Nanos,
     #[cfg(test)]
@@ -261,13 +258,12 @@ impl<E> EventQueue<E> {
 
     /// Takes a node off the free list (or grows the slab) and fills it.
     #[inline]
-    fn alloc_node(&mut self, time: u64, seq: u64, payload: E) -> u32 {
+    fn alloc_node(&mut self, time: u64, payload: E) -> u32 {
         if self.free_head != NIL {
             let i = self.free_head;
             let node = &mut self.nodes[i as usize];
             self.free_head = node.next;
             node.time = time;
-            node.seq = seq;
             node.next = NIL;
             node.payload = Some(payload);
             i
@@ -275,7 +271,6 @@ impl<E> EventQueue<E> {
             let i = u32::try_from(self.nodes.len()).expect("wheel slab fits u32 indices");
             self.nodes.push(Node {
                 time,
-                seq,
                 next: NIL,
                 payload: Some(payload),
             });
@@ -345,7 +340,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Prepends a slab node to a bucket's list (the cascade path: cascaded
-    /// entries carry smaller seqs than any equal-time resident).
+    /// entries were pushed before any equal-time resident).
     #[inline]
     fn link_front(&mut self, level: usize, bucket: usize, i: u32, t: u64) {
         let head = self.heads[bucket];
@@ -368,117 +363,30 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `at` is in the past — a scheduled event must never rewind
     /// the clock; doing so would silently corrupt causality.
-    pub fn push(&mut self, at: Nanos, payload: E) -> EventId {
+    pub fn push(&mut self, at: Nanos, payload: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: {at} < now {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let level = level_of(at.0, self.now.0);
         #[cfg(test)]
         {
             self.census.admitted[level.min(LEVELS)] += 1;
         }
         if level >= LEVELS {
+            let seq = self.next_seq;
+            self.next_seq += 1;
             self.overflow.push(Entry {
                 time: at,
                 seq,
                 payload,
             });
         } else {
-            let i = self.alloc_node(at.0, seq, payload);
+            let i = self.alloc_node(at.0, payload);
             self.link_back(level, bucket_of(at.0, level), i, at.0);
             self.wheel_len += 1;
         }
-        EventId(seq)
-    }
-
-    /// Schedules `payload` to fire `delay` after the current time.
-    pub fn push_after(&mut self, delay: Nanos, payload: E) -> EventId {
-        let at = self.now + delay;
-        self.push(at, payload)
-    }
-
-    /// Removes `id` from `bucket` if it lives there, fixing links, bitmaps
-    /// and the bucket minimum.
-    fn cancel_in_bucket(&mut self, level: usize, bucket: usize, id: EventId) -> bool {
-        let mut prev = NIL;
-        let mut i = self.heads[bucket];
-        while i != NIL {
-            let node = &self.nodes[i as usize];
-            if node.seq != id.0 {
-                prev = i;
-                i = node.next;
-                continue;
-            }
-            let next = node.next;
-            let removed_time = node.time;
-            if prev == NIL {
-                self.heads[bucket] = next;
-            } else {
-                self.nodes[prev as usize].next = next;
-            }
-            if next == NIL {
-                self.tails[bucket] = prev;
-            }
-            self.free_node(i);
-            self.wheel_len -= 1;
-            if self.heads[bucket] == NIL {
-                self.clear_occupied(level, bucket);
-            } else if level != 0 && removed_time == self.up_min[bucket - L0_SLOTS] {
-                let mut min = EMPTY_MIN;
-                let mut j = self.heads[bucket];
-                while j != NIL {
-                    let n = &self.nodes[j as usize];
-                    min = min.min(n.time);
-                    j = n.next;
-                }
-                self.up_min[bucket - L0_SLOTS] = min;
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event had not yet fired (or been cancelled).
-    /// Cancellation removes the entry directly — O(live events), which is
-    /// fine because the simulator's hot path never cancels — so `len()` is
-    /// always exact and pops pay nothing for the capability.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let mut summary = self.l0_summary;
-        while summary != 0 {
-            let word = summary.trailing_zeros() as usize;
-            summary &= summary - 1;
-            let mut bits = self.l0_words[word];
-            while bits != 0 {
-                let bucket = (word << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.cancel_in_bucket(0, bucket, id) {
-                    return true;
-                }
-            }
-        }
-        for lm1 in 0..UP_LEVELS {
-            let mut occ = self.up_occupied[lm1];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let bucket = L0_SLOTS + (lm1 << UP_BITS) + slot;
-                if self.cancel_in_bucket(lm1 + 1, bucket, id) {
-                    return true;
-                }
-            }
-        }
-        if self.overflow.iter().any(|e| e.seq == id.0) {
-            let entries = mem::take(&mut self.overflow).into_vec();
-            self.overflow = entries.into_iter().filter(|e| e.seq != id.0).collect();
-            return true;
-        }
-        false
     }
 
     /// The earliest occupied (time, level, bucket), preferring the coarsest
@@ -513,7 +421,7 @@ impl<E> EventQueue<E> {
     /// Entries are *prepended* to their target buckets in order: anything
     /// already resident at an equal time was pushed while the clock sat
     /// inside a finer shared window — i.e. strictly later — so cascaded
-    /// entries carry smaller seqs and must pop first.
+    /// entries must pop first.
     fn cascade(&mut self, level: usize, bucket: usize) {
         let shift = level_shift(level);
         #[cfg(test)]
@@ -579,7 +487,7 @@ impl<E> EventQueue<E> {
             let t = entry.time.0;
             let level = level_of(t, reference);
             debug_assert!(level < LEVELS, "same block fits in the wheel");
-            let i = self.alloc_node(t, entry.seq, entry.payload);
+            let i = self.alloc_node(t, entry.payload);
             self.link_back(level, bucket_of(t, level), i, t);
             self.wheel_len += 1;
         }
@@ -645,7 +553,8 @@ impl<E> EventQueue<E> {
     /// A level-0 bucket spans exactly 1 ns, so after cascading it *is* the
     /// complete batch: one bitmap settle per timestamp instead of one queue
     /// re-entry per event. Events the caller pushes at the same timestamp
-    /// while processing the batch carry larger seqs and form the next batch.
+    /// while processing the batch are appended behind it and form the next
+    /// batch.
     pub fn pop_tick(&mut self, until: Nanos, out: &mut Vec<E>) -> Option<Nanos> {
         let next = self.peek_time()?;
         if next > until {
@@ -670,7 +579,7 @@ impl<E> EventQueue<E> {
         Some(next)
     }
 
-    /// The firing time of the next live event, if any, without popping it.
+    /// The firing time of the next event, if any, without popping it.
     pub fn peek_time(&self) -> Option<Nanos> {
         let mut best = EMPTY_MIN;
         if self.l0_summary != 0 {
@@ -697,7 +606,7 @@ impl<E> EventQueue<E> {
         self.wheel_len + self.overflow.len()
     }
 
-    /// True if no live events remain.
+    /// True if no events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -711,11 +620,12 @@ mod tests {
     use super::*;
 
     /// The MAC's events are 16 bytes (DESIGN.md §13, "Event sizes"); with
-    /// time, seq and link a node must stay within three quarters of a
-    /// cache line, or pushes, cascades and pops move more than they need.
+    /// time and link a node must stay within half a cache line, or pushes,
+    /// cascades and pops move more than they need. A per-node field added
+    /// back (a sequence number, say) fails this.
     #[test]
-    fn sixteen_byte_payload_node_is_at_most_48_bytes() {
-        assert!(mem::size_of::<Node<[u8; 16]>>() <= 48);
+    fn sixteen_byte_payload_node_is_at_most_32_bytes() {
+        assert!(mem::size_of::<Node<[u8; 16]>>() <= 32);
     }
 
     #[test]
@@ -757,67 +667,6 @@ mod tests {
         q.push(Nanos(100), ());
         q.pop();
         q.push(Nanos(50), ());
-    }
-
-    #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let a = q.push(Nanos(10), "a");
-        q.push(Nanos(20), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double-cancel reports false");
-        assert_eq!(q.pop(), Some((Nanos(20), "b")));
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false_and_harmless() {
-        let mut q = EventQueue::new();
-        let a = q.push(Nanos(10), 1);
-        assert_eq!(q.pop(), Some((Nanos(10), 1)));
-        // The event already fired: cancelling must refuse and must not
-        // corrupt the live-event count.
-        assert!(!q.cancel(a));
-        q.push(Nanos(20), 2);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((Nanos(20), 2)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_overflow_entry() {
-        let mut q = EventQueue::new();
-        let far = q.push(Nanos(1 << (TOP_SHIFT + 1)), 1);
-        q.push(Nanos(10), 2);
-        assert_eq!(q.len(), 2);
-        assert!(q.cancel(far));
-        assert!(!q.cancel(far));
-        assert_eq!(q.pop(), Some((Nanos(10), 2)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn push_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.push(Nanos(100), 1);
-        q.pop();
-        q.push_after(Nanos(50), 2);
-        assert_eq!(q.pop(), Some((Nanos(150), 2)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.push(Nanos(10), 1);
-        q.push(Nanos(20), 2);
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(Nanos(20)));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -909,37 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_wheel_entry_keeps_structure_consistent() {
-        let mut q = EventQueue::new();
-        let a = q.push(Nanos(10), 1);
-        q.push(Nanos(10), 2);
-        q.push(Nanos(20), 3);
-        assert!(q.cancel(a));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Nanos(10)));
-        assert_eq!(q.pop(), Some((Nanos(10), 2)));
-        assert_eq!(q.pop(), Some((Nanos(20), 3)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_upper_level_entry_keeps_structure_consistent() {
-        let mut q = EventQueue::new();
-        // Two entries share an upper-level slot; cancelling the earlier one
-        // must recompute the slot minimum so the survivor still pops at the
-        // right time relative to a level-0 entry in between.
-        let a = q.push(Nanos((1 << 20) + 10), 1);
-        q.push(Nanos((1 << 20) + 500), 2);
-        q.push(Nanos(40), 3);
-        assert!(q.cancel(a));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Nanos(40)));
-        assert_eq!(q.pop(), Some((Nanos(40), 3)));
-        assert_eq!(q.pop(), Some((Nanos((1 << 20) + 500), 2)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn pop_tick_batches_one_timestamp() {
         let mut q = EventQueue::new();
         q.push(Nanos(10), 1);
@@ -974,16 +792,5 @@ mod tests {
         assert_eq!(q.pop_tick(Nanos(100), &mut batch), Some(Nanos(10)));
         assert_eq!(batch, vec![2, 3]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn len_accounts_for_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.push(Nanos(10), 1);
-        q.push(Nanos(20), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! This crate provides the three primitives every other crate builds on:
 //!
 //! - [`time::Nanos`] — integer-nanosecond virtual time,
-//! - [`event::EventQueue`] — a deterministic, cancellable event queue,
+//! - [`event::EventQueue`] — a deterministic push/pop event queue,
 //! - [`rng::SimRng`] — seeded randomness with workload-oriented helpers.
 //!
 //! The engine is deliberately unopinionated about *what* is being simulated:
@@ -17,6 +17,6 @@ pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use time::Nanos;

@@ -1,5 +1,5 @@
 //! Property tests for the event queue's core guarantees: time ordering,
-//! FIFO tie-breaking, and cancellation consistency — plus the event-order
+//! FIFO tie-breaking and an exact live count — plus the event-order
 //! oracle that drives the timing wheel and the pre-wheel two-lane heap
 //! (`ReferenceQueue`) through identical schedules and demands identical
 //! behaviour.
@@ -16,32 +16,23 @@ enum Op {
     Push(u64),
     /// Pop one event.
     Pop,
-    /// Cancel the i-th still-remembered handle.
-    Cancel(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u64..1_000_000).prop_map(Op::Push),
-        Just(Op::Pop),
-        (0usize..64).prop_map(Op::Cancel),
-    ]
+    prop_oneof![(0u64..1_000_000).prop_map(Op::Push), Just(Op::Pop)]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Under any interleaving of pushes, pops and cancels:
+    /// Under any interleaving of pushes and pops:
     /// - popped times never decrease,
     /// - equal-time events pop in insertion order,
-    /// - cancelled events never pop,
-    /// - `len()` matches the number of live events.
+    /// - `len()` matches the number of scheduled events.
     #[test]
     fn queue_invariants(ops in proptest::collection::vec(op_strategy(), 1..300)) {
         let mut q: EventQueue<u64> = EventQueue::new();
-        let mut handles = Vec::new();
         let mut next_payload = 0u64;
-        let mut cancelled_payloads = Vec::new();
         let mut live = 0usize;
         let mut last = (Nanos::ZERO, 0u64);
 
@@ -50,8 +41,7 @@ proptest! {
                 Op::Push(delta) => {
                     let at = q.now() + Nanos::from_nanos(delta);
                     next_payload += 1;
-                    let id = q.push(at, next_payload);
-                    handles.push((id, next_payload));
+                    q.push(at, next_payload);
                     live += 1;
                 }
                 Op::Pop => {
@@ -65,70 +55,23 @@ proptest! {
                             "out of order: {:?} after {:?}", (t, payload), last
                         );
                         last = (t, payload);
-                        prop_assert!(
-                            !cancelled_payloads.contains(&payload),
-                            "cancelled event {payload} popped"
-                        );
                         live -= 1;
                         prop_assert_eq!(q.len(), before - 1);
-                        handles.retain(|&(_, p)| p != payload);
                     } else {
                         prop_assert_eq!(before, 0);
-                    }
-                }
-                Op::Cancel(i) => {
-                    if !handles.is_empty() {
-                        let (id, payload) = handles[i % handles.len()];
-                        if q.cancel(id) {
-                            cancelled_payloads.push(payload);
-                            live -= 1;
-                            handles.retain(|&(h, _)| h != id);
-                        }
                     }
                 }
             }
             prop_assert_eq!(q.len(), live, "len() diverged from live count");
         }
 
-        // Drain: everything still live pops, nothing cancelled does.
-        while let Some((_, payload)) = q.pop() {
-            prop_assert!(!cancelled_payloads.contains(&payload));
+        // Drain: everything still scheduled pops, in order.
+        while let Some((t, payload)) = q.pop() {
+            prop_assert!((t, payload) > last);
+            last = (t, payload);
             live -= 1;
         }
         prop_assert_eq!(live, 0);
-    }
-
-    /// Double-cancel and cancel-after-fire always report false and never
-    /// disturb other events.
-    #[test]
-    fn cancel_is_idempotent(times in proptest::collection::vec(0u64..1000, 2..40)) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.push(Nanos::from_nanos(t), i))
-            .collect();
-        // Cancel every other event, twice.
-        for (i, id) in ids.iter().enumerate() {
-            if i % 2 == 0 {
-                prop_assert!(q.cancel(*id));
-                prop_assert!(!q.cancel(*id), "double cancel must be false");
-            }
-        }
-        let mut popped = Vec::new();
-        while let Some((_, p)) = q.pop() {
-            popped.push(p);
-        }
-        // Exactly the odd-indexed events survive.
-        let expect: Vec<usize> = (0..times.len()).filter(|i| i % 2 == 1).collect();
-        let mut sorted = popped.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, expect);
-        // Cancelling after the fact is refused.
-        for id in &ids {
-            prop_assert!(!q.cancel(*id));
-        }
-        prop_assert_eq!(q.len(), 0);
     }
 }
 
@@ -141,7 +84,6 @@ enum OracleOp {
     Push(u64),
     Pop,
     PopTick,
-    Cancel(usize),
 }
 
 fn oracle_op_strategy() -> impl Strategy<Value = OracleOp> {
@@ -160,7 +102,6 @@ fn oracle_op_strategy() -> impl Strategy<Value = OracleOp> {
         delta().prop_map(OracleOp::Push),
         Just(OracleOp::Pop),
         Just(OracleOp::PopTick),
-        (0usize..64).prop_map(OracleOp::Cancel),
     ]
 }
 
@@ -168,10 +109,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// The event-order oracle: the timing wheel and the pre-wheel two-lane
-    /// heap run the same interleaved push/pop/cancel schedule and must agree
-    /// on every observable — pop sequence (time *and* payload, so FIFO
-    /// tie-breaks match exactly), clock, live count, peeked head, and cancel
-    /// outcomes. `PopTick` additionally checks that a wheel batch equals the
+    /// heap run the same interleaved push/pop schedule and must agree on
+    /// every observable — pop sequence (time *and* payload, so FIFO
+    /// tie-breaks match exactly), clock, live count and peeked head.
+    /// `PopTick` additionally checks that a wheel batch equals the
     /// reference queue popped one event at a time, including the
     /// front-lane-breaking pattern (out-of-order push after an in-order run)
     /// that forces the old implementation to spill.
@@ -181,9 +122,6 @@ proptest! {
     ) {
         let mut wheel: EventQueue<u64> = EventQueue::new();
         let mut oracle: ReferenceQueue<u64> = ReferenceQueue::new();
-        // Both queues see pushes in the same order, so the i-th push gets
-        // the same internal seq in each; ids are paired by push index.
-        let mut live_ids = Vec::new();
         let mut payload = 0u64;
         let mut batch = Vec::new();
 
@@ -191,17 +129,12 @@ proptest! {
             match op {
                 OracleOp::Push(delta) => {
                     let at = wheel.now() + Nanos::from_nanos(delta);
-                    let wid = wheel.push(at, payload);
-                    let oid = oracle.push(at, payload);
-                    live_ids.push((payload, wid, oid));
+                    wheel.push(at, payload);
+                    oracle.push(at, payload);
                     payload += 1;
                 }
                 OracleOp::Pop => {
-                    let got = wheel.pop();
-                    prop_assert_eq!(got, oracle.pop(), "pop sequence diverged");
-                    if let Some((_, p)) = got {
-                        live_ids.retain(|&(pl, _, _)| pl != p);
-                    }
+                    prop_assert_eq!(wheel.pop(), oracle.pop(), "pop sequence diverged");
                 }
                 OracleOp::PopTick => {
                     batch.clear();
@@ -212,19 +145,12 @@ proptest! {
                             // yields popping one event at a time at `t`.
                             for p in &batch {
                                 prop_assert_eq!(oracle.pop(), Some((t, *p)));
-                                live_ids.retain(|&(pl, _, _)| pl != *p);
                             }
                             prop_assert!(
                                 oracle.peek_time() != Some(t),
                                 "pop_tick left same-tick events behind"
                             );
                         }
-                    }
-                }
-                OracleOp::Cancel(i) => {
-                    if !live_ids.is_empty() {
-                        let (_, wid, oid) = live_ids.remove(i % live_ids.len());
-                        prop_assert_eq!(wheel.cancel(wid), oracle.cancel(oid));
                     }
                 }
             }
@@ -288,7 +214,7 @@ proptest! {
 
 #[test]
 fn wheel_order_matches_reference_model() {
-    // One long fixed-seed push/pop/cancel workload cross-checked against
+    // One long fixed-seed push/pop/pop_tick workload cross-checked against
     // the pre-wheel implementation: pop sequences must be byte-identical.
     let mut q = EventQueue::new();
     let mut r = ReferenceQueue::new();
@@ -300,8 +226,7 @@ fn wheel_order_matches_reference_model() {
         (rng >> 33) % span
     };
     let mut payload = 0u64;
-    // (payload, wheel id, oracle id) of every still-scheduled event.
-    let mut live = Vec::new();
+    let mut batch = Vec::new();
     for _ in 0..5000 {
         match next(10) {
             0..=5 => {
@@ -315,23 +240,23 @@ fn wheel_order_matches_reference_model() {
                     _ => next(1 << 44),
                 };
                 let at = q.now() + Nanos(jitter);
-                let qid = q.push(at, payload);
-                let rid = r.push(at, payload);
-                live.push((payload, qid, rid));
+                q.push(at, payload);
+                r.push(at, payload);
                 payload += 1;
             }
-            6..=8 => {
-                let got = q.pop();
-                assert_eq!(got, r.pop());
-                if let Some((_, p)) = got {
-                    live.retain(|&(pl, _, _)| pl != p);
-                }
-            }
+            6..=8 => assert_eq!(q.pop(), r.pop()),
             _ => {
-                if !live.is_empty() {
-                    let i = next(live.len() as u64) as usize;
-                    let (_, qid, rid) = live.remove(i);
-                    assert_eq!(q.cancel(qid), r.cancel(rid));
+                // A whole tick at once must equal the reference popped one
+                // event at a time at that tick, and leave none of it behind.
+                batch.clear();
+                match q.pop_tick(Nanos(u64::MAX), &mut batch) {
+                    None => assert_eq!(r.peek_time(), None),
+                    Some(t) => {
+                        for &p in &batch {
+                            assert_eq!(r.pop(), Some((t, p)));
+                        }
+                        assert_ne!(r.peek_time(), Some(t));
+                    }
                 }
             }
         }

@@ -1,16 +1,12 @@
 //! The pre-wheel event queue (FIFO front lane over a binary heap), its
-//! push/cancel/pop/peek logic kept verbatim as the oracle for the
+//! push/pop/peek logic kept verbatim as the oracle for the
 //! event-order property tests: the timing wheel must produce pop sequences
 //! byte-identical to this queue for every schedule.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use wifiq_sim::Nanos;
-
-/// Cancellation handle of a [`ReferenceQueue`] event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefId(u64);
 
 struct Entry<E> {
     time: Nanos,
@@ -49,10 +45,6 @@ pub struct ReferenceQueue<E> {
     /// every heap entry, popped front-first with no heap churn.
     front: VecDeque<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
-    cancelled: HashSet<u64>,
-    /// Sequence numbers currently in the heap; guards `cancel` against
-    /// tombstoning an event that already fired.
-    pending: HashSet<u64>,
     next_seq: u64,
     now: Nanos,
 }
@@ -62,8 +54,6 @@ impl<E> ReferenceQueue<E> {
         ReferenceQueue {
             front: VecDeque::new(),
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            pending: HashSet::new(),
             next_seq: 0,
             now: Nanos::ZERO,
         }
@@ -73,7 +63,7 @@ impl<E> ReferenceQueue<E> {
         self.now
     }
 
-    pub fn push(&mut self, at: Nanos, payload: E) -> RefId {
+    pub fn push(&mut self, at: Nanos, payload: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: {at} < now {}",
@@ -81,7 +71,6 @@ impl<E> ReferenceQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
         let entry = Entry {
             time: at,
             seq,
@@ -101,60 +90,22 @@ impl<E> ReferenceQueue<E> {
             }
             self.heap.push(entry);
         }
-        RefId(seq)
-    }
-
-    pub fn cancel(&mut self, id: RefId) -> bool {
-        if !self.pending.contains(&id.0) {
-            return false;
-        }
-        self.pending.remove(&id.0);
-        self.cancelled.insert(id.0)
     }
 
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        while let Some(entry) = self.front.pop_front() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.pending.remove(&entry.seq);
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
-        }
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.pending.remove(&entry.seq);
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
-        }
-        None
+        let entry = self.front.pop_front().or_else(|| self.heap.pop())?;
+        self.now = entry.time;
+        Some((entry.time, entry.payload))
     }
 
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        while let Some(entry) = self.front.front() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.front.pop_front();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
+    pub fn peek_time(&self) -> Option<Nanos> {
+        self.front
+            .front()
+            .or_else(|| self.heap.peek())
+            .map(|entry| entry.time)
     }
 
     pub fn len(&self) -> usize {
-        self.front.len() + self.heap.len() - self.cancelled.len()
+        self.front.len() + self.heap.len()
     }
 }

@@ -100,22 +100,6 @@ impl CubicState {
     }
 }
 
-/// Which congestion-avoidance algorithm a sender uses.
-#[derive(Debug, Clone)]
-pub enum CcAlgo {
-    /// Classic Reno additive increase (1 MSS per RTT).
-    Reno,
-    /// CUBIC (RFC 8312) — the Linux default.
-    Cubic(CubicState),
-}
-
-impl CcAlgo {
-    /// A fresh CUBIC instance.
-    pub fn cubic() -> CcAlgo {
-        CcAlgo::Cubic(CubicState::new())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

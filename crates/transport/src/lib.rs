@@ -1,17 +1,17 @@
-//! Simulated transport protocols: a NewReno TCP and trivial UDP helpers.
+//! Simulated TCP: CUBIC congestion avoidance over a NewReno/SACK
+//! recovery core.
 //!
 //! The endpoints are *pure state machines*: they consume segments and
 //! timer expirations, and produce segments plus timer deadlines. The
-//! network application layer (in `wifiq-experiments`) owns packetisation,
+//! network application layer (in `wifiq-traffic`) owns packetisation,
 //! injection, and the actual timers. This keeps the protocol logic
 //! independently testable — see the loopback tests in this crate — and
 //! reusable against any network model.
 //!
-//! Why NewReno and not CUBIC: the evaluation depends on loss-based
-//! congestion control *filling queues until drop* (bufferbloat) and
-//! *adapting to AQM drops* (FQ-CoDel/FQ-MAC). NewReno reproduces both
-//! feedback loops; the specific growth curve above ssthresh does not
-//! change who wins in any of the paper's experiments.
+//! Every sender runs CUBIC, the Linux default the paper's endpoints ran:
+//! the anomaly's buffer-hogging feedback loop needs its time-based window
+//! regrowth (see [`cubic`]). Loss recovery is NewReno's (RFC 6582) with an
+//! RFC 6675-style SACK scoreboard.
 
 pub mod cubic;
 pub mod receiver;
@@ -19,7 +19,7 @@ pub mod rto;
 pub mod segment;
 pub mod sender;
 
-pub use cubic::{CcAlgo, CubicState};
+pub use cubic::CubicState;
 pub use receiver::{RecvOutcome, TcpReceiver, DELACK_TIMEOUT};
 pub use rto::RtoEstimator;
 pub use segment::{TcpSegment, MSS, TCP_HEADER};
@@ -212,9 +212,9 @@ mod loopback {
         let (t, tx) = run_transfer(total, Nanos::from_millis(10), |i| i == 20);
         assert_eq!(tx.stats.timeouts, 0, "should not need an RTO");
         assert!(tx.stats.fast_retransmits >= 1);
-        // NewReno recovers the loss without an RTO, then grows additively
-        // from ~half the slow-start window: several hundred ms for the
-        // remaining ~480 segments is the correct NewReno cost.
+        // Recovery repairs the loss without an RTO, then CUBIC regrows
+        // from 0.7 of the slow-start window: several hundred ms for the
+        // remaining ~480 segments.
         assert!(t < Nanos::from_millis(1500), "took {t}");
     }
 

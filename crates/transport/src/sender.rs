@@ -1,8 +1,9 @@
-//! NewReno TCP sender (RFC 5681 congestion control + RFC 6582 recovery).
+//! TCP sender: CUBIC congestion avoidance (RFC 8312) over NewReno/SACK
+//! loss recovery (RFC 5681 slow start, RFC 6582 fast recovery).
 //!
 //! The sender is a pure state machine: it consumes ACKs and timer
 //! expirations and produces segments plus an RTO deadline. The surrounding
-//! application (in `wifiq-experiments`) owns the actual timer and the
+//! application (in `wifiq-traffic`) owns the actual timer and the
 //! network injection.
 
 use std::collections::BTreeMap;
@@ -10,7 +11,7 @@ use std::collections::BTreeMap;
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{CounterId, GaugeId, HistId, Label, Telemetry};
 
-use crate::cubic::{CcAlgo, BETA};
+use crate::cubic::{CubicState, BETA};
 use crate::rto::RtoEstimator;
 use crate::segment::{TcpSegment, MSS};
 
@@ -19,7 +20,7 @@ use crate::segment::{TcpSegment, MSS};
 pub enum CaState {
     /// Exponential window growth below `ssthresh`.
     SlowStart,
-    /// Additive increase above `ssthresh`.
+    /// CUBIC window growth above `ssthresh`.
     CongestionAvoidance,
     /// NewReno fast recovery after a triple duplicate ACK.
     FastRecovery,
@@ -58,7 +59,8 @@ struct SenderTele {
     timeouts: CounterId,
 }
 
-/// A NewReno TCP sender for a single unidirectional transfer.
+/// A CUBIC TCP sender for a single unidirectional transfer, with NewReno
+/// fast recovery guided by a SACK scoreboard.
 ///
 /// The transfer is either *bulk* (unlimited data, models iperf/greedy
 /// flows) or a fixed number of bytes (models a web object).
@@ -100,7 +102,7 @@ pub struct TcpSender {
     /// counted into the pipe estimate.
     rtx_out: u64,
     rto: RtoEstimator,
-    cc: CcAlgo,
+    cc: CubicState,
     /// Telemetry counters.
     pub stats: SenderStats,
     tele: SenderTele,
@@ -116,14 +118,6 @@ impl TcpSender {
     /// Creates a sender for a fixed-size transfer of `bytes`.
     pub fn finite(bytes: u64) -> TcpSender {
         TcpSender::new(Some(bytes))
-    }
-
-    /// Creates a bulk sender using Reno congestion avoidance instead of
-    /// CUBIC (for ablations and protocol tests).
-    pub fn bulk_reno() -> TcpSender {
-        let mut tx = TcpSender::new(None);
-        tx.cc = CcAlgo::Reno;
-        tx
     }
 
     fn new(total: Option<u64>) -> TcpSender {
@@ -142,7 +136,7 @@ impl TcpSender {
             rtx_mark: 0,
             rtx_out: 0,
             rto: RtoEstimator::new(),
-            cc: CcAlgo::cubic(),
+            cc: CubicState::new(),
             stats: SenderStats::default(),
             tele: SenderTele::default(),
         }
@@ -423,15 +417,9 @@ impl TcpSender {
                 self.dupacks = 0;
             }
             CaState::CongestionAvoidance if new_ack => {
-                match &mut self.cc {
-                    CcAlgo::Reno => {
-                        // Additive increase: one MSS per RTT.
-                        self.cwnd += (self.mss * self.mss) as f64 / self.cwnd;
-                    }
-                    CcAlgo::Cubic(cubic) => {
-                        self.cwnd = cubic.on_ack(self.cwnd, self.mss as f64, now, self.rto.srtt());
-                    }
-                }
+                self.cwnd = self
+                    .cc
+                    .on_ack(self.cwnd, self.mss as f64, now, self.rto.srtt());
                 self.dupacks = 0;
             }
             _ => {}
@@ -450,10 +438,7 @@ impl TcpSender {
             // retransmissions; acting on them collapses the window.
             let past_recover = self.recover.is_none_or(|r| seg.ack > r);
             if (self.dupacks >= 3 || sack_loss) && past_recover {
-                self.ssthresh = match &mut self.cc {
-                    CcAlgo::Reno => (self.flight() as f64 / 2.0).max((2 * self.mss) as f64),
-                    CcAlgo::Cubic(cubic) => cubic.on_loss(self.cwnd, self.mss as f64),
-                };
+                self.ssthresh = self.cc.on_loss(self.cwnd, self.mss as f64);
                 self.recover = Some(self.snd_nxt);
                 self.cwnd = self.ssthresh;
                 self.state = CaState::FastRecovery;
@@ -489,9 +474,7 @@ impl TcpSender {
         }
         self.stats.timeouts += 1;
         self.tele.hub.add(self.tele.timeouts, 1);
-        if let CcAlgo::Cubic(cubic) = &mut self.cc {
-            cubic.on_timeout(self.cwnd);
-        }
+        self.cc.on_timeout(self.cwnd);
         self.ssthresh = (self.cwnd * BETA).max((2 * self.mss) as f64);
         // Go-back-N: collapse to one segment and re-enter slow start.
         // The scoreboard is discarded — the network state it described is
@@ -554,29 +537,6 @@ mod tests {
             (19..=21).contains(&sent_next_rtt),
             "slow start should ~double the window, sent {sent_next_rtt}"
         );
-    }
-
-    #[test]
-    fn congestion_avoidance_grows_linearly() {
-        let mut tx = TcpSender::bulk_reno();
-        tx.ssthresh = (12 * MSS) as f64; // force early CA
-        let out = tx.start(Nanos::ZERO);
-        let mut segs = out.segments;
-        let mut now = Nanos::from_millis(10);
-        // Drive a few RTTs.
-        for _ in 0..3 {
-            let mut next = Vec::new();
-            for seg in segs.drain(..) {
-                let o = tx.on_ack(&ack(seg.end_seq(), seg.sent_at), now);
-                next.extend(o.segments);
-            }
-            segs = next;
-            now += Nanos::from_millis(10);
-        }
-        assert_eq!(tx.state(), CaState::CongestionAvoidance);
-        // After slow-start to 12 and ~2 CA RTTs, cwnd ≈ 14 MSS.
-        let cwnd_segs = tx.cwnd() / MSS;
-        assert!((13..=16).contains(&cwnd_segs), "cwnd {cwnd_segs} segments");
     }
 
     #[test]
