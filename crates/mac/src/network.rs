@@ -416,8 +416,8 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         // from this batch buffer, so a burst of co-timed deliveries costs a
         // single wheel settle instead of one pop per event. Events a handler
         // pushes *at* the current tick are picked up by the next `pop_tick`;
-        // they carry larger seqs than everything batched here, so dispatch
-        // order is identical to the one-pop-at-a-time loop.
+        // the wheel appends them behind everything batched here, so
+        // dispatch order is identical to the one-pop-at-a-time loop.
         let mut batch = Vec::new();
         while let Some(now) = self.queue.pop_tick(until, &mut batch) {
             for ev in batch.drain(..) {

@@ -12,7 +12,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::mem;
 
 use crate::time::Nanos;
 
@@ -46,28 +45,35 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Bits of the fine level 0: 4096 one-nanosecond slots, so anything
-/// scheduled within ~4 µs of the clock needs no cascade at all. The fine
-/// bottom level is the same asymmetry the Linux timer wheel uses (a wide
-/// first ring over narrower upper rings). The simulator's own pushes are
-/// not that near — wire hops, CBR gaps and exchanges are all ≥ 100 µs, so
-/// they are admitted at levels 1–3 and cascade down (`census.rs`, DESIGN.md
-/// §13); what level 0 buys is that a slot is exactly one timestamp.
+/// Bits of a level-0 slot's width: 256 ns. The simulator's timestamps are
+/// microseconds apart (9 µs backoff slots, 100 µs and longer exchanges), so
+/// a slot this wide still holds one timestamp at a time almost always
+/// (DESIGN.md §13), while 4096 of them span the ~1 ms the simulator
+/// schedules ahead.
+const L0_SLOT_BITS: u32 = 8;
+/// Bits of the level-0 slot index: 4096 slots, one summary word over 64
+/// occupancy words.
 const L0_BITS: u32 = 12;
 /// Level-0 slot count.
 const L0_SLOTS: usize = 1 << L0_BITS;
+/// Bits of level 0's whole span: 2^20 ns ≈ 1.05 ms. Wire hops (212 µs),
+/// CBR gaps (120 µs) and exchanges (≥ 100 µs) fall inside it, so they are
+/// admitted where they pop, with no cascade (`census.rs`, DESIGN.md §13).
+/// The wide bottom level over narrower upper rings is the asymmetry the
+/// Linux timer wheel uses.
+const L0_SPAN_BITS: u32 = L0_SLOT_BITS + L0_BITS;
 /// Bits per upper wheel level: 64 slots each.
 const UP_BITS: u32 = 6;
 /// Slots per upper level.
 const UP_SLOTS: usize = 1 << UP_BITS;
-/// Upper levels (1..=UP_LEVELS). Level `l` slots span `2^(12+6(l-1))` ns,
-/// so the whole wheel covers a `2^42` ns ≈ 73 min block of virtual time;
+/// Upper levels (1..=UP_LEVELS). Level `l` slots span `2^(20+6(l-1))` ns,
+/// so the whole wheel covers a `2^50` ns ≈ 13 day block of virtual time;
 /// anything scheduled beyond the current block waits in the overflow heap.
 const UP_LEVELS: usize = 5;
-/// Total levels including the fine level 0.
+/// Total levels including level 0.
 const LEVELS: usize = 1 + UP_LEVELS;
 /// Shift that selects an event's top-level block.
-const TOP_SHIFT: u32 = L0_BITS + UP_BITS * UP_LEVELS as u32;
+const TOP_SHIFT: u32 = L0_SPAN_BITS + UP_BITS * UP_LEVELS as u32;
 /// `up_min` value for an empty slot.
 const EMPTY_MIN: u64 = u64::MAX;
 /// Total bucket count across all levels (level 0 buckets come first).
@@ -77,7 +83,7 @@ const BUCKETS: usize = L0_SLOTS + UP_LEVELS * UP_SLOTS;
 #[inline]
 fn level_shift(level: usize) -> u32 {
     debug_assert!(level >= 1);
-    L0_BITS + UP_BITS * (level as u32 - 1)
+    L0_SPAN_BITS + UP_BITS * (level as u32 - 1)
 }
 
 /// Level at which `t` is admitted relative to `reference`: the finest level
@@ -89,10 +95,10 @@ fn level_of(t: u64, reference: u64) -> usize {
         return 0;
     }
     let msb = 63 - x.leading_zeros();
-    if msb < L0_BITS {
+    if msb < L0_SPAN_BITS {
         0
     } else {
-        1 + ((msb - L0_BITS) / UP_BITS) as usize
+        1 + ((msb - L0_SPAN_BITS) / UP_BITS) as usize
     }
 }
 
@@ -100,7 +106,7 @@ fn level_of(t: u64, reference: u64) -> usize {
 #[inline]
 fn bucket_of(t: u64, level: usize) -> usize {
     if level == 0 {
-        (t & (L0_SLOTS as u64 - 1)) as usize
+        ((t >> L0_SLOT_BITS) & (L0_SLOTS as u64 - 1)) as usize
     } else {
         L0_SLOTS
             + (level - 1) * UP_SLOTS
@@ -123,6 +129,18 @@ struct Node<E> {
     payload: Option<E>,
 }
 
+/// A bucket's list: first and last node (`NIL` when empty).
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_LIST: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
 /// Where pushes were admitted and what settling the minimum cost — kept
 /// in this crate's test builds only, for the traffic census in DESIGN §13.
 #[cfg(test)]
@@ -136,30 +154,37 @@ struct Census {
     cascades: u64,
     /// Nodes the cascades re-linked.
     cascaded_nodes: u64,
+    /// Level-0 nodes `pop_tick`'s slot walks visited, popped or left.
+    walked: u64,
 }
 
 /// A deterministic priority queue of simulation events.
 ///
-/// Internally the queue is a hierarchical timing wheel with an asymmetric
-/// geometry: a fine level 0 of 4096 one-nanosecond slots (tracked by a
-/// two-tier bitmap: one summary word over 64 slot words), then five upper
-/// levels of 64 slots each, where an upper-level-`l` slot spans
-/// `2^(12+6(l-1))` ns. An event is admitted to the finest level whose parent
-/// window contains both the event time and the clock, so anything within
-/// ~4 µs of now lands directly in level 0 with no cascade ever needed, and
-/// everything else is an O(1) bucket append one or more levels up.
-/// Far-future events (beyond the current ~73 min top-level block) wait in
-/// an overflow binary heap and migrate into the wheel when the clock
-/// reaches their block.
+/// Internally the queue is a hierarchical timing wheel fitted to the
+/// simulator's traffic: level 0 is 4096 slots of 256 ns (2^20 ns ≈ 1.05 ms
+/// in all, tracked by a two-tier bitmap: one summary word over 64 slot
+/// words), then five upper levels of 64 slots each, where an
+/// upper-level-`l` slot spans `2^(20+6(l-1))` ns. An event is admitted to
+/// the finest level whose parent window contains both the event time and
+/// the clock, so the wire hops, CBR gaps and exchanges the simulator
+/// schedules 100–212 µs ahead mostly land in level 0 and pop from the slot
+/// they were pushed to; everything else is an O(1) bucket append one or
+/// more levels up. Far-future events (beyond the current ~13 day top-level
+/// block) wait in an overflow binary heap and migrate into the wheel when
+/// the clock reaches their block.
+///
 /// Upper slots cascade toward level 0 lazily, only when the global minimum
-/// lives inside them; level-0 slots span exactly 1 ns, so a slot is a
-/// complete FIFO batch of one timestamp — this is what
-/// [`EventQueue::pop_tick`] hands to the run loop. All level-0 residents
-/// provably share one 4096 ns block (each entry's block contains the global
-/// minimum), so their times are reconstructed from a single stored block
-/// base and level 0 needs no per-slot minimum array. Exact (time, insertion
-/// order) pop order is preserved and model-checked against the two-lane
-/// heap oracle in `tests/reference/`.
+/// lives inside them. A level-0 slot can hold several timestamps:
+/// [`EventQueue::pop_tick`] takes the slot's nodes at its earliest time, in
+/// list order, and leaves the later ones where they are. Level 0 keeps no
+/// per-slot minimum: the earliest time is found by walking the slot, whose
+/// worst case is 256 distinct times walked per pop, and which in the
+/// simulator's traffic almost always holds one timestamp (DESIGN §13). If
+/// a profile ever shows that walk, the fallback is a per-slot minimum like
+/// the upper levels keep. All level-0 residents share one 2^20 ns block
+/// (each entry's block contains the global minimum), so a slot never mixes
+/// blocks. Exact (time, insertion order) pop order is preserved and
+/// model-checked against the two-lane heap oracle in `tests/reference/`.
 ///
 /// # Examples
 ///
@@ -184,22 +209,17 @@ pub struct EventQueue<E> {
     nodes: Vec<Node<E>>,
     /// Head of the free-node list inside `nodes` (`NIL` when exhausted).
     free_head: u32,
-    /// Per-bucket list heads/tails (level-0 buckets first, then upper
-    /// levels). Within a bucket, equal-time entries are always in insertion
-    /// order, so list position alone is the FIFO tie-break: pushes append,
-    /// and cascades prepend entries that were necessarily pushed before
-    /// anything already there.
-    heads: Vec<u32>,
-    tails: Vec<u32>,
+    /// Per-bucket list ends (level-0 buckets first, then upper levels),
+    /// head beside tail so one cache line serves both. Within a bucket,
+    /// equal-time entries are always in insertion order, so list position
+    /// alone is the FIFO tie-break: pushes append, and a cascade moves a
+    /// bucket's list, in order, into buckets that are empty but for it.
+    lists: Vec<List>,
     /// Level-0 occupancy, tier 2: bit `w` set ⇔ `l0_words[w]` non-zero.
     l0_summary: u64,
     /// Level-0 occupancy, tier 1: bit `s` of word `w` set ⇔ slot
     /// `64w + s` non-empty.
     l0_words: [u64; L0_SLOTS / 64],
-    /// High bits (`time >> 12`) shared by every level-0 resident; slot
-    /// times are `(l0_block << 12) | slot`. Only meaningful while
-    /// `l0_summary != 0`.
-    l0_block: u64,
     /// Upper-level occupancy: bit `s` of word `l-1` set ⇔ level-`l` slot
     /// `s` non-empty.
     up_occupied: [u64; UP_LEVELS],
@@ -211,8 +231,6 @@ pub struct EventQueue<E> {
     overflow: BinaryHeap<Entry<E>>,
     /// Entries resident in the wheel (excludes `overflow`).
     wheel_len: usize,
-    /// Reusable buffer for cascade re-linking.
-    scratch: Vec<u32>,
     /// Insertion counter of `overflow` entries: the heap's FIFO
     /// tie-break (the wheel's lists keep order by position).
     next_seq: u64,
@@ -233,16 +251,13 @@ impl<E> EventQueue<E> {
         EventQueue {
             nodes: Vec::new(),
             free_head: NIL,
-            heads: vec![NIL; BUCKETS],
-            tails: vec![NIL; BUCKETS],
+            lists: vec![EMPTY_LIST; BUCKETS],
             l0_summary: 0,
             l0_words: [0; L0_SLOTS / 64],
-            l0_block: 0,
             up_occupied: [0; UP_LEVELS],
             up_min: [EMPTY_MIN; UP_LEVELS * UP_SLOTS],
             overflow: BinaryHeap::new(),
             wheel_len: 0,
-            scratch: Vec::new(),
             next_seq: 0,
             now: Nanos::ZERO,
             #[cfg(test)]
@@ -296,7 +311,6 @@ impl<E> EventQueue<E> {
             let word = bucket >> 6;
             self.l0_words[word] |= 1 << (bucket & 63);
             self.l0_summary |= 1 << word;
-            self.l0_block = t >> L0_BITS;
         } else {
             let up = bucket - L0_SLOTS;
             self.up_occupied[up >> 6] |= 1 << (up & 63);
@@ -323,9 +337,9 @@ impl<E> EventQueue<E> {
     /// Appends a slab node to a bucket's list, maintaining bitmaps and min.
     #[inline]
     fn link_back(&mut self, level: usize, bucket: usize, i: u32, t: u64) {
-        let tail = self.tails[bucket];
+        let tail = self.lists[bucket].tail;
         if tail == NIL {
-            self.heads[bucket] = i;
+            self.lists[bucket].head = i;
             self.mark_occupied(level, bucket, t);
         } else {
             self.nodes[tail as usize].next = i;
@@ -336,25 +350,7 @@ impl<E> EventQueue<E> {
                 }
             }
         }
-        self.tails[bucket] = i;
-    }
-
-    /// Prepends a slab node to a bucket's list (the cascade path: cascaded
-    /// entries were pushed before any equal-time resident).
-    #[inline]
-    fn link_front(&mut self, level: usize, bucket: usize, i: u32, t: u64) {
-        let head = self.heads[bucket];
-        self.nodes[i as usize].next = head;
-        if head == NIL {
-            self.tails[bucket] = i;
-            self.mark_occupied(level, bucket, t);
-        } else if level != 0 {
-            let min = &mut self.up_min[bucket - L0_SLOTS];
-            if t < *min {
-                *min = t;
-            }
-        }
-        self.heads[bucket] = i;
+        self.lists[bucket].tail = i;
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -389,86 +385,82 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The earliest occupied (time, level, bucket), preferring the coarsest
-    /// level on equal times: a coarse entry at the same timestamp was
-    /// necessarily pushed earlier (its admission clock was further from the
-    /// event), so it must cascade down first to keep FIFO order.
+    /// The earliest time in a non-empty level-0 slot: a walk of its list.
+    #[inline]
+    fn slot_min(&self, slot: usize) -> u64 {
+        let mut min = EMPTY_MIN;
+        let mut i = self.lists[slot].head;
+        while i != NIL {
+            let node = &self.nodes[i as usize];
+            min = min.min(node.time);
+            i = node.next;
+        }
+        min
+    }
+
+    /// The wheel's earliest occupied (time, level, bucket).
+    ///
+    /// Every resident sits at `level_of(time, now)`: a push is admitted
+    /// there, and the clock only moves to a minimum just settled, which
+    /// cascaded every bucket on its path. So each level's events lie
+    /// strictly after every finer level's, and the first occupied level
+    /// holds the minimum — in its first occupied slot, since a level's
+    /// slots do not wrap within the window it shares with the clock.
     fn best(&self) -> Option<(u64, usize, usize)> {
-        let mut best: Option<(u64, usize, usize)> = None;
-        if self.l0_summary != 0 {
+        let best = if self.l0_summary != 0 {
             let word = self.l0_summary.trailing_zeros() as usize;
             let slot = (word << 6) | self.l0_words[word].trailing_zeros() as usize;
-            best = Some(((self.l0_block << L0_BITS) | slot as u64, 0, slot));
-        }
-        // Ascending scan with `<=` so the coarsest level wins ties.
-        for lm1 in 0..UP_LEVELS {
-            let occ = self.up_occupied[lm1];
-            if occ == 0 {
-                continue;
-            }
-            let slot = occ.trailing_zeros() as usize;
-            let min = self.up_min[(lm1 << UP_BITS) | slot];
-            if best.is_none_or(|(t, _, _)| min <= t) {
-                best = Some((min, lm1 + 1, L0_SLOTS + (lm1 << UP_BITS) + slot));
-            }
-        }
-        best
+            (self.slot_min(slot), 0, slot)
+        } else {
+            let lm1 = self.up_occupied.iter().position(|&occ| occ != 0)?;
+            let slot = self.up_occupied[lm1].trailing_zeros() as usize;
+            let up = (lm1 << UP_BITS) | slot;
+            (self.up_min[up], lm1 + 1, L0_SLOTS + up)
+        };
+        debug_assert!(
+            (best.1..UP_LEVELS).all(|lm1| {
+                let occ = self.up_occupied[lm1];
+                occ == 0 || self.up_min[(lm1 << UP_BITS) | occ.trailing_zeros() as usize] > best.0
+            }),
+            "a coarser level holds an event no later than the minimum"
+        );
+        Some(best)
     }
 
     /// Redistributes every entry of an upper-level slot one or more levels
     /// down, relative to the slot's own window start (all entries share it).
     ///
-    /// Entries are *prepended* to their target buckets in order: anything
-    /// already resident at an equal time was pushed while the clock sat
-    /// inside a finer shared window — i.e. strictly later — so cascaded
-    /// entries must pop first.
+    /// Settling cascades only the bucket holding the minimum, and nothing
+    /// lies at a finer level then (`best`), so entries are appended to
+    /// buckets that hold nothing but this cascade's earlier entries: each
+    /// bucket keeps its source's order, which is push order.
     fn cascade(&mut self, level: usize, bucket: usize) {
-        let shift = level_shift(level);
+        debug_assert!(
+            self.l0_summary == 0 && self.up_occupied[..level - 1].iter().all(|&occ| occ == 0),
+            "cascade into a non-empty finer level"
+        );
         #[cfg(test)]
         {
             self.census.cascades += 1;
         }
-        // Singleton fast path: most cascades move one timer down.
-        let head = self.heads[bucket];
-        if head != NIL && self.nodes[head as usize].next == NIL {
+        let shift = level_shift(level);
+        let mut i = self.lists[bucket].head;
+        self.lists[bucket] = EMPTY_LIST;
+        self.clear_occupied(level, bucket);
+        while i != NIL {
             #[cfg(test)]
             {
                 self.census.cascaded_nodes += 1;
             }
-            self.heads[bucket] = NIL;
-            self.tails[bucket] = NIL;
-            self.clear_occupied(level, bucket);
-            let t = self.nodes[head as usize].time;
+            let node = &mut self.nodes[i as usize];
+            let (t, next) = (node.time, node.next);
+            node.next = NIL;
             let window_start = (t >> shift) << shift;
             let child = level_of(t, window_start);
             debug_assert!(child < level, "cascade must move entries down");
-            self.link_front(child, bucket_of(t, child), head, t);
-            return;
+            self.link_back(child, bucket_of(t, child), i, t);
+            i = next;
         }
-        let mut scratch = mem::take(&mut self.scratch);
-        scratch.clear();
-        let mut i = self.heads[bucket];
-        while i != NIL {
-            scratch.push(i);
-            i = self.nodes[i as usize].next;
-        }
-        self.heads[bucket] = NIL;
-        self.tails[bucket] = NIL;
-        self.clear_occupied(level, bucket);
-        #[cfg(test)]
-        {
-            self.census.cascaded_nodes += scratch.len() as u64;
-        }
-        // Reverse iteration + push-front preserves the original order at
-        // the front of every target bucket.
-        for &i in scratch.iter().rev() {
-            let t = self.nodes[i as usize].time;
-            let window_start = (t >> shift) << shift;
-            let child = level_of(t, window_start);
-            debug_assert!(child < level, "cascade must move entries down");
-            self.link_front(child, bucket_of(t, child), i, t);
-        }
-        self.scratch = scratch;
     }
 
     /// Moves the overflow head's entire top-level block into the (empty)
@@ -493,22 +485,32 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Cascades until the global minimum sits in a level-0 bucket and
-    /// returns that bucket's index. Caller guarantees the queue is
-    /// non-empty.
+    /// Finds the earliest pending time and, if it is due by `until`,
+    /// cascades until it sits in a level-0 slot: returns (time, slot), or
+    /// `None` having touched nothing.
     ///
-    /// Only one cross-level scan is needed: a cascade redistributes the
-    /// bucket *containing* the minimum, so the minimum's time pins exactly
-    /// which child bucket to settle next — no re-scan per step.
-    fn settle_min(&mut self) -> usize {
+    /// One look for the minimum serves the refusal and the settle: a
+    /// cascade redistributes the bucket *containing* the minimum, so the
+    /// minimum's time pins exactly which child bucket to settle next.
+    /// Overflow entries are later than every wheel entry (they lie beyond
+    /// the clock's top-level block), so the heap is promoted only into an
+    /// empty wheel, and only when its head is due — the pop that follows
+    /// moves the clock into the promoted block.
+    fn settle(&mut self, until: u64) -> Option<(u64, usize)> {
         if self.wheel_len == 0 {
+            if self.overflow.peek()?.time.0 > until {
+                return None;
+            }
             self.promote_overflow();
+        }
+        let (min, mut level, mut bucket) = self.best().expect("wheel non-empty");
+        if min > until {
+            return None;
         }
         #[cfg(test)]
         {
             self.census.settles += 1;
         }
-        let (min, mut level, mut bucket) = self.best().expect("queue non-empty");
         while level > 0 {
             self.cascade(level, bucket);
             let shift = level_shift(level);
@@ -516,32 +518,42 @@ impl<E> EventQueue<E> {
             level = level_of(min, window_start);
             bucket = bucket_of(min, level);
         }
-        bucket
+        Some((min, bucket))
+    }
+
+    /// Unlinks node `i` from level-0 slot `slot`, where it follows `prev`
+    /// (`NIL` if `i` is the head), and takes its payload.
+    #[inline]
+    fn unlink(&mut self, slot: usize, prev: u32, i: u32) -> E {
+        let next = self.nodes[i as usize].next;
+        if prev == NIL {
+            self.lists[slot].head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.lists[slot].tail = prev;
+            if prev == NIL {
+                self.clear_occupied(0, slot);
+            }
+        }
+        self.wheel_len -= 1;
+        self.free_node(i)
     }
 
     /// Pops the next pending event, advancing the virtual clock to its time.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        if self.is_empty() {
-            return None;
+        let (time, slot) = self.settle(u64::MAX)?;
+        // The slot's first node at `time` is the earliest pushed.
+        let (mut prev, mut i) = (NIL, self.lists[slot].head);
+        while self.nodes[i as usize].time != time {
+            prev = i;
+            i = self.nodes[i as usize].next;
         }
-        let bucket = self.settle_min();
-        let i = self.heads[bucket];
-        let next = self.nodes[i as usize].next;
-        let time = Nanos(self.nodes[i as usize].time);
-        self.heads[bucket] = next;
-        if next == NIL {
-            self.tails[bucket] = NIL;
-            let word = bucket >> 6;
-            self.l0_words[word] &= !(1 << (bucket & 63));
-            if self.l0_words[word] == 0 {
-                self.l0_summary &= !(1 << word);
-            }
-        }
-        let payload = self.free_node(i);
-        self.wheel_len -= 1;
-        debug_assert!(time >= self.now, "event queue went backwards");
-        self.now = time;
-        Some((time, payload))
+        let payload = self.unlink(slot, prev, i);
+        debug_assert!(time >= self.now.0, "event queue went backwards");
+        self.now = Nanos(time);
+        Some((self.now, payload))
     }
 
     /// Pops *all* events at the earliest pending timestamp, in FIFO order,
@@ -550,55 +562,38 @@ impl<E> EventQueue<E> {
     /// `None` (touching nothing) if the queue is empty or the next event
     /// fires after `until`.
     ///
-    /// A level-0 bucket spans exactly 1 ns, so after cascading it *is* the
-    /// complete batch: one bitmap settle per timestamp instead of one queue
-    /// re-entry per event. Events the caller pushes at the same timestamp
-    /// while processing the batch are appended behind it and form the next
-    /// batch.
+    /// After settling, the tick's events are the level-0 slot's nodes at
+    /// that time, in list order: one settle per timestamp instead of one
+    /// queue re-entry per event. Later timestamps sharing the slot stay in
+    /// it. Events the caller pushes at the same timestamp while processing
+    /// the batch are appended behind it and form the next batch.
     pub fn pop_tick(&mut self, until: Nanos, out: &mut Vec<E>) -> Option<Nanos> {
-        let next = self.peek_time()?;
-        if next > until {
-            return None;
-        }
-        let bucket = self.settle_min();
-        let mut i = self.heads[bucket];
+        let (time, slot) = self.settle(until.0)?;
+        let (mut prev, mut i) = (NIL, self.lists[slot].head);
         while i != NIL {
-            debug_assert_eq!(
-                self.nodes[i as usize].time, next.0,
-                "level-0 slot spans 1 ns"
-            );
-            let after = self.nodes[i as usize].next;
-            out.push(self.free_node(i));
-            self.wheel_len -= 1;
-            i = after;
+            #[cfg(test)]
+            {
+                self.census.walked += 1;
+            }
+            let next = self.nodes[i as usize].next;
+            if self.nodes[i as usize].time == time {
+                out.push(self.unlink(slot, prev, i));
+            } else {
+                prev = i;
+            }
+            i = next;
         }
-        self.heads[bucket] = NIL;
-        self.tails[bucket] = NIL;
-        self.clear_occupied(0, bucket);
-        self.now = next;
-        Some(next)
+        self.now = Nanos(time);
+        Some(self.now)
     }
 
     /// The firing time of the next event, if any, without popping it.
     pub fn peek_time(&self) -> Option<Nanos> {
-        let mut best = EMPTY_MIN;
-        if self.l0_summary != 0 {
-            let word = self.l0_summary.trailing_zeros() as usize;
-            let slot = (word << 6) | self.l0_words[word].trailing_zeros() as usize;
-            best = (self.l0_block << L0_BITS) | slot as u64;
-        }
-        for lm1 in 0..UP_LEVELS {
-            let occ = self.up_occupied[lm1];
-            if occ == 0 {
-                continue;
-            }
-            let slot = occ.trailing_zeros() as usize;
-            best = best.min(self.up_min[(lm1 << UP_BITS) | slot]);
-        }
-        if let Some(head) = self.overflow.peek() {
-            best = best.min(head.time.0);
-        }
-        (best != EMPTY_MIN).then_some(Nanos(best))
+        // Overflow entries are later than every wheel entry.
+        let wheel = self.best().map(|(t, _, _)| t);
+        wheel
+            .or_else(|| self.overflow.peek().map(|e| e.time.0))
+            .map(Nanos)
     }
 
     /// Number of scheduled events.
@@ -618,6 +613,7 @@ mod census;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem;
 
     /// The MAC's events are 16 bytes (DESIGN.md §13, "Event sizes"); with
     /// time and link a node must stay within half a cache line, or pushes,
@@ -706,12 +702,13 @@ mod tests {
     fn equal_time_fifo_across_admission_levels() {
         let mut q = EventQueue::new();
         // "a" and "b" straddle an out-of-order push; FIFO at the shared
-        // timestamp must survive whatever levels they landed on. The times
-        // straddle a level-0 block boundary so "a" is admitted coarse.
-        let t = Nanos(1 << (L0_BITS + 2));
+        // timestamp must survive whatever levels they landed on. The time
+        // lies beyond level 0's span so both are admitted coarse.
+        let t = Nanos(1 << (L0_SPAN_BITS + 2));
         q.push(t, "a");
         q.push(Nanos(5), "x");
         q.push(t, "b");
+        assert_eq!(q.census.admitted[..2], [1, 2], "x fine, a and b coarse");
         assert_eq!(q.pop(), Some((Nanos(5), "x")));
         assert_eq!(q.pop(), Some((t, "a")));
         assert_eq!(q.pop(), Some((t, "b")));
@@ -724,17 +721,48 @@ mod tests {
         // window; a *later* event pushed nearby then lands at level 0. The
         // stale coarse entry has the earlier time and must still win.
         let mut q = EventQueue::new();
-        // now = 0: t differs above bit 18 → an upper level.
-        let coarse_t = Nanos((1 << 18) + 5);
+        // now = 0: both times differ from it at bit `L0_SPAN_BITS +
+        // UP_BITS`, so both are admitted at level 2, in one bucket.
+        let window = 1 << (L0_SPAN_BITS + UP_BITS);
+        let coarse_t = Nanos(window + 5);
         q.push(coarse_t, "stale-coarse");
-        // Walk the clock close to the coarse entry's window.
-        q.push(Nanos(1 << 18), "step");
-        assert_eq!(q.pop(), Some((Nanos(1 << 18), "step")));
+        // Walk the clock into the coarse entry's window.
+        q.push(Nanos(window), "step");
+        assert_eq!(q.census.admitted[2], 2);
+        assert_eq!(q.pop(), Some((Nanos(window), "step")));
         // Fresh push, later time, admitted at level 0 relative to now.
-        q.push(Nanos((1 << 18) + 40), "fresh-fine");
+        q.push(Nanos(window + 40), "fresh-fine");
+        assert_eq!(q.census.admitted[0], 1);
         assert_eq!(q.pop(), Some((coarse_t, "stale-coarse")));
-        assert_eq!(q.pop(), Some((Nanos((1 << 18) + 40), "fresh-fine")));
+        assert_eq!(q.pop(), Some((Nanos(window + 40), "fresh-fine")));
         assert!(q.is_empty());
+    }
+
+    /// The push arms of `oracle_op_strategy` in `tests/proptest_queue.rs`,
+    /// restated: at clock 0 every delta of an arm is admitted at the arm's
+    /// level, so the oracle reaches every level and the overflow heap.
+    #[test]
+    fn oracle_arms_reach_every_level_and_the_overflow_heap() {
+        let arms: [(u64, u64, usize); 9] = [
+            (0, 1, 0),
+            (1, 256, 0),
+            (256, 1 << 20, 0),
+            (1 << 20, 1 << 26, 1),
+            (1 << 26, 1 << 32, 2),
+            (1 << 32, 1 << 38, 3),
+            (1 << 38, 1 << 44, 4),
+            (1 << 44, 1 << 50, 5),
+            (1 << 50, 1 << 52, LEVELS),
+        ];
+        let mut q = EventQueue::new();
+        let mut expected = [0; LEVELS + 1];
+        for (lo, hi, level) in arms {
+            q.push(Nanos(lo), ());
+            q.push(Nanos(hi - 1), ());
+            expected[level] += 2;
+        }
+        assert_eq!(q.census.admitted, expected);
+        assert!(expected.iter().all(|&n| n > 0));
     }
 
     #[test]

@@ -77,8 +77,10 @@ proptest! {
 
 /// One step of an oracle schedule. Deltas are drawn from a mix of ranges so
 /// shrunk failures stay readable while full runs still reach every admission
-/// path: zero (same-timestamp chains), small (level-0 churn), medium
-/// (multi-level cascades), and beyond-horizon (the overflow heap).
+/// path: zero (same-timestamp chains), within one 256 ns level-0 slot
+/// (several timestamps in a slot), within level 0's 2^20 ns span, one range
+/// per upper level (cascades from each), and beyond the 2^50 ns horizon
+/// (the overflow heap).
 #[derive(Debug, Clone)]
 enum OracleOp {
     Push(u64),
@@ -87,19 +89,29 @@ enum OracleOp {
 }
 
 fn oracle_op_strategy() -> impl Strategy<Value = OracleOp> {
-    fn delta() -> impl Strategy<Value = u64> {
+    // At clock 0 each arm is admitted at one level, which the unit test
+    // `oracle_arms_reach_every_level_and_the_overflow_heap` in
+    // `src/event.rs` checks for these same ranges.
+    fn near() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 1u64..256, 256u64..(1 << 20)]
+    }
+    fn far() -> impl Strategy<Value = u64> {
         prop_oneof![
-            Just(0u64),
-            1u64..200,
-            1u64..(1 << 22),
-            (1u64 << 40)..(1 << 44),
+            (1u64 << 20)..(1 << 26),
+            (1u64 << 26)..(1 << 32),
+            (1u64 << 32)..(1 << 38),
+            (1u64 << 38)..(1 << 44),
+            (1u64 << 44)..(1 << 50),
+            (1u64 << 50)..(1 << 52),
         ]
     }
     // The vendored proptest has no weighted arms; repetition biases the mix
-    // toward pushes so queues grow deep enough to exercise every level.
+    // toward pushes, near ones most, so queues grow deep enough to exercise
+    // every level.
     prop_oneof![
-        delta().prop_map(OracleOp::Push),
-        delta().prop_map(OracleOp::Push),
+        near().prop_map(OracleOp::Push),
+        near().prop_map(OracleOp::Push),
+        far().prop_map(OracleOp::Push),
         Just(OracleOp::Pop),
         Just(OracleOp::PopTick),
     ]
@@ -232,12 +244,13 @@ fn wheel_order_matches_reference_model() {
             0..=5 => {
                 // Jitter of 0 creates same-timestamp chains; larger
                 // jitter creates out-of-order pushes; the huge stride
-                // exercises coarse levels and the overflow heap.
+                // (`next` draws 31 bits, shifted up to 2^52) exercises
+                // coarse levels and the overflow heap.
                 let jitter = match next(4) {
                     0 => 0,
                     1 => next(5) * 10,
                     2 => next(1 << 20),
-                    _ => next(1 << 44),
+                    _ => next(1 << 31) << 21,
                 };
                 let at = q.now() + Nanos(jitter);
                 q.push(at, payload);
