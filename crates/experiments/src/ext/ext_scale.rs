@@ -139,8 +139,8 @@ struct Row {
     churn_drops: u64,
 }
 
-/// One sweep point: `reps` seeded repetitions of a sharded run (cached
-/// and parallelised by the experiment harness).
+/// One sweep point: `reps` seeded repetitions of a sharded run
+/// (parallelised by the experiment harness).
 fn run_point(
     stations: usize,
     shards: u32,

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use wifiq_harness::{workspace_dir, CellDef, FaultSpec, Harness, JsonCodec, SweepMeta};
+use wifiq_harness::{workspace_dir, CellDef, Harness};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::Telemetry;
 
@@ -30,19 +30,18 @@ pub struct RunCfg {
     pub quick: bool,
     /// Whether repetitions export telemetry snapshots (`results_dir/metrics/`).
     pub metrics: bool,
-    /// Where artifacts, metric snapshots and the result cache are written.
+    /// Where artifacts and metric snapshots are written.
     pub results_dir: PathBuf,
     /// Worker threads the repetition sweep fans out over.
     pub jobs: usize,
-    /// Whether completed cells are cached under `results_dir` for resume.
-    pub cache: bool,
-    /// Fault injection into the harness cells.
-    pub fault: Option<FaultSpec>,
+    /// Fault injection: every harness cell whose
+    /// `experiment/cell/config/seed` path contains this panics.
+    pub fault: Option<String>,
 }
 
 impl RunCfg {
     /// Default: 5 repetitions × 30 s with a 5 s warm-up, single-threaded,
-    /// cache and metrics off, artifacts in the workspace's `results/`.
+    /// metrics off, artifacts in the workspace's `results/`.
     pub fn new() -> RunCfg {
         RunCfg {
             reps: 5,
@@ -54,7 +53,6 @@ impl RunCfg {
             metrics: false,
             results_dir: workspace_dir("results"),
             jobs: 1,
-            cache: false,
             fault: None,
         }
     }
@@ -66,10 +64,9 @@ impl RunCfg {
     /// - `WIFIQ_REPS` — repetitions (seed sweep),
     /// - `WIFIQ_SECS` — seconds of simulated time per repetition,
     /// - `WIFIQ_METRICS=1` — per-repetition telemetry snapshots,
-    /// - `WIFIQ_RESULTS_DIR` — relocate `results/` (cache included),
+    /// - `WIFIQ_RESULTS_DIR` — relocate `results/`,
     /// - `WIFIQ_JOBS` — worker threads (default: available parallelism),
-    /// - `WIFIQ_CACHE=0` — disable the content-addressed result cache,
-    /// - `WIFIQ_FAULT_CELL=<substr>[:once]` — see [`FaultSpec::parse`].
+    /// - `WIFIQ_FAULT_CELL=<substr>` — see [`RunCfg::fault`].
     pub fn from_env() -> RunCfg {
         let var = |name: &str| std::env::var(name).ok();
         let number = |name: &str, min: u64| {
@@ -80,18 +77,18 @@ impl RunCfg {
             }
             parsed
         };
-        let flag = |name: &str, default: bool| match var(name).as_deref() {
-            None => default,
-            Some("0") => false,
+        // Both switches default to off.
+        let flag = |name: &str| match var(name).as_deref() {
+            None | Some("0") => false,
             Some("1") => true,
             Some(raw) => {
                 eprintln!("warning: ignoring {name}={raw:?}: not 0 or 1");
-                default
+                false
             }
         };
 
         let mut cfg = RunCfg::new();
-        cfg.quick = flag("WIFIQ_QUICK", false);
+        cfg.quick = flag("WIFIQ_QUICK");
         if cfg.quick {
             cfg.reps = 1;
             cfg.duration = Nanos::from_secs(10);
@@ -105,13 +102,12 @@ impl RunCfg {
             cfg.duration = Nanos::from_secs(secs);
             cfg.warmup = Nanos::from_secs((secs / 6).max(1));
         }
-        cfg.metrics = flag("WIFIQ_METRICS", false);
+        cfg.metrics = flag("WIFIQ_METRICS");
         if let Some(dir) = var("WIFIQ_RESULTS_DIR") {
             cfg.results_dir = PathBuf::from(dir);
         }
         cfg.jobs = number("WIFIQ_JOBS", 1).map_or_else(wifiq_harness::default_jobs, |n| n as usize);
-        cfg.cache = flag("WIFIQ_CACHE", true);
-        cfg.fault = FaultSpec::parse(&var("WIFIQ_FAULT_CELL").unwrap_or_default());
+        cfg.fault = var("WIFIQ_FAULT_CELL").filter(|needle| !needle.is_empty());
         cfg
     }
 
@@ -125,23 +121,10 @@ impl RunCfg {
         self.duration - self.warmup
     }
 
-    /// The identity every harness cell of `experiment` is keyed under:
-    /// each field that changes what a cell computes or writes is here or,
-    /// being per cell, in its [`CellDef`] (a repetition's seed, a `wifiq
-    /// all` row's `reps`). Not the results directory: the cache is in it.
-    pub fn sweep(&self, experiment: &str) -> SweepMeta {
-        let salt = format!(
-            "quick={},metrics={},base_seed={}",
-            self.quick, self.metrics, self.base_seed
-        );
-        SweepMeta::new(experiment, self.duration.as_nanos(), self.warmup.as_nanos()).with_salt(salt)
-    }
-
-    /// A harness over `results_dir` with these workers, cache and fault.
+    /// A harness with these workers and this fault.
     pub fn harness(&self) -> Harness {
-        Harness::new(self.results_dir.clone())
+        Harness::new()
             .with_jobs(self.jobs)
-            .with_cache(self.cache)
             .with_fault(self.fault.clone())
     }
 
@@ -161,25 +144,17 @@ impl Default for RunCfg {
     }
 }
 
-/// One cell per repetition of `cfg`, in seed order.
-pub(crate) fn seed_cells(cell: &str, config: &str, cfg: &RunCfg) -> Vec<CellDef> {
-    cfg.seeds()
-        .map(|seed| CellDef::new(cell, config, seed))
-        .collect()
-}
-
 /// Runs one experiment cell's repetition sweep through the orchestration
 /// harness: `f(seed)` once per repetition, fanned across `cfg.jobs` worker
-/// threads, completed repetitions cached when `cfg.cache` is on. Results
-/// come back in seed order regardless of completion order, so parallel
-/// runs produce byte-identical artifacts; failed repetitions (an `Err`,
-/// or a panicking simulation caught and retried once) are reported on
-/// stderr and dropped from the returned set. A sweep point means nothing
-/// without a repetition: when every one failed, the `Err` names
+/// threads. Results come back in seed order regardless of completion
+/// order, so parallel runs produce byte-identical artifacts; failed
+/// repetitions (an `Err`, or a panicking simulation caught) are reported
+/// on stderr and dropped from the returned set. A sweep point means
+/// nothing without a repetition: when every one failed, the `Err` names
 /// `experiment/cell` and the first repetition's error.
 ///
-/// `experiment` and `cell`/`config` label the cell for the cache key: with
-/// [`RunCfg::sweep`], everything that changes `f`'s output must be in them.
+/// `experiment` and `cell`/`config` name the repetitions in logs, in the
+/// harness snapshot's file name and for `WIFIQ_FAULT_CELL`.
 pub fn run_seeds<T, F>(
     experiment: &str,
     cell: &str,
@@ -188,13 +163,15 @@ pub fn run_seeds<T, F>(
     f: F,
 ) -> Result<Vec<T>, String>
 where
-    T: JsonCodec + Send,
+    T: Send,
     F: Fn(u64) -> Result<T, String> + Sync,
 {
     let tele = cfg.telemetry();
+    let cells = cfg.seeds().map(|seed| CellDef::new(cell, config, seed));
     let outcome = cfg.harness().with_telemetry(tele.clone()).run(
-        &cfg.sweep(experiment),
-        seed_cells(cell, config, cfg),
+        experiment,
+        cfg.duration.as_nanos(),
+        cells.collect(),
         |c: &CellDef| f(c.seed),
     );
     let summary = outcome.summary();

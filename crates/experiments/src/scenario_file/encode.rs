@@ -4,12 +4,12 @@
 //! `aql_ms`, an empty `faults` array and absent blocks are omitted; every
 //! other field is written even at its default; floats print shortest
 //! round-trip (integral ones as `N.0`). The same document always produces
-//! the same bytes — content hashes, harness cache keys and the
+//! the same bytes — content hashes, the search memo and the
 //! `scenarios/found/` file names all rest on that.
 
 use serde_json::Json;
-use wifiq_harness::sha256_hex;
 
+use super::sha256::sha256_hex;
 use super::{
     ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, PolicySwitchSpec, ProvenanceSpec,
     RoamingSpec, ScenarioFile, StationSpec, TrafficSpec, SCHEMA_VERSION,

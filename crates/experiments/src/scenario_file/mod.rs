@@ -86,6 +86,7 @@
 mod build;
 mod decode;
 mod encode;
+mod sha256;
 
 pub(crate) use build::scheme_name;
 pub use build::{parse_rate, BuiltScenario, InstalledTraffic, Window};

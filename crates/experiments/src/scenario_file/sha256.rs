@@ -1,9 +1,10 @@
-//! Self-contained SHA-256, used to derive content-addressed cache keys.
+//! Self-contained SHA-256, the content hash of a scenario document
+//! ([`ScenarioFile::hash`](super::ScenarioFile::hash)).
 //!
-//! The build environment has no crates.io access, so this is a minimal
-//! from-scratch implementation of FIPS 180-4 SHA-256 — enough to hash the
-//! canonical cell-key JSON. It is not a performance-critical path (one
-//! hash of a <1 KiB string per cell).
+//! The workspace keeps external crates to an approved list, so this is a
+//! minimal from-scratch implementation of FIPS 180-4 SHA-256 — enough to
+//! hash a document's compact encoding. It is not a performance-critical
+//! path (one hash of a few-KiB string per document).
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -61,7 +62,7 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
 }
 
 /// SHA-256 digest of `data` as a lowercase hex string.
-pub fn sha256_hex(data: &[u8]) -> String {
+pub(super) fn sha256_hex(data: &[u8]) -> String {
     let mut state = H0;
     let mut chunks = data.chunks_exact(64);
     for block in &mut chunks {

@@ -1,60 +1,45 @@
 //! # wifiq-harness
 //!
-//! Parallel, cached, resumable experiment orchestration.
+//! Parallel experiment orchestration with fault isolation.
 //!
 //! The paper evaluation is 23 experiments (the rows of `wifiq`'s table)
 //! × up to 30 repetitions; every repetition is an independent seed sweep
-//! of a wall-clock-free discrete-event simulation. This crate decomposes that work into
-//! **cells** — one (experiment × cell-label × repetition-seed) simulation
-//! each — and executes them on a `std::thread` pool, with
-//! three guarantees layered on top:
+//! of a wall-clock-free discrete-event simulation, so each one is a
+//! deterministic function of its configuration, its seed and the binary.
+//! This crate decomposes that work into **cells** — one (experiment ×
+//! cell-label × repetition-seed) simulation each — and executes each cell
+//! exactly once on a `std::thread` pool, with two guarantees:
 //!
 //! 1. **Determinism** — results are returned in input cell order
 //!    regardless of completion order, so parallel output is byte-identical
 //!    to sequential output (`WIFIQ_JOBS=1` vs `=N`).
-//! 2. **Caching + resume** — each completed cell is stored content-addressed
-//!    under `results/cache/<sha256(key)>.json`, written to a temp name and
-//!    atomically renamed. That file is the one record of done: a re-run
-//!    (or a run resumed after a crash/Ctrl-C) replays exactly the cells
-//!    whose file is missing, holds another key document, or does not
-//!    decode. The key covers the full cell configuration, seed,
-//!    duration, and a build fingerprint of the binary (there is one,
-//!    `wifiq`, so it is always the binary that computes the cell), so
-//!    code or config changes invalidate what they affect.
-//! 3. **Fault isolation** — a panicking cell is caught (`catch_unwind`),
-//!    retried once, and on second failure reported in the sweep summary
-//!    without aborting the other cells. A wall-clock watchdog (budget
-//!    scaled from the cell's simulated duration) flags runaway cells.
+//! 2. **Fault isolation** — a panicking cell is caught (`catch_unwind`)
+//!    and reported in the sweep summary without aborting the other cells.
+//!    It is not retried: a deterministic cell that failed fails again. A
+//!    wall-clock watchdog (budget scaled from the cell's simulated
+//!    duration) flags runaway cells.
+//!
+//! Nothing is kept between runs: a re-run computes every cell again.
 //!
 //! This crate reads no environment: a [`Harness`] is configured by its
 //! builder methods. `wifiq` fills them from the one value its
 //! configuration is read into, `wifiq_experiments::RunCfg` (`from_env`
 //! there lists the `WIFIQ_*` names).
 //!
-//! Per-sweep cell counters (total/ok/failed, cache hits/misses, retries,
-//! budget overruns, per-cell wall time) are recorded into a
-//! [`wifiq_telemetry::Telemetry`] handle when one is attached.
+//! Per-sweep cell counters (total/ok/failed, budget overruns, per-cell
+//! wall time) are recorded into a [`wifiq_telemetry::Telemetry`] handle
+//! when one is attached.
 
-mod codec;
-mod key;
 mod pool;
-mod sha256;
-mod store;
 
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use serde::Json;
 use wifiq_telemetry::{Label, Telemetry};
-
-pub use codec::JsonCodec;
-pub use key::{binary_fingerprint, cell_key_hash, cell_key_json, CellDef, SweepMeta};
-pub use sha256::sha256_hex;
-pub use store::workspace_dir;
 
 /// Default worker count: available parallelism.
 pub fn default_jobs() -> usize {
@@ -63,43 +48,48 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Fault injection: panic any cell whose `experiment/cell/config/seed`
-/// path contains a needle.
-#[derive(Debug, Clone)]
-pub struct FaultSpec {
-    needle: String,
-    once: bool,
-}
-
-impl FaultSpec {
-    /// Parses `<substr>[:once]`; `:once` limits the panic to the first
-    /// attempt, exercising the retry path end to end. Empty is no fault.
-    pub fn parse(raw: &str) -> Option<FaultSpec> {
-        if raw.is_empty() {
-            return None;
+/// `<workspace root>/<name>`, the root found by walking up from the
+/// current directory to the first one holding `Cargo.toml` and `crates/`;
+/// plain `<name>` when there is no such directory.
+pub fn workspace_dir(name: &str) -> PathBuf {
+    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    loop {
+        if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
+            return dir.join(name);
         }
-        let (needle, once) = match raw.strip_suffix(":once") {
-            Some(prefix) => (prefix, true),
-            None => (raw, false),
-        };
-        Some(FaultSpec {
-            needle: needle.to_string(),
-            once,
-        })
-    }
-
-    fn matches(&self, path: &str, attempt: u32) -> bool {
-        path.contains(&self.needle) && (!self.once || attempt == 0)
+        if !dir.pop() {
+            return PathBuf::from(name);
+        }
     }
 }
 
-/// Completion status of one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellStatus {
-    /// Completed (fresh or from cache).
-    Ok,
-    /// Failed after the retry.
-    Failed,
+/// One schedulable cell of a sweep.
+#[derive(Debug, Clone)]
+pub struct CellDef {
+    /// Cell label within the experiment (e.g. a scheme slug, or an
+    /// experiment name under `wifiq all`).
+    pub cell: String,
+    /// Free-form configuration discriminator (variant flags, QoS marking…).
+    pub config: String,
+    /// Repetition seed.
+    pub seed: u64,
+}
+
+impl CellDef {
+    /// Creates a cell definition.
+    pub fn new(cell: impl Into<String>, config: impl Into<String>, seed: u64) -> CellDef {
+        CellDef {
+            cell: cell.into(),
+            config: config.into(),
+            seed,
+        }
+    }
+
+    /// `experiment/cell/config/seed` — the human-readable identity used in
+    /// logs and fault-injection matching.
+    pub fn path(&self, experiment: &str) -> String {
+        format!("{experiment}/{}/{}/{}", self.cell, self.config, self.seed)
+    }
 }
 
 /// Per-cell execution report.
@@ -107,28 +97,16 @@ pub enum CellStatus {
 pub struct CellReport {
     /// Cell label.
     pub cell: String,
-    /// Config discriminator.
-    pub config: String,
-    /// Repetition seed.
-    pub seed: u64,
-    /// Content-addressed key (hex).
-    pub key: String,
-    /// Completion status.
-    pub status: CellStatus,
-    /// Whether the result was served from the cache.
-    pub cached: bool,
-    /// Wall-clock execution time (0 for cache hits).
+    /// Wall-clock execution time.
     pub wall_ms: u64,
-    /// Retries consumed (0 or 1).
-    pub retries: u32,
-    /// Failure description when `status == Failed`.
+    /// What failed; `None` when the cell completed.
     pub error: Option<String>,
 }
 
 impl CellReport {
     /// True when the cell completed.
     pub fn ok(&self) -> bool {
-        self.status == CellStatus::Ok
+        self.error.is_none()
     }
 }
 
@@ -139,24 +117,17 @@ pub struct SweepSummary {
     pub total: usize,
     /// Cells that completed.
     pub ok: usize,
-    /// Cells that failed after retry.
+    /// Cells that failed.
     pub failed: usize,
-    /// Cells served from cache.
-    pub cached: usize,
-    /// Total retries consumed.
-    pub retries: usize,
     /// Cells that overran their wall-clock budget.
     pub budget_exceeded: usize,
 }
 
 impl SweepSummary {
     /// The canonical one-line rendering, greppable by CI:
-    /// `total=N ok=N failed=N cached=N retries=N`.
+    /// `total=N ok=N failed=N`.
     pub fn line(&self) -> String {
-        format!(
-            "total={} ok={} failed={} cached={} retries={}",
-            self.total, self.ok, self.failed, self.cached, self.retries
-        )
+        format!("total={} ok={} failed={}", self.total, self.ok, self.failed)
     }
 }
 
@@ -175,23 +146,13 @@ pub struct SweepOutcome<T> {
 impl<T> SweepOutcome<T> {
     /// Aggregate counters.
     pub fn summary(&self) -> SweepSummary {
-        let mut s = SweepSummary {
+        let ok = self.reports.iter().filter(|r| r.ok()).count();
+        SweepSummary {
             total: self.reports.len(),
-            ..SweepSummary::default()
-        };
-        for r in &self.reports {
-            if r.ok() {
-                s.ok += 1;
-            } else {
-                s.failed += 1;
-            }
-            if r.cached {
-                s.cached += 1;
-            }
-            s.retries += r.retries as usize;
+            ok,
+            failed: self.reports.len() - ok,
+            budget_exceeded: self.budget_exceeded,
         }
-        s.budget_exceeded = self.budget_exceeded;
-        s
     }
 
     /// The completed results in input order, dropping failed cells.
@@ -203,26 +164,19 @@ impl<T> SweepOutcome<T> {
 /// The orchestrator: configuration + the cell execution engine.
 #[derive(Debug)]
 pub struct Harness {
-    root: PathBuf,
     jobs: usize,
-    cache: bool,
     budget: Option<Duration>,
     telemetry: Telemetry,
-    fingerprint: String,
-    fault: Option<FaultSpec>,
+    fault: Option<String>,
 }
 
 impl Harness {
-    /// A harness rooted at a results directory (the cache lives under
-    /// it): one worker, cache off, no fault injection.
-    pub fn new(root: PathBuf) -> Harness {
+    /// One worker, no fault injection, no telemetry.
+    pub fn new() -> Harness {
         Harness {
-            root,
             jobs: 1,
-            cache: false,
             budget: None,
             telemetry: Telemetry::disabled(),
-            fingerprint: binary_fingerprint().to_string(),
             fault: None,
         }
     }
@@ -233,14 +187,9 @@ impl Harness {
         self
     }
 
-    /// Enables or disables the result cache.
-    pub fn with_cache(mut self, cache: bool) -> Harness {
-        self.cache = cache;
-        self
-    }
-
-    /// Injects a panic into the cells `fault` matches.
-    pub fn with_fault(mut self, fault: Option<FaultSpec>) -> Harness {
+    /// Injects a panic into every cell whose `experiment/cell/config/seed`
+    /// path contains `fault`.
+    pub fn with_fault(mut self, fault: Option<String>) -> Harness {
         self.fault = fault;
         self
     }
@@ -258,17 +207,6 @@ impl Harness {
         self
     }
 
-    /// Overrides the binary fingerprint folded into cache keys.
-    pub fn with_fingerprint(mut self, fingerprint: impl Into<String>) -> Harness {
-        self.fingerprint = fingerprint.into();
-        self
-    }
-
-    /// The cache directory: `<root>/cache/`.
-    pub fn cache_dir(&self) -> PathBuf {
-        self.root.join("cache")
-    }
-
     /// The wall-clock budget for a cell simulating `duration_ns`: the
     /// [`with_budget`](Harness::with_budget) override, else 20× the
     /// simulated duration with a 120 s floor. The simulator runs much
@@ -280,163 +218,102 @@ impl Harness {
         })
     }
 
-    /// Executes `cells` through the worker pool and returns results in
-    /// input order. `f` runs once per non-cached cell (twice if the first
-    /// attempt panics or errors); it must be deterministic in the cell
-    /// definition for caching and `WIFIQ_JOBS` invariance to hold.
-    pub fn run<T, F>(&self, sweep: &SweepMeta, cells: Vec<CellDef>, f: F) -> SweepOutcome<T>
+    /// Executes `cells` of `experiment` through the worker pool and
+    /// returns results in input order. `f` runs once per cell; it must be
+    /// deterministic in the cell definition for `WIFIQ_JOBS` invariance to
+    /// hold. `duration_ns`, the simulated time of one cell, sizes the
+    /// watchdog's budget.
+    pub fn run<T, F>(
+        &self,
+        experiment: &str,
+        duration_ns: u64,
+        cells: Vec<CellDef>,
+        f: F,
+    ) -> SweepOutcome<T>
     where
-        T: JsonCodec + Send,
+        T: Send,
         F: Fn(&CellDef) -> Result<T, String> + Sync,
     {
         let n = cells.len();
-        let key_docs: Vec<Json> = cells
-            .iter()
-            .map(|c| cell_key_json(sweep, c, &self.fingerprint))
-            .collect();
-        let keys: Vec<String> = key_docs
-            .iter()
-            .map(|d| sha256_hex(d.compact().as_bytes()))
-            .collect();
-
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut reports: Vec<Option<CellReport>> = (0..n).map(|_| None).collect();
-        let report = |i: usize, cached, wall_ms, retries, error: Option<String>| CellReport {
-            cell: cells[i].cell.clone(),
-            config: cells[i].config.clone(),
-            seed: cells[i].seed,
-            key: keys[i].clone(),
-            status: match error {
-                None => CellStatus::Ok,
-                Some(_) => CellStatus::Failed,
-            },
-            cached,
-            wall_ms,
-            retries,
-            error,
-        };
-
-        // Resolve cache hits up front. The cache file is the record of
-        // done: present, key document equal, payload decodes.
-        let mut pending: Vec<usize> = Vec::new();
-        for i in 0..n {
-            let hit = self.cache
-                && store::cache_load(&self.cache_dir(), &keys[i], &key_docs[i])
-                    .and_then(|out| T::decode(&out))
-                    .map(|v| results[i] = Some(v))
-                    .is_some();
-            if hit {
-                reports[i] = Some(report(i, true, 0, 0, None));
-            } else {
-                pending.push(i);
-            }
-        }
-
-        let budget = self.cell_budget(sweep.duration_ns);
+        let mut slots: Vec<Option<(Option<T>, CellReport)>> = (0..n).map(|_| None).collect();
+        let budget = self.cell_budget(duration_ns);
         let budget_exceeded = AtomicU64::new(0);
-        if !pending.is_empty() {
-            // Workers must not capture `self`: the attached Telemetry is
-            // Rc-based (!Sync). Hoist the Sync pieces they need.
-            let cache_enabled = self.cache;
-            let cache_dir = self.cache_dir();
-            let fault = self.fault.as_ref();
-            let jobs = self.jobs.clamp(1, pending.len());
-            let cursor = pool::Cursor::new(pending.len());
-            let results_m = Mutex::new(&mut results);
-            let reports_m = Mutex::new(&mut reports);
-            let active: Vec<Mutex<Option<(usize, Instant)>>> =
-                (0..jobs).map(|_| Mutex::new(None)).collect();
-            let done = AtomicBool::new(false);
+        // Workers must not capture `self`: the attached Telemetry is
+        // Rc-based (!Sync). Hoist the Sync pieces they need.
+        let fault = self.fault.as_deref();
+        let jobs = self.jobs.clamp(1, n.max(1));
+        let cursor = pool::Cursor::new(n);
+        let slots_m = Mutex::new(&mut slots);
+        let active: Vec<Mutex<Option<(usize, Instant)>>> =
+            (0..jobs).map(|_| Mutex::new(None)).collect();
+        let done = AtomicBool::new(false);
 
-            std::thread::scope(|s| {
-                // Watchdog: flags cells that exceed their wall-clock budget.
-                let watchdog = s.spawn(|| {
-                    let mut warned: HashSet<usize> = HashSet::new();
-                    while !done.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(25));
-                        for slot in &active {
-                            let snap = *slot.lock().unwrap();
-                            if let Some((i, start)) = snap {
-                                if start.elapsed() > budget && warned.insert(i) {
-                                    budget_exceeded.fetch_add(1, Ordering::Relaxed);
-                                    eprintln!(
-                                        "warning: cell {} exceeded its {}s wall-clock budget \
-                                         (still running)",
-                                        cells[i].path(&sweep.experiment),
-                                        budget.as_secs()
-                                    );
-                                }
+        std::thread::scope(|s| {
+            // Watchdog: flags cells that exceed their wall-clock budget.
+            let watchdog = s.spawn(|| {
+                let mut warned: HashSet<usize> = HashSet::new();
+                while !done.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(25));
+                    for slot in &active {
+                        let snap = *lock(slot);
+                        if let Some((i, start)) = snap {
+                            if start.elapsed() > budget && warned.insert(i) {
+                                budget_exceeded.fetch_add(1, Ordering::Relaxed);
+                                eprintln!(
+                                    "warning: cell {} exceeded its {}s wall-clock budget \
+                                     (still running)",
+                                    cells[i].path(experiment),
+                                    budget.as_secs()
+                                );
                             }
                         }
                     }
-                });
-
-                let workers: Vec<_> = (0..jobs)
-                    .map(|w| {
-                        let cursor = &cursor;
-                        let pending = &pending;
-                        let cells = &cells;
-                        let keys = &keys;
-                        let key_docs = &key_docs;
-                        let report = &report;
-                        let f = &f;
-                        let results_m = &results_m;
-                        let reports_m = &reports_m;
-                        let active_slot = &active[w];
-                        let cache_dir = &cache_dir;
-                        s.spawn(move || {
-                            while let Some(i) = cursor.next().map(|k| pending[k]) {
-                                let cell = &cells[i];
-                                let path = cell.path(&sweep.experiment);
-                                *active_slot.lock().unwrap() = Some((i, Instant::now()));
-                                let started = Instant::now();
-                                let mut retries = 0u32;
-                                let mut attempt = attempt_cell(f, cell, &path, fault, 0);
-                                if attempt.is_err() {
-                                    retries = 1;
-                                    attempt = attempt_cell(f, cell, &path, fault, 1);
-                                }
-                                let wall_ms = started.elapsed().as_millis() as u64;
-                                *active_slot.lock().unwrap() = None;
-
-                                let error = match attempt {
-                                    Ok(v) => {
-                                        if cache_enabled {
-                                            if let Err(e) = store::cache_store(
-                                                cache_dir,
-                                                &keys[i],
-                                                &key_docs[i],
-                                                &v.encode(),
-                                            ) {
-                                                eprintln!("warning: cannot cache cell {path}: {e}");
-                                            }
-                                        }
-                                        results_m.lock().unwrap()[i] = Some(v);
-                                        None
-                                    }
-                                    Err(e) => {
-                                        eprintln!("warning: cell {path} failed after retry: {e}");
-                                        Some(e)
-                                    }
-                                };
-                                reports_m.lock().unwrap()[i] =
-                                    Some(report(i, false, wall_ms, retries, error));
-                            }
-                        })
-                    })
-                    .collect();
-                for h in workers {
-                    let _ = h.join();
                 }
-                done.store(true, Ordering::Release);
-                let _ = watchdog.join();
             });
-        }
 
-        let reports: Vec<CellReport> = reports
+            let workers: Vec<_> = active
+                .iter()
+                .map(|active_slot| {
+                    let (cursor, cells, f, slots_m) = (&cursor, &cells, &f, &slots_m);
+                    s.spawn(move || {
+                        while let Some(i) = cursor.next() {
+                            let cell = &cells[i];
+                            let path = cell.path(experiment);
+                            let started = Instant::now();
+                            *lock(active_slot) = Some((i, started));
+                            let attempt = attempt_cell(f, cell, &path, fault);
+                            let wall_ms = started.elapsed().as_millis() as u64;
+                            *lock(active_slot) = None;
+
+                            let (result, error) = match attempt {
+                                Ok(v) => (Some(v), None),
+                                Err(e) => {
+                                    eprintln!("warning: cell {path} failed: {e}");
+                                    (None, Some(e))
+                                }
+                            };
+                            let report = CellReport {
+                                cell: cell.cell.clone(),
+                                wall_ms,
+                                error,
+                            };
+                            lock(slots_m)[i] = Some((result, report));
+                        }
+                    })
+                })
+                .collect();
+            for h in workers {
+                h.join()
+                    .expect("a worker's cells panic inside catch_unwind");
+            }
+            done.store(true, Ordering::Release);
+            watchdog.join().expect("the watchdog does not panic");
+        });
+
+        let (results, reports) = slots
             .into_iter()
-            .map(|r| r.expect("every cell reported"))
-            .collect();
+            .map(|slot| slot.expect("every cell reported"))
+            .unzip();
         let outcome = SweepOutcome {
             results,
             reports,
@@ -457,14 +334,6 @@ impl Harness {
         tele.count("harness", "cells_total", Label::Global, s.total as u64);
         tele.count("harness", "cells_ok", Label::Global, s.ok as u64);
         tele.count("harness", "cells_failed", Label::Global, s.failed as u64);
-        tele.count("harness", "cache_hits", Label::Global, s.cached as u64);
-        tele.count(
-            "harness",
-            "cache_misses",
-            Label::Global,
-            (s.total - s.cached) as u64,
-        );
-        tele.count("harness", "retries", Label::Global, s.retries as u64);
         tele.count(
             "harness",
             "budget_exceeded",
@@ -477,19 +346,25 @@ impl Harness {
     }
 }
 
-/// One guarded attempt at a cell: fault injection, then `f` under
+impl Default for Harness {
+    fn default() -> Self {
+        Harness::new()
+    }
+}
+
+/// Locks one of a sweep's mutexes. None can be poisoned: a cell panics
+/// inside `catch_unwind`, never while a lock is held.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("no thread panics holding a sweep lock")
+}
+
+/// One guarded run of a cell: fault injection, then `f` under
 /// `catch_unwind` so a panicking cell is an error, not a crash.
-fn attempt_cell<T, F>(
-    f: &F,
-    cell: &CellDef,
-    path: &str,
-    fault: Option<&FaultSpec>,
-    attempt: u32,
-) -> Result<T, String>
+fn attempt_cell<T, F>(f: &F, cell: &CellDef, path: &str, fault: Option<&str>) -> Result<T, String>
 where
     F: Fn(&CellDef) -> Result<T, String>,
 {
-    let inject = fault.is_some_and(|spec| spec.matches(path, attempt));
+    let inject = fault.is_some_and(|needle| path.contains(needle));
     match std::panic::catch_unwind(AssertUnwindSafe(|| {
         if inject {
             panic!("injected fault (WIFIQ_FAULT_CELL)");
@@ -514,19 +389,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
     use std::sync::atomic::AtomicUsize;
 
-    fn tmp(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("wifiq_harness_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    fn harness(root: &Path) -> Harness {
-        Harness::new(root.to_path_buf()).with_fingerprint("test-fp")
-    }
+    const SEC: u64 = 1_000_000_000;
 
     fn cells(n: u64) -> Vec<CellDef> {
         (0..n).map(|s| CellDef::new("cell", "cfg", s)).collect()
@@ -541,237 +406,95 @@ mod tests {
 
     #[test]
     fn parallel_results_match_sequential_in_input_order() {
-        let root = tmp("determinism");
-        let sweep = SweepMeta::new("det", 1_000_000_000, 0);
-        let serial = harness(&root)
-            .with_cache(false)
+        let serial = Harness::new()
             .with_jobs(1)
-            .run(&sweep, cells(13), compute);
-        let parallel =
-            harness(&root)
-                .with_cache(false)
-                .with_jobs(4)
-                .run(&sweep, cells(13), compute);
+            .run("det", SEC, cells(13), compute);
+        let parallel = Harness::new()
+            .with_jobs(4)
+            .run("det", SEC, cells(13), compute);
         assert_eq!(serial.results, parallel.results);
         assert!(serial.results.iter().all(Option::is_some));
         assert_eq!(parallel.summary().ok, 13);
-        assert_eq!(parallel.summary().cached, 0);
-        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
-    fn second_run_is_served_entirely_from_cache() {
-        let root = tmp("cache");
-        let sweep = SweepMeta::new("cached", 1_000_000_000, 0);
-        let executions = AtomicUsize::new(0);
-        let f = |cell: &CellDef| {
-            executions.fetch_add(1, Ordering::Relaxed);
-            compute(cell)
-        };
-        let first = harness(&root)
-            .with_cache(true)
-            .with_jobs(4)
-            .run(&sweep, cells(8), f);
-        assert_eq!(executions.load(Ordering::Relaxed), 8);
-        assert_eq!(first.summary().cached, 0);
-
-        let second = harness(&root)
-            .with_cache(true)
-            .with_jobs(4)
-            .run(&sweep, cells(8), f);
-        assert_eq!(
-            executions.load(Ordering::Relaxed),
-            8,
-            "second run must not execute any cell"
-        );
-        assert_eq!(second.summary().cached, 8);
-        assert_eq!(second.summary().ok, 8);
-        assert_eq!(
-            first.results, second.results,
-            "cached results must round-trip exactly"
-        );
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    /// The seeds `f` is called for when `cells(6)` re-runs over `root`.
-    fn replayed(root: &Path, sweep: &SweepMeta) -> Vec<u64> {
-        let executed = Mutex::new(Vec::new());
-        let out =
-            harness(root)
-                .with_cache(true)
-                .with_jobs(1)
-                .run(sweep, cells(6), |cell: &CellDef| {
-                    executed.lock().unwrap().push(cell.seed);
-                    compute(cell)
-                });
-        assert_eq!(out.summary().ok, 6);
-        assert!(out.results.iter().all(Option::is_some));
-        let mut executed = executed.into_inner().unwrap();
-        executed.sort_unstable();
-        assert_eq!(out.summary().cached, 6 - executed.len());
-        executed
-    }
-
-    #[test]
-    fn deleting_three_cache_files_replays_exactly_those_three_cells() {
-        let root = tmp("resume");
-        let sweep = SweepMeta::new("resume", 1_000_000_000, 0);
-        let first = harness(&root)
-            .with_cache(true)
-            .with_jobs(1)
-            .run(&sweep, cells(6), compute);
-
-        // Simulate a killed run: the last three cells never finished.
-        for report in &first.reports[3..] {
-            std::fs::remove_file(root.join(format!("cache/{}.json", report.key))).unwrap();
-        }
-        assert_eq!(replayed(&root, &sweep), vec![3, 4, 5]);
-        assert_eq!(replayed(&root, &sweep), vec![], "and then they are done");
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn a_truncated_or_key_mismatched_cache_file_is_a_miss_not_an_error() {
-        let root = tmp("badcache");
-        let sweep = SweepMeta::new("badcache", 1_000_000_000, 0);
-        let first = harness(&root)
-            .with_cache(true)
-            .with_jobs(1)
-            .run(&sweep, cells(6), compute);
-        let file = |i: usize| root.join(format!("cache/{}.json", first.reports[i].key));
-
-        // Cell 1: torn mid-write. Cell 2: valid JSON, payload of another
-        // type. Cell 4: another cell's document under this cell's name.
-        let text = std::fs::read_to_string(file(1)).unwrap();
-        std::fs::write(file(1), &text[..text.len() / 2]).unwrap();
-        std::fs::write(
-            file(2),
-            text.replace("\"output\": [", "\"output\": [true, "),
-        )
-        .unwrap();
-        std::fs::copy(file(5), file(4)).unwrap();
-        assert_eq!(replayed(&root, &sweep), vec![1, 2, 4]);
-        assert_eq!(replayed(&root, &sweep), vec![], "the replay repaired them");
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn panicking_cell_is_retried_once_then_reported() {
-        let root = tmp("panic");
-        let sweep = SweepMeta::new("panic", 1_000_000_000, 0);
-        let out = harness(&root).with_cache(false).with_jobs(2).run(
-            &sweep,
-            cells(4),
-            |cell: &CellDef| {
+    fn panicking_cell_runs_once_then_is_reported() {
+        let runs = AtomicUsize::new(0);
+        let out = Harness::new()
+            .with_jobs(2)
+            .run("panic", SEC, cells(4), |cell: &CellDef| {
                 if cell.seed == 2 {
+                    runs.fetch_add(1, Ordering::Relaxed);
                     panic!("cell exploded");
                 }
                 compute(cell)
-            },
-        );
-        let s = out.summary();
-        assert_eq!((s.ok, s.failed, s.retries), (3, 1, 1));
+            });
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "no retry");
+        assert_eq!(out.summary().line(), "total=4 ok=3 failed=1");
         let failed = &out.reports[2];
-        assert_eq!(failed.status, CellStatus::Failed);
-        assert_eq!(failed.retries, 1);
+        assert!(!failed.ok());
         assert!(failed.error.as_deref().unwrap().contains("cell exploded"));
         assert!(out.results[2].is_none());
         assert!(out.results[0].is_some() && out.results[3].is_some());
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn flaky_cell_succeeds_on_retry() {
-        let root = tmp("flaky");
-        let sweep = SweepMeta::new("flaky", 1_000_000_000, 0);
-        let attempts = AtomicUsize::new(0);
-        let out = harness(&root).with_cache(false).with_jobs(1).run(
-            &sweep,
-            cells(1),
-            |cell: &CellDef| {
-                if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("transient");
-                }
-                compute(cell)
-            },
-        );
-        assert_eq!(out.reports[0].status, CellStatus::Ok);
-        assert_eq!(out.reports[0].retries, 1);
-        assert_eq!(
-            out.summary().line(),
-            "total=1 ok=1 failed=0 cached=0 retries=1"
-        );
-        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn env_fault_injection_targets_matching_cells_only() {
-        let root = tmp("fault");
-        let h = harness(&root)
+        let out = Harness::new()
             .with_jobs(1)
-            .with_fault(FaultSpec::parse("fault_env_exp/cell/cfg/0:once"));
-        let sweep = SweepMeta::new("fault_env_exp", 1_000_000_000, 0);
-        let out = h.run(&sweep, cells(2), compute);
-        assert_eq!(out.reports[0].status, CellStatus::Ok);
-        assert_eq!(out.reports[0].retries, 1, "faulted cell recovers on retry");
-        assert_eq!(out.reports[1].retries, 0, "non-matching cell untouched");
-        let _ = std::fs::remove_dir_all(root);
+            .with_fault(Some("fault_env_exp/cell/cfg/0".into()))
+            .run("fault_env_exp", SEC, cells(2), compute);
+        let error = out.reports[0].error.as_deref().unwrap();
+        assert!(error.contains("injected fault"), "{error}");
+        assert!(out.reports[1].ok(), "non-matching cell untouched");
     }
 
     #[test]
     fn budget_override_parses_one_way() {
         let secs = Duration::from_secs;
         // No override: the simulated duration decides.
-        let h = Harness::new(PathBuf::from("unused"));
-        assert_eq!(h.cell_budget(10_000_000_000), secs(200));
+        let h = Harness::new();
+        assert_eq!(h.cell_budget(10 * SEC), secs(200));
         assert_eq!(h.with_budget(secs(7)).cell_budget(0), secs(7));
     }
 
     #[test]
     fn watchdog_flags_cells_over_budget() {
-        let root = tmp("budget");
-        let sweep = SweepMeta::new("budget", 1_000_000_000, 0);
-        let out = harness(&root)
-            .with_cache(false)
+        let out = Harness::new()
             .with_jobs(1)
             .with_budget(Duration::from_millis(10))
-            .run(&sweep, cells(1), |cell: &CellDef| {
+            .run("budget", SEC, cells(1), |cell: &CellDef| {
                 std::thread::sleep(Duration::from_millis(300));
                 compute(cell)
             });
         assert_eq!(out.budget_exceeded, 1);
-        assert_eq!(out.reports[0].status, CellStatus::Ok, "overrun is advisory");
-        let _ = std::fs::remove_dir_all(root);
+        assert!(out.reports[0].ok(), "overrun is advisory");
     }
 
     #[test]
     fn telemetry_counters_record_the_sweep() {
-        let root = tmp("telemetry");
         let tele = Telemetry::enabled();
-        let sweep = SweepMeta::new("tele", 1_000_000_000, 0);
-        harness(&root)
-            .with_cache(true)
-            .with_jobs(2)
-            .with_telemetry(tele.clone())
-            .run(&sweep, cells(5), compute);
+        let sweep = |jobs| {
+            Harness::new()
+                .with_jobs(jobs)
+                .with_fault(Some("tele/cell/cfg/4".into()))
+                .with_telemetry(tele.clone())
+                .run("tele", SEC, cells(5), compute)
+        };
+        sweep(2);
         assert_eq!(tele.counter("harness", "cells_total", Label::Global), 5);
-        assert_eq!(tele.counter("harness", "cells_ok", Label::Global), 5);
-        assert_eq!(tele.counter("harness", "cache_misses", Label::Global), 5);
-        // Second run: 5 hits on top.
-        harness(&root)
-            .with_cache(true)
-            .with_jobs(2)
-            .with_telemetry(tele.clone())
-            .run(&sweep, cells(5), compute);
+        assert_eq!(tele.counter("harness", "cells_ok", Label::Global), 4);
+        assert_eq!(tele.counter("harness", "cells_failed", Label::Global), 1);
+        // A second sweep runs every cell again.
+        sweep(1);
         assert_eq!(tele.counter("harness", "cells_total", Label::Global), 10);
-        assert_eq!(tele.counter("harness", "cache_hits", Label::Global), 5);
-        let _ = std::fs::remove_dir_all(root);
+        assert_eq!(tele.counter("harness", "cells_ok", Label::Global), 8);
     }
 
     #[test]
     fn default_budget_scales_with_duration() {
-        let h = Harness::new(PathBuf::from("/nonexistent"));
-        assert_eq!(h.cell_budget(1_000_000_000), Duration::from_secs(120));
-        assert_eq!(h.cell_budget(30_000_000_000), Duration::from_secs(600));
+        let h = Harness::new();
+        assert_eq!(h.cell_budget(SEC), Duration::from_secs(120));
+        assert_eq!(h.cell_budget(30 * SEC), Duration::from_secs(600));
     }
 }

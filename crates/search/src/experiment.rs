@@ -7,9 +7,9 @@
 //!    `scenarios/found/` is re-evaluated; the objective recorded in its
 //!    provenance block must still fire. Found scenarios are regression
 //!    gates, not museum pieces.
-//! 2. **Search** — a budgeted coverage-guided search (single worker,
-//!    cache on) seeded with the shipped scenarios plus the planted
-//!    known-bad configuration; new violations shrink to minimal
+//! 2. **Search** — a budgeted coverage-guided search (single worker)
+//!    seeded with the shipped scenarios plus the planted known-bad
+//!    configuration; new violations shrink to minimal
 //!    counterexamples and are committed to `scenarios/found/`. Its
 //!    canonical corpus is written to `results/search_corpus.json`.
 //!
@@ -88,8 +88,6 @@ struct Bench {
     batch: usize,
     evals: u64,
     executed: u64,
-    harness_cached: u64,
-    cache_hit_rate: f64,
     corpus_size: usize,
     coverage_buckets: usize,
     replays: Vec<ReplayRow>,
@@ -177,9 +175,8 @@ pub fn run(run_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         }
     }
 
-    let mut cfg = SearchCfg::new(run_cfg.results_dir.clone());
+    let mut cfg = SearchCfg::new();
     cfg.master_seed = seed;
-    cfg.cache = run_cfg.cache;
     cfg.found_dir = Some(found_dir);
     if quick {
         cfg.generations = 3;
@@ -239,18 +236,11 @@ pub fn run(run_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         planted_shrunk: planted.is_some_and(|f| f.shrunk_ratio() <= 0.25),
         replay_ok,
     };
-    let cache_hit_rate = if report.executed > 0 {
-        report.harness_cached as f64 / report.executed as f64
-    } else {
-        0.0
-    };
-
     let _ = writeln!(
         out,
-        "search summary: evals={} executed={} cached={} corpus={} coverage={} found={}",
+        "search summary: evals={} executed={} corpus={} coverage={} found={}",
         report.evals,
         report.executed,
-        report.harness_cached,
         report.corpus_size,
         report.coverage_buckets,
         report.findings.len(),
@@ -273,8 +263,6 @@ pub fn run(run_cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
             batch: cfg.batch,
             evals: report.evals,
             executed: report.executed,
-            harness_cached: report.harness_cached,
-            cache_hit_rate,
             corpus_size: report.corpus_size,
             coverage_buckets: report.coverage_buckets,
             replays,

@@ -10,7 +10,7 @@
 //!
 //! Continuous parameters are quantized (probabilities to 3 decimals,
 //! times to centiseconds) so that near-identical mutants hash identically
-//! and the content-addressed cache can actually deduplicate them.
+//! and the search's content-hash memo can actually deduplicate them.
 
 use rand::rngs::SmallRng;
 use rand::Rng;

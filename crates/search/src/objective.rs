@@ -32,13 +32,10 @@
 use wifiq_experiments::scenario_file::{
     BuiltScenario, InstalledTraffic, ScenarioFile, TrafficSpec,
 };
-use wifiq_harness::JsonCodec;
 use wifiq_phy::AccessCategory;
 use wifiq_sim::Nanos;
 use wifiq_stats::{jain_index, VoipMetrics};
 use wifiq_telemetry::{Label, Telemetry};
-
-use serde::Json;
 
 /// Fairness floor: a weighted Jain index below this is a violation.
 pub const JAIN_DIP: f64 = 0.90;
@@ -127,32 +124,6 @@ pub struct Objectives {
     /// ms. When the run ends unrecovered this is the remaining time — a
     /// lower bound, which is all the violation test needs.
     pub convergence_ms: Option<f64>,
-}
-
-impl JsonCodec for Objectives {
-    fn encode(&self) -> Json {
-        (
-            self.jain,
-            self.p99_sojourn_ms,
-            self.ac_p99_ms.to_vec(),
-            self.min_window_mos,
-            self.codel_switches,
-            self.convergence_ms,
-        )
-            .encode()
-    }
-    fn decode(json: &Json) -> Option<Self> {
-        let (jain, p99_sojourn_ms, ac_p99, min_window_mos, codel_switches, convergence_ms) =
-            <(Option<f64>, f64, Vec<f64>, Option<f64>, u64, Option<f64>)>::decode(json)?;
-        Some(Objectives {
-            jain,
-            p99_sojourn_ms,
-            ac_p99_ms: ac_p99.try_into().ok()?,
-            min_window_mos,
-            codel_switches,
-            convergence_ms,
-        })
-    }
 }
 
 impl Objectives {
@@ -566,16 +537,6 @@ mod tests {
         e.ac_p99_ms = d.ac_p99_ms;
         e.min_window_mos = Some(2.1);
         assert_ne!(d.signature(), e.signature());
-    }
-
-    #[test]
-    fn codec_round_trips() {
-        let mut rich = obj(Some(0.8), 123.25, 9, Some(2500.0));
-        rich.ac_p99_ms = [12.5, 30.0, 123.25, 400.0];
-        rich.min_window_mos = Some(2.75);
-        for o in [rich, obj(None, 0.0, 0, None)] {
-            assert_eq!(Objectives::decode(&o.encode()), Some(o));
-        }
     }
 
     #[test]

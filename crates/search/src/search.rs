@@ -18,7 +18,7 @@ use wifiq_experiments::scenario_file::{
     FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, PolicySwitchSpec, ProvenanceSpec,
     ScenarioFile, StationSpec, TrafficSpec,
 };
-use wifiq_harness::{CellDef, Harness, SweepMeta};
+use wifiq_harness::{CellDef, Harness};
 
 use crate::corpus::Corpus;
 use crate::mutate::mutate;
@@ -40,12 +40,8 @@ pub struct SearchCfg {
     pub max_found: usize,
     /// Where minimal counterexamples are committed; `None` skips writing.
     pub found_dir: Option<PathBuf>,
-    /// Harness results root (the cache lives under it).
-    pub results_root: PathBuf,
     /// Harness worker count.
     pub jobs: usize,
-    /// Content-addressed result cache on/off.
-    pub cache: bool,
     /// Seed the corpus with the planted-bug document (CI's known-bad
     /// configuration; also the default, so a fresh search has a fairness
     /// violation to cut its teeth on).
@@ -55,8 +51,8 @@ pub struct SearchCfg {
 }
 
 impl SearchCfg {
-    /// A small default configuration rooted at `results_root`.
-    pub fn new(results_root: PathBuf) -> SearchCfg {
+    /// A small default configuration.
+    pub fn new() -> SearchCfg {
         SearchCfg {
             master_seed: 1,
             generations: 8,
@@ -64,12 +60,16 @@ impl SearchCfg {
             secs_cap: 8,
             max_found: 8,
             found_dir: None,
-            results_root,
             jobs: 1,
-            cache: true,
             plant: true,
             seed_docs: Vec::new(),
         }
+    }
+}
+
+impl Default for SearchCfg {
+    fn default() -> Self {
+        SearchCfg::new()
     }
 }
 
@@ -105,8 +105,6 @@ pub struct SearchReport {
     pub evals: u64,
     /// Evaluations that reached the harness (memo misses).
     pub executed: u64,
-    /// Of those, cells served from the harness result cache.
-    pub harness_cached: u64,
     /// Corpus entries at the end.
     pub corpus_size: usize,
     /// Distinct coverage buckets observed.
@@ -238,27 +236,18 @@ fn equal_split() -> Vec<PolicyNodeSpec> {
 /// Shared evaluation state: a content-hash memo in front of the harness.
 struct Evaluator {
     harness: Harness,
-    sweep: SweepMeta,
     memo: HashMap<String, Objectives>,
     evals: u64,
     executed: u64,
-    harness_cached: u64,
 }
 
 impl Evaluator {
     fn new(cfg: &SearchCfg) -> Evaluator {
         Evaluator {
-            harness: Harness::new(cfg.results_root.clone())
-                .with_jobs(cfg.jobs)
-                .with_cache(cfg.cache),
-            // duration/warmup don't parameterise search cells (each
-            // scenario carries its own duration), so they are pinned to 0
-            // in the sweep key.
-            sweep: SweepMeta::new("ext_search", 0, 0).with_salt("search-v1"),
+            harness: Harness::new().with_jobs(cfg.jobs),
             memo: HashMap::new(),
             evals: 0,
             executed: 0,
-            harness_cached: 0,
         }
     }
 
@@ -282,10 +271,11 @@ impl Evaluator {
                 .iter()
                 .map(|(hash, _)| CellDef::new(hash.clone(), "scenario", 0))
                 .collect();
-            let outcome = self.harness.run(&self.sweep, cells, |cell| {
+            // Each scenario carries its own duration; 0 leaves the
+            // watchdog at its floor.
+            let outcome = self.harness.run("ext_search", 0, cells, |cell| {
                 evaluate(by_hash[cell.cell.as_str()])
             });
-            self.harness_cached += outcome.summary().cached as u64;
             for ((hash, _), result) in fresh.into_iter().zip(outcome.results) {
                 if let Some(objectives) = result {
                     self.memo.insert(hash, objectives);
@@ -431,7 +421,6 @@ pub fn run_search(cfg: &SearchCfg) -> Result<SearchReport, String> {
     Ok(SearchReport {
         evals: evaluator.evals,
         executed: evaluator.executed,
-        harness_cached: evaluator.harness_cached,
         corpus_size: corpus.entries().len(),
         coverage_buckets: corpus.coverage_buckets(),
         findings,

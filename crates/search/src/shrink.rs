@@ -18,7 +18,7 @@ use crate::mutate::{drop_station, refit_times};
 /// Shrinks `doc` against `still_fails` to a fixpoint. Returns the minimal
 /// document and the number of accepted reduction steps. The oracle is
 /// only consulted on candidates that parse and build, so every call
-/// corresponds to a real (cacheable) simulation.
+/// corresponds to a real simulation.
 pub fn shrink(
     doc: &ScenarioFile,
     mut still_fails: impl FnMut(&ScenarioFile) -> bool,

@@ -1,8 +1,7 @@
 //! End-to-end determinism: the same master seed must produce
 //! byte-identical corpus JSON and `found/` artifacts regardless of the
-//! harness worker count, with the result cache disabled — identity has
-//! to come from the coordinator-side RNG discipline, not from cache
-//! replay.
+//! harness worker count — identity has to come from the
+//! coordinator-side RNG discipline.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -65,7 +64,7 @@ fn found_files(dir: &PathBuf) -> BTreeMap<String, Vec<u8>> {
 fn run(name: &str, jobs: usize) -> (String, BTreeMap<String, Vec<u8>>) {
     let root = scratch(name);
     let found = root.join("found");
-    let mut cfg = SearchCfg::new(root.clone());
+    let mut cfg = SearchCfg::new();
     cfg.master_seed = 42;
     cfg.generations = 1;
     cfg.batch = 4;
@@ -73,7 +72,6 @@ fn run(name: &str, jobs: usize) -> (String, BTreeMap<String, Vec<u8>>) {
     cfg.max_found = 2;
     cfg.found_dir = Some(found.clone());
     cfg.jobs = jobs;
-    cfg.cache = false;
     cfg.plant = false;
     cfg.seed_docs = vec![failing_seed()];
     let report = run_search(&cfg).expect("search run failed");

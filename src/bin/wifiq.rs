@@ -1,7 +1,7 @@
 //! `wifiq` — the workspace's one executable.
 //!
 //! ```text
-//! wifiq all                      every experiment below, cached and resumable
+//! wifiq all                      every experiment below, in parallel
 //! wifiq list                     the experiment table
 //! wifiq fig05_airtime_udp        one experiment (fig04/fig07 take --bidir,
 //!                                fig11 takes --with-slow)
@@ -85,7 +85,7 @@ const EXPERIMENTS: &[Experiment] = &[
 const USAGE: &str = "wifiq — the paper's evaluation and a scenario runner for the simulated testbed
 
 USAGE:
-    wifiq all                   run every experiment (cached, resumable; artifacts in results/)
+    wifiq all                   run every experiment (in parallel; artifacts in results/)
     wifiq list                  list the experiments
     wifiq <experiment> [FLAG]   run one (fig04_latency_tcp and fig07_tcp_throughput take --bidir,
                                 fig11_web_plt takes --with-slow)
@@ -110,7 +110,7 @@ EXAMPLES:
     wifiq run --scheme fifo --stations mcs15,mcs15,mcs0 --traffic udp:100 --ping 0
     wifiq run --scheme airtime --stations mcs15x28,1mbps --traffic tcp --secs 30
 
-ENVIRONMENT (experiments): WIFIQ_REPS, WIFIQ_SECS, WIFIQ_QUICK, WIFIQ_JOBS, WIFIQ_CACHE,
+ENVIRONMENT (experiments): WIFIQ_REPS, WIFIQ_SECS, WIFIQ_QUICK, WIFIQ_JOBS,
     WIFIQ_RESULTS_DIR, WIFIQ_METRICS, WIFIQ_FAULT_CELL (see README.md)";
 
 /// Reports a command-line error and exits 2.
@@ -167,8 +167,7 @@ fn all(cfg: &RunCfg) {
     let outcome = run_table(EXPERIMENTS, cfg, &harness);
 
     for (report, result) in outcome.reports.iter().zip(&outcome.results) {
-        let cached = if report.cached { " (cached)" } else { "" };
-        println!("\n=== {}{} ===\n", report.cell, cached);
+        println!("\n=== {} ===\n", report.cell);
         match result {
             Some(output) => print!("{output}"),
             None => println!(
@@ -180,24 +179,14 @@ fn all(cfg: &RunCfg) {
 
     let summary = outcome.summary();
     println!("\n=== summary ===\n");
-    println!(
-        "{:<28} {:>8} {:>10} {:>8}",
-        "experiment", "status", "wall", "retries"
-    );
+    println!("{:<28} {:>8} {:>10}", "experiment", "status", "wall");
     for report in &outcome.reports {
-        let status = if !report.ok() {
-            "FAILED"
-        } else if report.cached {
-            "cached"
-        } else {
-            "ok"
-        };
+        let status = if report.ok() { "ok" } else { "FAILED" };
         println!(
-            "{:<28} {:>8} {:>9.1}s {:>8}",
+            "{:<28} {:>8} {:>9.1}s",
             report.cell,
             status,
             report.wall_ms as f64 / 1000.0,
-            report.retries,
         );
     }
     println!("\nharness summary: {}", summary.line());
@@ -210,8 +199,8 @@ fn all(cfg: &RunCfg) {
         std::process::exit(1);
     }
     println!(
-        "\nwifiq all complete: {}/{} experiments ok ({} cached); artifacts in results/.",
-        summary.ok, summary.total, summary.cached
+        "\nwifiq all complete: {}/{} experiments ok; artifacts in results/.",
+        summary.ok, summary.total
     );
 }
 

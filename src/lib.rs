@@ -19,9 +19,8 @@
 //! - [`stats`](mod@crate::stats) — Jain's index, CDFs, the G.107 E-model,
 //! - [`telemetry`](mod@crate::telemetry) — opt-in metrics registry and
 //!   structured-event ring (counters, gauges, histograms; JSON/CSV export),
-//! - [`harness`](mod@crate::harness) — parallel, cached, resumable
-//!   experiment orchestration (worker pool, content-addressed result
-//!   cache),
+//! - [`harness`](mod@crate::harness) — parallel experiment orchestration
+//!   (ordered worker pool, panic isolation, a wall-clock watchdog),
 //! - [`scale`](mod@crate::scale) — the station lifecycle: deterministic
 //!   churn, seeded inter-BSS roaming (mid-flow hand-offs that migrate
 //!   queued downlink state), the one roster pump that interleaves both

@@ -1,10 +1,10 @@
 //! The workspace's architecture rules, checked over its source text.
 //!
 //! Each rule is a function over the `(path, text)` pairs of the `.rs`
-//! files under `crates`, `src` and `tests`. Its test checks it on this
-//! tree, then plants one violation that it must catch. The needles of
-//! the rules that read `tests` are built with `concat!`, so this file
-//! keeps the rules it states.
+//! files under `crates`, `src` and `tests` and of the top-level docs. Its
+//! test checks it on this tree, then plants one violation that it must
+//! catch. The needles of the rules that read `tests` are built with
+//! `concat!`, so this file keeps the rules it states.
 
 use std::path::Path;
 
@@ -16,8 +16,10 @@ const CATCH_UP: &str = concat!(".catch_", "up(");
 const STEP: &str = concat!(".st", "ep(");
 const THREADS: [&str; 3] = ["thread::scope", "thread::spawn", "mpsc::"];
 const ROSTER: &str = "crates/scale/src/roster.rs";
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
-/// Every `.rs` file under `crates`, `src` and `tests`, by path.
+/// Every `.rs` file under `crates`, `src` and `tests`, and the [`DOCS`],
+/// by path.
 fn workspace() -> Vec<(String, String)> {
     fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
         for entry in std::fs::read_dir(dir).expect("read a source directory") {
@@ -35,6 +37,10 @@ fn workspace() -> Vec<(String, String)> {
     let mut files = Vec::new();
     for dir in ["crates", "src", "tests"] {
         walk(root, &root.join(dir), &mut files);
+    }
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("read a doc");
+        files.push((doc.to_string(), text));
     }
     files.sort();
     files
@@ -160,7 +166,9 @@ fn backoff(files: &Files) -> Verdict {
 /// and `ChurnDriver::step`).
 fn roster(files: &Files) -> Verdict {
     let applies_both = |t: &str| t.contains(CATCH_UP) && t.contains(STEP);
-    let both = files.iter().filter(|(_, t)| applies_both(t));
+    let both = files
+        .iter()
+        .filter(|(p, t)| p.ends_with(".rs") && applies_both(t));
     let both: Vec<&str> = both.map(|(p, _)| p.as_str()).collect();
     let mut calls = Vec::new();
     for line in body(files, ROSTER, "    pub fn step(") {
@@ -171,6 +179,25 @@ fn roster(files: &Files) -> Verdict {
     }
     let why = format!("both in {both:?}; Roster::step calls {calls:?}");
     check(both == [ROSTER] && calls == [CATCH_UP, STEP], why)
+}
+
+/// The docs say what is, not which plan asked for it: no "ROADMAP item
+/// N" in the [`DOCS`]. Items are renumbered and pruned at every
+/// re-anchor, so such a citation goes stale; ROADMAP.md and CHANGES.md
+/// are where items are cited.
+fn roadmap_citations(files: &Files) -> Verdict {
+    let mut cites = Vec::new();
+    for (path, text) in files.iter().filter(|(p, _)| DOCS.contains(&p.as_str())) {
+        // One space per whitespace run, so a citation that wraps is seen.
+        let flat = text.split_whitespace().collect::<Vec<_>>().join(" ");
+        for (i, needle) in flat.match_indices("ROADMAP item ") {
+            let item: String = flat[i + needle.len()..].chars().take(4).collect();
+            if item.starts_with(|c: char| c.is_ascii_digit()) {
+                cites.push(format!("{path}: ROADMAP item {item}"));
+            }
+        }
+    }
+    check(cites.is_empty(), format!("{cites:?}"))
 }
 
 /// `rule` holds on this tree and breaks once `text` is planted at `path`.
@@ -201,6 +228,7 @@ mod rule {
         hand_built_networks: "src/planted.rs" => "fn f() { TrafficApp::new(); }";
         backoff: "crates/mac/src/planted.rs" => "fn f() { rng.backoff_min(15, 1, None); }";
         roster: "tests/planted.rs" => format!("fn f() {{ roam{CATCH_UP}); churn{STEP}); }}");
+        roadmap_citations: "DESIGN.md" => "as ROADMAP\nitem 7 asks";
     }
 
     /// `cargo test --test architecture -- --nocapture` prints the count.

@@ -592,8 +592,8 @@ fn monotone_quantiles(snap: &Json, _: &str) -> Verdict {
     Ok(())
 }
 
-/// A harness sweep accounts for each cell once: as ok or failed, as a
-/// cache hit or miss, and as one `cell_wall_ms` sample.
+/// A harness sweep accounts for each cell once: as ok or failed, and as
+/// one `cell_wall_ms` sample.
 fn harness_accounting(snap: &Json, _: &str) -> Verdict {
     if !entries(snap, "counters").any(|([c, ..], _)| c == "harness") {
         return Ok(());
@@ -602,10 +602,9 @@ fn harness_accounting(snap: &Json, _: &str) -> Verdict {
     let total = n("cells_total");
     let walls = stat(snap, "harness/cell_wall_ms/global", "count");
     let outcomes = n("cells_ok") + n("cells_failed");
-    let lookups = n("cache_hits") + n("cache_misses");
-    let ok = total >= 1.0 && [outcomes, lookups, walls] == [total; 3];
-    let why = format!("{total} cells: {outcomes} outcomes, {lookups} lookups, {walls} walls");
-    check(ok && (n("retries") + n("budget_exceeded")).is_finite(), why)
+    let ok = total >= 1.0 && [outcomes, walls] == [total; 2];
+    let why = format!("{total} cells: {outcomes} outcomes, {walls} walls");
+    check(ok && n("budget_exceeded").is_finite(), why)
 }
 
 /// A shard rollup labels each shard's metrics `shard0`, `shard1`, ...
@@ -726,7 +725,7 @@ fn each_snapshot_rule_catches_its_own_violation() {
     }
 }
 
-/// Runs `wifiq <experiment>` quick, uncached and observed, into a fresh
+/// Runs `wifiq <experiment>` quick and observed, into a fresh
 /// results directory and under no other environment, and holds every
 /// snapshot it exports to the rules above. Returns the directory.
 fn run_observed(experiment: &str) -> PathBuf {
@@ -736,7 +735,6 @@ fn run_observed(experiment: &str) -> PathBuf {
         .arg(experiment)
         .env_clear()
         .env("WIFIQ_QUICK", "1")
-        .env("WIFIQ_CACHE", "0")
         .env("WIFIQ_METRICS", "1")
         .env("WIFIQ_RESULTS_DIR", &dir)
         .output()

@@ -87,7 +87,6 @@ fn a_sweep_point_with_no_surviving_repetition_fails_by_name() {
             .arg(experiment)
             .env("WIFIQ_RESULTS_DIR", &results)
             .env("WIFIQ_QUICK", "1")
-            .env("WIFIQ_CACHE", "0")
             .env("WIFIQ_FAULT_CELL", fault)
             .output()
             .expect("spawn wifiq");
@@ -126,7 +125,6 @@ fn a_cell_document_replays_its_experiment_row() {
             .args(args)
             .envs(env.iter().copied())
             .env("WIFIQ_RESULTS_DIR", &dir)
-            .env("WIFIQ_CACHE", "0")
             .output()
             .expect("spawn wifiq");
         assert_eq!(out.status.code(), Some(0), "wifiq {args:?}");
@@ -162,11 +160,7 @@ fn list_with(name: &str, value: &str) -> (String, String) {
 
 #[test]
 fn a_boolean_knob_that_is_not_0_or_1_warns_naming_the_variable() {
-    for (name, value) in [
-        ("WIFIQ_QUICK", "true"),
-        ("WIFIQ_METRICS", "yes"),
-        ("WIFIQ_CACHE", "off"),
-    ] {
+    for (name, value) in [("WIFIQ_QUICK", "true"), ("WIFIQ_METRICS", "yes")] {
         let (stdout, stderr) = list_with(name, value);
         assert!(stdout.contains("fig05_airtime_udp"), "{name}: {stdout}");
         assert!(
@@ -178,11 +172,7 @@ fn a_boolean_knob_that_is_not_0_or_1_warns_naming_the_variable() {
 
 #[test]
 fn a_boolean_knob_set_to_0_or_1_is_taken_silently() {
-    for (name, value) in [
-        ("WIFIQ_QUICK", "1"),
-        ("WIFIQ_METRICS", "0"),
-        ("WIFIQ_CACHE", "0"),
-    ] {
+    for (name, value) in [("WIFIQ_QUICK", "1"), ("WIFIQ_METRICS", "0")] {
         let (_, stderr) = list_with(name, value);
         assert!(stderr.is_empty(), "{name}={value} warned: {stderr}");
     }
