@@ -2,7 +2,9 @@
 //! Figure 2 — a qdisc feeding unmanaged per-TID driver FIFOs under a shared
 //! frame budget, eagerly refilled. It is the structure whose lower-layer
 //! queueing defeats qdisc AQM and whose buffer-hogging by slow stations
-//! starves fast stations' aggregation (§4.1.2).
+//! starves fast stations' aggregation (§4.1.2). Stations with frames in
+//! their driver FIFOs take round-robin turns per access category on the
+//! station table's old list, the rotation every round-robin scheme shares.
 
 use std::collections::VecDeque;
 
@@ -11,7 +13,7 @@ use wifiq_phy::AccessCategory;
 use wifiq_qdisc::{FqCodelQdisc, PfifoFastQdisc, Qdisc};
 use wifiq_sim::Nanos;
 
-use super::Table;
+use super::{rr_list, rr_next, Table};
 use crate::config::{NetworkConfig, SchemeKind};
 use crate::packet::{StationIdx, Ticket};
 
@@ -73,9 +75,6 @@ pub(super) struct Legacy {
     bufq: Vec<VecDeque<Ticket>>,
     buf_total: usize,
     buf_cap: usize,
-    /// Per-AC round-robin of TIDs with queued frames.
-    rr: [VecDeque<usize>; AccessCategory::COUNT],
-    listed: Vec<bool>,
     /// Packets dropped on this path: qdisc tail-drop or overlimit, and
     /// frames discarded as they surface for a departed station. The
     /// FQ-CoDel qdisc counts its CoDel drops itself.
@@ -93,8 +92,6 @@ impl Legacy {
             bufq: Vec::new(),
             buf_total: 0,
             buf_cap: cfg.driver_buf_frames,
-            rr: Default::default(),
-            listed: Vec::new(),
             drops: 0,
         }
     }
@@ -103,7 +100,6 @@ impl Legacy {
     pub(super) fn add_slot(&mut self, slot: StationIdx) {
         while self.bufq.len() < (slot + 1) * AccessCategory::COUNT {
             self.bufq.push(VecDeque::new());
-            self.listed.push(false);
         }
     }
 
@@ -139,7 +135,7 @@ impl Legacy {
         &mut self,
         t: Ticket,
         now: Nanos,
-        table: &Table,
+        table: &mut Table,
         mut on_drop: impl FnMut(Ticket),
     ) {
         if let Some(victim) = self.qdisc.enqueue(t, now) {
@@ -151,11 +147,11 @@ impl Legacy {
 
     /// Eagerly moves packets from the qdisc into the driver FIFOs while
     /// the shared frame budget allows — the unmanaged lower-layer queueing
-    /// of Figure 2.
+    /// of Figure 2 — and lists each station that gains a frame.
     pub(super) fn pull_from_qdisc(
         &mut self,
         now: Nanos,
-        table: &Table,
+        table: &mut Table,
         mut on_drop: impl FnMut(Ticket),
     ) {
         while self.buf_total < self.buf_cap {
@@ -164,26 +160,23 @@ impl Legacy {
             };
             // The shared qdisc cannot be filtered on removal; frames for a
             // since-departed station are discarded as they surface.
-            if table.id_at(t.peer()).is_none() {
+            let Some(id) = table.id_at(t.peer()) else {
                 self.drops += 1;
                 on_drop(t);
                 continue;
-            }
-            let tid = buf_index(t.peer(), t.ac);
-            self.bufq[tid].push_back(t);
+            };
+            let aci = t.ac.index();
+            self.bufq[buf_index(t.peer(), t.ac)].push_back(t);
             self.buf_total += 1;
-            if !self.listed[tid] {
-                self.listed[tid] = true;
-                self.rr[t.ac.index()].push_back(tid);
-            }
+            rr_list(table, id, aci);
         }
     }
 
     /// Empties station slot `slot`'s driver FIFOs into `carry`, or into
-    /// `on_drop` when there is none, and unlists its TIDs. The shared
-    /// qdisc is filtered only under pfifo and only for a hand-off; the
-    /// FQ-CoDel qdisc's frames for the slot surface later and are
-    /// discarded then, exactly as under churn. Returns the number dropped.
+    /// `on_drop` when there is none. The shared qdisc is filtered only
+    /// under pfifo and only for a hand-off; the FQ-CoDel qdisc's frames
+    /// for the slot surface later and are discarded then, exactly as
+    /// under churn. Returns the number dropped.
     pub(super) fn detach(
         &mut self,
         slot: StationIdx,
@@ -201,10 +194,6 @@ impl Legacy {
                     self.bufq[tid].drain(..).for_each(&mut on_drop);
                 }
             }
-            if self.listed[tid] {
-                self.rr[ac.index()].retain(|&t| t != tid);
-                self.listed[tid] = false;
-            }
         }
         if let (Some(out), LegacyQdisc::Pfifo(q)) = (carry, &mut self.qdisc) {
             out.extend(q.drain_matching(|t| t.peer() == slot));
@@ -213,21 +202,12 @@ impl Legacy {
     }
 
     /// The station whose driver FIFO (or stash) at `ac` should build the
-    /// next aggregate: the round-robin's front, skipping emptied TIDs.
-    pub(super) fn next_tx(&mut self, ac: AccessCategory, table: &Table) -> Option<StaId> {
+    /// next aggregate: the round-robin's front, skipping emptied stations.
+    pub(super) fn next_tx(&self, ac: AccessCategory, table: &mut Table) -> Option<StaId> {
         let aci = ac.index();
-        loop {
-            let &tid = self.rr[aci].front()?;
-            let slot = tid / AccessCategory::COUNT;
-            let stashed = table.cold_at(slot).is_some_and(|c| c.stash[aci].is_some());
-            if stashed || !self.bufq[tid].is_empty() {
-                // Teardown unlists a departing station's TIDs, so the
-                // slot at the front is always occupied.
-                return table.id_at(slot);
-            }
-            self.rr[aci].pop_front();
-            self.listed[tid] = false;
-        }
+        rr_next(table, aci, |t, id| {
+            t.cold(id).stash[aci].is_some() || self.has_data(id.slot(), ac)
+        })
     }
 
     /// Takes the head of `(slot, ac)`'s driver FIFO for an aggregate.
@@ -235,15 +215,5 @@ impl Legacy {
         let t = self.bufq[buf_index(slot, ac)].pop_front()?;
         self.buf_total -= 1;
         Some(t)
-    }
-
-    /// Post-build round-robin advance: `(slot, ac)` goes to the back if it
-    /// was at the front.
-    pub(super) fn rotate(&mut self, slot: StationIdx, ac: AccessCategory) {
-        let (aci, tid) = (ac.index(), buf_index(slot, ac));
-        if self.rr[aci].front() == Some(&tid) {
-            self.rr[aci].pop_front();
-            self.rr[aci].push_back(tid);
-        }
     }
 }

@@ -6,8 +6,13 @@
 //! - `fq` (FQ-MAC / Airtime schemes) is the paper's structure of Figure 3:
 //!   the MAC FQ with a round-robin or airtime-fair station scheduler.
 //!
-//! What both share lives here: the station table, the per-station stash
-//! and the aggregate build. Every layer holds [`Ticket`]s — the packets
+//! What both share lives here: the station table, the per-station stash,
+//! the aggregate build and the round-robin rotation. FIFO, FQ-CoDel and
+//! FQ-MAC take turns per access category on the table's *old* list —
+//! the list the airtime scheduler runs its deficit rotation on
+//! (Algorithm 3) — through `rr_list`, `rr_next` and `rr_rotate`,
+//! and a departing station leaves it through [`StationTable::free`], as
+//! under Airtime. Every layer holds [`Ticket`]s — the packets
 //! stay in the network's store — and a packet dropped anywhere on the path
 //! (qdisc tail-drop, FQ overlimit, CoDel, a departed station's frames)
 //! leaves through the `on_drop` sink the caller passes, so that the
@@ -26,7 +31,7 @@ mod legacy;
 
 use wifiq_codel::{CodelParams, StationCodelParams};
 use wifiq_core::scheduler::AirtimeScheduler;
-use wifiq_core::table::{StaId, StationTable, TidId};
+use wifiq_core::table::{Membership, StaId, StationTable, TidId};
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::Telemetry;
@@ -35,7 +40,7 @@ use crate::aggregation::{build_aggregate_into, Aggregate};
 use crate::config::{NetworkConfig, SchemeKind, StationCfg};
 use crate::packet::{StationIdx, Ticket};
 
-use fq::{FqPath, StaSched};
+use fq::FqPath;
 use legacy::Legacy;
 
 /// Upper bound on pooled frame buffers; enough to cover every hardware
@@ -72,7 +77,8 @@ type Table = StationTable<ColdSta>;
 pub struct ApTxPath {
     kind: SchemeKind,
     inner: PathInner,
-    /// The station store: occupancy, generational handles, the airtime
+    /// The station store: occupancy, generational handles, the
+    /// scheduling lists every scheme takes turns on, the airtime
     /// scheduler's hot slabs, the FQ TID-handle stripe, and `ColdSta`.
     table: Table,
     /// Remembered so stations added after construction get the same CoDel
@@ -88,11 +94,37 @@ pub struct ApTxPath {
 /// The airtime scheduler, under the Airtime scheme.
 fn airtime_sched(inner: &mut PathInner) -> Option<&mut AirtimeScheduler> {
     match inner {
-        PathInner::Fq(FqPath {
-            sched: StaSched::Airtime(s),
-            ..
-        }) => Some(s),
-        _ => None,
+        PathInner::Fq(f) => f.sched.as_mut(),
+        PathInner::Legacy(_) => None,
+    }
+}
+
+/// Round-robin: lists a station with traffic at `aci` at the tail of
+/// the turn order, unless it is on it already.
+fn rr_list(table: &mut Table, id: StaId, aci: usize) {
+    if table.membership(id, aci) == Membership::Idle {
+        table.enlist_old(id, aci);
+    }
+}
+
+/// Round-robin: the station whose turn it is at `aci`, the first for
+/// which `has` holds; the ones before it, with nothing to send, leave
+/// the turn order.
+fn rr_next(table: &mut Table, aci: usize, has: impl Fn(&Table, StaId) -> bool) -> Option<StaId> {
+    loop {
+        let id = table.old_front(aci)?;
+        if has(table, id) {
+            return Some(id);
+        }
+        table.retire_front_old(aci);
+    }
+}
+
+/// Round-robin: after `id` took its turn at `aci`, it goes to the tail
+/// if it is at the front.
+fn rr_rotate(table: &mut Table, id: StaId, aci: usize) {
+    if table.old_front(aci) == Some(id) {
+        table.rotate_front_old(aci);
     }
 }
 
@@ -335,7 +367,7 @@ impl ApTxPath {
                     self.table.id_at(t.peer()).is_some(),
                     "enqueue for a removed station"
                 );
-                l.enqueue(t, now, &self.table, on_drop);
+                l.enqueue(t, now, &mut self.table, on_drop);
             }
             PathInner::Fq(f) => f.enqueue(t, now, &mut self.table, on_drop),
         }
@@ -349,7 +381,7 @@ impl ApTxPath {
     /// budget is treated as having nothing to send, and is rotated out of
     /// the scheduling lists exactly like an empty station). It applies to
     /// the FQ paths only — AQL post-dates the legacy stack. A vetoed
-    /// station with remaining traffic must be re-listed via
+    /// station with remaining traffic must be put back on the lists via
     /// [`reactivate`](Self::reactivate) once its hardware airtime drains.
     pub fn next_tx(
         &mut self,
@@ -358,7 +390,7 @@ impl ApTxPath {
         eligible: impl Fn(StaId) -> bool,
     ) -> Option<StaId> {
         match &mut self.inner {
-            PathInner::Legacy(l) => l.next_tx(ac, &self.table),
+            PathInner::Legacy(l) => l.next_tx(ac, &mut self.table),
             PathInner::Fq(f) => f.next_tx(ac, &mut self.table, eligible),
         }
     }
@@ -428,10 +460,11 @@ impl ApTxPath {
         // legacy driver FIFOs from the qdisc after taking frames out.
         match &mut self.inner {
             PathInner::Legacy(l) => {
-                l.rotate(slot, ac);
-                l.pull_from_qdisc(now, &self.table, on_drop);
+                rr_rotate(&mut self.table, id, ac.index());
+                l.pull_from_qdisc(now, &mut self.table, on_drop);
             }
-            PathInner::Fq(f) => f.rotate(slot, ac.index()),
+            PathInner::Fq(f) if f.sched.is_none() => rr_rotate(&mut self.table, id, ac.index()),
+            PathInner::Fq(_) => {}
         }
         agg
     }

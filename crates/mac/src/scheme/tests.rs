@@ -307,3 +307,66 @@ fn fifo_scheme_drops_past_qdisc_limit() {
     assert_eq!(path.backlog(), 60);
     assert_eq!(path.queue_drops(), 40);
 }
+
+/// The stations of the next `n` aggregates at BE, building each one;
+/// `eligible` vetoes as the driver's AQL does.
+fn turns(path: &mut ApTxPath, n: usize, eligible: impl Fn(StaId) -> bool) -> Vec<StationIdx> {
+    let now = Nanos::ZERO;
+    let mut order = Vec::new();
+    for _ in 0..n {
+        let id = path
+            .next_tx(AccessCategory::Be, now, &eligible)
+            .expect("a backlogged station");
+        order.push(
+            path.build(id, AccessCategory::Be, now, ignore)
+                .expect("frames")
+                .station,
+        );
+    }
+    order
+}
+
+/// The round-robin schemes' turn order: three backlogged stations take
+/// turns in the order they became backlogged, a station removed
+/// mid-round leaves the survivors' order alone, and (under FQ-MAC, the
+/// path AQL applies to) a vetoed station leaves the rotation until
+/// `reactivate` puts it back at the tail.
+#[test]
+fn round_robin_turn_order() {
+    for scheme in [
+        SchemeKind::Fifo,
+        SchemeKind::FqCodelQdisc,
+        SchemeKind::FqMac,
+    ] {
+        let mut path: ApTxPath = ApTxPath::new(&cfg(scheme));
+        let now = Nanos::ZERO;
+        // Six turns' worth for each station, inside pfifo's 1000 limit.
+        for i in 0..330 {
+            for sta in 0..3 {
+                path.enqueue(pkt(sta, sta as u64, Nanos::from_nanos(i)), now, ignore);
+            }
+        }
+        assert_eq!(
+            turns(&mut path, 6, |_| true),
+            [0, 1, 2, 0, 1, 2],
+            "{scheme}"
+        );
+        if scheme == SchemeKind::FqMac {
+            let id0 = path.sta_id(0).unwrap();
+            let vetoed = turns(&mut path, 4, |id| id != id0);
+            assert_eq!(
+                vetoed,
+                [1, 2, 1, 2],
+                "{scheme}: vetoed station still takes turns"
+            );
+            path.reactivate(id0, AccessCategory::Be);
+            let back = turns(&mut path, 5, |_| true);
+            assert_eq!(back, [1, 2, 0, 1, 2], "{scheme}: not back at the tail");
+        }
+        // Station 0 takes its turn; station 1, next up, leaves.
+        assert_eq!(turns(&mut path, 1, |_| true), [0], "{scheme}");
+        let id1 = path.sta_id(1).unwrap();
+        path.detach_station(id1, now, None, ignore);
+        assert_eq!(turns(&mut path, 4, |_| true), [2, 0, 2, 0], "{scheme}");
+    }
+}

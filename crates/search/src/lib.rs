@@ -5,8 +5,8 @@
 //! hand-written scenarios. This crate searches for the configurations the
 //! hand-written set *misses*: it mutates scenario documents (fault
 //! windows, churn rates, rate mixes, policy trees), executes them through
-//! the shared harness pool with content-addressed caching, scores each run
-//! against fairness/latency/stability objectives, and keeps a coverage map
+//! the shared harness pool, scores each run against
+//! fairness/latency/stability objectives, and keeps a coverage map
 //! of bucketed objective signatures to decide which corpus entries breed.
 //! Violations are shrunk to minimal deterministic counterexamples and
 //! committed under `scenarios/found/` with a provenance block, where CI

@@ -10,40 +10,7 @@
 //! `tests/reference/`: the property tests model-check the wheel against it,
 //! and both must produce byte-identical pop sequences.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use crate::time::Nanos;
-
-struct Entry<E> {
-    time: Nanos,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// Bits of a level-0 slot's width: 256 ns. The simulator's timestamps are
 /// microseconds apart (9 µs backoff slots, 100 µs and longer exchanges), so
@@ -67,13 +34,12 @@ const UP_BITS: u32 = 6;
 /// Slots per upper level.
 const UP_SLOTS: usize = 1 << UP_BITS;
 /// Upper levels (1..=UP_LEVELS). Level `l` slots span `2^(20+6(l-1))` ns,
-/// so the whole wheel covers a `2^50` ns ≈ 13 day block of virtual time;
-/// anything scheduled beyond the current block waits in the overflow heap.
-const UP_LEVELS: usize = 5;
+/// so level 8's slots span 2^62 ns and the wheel covers every `u64` time:
+/// no event is ever too far ahead to admit.
+const UP_LEVELS: usize = 8;
 /// Total levels including level 0.
+#[cfg(test)]
 const LEVELS: usize = 1 + UP_LEVELS;
-/// Shift that selects an event's top-level block.
-const TOP_SHIFT: u32 = L0_SPAN_BITS + UP_BITS * UP_LEVELS as u32;
 /// `up_min` value for an empty slot.
 const EMPTY_MIN: u64 = u64::MAX;
 /// Total bucket count across all levels (level 0 buckets come first).
@@ -87,7 +53,8 @@ fn level_shift(level: usize) -> u32 {
 }
 
 /// Level at which `t` is admitted relative to `reference`: the finest level
-/// whose parent window contains both. `LEVELS` or more means overflow.
+/// whose parent window contains both (at most `UP_LEVELS`, for the highest
+/// differing bit 63).
 #[inline]
 fn level_of(t: u64, reference: u64) -> usize {
     let x = t ^ reference;
@@ -146,8 +113,8 @@ const EMPTY_LIST: List = List {
 #[cfg(test)]
 #[derive(Debug, Default)]
 struct Census {
-    /// Pushes per admission level; index `LEVELS` is the overflow heap.
-    admitted: [u64; LEVELS + 1],
+    /// Pushes per admission level.
+    admitted: [u64; LEVELS],
     /// Timestamps settled into level 0 (one per `pop` / `pop_tick`).
     settles: u64,
     /// `cascade` calls those settles made.
@@ -163,15 +130,14 @@ struct Census {
 /// Internally the queue is a hierarchical timing wheel fitted to the
 /// simulator's traffic: level 0 is 4096 slots of 256 ns (2^20 ns ≈ 1.05 ms
 /// in all, tracked by a two-tier bitmap: one summary word over 64 slot
-/// words), then five upper levels of 64 slots each, where an
-/// upper-level-`l` slot spans `2^(20+6(l-1))` ns. An event is admitted to
-/// the finest level whose parent window contains both the event time and
-/// the clock, so the wire hops, CBR gaps and exchanges the simulator
-/// schedules 100–212 µs ahead mostly land in level 0 and pop from the slot
-/// they were pushed to; everything else is an O(1) bucket append one or
-/// more levels up. Far-future events (beyond the current ~13 day top-level
-/// block) wait in an overflow binary heap and migrate into the wheel when
-/// the clock reaches their block.
+/// words), then eight upper levels of 64 slots each, where an
+/// upper-level-`l` slot spans `2^(20+6(l-1))` ns — level 8's span covers
+/// all of `u64`, so every event time has a level and the wheel holds every
+/// event. An event is admitted to the finest level whose parent window
+/// contains both the event time and the clock, so the wire hops, CBR gaps
+/// and exchanges the simulator schedules 100–212 µs ahead mostly land in
+/// level 0 and pop from the slot they were pushed to; everything else is
+/// an O(1) bucket append one or more levels up.
 ///
 /// Upper slots cascade toward level 0 lazily, only when the global minimum
 /// lives inside them. A level-0 slot can hold several timestamps:
@@ -227,13 +193,8 @@ pub struct EventQueue<E> {
     /// indexed `(level-1) * 64 + slot`, so the pop path compares levels
     /// without scanning bucket contents.
     up_min: [u64; UP_LEVELS * UP_SLOTS],
-    /// Events scheduled beyond the current top-level block, earliest first.
-    overflow: BinaryHeap<Entry<E>>,
-    /// Entries resident in the wheel (excludes `overflow`).
-    wheel_len: usize,
-    /// Insertion counter of `overflow` entries: the heap's FIFO
-    /// tie-break (the wheel's lists keep order by position).
-    next_seq: u64,
+    /// Scheduled events.
+    len: usize,
     now: Nanos,
     #[cfg(test)]
     census: Census,
@@ -256,9 +217,7 @@ impl<E> EventQueue<E> {
             l0_words: [0; L0_SLOTS / 64],
             up_occupied: [0; UP_LEVELS],
             up_min: [EMPTY_MIN; UP_LEVELS * UP_SLOTS],
-            overflow: BinaryHeap::new(),
-            wheel_len: 0,
-            next_seq: 0,
+            len: 0,
             now: Nanos::ZERO,
             #[cfg(test)]
             census: Census::default(),
@@ -368,21 +327,11 @@ impl<E> EventQueue<E> {
         let level = level_of(at.0, self.now.0);
         #[cfg(test)]
         {
-            self.census.admitted[level.min(LEVELS)] += 1;
+            self.census.admitted[level] += 1;
         }
-        if level >= LEVELS {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.overflow.push(Entry {
-                time: at,
-                seq,
-                payload,
-            });
-        } else {
-            let i = self.alloc_node(at.0, payload);
-            self.link_back(level, bucket_of(at.0, level), i, at.0);
-            self.wheel_len += 1;
-        }
+        let i = self.alloc_node(at.0, payload);
+        self.link_back(level, bucket_of(at.0, level), i, at.0);
+        self.len += 1;
     }
 
     /// The earliest time in a non-empty level-0 slot: a walk of its list.
@@ -463,28 +412,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves the overflow head's entire top-level block into the (empty)
-    /// wheel. Heap pops arrive in (time, seq) order, so equal-time entries
-    /// land in their buckets already in FIFO order.
-    fn promote_overflow(&mut self) {
-        let head = self.overflow.peek().expect("promote on empty overflow");
-        let reference = head.time.0;
-        let block = reference >> TOP_SHIFT;
-        debug_assert_eq!(self.wheel_len, 0, "promote into a non-empty wheel");
-        while let Some(e) = self.overflow.peek() {
-            if e.time.0 >> TOP_SHIFT != block {
-                break;
-            }
-            let entry = self.overflow.pop().expect("peeked entry");
-            let t = entry.time.0;
-            let level = level_of(t, reference);
-            debug_assert!(level < LEVELS, "same block fits in the wheel");
-            let i = self.alloc_node(t, entry.payload);
-            self.link_back(level, bucket_of(t, level), i, t);
-            self.wheel_len += 1;
-        }
-    }
-
     /// Finds the earliest pending time and, if it is due by `until`,
     /// cascades until it sits in a level-0 slot: returns (time, slot), or
     /// `None` having touched nothing.
@@ -492,18 +419,8 @@ impl<E> EventQueue<E> {
     /// One look for the minimum serves the refusal and the settle: a
     /// cascade redistributes the bucket *containing* the minimum, so the
     /// minimum's time pins exactly which child bucket to settle next.
-    /// Overflow entries are later than every wheel entry (they lie beyond
-    /// the clock's top-level block), so the heap is promoted only into an
-    /// empty wheel, and only when its head is due — the pop that follows
-    /// moves the clock into the promoted block.
     fn settle(&mut self, until: u64) -> Option<(u64, usize)> {
-        if self.wheel_len == 0 {
-            if self.overflow.peek()?.time.0 > until {
-                return None;
-            }
-            self.promote_overflow();
-        }
-        let (min, mut level, mut bucket) = self.best().expect("wheel non-empty");
+        let (min, mut level, mut bucket) = self.best()?;
         if min > until {
             return None;
         }
@@ -537,7 +454,7 @@ impl<E> EventQueue<E> {
                 self.clear_occupied(0, slot);
             }
         }
-        self.wheel_len -= 1;
+        self.len -= 1;
         self.free_node(i)
     }
 
@@ -589,16 +506,12 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the next event, if any, without popping it.
     pub fn peek_time(&self) -> Option<Nanos> {
-        // Overflow entries are later than every wheel entry.
-        let wheel = self.best().map(|(t, _, _)| t);
-        wheel
-            .or_else(|| self.overflow.peek().map(|e| e.time.0))
-            .map(Nanos)
+        self.best().map(|(t, _, _)| Nanos(t))
     }
 
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.len
     }
 
     /// True if no events remain.
@@ -740,10 +653,10 @@ mod tests {
 
     /// The push arms of `oracle_op_strategy` in `tests/proptest_queue.rs`,
     /// restated: at clock 0 every delta of an arm is admitted at the arm's
-    /// level, so the oracle reaches every level and the overflow heap.
+    /// level, so the oracle reaches every level.
     #[test]
-    fn oracle_arms_reach_every_level_and_the_overflow_heap() {
-        let arms: [(u64, u64, usize); 9] = [
+    fn oracle_arms_reach_every_level() {
+        let arms: [(u64, u64, usize); 11] = [
             (0, 1, 0),
             (1, 256, 0),
             (256, 1 << 20, 0),
@@ -752,10 +665,12 @@ mod tests {
             (1 << 32, 1 << 38, 3),
             (1 << 38, 1 << 44, 4),
             (1 << 44, 1 << 50, 5),
-            (1 << 50, 1 << 52, LEVELS),
+            (1 << 50, 1 << 56, 6),
+            (1 << 56, 1 << 62, 7),
+            (1 << 62, u64::MAX, 8),
         ];
         let mut q = EventQueue::new();
-        let mut expected = [0; LEVELS + 1];
+        let mut expected = [0; LEVELS];
         for (lo, hi, level) in arms {
             q.push(Nanos(lo), ());
             q.push(Nanos(hi - 1), ());
@@ -766,22 +681,26 @@ mod tests {
     }
 
     #[test]
-    fn far_future_overflow_round_trip() {
+    fn far_future_round_trip() {
         let mut q = EventQueue::new();
-        let far_a = Nanos((1 << TOP_SHIFT) + 123);
-        let far_b = Nanos((1 << TOP_SHIFT) + 123);
-        let very_far = Nanos(3 << TOP_SHIFT);
+        let far_a = Nanos((1 << 50) + 123);
+        let far_b = Nanos((1 << 50) + 123);
+        let very_far = Nanos(3 << 50);
+        let end = Nanos(u64::MAX);
         q.push(far_a, "far-a");
+        q.push(end, "end");
         q.push(very_far, "very-far");
         q.push(far_b, "far-b");
         q.push(Nanos(7), "near");
-        assert_eq!(q.len(), 4);
+        assert_eq!(q.len(), 5);
         assert_eq!(q.peek_time(), Some(Nanos(7)));
         assert_eq!(q.pop(), Some((Nanos(7), "near")));
-        // Equal-time far events keep FIFO order across the overflow heap.
+        // Equal-time far events keep FIFO order through the coarse levels.
         assert_eq!(q.pop(), Some((far_a, "far-a")));
         assert_eq!(q.pop(), Some((far_b, "far-b")));
         assert_eq!(q.pop(), Some((very_far, "very-far")));
+        assert_eq!(q.peek_time(), Some(end));
+        assert_eq!(q.pop(), Some((end, "end")));
         assert_eq!(q.pop(), None);
     }
 

@@ -227,15 +227,14 @@ impl Shape {
         let pushes: u64 = c.admitted.iter().sum();
         let share = |n: u64| 100.0 * n as f64 / pushes as f64;
         println!(
-            "{name}: {pushes} pushes, admitted at level 0..{}: {:?} % (+ overflow {:.2} %), \
+            "{name}: {pushes} pushes, admitted at level 0..{}: {:?} %, \
              {:.2} cascades and {:.2} re-linked nodes per settled timestamp, \
              {:.2} re-links per push, {:.3} level-0 nodes walked per popped event",
             LEVELS - 1,
-            c.admitted[..LEVELS]
+            c.admitted
                 .iter()
                 .map(|&n| (share(n) * 100.0).round() / 100.0)
                 .collect::<Vec<_>>(),
-            share(c.admitted[LEVELS]),
             c.cascades as f64 / c.settles as f64,
             c.cascaded_nodes as f64 / c.settles as f64,
             c.cascaded_nodes as f64 / pushes as f64,

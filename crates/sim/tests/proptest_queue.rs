@@ -78,9 +78,9 @@ proptest! {
 /// One step of an oracle schedule. Deltas are drawn from a mix of ranges so
 /// shrunk failures stay readable while full runs still reach every admission
 /// path: zero (same-timestamp chains), within one 256 ns level-0 slot
-/// (several timestamps in a slot), within level 0's 2^20 ns span, one range
-/// per upper level (cascades from each), and beyond the 2^50 ns horizon
-/// (the overflow heap).
+/// (several timestamps in a slot), within level 0's 2^20 ns span, and one
+/// range per upper level (cascades from each), the last reaching the end of
+/// time.
 #[derive(Debug, Clone)]
 enum OracleOp {
     Push(u64),
@@ -90,7 +90,7 @@ enum OracleOp {
 
 fn oracle_op_strategy() -> impl Strategy<Value = OracleOp> {
     // At clock 0 each arm is admitted at one level, which the unit test
-    // `oracle_arms_reach_every_level_and_the_overflow_heap` in
+    // `oracle_arms_reach_every_level` in
     // `src/event.rs` checks for these same ranges.
     fn near() -> impl Strategy<Value = u64> {
         prop_oneof![Just(0u64), 1u64..256, 256u64..(1 << 20)]
@@ -102,7 +102,9 @@ fn oracle_op_strategy() -> impl Strategy<Value = OracleOp> {
             (1u64 << 32)..(1 << 38),
             (1u64 << 38)..(1 << 44),
             (1u64 << 44)..(1 << 50),
-            (1u64 << 50)..(1 << 52),
+            (1u64 << 50)..(1 << 56),
+            (1u64 << 56)..(1 << 62),
+            (1u64 << 62)..u64::MAX,
         ]
     }
     // The vendored proptest has no weighted arms; repetition biases the mix
@@ -140,7 +142,8 @@ proptest! {
         for op in ops {
             match op {
                 OracleOp::Push(delta) => {
-                    let at = wheel.now() + Nanos::from_nanos(delta);
+                    // Saturating: the last arm reaches past the end of time.
+                    let at = Nanos(wheel.now().0.saturating_add(delta));
                     wheel.push(at, payload);
                     oracle.push(at, payload);
                     payload += 1;
@@ -245,7 +248,7 @@ fn wheel_order_matches_reference_model() {
                 // Jitter of 0 creates same-timestamp chains; larger
                 // jitter creates out-of-order pushes; the huge stride
                 // (`next` draws 31 bits, shifted up to 2^52) exercises
-                // coarse levels and the overflow heap.
+                // the coarse levels.
                 let jitter = match next(4) {
                     0 => 0,
                     1 => next(5) * 10,

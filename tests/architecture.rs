@@ -17,6 +17,11 @@ const STEP: &str = concat!(".st", "ep(");
 const THREADS: [&str; 3] = ["thread::scope", "thread::spawn", "mpsc::"];
 const ROSTER: &str = "crates/scale/src/roster.rs";
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+const ROTATION_MOVES: [&str; 3] = [
+    concat!("enlist", "_old("),
+    concat!("rotate_front", "_old("),
+    concat!("retire_front", "_old("),
+];
 
 /// Every `.rs` file under `crates`, `src` and `tests`, and the [`DOCS`],
 /// by path.
@@ -181,6 +186,36 @@ fn roster(files: &Files) -> Verdict {
     check(both == [ROSTER] && calls == [CATCH_UP, STEP], why)
 }
 
+/// One rotation: the FIFO, FQ-CoDel and FQ-MAC schemes take round-robin
+/// turns on the station table's old list (DESIGN.md §14), the list the
+/// airtime scheduler rotates its deficits on. No scheme keeps a turn
+/// order of its own, and only the table, the airtime scheduler and the
+/// schemes' shared helpers move stations on and off that list.
+fn rotation(files: &Files) -> Verdict {
+    let turn_order = |l: &str| l.contains(concat!("VecDeque", "<usize>"));
+    only(files, &["crates/mac/src/scheme/"], turn_order, &[])?;
+    let moves = |l: &str| ROTATION_MOVES.iter().any(|m| l.contains(m));
+    let allowed = [
+        "crates/core/src/scheduler.rs",
+        "crates/core/src/table.rs",
+        "crates/mac/src/scheme/mod.rs",
+    ];
+    only(files, &["crates/", "src/", "tests/"], moves, &allowed)
+}
+
+/// One wheel: the event queue is the timing wheel alone, which admits
+/// every `u64` time (DESIGN.md §13). No heap beside it in the simulator
+/// crate; the heap-based reference queue the wheel is model-checked
+/// against lives in `crates/sim/tests/`.
+fn one_wheel(files: &Files) -> Verdict {
+    only(
+        files,
+        &["crates/sim/src/"],
+        |l| l.contains("BinaryHeap"),
+        &[],
+    )
+}
+
 /// The docs say what is, not which plan asked for it: no "ROADMAP item
 /// N" in the [`DOCS`]. Items are renumbered and pruned at every
 /// re-anchor, so such a citation goes stale; ROADMAP.md and CHANGES.md
@@ -228,6 +263,8 @@ mod rule {
         hand_built_networks: "src/planted.rs" => "fn f() { TrafficApp::new(); }";
         backoff: "crates/mac/src/planted.rs" => "fn f() { rng.backoff_min(15, 1, None); }";
         roster: "tests/planted.rs" => format!("fn f() {{ roam{CATCH_UP}); churn{STEP}); }}");
+        rotation: "crates/mac/src/scheme/fq.rs" => format!("fn f(t: &mut Table) {{ t.{}0); }}", ROTATION_MOVES[2]);
+        one_wheel: "crates/sim/src/planted.rs" => "struct Q { far: std::collections::BinaryHeap<u64> }";
         roadmap_citations: "DESIGN.md" => "as ROADMAP\nitem 7 asks";
     }
 
