@@ -1,5 +1,10 @@
 //! Algorithm 2 — the per-TID dequeue: deficit round-robin over the TID's
 //! flow queues with new-queue (sparse flow) priority, CoDel at each head.
+//!
+//! A flow alone on its TID's lists takes its idle laps in one step: at the
+//! default 300-byte quantum a 1,500-byte frame costs it five laps, and
+//! each lap would pop it off its one-element old list and push it back on
+//! (DESIGN §8 "Idle DRR laps").
 
 use wifiq_codel::{CodelParams, CodelQueue, QueuedPacket};
 use wifiq_sim::Nanos;
@@ -64,6 +69,19 @@ impl<P: FqPacket> MacFq<P> {
                     return None;
                 }
             };
+
+            // A lone flow's idle laps in one step. With the new list
+            // empty and the head alone on the old list, each lap of the
+            // deficit check below pops the flow and pushes it straight
+            // back, so `laps` of them leave the lists as they are and
+            // only the deficit and the lap count move. `laps` is the
+            // fewest that bring the deficit above zero.
+            if !from_new && self.flows[fi].deficit <= 0 && self.tids[ti].old_flows.len() == 1 {
+                let quantum = self.params.quantum as i64;
+                let laps = -self.flows[fi].deficit / quantum + 1;
+                self.flows[fi].deficit += laps * quantum;
+                self.tele.add(self.tids[ti].tele.drr_rounds, laps as u64);
+            }
 
             // Deficit check (lines 8–11): replenish and rotate to old.
             if self.flows[fi].deficit <= 0 {

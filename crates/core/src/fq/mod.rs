@@ -61,7 +61,8 @@ pub struct FqParams {
     /// the paper's Figure 3).
     pub limit: usize,
     /// DRR quantum in bytes; controls the granularity of inter-flow
-    /// fairness (one MTU-sized packet per round at the default).
+    /// fairness. The default is mac80211's 300 bytes, so a 1,500-byte
+    /// frame costs its flow five rounds' worth of credit.
     pub quantum: u32,
     /// Overlimit behaviour.
     pub drop_policy: DropPolicy,
@@ -280,10 +281,12 @@ impl<P: FqPacket> MacFq<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `flows` or `limit` is zero.
+    /// Panics if `flows`, `limit` or `quantum` is zero (a zero quantum
+    /// never repays a deficit, so the first dequeue would not return).
     pub fn new(params: FqParams) -> MacFq<P> {
         assert!(params.flows > 0, "flow pool must be non-empty");
         assert!(params.limit > 0, "global limit must be positive");
+        assert!(params.quantum > 0, "DRR quantum must be positive");
         MacFq {
             params,
             arena: PacketArena::new(),

@@ -122,6 +122,27 @@ fn overlimit_drops_from_longest_queue() {
 }
 
 #[test]
+fn equal_backlogs_keep_heap_order() {
+    // The heap compares bytes only, and a sift stops at an equal key:
+    // between equal backlogs the one that filled first stays the root,
+    // whatever the flow indices.
+    for (first, second) in [(9, 2), (2, 9)] {
+        let mut fq = MacFq::new(FqParams {
+            flows: 64,
+            limit: 2,
+            quantum: 300,
+            ..FqParams::default()
+        });
+        let tid = fq.register_tid();
+        let now = Nanos::ZERO;
+        fq.enqueue(pkt(first, now, 0), tid, now);
+        fq.enqueue(pkt(second, now, 0), tid, now);
+        let victim = fq.enqueue(pkt(5, now, 0), tid, now).unwrap();
+        assert_eq!(victim.flow, first, "filled {first} then {second}");
+    }
+}
+
+#[test]
 fn cross_tid_collision_goes_to_overflow() {
     let fqp = FqParams {
         flows: 1, // force every hash onto the same queue
@@ -485,4 +506,266 @@ fn stats_balance() {
         s.dequeued + s.drops_overlimit + s.drops_codel,
         "packet conservation violated: {s:?}"
     );
+}
+
+#[test]
+#[should_panic(expected = "DRR quantum must be positive")]
+fn zero_quantum_panics() {
+    let _: MacFq<Pkt> = MacFq::new(FqParams {
+        quantum: 0,
+        ..FqParams::default()
+    });
+}
+
+// ---- DRR oracle: MacFq vs a one-lap-at-a-time Algorithm 2 ----
+
+/// Algorithm 2 as the paper states it, one DRR lap per loop turn: new
+/// and old lists, quantum refill, and the anti-gaming demotion of a new
+/// flow that runs empty. No CoDel: the oracle's packets are dequeued at
+/// their enqueue time, so CoDel never drops. Flows are keyed by index
+/// and never change TID, so there is no overflow queue either.
+#[derive(Debug, Default)]
+struct ReferenceDrr {
+    quantum: i64,
+    flows: Vec<RefFlow>,
+    tids: Vec<RefTid>,
+}
+
+#[derive(Debug, Default)]
+struct RefFlow {
+    /// `(len, seq)` of each queued packet.
+    queue: std::collections::VecDeque<(u64, u32)>,
+    deficit: i64,
+    scheduled: bool,
+}
+
+#[derive(Debug, Default)]
+struct RefTid {
+    new_flows: std::collections::VecDeque<usize>,
+    old_flows: std::collections::VecDeque<usize>,
+    drr_rounds: u64,
+}
+
+impl ReferenceDrr {
+    fn enqueue(&mut self, ti: usize, fi: usize, len: u64, seq: u32) {
+        let flow = &mut self.flows[fi];
+        flow.queue.push_back((len, seq));
+        if !flow.scheduled {
+            flow.scheduled = true;
+            flow.deficit = self.quantum;
+            self.tids[ti].new_flows.push_back(fi);
+        }
+    }
+
+    /// `(flow, len, seq)` of the packet served, if any.
+    fn dequeue(&mut self, ti: usize) -> Option<(usize, u64, u32)> {
+        let t = &mut self.tids[ti];
+        loop {
+            let (fi, from_new) = match (t.new_flows.front(), t.old_flows.front()) {
+                (Some(&fi), _) => (fi, true),
+                (None, Some(&fi)) => (fi, false),
+                (None, None) => return None,
+            };
+            let flow = &mut self.flows[fi];
+            if flow.deficit <= 0 {
+                flow.deficit += self.quantum;
+                if from_new {
+                    t.new_flows.pop_front();
+                } else {
+                    t.old_flows.pop_front();
+                }
+                t.old_flows.push_back(fi);
+                t.drr_rounds += 1;
+                continue;
+            }
+            match flow.queue.pop_front() {
+                Some((len, seq)) => {
+                    flow.deficit -= len as i64;
+                    return Some((fi, len, seq));
+                }
+                None if from_new => {
+                    t.new_flows.pop_front();
+                    t.old_flows.push_back(fi);
+                }
+                None => {
+                    t.old_flows.pop_front();
+                    flow.scheduled = false;
+                }
+            }
+        }
+    }
+}
+
+mod drr_oracle {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    const QUANTUM: u32 = 300;
+    const TIDS: usize = 2;
+    /// Flow hashes of TID `ti` are `ti * FLOWS_PER_TID + f`, so the two
+    /// TIDs never contend for one hash target.
+    const FLOWS_PER_TID: usize = 4;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Enqueue {
+            ti: usize,
+            f: usize,
+            len: u64,
+        },
+        Dequeue {
+            ti: usize,
+        },
+        /// Dequeue until the TID is empty: every flow drains, is
+        /// released, and comes back fresh on its next enqueue.
+        Drain {
+            ti: usize,
+        },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        fn enqueue() -> impl Strategy<Value = Op> {
+            (0..TIDS, 0..FLOWS_PER_TID, 40u64..3_001).prop_map(|(ti, f, len)| Op::Enqueue {
+                ti,
+                f,
+                len,
+            })
+        }
+        fn dequeue() -> impl Strategy<Value = Op> {
+            (0..TIDS).prop_map(|ti| Op::Dequeue { ti })
+        }
+        prop_oneof![
+            enqueue(),
+            enqueue(),
+            enqueue(),
+            dequeue(),
+            dequeue(),
+            dequeue(),
+            (0..TIDS).prop_map(|ti| Op::Drain { ti }),
+        ]
+    }
+
+    struct Pair {
+        fq: MacFq<Pkt>,
+        tele: Telemetry,
+        tids: Vec<TidId>,
+        reference: ReferenceDrr,
+        /// Flows per TID for this script (1–4).
+        width: [usize; TIDS],
+        seq: u32,
+    }
+
+    impl Pair {
+        fn new(width: [usize; TIDS]) -> Pair {
+            let mut fq = MacFq::new(FqParams {
+                flows: 64,
+                limit: 8192,
+                quantum: QUANTUM,
+                ..FqParams::default()
+            });
+            let tele = Telemetry::enabled();
+            fq.set_telemetry(tele.clone(), "fq");
+            let tids = (0..TIDS).map(|_| fq.register_tid()).collect();
+            let reference = ReferenceDrr {
+                quantum: QUANTUM as i64,
+                flows: (0..TIDS * FLOWS_PER_TID)
+                    .map(|_| RefFlow::default())
+                    .collect(),
+                tids: (0..TIDS).map(|_| RefTid::default()).collect(),
+            };
+            Pair {
+                fq,
+                tele,
+                tids,
+                reference,
+                width,
+                seq: 0,
+            }
+        }
+
+        fn enqueue(&mut self, ti: usize, f: usize, len: u64) {
+            let fi = ti * FLOWS_PER_TID + f % self.width[ti];
+            let p = Pkt {
+                flow: fi as u64,
+                t: Nanos::ZERO,
+                len,
+                seq: self.seq,
+            };
+            assert!(self.fq.enqueue(p, self.tids[ti], Nanos::ZERO).is_none());
+            self.reference.enqueue(ti, fi, len, self.seq);
+            self.seq += 1;
+        }
+
+        /// One dequeue on both sides; true if a packet came out.
+        fn dequeue(&mut self, ti: usize) -> bool {
+            let got = self
+                .fq
+                .dequeue(self.tids[ti], Nanos::ZERO, &params())
+                .map(|p| (p.flow as usize, p.len, p.seq));
+            let want = self.reference.dequeue(ti);
+            prop_assert_eq!(got, want, "TID {}: dequeued packet diverged", ti);
+            for (tj, t) in self.reference.tids.iter().enumerate() {
+                prop_assert_eq!(
+                    self.tele.counter("fq", "drr_rounds", Label::Tid(tj as u32)),
+                    t.drr_rounds,
+                    "TID {}: drr_rounds diverged",
+                    tj
+                );
+            }
+            self.fq.check_invariants();
+            got.is_some()
+        }
+    }
+
+    proptest! {
+        /// MacFq serves the same packet and counts the same DRR laps as
+        /// the one-lap-at-a-time reference after every operation —
+        /// whatever shortcut the dequeue takes through idle laps.
+        #[test]
+        fn dequeue_matches_one_lap_reference(
+            width in (1usize..=FLOWS_PER_TID, 1usize..=FLOWS_PER_TID),
+            ops in proptest::collection::vec(op(), 1..300)
+        ) {
+            let mut pair = Pair::new([width.0, width.1]);
+            for op in ops {
+                match op {
+                    Op::Enqueue { ti, f, len } => {
+                        pair.enqueue(ti, f, len);
+                        pair.fq.check_invariants();
+                    }
+                    Op::Dequeue { ti } => {
+                        pair.dequeue(ti);
+                    }
+                    Op::Drain { ti } => while pair.dequeue(ti) {},
+                }
+            }
+        }
+    }
+
+    /// A lone flow on the old list at deficit `d` takes
+    /// `k = ⌊−d / quantum⌋ + 1` laps before it is served: `d = 0, −q,
+    /// −q + 1` give `k = 1, 2, 1`.
+    #[test]
+    fn lone_flow_laps_at_deficit_edges() {
+        let q = QUANTUM as i64;
+        for (d, k) in [(0, 1), (-q, 2), (-q + 1, 1)] {
+            let mut pair = Pair::new([1, 1]);
+            // The first packet spends the fresh quantum exactly; the
+            // second is served after the lap that moves the flow to the
+            // old list, leaving it at `d` there; the third meets `d`.
+            pair.enqueue(0, 0, QUANTUM as u64);
+            pair.enqueue(0, 0, (q - d) as u64);
+            pair.enqueue(0, 0, 1500);
+            pair.dequeue(0);
+            pair.dequeue(0);
+            assert_eq!(pair.fq.flows[0].deficit, d);
+            assert_eq!(pair.fq.tids[0].old_flows.len(), 1);
+            let before = pair.tele.counter("fq", "drr_rounds", Label::Tid(0));
+            assert!(pair.dequeue(0));
+            let laps = pair.tele.counter("fq", "drr_rounds", Label::Tid(0)) - before;
+            assert_eq!(laps, k as u64, "d = {d}");
+            assert_eq!(pair.fq.flows[0].deficit, d + k * q - 1500, "d = {d}");
+        }
+    }
 }
