@@ -36,6 +36,22 @@ impl<P: QueuedPacket> CodelQueue for FlowQueueRef<'_, P> {
 }
 
 impl<P: FqPacket> MacFq<P> {
+    /// Moves `fi`, the head of the TID's new list (`from_new`) or old
+    /// list, to the old list's tail: a spent deficit's lap, or a new flow
+    /// demoted on running empty.
+    fn rotate_to_old(&mut self, ti: usize, fi: usize, from_new: bool) {
+        let t = &mut self.tids[ti];
+        let list = if from_new {
+            &mut t.new_flows
+        } else {
+            &mut t.old_flows
+        };
+        let head = list.pop_front(&self.flows);
+        debug_assert_eq!(head, Some(fi), "rotated a flow off a list it does not head");
+        t.old_flows.push_back(&mut self.flows, fi);
+        self.flows[fi].membership = Membership::Old;
+    }
+
     /// Dequeues the next packet for a TID — Algorithm 2.
     ///
     /// `codel_params` are the parameters for the *station* owning this TID
@@ -61,9 +77,9 @@ impl<P: FqPacket> MacFq<P> {
             // Pick the head of new_flows, else old_flows (lines 2–7).
             let (fi, from_new) = {
                 let t = &self.tids[ti];
-                if let Some(&fi) = t.new_flows.front() {
+                if let Some(fi) = t.new_flows.front() {
                     (fi, true)
-                } else if let Some(&fi) = t.old_flows.front() {
+                } else if let Some(fi) = t.old_flows.front() {
                     (fi, false)
                 } else {
                     return None;
@@ -76,25 +92,18 @@ impl<P: FqPacket> MacFq<P> {
             // back, so `laps` of them leave the lists as they are and
             // only the deficit and the lap count move. `laps` is the
             // fewest that bring the deficit above zero.
-            if !from_new && self.flows[fi].deficit <= 0 && self.tids[ti].old_flows.len() == 1 {
+            if !from_new && self.flows[fi].deficit <= 0 && self.tids[ti].old_flows.is_lone() {
                 let quantum = self.params.quantum as i64;
                 let laps = -self.flows[fi].deficit / quantum + 1;
                 self.flows[fi].deficit += laps * quantum;
-                self.tele.add(self.tids[ti].tele.drr_rounds, laps as u64);
+                self.tid_count(ti, |t| t.drr_rounds, laps as u64);
             }
 
             // Deficit check (lines 8–11): replenish and rotate to old.
             if self.flows[fi].deficit <= 0 {
                 self.flows[fi].deficit += self.params.quantum as i64;
-                let t = &mut self.tids[ti];
-                if from_new {
-                    t.new_flows.pop_front();
-                } else {
-                    t.old_flows.pop_front();
-                }
-                t.old_flows.push_back(fi);
-                self.flows[fi].membership = Membership::Old;
-                self.tele.add(self.tids[ti].tele.drr_rounds, 1);
+                self.rotate_to_old(ti, fi, from_new);
+                self.tid_count(ti, |t| t.drr_rounds, 1);
                 continue;
             }
 
@@ -108,23 +117,24 @@ impl<P: FqPacket> MacFq<P> {
                     queue: &mut flow.queue,
                     backlog_bytes: &mut flow.backlog_bytes,
                 };
-                flow.codel.dequeue_tracked(
-                    now,
-                    codel_params,
-                    &mut qref,
-                    |p| {
-                        codel_drops += 1;
-                        codel_drop_bytes += p.wire_len();
-                        on_drop(p);
-                    },
-                    &self.tids[ti].tele.codel,
-                )
+                let victim = |p: P| {
+                    codel_drops += 1;
+                    codel_drop_bytes += p.wire_len();
+                    on_drop(p);
+                };
+                if self.tele.is_enabled() {
+                    let ct = &self.tid_tele[ti].codel;
+                    flow.codel
+                        .dequeue_tracked(now, codel_params, &mut qref, victim, ct)
+                } else {
+                    flow.codel.dequeue(now, codel_params, &mut qref, victim)
+                }
             };
             self.total_packets -= codel_drops;
             self.stats.drops_codel += codel_drops as u64;
             {
                 let t = &mut self.tids[ti];
-                t.backlog_packets -= codel_drops;
+                t.backlog_packets -= codel_drops as u32;
                 t.backlog_bytes -= codel_drop_bytes;
             }
 
@@ -133,13 +143,10 @@ impl<P: FqPacket> MacFq<P> {
                     // Queue empty (lines 13–19): new flows get demoted to
                     // old (the anti-gaming rule); old flows are released.
                     self.heap_shrank(fi);
-                    let t = &mut self.tids[ti];
                     if from_new {
-                        t.new_flows.pop_front();
-                        t.old_flows.push_back(fi);
-                        self.flows[fi].membership = Membership::Old;
+                        self.rotate_to_old(ti, fi, true);
                     } else {
-                        t.old_flows.pop_front();
+                        self.tids[ti].old_flows.pop_front(&self.flows);
                         self.flows[fi].membership = Membership::Idle;
                         self.flows[fi].tid = None;
                     }
@@ -153,7 +160,7 @@ impl<P: FqPacket> MacFq<P> {
                     self.total_packets -= 1;
                     self.stats.dequeued += 1;
                     if from_new {
-                        self.tele.add(self.tids[ti].tele.sparse_hits, 1);
+                        self.tid_count(ti, |t| t.sparse_hits, 1);
                     }
                     let t = &mut self.tids[ti];
                     t.backlog_packets -= 1;

@@ -16,8 +16,8 @@ impl<P: FqPacket> MacFq<P> {
     #[inline]
     fn heap_swap(&mut self, i: usize, j: usize) {
         self.heap.swap(i, j);
-        self.flows[self.heap[i]].heap_pos = i;
-        self.flows[self.heap[j]].heap_pos = j;
+        self.flows[self.heap[i]].heap_pos = i as u32;
+        self.flows[self.heap[j]].heap_pos = j as u32;
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -63,10 +63,10 @@ impl<P: FqPacket> MacFq<P> {
         if pos == NOT_IN_HEAP {
             let i = self.heap.len();
             self.heap.push(fi);
-            self.flows[fi].heap_pos = i;
+            self.flows[fi].heap_pos = i as u32;
             self.sift_up(i);
         } else {
-            self.sift_up(pos);
+            self.sift_up(pos as usize);
         }
     }
 
@@ -77,17 +77,18 @@ impl<P: FqPacket> MacFq<P> {
         if pos == NOT_IN_HEAP {
             return;
         }
+        let pos = pos as usize;
         if self.flows[fi].queue.is_empty() {
             self.heap.swap_remove(pos);
             self.flows[fi].heap_pos = NOT_IN_HEAP;
             if pos < self.heap.len() {
                 let moved = self.heap[pos];
-                self.flows[moved].heap_pos = pos;
+                self.flows[moved].heap_pos = pos as u32;
                 // The filler came off a leaf: it can be smaller than the
                 // new children or larger than the new parent, never both,
                 // so one of these is a no-op.
                 self.sift_down(pos);
-                self.sift_up(self.flows[moved].heap_pos);
+                self.sift_up(self.flows[moved].heap_pos as usize);
             }
         } else {
             self.sift_down(pos);
@@ -120,7 +121,7 @@ impl<P: FqPacket> MacFq<P> {
         if let Some(mut rec) = self.tele.batch() {
             rec.add(self.fq_tele.drops_overlimit, 1);
             let (victims, label) = match victim_tid {
-                Some(ti) => (self.tids[ti].tele.victims, Label::Tid(ti as u32)),
+                Some(ti) => (self.tid_tele[ti].victims, Label::Tid(ti as u32)),
                 None => (self.fq_tele.orphan_victims, Label::Global),
             };
             rec.add(victims, 1);
@@ -184,9 +185,9 @@ impl<P: FqPacket> MacFq<P> {
             None => (hash % self.params.flows as u64) as usize,
         };
         if self.flows[fi].tid.is_some_and(|t| t != ti) {
-            fi = self.tids[ti].overflow_flow;
+            fi = self.tids[ti].overflow_flow as usize;
             self.stats.collisions += 1;
-            self.tele.add(self.tids[ti].tele.collisions, 1);
+            self.tid_count(ti, |t| t.collisions, 1);
         }
         self.flows[fi].tid = Some(ti);
 
@@ -207,12 +208,12 @@ impl<P: FqPacket> MacFq<P> {
             // would rotate it to the old list and void its new-flow
             // (sparse) priority.
             self.flows[fi].deficit = self.params.quantum as i64;
-            self.tids[ti].new_flows.push_back(fi);
+            self.tids[ti].new_flows.push_back(&mut self.flows, fi);
         }
         self.heap_grew(fi);
 
         if let Some(mut rec) = self.tele.batch() {
-            rec.add(self.tids[ti].tele.enqueued, 1);
+            rec.add(self.tid_tele[ti].enqueued, 1);
             rec.set(self.fq_tele.occupancy_gauge, self.total_packets as f64);
             rec.record(self.fq_tele.occupancy_hist, self.total_packets as u64);
             rec.event(

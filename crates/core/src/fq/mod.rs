@@ -24,8 +24,6 @@
 mod dequeue;
 mod enqueue;
 
-use std::collections::VecDeque;
-
 use wifiq_codel::{CodelState, CodelTele};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{CounterId, DropReason, EventKind, GaugeId, HistId, Label, Telemetry};
@@ -34,7 +32,11 @@ use crate::packet::{FqPacket, PacketArena, PacketFifo};
 use crate::table::TidId;
 
 /// Sentinel for "this flow is not in the backlog heap".
-const NOT_IN_HEAP: usize = usize::MAX;
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// The end of a DRR list: no flow index may equal it, so the flow pool
+/// stops one short of `u32::MAX` entries.
+const NIL: u32 = u32::MAX;
 
 /// What to do when the global packet limit is hit (Algorithm 1
 /// lines 2–4 vs the naive alternative).
@@ -104,7 +106,10 @@ struct Flow {
     /// This flow's slot in [`MacFq::heap`], or [`NOT_IN_HEAP`] while the
     /// queue is empty — the intrusive index that makes longest-queue
     /// lookup O(1) and membership updates O(log n).
-    heap_pos: usize,
+    heap_pos: u32,
+    /// The next flow on the DRR list this flow sits on ([`NIL`] at the
+    /// tail); stale while the flow is idle.
+    next: u32,
 }
 
 impl Flow {
@@ -117,14 +122,75 @@ impl Flow {
             tid: None,
             membership: Membership::Idle,
             heap_pos: NOT_IN_HEAP,
+            next: NIL,
         }
+    }
+}
+
+/// One of a TID's DRR lists: a FIFO of flow indices linked through
+/// [`Flow::next`], like the `list_head`s mac80211 keeps in `fq_tin` — two
+/// words per list and no buffer of its own. A flow sits on at most one
+/// list at a time, which is what lets one link field serve both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FlowList {
+    head: u32,
+    tail: u32,
+}
+
+impl Default for FlowList {
+    fn default() -> FlowList {
+        FlowList {
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl FlowList {
+    fn front(&self) -> Option<usize> {
+        (self.head != NIL).then_some(self.head as usize)
+    }
+
+    /// True if the list holds exactly one flow.
+    fn is_lone(&self) -> bool {
+        self.head != NIL && self.head == self.tail
+    }
+
+    fn push_back(&mut self, flows: &mut [Flow], fi: usize) {
+        let link = fi as u32;
+        flows[fi].next = NIL;
+        if self.tail == NIL {
+            self.head = link;
+        } else {
+            flows[self.tail as usize].next = link;
+        }
+        self.tail = link;
+    }
+
+    fn pop_front(&mut self, flows: &[Flow]) -> Option<usize> {
+        let fi = self.front()?;
+        self.head = flows[fi].next;
+        if self.head == NIL {
+            self.tail = NIL;
+        }
+        Some(fi)
+    }
+
+    /// The flows head to tail. Stops after `flows.len()` steps, so the
+    /// audit sees a cycle as a flow scheduled twice instead of hanging.
+    fn iter<'a>(&self, flows: &'a [Flow]) -> impl Iterator<Item = usize> + 'a {
+        std::iter::successors(self.front(), move |&fi| {
+            let next = flows[fi].next;
+            (next != NIL).then_some(next as usize)
+        })
+        .take(flows.len())
     }
 }
 
 /// Pre-resolved per-TID telemetry instruments: recorder ids in
 /// [`MacFq`]'s hub. Resolved once at registration (or
 /// [`MacFq::set_telemetry`]) so the per-packet paths pay no
-/// `(component, metric, label)` lookups; scratch ids when telemetry is
+/// `(component, metric, label)` lookups; none exist while telemetry is
 /// off.
 #[derive(Debug, Default)]
 struct TidTele {
@@ -171,13 +237,17 @@ impl FqTele {
     }
 }
 
+/// One (station, AC) slot: every workload holds one per station per
+/// access category, so it is kept to 40 bytes — two intrusive lists,
+/// `u32` counts (the global limit bounds a TID's packets) and no
+/// telemetry ids (those live in [`MacFq::tid_tele`]).
 #[derive(Debug, Default)]
 struct TidState {
-    new_flows: VecDeque<usize>,
-    old_flows: VecDeque<usize>,
+    new_flows: FlowList,
+    old_flows: FlowList,
     /// Index of this TID's dedicated overflow queue in the flow pool.
-    overflow_flow: usize,
-    backlog_packets: usize,
+    overflow_flow: u32,
+    backlog_packets: u32,
     backlog_bytes: u64,
     /// False once the TID has been detached; the slot (and its overflow
     /// queue) is parked on the free list until the next `register_tid`.
@@ -186,10 +256,6 @@ struct TidState {
     /// detach no longer matches and panics at first use instead of
     /// addressing the slot's next occupant.
     gen: u32,
-    /// The ids survive detach/reattach — the slot index (and therefore the
-    /// `Tid` label) is stable, so a churning roster resolves each
-    /// instrument once, not once per join.
-    tele: TidTele,
 }
 
 /// Counters exposed for tests and experiment telemetry.
@@ -254,6 +320,11 @@ pub struct MacFq<P> {
     arena: PacketArena<P>,
     flows: Vec<Flow>,
     tids: Vec<TidState>,
+    /// Each TID slot's instruments, indexed like `tids` while telemetry is
+    /// on and empty while it is off. The ids survive detach/reattach — the
+    /// slot index (and therefore the `Tid` label) is stable, so a churning
+    /// roster resolves each instrument once, not once per join.
+    tid_tele: Vec<TidTele>,
     /// Indices of flows that currently hold packets, arranged as a binary
     /// max-heap on `backlog_bytes` with each flow's slot stored
     /// intrusively in [`Flow::heap_pos`] — the longest queue is the root
@@ -282,16 +353,22 @@ impl<P: FqPacket> MacFq<P> {
     /// # Panics
     ///
     /// Panics if `flows`, `limit` or `quantum` is zero (a zero quantum
-    /// never repays a deficit, so the first dequeue would not return).
+    /// never repays a deficit, so the first dequeue would not return), or
+    /// if `limit` exceeds `u32::MAX` (a TID's packet count is a `u32`).
     pub fn new(params: FqParams) -> MacFq<P> {
         assert!(params.flows > 0, "flow pool must be non-empty");
         assert!(params.limit > 0, "global limit must be positive");
+        assert!(
+            params.limit <= u32::MAX as usize,
+            "global limit must fit in u32"
+        );
         assert!(params.quantum > 0, "DRR quantum must be positive");
         MacFq {
             params,
             arena: PacketArena::new(),
             flows: (0..params.flows).map(|_| Flow::new()).collect(),
             tids: Vec::new(),
+            tid_tele: Vec::new(),
             heap: Vec::new(),
             free_tids: Vec::new(),
             total_packets: 0,
@@ -316,8 +393,21 @@ impl<P: FqPacket> MacFq<P> {
         // parked (detached) slots, whose ids would otherwise index the old
         // hub's table after a reattach.
         self.fq_tele = FqTele::resolve(&self.tele, component);
-        for ti in 0..self.tids.len() {
-            self.tids[ti].tele = TidTele::resolve(&self.tele, component, ti);
+        self.tid_tele = if self.tele.is_enabled() {
+            (0..self.tids.len())
+                .map(|ti| TidTele::resolve(&self.tele, component, ti))
+                .collect()
+        } else {
+            Vec::new()
+        };
+    }
+
+    /// Adds `delta` to the TID counter `id` picks; reads nothing but the
+    /// handle while telemetry is off.
+    #[inline]
+    fn tid_count(&self, ti: usize, id: impl FnOnce(&TidTele) -> CounterId, delta: u64) {
+        if let Some(mut rec) = self.tele.batch() {
+            rec.add(id(&self.tid_tele[ti]), delta);
         }
     }
 
@@ -326,17 +416,21 @@ impl<P: FqPacket> MacFq<P> {
     /// [`MacFq::unregister_tid`] is reused (most recently freed first)
     /// together with its overflow queue, so a churning roster does not
     /// grow the flow pool without bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new overflow queue would take the flow index reserved
+    /// for the end of a DRR list (`u32::MAX`).
     pub fn register_tid(&mut self) -> TidId {
         if let Some(idx) = self.free_tids.pop() {
-            // Revive the slot in place: the DRR list deques (emptied but
-            // not shrunk by `unregister_tid`) and the resolved telemetry
-            // ids are kept, so a detach/reattach cycle allocates
-            // nothing. The generation was bumped at detach, so the
-            // revived handle is distinct from the previous occupant's.
+            // Revive the slot in place: its overflow queue and resolved
+            // telemetry ids are kept, so a detach/reattach cycle
+            // allocates nothing. The generation was bumped at detach, so
+            // the revived handle is distinct from the previous occupant's.
             let t = &mut self.tids[idx];
             debug_assert!(!t.registered, "free-listed TID still registered");
             debug_assert!(
-                t.new_flows.is_empty() && t.old_flows.is_empty(),
+                t.new_flows.front().is_none() && t.old_flows.front().is_none(),
                 "detached TID kept flows scheduled"
             );
             t.backlog_packets = 0;
@@ -345,14 +439,18 @@ impl<P: FqPacket> MacFq<P> {
             return TidId::from_raw(idx, t.gen);
         }
         let overflow = self.flows.len();
+        assert!(overflow < NIL as usize, "flow pool full");
         self.flows.push(Flow::new());
         let idx = self.tids.len();
         self.tids.push(TidState {
-            overflow_flow: overflow,
+            overflow_flow: overflow as u32,
             registered: true,
-            tele: TidTele::resolve(&self.tele, self.component, idx),
             ..TidState::default()
         });
+        if self.tele.is_enabled() {
+            self.tid_tele
+                .push(TidTele::resolve(&self.tele, self.component, idx));
+        }
         TidId::from_raw(idx, 0)
     }
 
@@ -451,8 +549,8 @@ impl<P: FqPacket> MacFq<P> {
     /// Every flow holding this TID's packets sits on exactly one of its
     /// DRR lists (enqueue activates Idle flows; only full drain at
     /// dequeue releases them), so draining the lists drains the TID.
-    /// The lists are taken out to walk without aliasing `self` and put
-    /// back empty — capacity intact, no scratch allocation.
+    /// The lists are taken out to walk without aliasing `self`; the slot
+    /// is left with two empty ones.
     fn detach_tid_with(&mut self, tid: TidId, mut take: impl FnMut(P)) -> (usize, u64) {
         let ti = self.tid_slot(tid);
 
@@ -460,7 +558,10 @@ impl<P: FqPacket> MacFq<P> {
         let mut old_flows = std::mem::take(&mut self.tids[ti].old_flows);
         let mut removed = 0usize;
         let mut removed_bytes = 0u64;
-        for fi in new_flows.drain(..).chain(old_flows.drain(..)) {
+        while let Some(fi) = new_flows
+            .pop_front(&self.flows)
+            .or_else(|| old_flows.pop_front(&self.flows))
+        {
             let flow = &mut self.flows[fi];
             debug_assert_eq!(flow.tid, Some(ti), "flow on a foreign TID list");
             while let Some(pkt) = flow.queue.pop_front(&mut self.arena) {
@@ -477,15 +578,16 @@ impl<P: FqPacket> MacFq<P> {
         }
         // The overflow queue may be idle-but-stale (drained earlier this
         // round); reset its CoDel state so the next owner starts clean.
-        let of = self.tids[ti].overflow_flow;
+        let of = self.tids[ti].overflow_flow as usize;
         self.flows[of].codel = CodelState::new();
 
         self.total_packets -= removed;
         let t = &mut self.tids[ti];
-        debug_assert_eq!(t.backlog_packets, removed, "TID packet count drifted");
+        debug_assert_eq!(
+            t.backlog_packets as usize, removed,
+            "TID packet count drifted"
+        );
         debug_assert_eq!(t.backlog_bytes, removed_bytes, "TID byte count drifted");
-        t.new_flows = new_flows;
-        t.old_flows = old_flows;
         t.backlog_packets = 0;
         t.backlog_bytes = 0;
         t.registered = false;
@@ -510,7 +612,7 @@ impl<P: FqPacket> MacFq<P> {
 
     /// Packets queued for one TID.
     pub fn tid_backlog_packets(&self, tid: TidId) -> usize {
-        self.tids[self.tid_slot(tid)].backlog_packets
+        self.tids[self.tid_slot(tid)].backlog_packets as usize
     }
 
     /// Bytes queued for one TID.
@@ -535,22 +637,18 @@ impl<P: FqPacket> MacFq<P> {
         self.arena.live()
     }
 
-    /// Capacity probe for the churn-reuse tests: (new-list, old-list,
-    /// packet-arena) capacities for one TID slot.
+    /// Capacity probe for the churn-reuse tests: (flow-pool length,
+    /// packet-arena capacity).
     #[cfg(test)]
-    fn churn_capacity_probe(&self, tid: TidId) -> (usize, usize, usize) {
-        let t = &self.tids[tid.slot()];
-        (
-            t.new_flows.capacity(),
-            t.old_flows.capacity(),
-            self.arena.capacity(),
-        )
+    fn churn_capacity_probe(&self) -> (usize, usize) {
+        (self.flows.len(), self.arena.capacity())
     }
 
     /// Recomputes every derived structure from the ground-truth flow
     /// queues and panics on any inconsistency: the backlog heap (property,
     /// intrusive positions, exact nonempty membership), per-flow byte
-    /// counts, per-TID packet/byte counts, DRR-list membership, and the
+    /// counts, per-TID packet/byte counts, DRR-list membership and tails,
+    /// one instrument bundle per TID while telemetry is on, and the
     /// global packet count. An audit for the interleaving proptests;
     /// O(flows), never call it from a hot path.
     pub fn check_invariants(&self) {
@@ -568,8 +666,9 @@ impl<P: FqPacket> MacFq<P> {
                     "flow {fi}: empty but still in the backlog heap"
                 );
             } else {
+                let pos = flow.heap_pos as usize;
                 assert!(
-                    flow.heap_pos < self.heap.len() && self.heap[flow.heap_pos] == fi,
+                    pos < self.heap.len() && self.heap[pos] == fi,
                     "flow {fi}: nonempty but heap_pos {} is stale",
                     flow.heap_pos
                 );
@@ -601,15 +700,32 @@ impl<P: FqPacket> MacFq<P> {
                 );
             }
         }
+        let expect_tele = if self.tele.is_enabled() {
+            self.tids.len()
+        } else {
+            0
+        };
+        assert_eq!(
+            self.tid_tele.len(),
+            expect_tele,
+            "TID instrument bundles drifted"
+        );
         let mut scheduled = vec![0u32; self.flows.len()];
         for (ti, t) in self.tids.iter().enumerate() {
+            for list in [t.new_flows, t.old_flows] {
+                assert_eq!(
+                    list.iter(&self.flows).last().map(|fi| fi as u32),
+                    (list.tail != NIL).then_some(list.tail),
+                    "TID {ti}: DRR list tail drifted"
+                );
+            }
             let mut pkts = 0usize;
             let mut bytes = 0u64;
-            for (&fi, on_new) in t
+            for (fi, on_new) in t
                 .new_flows
-                .iter()
+                .iter(&self.flows)
                 .map(|fi| (fi, true))
-                .chain(t.old_flows.iter().map(|fi| (fi, false)))
+                .chain(t.old_flows.iter(&self.flows).map(|fi| (fi, false)))
             {
                 assert!(t.registered, "detached TID {ti} still schedules flows");
                 scheduled[fi] += 1;
@@ -624,7 +740,10 @@ impl<P: FqPacket> MacFq<P> {
                 pkts += flow.queue.len();
                 bytes += flow.backlog_bytes;
             }
-            assert_eq!(pkts, t.backlog_packets, "TID {ti}: packet count drifted");
+            assert_eq!(
+                pkts, t.backlog_packets as usize,
+                "TID {ti}: packet count drifted"
+            );
             assert_eq!(bytes, t.backlog_bytes, "TID {ti}: byte count drifted");
         }
         for (fi, &n) in scheduled.iter().enumerate() {

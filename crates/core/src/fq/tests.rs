@@ -335,18 +335,20 @@ fn detach_reattach_reuses_capacity() {
     let tid_b = fq.register_tid();
     let now = Nanos::ZERO;
     // tid_a claims hash target 0 so tid_b's flow 0 collides into its
-    // overflow queue; tid_b's other 99 flows grow its new-flows list.
+    // overflow queue; tid_b's other 99 flows fill its new-flows list.
     fq.enqueue(pkt(0, now, 0), tid_a, now);
     for seq in 0..100 {
         fq.enqueue(pkt(seq as u64, now, seq), tid_b, now);
     }
-    let before = fq.churn_capacity_probe(tid_b);
-    assert!(before.0 >= 99, "new-flows list never grew: {before:?}");
-    assert!(before.2 >= 101, "packet arena never grew: {before:?}");
+    let before = fq.churn_capacity_probe();
+    assert_eq!(before.0, 256 + 2, "one overflow queue per TID");
+    assert!(before.1 >= 101, "packet arena never grew: {before:?}");
+    assert_eq!(fq.tids[tid_b.slot()].new_flows.iter(&fq.flows).count(), 100);
 
     fq.unregister_tid(tid_b, now);
-    // LIFO slot reuse: the fresh handle revives tid_b's slot, and the
-    // round-trip must not have released any of its capacity.
+    // LIFO slot reuse: the fresh handle revives tid_b's slot with its
+    // overflow queue, so the round-trip grows neither the flow pool nor
+    // the arena, and the revived slot schedules nothing.
     let tid_b2 = fq.register_tid();
     assert_eq!(tid_b2.slot(), tid_b.slot(), "slot not reused");
     assert_ne!(
@@ -354,8 +356,15 @@ fn detach_reattach_reuses_capacity() {
         tid_b.generation(),
         "generation not bumped"
     );
-    let after = fq.churn_capacity_probe(tid_b2);
-    assert_eq!(before, after, "detach/reattach reallocated");
+    assert_eq!(
+        fq.churn_capacity_probe(),
+        before,
+        "detach/reattach reallocated"
+    );
+    let revived = &fq.tids[tid_b2.slot()];
+    let empty = FlowList::default();
+    assert_eq!(revived.new_flows, empty, "new list kept flows");
+    assert_eq!(revived.old_flows, empty, "old list kept flows");
 
     fq.enqueue(pkt(7, now, 0), tid_b2, now);
     assert_eq!(fq.tid_backlog_packets(tid_b2), 1);
@@ -435,26 +444,34 @@ fn arena_drains_to_zero_after_tid_churn() {
     }
     // Steady-state churn must recycle slots, not grow the slab.
     let tid = fq.register_tid();
-    let cap = fq.churn_capacity_probe(tid).2;
+    let cap = fq.churn_capacity_probe().1;
     for seq in 0..40 {
         fq.enqueue(pkt(seq as u64 % 9, now, seq), tid, now);
     }
     while fq.dequeue(tid, now, &params()).is_some() {}
     assert_eq!(
-        fq.churn_capacity_probe(tid).2,
+        fq.churn_capacity_probe().1,
         cap,
         "steady-state churn grew the packet arena"
     );
     assert_eq!(fq.arena_live(), 0);
 }
 
-/// Every workload carries one `TidState` per (station, AC) through its
-/// caches whether or not the sink is on, so the instrument bundle must
-/// not fatten it: 200 bytes with eight `Rc` handles, 176 with ids.
+/// Every workload carries one `TidState` per (station, AC) whether or
+/// not the sink is on: 200 bytes with eight `Rc` handles, 176 with ids
+/// and `VecDeque` lists, 40 with intrusive lists and the ids kept apart.
 #[test]
-fn tid_state_is_no_larger_than_with_rc_handles() {
+fn tid_state_fits_in_48_bytes() {
     let size = std::mem::size_of::<TidState>();
-    assert!(size <= 200, "TidState grew to {size} bytes");
+    assert!(size <= 48, "TidState grew to {size} bytes");
+}
+
+/// One `Flow` per pool entry and per TID's overflow queue; the DRR link
+/// is paid for by a `u32` heap position.
+#[test]
+fn flow_fits_in_112_bytes() {
+    let size = std::mem::size_of::<Flow>();
+    assert!(size <= 112, "Flow grew to {size} bytes");
 }
 
 #[test]
@@ -513,6 +530,17 @@ fn stats_balance() {
 fn zero_quantum_panics() {
     let _: MacFq<Pkt> = MacFq::new(FqParams {
         quantum: 0,
+        ..FqParams::default()
+    });
+}
+
+/// A TID's packet count is a `u32`, so a limit past it is refused before
+/// anything is allocated.
+#[test]
+#[should_panic(expected = "global limit must fit in u32")]
+fn limit_past_u32_panics() {
+    let _: MacFq<Pkt> = MacFq::new(FqParams {
+        limit: u32::MAX as usize + 1,
         ..FqParams::default()
     });
 }
@@ -760,7 +788,8 @@ mod drr_oracle {
             pair.dequeue(0);
             pair.dequeue(0);
             assert_eq!(pair.fq.flows[0].deficit, d);
-            assert_eq!(pair.fq.tids[0].old_flows.len(), 1);
+            let old = pair.fq.tids[0].old_flows;
+            assert_eq!((old.head, old.tail), (0, 0), "flow 0 alone on the old list");
             let before = pair.tele.counter("fq", "drr_rounds", Label::Tid(0));
             assert!(pair.dequeue(0));
             let laps = pair.tele.counter("fq", "drr_rounds", Label::Tid(0)) - before;
