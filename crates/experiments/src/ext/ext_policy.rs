@@ -14,9 +14,9 @@
 //!    `PolicySwitch` reversing a 1:2:4 split settles onto the new shares
 //!    within 2 s, with and without the chaos matrix (burst loss + ACK
 //!    loss) running across the switch.
-//! 3. **Equal weights are byte-invisible** — an all-equal `PolicySet`
-//!    produces meters and (policy-counters aside) telemetry identical to
-//!    a run with no policy at all.
+//!
+//! That an all-equal tree is byte-invisible is asserted by
+//! `tests/policy_validation.rs`.
 //!
 //! Results land in `results/BENCH_policy.json` with a `gates` block;
 //! any violated gate is an `Err` (and so fails `wifiq all`). A sharded
@@ -252,40 +252,6 @@ fn convergence_probe(chaos: bool, cfg: &RunCfg) -> Result<f64, String> {
     Ok(converged)
 }
 
-/// Gate 3: a run under an all-equal `PolicySet` must be byte-identical
-/// to one with no policy at all — same meters, same telemetry once the
-/// `policy/*` counters (which only the policy run emits) are set aside.
-fn equal_weights_identity(seed: u64) -> bool {
-    let run = |policy: Option<PolicySet>| {
-        let mut b = NetworkConfig::builder()
-            .preset(Preset::PaperTestbed)
-            .scheme(SchemeKind::AirtimeFair)
-            .seed(seed);
-        if let Some(set) = policy {
-            b = b.policy(set);
-        }
-        let mut net: WifiNetwork<()> = WifiNetwork::new(b.build());
-        let tele = Telemetry::enabled();
-        net.set_telemetry(tele.clone());
-        let mut app = Flood::new(3);
-        net.seed_timer(0, Nanos::ZERO);
-        net.run(Nanos::from_secs(3), &mut app);
-        let meters = format!("{:?}", net.meter().all());
-        (meters, tele.take_registry().expect("registry"))
-    };
-    let (plain_meters, plain_reg) = run(None);
-    let (equal_meters, equal_reg) = run(Some(PolicySet::equal(3)));
-    let plain = plain_reg.without_component("policy").to_json().pretty();
-    let equal = equal_reg.without_component("policy").to_json().pretty();
-    if plain_meters != equal_meters {
-        eprintln!("FAIL: equal-weights meters differ from the no-policy run");
-    }
-    if plain != equal {
-        eprintln!("FAIL: equal-weights telemetry differs from the no-policy run");
-    }
-    plain_meters == equal_meters && plain == equal
-}
-
 /// One rollup shard: the tenant tree with a mid-run switch and a
 /// burst-loss fault, flooded for 3 s, returning its telemetry registry.
 fn policy_shard(ctx: &ShardCtx) -> ((), Option<Registry>) {
@@ -321,7 +287,6 @@ struct Gates {
     convergence_ms: f64,
     convergence_chaos_ms: f64,
     convergence_ok: bool,
-    equal_weights_identical: bool,
 }
 
 #[derive(serde::Serialize)]
@@ -379,9 +344,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let convergence_chaos_ms = convergence_probe(true, cfg)?;
     let convergence_ok = convergence_ms <= 2000.0 && convergence_chaos_ms <= 2000.0;
 
-    // Gate 3: equal weights are byte-invisible.
-    let equal_weights_identical = equal_weights_identity(cfg.base_seed);
-
     // The rollup's metrics snapshot also carries the harness-measured
     // convergence, so tests/telemetry_validation.rs validates the whole policy
     // vocabulary.
@@ -402,19 +364,14 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         convergence_ms,
         convergence_chaos_ms,
         convergence_ok,
-        equal_weights_identical,
     };
-    let ok = gates.share_ok
-        && gates.node_share_ok
-        && gates.convergence_ok
-        && gates.equal_weights_identical;
+    let ok = gates.share_ok && gates.node_share_ok && gates.convergence_ok;
 
     let _ = writeln!(
         out,
         "\nGates: share err max {:.3} (<= 0.05: {share_ok}), node err max \
          {:.3} (<= 0.05: {node_share_ok}), switch converged in {:.0} ms / \
-         {:.0} ms chaos (<= 2000: {convergence_ok}), equal weights \
-         byte-identical {equal_weights_identical}.",
+         {:.0} ms chaos (<= 2000: {convergence_ok}).",
         share_err_max, node_share_err_max, convergence_ms, convergence_chaos_ms,
     );
     let _ = writeln!(

@@ -129,7 +129,6 @@ mod tests {
         use crate::tcp_fair::TcpPattern;
         use crate::{ablations, latency, sparse, tcp_fair, thirty, udp_sat, voip};
         use wifiq_phy::AccessCategory;
-        use wifiq_sim::Nanos;
 
         let (cfg, seed) = (RunCfg::new(), 1);
         let mut docs = vec![
@@ -138,7 +137,6 @@ mod tests {
             ablations::drop_policy_cell(seed, &cfg),
             ext_airtime_weights::cell(seed, &cfg),
             ext_meter_validation::cell(seed, &cfg),
-            ext_chaos::probe_cell(cfg.warmup + Nanos::from_secs(2), &cfg),
         ];
         for scheme in SchemeKind::ALL {
             docs.push(udp_sat::cell(scheme, seed, &cfg));

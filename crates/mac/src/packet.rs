@@ -64,11 +64,6 @@ impl<M> Packet<M> {
         }
     }
 
-    /// True if this packet travels AP → station.
-    pub fn is_downlink(&self) -> bool {
-        matches!(self.dst, NodeAddr::Station(_))
-    }
-
     /// The ticket the queueing layers carry for this packet, stored under
     /// `handle`: its queueing fields as they stand now.
     pub(crate) fn ticket(&self, handle: PacketHandle) -> Ticket {
@@ -225,8 +220,6 @@ mod tests {
             pkt(NodeAddr::Station(5), NodeAddr::Server).wireless_peer(),
             5
         );
-        assert!(pkt(NodeAddr::Server, NodeAddr::Station(0)).is_downlink());
-        assert!(!pkt(NodeAddr::Station(0), NodeAddr::Server).is_downlink());
     }
 
     #[test]

@@ -25,12 +25,6 @@ pub const T_PHY: Nanos = Nanos::from_micros(32);
 /// pay this instead of [`T_PHY`].
 pub const T_PLCP_LEGACY: Nanos = Nanos::from_micros(192);
 
-/// Minimum contention window (DCF, best effort): 15 slots.
-pub const CW_MIN: u32 = 15;
-
-/// Maximum contention window: 1023 slots.
-pub const CW_MAX: u32 = 1023;
-
 /// Mean backoff used by the analytical model: `T_BO ≈ slot × CW_min / 2`.
 ///
 /// With CW_min = 15 and 9 µs slots this is 67.5 µs; the paper rounds to

@@ -60,16 +60,6 @@ impl AccessCategory {
         }
     }
 
-    /// A representative TID for this category (the lowest one mapping here).
-    pub const fn to_tid(self) -> u8 {
-        match self {
-            AccessCategory::Bk => 1,
-            AccessCategory::Be => 0,
-            AccessCategory::Vi => 4,
-            AccessCategory::Vo => 6,
-        }
-    }
-
     /// EDCA parameters for this category (802.11 defaults for OFDM PHYs).
     pub const fn edca(self) -> EdcaParams {
         match self {
@@ -162,13 +152,6 @@ mod tests {
         assert_eq!(AccessCategory::from_tid(7), AccessCategory::Vo);
         // Wrap-around for the second set of 8 TIDs.
         assert_eq!(AccessCategory::from_tid(14), AccessCategory::Vo);
-    }
-
-    #[test]
-    fn tid_roundtrip() {
-        for ac in AccessCategory::ALL {
-            assert_eq!(AccessCategory::from_tid(ac.to_tid()), ac);
-        }
     }
 
     #[test]

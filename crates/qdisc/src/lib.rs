@@ -66,11 +66,6 @@ impl<P> PfifoQdisc<P> {
         }
     }
 
-    /// The Linux default: `txqueuelen` = 1000 packets.
-    pub fn with_default_limit() -> PfifoQdisc<P> {
-        PfifoQdisc::new(1000)
-    }
-
     /// Live packets in the backing arena (equals [`Qdisc::len`]; exposed
     /// so teardown tests can assert no slots leak).
     pub fn arena_live(&self) -> usize {
@@ -313,15 +308,6 @@ mod tests {
         assert_eq!(dropped.seq, 99);
         assert_eq!(q.tail_drops, 1);
         assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn pfifo_default_limit_is_1000() {
-        let mut q = PfifoQdisc::with_default_limit();
-        for seq in 0..1000 {
-            assert!(q.enqueue(pkt(0, seq), Nanos::ZERO).is_none());
-        }
-        assert!(q.enqueue(pkt(0, 1000), Nanos::ZERO).is_some());
     }
 
     #[test]

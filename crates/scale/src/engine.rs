@@ -6,9 +6,9 @@
 //! them, so a roam set is **one simulated world stepped on the calling
 //! thread** in windowed lockstep:
 //!
-//! - Virtual time is cut into fixed windows. Per window the engine lands
-//!   the arrivals due, advances every BSS to the boundary in shard
-//!   order, then executes the departures due.
+//! - Virtual time is cut into fixed 50 ms windows. Per window the
+//!   engine lands the arrivals due, advances every BSS to the boundary in
+//!   shard order, then executes the departures due.
 //! - Hand-offs are quantised to boundaries: a station disassociates at
 //!   the end of the window its move falls in, waits out its gap as a
 //!   parked payload of carried flow state, and reassociates at the
@@ -64,12 +64,17 @@ pub struct RoamRun<T> {
     pub stats: RoamStats,
 }
 
+/// The lockstep window. A station departs at the end of the window its
+/// move falls in and executes at most one hand-off per window, so a
+/// shorter window quantises hand-offs less at the cost of stopping every
+/// network more often.
+const WINDOW: Nanos = Nanos::from_millis(50);
+
 /// Runs N coupled BSS instances with stations roaming between them.
 #[derive(Debug, Clone)]
 pub struct RoamSet {
     bss: u32,
     master_seed: u64,
-    window: Nanos,
     roster: usize,
     cfg: RoamCfg,
 }
@@ -82,7 +87,6 @@ impl RoamSet {
         RoamSet {
             bss,
             master_seed,
-            window: Nanos::from_millis(100),
             roster: bss as usize * 2,
             cfg: RoamCfg::default(),
         }
@@ -98,16 +102,6 @@ impl RoamSet {
     /// Sets the mobility-schedule parameters.
     pub fn with_roam(mut self, cfg: RoamCfg) -> RoamSet {
         self.cfg = cfg;
-        self
-    }
-
-    /// Sets the lockstep window length. Shorter windows reduce hand-off
-    /// quantisation (a station departs at the end of the window its move
-    /// falls in, and executes at most one hand-off per window) at the
-    /// cost of stopping every network more often.
-    pub fn with_window(mut self, window: Nanos) -> RoamSet {
-        assert!(!window.is_zero(), "zero lockstep window");
-        self.window = window;
         self
     }
 
@@ -138,7 +132,7 @@ impl RoamSet {
         let mut boundaries = Vec::new();
         let mut t = Nanos::ZERO;
         while t < duration {
-            t = (t + self.window).min(duration);
+            t = (t + WINDOW).min(duration);
             boundaries.push(t);
         }
 
@@ -241,13 +235,13 @@ impl RoamSet {
 mod tests {
     use super::*;
     use wifiq_mac::{App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind};
-    use wifiq_phy::AccessCategory;
+    use wifiq_phy::{AccessCategory, PhyRate};
     use wifiq_telemetry::Label;
 
-    /// Downlink flood to slots `0..ROSTER`: no BSS holds more, and the AP
-    /// drops what is sent to a vacant one.
-    #[derive(Default)]
+    /// Downlink flood to slots `0..slots` (the roster): no BSS holds
+    /// more, and the AP drops what is sent to a vacant one.
     struct Flood {
+        slots: usize,
         sent: u64,
         delivered: u64,
     }
@@ -261,7 +255,7 @@ mod tests {
             }
         }
         fn on_timer(&mut self, token: u64, now: Nanos, cmds: &mut Commands<()>) {
-            for sta in 0..ROSTER {
+            for sta in 0..self.slots {
                 self.sent += 1;
                 cmds.send(Packet {
                     id: self.sent,
@@ -295,69 +289,106 @@ mod tests {
         }
     }
 
-    fn build(ctx: &ShardCtx) -> Host {
-        let cfg = NetworkConfig::builder()
-            .scheme(SchemeKind::AirtimeFair)
-            .build();
-        let mut net = WifiNetwork::new(cfg);
-        let tele = Telemetry::enabled();
-        net.set_telemetry(tele.clone());
-        net.seed_timer(0, Nanos::ZERO);
-        let _ = ctx;
-        Host {
-            net,
-            app: Flood::default(),
-            tele,
+    fn build(slots: usize) -> impl Fn(&ShardCtx) -> Host {
+        move |_| {
+            let cfg = NetworkConfig::builder()
+                .scheme(SchemeKind::AirtimeFair)
+                .build();
+            let mut net = WifiNetwork::new(cfg);
+            let tele = Telemetry::enabled();
+            net.set_telemetry(tele.clone());
+            net.seed_timer(0, Nanos::ZERO);
+            Host {
+                net,
+                app: Flood {
+                    slots,
+                    sent: 0,
+                    delivered: 0,
+                },
+                tele,
+            }
         }
     }
 
-    type Out = (usize, u64, u64);
+    #[derive(Debug, PartialEq)]
+    struct Out {
+        active: usize,
+        slots: usize,
+        delivered: u64,
+        drops: u64,
+    }
 
     fn finish(_shard: u32, host: Host) -> (Out, Option<Registry>) {
-        let active = host.net.active_stations();
-        let drops = host.net.roam_drops();
-        (
-            (active, host.app.delivered, drops),
-            host.tele.take_registry(),
-        )
+        let out = Out {
+            active: host.net.active_stations(),
+            slots: host.net.station_slots(),
+            delivered: host.app.delivered,
+            drops: host.net.roam_drops(),
+        };
+        (out, host.tele.take_registry())
     }
 
     fn set() -> RoamSet {
-        RoamSet::new(4, 42)
-            .with_roster(ROSTER)
-            .with_roam(RoamCfg {
-                mean_dwell: Nanos::from_millis(300),
-                ..RoamCfg::default()
-            })
-            .with_window(Nanos::from_millis(50))
+        RoamSet::new(4, 42).with_roster(ROSTER).with_roam(RoamCfg {
+            mean_dwell: Nanos::from_millis(300),
+            ..RoamCfg::default()
+        })
+    }
+
+    /// The roster tests' schedules, each with its roster size: [`set`],
+    /// and a brisk one over 16 stations whose 20 ms dwell is shorter than
+    /// the window, so moves drawn while their station is in transit are
+    /// held until it lands, and whose arrivals re-roll a mixed palette.
+    fn schedules() -> [(RoamSet, usize); 2] {
+        let brisk = RoamSet::new(4, 42).with_roster(16).with_roam(RoamCfg {
+            mean_dwell: Nanos::from_millis(20),
+            reassoc_min: Nanos::from_millis(5),
+            reassoc_max: Nanos::from_millis(15),
+            rate_palette: vec![PhyRate::fast_station(), PhyRate::slow_station()],
+        });
+        [(set(), ROSTER), (brisk, 16)]
     }
 
     #[test]
     fn roster_is_conserved_across_handoffs() {
-        let run = set().run(Nanos::from_secs(2), build, finish);
-        let active: usize = run.outputs.iter().map(|&(a, _, _)| a).sum();
-        assert_eq!(
-            active, ROSTER,
-            "stations leaked or duplicated while roaming"
-        );
-        let delivered: u64 = run.outputs.iter().map(|&(_, d, _)| d).sum();
-        assert!(delivered > 0, "no traffic flowed");
+        for (set, roster) in schedules() {
+            let run = set.run(Nanos::from_secs(2), build(roster), finish);
+            assert!(run.stats.handoffs > 0, "the schedule never moved a station");
+            let active: usize = run.outputs.iter().map(|o| o.active).sum();
+            assert_eq!(
+                active, roster,
+                "stations leaked or duplicated while roaming"
+            );
+            // A hand-off reuses the slot a departure freed, so no BSS's
+            // slot table outgrows the roster.
+            for out in &run.outputs {
+                assert!(
+                    out.slots <= roster,
+                    "a slot table grew to {} over a roster of {roster}",
+                    out.slots
+                );
+            }
+            let delivered: u64 = run.outputs.iter().map(|o| o.delivered).sum();
+            assert!(delivered > 0, "no traffic flowed");
+        }
     }
 
     #[test]
     fn coordinator_telemetry_lands_in_the_rollup() {
-        let run = set().run(Nanos::from_secs(2), build, finish);
-        assert_eq!(
-            run.registry.counter("roam", "handoffs", Label::Global),
-            run.stats.handoffs
-        );
-        let drops: u64 = run.outputs.iter().map(|&(_, _, d)| d).sum();
-        assert_eq!(run.stats.roam_drops, drops);
-        assert!(
-            run.stats.is_conserved(0),
-            "every hand-off must ack a reattachment: {:?}",
-            run.stats
-        );
+        for (set, roster) in schedules() {
+            let run = set.run(Nanos::from_secs(2), build(roster), finish);
+            assert_eq!(
+                run.registry.counter("roam", "handoffs", Label::Global),
+                run.stats.handoffs
+            );
+            let drops: u64 = run.outputs.iter().map(|o| o.drops).sum();
+            assert_eq!(run.stats.roam_drops, drops);
+            assert!(
+                run.stats.is_conserved(0),
+                "every hand-off must ack a reattachment: {:?}",
+                run.stats
+            );
+        }
     }
 
     #[test]
@@ -370,10 +401,12 @@ mod tests {
             ..RoamCfg::default()
         };
         let until = Nanos::from_millis(400);
-        let a = set().with_roam(quiet.clone()).run(until, build, finish);
+        let a = set()
+            .with_roam(quiet.clone())
+            .run(until, build(ROSTER), finish);
         let b = ShardSet::new(4, 42).run(|ctx| {
             let driver = RoamDriver::new(quiet.clone(), 42, ROSTER, 4);
-            let mut host = build(ctx);
+            let mut host = build(ROSTER)(ctx);
             for g in (0..ROSTER).filter(|&g| driver.home(g) == ctx.shard) {
                 host.net
                     .roam_in(StationCfg::clean(driver.rate(g)), Vec::new(), g);

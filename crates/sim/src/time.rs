@@ -131,12 +131,6 @@ impl Nanos {
         }
     }
 
-    /// Multiplies the duration by a fractional factor, rounding to nanoseconds.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> Nanos {
-        Nanos::from_secs_f64(self.as_secs_f64() * factor)
-    }
-
     /// Returns the larger of two times.
     #[inline]
     pub fn max(self, other: Nanos) -> Nanos {
@@ -377,11 +371,6 @@ mod tests {
         let b = Nanos(2);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        assert_eq!(Nanos::from_micros(100).mul_f64(0.5), Nanos::from_micros(50));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Sample summaries: percentiles, CDFs, means.
 
 use serde::Serialize;
-use wifiq_sim::Nanos;
 
 /// Summary statistics over a set of latency (or other scalar) samples.
 #[derive(Debug, Clone, Serialize)]
@@ -58,12 +57,6 @@ impl Summary {
             max: *sorted.last().expect("non-empty"),
             stddev: var.sqrt(),
         }
-    }
-
-    /// Summarises durations, in milliseconds.
-    pub fn of_durations_ms(samples: &[Nanos]) -> Summary {
-        let ms: Vec<f64> = samples.iter().map(|n| n.as_millis_f64()).collect();
-        Summary::of(&ms)
     }
 }
 
@@ -152,16 +145,6 @@ mod tests {
         assert!((percentile_sorted(&sorted, 50.0) - 5.0).abs() < 1e-12);
         assert_eq!(percentile_sorted(&sorted, 0.0), 0.0);
         assert_eq!(percentile_sorted(&sorted, 100.0), 10.0);
-    }
-
-    #[test]
-    fn summary_of_durations() {
-        let s = Summary::of_durations_ms(&[
-            Nanos::from_millis(10),
-            Nanos::from_millis(20),
-            Nanos::from_millis(30),
-        ]);
-        assert!((s.mean - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! catch. The needles of the rules that read `tests` are built with
 //! `concat!`, so this file keeps the rules it states.
 
+use std::collections::HashSet;
 use std::path::Path;
 
 type Files = [(String, String)];
@@ -235,6 +236,217 @@ fn roadmap_citations(files: &Files) -> Verdict {
     check(cites.is_empty(), format!("{cites:?}"))
 }
 
+/// The first segments of the Rust paths the docs cite that resolve
+/// outside this tree.
+const STD_ROOTS: [&str; 2] = ["std", "thread"];
+
+/// The backticked spans of a Markdown text, fenced blocks aside, with
+/// each whitespace run flattened to one space so a span that wraps reads
+/// whole.
+fn code_spans(text: &str) -> Vec<String> {
+    let mut prose = String::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    let spans = prose.split('`').skip(1).step_by(2);
+    spans
+        .map(|s| s.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect()
+}
+
+fn ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// A path segment: an identifier, a crate name (`wifiq-core`) or a file
+/// path (`tests/determinism.rs`).
+fn segment_char(c: char) -> bool {
+    ident_char(c) || matches!(c, '-' | '/' | '.')
+}
+
+/// The `a::b::c` paths in a code span, each as its segments. A trailing
+/// group `a::{b, c}` yields one path per member and a glob `a::*` ends
+/// in `*`; a turbofish or a call ends the path.
+fn rust_paths(span: &str) -> Vec<Vec<String>> {
+    let chars: Vec<char> = span.chars().collect();
+    let at = |i: usize| chars.get(i).copied().unwrap_or(' ');
+    let read = |i: &mut usize| {
+        let start = *i;
+        while *i < chars.len() && segment_char(chars[*i]) {
+            *i += 1;
+        }
+        chars[start..*i].iter().collect::<String>()
+    };
+    let mut paths = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        if !segment_char(chars[i]) || (i > 0 && (segment_char(at(i - 1)) || at(i - 1) == ':')) {
+            i += 1;
+            continue;
+        }
+        let mut path = vec![read(&mut i)];
+        while at(i) == ':' && at(i + 1) == ':' {
+            i += 2;
+            if at(i) == '{' {
+                let close = chars[i..]
+                    .iter()
+                    .position(|&c| c == '}')
+                    .map_or(chars.len(), |n| i + n);
+                let group: String = chars[i + 1..close].iter().collect();
+                for member in group.split(',').map(str::trim).filter(|m| !m.is_empty()) {
+                    paths.push([path.clone(), vec![member.to_string()]].concat());
+                }
+                path.clear();
+                i = close;
+                break;
+            } else if at(i) == '*' {
+                path.push("*".to_string());
+                break;
+            } else if segment_char(at(i)) {
+                path.push(read(&mut i));
+            } else {
+                break;
+            }
+        }
+        if path.len() > 1 {
+            paths.push(path);
+        }
+    }
+    paths
+}
+
+/// What one source file names: the items, fields and enum variants it
+/// defines, and the scopes it is part of — its inline modules, its types
+/// and traits, and every name on its `impl` lines.
+struct Names<'a> {
+    path: &'a str,
+    scopes: HashSet<&'a str>,
+    defined: HashSet<&'a str>,
+}
+
+impl<'a> Names<'a> {
+    fn of(path: &'a str, text: &'a str) -> Names<'a> {
+        const ITEMS: [&str; 9] = [
+            "fn", "struct", "enum", "trait", "type", "union", "const", "static", "mod",
+        ];
+        let mut names = Names {
+            path,
+            scopes: HashSet::new(),
+            defined: HashSet::new(),
+        };
+        let code = text.lines().map(str::trim_start);
+        for line in code.filter(|l| !l.starts_with("//")) {
+            let words: Vec<&str> = line
+                .split(|c| !ident_char(c))
+                .filter(|w| !w.is_empty())
+                .collect();
+            if line.starts_with("impl") {
+                names.scopes.extend(&words);
+            }
+            for pair in words.windows(2) {
+                if ITEMS.contains(&pair[0]) {
+                    names.defined.insert(pair[1]);
+                    if !matches!(pair[0], "fn" | "const" | "static") {
+                        names.scopes.insert(pair[1]);
+                    }
+                }
+            }
+            // A field or a variant: the line's first name, past its
+            // visibility, followed by what opens or ends one.
+            let member = ["pub(crate) ", "pub(super) ", "pub "]
+                .iter()
+                .find_map(|v| line.strip_prefix(v))
+                .unwrap_or(line);
+            let name = member.split(|c| !ident_char(c)).next().unwrap_or("");
+            let rest = &member[name.len()..];
+            let opens = [",", "(", ": ", " {", " ="];
+            if !name.is_empty() && (rest.is_empty() || opens.iter().any(|o| rest.starts_with(o))) {
+                names.defined.insert(name);
+            }
+        }
+        names
+    }
+
+    /// Whether this file is in a path qualifier's scope: the qualifier
+    /// names this file, its crate, a module it is in, or a scope it
+    /// declares.
+    fn in_scope(&self, qualifier: &str) -> bool {
+        let krate = ["wifiq-", "wifiq_"]
+            .iter()
+            .find_map(|p| qualifier.strip_prefix(p))
+            .unwrap_or(qualifier);
+        let p = self.path;
+        match qualifier {
+            "crate" | "self" | "super" => true,
+            "ending_anomaly" => p.starts_with("src/"),
+            q if q.ends_with(".rs") => p == q || p.ends_with(&format!("/{q}")),
+            q => {
+                p.starts_with(&format!("crates/{krate}/"))
+                    || p.ends_with(&format!("/{q}.rs"))
+                    || p.contains(&format!("/{q}/"))
+                    || self.scopes.contains(q)
+            }
+        }
+    }
+}
+
+/// The docs cite only what exists. In the [`DOCS`], every backticked
+/// `path.rs:N` names a source file (from any directory down) with at
+/// least N lines, and every backticked `a::b` path resolves link by link:
+/// each segment is defined in the scope of the one before it. Paths
+/// rooted in [`STD_ROOTS`] are Rust's own.
+fn doc_references(files: &Files) -> Verdict {
+    let code = files.iter().filter(|(p, _)| p.ends_with(".rs"));
+    let names: Vec<Names> = code.map(|(p, t)| Names::of(p, t)).collect();
+    let mut dangling = Vec::new();
+    for (path, text) in files.iter().filter(|(p, _)| DOCS.contains(&p.as_str())) {
+        for span in code_spans(text) {
+            for (i, _) in span.match_indices(".rs:") {
+                let cited = span[..i]
+                    .rsplit(|c: char| !segment_char(c))
+                    .next()
+                    .unwrap_or("");
+                let digits: String = span[i + 4..]
+                    .chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect();
+                let Ok(line) = digits.parse::<usize>() else {
+                    continue;
+                };
+                let rs = format!("{cited}.rs");
+                let long_enough = files.iter().any(|(p, t)| {
+                    (*p == rs || p.ends_with(&format!("/{rs}"))) && t.lines().count() >= line
+                });
+                if !long_enough {
+                    dangling.push(format!("{path}: `{rs}:{line}`"));
+                }
+            }
+            for segments in rust_paths(&span) {
+                if STD_ROOTS.contains(&segments[0].as_str()) {
+                    continue;
+                }
+                let resolves = segments.windows(2).all(|pair| {
+                    let mut in_scope = names.iter().filter(|n| n.in_scope(&pair[0]));
+                    match pair[1].as_str() {
+                        "*" => in_scope.next().is_some(),
+                        item => in_scope.any(|n| n.defined.contains(item)),
+                    }
+                });
+                if !resolves {
+                    dangling.push(format!("{path}: `{}`", segments.join("::")));
+                }
+            }
+        }
+    }
+    check(dangling.is_empty(), format!("{dangling:?}"))
+}
+
 /// `rule` holds on this tree and breaks once `text` is planted at `path`.
 fn holds_and_catches(rule: fn(&Files) -> Verdict, path: &str, text: &str) {
     let mut files = workspace();
@@ -266,6 +478,40 @@ mod rule {
         rotation: "crates/mac/src/scheme/fq.rs" => format!("fn f(t: &mut Table) {{ t.{}0); }}", ROTATION_MOVES[2]);
         one_wheel: "crates/sim/src/planted.rs" => "struct Q { far: std::collections::BinaryHeap<u64> }";
         roadmap_citations: "DESIGN.md" => "as ROADMAP\nitem 7 asks";
+        doc_references: "DESIGN.md" => "the gate `ext_policy::equal_weights_identity`";
+    }
+
+    /// A span's paths: a group yields one path per member, a glob ends
+    /// in `*`, a call, a turbofish or a type annotation ends the path,
+    /// and a single name is not a path.
+    #[test]
+    fn doc_references_reads_the_paths_of_a_span() {
+        let paths =
+            |span: &str| -> Vec<String> { rust_paths(span).iter().map(|p| p.join("::")).collect() };
+        assert_eq!(
+            paths("MacFq::{enqueue, dequeue} and observed::*"),
+            ["MacFq::enqueue", "MacFq::dequeue", "observed::*"]
+        );
+        assert_eq!(
+            paths("NetworkConfig::builder().lanes(1) -> wifiq-core::PacketArena"),
+            ["NetworkConfig::builder", "wifiq-core::PacketArena"]
+        );
+        assert_eq!(paths("BssHost::M: Send"), ["BssHost::M"]);
+        assert_eq!(
+            paths("tests/determinism.rs::a_run, size_of::<T>()"),
+            ["tests/determinism.rs::a_run"]
+        );
+        assert!(paths("Roster").is_empty());
+    }
+
+    /// `doc_references` also catches a cited line past a file's end.
+    #[test]
+    fn doc_references_catches_a_line_past_the_end() {
+        holds_and_catches(
+            super::doc_references,
+            "README.md",
+            "see `scale/src/engine.rs:99999`",
+        );
     }
 
     /// `cargo test --test architecture -- --nocapture` prints the count.

@@ -134,7 +134,6 @@ fn a_payload_that_is_not_send_crosses_between_networks() {
     let run = RoamSet::new(2, 1)
         .with_roster(4)
         .with_roam(brisk_roaming())
-        .with_window(Nanos::from_millis(10))
         .run(
             Nanos::from_millis(400),
             |_| {

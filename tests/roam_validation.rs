@@ -82,6 +82,11 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64,
     let tele = Telemetry::enabled();
     net.set_telemetry(tele.clone());
     net.seed_timer(0, Nanos::ZERO);
+    let be_weight = |net: &WifiNetwork<()>, slot: usize| {
+        let id = net.sta_id(slot)?;
+        net.station_ac_weight(id, AccessCategory::Be)
+    };
+    let start_weights: Vec<Option<u32>> = (0..n).map(|slot| be_weight(&net, slot)).collect();
     let air = Rc::new(RefCell::new(AirSum::default()));
     net.attach_monitor(Box::new(air.clone()));
     let read = |net: &WifiNetwork<()>| (net.meter().all().to_vec(), air.borrow().0);
@@ -236,6 +241,17 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64,
                 "slot {slot} has a policy node it should not (or lost one)"
             );
         }
+    }
+
+    // No weight drift: whoever holds a slot the roster covered now —
+    // a roamer that came back or a churn join — holds it at the slot's
+    // policy weight from the start.
+    for slot in (0..n).filter(|&slot| net.station_active(slot)) {
+        assert_eq!(
+            be_weight(&net, slot),
+            start_weights[slot],
+            "slot {slot} lost its policy weight across hand-offs"
+        );
     }
 
     // No orphaned telemetry labels: per-TID sojourn histograms may only
