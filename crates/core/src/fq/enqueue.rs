@@ -7,7 +7,7 @@
 use wifiq_sim::Nanos;
 use wifiq_telemetry::{DropReason, EventKind, Label};
 
-use super::{DropPolicy, MacFq, Membership, NOT_IN_HEAP};
+use super::{DropPolicy, Flow, MacFq, Membership, NIL, NOT_IN_HEAP};
 use crate::packet::FqPacket;
 use crate::table::TidId;
 
@@ -139,6 +139,26 @@ impl<P: FqPacket> MacFq<P> {
         Some(pkt)
     }
 
+    /// TID `ti`'s overflow queue, allocated at its first cross-TID hash
+    /// collision: a TID whose hashes never collide costs no queue, and a
+    /// slot revived by `register_tid` keeps the one it had.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new queue would take the flow index reserved for the
+    /// end of a DRR list (`u32::MAX`).
+    fn overflow_flow(&mut self, ti: usize) -> usize {
+        let of = self.tids[ti].overflow_flow;
+        if of != NIL {
+            return of as usize;
+        }
+        let of = self.flows.len();
+        assert!(of < NIL as usize, "flow pool full");
+        self.flows.push(Flow::new());
+        self.tids[ti].overflow_flow = of as u32;
+        of
+    }
+
     /// Enqueues a packet for a TID — Algorithm 1.
     ///
     /// Returns the packet dropped to make room, if the global limit was
@@ -149,6 +169,12 @@ impl<P: FqPacket> MacFq<P> {
     /// The packet must already carry its enqueue timestamp
     /// ([`QueuedPacket::enqueue_time`](crate::packet::QueuedPacket::enqueue_time)
     /// is read by CoDel at dequeue).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the TID's first cross-TID hash collision would allocate
+    /// its overflow queue at the flow index reserved for the end of a DRR
+    /// list (`u32::MAX`).
     pub fn enqueue(&mut self, pkt: P, tid: TidId, now: Nanos) -> Option<P> {
         let ti = self.tid_slot(tid);
 
@@ -178,14 +204,15 @@ impl<P: FqPacket> MacFq<P> {
         };
 
         // Hash to a queue; on cross-TID collision use the overflow queue
-        // (lines 5–8). A power-of-two pool reduces to a mask.
+        // (lines 5–8), allocated at the first one. A power-of-two pool
+        // reduces to a mask.
         let hash = pkt.flow_hash();
         let mut fi = match self.hash_mask {
             Some(mask) => (hash & mask) as usize,
             None => (hash % self.params.flows as u64) as usize,
         };
         if self.flows[fi].tid.is_some_and(|t| t != ti) {
-            fi = self.tids[ti].overflow_flow as usize;
+            fi = self.overflow_flow(ti);
             self.stats.collisions += 1;
             self.tid_count(ti, |t| t.collisions, 1);
         }

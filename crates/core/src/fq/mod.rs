@@ -4,10 +4,12 @@
 //! A fixed pool of flow queues is shared by *all* TIDs: a packet is hashed
 //! to a queue, and the queue is dynamically assigned to the packet's TID.
 //! If the hash lands on a queue already owned by a different TID, the
-//! packet goes to the TID's dedicated overflow queue instead. A global
-//! packet limit is enforced by dropping from the globally longest queue,
-//! which is what shares the buffer space fairly between stations on
-//! overload — the fix for the aggregation starvation described in §4.1.2.
+//! packet goes to the TID's overflow queue instead, which is allocated
+//! at the TID's first such collision: a TID whose hashes never collide
+//! costs no queue of its own. A global packet limit is enforced by
+//! dropping from the globally longest queue, which is what shares the
+//! buffer space fairly between stations on overload — the fix for the
+//! aggregation starvation described in §4.1.2.
 //!
 //! Dequeue (per TID) is the FQ-CoDel scheduler: deficit round-robin over
 //! the TID's active queues with new-queue (sparse flow) priority, CoDel
@@ -34,8 +36,9 @@ use crate::table::TidId;
 /// Sentinel for "this flow is not in the backlog heap".
 const NOT_IN_HEAP: u32 = u32::MAX;
 
-/// The end of a DRR list: no flow index may equal it, so the flow pool
-/// stops one short of `u32::MAX` entries.
+/// The end of a DRR list, and a TID's overflow index until it has one:
+/// no flow index may equal it, so the flow pool stops one short of
+/// `u32::MAX` entries.
 const NIL: u32 = u32::MAX;
 
 /// What to do when the global packet limit is hit (Algorithm 1
@@ -56,8 +59,8 @@ pub enum DropPolicy {
 /// Configuration for the MAC FQ structure.
 #[derive(Debug, Clone, Copy)]
 pub struct FqParams {
-    /// Number of shared hash-target flow queues (not counting the per-TID
-    /// overflow queues).
+    /// Number of shared hash-target flow queues (not counting the
+    /// overflow queues that colliding TIDs add).
     pub flows: usize,
     /// Global packet limit across all queues (the "8192 (global limit)" in
     /// the paper's Figure 3).
@@ -245,12 +248,14 @@ impl FqTele {
 struct TidState {
     new_flows: FlowList,
     old_flows: FlowList,
-    /// Index of this TID's dedicated overflow queue in the flow pool.
+    /// Index of this TID's overflow queue in the flow pool, or [`NIL`]
+    /// until the TID's first cross-TID hash collision allocates it.
     overflow_flow: u32,
     backlog_packets: u32,
     backlog_bytes: u64,
     /// False once the TID has been detached; the slot (and its overflow
-    /// queue) is parked on the free list until the next `register_tid`.
+    /// queue, if it has one) is parked on the free list until the next
+    /// `register_tid`.
     registered: bool,
     /// Slot generation, bumped at detach: a [`TidId`] issued before the
     /// detach no longer matches and panics at first use instead of
@@ -331,7 +336,8 @@ pub struct MacFq<P> {
     /// (O(1)) and any backlog change re-heapifies in O(log n).
     heap: Vec<usize>,
     /// Detached TID slots awaiting reuse (LIFO), each keeping its
-    /// dedicated overflow queue so churn does not grow the flow pool.
+    /// overflow queue, if it has one, so churn does not grow the flow
+    /// pool.
     free_tids: Vec<usize>,
     total_packets: usize,
     /// Telemetry counters.
@@ -411,20 +417,16 @@ impl<P: FqPacket> MacFq<P> {
         }
     }
 
-    /// Registers a TID (one station × traffic-identifier pair), allocating
-    /// its dedicated overflow queue. A slot freed by
+    /// Registers a TID (one station × traffic-identifier pair). It gets
+    /// no flow queue of its own until its first cross-TID hash collision
+    /// (see [`MacFq::enqueue`]). A slot freed by
     /// [`MacFq::unregister_tid`] is reused (most recently freed first)
-    /// together with its overflow queue, so a churning roster does not
-    /// grow the flow pool without bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a new overflow queue would take the flow index reserved
-    /// for the end of a DRR list (`u32::MAX`).
+    /// together with its overflow queue, if it has one, so a churning
+    /// roster does not grow the flow pool without bound.
     pub fn register_tid(&mut self) -> TidId {
         if let Some(idx) = self.free_tids.pop() {
-            // Revive the slot in place: its overflow queue and resolved
-            // telemetry ids are kept, so a detach/reattach cycle
+            // Revive the slot in place: its overflow queue (if any) and
+            // resolved telemetry ids are kept, so a detach/reattach cycle
             // allocates nothing. The generation was bumped at detach, so
             // the revived handle is distinct from the previous occupant's.
             let t = &mut self.tids[idx];
@@ -438,12 +440,9 @@ impl<P: FqPacket> MacFq<P> {
             t.registered = true;
             return TidId::from_raw(idx, t.gen);
         }
-        let overflow = self.flows.len();
-        assert!(overflow < NIL as usize, "flow pool full");
-        self.flows.push(Flow::new());
         let idx = self.tids.len();
         self.tids.push(TidState {
-            overflow_flow: overflow as u32,
+            overflow_flow: NIL,
             registered: true,
             ..TidState::default()
         });
@@ -483,9 +482,9 @@ impl<P: FqPacket> MacFq<P> {
     /// churn. Returns the number of packets discarded (they leave the
     /// global count and are recorded as `drops_detached`).
     ///
-    /// The slot (and its dedicated overflow queue) is parked for reuse by
-    /// the next [`MacFq::register_tid`]; the handle must not be used again
-    /// until then.
+    /// The slot (and its overflow queue, if it has one) is parked for
+    /// reuse by the next [`MacFq::register_tid`]; the handle must not be
+    /// used again until then.
     ///
     /// # Panics
     ///
@@ -578,8 +577,10 @@ impl<P: FqPacket> MacFq<P> {
         }
         // The overflow queue may be idle-but-stale (drained earlier this
         // round); reset its CoDel state so the next owner starts clean.
-        let of = self.tids[ti].overflow_flow as usize;
-        self.flows[of].codel = CodelState::new();
+        let of = self.tids[ti].overflow_flow;
+        if of != NIL {
+            self.flows[of as usize].codel = CodelState::new();
+        }
 
         self.total_packets -= removed;
         let t = &mut self.tids[ti];
@@ -648,8 +649,10 @@ impl<P: FqPacket> MacFq<P> {
     /// queues and panics on any inconsistency: the backlog heap (property,
     /// intrusive positions, exact nonempty membership), per-flow byte
     /// counts, per-TID packet/byte counts, DRR-list membership and tails,
-    /// one instrument bundle per TID while telemetry is on, and the
-    /// global packet count. An audit for the interleaving proptests;
+    /// overflow ownership (past the hash pool, one TID per queue, and no
+    /// queue there holding packets for anyone but its owner), one
+    /// instrument bundle per TID while telemetry is on, and the global
+    /// packet count. An audit for the interleaving proptests;
     /// O(flows), never call it from a hot path.
     pub fn check_invariants(&self) {
         let mut total = 0usize;
@@ -745,6 +748,36 @@ impl<P: FqPacket> MacFq<P> {
                 "TID {ti}: packet count drifted"
             );
             assert_eq!(bytes, t.backlog_bytes, "TID {ti}: byte count drifted");
+        }
+        let pool = self.params.flows;
+        let mut owner = vec![None; self.flows.len() - pool];
+        for (ti, t) in self.tids.iter().enumerate() {
+            if t.overflow_flow == NIL {
+                continue;
+            }
+            let of = t.overflow_flow as usize;
+            assert!(of >= pool, "TID {ti}: overflow queue inside the hash pool");
+            assert!(
+                of < self.flows.len(),
+                "TID {ti}: overflow queue {of} past the flow pool"
+            );
+            if let Some(other) = owner[of - pool].replace(ti) {
+                panic!("TIDs {other} and {ti} share overflow queue {of}");
+            }
+        }
+        for (fi, who) in (pool..).zip(owner) {
+            let flow = &self.flows[fi];
+            if flow.queue.is_empty() {
+                continue;
+            }
+            let Some(ti) = who else {
+                panic!("flow {fi}: holds packets but is no TID's overflow queue");
+            };
+            assert_eq!(
+                flow.tid,
+                Some(ti),
+                "flow {fi}: overflow queue of TID {ti} serves another"
+            );
         }
         for (fi, &n) in scheduled.iter().enumerate() {
             let expect = u32::from(self.flows[fi].membership != Membership::Idle);

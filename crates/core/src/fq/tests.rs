@@ -341,7 +341,9 @@ fn detach_reattach_reuses_capacity() {
         fq.enqueue(pkt(seq as u64, now, seq), tid_b, now);
     }
     let before = fq.churn_capacity_probe();
-    assert_eq!(before.0, 256 + 2, "one overflow queue per TID");
+    assert_eq!(before.0, 256 + 1, "one overflow queue, tid_b's");
+    let overflow = fq.tids[tid_b.slot()].overflow_flow;
+    assert_eq!(fq.tids[tid_a.slot()].overflow_flow, NIL);
     assert!(before.1 >= 101, "packet arena never grew: {before:?}");
     assert_eq!(fq.tids[tid_b.slot()].new_flows.iter(&fq.flows).count(), 100);
 
@@ -362,12 +364,92 @@ fn detach_reattach_reuses_capacity() {
         "detach/reattach reallocated"
     );
     let revived = &fq.tids[tid_b2.slot()];
+    assert_eq!(revived.overflow_flow, overflow, "overflow queue not kept");
     let empty = FlowList::default();
     assert_eq!(revived.new_flows, empty, "new list kept flows");
     assert_eq!(revived.old_flows, empty, "old list kept flows");
 
     fq.enqueue(pkt(7, now, 0), tid_b2, now);
     assert_eq!(fq.tid_backlog_packets(tid_b2), 1);
+    // The revived slot collides again into the queue it kept.
+    fq.enqueue(pkt(0, now, 1), tid_b2, now);
+    assert_eq!(
+        fq.churn_capacity_probe().0,
+        256 + 1,
+        "collision reallocated"
+    );
+    fq.check_invariants();
+}
+
+#[test]
+fn overflow_queues_are_allocated_at_the_first_collision() {
+    let fqp = FqParams {
+        flows: 1024,
+        ..FqParams::default()
+    };
+    let mut fq = MacFq::new(fqp);
+    let now = Nanos::ZERO;
+    // 1,000 TIDs, each on a hash target of its own: no TID collides, so
+    // none allocates a queue beyond the shared pool.
+    let tids: Vec<_> = (0..1000).map(|_| fq.register_tid()).collect();
+    for (i, &tid) in tids.iter().enumerate() {
+        fq.enqueue(pkt(i as u64, now, 0), tid, now);
+    }
+    assert_eq!(fq.flows.len(), fqp.flows, "an uncollided TID got a queue");
+    assert_eq!(fq.stats.collisions, 0);
+    // TID 1 lands on TID 0's target twice: the first collision allocates
+    // its overflow queue, the second reuses it.
+    fq.enqueue(pkt(0, now, 1), tids[1], now);
+    assert_eq!(fq.flows.len(), fqp.flows + 1);
+    fq.enqueue(pkt(1024, now, 2), tids[1], now);
+    assert_eq!(
+        fq.flows.len(),
+        fqp.flows + 1,
+        "a second collision allocated"
+    );
+    assert_eq!(fq.stats.collisions, 2);
+    let of = fq.tids[tids[1].slot()].overflow_flow as usize;
+    assert_eq!(fq.flows[of].queue.len(), 2);
+    fq.check_invariants();
+}
+
+/// Two TIDs that collide, each with its overflow queue holding a packet:
+/// the fixture every planted overflow-ownership violation starts from.
+fn two_overflowing_tids() -> (MacFq<Pkt>, [usize; 2]) {
+    let mut fq = MacFq::new(FqParams {
+        flows: 4,
+        ..FqParams::default()
+    });
+    let now = Nanos::ZERO;
+    let tids = [fq.register_tid(), fq.register_tid(), fq.register_tid()];
+    fq.enqueue(pkt(0, now, 0), tids[0], now);
+    fq.enqueue(pkt(0, now, 1), tids[1], now);
+    fq.enqueue(pkt(0, now, 2), tids[2], now);
+    fq.check_invariants();
+    (fq, [tids[1].slot(), tids[2].slot()])
+}
+
+#[test]
+#[should_panic(expected = "share overflow queue")]
+fn audit_catches_a_shared_overflow_queue() {
+    let (mut fq, [a, b]) = two_overflowing_tids();
+    fq.tids[b].overflow_flow = fq.tids[a].overflow_flow;
+    fq.check_invariants();
+}
+
+#[test]
+#[should_panic(expected = "overflow queue inside the hash pool")]
+fn audit_catches_an_overflow_index_in_the_hash_pool() {
+    let (mut fq, [a, _]) = two_overflowing_tids();
+    fq.tids[a].overflow_flow = 0;
+    fq.check_invariants();
+}
+
+#[test]
+#[should_panic(expected = "no TID's overflow queue")]
+fn audit_catches_an_orphaned_overflow_queue() {
+    let (mut fq, [a, _]) = two_overflowing_tids();
+    fq.tids[a].overflow_flow = NIL;
     fq.check_invariants();
 }
 
@@ -466,8 +548,8 @@ fn tid_state_fits_in_48_bytes() {
     assert!(size <= 48, "TidState grew to {size} bytes");
 }
 
-/// One `Flow` per pool entry and per TID's overflow queue; the DRR link
-/// is paid for by a `u32` heap position.
+/// One `Flow` per pool entry and per colliding TID's overflow queue; the
+/// DRR link is paid for by a `u32` heap position.
 #[test]
 fn flow_fits_in_112_bytes() {
     let size = std::mem::size_of::<Flow>();

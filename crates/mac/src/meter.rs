@@ -110,8 +110,8 @@ impl AirtimeMeter {
         // capacity never written costs no memory, while freeing a large
         // table raises glibc's mmap threshold for the rest of the run.
         // On benchmark/'s roster20k_churn (x86-64 Linux, 20k stations of
-        // 1,750 B each) that is 115.7 MB of peak RSS without the headroom,
-        // 103.2 MB with it.
+        // 709 B each, `--seconds 1`) that is 68.0 MB of peak RSS without
+        // the headroom, 59.2 MB with it.
         let mut rows = Vec::with_capacity(2 * n);
         rows.resize(n, StationMeter::default());
         AirtimeMeter {

@@ -27,13 +27,11 @@ const FRAME_POOL_CAP: usize = 8;
 /// proposed queueing structure").
 ///
 /// The FQ is boxed: only client-FQ experiments enable it, and inline it
-/// would cost every station 200 bytes (856 against 656 per uplink), 4 MB
-/// on a 20k roster. The pointer chase it adds is paid only by those
-/// experiments' uplinks.
+/// would grow every uplink's [`Queued`] body by 200 bytes. The pointer
+/// chase it adds is paid only by those experiments' uplinks.
 enum UplinkQueues {
     Fifo {
         queues: [VecDeque<Ticket>; AccessCategory::COUNT],
-        limit: usize,
     },
     Fq {
         fq: Box<MacFq<Ticket>>,
@@ -44,13 +42,14 @@ enum UplinkQueues {
 
 impl UplinkQueues {
     /// Queues `t`, returning the packet dropped to make room: `t` itself
-    /// at a full FIFO, the FQ's longest-queue victim on overlimit — "one
-    /// packet was dropped at this uplink", not necessarily the offered one.
-    fn enqueue(&mut self, t: Ticket) -> Option<Ticket> {
+    /// at a FIFO already holding `limit` packets, the FQ's longest-queue
+    /// victim on overlimit — "one packet was dropped at this uplink", not
+    /// necessarily the offered one.
+    fn enqueue(&mut self, t: Ticket, limit: usize) -> Option<Ticket> {
         match self {
-            UplinkQueues::Fifo { queues, limit } => {
+            UplinkQueues::Fifo { queues } => {
                 let q = &mut queues[t.ac.index()];
-                if q.len() >= *limit {
+                if q.len() >= limit {
                     return Some(t);
                 }
                 q.push_back(t);
@@ -62,7 +61,7 @@ impl UplinkQueues {
 
     fn has_data(&self, ac: AccessCategory) -> bool {
         match self {
-            UplinkQueues::Fifo { queues, .. } => !queues[ac.index()].is_empty(),
+            UplinkQueues::Fifo { queues } => !queues[ac.index()].is_empty(),
             UplinkQueues::Fq { fq, tids, .. } => fq.tid_has_data(tids[ac.index()]),
         }
     }
@@ -76,7 +75,7 @@ impl UplinkQueues {
         on_drop: impl FnMut(Ticket),
     ) -> Option<Ticket> {
         match self {
-            UplinkQueues::Fifo { queues, .. } => queues[ac.index()].pop_front(),
+            UplinkQueues::Fifo { queues } => queues[ac.index()].pop_front(),
             UplinkQueues::Fq { fq, tids, codel } => {
                 fq.dequeue_with(tids[ac.index()], now, codel, on_drop)
             }
@@ -85,7 +84,7 @@ impl UplinkQueues {
 
     fn backlog(&self) -> usize {
         match self {
-            UplinkQueues::Fifo { queues, .. } => queues.iter().map(|q| q.len()).sum(),
+            UplinkQueues::Fifo { queues } => queues.iter().map(|q| q.len()).sum(),
             UplinkQueues::Fq { fq, .. } => fq.total_packets(),
         }
     }
@@ -98,31 +97,68 @@ impl UplinkQueues {
     }
 }
 
-/// One wireless client's transmit state. It holds [`Ticket`]s: the packets
-/// themselves stay in the network's store, and every packet this uplink
-/// drops leaves through the `on_drop` sink its caller passes.
-pub struct StationUplink {
-    idx: StationIdx,
-    rate: PhyRate,
+/// What an uplink holds once it has queued a packet or enabled its FQ:
+/// the queues, the stash and pending aggregates built from them, and the
+/// frame buffers those aggregates recycle. A station that never sends
+/// never allocates it.
+struct Queued {
     queues: UplinkQueues,
     /// A packet pulled for an aggregate that didn't fit, offered first
     /// next time (per AC).
     stash: [Option<Ticket>; AccessCategory::COUNT],
     /// A built aggregate awaiting (re)transmission, per AC.
     pending: [Option<Aggregate<Ticket>>; AccessCategory::COUNT],
+    /// Recycled `Aggregate::frames` buffers (see
+    /// [`StationUplink::recycle_frames`]).
+    frame_pool: Vec<Vec<Ticket>>,
+}
+
+impl Queued {
+    fn boxed(queues: UplinkQueues) -> Box<Queued> {
+        Box::new(Queued {
+            queues,
+            stash: Default::default(),
+            pending: Default::default(),
+            frame_pool: Vec::new(),
+        })
+    }
+
+    fn backlog(&self) -> usize {
+        self.queues.backlog()
+            + self.stash.iter().filter(|s| s.is_some()).count()
+            + self
+                .pending
+                .iter()
+                .map(|p| p.as_ref().map_or(0, |a| a.frames.len()))
+                .sum::<usize>()
+    }
+}
+
+/// One wireless client's transmit state. It holds [`Ticket`]s: the packets
+/// themselves stay in the network's store, and every packet this uplink
+/// drops leaves through the `on_drop` sink its caller passes.
+///
+/// Inline it keeps only what an idle station needs; its queues, stash,
+/// pending aggregates and frame buffers are one box that the first
+/// [`enqueue`](Self::enqueue) (or [`enable_fq`](Self::enable_fq))
+/// allocates. Without the box the uplink answers as an empty one does,
+/// and an idle station's uplink is 64 bytes.
+pub struct StationUplink {
+    idx: StationIdx,
+    rate: PhyRate,
+    /// Per-AC FIFO limit.
+    limit: usize,
     /// Current contention window per AC (doubles on failure).
     pub cw: [u32; AccessCategory::COUNT],
     /// Packets tail-dropped at the uplink FIFO.
     pub drops: u64,
     /// The client's own rate controller (clients run Minstrel too;
-    /// "unmodified" in the paper refers to queueing, not rate control).
-    /// Boxed: 432 bytes touched once per aggregate, and absent by default.
-    rc: Option<Box<Minstrel>>,
-    /// Private RNG stream for rate sampling.
-    rng: SimRng,
-    /// Recycled `Aggregate::frames` buffers (see
-    /// [`recycle_frames`](Self::recycle_frames)).
-    frame_pool: Vec<Vec<Ticket>>,
+    /// "unmodified" in the paper refers to queueing, not rate control)
+    /// and the private RNG stream only it draws from for rate sampling.
+    /// Boxed: 464 bytes touched once per aggregate, and absent by default.
+    rc: Option<Box<(Minstrel, SimRng)>>,
+    /// The queueing state, allocated at first use (see above).
+    queued: Option<Box<Queued>>,
 }
 
 impl StationUplink {
@@ -132,27 +168,25 @@ impl StationUplink {
         StationUplink {
             idx,
             rate,
-            queues: UplinkQueues::Fifo {
-                queues: Default::default(),
-                limit,
-            },
-            stash: Default::default(),
-            pending: Default::default(),
+            limit,
             cw: AccessCategory::ALL.map(|ac| ac.edca().cw_min),
             drops: 0,
             rc: None,
-            rng: SimRng::new(idx as u64),
-            frame_pool: Vec::new(),
+            queued: None,
         }
     }
 
     /// Returns an emptied `Aggregate::frames` buffer for the next
     /// aggregate build to reuse (the network layer calls this after
-    /// delivering or dropping an uplink aggregate).
+    /// delivering or dropping an uplink aggregate). An uplink without
+    /// queues has no pool to keep it in and drops it.
     pub fn recycle_frames(&mut self, mut frames: Vec<Ticket>) {
+        let Some(q) = self.queued.as_deref_mut() else {
+            return;
+        };
         frames.clear();
-        if self.frame_pool.len() < FRAME_POOL_CAP && frames.capacity() > 0 {
-            self.frame_pool.push(frames);
+        if q.frame_pool.len() < FRAME_POOL_CAP && frames.capacity() > 0 {
+            q.frame_pool.push(frames);
         }
     }
 
@@ -167,28 +201,32 @@ impl StationUplink {
         assert_eq!(self.backlog(), 0, "enable_fq on a non-empty station");
         let mut fq = MacFq::new(FqParams::default());
         let tids = AccessCategory::ALL.map(|_| fq.register_tid());
-        self.queues = UplinkQueues::Fq {
+        self.queued = Some(Queued::boxed(UplinkQueues::Fq {
             fq: Box::new(fq),
             tids,
             codel: CodelParams::wifi_default(),
-        };
+        }));
     }
 
     /// Attaches a telemetry handle to the FQ uplink (metrics under
     /// component "client_fq"). No-op for the stock FIFO uplink, which has
     /// nothing beyond the tail-drop counter to report.
     pub fn set_telemetry(&mut self, tele: Telemetry) {
-        if let UplinkQueues::Fq { fq, .. } = &mut self.queues {
+        if let Some(Queued {
+            queues: UplinkQueues::Fq { fq, .. },
+            ..
+        }) = self.queued.as_deref_mut()
+        {
             fq.set_telemetry(tele, "client_fq");
         }
     }
 
-    /// Enables the client-side rate controller (no-op for legacy rates,
-    /// which have nothing to adapt between).
+    /// Enables the client-side rate controller, drawing its rate samples
+    /// from `rng` (no-op for legacy rates, which have nothing to adapt
+    /// between).
     pub fn enable_rate_control(&mut self, rng: SimRng) {
         if matches!(self.rate, PhyRate::Ht { .. }) {
-            self.rc = Some(Box::new(Minstrel::new(self.rate)));
-            self.rng = rng;
+            self.rc = Some(Box::new((Minstrel::new(self.rate), rng)));
         }
     }
 
@@ -202,7 +240,12 @@ impl StationUplink {
     /// make room — this one at a full FIFO — is counted in
     /// [`drops`](Self::drops) and handed to `on_drop`.
     pub fn enqueue(&mut self, t: Ticket, mut on_drop: impl FnMut(Ticket)) {
-        if let Some(victim) = self.queues.enqueue(t) {
+        let q = self.queued.get_or_insert_with(|| {
+            Queued::boxed(UplinkQueues::Fifo {
+                queues: Default::default(),
+            })
+        });
+        if let Some(victim) = q.queues.enqueue(t, self.limit) {
             self.drops += 1;
             on_drop(victim);
         }
@@ -210,13 +253,7 @@ impl StationUplink {
 
     /// Total packets queued (queues + stash + pending aggregates).
     pub fn backlog(&self) -> usize {
-        self.queues.backlog()
-            + self.stash.iter().filter(|s| s.is_some()).count()
-            + self
-                .pending
-                .iter()
-                .map(|p| p.as_ref().map_or(0, |a| a.frames.len()))
-                .sum::<usize>()
+        self.queued.as_ref().map_or(0, |q| q.backlog())
     }
 
     /// Tickets live in the uplink's FQ arena (zero for the FIFO uplink,
@@ -224,7 +261,7 @@ impl StationUplink {
     /// hold tickets outside the arena, so a fully drained station must
     /// report exactly zero.
     pub fn arena_live(&self) -> usize {
-        self.queues.arena_live()
+        self.queued.as_ref().map_or(0, |q| q.queues.arena_live())
     }
 
     /// The highest-priority access category with traffic ready to
@@ -237,33 +274,34 @@ impl StationUplink {
         now: Nanos,
         mut on_drop: impl FnMut(Ticket),
     ) -> Option<AccessCategory> {
+        let q = self.queued.as_deref_mut()?;
         for ac in AccessCategory::ALL {
             let aci = ac.index();
-            let has = self.stash[aci].is_some() || self.queues.has_data(ac);
-            if self.pending[aci].is_none() && has {
-                let rate = match self.rc.as_mut() {
-                    Some(rc) => rc.rate_for_next(&mut self.rng),
+            let has = q.stash[aci].is_some() || q.queues.has_data(ac);
+            if q.pending[aci].is_none() && has {
+                let rate = match self.rc.as_deref_mut() {
+                    Some((rc, rng)) => rc.rate_for_next(rng),
                     None => self.rate,
                 };
-                let queues = &mut self.queues;
-                let stash = &mut self.stash[aci];
-                let frames_buf = self.frame_pool.pop().unwrap_or_default();
+                let queues = &mut q.queues;
+                let stash = &mut q.stash[aci];
+                let frames_buf = q.frame_pool.pop().unwrap_or_default();
                 let (built, leftover) =
                     build_aggregate_into(self.idx, ac, rate, frames_buf, || {
                         stash.take().or_else(|| queues.pop(ac, now, &mut on_drop))
                     });
-                self.stash[aci] = leftover;
-                self.pending[aci] = match built {
+                q.stash[aci] = leftover;
+                q.pending[aci] = match built {
                     Ok(agg) => Some(agg),
                     Err(buf) => {
-                        if self.frame_pool.len() < FRAME_POOL_CAP && buf.capacity() > 0 {
-                            self.frame_pool.push(buf);
+                        if q.frame_pool.len() < FRAME_POOL_CAP && buf.capacity() > 0 {
+                            q.frame_pool.push(buf);
                         }
                         None
                     }
                 };
             }
-            if self.pending[aci].is_some() {
+            if q.pending[aci].is_some() {
                 return Some(ac);
             }
         }
@@ -272,7 +310,7 @@ impl StationUplink {
 
     /// The pending aggregate for `ac`, if built.
     pub fn pending(&self, ac: AccessCategory) -> Option<&Aggregate<Ticket>> {
-        self.pending[ac.index()].as_ref()
+        self.queued.as_ref()?.pending[ac.index()].as_ref()
     }
 
     /// What the network needs to settle the attempt that just left the air
@@ -282,33 +320,46 @@ impl StationUplink {
         &mut self,
         ac: AccessCategory,
     ) -> (&mut Aggregate<Ticket>, &mut u32, Option<&mut Minstrel>) {
-        let agg = self.pending[ac.index()].as_mut();
+        let agg = self
+            .queued
+            .as_deref_mut()
+            .and_then(|q| q.pending[ac.index()].as_mut());
         (
             agg.expect("station attempt with no pending aggregate"),
             &mut self.cw[ac.index()],
-            self.rc.as_deref_mut(),
+            self.rc.as_deref_mut().map(|(rc, _)| rc),
         )
     }
 
     /// Takes the pending aggregate for `ac` once the retry chain is done
     /// with it: delivered, or dropped at the retry limit.
     pub(crate) fn take_pending(&mut self, ac: AccessCategory) -> Aggregate<Ticket> {
-        let done = self.pending[ac.index()].take();
+        let done = self
+            .queued
+            .as_deref_mut()
+            .and_then(|q| q.pending[ac.index()].take());
         done.expect("settled attempt with no pending aggregate")
     }
 
     /// The station left: hands everything it had queued, built or stashed
     /// to `on_drop` and returns how many packets that was. What remains is
-    /// an inert stand-in that accepts nothing; the network's occupancy
-    /// bitmap keeps it out of contention until the slot's next occupant
-    /// replaces it.
+    /// an inert stand-in without queues that accepts nothing; the
+    /// network's occupancy bitmap keeps it out of contention until the
+    /// slot's next occupant replaces it.
     pub(crate) fn vacate(&mut self, mut on_drop: impl FnMut(Ticket)) -> usize {
         let discarded = self.backlog();
         let gone = std::mem::replace(self, StationUplink::new(self.idx, self.rate, 0));
-        match gone.queues {
-            UplinkQueues::Fifo { queues, .. } => {
-                queues.into_iter().flatten().for_each(&mut on_drop)
-            }
+        let Some(gone) = gone.queued else {
+            return discarded;
+        };
+        let Queued {
+            queues,
+            stash,
+            pending,
+            ..
+        } = *gone;
+        match queues {
+            UplinkQueues::Fifo { queues } => queues.into_iter().flatten().for_each(&mut on_drop),
             // Taken out whole, as the uplink is discarded whole: no
             // per-TID detach drops are recorded for a departed client.
             UplinkQueues::Fq { mut fq, tids, .. } => {
@@ -319,8 +370,8 @@ impl StationUplink {
                 }
             }
         }
-        gone.stash.into_iter().flatten().for_each(&mut on_drop);
-        let built = gone.pending.into_iter().flatten();
+        stash.into_iter().flatten().for_each(&mut on_drop);
+        let built = pending.into_iter().flatten();
         built.flat_map(|agg| agg.frames).for_each(&mut on_drop);
         discarded
     }
@@ -491,6 +542,39 @@ mod tests {
         let mut s = StationUplink::new(0, PhyRate::fast_station(), 100);
         s.enqueue(pkt(AccessCategory::Be), ignore);
         s.enable_fq();
+    }
+
+    #[test]
+    fn queues_are_allocated_at_the_first_enqueue() {
+        let mut s = sta();
+        assert!(s.queued.is_none(), "a fresh uplink allocated its queues");
+        assert_eq!(ready(&mut s), None);
+        assert!(s.queued.is_none(), "looking for traffic allocated queues");
+        assert_eq!(s.pending(AccessCategory::Be).map(|a| a.frames.len()), None);
+        s.enqueue(pkt(AccessCategory::Be), ignore);
+        assert!(s.queued.is_some(), "the first packet found no queue");
+        assert_eq!(ready(&mut s), Some(AccessCategory::Be));
+        assert_eq!(s.vacate(ignore), 1);
+        assert!(s.queued.is_none(), "the stand-in kept the queues");
+        assert_eq!((s.backlog(), ready(&mut s)), (0, None));
+    }
+
+    #[test]
+    fn vacating_an_idle_uplink_discards_nothing() {
+        let mut s = sta();
+        let mut dropped = 0;
+        assert_eq!(s.vacate(|_| dropped += 1), 0);
+        assert_eq!(dropped, 0);
+        assert!(s.queued.is_none());
+    }
+
+    /// Only a station that queues pays for the box; the inline part every
+    /// station pays for is guarded beside the app payload, in
+    /// `wifiq-traffic` (DESIGN §13 "Where the memory goes").
+    #[test]
+    fn queued_body_stays_small() {
+        let size = std::mem::size_of::<Queued>();
+        assert!(size <= 568, "an uplink's queue box grew to {size} bytes");
     }
 
     #[test]
