@@ -389,6 +389,14 @@ impl<P: FqPacket> MacFq<P> {
         }
     }
 
+    /// Makes room in the shared arena for `packets` queued packets, so a
+    /// structure that will fill to its global limit allocates it once.
+    /// [`MacFq::new`] reserves nothing, since every station with
+    /// client-side FQ builds a structure of its own.
+    pub fn reserve(&mut self, packets: usize) {
+        self.arena.reserve(packets);
+    }
+
     /// Attaches a telemetry handle; `component` names this instance in
     /// metric keys and events (e.g. "fq" at the AP, "client_fq" on a
     /// station). A disabled handle keeps the hot path unchanged.

@@ -81,6 +81,13 @@ impl<P> PacketArena<P> {
         }
     }
 
+    /// Makes room for `additional` more slots than the arena has, so that
+    /// a backlog of known bound fills one allocation instead of regrowing
+    /// by doubling. Adds no slot: [`PacketArena::capacity`] is unchanged.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+    }
+
     /// Stores a packet, returning its handle.
     pub fn insert(&mut self, pkt: P) -> PacketHandle {
         self.live += 1;

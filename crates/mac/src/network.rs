@@ -232,6 +232,10 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
             cfg,
             events_processed: 0,
         };
+        // A saturated run holds the AP's global limit in the store, besides
+        // what is on the wire, in station queues and on the air: room for
+        // twice the limit means no saturated set-up regrows it by doubling.
+        net.packets.reserve(2 * net.cfg.fq.limit);
         net.push_policy_weights();
         net
     }
@@ -516,15 +520,16 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
 /// The drop sink the network hands every queueing layer: frees a dropped
 /// packet's slot in the store. Counting the drop is the layer's business.
 ///
-/// It reads the packet out whole, as a delivery does, instead of letting
-/// the compiler reduce `remove` to unlinking the slot: the store's free
-/// list is LIFO, so the next `apply` writes its packet into this very
-/// slot, and a slot just read is a slot in cache. Unlinked only, the slot
-/// leaves that write two or three cold lines — on `roster20k_churn`, where
-/// most packets die as overlimit victims, 6 % of `pkts_per_ref_s`.
+/// It unlinks the slot and drops the packet in place. Reading the packet
+/// out whole (`std::hint::black_box`) paid for itself while a slot was
+/// 192 bytes, since the store's free list is LIFO and the next `apply`
+/// writes into this very slot. At 112 bytes the two run alike: over
+/// fifteen alternating pairs the unlink read ×0.994 the read's
+/// `pkts_per_ref_s` on `roster20k_churn` (faster on 7/15) and ×1.005 on
+/// `udp3_sat` (8/15), so the simpler one stays (DESIGN.md §13).
 fn discard<M>(packets: &mut PacketArena<Packet<M>>) -> impl FnMut(Ticket) + '_ {
     move |t| {
-        std::hint::black_box(packets.remove(t.handle));
+        packets.remove(t.handle);
     }
 }
 

@@ -177,17 +177,6 @@ mod tests {
         }
     }
 
-    /// 184 bytes is `Packet<AppMsg>`, the packet every experiment runs
-    /// (`[u64; 13]` stands in for the 104-byte `AppMsg` this crate cannot
-    /// name). It is the number the packet store exists to stop copying:
-    /// events carry an 8-byte handle and queues a [`Ticket`] instead
-    /// (DESIGN.md §13). Whoever shrinks `Packet` moves this pin and redoes
-    /// that section's arithmetic — near 40 bytes a ticket stops paying.
-    #[test]
-    fn packet_with_a_transport_payload_is_184_bytes() {
-        assert_eq!(std::mem::size_of::<Packet<[u64; 13]>>(), 184);
-    }
-
     /// A ticket is at most 40 bytes (also a `const` assertion), and a stash
     /// slot holding one costs nothing more: the access category's spare
     /// values encode `None`.

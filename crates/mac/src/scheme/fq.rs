@@ -26,8 +26,12 @@ pub(super) struct FqPath {
 
 impl FqPath {
     pub(super) fn new(cfg: &NetworkConfig) -> FqPath {
+        // The AP's structure fills to its global limit on any saturated
+        // run: its arena is allocated once, at that size.
+        let mut fq = MacFq::new(cfg.fq);
+        fq.reserve(cfg.fq.limit);
         FqPath {
-            fq: MacFq::new(cfg.fq),
+            fq,
             sched: (cfg.scheme == SchemeKind::AirtimeFair)
                 .then(|| AirtimeScheduler::new(cfg.airtime)),
         }

@@ -1,5 +1,6 @@
 //! Application payload carried in simulated packets.
 
+use wifiq_mac::Packet;
 use wifiq_sim::Nanos;
 use wifiq_transport::TcpSegment;
 
@@ -25,16 +26,17 @@ pub enum AppMsg {
         /// RTP sequence number.
         seq: u64,
     },
-    /// A TCP segment (data or ACK).
-    Tcp(TcpSegment),
+    /// A TCP segment (data or ACK), boxed so that the other payloads do
+    /// not pay for its 96 bytes in every packet the store holds.
+    Tcp(Box<TcpSegment>),
     /// A TCP segment belonging to web request number `req` — the request
     /// id guards against stale retransmissions from a previous response
     /// on the same (reused) connection being mistaken for current data.
     WebTcp {
         /// Request index within the page.
         req: usize,
-        /// The segment.
-        seg: TcpSegment,
+        /// The segment (boxed, as in [`AppMsg::Tcp`]).
+        seg: Box<TcpSegment>,
     },
     /// An HTTP request asking the server to send `size` response bytes on
     /// connection `conn`.
@@ -48,4 +50,27 @@ pub enum AppMsg {
     DnsQuery,
     /// The DNS response.
     DnsResponse,
+}
+
+// Every packet the network's store holds is a `Packet<AppMsg>`, so a
+// payload variant wider than 16 bytes makes every UDP, ping and VoIP
+// packet pay for it (DESIGN.md §13, "One store, and tickets"). A TCP
+// segment is 96 bytes; inline it would make these 104 and 184.
+const _: () = assert!(std::mem::size_of::<AppMsg>() <= 24);
+const _: () = assert!(std::mem::size_of::<Packet<AppMsg>>() <= 104);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// 104 bytes is the packet every experiment runs (the `const`
+    /// assertions above hold the bound); it is the number the packet store
+    /// keeps in place, while events carry an 8-byte handle and queues a
+    /// 40-byte ticket (DESIGN.md §13). Whoever changes it redoes that
+    /// section's slot arithmetic — near 40 bytes a ticket stops paying.
+    #[test]
+    fn a_packet_with_its_payload_is_104_bytes() {
+        assert_eq!(std::mem::size_of::<AppMsg>(), 24);
+        assert_eq!(std::mem::size_of::<Packet<AppMsg>>(), 104);
+    }
 }

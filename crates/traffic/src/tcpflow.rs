@@ -88,7 +88,8 @@ impl TcpBulk {
     fn emit(&mut self, out: SendOutcome, now: Nanos, ctx: &mut FlowCtx<'_>) {
         let (src, dst) = self.data_endpoints();
         for seg in out.segments {
-            ctx.send(src, dst, 0, seg.wire_len(), self.ac, now, AppMsg::Tcp(seg));
+            let len = seg.wire_len();
+            ctx.send(src, dst, 0, len, self.ac, now, AppMsg::Tcp(Box::new(seg)));
         }
         match out.rearm_rto {
             Some(at) => self.rto.arm(at, |t| ctx.timer(TOK_RTO, t)),
@@ -99,7 +100,8 @@ impl TcpBulk {
     fn send_ack(&mut self, ack: wifiq_transport::TcpSegment, now: Nanos, ctx: &mut FlowCtx<'_>) {
         let (src, dst) = self.data_endpoints();
         // ACKs travel the reverse path.
-        ctx.send(dst, src, 0, ack.wire_len(), self.ac, now, AppMsg::Tcp(ack));
+        let len = ack.wire_len();
+        ctx.send(dst, src, 0, len, self.ac, now, AppMsg::Tcp(Box::new(ack)));
     }
 
     pub(crate) fn on_timer(&mut self, sub: u64, now: Nanos, ctx: &mut FlowCtx<'_>) {

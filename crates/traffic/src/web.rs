@@ -201,7 +201,10 @@ impl WebSession {
                 seg.wire_len(),
                 self.ac,
                 now,
-                AppMsg::WebTcp { req, seg },
+                AppMsg::WebTcp {
+                    req,
+                    seg: Box::new(seg),
+                },
             );
         }
         let rto = &mut self.conns[c].rto;
@@ -226,7 +229,10 @@ impl WebSession {
             ack.wire_len(),
             self.ac,
             now,
-            AppMsg::WebTcp { req, seg: ack },
+            AppMsg::WebTcp {
+                req,
+                seg: Box::new(ack),
+            },
         );
     }
 
@@ -615,7 +621,10 @@ mod tests {
             ac: AccessCategory::Be,
             created: Nanos::ZERO,
             enqueued: Nanos::ZERO,
-            payload: AppMsg::WebTcp { req: 0, seg },
+            payload: AppMsg::WebTcp {
+                req: 0,
+                seg: Box::new(seg),
+            },
         };
         let replies = step(
             &mut web,

@@ -262,33 +262,35 @@ impl TcpSender {
         if end <= start || end <= self.snd_una {
             return;
         }
-        let mut start = start.max(self.snd_una);
-        let mut end = end;
-        // Absorb any ranges overlapping or adjacent to [start, end):
-        // candidates start at or before `end`, and survive if they reach
-        // `start`.
-        let overlapping: Vec<u64> = self
-            .sacked
-            .range(..=end)
-            .filter(|&(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.sacked.remove(&s).expect("key just observed");
+        let lo = start.max(self.snd_una);
+        let (mut start, mut merged_end) = (lo, end);
+        // Absorb any ranges overlapping or adjacent to [lo, end): they
+        // start at or before `end` and reach `lo`. The ranges are
+        // disjoint, so their ends rise with their starts, and those are
+        // the last ranges starting at or before `end`.
+        while let Some((&s, &e)) = self.sacked.range(..=end).next_back() {
+            if e < lo {
+                break;
+            }
+            self.sacked.remove(&s);
             start = start.min(s);
-            end = end.max(e);
+            merged_end = merged_end.max(e);
         }
-        self.sacked.insert(start, end);
+        self.sacked.insert(start, merged_end);
     }
 
-    /// Drops scoreboard ranges at or below `snd_una`.
+    /// Drops scoreboard ranges at or below `snd_una`; the one range that
+    /// straddles it, if any, is the last of them and keeps its part above.
     fn sack_prune(&mut self) {
         let una = self.snd_una;
-        let keys: Vec<u64> = self.sacked.range(..=una).map(|(&s, _)| s).collect();
-        for s in keys {
-            let e = self.sacked.remove(&s).expect("key just observed");
+        while let Some(first) = self.sacked.first_entry() {
+            if *first.key() > una {
+                break;
+            }
+            let e = first.remove();
             if e > una {
                 self.sacked.insert(una, e);
+                break;
             }
         }
     }
@@ -372,8 +374,7 @@ impl TcpSender {
     /// Processes an incoming (pure) ACK segment.
     pub fn on_ack(&mut self, seg: &TcpSegment, now: Nanos) -> SendOutcome {
         let mut out = SendOutcome::default();
-        let blocks: Vec<(u64, u64)> = seg.sack_blocks().collect();
-        for (bs, be) in blocks {
+        for (bs, be) in seg.sack_blocks() {
             self.sack_insert(bs, be);
         }
 
