@@ -278,7 +278,7 @@ pub struct FqStats {
     /// collision.
     pub collisions: u64,
     /// Packets discarded because their TID was detached
-    /// ([`MacFq::unregister_tid`]) while they were still queued.
+    /// ([`MacFq::unregister_tid_with`]) while they were still queued.
     pub drops_detached: u64,
     /// Packets handed back intact by [`MacFq::unregister_tid_migrate`]
     /// (an inter-BSS hand-off carrying queued flow state to the target).
@@ -428,7 +428,7 @@ impl<P: FqPacket> MacFq<P> {
     /// Registers a TID (one station × traffic-identifier pair). It gets
     /// no flow queue of its own until its first cross-TID hash collision
     /// (see [`MacFq::enqueue`]). A slot freed by
-    /// [`MacFq::unregister_tid`] is reused (most recently freed first)
+    /// [`MacFq::unregister_tid_with`] is reused (most recently freed first)
     /// together with its overflow queue, if it has one, so a churning
     /// roster does not grow the flow pool without bound.
     pub fn register_tid(&mut self) -> TidId {
@@ -487,22 +487,14 @@ impl<P: FqPacket> MacFq<P> {
 
     /// Detaches a TID, discarding its queued packets and returning its
     /// flow queues to the shared pool — the departure half of station
-    /// churn. Returns the number of packets discarded (they leave the
-    /// global count and are recorded as `drops_detached`).
+    /// churn. Each discarded packet goes to `on_drop`, the caller's
+    /// chance to free what it stands for. Returns the number of packets
+    /// discarded (they leave the global count and are recorded as
+    /// `drops_detached`).
     ///
     /// The slot (and its overflow queue, if it has one) is parked for
     /// reuse by the next [`MacFq::register_tid`]; the handle must not be
     /// used again until then.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is unregistered or already detached.
-    pub fn unregister_tid(&mut self, tid: TidId, now: Nanos) -> usize {
-        self.unregister_tid_with(tid, now, |_| {})
-    }
-
-    /// [`MacFq::unregister_tid`], handing each discarded packet to
-    /// `on_drop` — the caller's chance to free what the packet stands for.
     ///
     /// # Panics
     ///
@@ -532,7 +524,7 @@ impl<P: FqPacket> MacFq<P> {
         dropped
     }
 
-    /// Detaches a TID like [`MacFq::unregister_tid`], but hands every
+    /// Detaches a TID like [`MacFq::unregister_tid_with`], but hands every
     /// queued packet back intact (per-flow FIFO order, DRR-list order
     /// across flows) instead of discarding — the migration half of an
     /// inter-BSS hand-off, where the old AP forwards a roamer's buffered

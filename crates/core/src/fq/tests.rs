@@ -347,7 +347,7 @@ fn detach_reattach_reuses_capacity() {
     assert!(before.1 >= 101, "packet arena never grew: {before:?}");
     assert_eq!(fq.tids[tid_b.slot()].new_flows.iter(&fq.flows).count(), 100);
 
-    fq.unregister_tid(tid_b, now);
+    fq.unregister_tid_with(tid_b, now, |_| {});
     // LIFO slot reuse: the fresh handle revives tid_b's slot with its
     // overflow queue, so the round-trip grows neither the flow pool nor
     // the arena, and the revived slot schedules nothing.
@@ -481,12 +481,12 @@ fn invariants_hold_across_mixed_workload() {
         fq.check_invariants();
     }
     assert!(fq.stats.drops_overlimit > 0, "never hit the global limit");
-    fq.unregister_tid(tid_b, now);
+    fq.unregister_tid_with(tid_b, now, |_| {});
     fq.check_invariants();
     // Teardown: drain the survivor and audit the arena directly —
     // every packet that ever entered must have left its slot.
     while fq.dequeue(tid_a, now, &params()).is_some() {}
-    fq.unregister_tid(tid_a, now);
+    fq.unregister_tid_with(tid_a, now, |_| {});
     fq.check_invariants();
     assert_eq!(fq.arena_live(), 0, "drained structure leaked arena slots");
 }
@@ -516,7 +516,7 @@ fn arena_drains_to_zero_after_tid_churn() {
         for _ in 0..(cycle % 41) {
             fq.dequeue(tid, now, &params());
         }
-        fq.unregister_tid(tid, now);
+        fq.unregister_tid_with(tid, now, |_| {});
         fq.check_invariants();
         assert_eq!(
             fq.arena_live(),

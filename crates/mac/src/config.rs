@@ -144,11 +144,6 @@ pub struct NetworkConfig {
     pub wire_delay: Nanos,
     /// RNG seed; repetitions are seed sweeps.
     pub seed: u64,
-    /// pfifo qdisc packet limit (FIFO scheme).
-    pub pfifo_limit: usize,
-    /// Legacy driver: shared frame budget across the per-TID FIFOs
-    /// (FIFO / FQ-CoDel schemes). Models ath9k's unmanaged buf_q space.
-    pub driver_buf_frames: usize,
     /// MAC FQ parameters (FQ-MAC / Airtime schemes).
     pub fq: FqParams,
     /// Airtime scheduler parameters (Airtime scheme).
@@ -207,8 +202,6 @@ impl NetworkConfig {
             scheme,
             wire_delay: Nanos::from_micros(200),
             seed: 1,
-            pfifo_limit: 1000,
-            driver_buf_frames: 128,
             fq: FqParams::default(),
             airtime: AirtimeParams::default(),
             max_retries: 10,

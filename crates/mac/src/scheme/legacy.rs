@@ -1,16 +1,18 @@
 //! The legacy path (FIFO / FQ-CoDel schemes): the stock Linux stack of
-//! Figure 2 — a qdisc feeding unmanaged per-TID driver FIFOs under a shared
-//! frame budget, eagerly refilled. It is the structure whose lower-layer
-//! queueing defeats qdisc AQM and whose buffer-hogging by slow stations
-//! starves fast stations' aggregation (§4.1.2). Stations with frames in
-//! their driver FIFOs take round-robin turns per access category on the
-//! station table's old list, the rotation every round-robin scheme shares.
+//! Figure 2 — a qdisc (`pfifo_fast` or the FQ-CoDel qdisc, both a
+//! [`Qdisc`] served in strict band priority) feeding unmanaged per-TID
+//! driver FIFOs under a shared frame budget, eagerly refilled. It is the
+//! structure whose lower-layer queueing defeats qdisc AQM and whose
+//! buffer-hogging by slow stations starves fast stations' aggregation
+//! (§4.1.2). Stations with frames in their driver FIFOs take round-robin
+//! turns per access category on the station table's old list, the
+//! rotation every round-robin scheme shares.
 
 use std::collections::VecDeque;
 
 use wifiq_core::table::StaId;
 use wifiq_phy::AccessCategory;
-use wifiq_qdisc::{FqCodelQdisc, PfifoFastQdisc, Qdisc};
+use wifiq_qdisc::Qdisc;
 use wifiq_sim::Nanos;
 
 use super::{rr_list, rr_next, Table};
@@ -26,13 +28,12 @@ fn buf_index(slot: StationIdx, ac: AccessCategory) -> usize {
     slot * AccessCategory::COUNT + ac.index()
 }
 
-enum LegacyQdisc {
-    Pfifo(PfifoFastQdisc<Ticket>),
-    // Boxed: the FQ-CoDel qdisc is hundreds of bytes of flow state, the
-    // pfifo variant a few pointers; one qdisc exists per network, so the
-    // indirection is off the per-packet path.
-    FqCodel(Box<FqCodelQdisc<Ticket>>),
-}
+/// `pfifo_fast`'s per-band packet limit (Linux's default `txqueuelen`).
+const PFIFO_LIMIT: usize = 1000;
+
+/// The driver's shared frame budget across the per-TID FIFOs: ath9k's
+/// unmanaged buf_q space.
+const DRIVER_BUF_FRAMES: usize = 128;
 
 /// `pfifo_fast`'s three-band 802.1d classification, by access category:
 /// VO/VI → band 0, BE → band 1, BK → band 2.
@@ -44,37 +45,15 @@ fn pfifo_fast_band(t: &Ticket) -> usize {
     }
 }
 
-impl LegacyQdisc {
-    fn enqueue(&mut self, t: Ticket, now: Nanos) -> Option<Ticket> {
-        match self {
-            LegacyQdisc::Pfifo(q) => q.enqueue(t, now),
-            LegacyQdisc::FqCodel(q) => q.enqueue(t, now),
-        }
-    }
-
-    fn dequeue(&mut self, now: Nanos, on_drop: impl FnMut(Ticket)) -> Option<Ticket> {
-        match self {
-            LegacyQdisc::Pfifo(q) => q.dequeue(now),
-            LegacyQdisc::FqCodel(q) => q.dequeue_with(now, on_drop),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            LegacyQdisc::Pfifo(q) => q.len(),
-            LegacyQdisc::FqCodel(q) => q.len(),
-        }
-    }
-}
-
 /// The legacy path's queues: the shared qdisc and the driver FIFOs below
 /// it.
 pub(super) struct Legacy {
-    qdisc: LegacyQdisc,
+    /// `pfifo_fast` (bands by [`pfifo_fast_band`]) or the FQ-CoDel qdisc.
+    /// It reports no telemetry.
+    pub(super) qdisc: Qdisc<Ticket>,
     /// Per-TID driver FIFOs (ath9k's buf_q), indexed by [`buf_index`].
     bufq: Vec<VecDeque<Ticket>>,
     buf_total: usize,
-    buf_cap: usize,
     /// Packets dropped on this path: qdisc tail-drop or overlimit, and
     /// frames discarded as they surface for a departed station. The
     /// FQ-CoDel qdisc counts its CoDel drops itself.
@@ -85,13 +64,12 @@ impl Legacy {
     pub(super) fn new(cfg: &NetworkConfig) -> Legacy {
         Legacy {
             qdisc: if cfg.scheme == SchemeKind::Fifo {
-                LegacyQdisc::Pfifo(PfifoFastQdisc::new(3, cfg.pfifo_limit, pfifo_fast_band))
+                Qdisc::fifo()
             } else {
-                LegacyQdisc::FqCodel(Box::new(FqCodelQdisc::with_defaults()))
+                Qdisc::fq_codel()
             },
             bufq: Vec::new(),
             buf_total: 0,
-            buf_cap: cfg.driver_buf_frames,
             drops: 0,
         }
     }
@@ -108,22 +86,6 @@ impl Legacy {
         self.qdisc.len() + self.buf_total
     }
 
-    /// Tickets live in the qdisc's arenas.
-    pub(super) fn arena_live(&self) -> usize {
-        match &self.qdisc {
-            LegacyQdisc::Pfifo(q) => q.arena_live(),
-            LegacyQdisc::FqCodel(q) => q.arena_live(),
-        }
-    }
-
-    /// Packets CoDel dropped in the FQ-CoDel qdisc (0 under pfifo).
-    pub(super) fn codel_drops(&self) -> u64 {
-        match &self.qdisc {
-            LegacyQdisc::FqCodel(q) => q.codel_drops(),
-            LegacyQdisc::Pfifo(_) => 0,
-        }
-    }
-
     /// Whether `(slot, ac)`'s driver FIFO holds a frame.
     pub(super) fn has_data(&self, slot: StationIdx, ac: AccessCategory) -> bool {
         !self.bufq[buf_index(slot, ac)].is_empty()
@@ -138,7 +100,8 @@ impl Legacy {
         table: &mut Table,
         mut on_drop: impl FnMut(Ticket),
     ) {
-        if let Some(victim) = self.qdisc.enqueue(t, now) {
+        let band = pfifo_fast_band(&t);
+        if let Some(victim) = self.qdisc.enqueue(t, band, PFIFO_LIMIT, now) {
             self.drops += 1;
             on_drop(victim);
         }
@@ -154,7 +117,7 @@ impl Legacy {
         table: &mut Table,
         mut on_drop: impl FnMut(Ticket),
     ) {
-        while self.buf_total < self.buf_cap {
+        while self.buf_total < DRIVER_BUF_FRAMES {
             let Some(t) = self.qdisc.dequeue(now, &mut on_drop) else {
                 break;
             };
@@ -195,8 +158,8 @@ impl Legacy {
                 }
             }
         }
-        if let (Some(out), LegacyQdisc::Pfifo(q)) = (carry, &mut self.qdisc) {
-            out.extend(q.drain_matching(|t| t.peer() == slot));
+        if let Some(out) = carry {
+            out.extend(self.qdisc.drain_matching(|t| t.peer() == slot));
         }
         dropped
     }

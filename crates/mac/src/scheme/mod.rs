@@ -324,14 +324,14 @@ impl ApTxPath {
             .sum()
     }
 
-    /// Tickets live in the path's queueing arenas (the qdisc's, or the
+    /// Tickets live in the path's FQ arena (the FQ-CoDel qdisc's, or the
     /// MAC FQ's) — the teardown audit's counterpart to
-    /// [`ApTxPath::backlog`]. Stashed frames and driver FIFOs hold tickets
-    /// outside those arenas, so after a full drain this must be exactly
-    /// zero: any residue is a leaked arena slot.
+    /// [`ApTxPath::backlog`]. Stashed frames, driver FIFOs and the pfifo
+    /// bands hold tickets outside any arena, so after a full drain this
+    /// must be exactly zero: any residue is a leaked arena slot.
     pub fn arena_live(&self) -> usize {
         match &self.inner {
-            PathInner::Legacy(l) => l.arena_live(),
+            PathInner::Legacy(l) => l.qdisc.arena_live(),
             PathInner::Fq(f) => f.fq.arena_live(),
         }
     }
@@ -535,7 +535,7 @@ impl ApTxPath {
     /// (0 under pfifo).
     pub fn codel_drops(&self) -> u64 {
         match &self.inner {
-            PathInner::Legacy(l) => l.codel_drops(),
+            PathInner::Legacy(l) => l.qdisc.codel_drops(),
             PathInner::Fq(f) => f.fq.stats.drops_codel,
         }
     }

@@ -295,17 +295,14 @@ fn frame_pool_round_trip_reuses_buffers() {
 
 #[test]
 fn fifo_scheme_drops_past_qdisc_limit() {
-    let mut c = cfg(SchemeKind::Fifo);
-    c.pfifo_limit = 50;
-    c.driver_buf_frames = 10;
-    let mut path: ApTxPath = ApTxPath::new(&c);
+    let mut path: ApTxPath = ApTxPath::new(&cfg(SchemeKind::Fifo));
     let now = Nanos::ZERO;
-    for i in 0..100 {
+    for i in 0..1200 {
         path.enqueue(pkt(0, 1, Nanos::from_nanos(i)), now, ignore);
     }
-    // 10 in driver + 50 in qdisc = 60 kept, 40 dropped.
-    assert_eq!(path.backlog(), 60);
-    assert_eq!(path.queue_drops(), 40);
+    // 128 in the driver + 1000 in pfifo_fast's BE band = 1128 kept.
+    assert_eq!(path.backlog(), 1128);
+    assert_eq!(path.queue_drops(), 72);
 }
 
 /// The stations of the next `n` aggregates at BE, building each one;

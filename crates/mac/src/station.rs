@@ -2,15 +2,13 @@
 //!
 //! Clients are *unmodified* in all schemes — the paper's solution runs
 //! only at the access point. A station therefore keeps simple per-AC
-//! FIFOs (the stock qdisc + driver queueing collapsed into one queue) and
-//! builds aggregates from them with the standard limits.
+//! FIFOs (the stock qdisc + driver queueing collapsed into one queue), or
+//! the paper's FQ-CoDel structure with a TID per AC ("WiFi client devices
+//! can also benefit"): a [`Qdisc`] with a band per AC, the AP's legacy
+//! qdisc's type. It builds aggregates from them with the standard limits.
 
-use std::collections::VecDeque;
-
-use wifiq_codel::CodelParams;
-use wifiq_core::fq::{FqParams, MacFq};
-use wifiq_core::table::TidId;
 use wifiq_phy::{AccessCategory, PhyRate};
+use wifiq_qdisc::Qdisc;
 use wifiq_sim::{Nanos, SimRng};
 use wifiq_telemetry::Telemetry;
 
@@ -22,87 +20,18 @@ use crate::ratectrl::Minstrel;
 /// little slack for the recycle round-trip.
 const FRAME_POOL_CAP: usize = 8;
 
-/// The client's uplink queueing: the stock per-AC FIFO, or the paper's
-/// FQ-CoDel structure ("WiFi client devices can also benefit from the
-/// proposed queueing structure").
-///
-/// The FQ is boxed: only client-FQ experiments enable it, and inline it
-/// would grow every uplink's [`Queued`] body by 200 bytes. The pointer
-/// chase it adds is paid only by those experiments' uplinks.
-enum UplinkQueues {
-    Fifo {
-        queues: [VecDeque<Ticket>; AccessCategory::COUNT],
-    },
-    Fq {
-        fq: Box<MacFq<Ticket>>,
-        tids: [TidId; AccessCategory::COUNT],
-        codel: CodelParams,
-    },
-}
-
-impl UplinkQueues {
-    /// Queues `t`, returning the packet dropped to make room: `t` itself
-    /// at a FIFO already holding `limit` packets, the FQ's longest-queue
-    /// victim on overlimit — "one packet was dropped at this uplink", not
-    /// necessarily the offered one.
-    fn enqueue(&mut self, t: Ticket, limit: usize) -> Option<Ticket> {
-        match self {
-            UplinkQueues::Fifo { queues } => {
-                let q = &mut queues[t.ac.index()];
-                if q.len() >= limit {
-                    return Some(t);
-                }
-                q.push_back(t);
-                None
-            }
-            UplinkQueues::Fq { fq, tids, .. } => fq.enqueue(t, tids[t.ac.index()], t.enqueued),
-        }
-    }
-
-    fn has_data(&self, ac: AccessCategory) -> bool {
-        match self {
-            UplinkQueues::Fifo { queues } => !queues[ac.index()].is_empty(),
-            UplinkQueues::Fq { fq, tids, .. } => fq.tid_has_data(tids[ac.index()]),
-        }
-    }
-
-    /// The next packet for `ac`; CoDel's victims on the way (FQ uplink
-    /// only) go to `on_drop`.
-    fn pop(
-        &mut self,
-        ac: AccessCategory,
-        now: Nanos,
-        on_drop: impl FnMut(Ticket),
-    ) -> Option<Ticket> {
-        match self {
-            UplinkQueues::Fifo { queues } => queues[ac.index()].pop_front(),
-            UplinkQueues::Fq { fq, tids, codel } => {
-                fq.dequeue_with(tids[ac.index()], now, codel, on_drop)
-            }
-        }
-    }
-
-    fn backlog(&self) -> usize {
-        match self {
-            UplinkQueues::Fifo { queues } => queues.iter().map(|q| q.len()).sum(),
-            UplinkQueues::Fq { fq, .. } => fq.total_packets(),
-        }
-    }
-
-    fn arena_live(&self) -> usize {
-        match self {
-            UplinkQueues::Fifo { .. } => 0,
-            UplinkQueues::Fq { fq, .. } => fq.arena_live(),
-        }
-    }
-}
+// The uplink queues access category `ac` in band `ac.index()`.
+const _: () = assert!(wifiq_qdisc::BANDS == AccessCategory::COUNT);
 
 /// What an uplink holds once it has queued a packet or enabled its FQ:
 /// the queues, the stash and pending aggregates built from them, and the
 /// frame buffers those aggregates recycle. A station that never sends
 /// never allocates it.
 struct Queued {
-    queues: UplinkQueues,
+    /// FIFOs, or the FQ uplink, which is boxed: only client-FQ
+    /// experiments enable it, and inline it would grow every uplink's
+    /// body by 200 bytes.
+    queues: Qdisc<Ticket>,
     /// A packet pulled for an aggregate that didn't fit, offered first
     /// next time (per AC).
     stash: [Option<Ticket>; AccessCategory::COUNT],
@@ -114,7 +43,7 @@ struct Queued {
 }
 
 impl Queued {
-    fn boxed(queues: UplinkQueues) -> Box<Queued> {
+    fn boxed(queues: Qdisc<Ticket>) -> Box<Queued> {
         Box::new(Queued {
             queues,
             stash: Default::default(),
@@ -124,7 +53,7 @@ impl Queued {
     }
 
     fn backlog(&self) -> usize {
-        self.queues.backlog()
+        self.queues.len()
             + self.stash.iter().filter(|s| s.is_some()).count()
             + self
                 .pending
@@ -199,13 +128,7 @@ impl StationUplink {
     /// Panics if packets are already queued.
     pub fn enable_fq(&mut self) {
         assert_eq!(self.backlog(), 0, "enable_fq on a non-empty station");
-        let mut fq = MacFq::new(FqParams::default());
-        let tids = AccessCategory::ALL.map(|_| fq.register_tid());
-        self.queued = Some(Queued::boxed(UplinkQueues::Fq {
-            fq: Box::new(fq),
-            tids,
-            codel: CodelParams::wifi_default(),
-        }));
+        self.queued = Some(Queued::boxed(Qdisc::client_fq()));
     }
 
     /// Attaches a telemetry handle to the FQ uplink (metrics under
@@ -213,7 +136,7 @@ impl StationUplink {
     /// nothing beyond the tail-drop counter to report.
     pub fn set_telemetry(&mut self, tele: Telemetry) {
         if let Some(Queued {
-            queues: UplinkQueues::Fq { fq, .. },
+            queues: Qdisc::Fq { fq, .. },
             ..
         }) = self.queued.as_deref_mut()
         {
@@ -240,12 +163,10 @@ impl StationUplink {
     /// make room — this one at a full FIFO — is counted in
     /// [`drops`](Self::drops) and handed to `on_drop`.
     pub fn enqueue(&mut self, t: Ticket, mut on_drop: impl FnMut(Ticket)) {
-        let q = self.queued.get_or_insert_with(|| {
-            Queued::boxed(UplinkQueues::Fifo {
-                queues: Default::default(),
-            })
-        });
-        if let Some(victim) = q.queues.enqueue(t, self.limit) {
+        let q = self
+            .queued
+            .get_or_insert_with(|| Queued::boxed(Qdisc::fifo()));
+        if let Some(victim) = q.queues.enqueue(t, t.ac.index(), self.limit, t.enqueued) {
             self.drops += 1;
             on_drop(victim);
         }
@@ -277,7 +198,7 @@ impl StationUplink {
         let q = self.queued.as_deref_mut()?;
         for ac in AccessCategory::ALL {
             let aci = ac.index();
-            let has = q.stash[aci].is_some() || q.queues.has_data(ac);
+            let has = q.stash[aci].is_some() || q.queues.has(aci);
             if q.pending[aci].is_none() && has {
                 let rate = match self.rc.as_deref_mut() {
                     Some((rc, rng)) => rc.rate_for_next(rng),
@@ -288,7 +209,7 @@ impl StationUplink {
                 let frames_buf = q.frame_pool.pop().unwrap_or_default();
                 let (built, leftover) =
                     build_aggregate_into(self.idx, ac, rate, frames_buf, || {
-                        stash.take().or_else(|| queues.pop(ac, now, &mut on_drop))
+                        stash.take().or_else(|| queues.pop(aci, now, &mut on_drop))
                     });
                 q.stash[aci] = leftover;
                 q.pending[aci] = match built {
@@ -358,18 +279,7 @@ impl StationUplink {
             pending,
             ..
         } = *gone;
-        match queues {
-            UplinkQueues::Fifo { queues } => queues.into_iter().flatten().for_each(&mut on_drop),
-            // Taken out whole, as the uplink is discarded whole: no
-            // per-TID detach drops are recorded for a departed client.
-            UplinkQueues::Fq { mut fq, tids, .. } => {
-                for tid in tids {
-                    fq.unregister_tid_migrate(tid)
-                        .into_iter()
-                        .for_each(&mut on_drop);
-                }
-            }
-        }
+        queues.take_all(&mut on_drop);
         stash.into_iter().flatten().for_each(&mut on_drop);
         let built = pending.into_iter().flatten();
         built.flat_map(|agg| agg.frames).for_each(&mut on_drop);

@@ -330,13 +330,6 @@ impl PhyRate {
     pub fn data_duration(self, bytes: u64) -> Nanos {
         self.preamble() + self.payload_duration(bytes)
     }
-
-    /// The analytical model's data duration (paper eq. 2): `T_phy + 8L/r`,
-    /// without symbol quantization. Used by `wifiq-model` so its output
-    /// matches the paper's closed-form expressions exactly.
-    pub fn model_data_duration(self, bytes: u64) -> Nanos {
-        T_PHY + Nanos::for_bits(bytes * 8, self.bits_per_second())
-    }
 }
 
 impl fmt::Display for PhyRate {
@@ -459,16 +452,6 @@ mod tests {
             r.data_duration(1500),
             Nanos::from_millis(12) + Nanos::from_micros(192)
         );
-    }
-
-    #[test]
-    fn model_duration_close_to_quantized() {
-        let r = PhyRate::fast_station();
-        let model = r.model_data_duration(15_440);
-        let quant = r.data_duration(15_440);
-        // Quantization can only add up to one symbol (3.6 µs).
-        assert!(quant >= model);
-        assert!(quant - model <= Nanos::from_nanos(3_600));
     }
 
     #[test]

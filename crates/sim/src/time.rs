@@ -21,8 +21,8 @@ use core::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 /// ```
 /// use wifiq_sim::time::Nanos;
 ///
-/// let t = Nanos::from_micros(34) + Nanos::from_micros(16);
-/// assert_eq!(t.as_micros(), 50);
+/// let t = Nanos::from_millis(34) + Nanos::from_micros(16_000);
+/// assert_eq!(t.as_millis(), 50);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(pub u64);
@@ -75,12 +75,6 @@ impl Nanos {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the time in whole microseconds (truncating).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Returns the time in whole milliseconds (truncating).

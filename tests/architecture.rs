@@ -80,17 +80,19 @@ fn body<'a>(files: &'a Files, path: &str, head: &str) -> Vec<&'a str> {
     from_head.take_while(|l| *l != "    }").collect()
 }
 
-/// Lines before the first test module of each library source file (a
-/// `#[cfg(test)]` whose next line opens a `mod`): `src` and
-/// `crates/*/src`, save the `tests.rs` modules. A test-only item above
+/// A library source file: under `src` or `crates/*/src`, save the
+/// `tests.rs` modules.
+fn library(p: &str) -> bool {
+    let crate_src = p.starts_with("crates/") && p.split('/').nth(2) == Some("src");
+    (crate_src || p.starts_with("src/")) && !p.ends_with("/tests.rs")
+}
+
+/// Lines before the first test module of each [`library`] file (a
+/// `#[cfg(test)]` whose next line opens a `mod`). A test-only item above
 /// that point counts as code, so the count errs high, never low.
 fn non_test_lines(files: &Files) -> impl Iterator<Item = (&str, usize)> {
-    let library = |p: &str| {
-        let crate_src = p.starts_with("crates/") && p.split('/').nth(2) == Some("src");
-        (crate_src || p.starts_with("src/")) && !p.ends_with("/tests.rs")
-    };
     let test_mod = |w: &[&str]| w[0].starts_with("#[cfg(test)]") && w[1].starts_with("mod ");
-    let library = files.iter().filter(move |(p, _)| library(p));
+    let library = files.iter().filter(|(p, _)| library(p));
     library.map(move |(p, t)| {
         let lines: Vec<&str> = t.lines().collect();
         let code = lines.windows(2).position(test_mod);
@@ -215,6 +217,20 @@ fn one_wheel(files: &Files) -> Verdict {
         |l| l.contains("BinaryHeap"),
         &[],
     )
+}
+
+/// One queue per stack: an unmodified stack — the AP's legacy qdisc or a
+/// client's uplink — queues in `wifiq_qdisc::Qdisc`, FIFO bands or a
+/// `MacFq` under CoDel. Outside tests a `MacFq` is built only there, in
+/// `wifiq-core` where it is defined, and in the AP's FQ-MAC/Airtime path.
+fn one_qdisc(files: &Files) -> Verdict {
+    let builds = |l: &str| l.contains("MacFq::new(");
+    let outside_core = files
+        .iter()
+        .filter(|(p, _)| library(p) && !p.starts_with("crates/core/"));
+    let outside_core: Vec<(String, String)> = outside_core.cloned().collect();
+    let allowed = ["crates/mac/src/scheme/fq.rs", "crates/qdisc/src/lib.rs"];
+    only(&outside_core, &["crates/", "src/"], builds, &allowed)
 }
 
 /// The docs say what is, not which plan asked for it: no "ROADMAP item
@@ -477,6 +493,7 @@ mod rule {
         roster: "tests/planted.rs" => format!("fn f() {{ roam{CATCH_UP}); churn{STEP}); }}");
         rotation: "crates/mac/src/scheme/fq.rs" => format!("fn f(t: &mut Table) {{ t.{}0); }}", ROTATION_MOVES[2]);
         one_wheel: "crates/sim/src/planted.rs" => "struct Q { far: std::collections::BinaryHeap<u64> }";
+        one_qdisc: "crates/mac/src/station.rs" => "fn f() -> MacFq<Ticket> { MacFq::new(FqParams::default()) }";
         roadmap_citations: "DESIGN.md" => "as ROADMAP\nitem 7 asks";
         doc_references: "DESIGN.md" => "the gate `ext_policy::equal_weights_identity`";
     }

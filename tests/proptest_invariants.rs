@@ -251,7 +251,7 @@ proptest! {
                 ChurnOp::Unregister { k } => {
                     if !live.is_empty() {
                         let tid = live.swap_remove(k % live.len());
-                        fq.unregister_tid(tid, now);
+                        fq.unregister_tid_with(tid, now, |_| {});
                         prop_assert!(!fq.tid_is_registered(tid));
                     }
                 }
@@ -272,7 +272,7 @@ proptest! {
             prop_assert_eq!(per_tid, fq.total_packets(), "live TID sums diverge from global count");
         }
         for tid in live.drain(..) {
-            fq.unregister_tid(tid, now);
+            fq.unregister_tid_with(tid, now, |_| {});
         }
         prop_assert_eq!(fq.total_packets(), 0, "flow queues leaked after full detach");
         let s = fq.stats;
@@ -305,7 +305,7 @@ proptest! {
                 ChurnOp::Unregister { k } => {
                     if !live.is_empty() {
                         let tid = live.swap_remove(k % live.len());
-                        fq.unregister_tid(tid, now);
+                        fq.unregister_tid_with(tid, now, |_| {});
                     }
                 }
                 ChurnOp::Enqueue { k, flow, len } => {
@@ -325,7 +325,7 @@ proptest! {
         }
         let had_pressure = fq.stats.drops_overlimit;
         for tid in live.drain(..) {
-            fq.unregister_tid(tid, now);
+            fq.unregister_tid_with(tid, now, |_| {});
             fq.check_invariants();
         }
         prop_assert_eq!(fq.total_packets(), 0);
