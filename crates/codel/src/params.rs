@@ -59,7 +59,8 @@ impl Default for CodelParams {
     }
 }
 
-/// Per-station CoDel parameter selection with hysteresis (paper §3.1.1).
+/// CoDel parameter selection with hysteresis (paper §3.1.1): the policy,
+/// one per network.
 ///
 /// "We use a simple threshold combined with an estimate of the station's
 /// current throughput [...] changing CoDel's target to 50 ms and interval
@@ -67,28 +68,25 @@ impl Default for CodelParams {
 /// hysteresis so the values are not changed more than once every two
 /// seconds."
 ///
-/// Parameters are per *station*, not per TID, because link quality is a
-/// property of the physical station.
-#[derive(Debug, Clone)]
-pub struct StationCodelParams {
+/// The selection itself is per *station*, not per TID, because link
+/// quality is a property of the physical station; what each station
+/// keeps of it is a [`StationCodel`], which reads its parameters from
+/// this selector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodelSelector {
     normal: CodelParams,
     degraded: CodelParams,
     /// Rate threshold below which the degraded parameters apply.
     threshold_bps: u64,
     /// Minimum spacing between parameter changes.
     hysteresis: Nanos,
-    current_degraded: bool,
-    last_change: Option<Nanos>,
-    /// `codel/param_switches` for this station, once
-    /// [`StationCodelParams::set_telemetry`] resolved it.
-    switches: CounterId,
 }
 
-impl StationCodelParams {
-    /// Creates the selector with the paper's constants
-    /// (12 Mbps threshold, 2 s hysteresis).
-    pub fn new() -> StationCodelParams {
-        StationCodelParams::with_config(
+impl CodelSelector {
+    /// The selector with the paper's constants (12 Mbps threshold, 2 s
+    /// hysteresis).
+    pub const fn new() -> CodelSelector {
+        CodelSelector::with_config(
             CodelParams::wifi_default(),
             CodelParams::slow_station(),
             12_000_000,
@@ -96,60 +94,83 @@ impl StationCodelParams {
         )
     }
 
-    /// Fully parameterised constructor, for ablation experiments.
-    pub fn with_config(
+    /// Fully parameterised constructor, for ablation experiments. A
+    /// threshold of 0 never switches: no rate is below it.
+    pub const fn with_config(
         normal: CodelParams,
         degraded: CodelParams,
         threshold_bps: u64,
         hysteresis: Nanos,
-    ) -> StationCodelParams {
-        StationCodelParams {
+    ) -> CodelSelector {
+        CodelSelector {
             normal,
             degraded,
             threshold_bps,
             hysteresis,
-            current_degraded: false,
-            last_change: None,
-            switches: CounterId::default(),
         }
+    }
+}
+
+impl Default for CodelSelector {
+    fn default() -> Self {
+        CodelSelector::new()
+    }
+}
+
+/// One station's state under a [`CodelSelector`]: which parameter set
+/// applies, when it last changed, and the station's switch counter.
+#[derive(Debug, Clone, Default)]
+pub struct StationCodel {
+    degraded: bool,
+    last_change: Option<Nanos>,
+    /// `codel/param_switches` for this station, once
+    /// [`StationCodel::set_telemetry`] resolved it.
+    switches: CounterId,
+}
+
+impl StationCodel {
+    /// A station on the normal parameters that has never switched.
+    pub fn new() -> StationCodel {
+        StationCodel::default()
     }
 
     /// Resolves this station's switch counter against `tele` — the hub
-    /// [`StationCodelParams::update_rate_observed`] will be given.
+    /// [`StationCodel::update_rate_observed`] will be given.
     pub fn set_telemetry(&mut self, tele: &Telemetry, station: u32) {
         self.switches = tele.counter_id("codel", "param_switches", Label::Station(station));
     }
 
     /// Feeds a new rate estimate (from the rate-selection algorithm) and
-    /// returns the parameters to use from now on.
-    pub fn update_rate(&mut self, now: Nanos, rate_bps: u64) -> CodelParams {
-        let want_degraded = rate_bps < self.threshold_bps;
-        if want_degraded != self.current_degraded {
+    /// returns the parameters `sel` gives the station from now on.
+    pub fn update_rate(&mut self, sel: &CodelSelector, now: Nanos, rate_bps: u64) -> CodelParams {
+        let want_degraded = rate_bps < sel.threshold_bps;
+        if want_degraded != self.degraded {
             let may_change = match self.last_change {
                 None => true,
-                Some(at) => now.saturating_sub(at) >= self.hysteresis,
+                Some(at) => now.saturating_sub(at) >= sel.hysteresis,
             };
             if may_change {
-                self.current_degraded = want_degraded;
+                self.degraded = want_degraded;
                 self.last_change = Some(now);
             }
         }
-        self.current()
+        self.current(sel)
     }
 
-    /// [`StationCodelParams::update_rate`] with telemetry: emits a
+    /// [`StationCodel::update_rate`] with telemetry: emits a
     /// `param_switch` event and counter whenever the hysteresis actually
     /// flips the parameter set.
     pub fn update_rate_observed(
         &mut self,
+        sel: &CodelSelector,
         now: Nanos,
         rate_bps: u64,
         tele: &Telemetry,
         station: u32,
     ) -> CodelParams {
-        let before = self.current_degraded;
-        let params = self.update_rate(now, rate_bps);
-        if self.current_degraded != before {
+        let before = self.degraded;
+        let params = self.update_rate(sel, now, rate_bps);
+        if self.degraded != before {
             tele.add(self.switches, 1);
             tele.event(
                 now,
@@ -164,30 +185,28 @@ impl StationCodelParams {
         params
     }
 
-    /// The currently selected parameters.
-    pub fn current(&self) -> CodelParams {
-        if self.current_degraded {
-            self.degraded
+    /// The parameters `sel` currently gives the station.
+    pub fn current(&self, sel: &CodelSelector) -> CodelParams {
+        if self.degraded {
+            sel.degraded
         } else {
-            self.normal
+            sel.normal
         }
     }
 
     /// Whether the degraded (slow-station) parameters are active.
     pub fn is_degraded(&self) -> bool {
-        self.current_degraded
+        self.degraded
     }
 }
 
-impl Default for StationCodelParams {
-    fn default() -> Self {
-        StationCodelParams::new()
-    }
-}
+const _: () = assert!(std::mem::size_of::<StationCodel>() <= 24);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PAPER: CodelSelector = CodelSelector::new();
 
     #[test]
     fn defaults_match_paper() {
@@ -200,44 +219,75 @@ mod tests {
     }
 
     #[test]
-    fn switches_below_threshold() {
-        let mut s = StationCodelParams::new();
+    fn a_fresh_station_reads_normal() {
+        let s = StationCodel::new();
         assert!(!s.is_degraded());
-        let p = s.update_rate(Nanos::from_secs(1), 7_200_000);
+        assert_eq!(s.current(&PAPER), CodelParams::wifi_default());
+    }
+
+    #[test]
+    fn switches_below_threshold() {
+        let mut s = StationCodel::new();
+        let p = s.update_rate(&PAPER, Nanos::from_secs(1), 7_200_000);
         assert!(s.is_degraded());
         assert_eq!(p.target, Nanos::from_millis(50));
+        assert_eq!(s.current(&PAPER), CodelParams::slow_station());
     }
 
     #[test]
     fn hysteresis_blocks_rapid_flapping() {
-        let mut s = StationCodelParams::new();
-        s.update_rate(Nanos::from_secs(1), 7_000_000);
+        let mut s = StationCodel::new();
+        s.update_rate(&PAPER, Nanos::from_secs(1), 7_000_000);
         assert!(s.is_degraded());
         // 1 s later the rate recovers, but hysteresis (2 s) blocks the
         // switch back.
-        s.update_rate(Nanos::from_secs(2), 100_000_000);
+        s.update_rate(&PAPER, Nanos::from_secs(2), 100_000_000);
         assert!(s.is_degraded());
         // After the hysteresis window it may switch.
-        s.update_rate(Nanos::from_secs(3), 100_000_000);
+        s.update_rate(&PAPER, Nanos::from_secs(3), 100_000_000);
         assert!(!s.is_degraded());
     }
 
     #[test]
     fn no_change_means_no_timer_reset() {
-        let mut s = StationCodelParams::new();
-        s.update_rate(Nanos::from_secs(1), 7_000_000);
+        let mut s = StationCodel::new();
+        s.update_rate(&PAPER, Nanos::from_secs(1), 7_000_000);
         // Repeated slow estimates do not push the change time forward...
-        s.update_rate(Nanos::from_secs(2), 7_000_000);
-        s.update_rate(Nanos::from_secs(2) + Nanos::from_millis(900), 7_000_000);
+        s.update_rate(&PAPER, Nanos::from_secs(2), 7_000_000);
+        s.update_rate(
+            &PAPER,
+            Nanos::from_secs(2) + Nanos::from_millis(900),
+            7_000_000,
+        );
         // ...so a recovery exactly 2 s after the original change succeeds.
-        s.update_rate(Nanos::from_secs(3), 100_000_000);
+        s.update_rate(&PAPER, Nanos::from_secs(3), 100_000_000);
         assert!(!s.is_degraded());
     }
 
     #[test]
     fn boundary_rate_is_not_degraded() {
-        let mut s = StationCodelParams::new();
-        s.update_rate(Nanos::ZERO, 12_000_000);
+        let mut s = StationCodel::new();
+        s.update_rate(&PAPER, Nanos::ZERO, 12_000_000);
         assert!(!s.is_degraded(), "threshold is strictly below 12 Mbps");
+    }
+
+    #[test]
+    fn a_pinned_selector_never_switches() {
+        let wifi = CodelParams::wifi_default();
+        let pinned = CodelSelector::with_config(wifi, wifi, 0, Nanos::ZERO);
+        let mut s = StationCodel::new();
+        for (secs, rate) in [(0, 0), (1, 1_000_000), (5, 100_000_000), (9, 0)] {
+            assert_eq!(s.update_rate(&pinned, Nanos::from_secs(secs), rate), wifi);
+            assert!(!s.is_degraded());
+        }
+    }
+
+    #[test]
+    fn stations_share_one_selector() {
+        let (mut slow, mut fast) = (StationCodel::new(), StationCodel::new());
+        slow.update_rate(&PAPER, Nanos::from_secs(1), 6_500_000);
+        fast.update_rate(&PAPER, Nanos::from_secs(1), 144_400_000);
+        assert_eq!(slow.current(&PAPER), CodelParams::slow_station());
+        assert_eq!(fast.current(&PAPER), CodelParams::wifi_default());
     }
 }

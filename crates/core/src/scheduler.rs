@@ -22,8 +22,8 @@
 //! # State layout
 //!
 //! All per-station round state — deficits, weights, list membership and
-//! the intrusive DRR list links — lives in a [`StationTable`]'s flat
-//! slabs, not in this type: the scheduler is a stateless algorithm
+//! the intrusive DRR list links — lives in a [`StationTable`]'s rows,
+//! not in this type: the scheduler is a stateless algorithm
 //! (parameters + telemetry counters) over the table, so one store owns
 //! station lifetime for the scheduler, the MAC transmit path, and
 //! roaming alike. The pre-SoA implementation is retained verbatim as the
@@ -77,7 +77,7 @@ pub struct AirtimeStats {
 }
 
 /// The per-access-category airtime DRR scheduler (paper Algorithm 3),
-/// operating over a [`StationTable`]'s flat hot slabs.
+/// operating over a [`StationTable`]'s hot rows.
 ///
 /// # Examples
 ///

@@ -1,5 +1,5 @@
-//! The flat station/TID state store: a struct-of-arrays table keyed by
-//! generational handles.
+//! The flat station/TID state store: one hot row per (station, QoS
+//! level) and a cold side table, keyed by generational handles.
 //!
 //! Per-station structs in a `Vec` plus parallel side vectors indexed by
 //! `4·sta + ac` arithmetic at every call site do not scale: at 100k+
@@ -10,13 +10,17 @@
 //!
 //! [`StationTable`] fixes both:
 //!
-//! - **Layout.** The fields a DRR round actually touches live in
-//!   parallel flat slabs indexed by `slot × QOS_LEVELS + ac`: deficit,
-//!   weight, list membership, intrusive prev/next links, and the TID
-//!   handle stripe. A round walks a dense, prefetchable stripe. Cold
-//!   per-station payload (rates, CoDel parameters, stashed frames —
-//!   whatever the embedder supplies as `C`) lives in a side table that
-//!   scheduling never reads.
+//! - **Layout.** The fields a DRR round touches for one `(station, ac)`
+//!   node — deficit, TID handle, weight, intrusive prev/next links and
+//!   list membership — sit together in one 32-byte, 32-aligned `Row`,
+//!   at `rows[slot × QOS_LEVELS + ac]`; a slot's generation and
+//!   occupancy sit in one 8-byte header. The DRR lists are intrusive
+//!   links visited in whatever slot order the rotation has reached, so
+//!   a visit is a random access, not a stripe: with one slab per field
+//!   it touched one cache line per slab, with rows it touches the node's
+//!   row and its slot's header. Cold per-station payload (rate, CoDel
+//!   selection state, stashed frames — whatever the embedder supplies as
+//!   `C`) lives in a side table that scheduling never reads.
 //! - **Handles.** [`StaId`] and [`TidId`] are 8-byte generational
 //!   handles (`u32` slot + `u32` generation), the same discipline as
 //!   [`PacketHandle`](crate::packet::PacketHandle): freeing a slot bumps
@@ -33,7 +37,7 @@
 //!
 //! The DRR lists themselves (one *new* + one *old* list per QoS level,
 //! FQ-CoDel's sparse-flow discipline applied to stations) are intrusive
-//! over the link slabs: a `(station, ac)` node is on at most one list,
+//! over the rows' links: a `(station, ac)` node is on at most one list,
 //! so one prev/next pair per node serves all four levels.
 
 /// Number of QoS precedence levels (VO, VI, BE, BK).
@@ -91,8 +95,8 @@ pub struct TidId {
 }
 
 impl TidId {
-    /// A sentinel referring to no TID; any use panics. The default value
-    /// of the table's TID stripe until [`set_tid`](StationTable::set_tid).
+    /// A sentinel referring to no TID; any use panics. A table row's TID
+    /// until [`set_tid`](StationTable::set_tid).
     pub const NONE: TidId = TidId { idx: NIL, gen: 0 };
 
     /// The TID slot index this handle refers to.
@@ -155,34 +159,59 @@ struct AcLists {
 const NEW: usize = 0;
 const OLD: usize = 1;
 
-/// The struct-of-arrays station store. See the module docs for the
-/// layout rationale; `C` is the embedder's cold per-station payload
-/// (config, stashes, telemetry handles — anything a scheduling round
-/// does not touch).
+/// One `(station, ac)` node's scheduling state: everything a DRR visit
+/// reads or writes, in one 32-byte row (29 bytes of fields).
+#[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
+struct Row {
+    deficit: i64,
+    /// The MAC FQ TID registered for this (station, ac).
+    tid: TidId,
+    weight: u32,
+    prev: u32,
+    next: u32,
+    membership: Membership,
+}
+
+impl Row {
+    /// A fresh occupant's row: zero deficit, neutral weight, no TID, on
+    /// no list.
+    const NEUTRAL: Row = Row {
+        deficit: 0,
+        tid: TidId::NONE,
+        weight: WEIGHT_NEUTRAL,
+        prev: NIL,
+        next: NIL,
+        membership: Membership::Idle,
+    };
+}
+
+/// A slot's header: the generation, bumped on free so stale handles
+/// panic, and whether the slot currently hosts a station.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    gen: u32,
+    occupied: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Row>() == 32);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 8);
+
+/// The station store: one `Row` per (slot, QoS level) and one `Slot`
+/// header per slot. See the module docs for the layout rationale; `C`
+/// is the embedder's cold per-station payload (config, stashes,
+/// telemetry handles — anything a scheduling round does not touch).
 #[derive(Debug)]
 pub struct StationTable<C> {
-    /// Per-slot generation; bumped on free, so stale handles panic.
-    gen: Vec<u32>,
-    /// Whether the slot currently hosts a station.
-    occupied: Vec<bool>,
+    slots: Vec<Slot>,
     /// Vacated slots awaiting reuse (LIFO — most recently freed first,
     /// matching every other free list in the stack).
     free: Vec<u32>,
     live: usize,
-
-    // ---- hot per-(slot, ac) slabs, length = slots × QOS_LEVELS ----
-    deficit: Vec<i64>,
-    weight: Vec<u32>,
-    membership: Vec<Membership>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    /// The TID handle stripe: `tids[slot×4 + ac]` is the MAC FQ TID
-    /// registered for that (station, ac).
-    tids: Vec<TidId>,
-
+    /// Hot rows, `rows[slot × QOS_LEVELS + ac]`.
+    rows: Vec<Row>,
     lists: [AcLists; QOS_LEVELS],
-
-    // ---- cold side table, length = slots ----
+    /// Cold side table, one entry per slot.
     cold: Vec<Option<C>>,
 }
 
@@ -196,16 +225,10 @@ impl<C> StationTable<C> {
     /// Creates an empty table.
     pub fn new() -> StationTable<C> {
         StationTable {
-            gen: Vec::new(),
-            occupied: Vec::new(),
+            slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            deficit: Vec::new(),
-            weight: Vec::new(),
-            membership: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
-            tids: Vec::new(),
+            rows: Vec::new(),
             lists: [AcLists {
                 ends: [ListEnds::EMPTY; 2],
             }; QOS_LEVELS],
@@ -216,21 +239,15 @@ impl<C> StationTable<C> {
     /// Creates an empty table with capacity for `n` stations.
     pub fn with_capacity(n: usize) -> StationTable<C> {
         let mut t = Self::new();
-        t.gen.reserve(n);
-        t.occupied.reserve(n);
-        t.deficit.reserve(n * QOS_LEVELS);
-        t.weight.reserve(n * QOS_LEVELS);
-        t.membership.reserve(n * QOS_LEVELS);
-        t.prev.reserve(n * QOS_LEVELS);
-        t.next.reserve(n * QOS_LEVELS);
-        t.tids.reserve(n * QOS_LEVELS);
+        t.slots.reserve(n);
+        t.rows.reserve(n * QOS_LEVELS);
         t.cold.reserve(n);
         t
     }
 
     /// Number of slots ever allocated (live + tombstoned).
     pub fn slots(&self) -> usize {
-        self.gen.len()
+        self.slots.len()
     }
 
     /// Number of live stations.
@@ -241,49 +258,42 @@ impl<C> StationTable<C> {
     /// Allocates a slot for a new station, reusing the most recently
     /// vacated slot when one exists. Hot fields start neutral: zero
     /// deficit, [`WEIGHT_NEUTRAL`] weight, [`Membership::Idle`], and
-    /// [`TidId::NONE`] in the TID stripe.
+    /// [`TidId::NONE`] as the TID.
     pub fn alloc(&mut self, cold: C) -> StaId {
         let idx = match self.free.pop() {
             Some(idx) => {
                 let s = idx as usize;
-                debug_assert!(!self.occupied[s], "free-listed slot still occupied");
-                for ac in 0..QOS_LEVELS {
-                    let n = s * QOS_LEVELS + ac;
-                    self.deficit[n] = 0;
-                    self.weight[n] = WEIGHT_NEUTRAL;
-                    debug_assert_eq!(self.membership[n], Membership::Idle);
-                    self.tids[n] = TidId::NONE;
+                debug_assert!(!self.slots[s].occupied, "free-listed slot still occupied");
+                for row in &mut self.rows[s * QOS_LEVELS..(s + 1) * QOS_LEVELS] {
+                    debug_assert_eq!(row.membership, Membership::Idle);
+                    debug_assert!(row.prev == NIL && row.next == NIL);
+                    *row = Row::NEUTRAL;
                 }
                 self.cold[s] = Some(cold);
                 idx
             }
             None => {
-                let idx = self.gen.len() as u32;
-                self.gen.push(0);
-                self.occupied.push(false);
-                self.deficit.extend([0i64; QOS_LEVELS]);
-                self.weight.extend([WEIGHT_NEUTRAL; QOS_LEVELS]);
-                self.membership.extend([Membership::Idle; QOS_LEVELS]);
-                self.prev.extend([NIL; QOS_LEVELS]);
-                self.next.extend([NIL; QOS_LEVELS]);
-                self.tids.extend([TidId::NONE; QOS_LEVELS]);
+                let idx = self.slots.len() as u32;
+                self.slots.push(Slot {
+                    gen: 0,
+                    occupied: false,
+                });
+                self.rows.extend([Row::NEUTRAL; QOS_LEVELS]);
                 self.cold.push(Some(cold));
                 idx
             }
         };
-        self.occupied[idx as usize] = true;
+        let slot = &mut self.slots[idx as usize];
+        slot.occupied = true;
         self.live += 1;
-        StaId {
-            idx,
-            gen: self.gen[idx as usize],
-        }
+        StaId { idx, gen: slot.gen }
     }
 
     /// Frees a station slot — the single tombstone path. Unlinks the
     /// station from every QoS level's scheduling list (survivor order
-    /// preserved), clears the TID stripe, bumps the slot's generation
-    /// (so `sta` and every copy of it go stale), parks the slot for
-    /// LIFO reuse, and returns the cold payload.
+    /// preserved), clears its TIDs, bumps the slot's generation (so
+    /// `sta` and every copy of it go stale), parks the slot for LIFO
+    /// reuse, and returns the cold payload.
     ///
     /// # Panics
     ///
@@ -292,16 +302,18 @@ impl<C> StationTable<C> {
         let s = self.index(sta);
         for ac in 0..QOS_LEVELS {
             let node = (s * QOS_LEVELS + ac) as u32;
-            match self.membership[node as usize] {
+            match self.rows[node as usize].membership {
                 Membership::Idle => {}
                 Membership::New => self.unlink(ac, NEW, node),
                 Membership::Old => self.unlink(ac, OLD, node),
             }
-            self.membership[node as usize] = Membership::Idle;
-            self.tids[node as usize] = TidId::NONE;
+            let row = &mut self.rows[node as usize];
+            row.membership = Membership::Idle;
+            row.tid = TidId::NONE;
         }
-        self.occupied[s] = false;
-        self.gen[s] = self.gen[s].wrapping_add(1);
+        let slot = &mut self.slots[s];
+        slot.occupied = false;
+        slot.gen = slot.gen.wrapping_add(1);
         self.free.push(s as u32);
         self.live -= 1;
         self.cold[s].take().expect("freed slot had no cold payload")
@@ -309,21 +321,19 @@ impl<C> StationTable<C> {
 
     /// True if the handle refers to the slot's current occupant.
     pub fn is_current(&self, sta: StaId) -> bool {
-        let s = sta.idx as usize;
-        s < self.gen.len() && self.occupied[s] && self.gen[s] == sta.gen
+        self.slots
+            .get(sta.idx as usize)
+            .is_some_and(|slot| slot.occupied && slot.gen == sta.gen)
     }
 
     /// The current handle for `slot`, or `None` for a tombstoned or
     /// never-allocated slot.
     pub fn id_at(&self, slot: usize) -> Option<StaId> {
-        if slot < self.gen.len() && self.occupied[slot] {
-            Some(StaId {
-                idx: slot as u32,
-                gen: self.gen[slot],
-            })
-        } else {
-            None
-        }
+        let s = self.slots.get(slot)?;
+        s.occupied.then_some(StaId {
+            idx: slot as u32,
+            gen: s.gen,
+        })
     }
 
     /// Live station handles in slot order.
@@ -340,12 +350,16 @@ impl<C> StationTable<C> {
     #[inline]
     fn index(&self, sta: StaId) -> usize {
         let s = sta.idx as usize;
-        assert!(s < self.gen.len(), "station handle out of range: slot {s}");
         assert!(
-            self.occupied[s] && self.gen[s] == sta.gen,
+            s < self.slots.len(),
+            "station handle out of range: slot {s}"
+        );
+        let slot = self.slots[s];
+        assert!(
+            slot.occupied && slot.gen == sta.gen,
             "stale station handle: slot {} gen {} vs handle gen {}",
             s,
-            self.gen[s],
+            slot.gen,
             sta.gen
         );
         s
@@ -357,28 +371,37 @@ impl<C> StationTable<C> {
         self.index(sta) * QOS_LEVELS + ac
     }
 
+    #[inline]
+    fn row(&self, sta: StaId, ac: usize) -> &Row {
+        &self.rows[self.node(sta, ac)]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, sta: StaId, ac: usize) -> &mut Row {
+        let n = self.node(sta, ac);
+        &mut self.rows[n]
+    }
+
     // ---- hot-field accessors ----
 
     /// Current airtime deficit for a station at a QoS level.
     pub fn deficit(&self, sta: StaId, ac: usize) -> i64 {
-        self.deficit[self.node(sta, ac)]
+        self.row(sta, ac).deficit
     }
 
     /// Overwrites a deficit (registration / oracle tests).
     pub fn set_deficit(&mut self, sta: StaId, ac: usize, deficit: i64) {
-        let n = self.node(sta, ac);
-        self.deficit[n] = deficit;
+        self.row_mut(sta, ac).deficit = deficit;
     }
 
     /// Adds (or, negative, charges) airtime to a deficit.
     pub fn add_deficit(&mut self, sta: StaId, ac: usize, delta: i64) {
-        let n = self.node(sta, ac);
-        self.deficit[n] += delta;
+        self.row_mut(sta, ac).deficit += delta;
     }
 
     /// A station's airtime weight at one QoS level.
     pub fn ac_weight(&self, sta: StaId, ac: usize) -> u32 {
-        self.weight[self.node(sta, ac)]
+        self.row(sta, ac).weight
     }
 
     /// Sets a station's airtime weight at every QoS level. Deficits are
@@ -406,25 +429,27 @@ impl<C> StationTable<C> {
             "airtime weight must be positive"
         );
         let s = self.index(sta);
-        self.weight[s * QOS_LEVELS..(s + 1) * QOS_LEVELS].copy_from_slice(&weights);
+        let rows = &mut self.rows[s * QOS_LEVELS..(s + 1) * QOS_LEVELS];
+        for (row, w) in rows.iter_mut().zip(weights) {
+            row.weight = w;
+        }
     }
 
     /// Which scheduling list the station is on at `ac`.
     pub fn membership(&self, sta: StaId, ac: usize) -> Membership {
-        self.membership[self.node(sta, ac)]
+        self.row(sta, ac).membership
     }
 
     /// The registered TID for `(sta, ac)` — the single access path to a
     /// station's MAC FQ TIDs. [`TidId::NONE`] until
     /// [`set_tid`](Self::set_tid).
     pub fn tid(&self, sta: StaId, ac: usize) -> TidId {
-        self.tids[self.node(sta, ac)]
+        self.row(sta, ac).tid
     }
 
     /// Records the TID registered for `(sta, ac)`.
     pub fn set_tid(&mut self, sta: StaId, ac: usize, tid: TidId) {
-        let n = self.node(sta, ac);
-        self.tids[n] = tid;
+        self.row_mut(sta, ac).tid = tid;
     }
 
     /// Cold payload, immutable.
@@ -447,36 +472,39 @@ impl<C> StationTable<C> {
     // ---- DRR scheduling lists ----
 
     fn link_back(&mut self, ac: usize, kind: usize, node: u32) {
-        debug_assert_eq!(self.prev[node as usize], NIL);
-        debug_assert_eq!(self.next[node as usize], NIL);
+        debug_assert_eq!(self.rows[node as usize].prev, NIL);
+        debug_assert_eq!(self.rows[node as usize].next, NIL);
         let ends = &mut self.lists[ac].ends[kind];
         if ends.tail == NIL {
             ends.head = node;
             ends.tail = node;
         } else {
-            self.prev[node as usize] = ends.tail;
-            self.next[ends.tail as usize] = node;
+            self.rows[node as usize].prev = ends.tail;
+            self.rows[ends.tail as usize].next = node;
             ends.tail = node;
         }
     }
 
     fn unlink(&mut self, ac: usize, kind: usize, node: u32) {
-        let (p, n) = (self.prev[node as usize], self.next[node as usize]);
+        let Row {
+            prev: p, next: n, ..
+        } = self.rows[node as usize];
         let ends = &mut self.lists[ac].ends[kind];
         if p == NIL {
             debug_assert_eq!(ends.head, node, "unlinking node not on its list");
             ends.head = n;
         } else {
-            self.next[p as usize] = n;
+            self.rows[p as usize].next = n;
         }
         if n == NIL {
             debug_assert_eq!(ends.tail, node, "unlinking node not on its list");
             ends.tail = p;
         } else {
-            self.prev[n as usize] = p;
+            self.rows[n as usize].prev = p;
         }
-        self.prev[node as usize] = NIL;
-        self.next[node as usize] = NIL;
+        let row = &mut self.rows[node as usize];
+        row.prev = NIL;
+        row.next = NIL;
     }
 
     #[inline]
@@ -488,7 +516,7 @@ impl<C> StationTable<C> {
         let slot = node as usize / QOS_LEVELS;
         Some(StaId {
             idx: slot as u32,
-            gen: self.gen[slot],
+            gen: self.slots[slot].gen,
         })
     }
 
@@ -510,14 +538,7 @@ impl<C> StationTable<C> {
     ///
     /// Panics if the station is not [`Membership::Idle`] at `ac`.
     pub fn enlist_new(&mut self, sta: StaId, ac: usize) {
-        let n = self.node(sta, ac);
-        assert_eq!(
-            self.membership[n],
-            Membership::Idle,
-            "enlisting a station already listed"
-        );
-        self.membership[n] = Membership::New;
-        self.link_back(ac, NEW, n as u32);
+        self.enlist(sta, ac, NEW, Membership::New);
     }
 
     /// Appends an idle station to the *old* list (sparse optimisation
@@ -527,14 +548,19 @@ impl<C> StationTable<C> {
     ///
     /// Panics if the station is not [`Membership::Idle`] at `ac`.
     pub fn enlist_old(&mut self, sta: StaId, ac: usize) {
+        self.enlist(sta, ac, OLD, Membership::Old);
+    }
+
+    fn enlist(&mut self, sta: StaId, ac: usize, kind: usize, to: Membership) {
         let n = self.node(sta, ac);
+        let row = &mut self.rows[n];
         assert_eq!(
-            self.membership[n],
+            row.membership,
             Membership::Idle,
             "enlisting a station already listed"
         );
-        self.membership[n] = Membership::Old;
-        self.link_back(ac, OLD, n as u32);
+        row.membership = to;
+        self.link_back(ac, kind, n as u32);
     }
 
     /// Pops the head of the *new* list and appends it to the *old* list
@@ -544,7 +570,7 @@ impl<C> StationTable<C> {
         let sta = self.front(ac, NEW).expect("demote from empty new list");
         let n = self.node(sta, ac);
         self.unlink(ac, NEW, n as u32);
-        self.membership[n] = Membership::Old;
+        self.rows[n].membership = Membership::Old;
         self.link_back(ac, OLD, n as u32);
         sta
     }
@@ -565,7 +591,7 @@ impl<C> StationTable<C> {
         let sta = self.front(ac, OLD).expect("retire on empty old list");
         let n = self.node(sta, ac);
         self.unlink(ac, OLD, n as u32);
-        self.membership[n] = Membership::Idle;
+        self.rows[n].membership = Membership::Idle;
         sta
     }
 
@@ -576,17 +602,15 @@ impl<C> StationTable<C> {
             let mut node = self.lists[ac].ends[kind].head;
             let mut prev = NIL;
             while node != NIL {
-                assert_eq!(self.prev[node as usize], prev, "prev link broken");
-                assert_eq!(
-                    self.membership[node as usize], want,
-                    "membership out of sync with list"
-                );
+                let row = &self.rows[node as usize];
+                assert_eq!(row.prev, prev, "prev link broken");
+                assert_eq!(row.membership, want, "membership out of sync with list");
                 assert!(
-                    self.occupied[node as usize / QOS_LEVELS],
+                    self.slots[node as usize / QOS_LEVELS].occupied,
                     "tombstoned slot on a scheduling list"
                 );
                 prev = node;
-                node = self.next[node as usize];
+                node = row.next;
             }
             assert_eq!(self.lists[ac].ends[kind].tail, prev, "tail out of sync");
         }
@@ -735,7 +759,7 @@ mod tests {
         let tid = TidId::from_raw(a.slot() * QOS_LEVELS + BE, 0);
         t.set_tid(a, BE, tid);
         assert_eq!(t.tid(a, BE), tid);
-        // Freeing clears the stripe for the next occupant.
+        // Freeing clears the TID for the next occupant.
         t.free(a);
         let b = t.alloc(());
         assert!(t.tid(b, BE).is_none());

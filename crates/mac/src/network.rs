@@ -520,13 +520,16 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
 /// The drop sink the network hands every queueing layer: frees a dropped
 /// packet's slot in the store. Counting the drop is the layer's business.
 ///
-/// It unlinks the slot and drops the packet in place. Reading the packet
-/// out whole (`std::hint::black_box`) paid for itself while a slot was
-/// 192 bytes, since the store's free list is LIFO and the next `apply`
-/// writes into this very slot. At 112 bytes the two run alike: over
-/// fifteen alternating pairs the unlink read ×0.994 the read's
-/// `pkts_per_ref_s` on `roster20k_churn` (faster on 7/15) and ×1.005 on
-/// `udp3_sat` (8/15), so the simpler one stays (DESIGN.md §13).
+/// It does not drop the packet in place. `remove` moves the packet out of
+/// its slot and the sink drops the moved value: the release build reads
+/// the slot's generation (at +104) and the payload's niche (at +0),
+/// unlinks the slot, copies the 104-byte packet out with six 16-byte
+/// loads, and then runs the payload's drop glue on the copy. The full
+/// read costs nothing that matters: the store's free list is LIFO, so the
+/// next `apply` writes its packet into this very slot, and the read has
+/// already brought its lines into cache. A true in-place drop
+/// (`slot.payload = None`, no move) measured about 5 % slower on
+/// `roster20k_churn`, slower in 6 of 6 paired runs (DESIGN.md §13).
 fn discard<M>(packets: &mut PacketArena<Packet<M>>) -> impl FnMut(Ticket) + '_ {
     move |t| {
         packets.remove(t.handle);

@@ -56,7 +56,7 @@ impl FqPath {
     /// list and the FQ structure's TID free list: both are pushed/popped
     /// only from here and [`FqPath::detach`], so a reused slot always
     /// reclaims the TID set it released — and because the actual TID
-    /// handles are stored in the table's stripe, nothing downstream
+    /// handles are stored in the table's rows, nothing downstream
     /// depends on that arithmetic.
     pub(super) fn attach(&mut self, table: &mut Table, id: StaId) {
         let slot = id.slot();
@@ -124,7 +124,7 @@ impl FqPath {
         let aci = ac.index();
         let fq = &self.fq;
         let has = |t: &Table, id| {
-            (t.cold(id).stash[aci].is_some() || fq.tid_has_data(t.tid(id, aci))) && eligible(id)
+            (t.cold(id).has_stash(aci) || fq.tid_has_data(t.tid(id, aci))) && eligible(id)
         };
         match &mut self.sched {
             Some(s) => s.next_station(table, aci, has),

@@ -169,7 +169,7 @@ impl Legacy {
     pub(super) fn next_tx(&self, ac: AccessCategory, table: &mut Table) -> Option<StaId> {
         let aci = ac.index();
         rr_next(table, aci, |t, id| {
-            t.cold(id).stash[aci].is_some() || self.has_data(id.slot(), ac)
+            t.cold(id).has_stash(aci) || self.has_data(id.slot(), ac)
         })
     }
 

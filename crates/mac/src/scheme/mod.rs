@@ -19,9 +19,9 @@
 //! network can free its slot.
 //!
 //! Station state lives in a [`StationTable`] (DESIGN.md §14): the hot
-//! per-round scheduler fields sit in the table's flat slabs, everything
-//! the per-aggregate path needs (`ColdSta`) in its cold side table, and
-//! the MAC FQ's TID handles in its per-slot TID stripe. All station-keyed
+//! per-round scheduler fields and the MAC FQ's TID handles sit in the
+//! table's rows, one per (station, AC), and everything the per-aggregate
+//! path needs (`ColdSta`) in its cold side table. All station-keyed
 //! access goes through generational [`StaId`] handles; a handle that
 //! outlives its station panics instead of addressing the slot's next
 //! occupant.
@@ -29,7 +29,7 @@
 mod fq;
 mod legacy;
 
-use wifiq_codel::{CodelParams, StationCodelParams};
+use wifiq_codel::{CodelParams, CodelSelector, StationCodel};
 use wifiq_core::scheduler::AirtimeScheduler;
 use wifiq_core::table::{Membership, StaId, StationTable, TidId};
 use wifiq_phy::{AccessCategory, PhyRate};
@@ -62,11 +62,37 @@ enum PathInner {
 struct ColdSta {
     /// The rate the next aggregate for this station builds at.
     rate: PhyRate,
-    /// Per-station CoDel parameter selection (§3.1.1).
-    codel: StationCodelParams,
+    /// Which of the path's two CoDel parameter sets applies (§3.1.1).
+    codel: StationCodel,
     /// One parked packet per AC: pulled for an aggregate but didn't fit
-    /// (the retry_q head slot of Figure 3).
-    stash: [Option<Ticket>; AccessCategory::COUNT],
+    /// (the retry_q head slot of Figure 3). Allocated at the station's
+    /// first leftover frame and kept until the slot is freed.
+    stash: Option<Box<[Option<Ticket>; AccessCategory::COUNT]>>,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<ColdSta>>() <= 40);
+
+impl ColdSta {
+    /// Whether a frame is stashed at `aci`.
+    fn has_stash(&self, aci: usize) -> bool {
+        self.stash.as_ref().is_some_and(|s| s[aci].is_some())
+    }
+
+    /// Takes the frame stashed at `aci`, if any.
+    fn take_stash(&mut self, aci: usize) -> Option<Ticket> {
+        self.stash.as_mut()?[aci].take()
+    }
+
+    /// Frames stashed at every AC together.
+    #[cfg(test)]
+    fn stashed(&self) -> usize {
+        self.stash
+            .as_deref()
+            .into_iter()
+            .flatten()
+            .flatten()
+            .count()
+    }
 }
 
 /// The station store both paths key their per-station state by.
@@ -79,11 +105,12 @@ pub struct ApTxPath {
     inner: PathInner,
     /// The station store: occupancy, generational handles, the
     /// scheduling lists every scheme takes turns on, the airtime
-    /// scheduler's hot slabs, the FQ TID-handle stripe, and `ColdSta`.
+    /// scheduler's deficits and weights, the FQ TID handles, and
+    /// `ColdSta`.
     table: Table,
-    /// Remembered so stations added after construction get the same CoDel
-    /// parameter policy as the initial roster.
-    adaptive_codel: bool,
+    /// The CoDel parameter selector every station's `ColdSta::codel`
+    /// reads.
+    codel: CodelSelector,
     /// Recycled `Aggregate::frames` buffers: built aggregates draw from
     /// here and the network layer returns the emptied Vec after TX, so
     /// the steady state allocates no frame buffers at all.
@@ -128,13 +155,13 @@ fn rr_rotate(table: &mut Table, id: StaId, aci: usize) {
     }
 }
 
-/// CoDel parameter state for one station under the configured policy.
-fn codel_params_for(adaptive: bool) -> StationCodelParams {
+/// The CoDel parameter selector for the configured policy.
+fn codel_selector(adaptive: bool) -> CodelSelector {
     if adaptive {
-        StationCodelParams::new()
+        CodelSelector::new()
     } else {
         // Ablation: pin the global defaults regardless of rate.
-        StationCodelParams::with_config(
+        CodelSelector::with_config(
             CodelParams::wifi_default(),
             CodelParams::wifi_default(),
             0,
@@ -154,7 +181,7 @@ impl ApTxPath {
             kind: cfg.scheme,
             inner,
             table: StationTable::with_capacity(cfg.num_stations()),
-            adaptive_codel: cfg.adaptive_codel,
+            codel: codel_selector(cfg.adaptive_codel),
             frame_pool: Vec::new(),
             tele: Telemetry::disabled(),
         };
@@ -186,8 +213,8 @@ impl ApTxPath {
     pub fn add_station(&mut self, station: &StationCfg) -> StaId {
         let cold = ColdSta {
             rate: station.rate,
-            codel: codel_params_for(self.adaptive_codel),
-            stash: Default::default(),
+            codel: StationCodel::new(),
+            stash: None,
         };
         let id = match &mut self.inner {
             PathInner::Fq(f) => f.alloc(&mut self.table, cold, station.airtime_weight),
@@ -222,8 +249,8 @@ impl ApTxPath {
     ) -> usize {
         let mut dropped = 0;
         // `cold_mut` validates the handle (stale/double-free panics here).
-        for ac in 0..AccessCategory::COUNT {
-            if let Some(t) = self.table.cold_mut(id).stash[ac].take() {
+        if let Some(stash) = self.table.cold_mut(id).stash.as_deref_mut() {
+            for t in stash.iter_mut().filter_map(Option::take) {
                 match carry.as_deref_mut() {
                     Some(out) => out.push(t),
                     None => {
@@ -320,7 +347,7 @@ impl ApTxPath {
     pub(crate) fn stashed(&self) -> usize {
         self.table
             .iter()
-            .map(|id| self.table.cold(id).stash.iter().flatten().count())
+            .map(|id| self.table.cold(id).stashed())
             .sum()
     }
 
@@ -348,7 +375,7 @@ impl ApTxPath {
 
     /// Whether `(id, ac)` has pending data (stash included).
     fn tid_has_data(&self, id: StaId, ac: AccessCategory) -> bool {
-        if self.table.cold(id).stash[ac.index()].is_some() {
+        if self.table.cold(id).has_stash(ac.index()) {
             return true;
         }
         match &self.inner {
@@ -425,28 +452,37 @@ impl ApTxPath {
         now: Nanos,
         mut on_drop: impl FnMut(Ticket),
     ) -> Option<Aggregate<Ticket>> {
-        let slot = id.slot();
-        let rate = self.table.cold(id).rate;
-        let codel_params = self.table.cold(id).codel.current();
+        let (slot, aci) = (id.slot(), ac.index());
         let fq_tid = match &self.inner {
-            PathInner::Fq(_) => self.table.tid(id, ac.index()),
+            PathInner::Fq(_) => self.table.tid(id, aci),
             PathInner::Legacy(_) => TidId::NONE,
         };
-        let stash_slot = &mut self.table.cold_mut(id).stash[ac.index()];
+        let cold = self.table.cold_mut(id);
+        let (rate, codel_params) = (cold.rate, cold.codel.current(&self.codel));
+        // The stash is offered before the queue.
+        let mut stashed = cold.take_stash(aci);
         let frames_buf = self.frame_pool.pop().unwrap_or_default();
 
         let (built, leftover) = match &mut self.inner {
             PathInner::Legacy(l) => build_aggregate_into(slot, ac, rate, frames_buf, || {
-                stash_slot.take().or_else(|| l.pop(slot, ac))
+                stashed.take().or_else(|| l.pop(slot, ac))
             }),
             PathInner::Fq(f) => build_aggregate_into(slot, ac, rate, frames_buf, || {
                 let fq = &mut f.fq;
-                stash_slot
+                stashed
                     .take()
                     .or_else(|| fq.dequeue_with(fq_tid, now, &codel_params, &mut on_drop))
             }),
         };
-        self.table.cold_mut(id).stash[ac.index()] = leftover;
+        debug_assert!(stashed.is_none(), "a build pulls at least one frame");
+        if let Some(t) = leftover {
+            let stash = self
+                .table
+                .cold_mut(id)
+                .stash
+                .get_or_insert_with(Default::default);
+            stash[aci] = Some(t);
+        }
         let agg = match built {
             Ok(agg) => Some(agg),
             Err(buf) => {
@@ -491,6 +527,7 @@ impl ApTxPath {
             s.charge(&mut self.table, id, ac.index(), airtime);
         }
         self.table.cold_mut(id).codel.update_rate_observed(
+            &self.codel,
             now,
             rate_estimate_bps,
             &self.tele,

@@ -30,9 +30,12 @@ fn drain_one(path: &mut ApTxPath, now: Nanos) -> Option<Aggregate<Ticket>> {
 
 /// Frames parked in a station slot's stash (test probe).
 fn stashed(path: &ApTxPath, slot: usize) -> usize {
-    path.table
-        .cold_at(slot)
-        .map_or(0, |c| c.stash.iter().filter(|s| s.is_some()).count())
+    path.table.cold_at(slot).map_or(0, ColdSta::stashed)
+}
+
+/// Whether a station slot's stash box has been allocated (test probe).
+fn has_stash_box(path: &ApTxPath, slot: usize) -> bool {
+    path.table.cold_at(slot).is_some_and(|c| c.stash.is_some())
 }
 
 #[test]
@@ -124,6 +127,60 @@ fn stash_is_offered_first() {
         total += agg.frames.len();
     }
     assert_eq!(total, 50, "stashed packets must not be lost");
+}
+
+#[test]
+fn stash_box_comes_with_the_first_leftover_and_stays() {
+    let mut path: ApTxPath = ApTxPath::new(&cfg(SchemeKind::FqMac));
+    let now = Nanos::ZERO;
+    // A fast station's lone frame fits its aggregate: no box.
+    path.enqueue(pkt(0, 1, now), now, ignore);
+    assert_eq!(drain_one(&mut path, now).unwrap().frames.len(), 1);
+    assert!(!has_stash_box(&path, 0));
+    // The slow station's third frame does not fit its first aggregate.
+    for i in 0..5 {
+        path.enqueue(pkt(2, 1, Nanos::from_nanos(i)), now, ignore);
+    }
+    assert!(!has_stash_box(&path, 2));
+    let a = drain_one(&mut path, now).unwrap();
+    assert_eq!((a.station, a.frames.len()), (2, 2));
+    assert!(has_stash_box(&path, 2));
+    assert_eq!(stashed(&path, 2), 1);
+    while drain_one(&mut path, now).is_some() {}
+    assert_eq!(stashed(&path, 2), 0);
+    assert!(has_stash_box(&path, 2), "an emptied stash keeps its box");
+    assert!(!has_stash_box(&path, 0) && !has_stash_box(&path, 1));
+}
+
+#[test]
+fn detach_hands_every_stashed_frame_to_carry_or_drop() {
+    for scheme in [SchemeKind::FqMac, SchemeKind::AirtimeFair] {
+        for carry in [false, true] {
+            let mut path: ApTxPath = ApTxPath::new(&cfg(scheme));
+            let now = Nanos::ZERO;
+            for i in 0..10 {
+                path.enqueue(pkt(2, 1, Nanos::from_nanos(i)), now, ignore);
+                path.enqueue(pkt(1, 2, Nanos::from_nanos(i)), now, ignore);
+            }
+            // The slow station stashes a leftover; station 1 never
+            // builds and has no box.
+            let id2 = path.sta_id(2).unwrap();
+            let sent = path.build(id2, AccessCategory::Be, now, ignore).unwrap();
+            assert_eq!(stashed(&path, 2), 1, "{scheme}");
+            assert!(!has_stash_box(&path, 1), "{scheme}");
+            for (slot, held) in [(2, 10 - sent.frames.len()), (1, 10)] {
+                let id = path.sta_id(slot).unwrap();
+                let (mut moved, mut dropped) = (Vec::new(), Vec::new());
+                let n =
+                    path.detach_station(id, now, carry.then_some(&mut moved), |t| dropped.push(t));
+                assert_eq!(n, dropped.len(), "{scheme}");
+                let handed = if carry { moved } else { dropped };
+                assert_eq!(handed.len(), held, "{scheme}, slot {slot}, carry {carry}");
+                assert!(handed.iter().all(|t| t.peer() == slot), "{scheme}");
+            }
+            assert_eq!(path.backlog() + path.stashed(), 0, "{scheme}");
+        }
+    }
 }
 
 #[test]

@@ -89,7 +89,7 @@ impl SimRng {
         let n = cw as f64 + 1.0;
         let v = 1.0 - self.gen_f64();
         let powers = i32::try_from(m).unwrap_or(i32::MAX);
-        if at_most < cw && v <= ((cw - at_most) as f64 / n).powi(powers) {
+        if at_most < cw && v <= powi((cw - at_most) as f64 / n, powers) {
             return None;
         }
         // Rounding can reach cw + 1, or cross the bound, by a hair.
@@ -131,7 +131,7 @@ impl SimRng {
         // Over 16 expected is the branch above, so q^(m−1) > e^−23:
         // nothing here underflows.
         let q = 1.0 - p;
-        let q_m1 = q.powi(m as i32 - 1);
+        let q_m1 = powi(q, m as i32 - 1);
         let mut pmf = m as f64 * p * q_m1 / (1.0 - q_m1 * q);
         let (mut u, mut t) = (self.gen_f64(), 1);
         while u >= pmf && t < m {
@@ -192,6 +192,34 @@ impl SimRng {
     pub fn index(&mut self, len: usize) -> usize {
         assert!(len > 0, "cannot pick from empty slice");
         self.inner.gen_range(0..len)
+    }
+}
+
+/// `base^exp` by square-and-multiply, in the operation order of
+/// compiler-builtins' `__powidf2`, the routine a variable-exponent
+/// `f64::powi` calls on x86-64. Rust documents `f64::powi`'s precision as
+/// unspecified — it may differ by platform, by compiler version, even
+/// between calls — and every contention draw, so every contention
+/// golden, rests on these bits; this routine pins them.
+/// `powi_matches_the_builtin` checks them against `f64::powi`.
+#[inline]
+fn powi(mut base: f64, exp: i32) -> f64 {
+    let mut n = exp.unsigned_abs();
+    let mut acc = 1.0;
+    loop {
+        if n & 1 != 0 {
+            acc *= base;
+        }
+        n >>= 1;
+        if n == 0 {
+            break;
+        }
+        base *= base;
+    }
+    if exp < 0 {
+        1.0 / acc
+    } else {
+        acc
     }
 }
 
@@ -332,6 +360,33 @@ mod tests {
             (None, None)
         );
         assert_eq!(c.gen_f64(), d.gen_f64());
+    }
+
+    #[test]
+    fn powi_matches_the_builtin() {
+        // Random bases in [0, 1), and every base the two draws take at
+        // cw = 2^j − 1 ≤ 1023: (cw − k)/(cw + 1) for `backoff_min`,
+        // 1 − 1/(cw − k + 1) for `backoff_ties`.
+        let mut rng = SimRng::new(21);
+        let mut bases: Vec<f64> = (0..1000).map(|_| rng.gen_f64()).collect();
+        for cw in (0..=10).map(|j| (1u32 << j) - 1) {
+            let n = cw as f64 + 1.0;
+            bases.extend((0..=cw).map(|k| (cw - k) as f64 / n));
+            bases.extend((0..=cw).map(|k| 1.0 - 1.0 / (cw - k + 1) as f64));
+        }
+        for &b in &bases {
+            for e in 0..=2048 {
+                let (ours, builtin) = (powi(b, e), b.powi(e));
+                assert_eq!(ours.to_bits(), builtin.to_bits(), "{b:e}^{e}");
+            }
+        }
+        for e in [-3, -1, i32::MAX, i32::MIN] {
+            assert_eq!(
+                powi(0.75, e).to_bits(),
+                0.75f64.powi(e).to_bits(),
+                "0.75^{e}"
+            );
+        }
     }
 
     #[test]
