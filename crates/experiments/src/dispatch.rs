@@ -1,8 +1,7 @@
 //! The row type of the `wifiq` experiment table and the `wifiq all` driver.
 //!
-//! The table itself (`EXPERIMENTS`) lives in `src/bin/wifiq.rs`: the root
-//! package is the only one that can name every row, because
-//! `wifiq-search` depends on this crate.
+//! The table itself (`EXPERIMENTS`) lives in `src/bin/wifiq.rs`, beside
+//! the subcommands that read it.
 
 use wifiq_harness::{CellDef, Harness, SweepOutcome};
 

@@ -24,7 +24,7 @@ pub struct RunCfg {
     pub duration: Nanos,
     /// Samples before this offset are discarded (TCP ramp-up etc.).
     pub warmup: Nanos,
-    /// Seed of the first repetition (and of the scenario search).
+    /// Seed of the first repetition.
     pub base_seed: u64,
     /// Smoke settings: the extension experiments run their reduced grids.
     pub quick: bool,

@@ -12,8 +12,8 @@ use std::cell::RefCell;
 use serde_json::Json;
 
 use super::{
-    ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, PolicySwitchSpec, ProvenanceSpec,
-    RoamingSpec, ScenarioFile, StationSpec, TrafficSpec, OBJECTIVE_KINDS, SCHEMA_VERSION,
+    ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, PolicySwitchSpec, RoamingSpec,
+    ScenarioFile, StationSpec, TrafficSpec, SCHEMA_VERSION,
 };
 
 /// A value one JSON field can hold. `read` answers with the value or
@@ -297,25 +297,6 @@ impl PolicySpec {
     }
 }
 
-impl ProvenanceSpec {
-    fn decode(value: &Json, what: String) -> Result<ProvenanceSpec, String> {
-        Fields::of(value, what, |f| {
-            let objective: String = f.req("objective")?;
-            if !OBJECTIVE_KINDS.contains(&objective.as_str()) {
-                return Err(format!("{}: unknown objective `{objective}`", f.what));
-            }
-            Ok(ProvenanceSpec {
-                searcher_seed: f.req("searcher_seed")?,
-                objective,
-                score: f.opt("score")?.unwrap_or(0.0),
-                shrink_steps: f.req("shrink_steps")?,
-                first_failing_bytes: f.opt("first_failing_bytes")?,
-                minimal_bytes: f.opt("minimal_bytes")?,
-            })
-        })
-    }
-}
-
 impl RoamingSpec {
     fn decode(value: &Json, what: String) -> Result<RoamingSpec, String> {
         let d = RoamingSpec::default();
@@ -370,7 +351,6 @@ impl ScenarioFile {
                 churn: f.block("churn", ChurnSpec::decode)?,
                 policy: f.block("policy", PolicySpec::decode)?,
                 roaming: f.block("roaming", RoamingSpec::decode)?,
-                provenance: f.block("provenance", ProvenanceSpec::decode)?,
             })
         })
     }

@@ -4,15 +4,13 @@
 //! `aql_ms`, an empty `faults` array and absent blocks are omitted; every
 //! other field is written even at its default; floats print shortest
 //! round-trip (integral ones as `N.0`). The same document always produces
-//! the same bytes — content hashes, the search memo and the
-//! `scenarios/found/` file names all rest on that.
+//! the same bytes.
 
 use serde_json::Json;
 
-use super::sha256::sha256_hex;
 use super::{
-    ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, PolicySwitchSpec, ProvenanceSpec,
-    RoamingSpec, ScenarioFile, StationSpec, TrafficSpec, SCHEMA_VERSION,
+    ChurnSpec, FaultKind, FaultSpec, PolicyNodeSpec, PolicySpec, PolicySwitchSpec, RoamingSpec,
+    ScenarioFile, StationSpec, TrafficSpec, SCHEMA_VERSION,
 };
 
 fn obj(fields: Vec<(&str, Json)>) -> Json {
@@ -171,26 +169,9 @@ impl RoamingSpec {
     }
 }
 
-impl ProvenanceSpec {
-    fn encode(&self) -> Json {
-        let mut f = vec![
-            ("searcher_seed", Json::U64(self.searcher_seed)),
-            ("objective", Json::Str(self.objective.clone())),
-            ("score", Json::F64(self.score)),
-            ("shrink_steps", Json::U64(self.shrink_steps)),
-        ];
-        if let Some(b) = self.first_failing_bytes {
-            f.push(("first_failing_bytes", Json::U64(b)));
-        }
-        if let Some(b) = self.minimal_bytes {
-            f.push(("minimal_bytes", Json::U64(b)));
-        }
-        obj(f)
-    }
-}
-
 impl ScenarioFile {
-    fn to_json(&self, with_provenance: bool) -> Json {
+    /// The canonical JSON value of the scenario.
+    pub fn encode(&self) -> Json {
         let mut f = vec![
             ("version", Json::U64(SCHEMA_VERSION)),
             ("scheme", Json::Str(self.scheme.clone())),
@@ -220,35 +201,13 @@ impl ScenarioFile {
         if let Some(r) = &self.roaming {
             f.push(("roaming", r.encode()));
         }
-        if let Some(p) = self.provenance.as_ref().filter(|_| with_provenance) {
-            f.push(("provenance", p.encode()));
-        }
         obj(f)
     }
 
-    /// The canonical JSON value of the scenario itself — provenance
-    /// excluded: a document's identity is the scenario it describes, not
-    /// how it was found.
-    pub fn encode(&self) -> Json {
-        self.to_json(false)
-    }
-
-    /// The canonical on-disk form: pretty JSON, the provenance block when
-    /// the document carries one, and a trailing newline.
+    /// The canonical on-disk form: pretty JSON and a trailing newline.
     pub fn text(&self) -> String {
-        let mut t = self.to_json(true).pretty();
+        let mut t = self.encode().pretty();
         t.push('\n');
         t
-    }
-
-    /// Content hash: SHA-256 of the compact form of [`ScenarioFile::encode`].
-    pub fn hash(&self) -> String {
-        sha256_hex(self.encode().compact().as_bytes())
-    }
-
-    /// Size in bytes of the on-disk form without provenance — the measure
-    /// the shrinker minimises.
-    pub fn size_bytes(&self) -> u64 {
-        self.encode().pretty().len() as u64 + 1
     }
 }

@@ -1,8 +1,7 @@
 //! JSON scenario files: declarative network + traffic descriptions for
 //! the `wifiq` runner, and the one document model every layer above
-//! `mac` shares — the loader, the `wifiq-search` mutators and shrinker,
-//! and the committed `scenarios/found/` counterexamples all speak
-//! [`ScenarioFile`].
+//! `mac` shares — the loader, the `wifiq run` flags and every experiment
+//! cell all speak [`ScenarioFile`].
 //!
 //! ```json
 //! {
@@ -51,8 +50,7 @@
 //! block, a `policy` block (a [`wifiq_policy`](wifiq_mac::PolicyTimeline)
 //! node tree plus timed switches), a `roaming` block (a
 //! [`wifiq_scale::SoloRoam`] hand-off schedule replayed against the
-//! scenario network) and, on searcher-found counterexamples, a
-//! `provenance` block.
+//! scenario network).
 //!
 //! There is one schema. [`ScenarioFile::text`] always stamps
 //! `"version":` [`SCHEMA_VERSION`]; the decoder takes an absent stamp or
@@ -79,14 +77,13 @@
 //! .unwrap();
 //! let again = ScenarioFile::from_json(&file.text()).unwrap();
 //! assert_eq!(again, file);
-//! assert_eq!(again.hash(), file.hash());
+//! assert_eq!(again.text(), file.text());
 //! assert_eq!(again.stations[0].mcs_cliff, Some(11));
 //! ```
 
 mod build;
 mod decode;
 mod encode;
-mod sha256;
 
 pub(crate) use build::scheme_name;
 pub use build::{parse_rate, BuiltScenario, InstalledTraffic, Window};
@@ -341,43 +338,10 @@ pub struct PolicySpec {
     pub switches: Vec<PolicySwitchSpec>,
 }
 
-/// Provenance of a searcher-found counterexample: how `wifiq-search`
-/// derived the file, so `scenarios/found/` entries are self-describing
-/// regression artifacts. Ignored by [`ScenarioFile::build`] and excluded
-/// from [`ScenarioFile::hash`] — it documents the discovery, not the
-/// simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProvenanceSpec {
-    /// Master seed of the search run that found this counterexample.
-    pub searcher_seed: u64,
-    /// The violated objective, one of [`OBJECTIVE_KINDS`].
-    pub objective: String,
-    /// Severity score of the minimal counterexample.
-    pub score: f64,
-    /// Accepted shrink steps between the first failing mutant and this
-    /// minimal form.
-    pub shrink_steps: u64,
-    /// Encoded size of the first failing mutant, bytes.
-    pub first_failing_bytes: Option<u64>,
-    /// Encoded size of this minimal counterexample, bytes.
-    pub minimal_bytes: Option<u64>,
-}
-
-/// Objective names a provenance block may cite.
-pub const OBJECTIVE_KINDS: [&str; 6] = [
-    "jain_dip",
-    "latency_spike",
-    "ac_p99_spike",
-    "mos_collapse",
-    "codel_flap",
-    "convergence_blowout",
-];
-
-/// A complete scenario document: what [`ScenarioFile::from_json`] decodes,
-/// what the searcher mutates and shrinks, and what
-/// [`ScenarioFile::text`] writes back. Absent optional fields decode to
-/// their defaults, so two documents that describe the same scenario
-/// compare equal.
+/// A complete scenario document: what [`ScenarioFile::from_json`] decodes
+/// and what [`ScenarioFile::text`] writes back. Absent optional fields
+/// decode to their defaults, so two documents that describe the same
+/// scenario compare equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioFile {
     /// Scheme: "fifo", "fqcodel", "fqmac", "airtime" (default "airtime").
@@ -404,9 +368,6 @@ pub struct ScenarioFile {
     pub policy: Option<PolicySpec>,
     /// Roaming schedule.
     pub roaming: Option<RoamingSpec>,
-    /// Search provenance, present on `scenarios/found/`
-    /// counterexamples.
-    pub provenance: Option<ProvenanceSpec>,
 }
 
 /// The one set of document defaults: what an absent field decodes to and
@@ -426,7 +387,6 @@ impl Default for ScenarioFile {
             churn: None,
             policy: None,
             roaming: None,
-            provenance: None,
         }
     }
 }

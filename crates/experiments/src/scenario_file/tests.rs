@@ -191,43 +191,6 @@ fn v3_scenario_with_policy_switch_runs() {
 }
 
 #[test]
-fn provenance_parses_and_is_inert() {
-    let sc = ScenarioFile::from_json(
-        r#"{ "version": 3, "stations": [{ "rate": "mcs15" }],
-             "traffic": [{ "kind": "ping", "station": 0 }],
-             "provenance": { "searcher_seed": 99, "objective": "jain_dip",
-                             "score": 1.25, "shrink_steps": 7,
-                             "first_failing_bytes": 1400, "minimal_bytes": 300 } }"#,
-    )
-    .unwrap();
-    let p = sc.provenance.as_ref().expect("provenance block");
-    assert_eq!(p.searcher_seed, 99);
-    assert_eq!(p.objective, "jain_dip");
-    assert_eq!(p.shrink_steps, 7);
-    // Build ignores provenance entirely.
-    sc.build().unwrap();
-}
-
-#[test]
-fn bad_provenance_rejected() {
-    // Unknown objective name.
-    let err = ScenarioFile::from_json(
-        r#"{ "version": 3, "stations": [{ "rate": "mcs15" }], "traffic": [],
-             "provenance": { "searcher_seed": 1, "objective": "gremlins",
-                             "shrink_steps": 0 } }"#,
-    )
-    .unwrap_err();
-    assert!(err.contains("gremlins"), "{err}");
-    // Missing searcher_seed.
-    let err = ScenarioFile::from_json(
-        r#"{ "version": 3, "stations": [{ "rate": "mcs15" }], "traffic": [],
-             "provenance": { "objective": "jain_dip", "shrink_steps": 0 } }"#,
-    )
-    .unwrap_err();
-    assert!(err.contains("searcher_seed"), "{err}");
-}
-
-#[test]
 fn bad_policy_rejected() {
     // A node with both children and stations.
     let sc = ScenarioFile::from_json(
@@ -428,23 +391,21 @@ fn json_files(dir: &str) -> Vec<(std::path::PathBuf, String)> {
     out
 }
 
-/// The shipped documents directly under `scenarios/<sub>`.
-fn shipped(sub: &str) -> Vec<(std::path::PathBuf, String)> {
-    json_files(&format!("scenarios/{sub}"))
+/// The shipped documents under `scenarios/`.
+fn shipped() -> Vec<(std::path::PathBuf, String)> {
+    json_files("scenarios")
 }
 
 #[test]
 fn shipped_scenario_files_validate() {
-    let library = shipped("");
+    let library = shipped();
     assert!(
         library.len() >= 5,
         "expected the shipped scenario files, found {}",
         library.len()
     );
-    let found = shipped("found");
-    assert!(!found.is_empty(), "expected committed counterexamples");
     // Parses, builds, and re-encodes to an equal document.
-    let load = |(path, text): &(std::path::PathBuf, String)| {
+    for (path, text) in &library {
         let sc =
             ScenarioFile::from_json(text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         if let Err(e) = sc.build() {
@@ -456,17 +417,6 @@ fn shipped_scenario_files_validate() {
             "{}: lossy round trip",
             path.display()
         );
-        sc
-    };
-    for f in &library {
-        load(f);
-    }
-    for f in &found {
-        assert!(
-            load(f).provenance.is_some(),
-            "{}: counterexamples must carry a provenance block",
-            f.0.display()
-        );
     }
 }
 
@@ -477,7 +427,7 @@ fn shipped_scenario_files_validate() {
 /// used; a slot-keyed meter underflowed here.
 #[test]
 fn shipped_scenarios_measure_cleanly() {
-    for (path, text) in shipped("") {
+    for (path, text) in shipped() {
         let mut sc = ScenarioFile::from_json(&text).unwrap();
         sc.secs = sc.secs.min(8);
         let mut built = sc.build().unwrap();
@@ -512,20 +462,6 @@ fn shipped_scenarios_measure_cleanly() {
     }
 }
 
-/// The pin on "the encoder writes exactly the bytes it always wrote":
-/// every committed counterexample is named by its content hash and is
-/// a fixed point of decode → encode.
-#[test]
-fn found_files_are_canonical_and_content_addressed() {
-    for (path, text) in shipped("found") {
-        let sc = ScenarioFile::from_json(&text).unwrap();
-        let stem = path.file_stem().unwrap().to_str().unwrap();
-        let (_, suffix) = stem.rsplit_once('_').expect("<objective>_<hash12>.json");
-        assert_eq!(suffix, &sc.hash()[..12], "{}", path.display());
-        assert_eq!(sc.text(), text, "{}", path.display());
-    }
-}
-
 fn tiny() -> ScenarioFile {
     ScenarioFile::from_json(
         r#"{ "version": 2, "secs": 3,
@@ -553,7 +489,6 @@ fn encoding_is_canonical() {
             r#""station":1,"bad_frac":0.3,"burst_len":12.0,"loss_bad":0.9}]}"#
         )
     );
-    assert_eq!(tiny().size_bytes(), tiny().text().len() as u64);
     // The stamp is a constant: no block moves it.
     let roaming = ScenarioFile {
         roaming: Some(RoamingSpec::default()),
@@ -563,12 +498,12 @@ fn encoding_is_canonical() {
         roaming.encode().get("version"),
         tiny().encode().get("version")
     );
-    assert_ne!(roaming.hash(), tiny().hash());
+    assert_ne!(roaming.text(), tiny().text());
     assert_eq!(ScenarioFile::from_json(&roaming.text()), Ok(roaming));
 }
 
 /// Every stamp this build reads names the same grammar: an `ok_*`
-/// fixture decodes to the same value, hence the same hash, whatever
+/// fixture decodes to the same value, hence the same text, whatever
 /// stamp it carries or none.
 #[test]
 fn version_is_not_part_of_the_value() {
@@ -590,7 +525,7 @@ fn version_is_not_part_of_the_value() {
             let sc = ScenarioFile::from_json(&Json::Obj(stamped).compact())
                 .unwrap_or_else(|e| panic!("{name} stamped {stamp}: {e}"));
             assert_eq!(sc, unstamped, "{name} stamped {stamp}");
-            assert_eq!(sc.hash(), unstamped.hash(), "{name} stamped {stamp}");
+            assert_eq!(sc.text(), unstamped.text(), "{name} stamped {stamp}");
         }
     }
     assert!(seen >= 6, "expected the ok_* fixtures, found {seen}");
@@ -603,29 +538,7 @@ fn every_field_round_trips() {
     assert!(matches!(&sc.traffic[0], TrafficSpec::Web { page, .. } if page == "large"));
     let back = ScenarioFile::from_json(&sc.text()).unwrap();
     assert_eq!(back, sc);
-    assert_eq!(back.hash(), sc.hash());
     assert_eq!(back.text(), sc.text());
-}
-
-#[test]
-fn hash_ignores_provenance() {
-    let plain = tiny();
-    let stamped = ScenarioFile {
-        provenance: Some(ProvenanceSpec {
-            searcher_seed: 7,
-            objective: "jain_dip".into(),
-            score: 2.0,
-            shrink_steps: 3,
-            first_failing_bytes: Some(1000),
-            minimal_bytes: Some(250),
-        }),
-        ..plain.clone()
-    };
-    assert!(stamped.text().contains("provenance"));
-    assert_eq!(stamped.hash(), plain.hash());
-    assert_eq!(stamped.size_bytes(), plain.size_bytes());
-    // The stamped text still loads, provenance intact.
-    assert_eq!(ScenarioFile::from_json(&stamped.text()), Ok(stamped));
 }
 
 fn fixture(name: &str) -> String {

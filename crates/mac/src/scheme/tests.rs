@@ -88,25 +88,37 @@ fn fq_mac_keeps_stations_separate() {
     assert_ne!(a.station, b.station, "RR must alternate stations");
 }
 
+/// Two backlogged stations: charging the selected one's deficit, for
+/// airtime it sent or airtime it received (§3.2), hands the turn to the
+/// other. With RX accounting off, received airtime charges nothing.
 #[test]
 fn airtime_scheme_charges_affect_selection() {
-    let mut path: ApTxPath = ApTxPath::new(&cfg(SchemeKind::AirtimeFair));
     let now = Nanos::ZERO;
-    for i in 0..100 {
-        path.enqueue(pkt(0, 1, Nanos::from_nanos(i)), now, ignore);
-        path.enqueue(pkt(1, 2, Nanos::from_nanos(i)), now, ignore);
-    }
-    let first = path.next_tx(AccessCategory::Be, now, |_| true).unwrap();
-    // Charge the first station heavily; the other must be selected.
-    path.on_tx_airtime(
-        first,
-        AccessCategory::Be,
-        Nanos::from_millis(5),
-        now,
-        144_000_000,
-    );
-    let second = path.next_tx(AccessCategory::Be, now, |_| true).unwrap();
-    assert_ne!(first, second);
+    let next = |path: &mut ApTxPath| path.next_tx(AccessCategory::Be, now, |_| true).unwrap();
+    let backlogged = |charge_rx: bool| {
+        let mut cfg = cfg(SchemeKind::AirtimeFair);
+        cfg.airtime.charge_rx = charge_rx;
+        let mut path: ApTxPath = ApTxPath::new(&cfg);
+        for i in 0..100 {
+            path.enqueue(pkt(0, 1, Nanos::from_nanos(i)), now, ignore);
+            path.enqueue(pkt(1, 2, Nanos::from_nanos(i)), now, ignore);
+        }
+        let first = next(&mut path);
+        (path, first)
+    };
+    let heavy = Nanos::from_millis(5);
+
+    let (mut path, first) = backlogged(true);
+    path.on_tx_airtime(first, AccessCategory::Be, heavy, now, 144_000_000);
+    assert_ne!(next(&mut path), first, "a TX charge must pass the turn");
+
+    let (mut path, first) = backlogged(true);
+    path.on_rx_airtime(first, AccessCategory::Be, heavy);
+    assert_ne!(next(&mut path), first, "an RX charge must pass the turn");
+
+    let (mut path, first) = backlogged(false);
+    path.on_rx_airtime(first, AccessCategory::Be, heavy);
+    assert_eq!(next(&mut path), first, "RX accounting is off");
 }
 
 #[test]

@@ -78,7 +78,6 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment::new("ext_chaos", ext::ext_chaos::run),
     Experiment::new("ext_scale", ext::ext_scale::run),
     Experiment::new("ext_policy", ext::ext_policy::run),
-    Experiment::new("ext_search", wifiq_search::experiment::run),
     Experiment::new("ext_roam", ext::ext_roam::run),
 ];
 
@@ -477,14 +476,11 @@ mod tests {
             // `x` is the copy count, never a stream count.
             ("--stations vht9x2 --secs 1", VHT_PAIR),
         ];
-        for (line, expected) in cases {
+        for (i, (line, expected)) in cases.into_iter().enumerate() {
             let scenario = scenario_from_flags(&flags(line)).unwrap();
             assert_eq!(scenario.text(), expected, "{line}");
-            let path = std::env::temp_dir().join(format!(
-                "wifiq_flags_{}_{}.json",
-                std::process::id(),
-                scenario.hash()
-            ));
+            let path =
+                std::env::temp_dir().join(format!("wifiq_flags_{}_{i}.json", std::process::id()));
             std::fs::write(&path, expected).unwrap();
             let via_config = run(&flags(&format!("--config {}", path.display())));
             let _ = std::fs::remove_file(&path);

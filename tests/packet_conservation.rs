@@ -102,6 +102,7 @@ fn the_getters_balance_up_to_the_hardware_queues_and_exactly_once_drained() {
     let slice = Nanos::from_millis(10);
     let fast = || StationCfg::clean(PhyRate::fast_station());
     let mut roamed = 0;
+    let mut hand_off = false;
     for i in 1..=60u64 {
         net.run(slice * i, &mut tap);
         match i % 6 {
@@ -114,13 +115,23 @@ fn the_getters_balance_up_to_the_hardware_queues_and_exactly_once_drained() {
             3 => {
                 net.add_station(fast());
             }
-            4 if i == 34 => {
-                // Mid-run hand-off of a flooded station, straight back in.
-                let out = net.roam_out(net.sta_id(3).expect("slot 3 occupied"));
-                roamed += out.packets.len();
-                net.roam_in(fast(), out.packets, out.identity);
-            }
+            4 if i == 34 => hand_off = true,
             _ => {}
+        }
+        if hand_off {
+            // Mid-run hand-off of a flooded station (slots 1-5 each take a
+            // 60 Mbit/s stream), straight back in. A station on the air
+            // defers its hand-off, which then carries nothing: retry on
+            // the next slice, from slot 3 or else the first flooded slot
+            // still associated.
+            let slot = [3, 1, 2, 4, 5]
+                .into_iter()
+                .find(|&s| net.station_active(s))
+                .expect("a flooded station associated");
+            let out = net.roam_out(net.sta_id(slot).expect("active slot"));
+            roamed += out.packets.len();
+            hand_off = out.deferred;
+            net.roam_in(fast(), out.packets, out.identity);
         }
         // The AP commits at most `hw_depth` aggregates of one BlockAck
         // window each per access category, and stashes one frame per TID.

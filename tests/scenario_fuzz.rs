@@ -1,7 +1,7 @@
 //! The scenario loader's no-panic boundary, fuzzed.
 //!
 //! `ScenarioFile::from_json` followed by `build` is what `wifiq run
-//! --config` and the searcher run on a document nobody vetted. Whatever
+//! --config` runs on a document nobody vetted. Whatever
 //! the bytes, the pair must return `Ok` or a typed `Err` — never panic.
 //! Two generators: arbitrary bytes, and every `ok_*.json` schema fixture
 //! with one value (any node, containers included) swapped for a hostile

@@ -3,8 +3,8 @@
 //! `tests/fixtures/scenario_schema/` holds a set of scenario documents
 //! named `ok_*.json` (must load and build) and `bad_*.json` (must be
 //! rejected). They run through the one real loader — the same
-//! `ScenarioFile::from_json` + `build` path as `wifiq --config` and the
-//! searcher — so a fixture's name is a claim about every consumer.
+//! `ScenarioFile::from_json` + `build` path as `wifiq --config` — so a
+//! fixture's name is a claim about every consumer.
 
 use wifiq_experiments::scenario_file::ScenarioFile;
 
