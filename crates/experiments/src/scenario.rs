@@ -123,8 +123,8 @@ mod tests {
     /// unchanged and builds — so `wifiq run --config` can replay it.
     #[test]
     fn every_cell_is_a_document() {
-        use crate::ext::{ext_80211ac, ext_airtime_weights, ext_aql, ext_chaos, ext_client_fq};
-        use crate::ext::{ext_lossy_channel, ext_meter_validation, ext_policy, ext_rate_control};
+        use crate::ext::{ext_80211ac, ext_aql, ext_chaos, ext_client_fq};
+        use crate::ext::{ext_lossy_channel, ext_policy, ext_rate_control};
         use crate::sparse::BulkKind;
         use crate::tcp_fair::TcpPattern;
         use crate::{ablations, latency, sparse, tcp_fair, thirty, udp_sat, voip};
@@ -135,8 +135,6 @@ mod tests {
             ablations::rx_charging_cell(seed, &cfg),
             ablations::adaptive_codel_cell(seed, &cfg),
             ablations::drop_policy_cell(seed, &cfg),
-            ext_airtime_weights::cell(seed, &cfg),
-            ext_meter_validation::cell(seed, &cfg),
         ];
         for scheme in SchemeKind::ALL {
             docs.push(udp_sat::cell(scheme, seed, &cfg));

@@ -190,6 +190,30 @@ fn v3_scenario_with_policy_switch_runs() {
     }
 }
 
+/// A flat `policy` block — one single-station leaf `staN` per station —
+/// compiles to exactly the set `PolicySet::flat` builds from the same
+/// weights, so a document and a hand-built `NetworkConfig` with that set
+/// run the same network.
+#[test]
+fn flat_policy_block_compiles_to_policy_set_flat() {
+    use wifiq_mac::{PolicySet, PolicyTimeline};
+    let sc = ScenarioFile::from_json(
+        r#"{ "version": 3,
+             "stations": [{ "rate": "mcs15" }, { "rate": "mcs15" }, { "rate": "mcs15" }],
+             "traffic": [],
+             "policy": { "nodes": [
+               { "name": "sta0", "weight": 1, "stations": [0] },
+               { "name": "sta1", "weight": 2, "stations": [1] },
+               { "name": "sta2", "weight": 4, "stations": [2] } ] } }"#,
+    )
+    .unwrap();
+    let built = sc.build().unwrap();
+    assert_eq!(
+        built.net.config().policy,
+        PolicyTimeline::fixed(PolicySet::flat(&[1, 2, 4]))
+    );
+}
+
 #[test]
 fn bad_policy_rejected() {
     // A node with both children and stations.

@@ -2,7 +2,7 @@
 //!
 //! Parallel experiment orchestration with fault isolation.
 //!
-//! The paper evaluation is 23 experiments (the rows of `wifiq`'s table)
+//! The paper evaluation is every experiment (the rows of `wifiq`'s table)
 //! × up to 30 repetitions; every repetition is an independent seed sweep
 //! of a wall-clock-free discrete-event simulation, so each one is a
 //! deterministic function of its configuration, its seed and the binary.

@@ -122,33 +122,18 @@ impl<F: QueuedPacket> Aggregate<F> {
     }
 }
 
-/// Builds an aggregate for `station` at `rate` under `ac`, pulling packets
-/// from `next`. Returns the aggregate (if any packet was available) and a
-/// packet that was pulled but did not fit, which the caller must stash and
-/// offer first next time.
-pub fn build_aggregate<F: QueuedPacket>(
-    station: StationIdx,
-    ac: AccessCategory,
-    rate: PhyRate,
-    next: impl FnMut() -> Option<F>,
-) -> (Option<Aggregate<F>>, Option<F>) {
-    match build_aggregate_into(station, ac, rate, Vec::new(), next) {
-        (Ok(agg), stash) => (Some(agg), stash),
-        (Err(_), stash) => (None, stash),
-    }
-}
-
 /// What [`build_aggregate_into`] produced: the aggregate on success, or
 /// the untouched (still-empty) frame buffer handed back for re-pooling,
 /// plus an over-size packet the caller must stash and offer first next
 /// time.
 pub type BuildOutcome<F> = (Result<Aggregate<F>, Vec<F>>, Option<F>);
 
-/// [`build_aggregate`] with a caller-supplied frame buffer, so hot paths
-/// can recycle the `frames` allocation across aggregates instead of
-/// allocating one per A-MPDU. `frames` must be empty; its capacity is
-/// kept. If no packet was available the buffer is handed back in the
-/// `Err` variant for the caller to pool.
+/// Builds an aggregate for `station` at `rate` under `ac`, pulling packets
+/// from `next` into `frames`, a caller-supplied buffer so hot paths can
+/// recycle its allocation across aggregates instead of allocating one per
+/// A-MPDU. `frames` must be empty; its capacity is kept. If no packet was
+/// available the buffer is handed back in the `Err` variant for the
+/// caller to pool.
 pub fn build_aggregate_into<F: QueuedPacket>(
     station: StationIdx,
     ac: AccessCategory,
@@ -246,13 +231,14 @@ mod tests {
 
     #[test]
     fn empty_source_builds_nothing() {
-        let (agg, stash) = build_aggregate(
+        let (agg, stash) = build_aggregate_into(
             0,
             AccessCategory::Be,
             PhyRate::fast_station(),
+            Vec::new(),
             source(0, 1500),
         );
-        assert!(agg.is_none());
+        assert!(agg.is_err());
         assert!(stash.is_none());
     }
 
@@ -260,10 +246,11 @@ mod tests {
     fn fast_station_fills_to_byte_cap() {
         // 100 packets available; the 65535-byte cap binds at 42 subframes
         // of 1544 bytes.
-        let (agg, stash) = build_aggregate(
+        let (agg, stash) = build_aggregate_into(
             0,
             AccessCategory::Be,
             PhyRate::fast_station(),
+            Vec::new(),
             source(100, 1500),
         );
         let agg = agg.unwrap();
@@ -275,10 +262,11 @@ mod tests {
 
     #[test]
     fn slow_station_airtime_cap_binds_at_two_frames() {
-        let (agg, stash) = build_aggregate(
+        let (agg, stash) = build_aggregate_into(
             0,
             AccessCategory::Be,
             PhyRate::slow_station(),
+            Vec::new(),
             source(100, 1500),
         );
         let agg = agg.unwrap();
@@ -292,10 +280,11 @@ mod tests {
 
     #[test]
     fn small_packets_hit_blockack_window() {
-        let (agg, _) = build_aggregate(
+        let (agg, _) = build_aggregate_into(
             0,
             AccessCategory::Be,
             PhyRate::fast_station(),
+            Vec::new(),
             source(200, 100),
         );
         assert_eq!(agg.unwrap().frames.len(), consts::BA_WINDOW);
@@ -303,10 +292,11 @@ mod tests {
 
     #[test]
     fn vo_never_aggregates() {
-        let (agg, stash) = build_aggregate(
+        let (agg, stash) = build_aggregate_into(
             0,
             AccessCategory::Vo,
             PhyRate::fast_station(),
+            Vec::new(),
             source(10, 300),
         );
         let agg = agg.unwrap();
@@ -319,10 +309,11 @@ mod tests {
     #[test]
     fn legacy_rate_never_aggregates() {
         use wifiq_phy::LegacyRate;
-        let (agg, _) = build_aggregate(
+        let (agg, _) = build_aggregate_into(
             0,
             AccessCategory::Be,
             PhyRate::Legacy(LegacyRate::Dsss1),
+            Vec::new(),
             source(10, 1500),
         );
         let agg = agg.unwrap();
@@ -335,10 +326,11 @@ mod tests {
 
     #[test]
     fn exchange_airtime_includes_sifs_and_ack() {
-        let (agg, _) = build_aggregate(
+        let (agg, _) = build_aggregate_into(
             0,
             AccessCategory::Be,
             PhyRate::fast_station(),
+            Vec::new(),
             source(5, 1500),
         );
         let agg = agg.unwrap();
@@ -384,10 +376,11 @@ mod tests {
 
     #[test]
     fn single_available_packet_still_aggregates_with_blockack() {
-        let (agg, _) = build_aggregate(
+        let (agg, _) = build_aggregate_into(
             0,
             AccessCategory::Be,
             PhyRate::fast_station(),
+            Vec::new(),
             source(1, 1500),
         );
         let agg = agg.unwrap();

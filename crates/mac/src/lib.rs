@@ -42,7 +42,7 @@ pub use meter::{AirtimeMeter, StationMeter};
 pub use network::{RoamHandoff, WifiNetwork};
 pub use packet::{NodeAddr, Packet, StationIdx};
 pub use ratectrl::Minstrel;
-pub use trace::{AirtimeCapture, TxDirection, TxMonitor, TxRecord};
+pub use trace::{TxDirection, TxMonitor, TxRecord};
 pub use wifiq_chaos::{ChaosInjector, FaultEntry, FaultSchedule, FaultTarget, Impairment};
 pub use wifiq_core::{StaId, TidId};
 pub use wifiq_policy::{PolicyNode, PolicySet, PolicySwitch, PolicyTimeline};

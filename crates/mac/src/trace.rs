@@ -6,7 +6,8 @@
 //! average"). This module is the simulator's monitor interface: every
 //! completed transmission attempt is reported to an optional sink, which
 //! can recompute airtime independently of the meter and cross-validate
-//! it — the `ext_meter_validation` experiment does exactly that.
+//! it — the meter-vs-capture test in `tests/telemetry_validation.rs`
+//! does exactly that.
 
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::Nanos;
@@ -62,42 +63,6 @@ impl<T: TxMonitor> TxMonitor for std::rc::Rc<std::cell::RefCell<T>> {
     }
 }
 
-/// A monitor that recomputes per-station airtime from captures — the
-/// simulator-side analogue of the paper's capture-based airtime tool.
-#[derive(Debug, Default)]
-pub struct AirtimeCapture {
-    per_station: Vec<Nanos>,
-    /// Total records seen.
-    pub records: u64,
-}
-
-impl AirtimeCapture {
-    /// Creates a capture for `n` stations.
-    pub fn new(n: usize) -> AirtimeCapture {
-        AirtimeCapture {
-            per_station: vec![Nanos::ZERO; n],
-            records: 0,
-        }
-    }
-
-    /// Total captured airtime for one station (both directions).
-    pub fn airtime(&self, sta: StationIdx) -> Nanos {
-        self.per_station[sta]
-    }
-
-    /// Captured airtime of all stations.
-    pub fn all(&self) -> &[Nanos] {
-        &self.per_station
-    }
-}
-
-impl TxMonitor for AirtimeCapture {
-    fn on_tx(&mut self, record: &TxRecord) {
-        self.records += 1;
-        self.per_station[record.station] += record.airtime;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,24 +82,24 @@ mod tests {
         }
     }
 
+    /// Sums the airtime of every record it sees.
+    #[derive(Default)]
+    struct Total(Nanos);
+
+    impl TxMonitor for Total {
+        fn on_tx(&mut self, record: &TxRecord) {
+            self.0 += record.airtime;
+        }
+    }
+
     #[test]
     fn shared_monitor_updates_through_rc() {
         use std::cell::RefCell;
         use std::rc::Rc;
-        let cap = Rc::new(RefCell::new(AirtimeCapture::new(1)));
-        let mut shared = cap.clone();
+        let total = Rc::new(RefCell::new(Total::default()));
+        let mut shared = total.clone();
         shared.on_tx(&record(0, 42));
-        assert_eq!(cap.borrow().airtime(0), Nanos::from_micros(42));
-    }
-
-    #[test]
-    fn capture_accumulates_per_station() {
-        let mut cap = AirtimeCapture::new(2);
-        cap.on_tx(&record(0, 100));
-        cap.on_tx(&record(1, 300));
-        cap.on_tx(&record(0, 50));
-        assert_eq!(cap.airtime(0), Nanos::from_micros(150));
-        assert_eq!(cap.airtime(1), Nanos::from_micros(300));
-        assert_eq!(cap.records, 3);
+        shared.on_tx(&record(1, 8));
+        assert_eq!(total.borrow().0, Nanos::from_micros(50));
     }
 }

@@ -69,9 +69,7 @@ const EXPERIMENTS: &[Experiment] = &[
         figs::ablation_design_choices::run,
     ),
     Experiment::new("ext_rate_control", ext::ext_rate_control::run),
-    Experiment::new("ext_meter_validation", ext::ext_meter_validation::run),
     Experiment::new("ext_client_fq", ext::ext_client_fq::run),
-    Experiment::new("ext_airtime_weights", ext::ext_airtime_weights::run),
     Experiment::new("ext_80211ac", ext::ext_80211ac::run),
     Experiment::new("ext_aql", ext::ext_aql::run),
     Experiment::new("ext_lossy_channel", ext::ext_lossy_channel::run),

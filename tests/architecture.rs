@@ -80,11 +80,41 @@ fn body<'a>(files: &'a Files, path: &str, head: &str) -> Vec<&'a str> {
     from_head.take_while(|l| *l != "    }").collect()
 }
 
-/// A library source file: under `src` or `crates/*/src`, save the
-/// `tests.rs` modules.
-fn library(p: &str) -> bool {
-    let crate_src = p.starts_with("crates/") && p.split('/').nth(2) == Some("src");
-    (crate_src || p.starts_with("src/")) && !p.ends_with("/tests.rs")
+/// The files a `#[cfg(test)]`-gated `mod name;` declares: `name.rs` next
+/// to a `lib.rs`, `main.rs` or `mod.rs`, else in the directory named
+/// after the declaring file (`network.rs` → `network/name.rs`).
+fn test_only_files(files: &Files) -> HashSet<String> {
+    let mut out = HashSet::new();
+    for (p, t) in files.iter().filter(|(p, _)| p.ends_with(".rs")) {
+        let lines: Vec<&str> = t.lines().collect();
+        for w in lines.windows(2) {
+            let declared = w[1].strip_prefix("mod ").and_then(|m| m.strip_suffix(';'));
+            let (Some(name), "#[cfg(test)]") = (declared, w[0]) else {
+                continue;
+            };
+            let (dir, stem) = p
+                .trim_end_matches(".rs")
+                .rsplit_once('/')
+                .expect("in a directory");
+            let dir = match stem {
+                "lib" | "main" | "mod" => dir.to_string(),
+                _ => format!("{dir}/{stem}"),
+            };
+            out.insert(format!("{dir}/{name}.rs"));
+        }
+    }
+    out
+}
+
+/// The library source files: those under `src` or `crates/*/src`, save
+/// the [`test_only_files`] (each `tests.rs`, and any other module that
+/// only tests compile).
+fn library(files: &Files) -> impl Iterator<Item = &(String, String)> {
+    let test_only = test_only_files(files);
+    files.iter().filter(move |(p, _)| {
+        let crate_src = p.starts_with("crates/") && p.split('/').nth(2) == Some("src");
+        (crate_src || p.starts_with("src/")) && !test_only.contains(p)
+    })
 }
 
 /// Lines before the first test module of each [`library`] file (a
@@ -92,8 +122,7 @@ fn library(p: &str) -> bool {
 /// that point counts as code, so the count errs high, never low.
 fn non_test_lines(files: &Files) -> impl Iterator<Item = (&str, usize)> {
     let test_mod = |w: &[&str]| w[0].starts_with("#[cfg(test)]") && w[1].starts_with("mod ");
-    let library = files.iter().filter(|(p, _)| library(p));
-    library.map(move |(p, t)| {
+    library(files).map(move |(p, t)| {
         let lines: Vec<&str> = t.lines().collect();
         let code = lines.windows(2).position(test_mod);
         (p.as_str(), code.unwrap_or(lines.len()))
@@ -225,9 +254,7 @@ fn one_wheel(files: &Files) -> Verdict {
 /// `wifiq-core` where it is defined, and in the AP's FQ-MAC/Airtime path.
 fn one_qdisc(files: &Files) -> Verdict {
     let builds = |l: &str| l.contains("MacFq::new(");
-    let outside_core = files
-        .iter()
-        .filter(|(p, _)| library(p) && !p.starts_with("crates/core/"));
+    let outside_core = library(files).filter(|(p, _)| !p.starts_with("crates/core/"));
     let outside_core: Vec<(String, String)> = outside_core.cloned().collect();
     let allowed = ["crates/mac/src/scheme/fq.rs", "crates/qdisc/src/lib.rs"];
     only(&outside_core, &["crates/", "src/"], builds, &allowed)
@@ -529,6 +556,18 @@ mod rule {
             "README.md",
             "see `scale/src/engine.rs:99999`",
         );
+    }
+
+    /// A file that only a `#[cfg(test)] mod name;` declares is test code,
+    /// like `tests.rs`: `file_size` and the line count skip it.
+    #[test]
+    fn file_size_skips_test_only_modules() {
+        let mut files = workspace();
+        files.push(("crates/mac/src/planted.rs".into(), "//\n".repeat(801)));
+        assert!(super::file_size(&files).is_err());
+        let declares = "#[cfg(test)]\nmod planted;";
+        files.push(("crates/mac/src/lib.rs".into(), declares.into()));
+        super::file_size(&files).unwrap();
     }
 
     /// `cargo test --test architecture -- --nocapture` prints the count.
