@@ -25,4 +25,4 @@ pub mod table;
 pub use fq::{FqParams, FqStats, MacFq};
 pub use packet::{FqPacket, PacketArena, PacketFifo, PacketHandle, QueuedPacket};
 pub use scheduler::{AirtimeParams, AirtimeScheduler, AirtimeStats, QOS_LEVELS, WEIGHT_NEUTRAL};
-pub use table::{Membership, StaId, StationTable, TidId};
+pub use table::{Membership, StaId, StaMut, StaRef, StationTable, TidId};

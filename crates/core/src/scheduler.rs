@@ -32,7 +32,7 @@
 
 use wifiq_sim::Nanos;
 
-use crate::table::{Membership, StaId, StationTable};
+use crate::table::{StaId, StaRef, StationTable};
 
 pub use crate::table::{QOS_LEVELS, WEIGHT_NEUTRAL};
 
@@ -130,23 +130,11 @@ impl AirtimeScheduler {
     pub fn register_station<C>(&mut self, table: &mut StationTable<C>, cold: C) -> StaId {
         let sta = table.alloc(cold);
         let q = self.params.quantum.as_nanos() as i64;
+        let mut view = table.get_mut(sta);
         for ac in 0..QOS_LEVELS {
-            table.set_deficit(sta, ac, q);
+            view.row_mut(ac).deficit = q;
         }
         sta
-    }
-
-    /// Removes a station mid-round, returning its cold payload. This is
-    /// [`StationTable::free`] — the shared tombstone path: the station
-    /// is unlinked from every QoS level's scheduling list (front-of-list
-    /// rotation state and the other stations' deficits are untouched)
-    /// and its slot is parked for LIFO reuse. The handle goes stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is stale or already removed.
-    pub fn remove_station<C>(&mut self, table: &mut StationTable<C>, sta: StaId) -> C {
-        table.free(sta)
     }
 
     /// The configured parameters.
@@ -154,12 +142,13 @@ impl AirtimeScheduler {
         self.params
     }
 
-    /// The deficit replenishment for one scheduling round at `ac`:
-    /// `quantum × weight / WEIGHT_NEUTRAL`, and at least one nanosecond
-    /// so progress is guaranteed even for tiny weights.
-    fn refill<C>(&self, table: &StationTable<C>, sta: StaId, ac: usize) -> i64 {
+    /// The deficit replenishment for one scheduling round at a QoS level
+    /// where the station's weight is `weight`: `quantum × weight /
+    /// WEIGHT_NEUTRAL`, and at least one nanosecond so progress is
+    /// guaranteed even for tiny weights.
+    fn refill(&self, weight: u32) -> i64 {
         let q = self.params.quantum.as_nanos() as i64;
-        (q * table.ac_weight(sta, ac) as i64 / WEIGHT_NEUTRAL as i64).max(1)
+        (q * weight as i64 / WEIGHT_NEUTRAL as i64).max(1)
     }
 
     /// Marks a station as having pending traffic at `ac`.
@@ -168,12 +157,10 @@ impl AirtimeScheduler {
     /// joins the *new* list (sparse priority); with the optimisation
     /// disabled it joins the old list directly.
     pub fn notify_active<C>(&mut self, table: &mut StationTable<C>, sta: StaId, ac: usize) {
-        if table.membership(sta, ac) == Membership::Idle {
-            if self.params.sparse_stations {
-                table.enlist_new(sta, ac);
-            } else {
-                table.enlist_old(sta, ac);
-            }
+        if self.params.sparse_stations {
+            table.enlist_new(sta, ac);
+        } else {
+            table.enlist_old(sta, ac);
         }
     }
 
@@ -190,18 +177,18 @@ impl AirtimeScheduler {
         ac: usize,
         airtime: Nanos,
     ) {
-        table.add_deficit(sta, ac, -(airtime.as_nanos() as i64));
+        table.get_mut(sta).row_mut(ac).deficit -= airtime.as_nanos() as i64;
         self.stats.charged += airtime;
     }
 
     /// Selects the next station to build an aggregate for, at QoS level
     /// `ac` — the body of Algorithm 3's loop.
     ///
-    /// `has_data(table, station)` reports whether the station currently
-    /// has queued packets at this level; the shared table reference lets
-    /// the caller consult cold state (stashes, TID handles) without a
-    /// second borrow. Stations that report empty are rotated out per the
-    /// algorithm (new → old, old → removed).
+    /// `has_data(view, station)` reports whether the station currently
+    /// has queued packets at this level; the view lets the caller consult
+    /// its rows and cold state (stashes, TID handles) without looking the
+    /// station up again. Stations that report empty are rotated out per
+    /// the algorithm (new → old, old → removed).
     ///
     /// Returns `None` when no station has data. The returned station stays
     /// at the head of its list; it will keep being returned until its
@@ -214,23 +201,17 @@ impl AirtimeScheduler {
         mut has_data: F,
     ) -> Option<StaId>
     where
-        F: FnMut(&StationTable<C>, StaId) -> bool,
+        F: FnMut(StaRef<'_, C>, StaId) -> bool,
     {
         assert!(ac < QOS_LEVELS, "QoS level out of range");
         loop {
             // Lines 3–8: prefer the new list.
-            let (sta, from_new) = if let Some(sta) = table.new_front(ac) {
-                (sta, true)
-            } else if let Some(sta) = table.old_front(ac) {
-                (sta, false)
-            } else {
-                return None;
-            };
+            let (node, from_new) = table.head(ac)?;
 
             // Lines 9–12: replenish an exhausted deficit and rotate.
-            if table.deficit(sta, ac) <= 0 {
-                let refill = self.refill(table, sta, ac);
-                table.add_deficit(sta, ac, refill);
+            let row = table.node_mut(node);
+            if row.deficit <= 0 {
+                row.deficit += self.refill(row.weight);
                 if from_new {
                     table.demote_front_new(ac);
                 } else {
@@ -242,7 +223,8 @@ impl AirtimeScheduler {
             // Lines 13–18: empty stations rotate out. A station emptying
             // from the new list is demoted to old rather than removed —
             // the same anti-gaming rule FQ-CoDel applies to sparse flows.
-            if !has_data(table, sta) {
+            let (sta, view) = table.listed(node);
+            if !has_data(view, sta) {
                 if from_new {
                     table.demote_front_new(ac);
                 } else {
@@ -259,16 +241,12 @@ impl AirtimeScheduler {
             return Some(sta);
         }
     }
-
-    /// True if the station is on any scheduling list for `ac`.
-    pub fn is_active<C>(&self, table: &StationTable<C>, sta: StaId, ac: usize) -> bool {
-        table.membership(sta, ac) != Membership::Idle
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Membership;
 
     const BE: usize = 2;
 
@@ -298,7 +276,7 @@ mod tests {
             self.sched.charge(&mut self.table, sta, ac, t);
         }
         fn active(&self, sta: StaId, ac: usize) -> bool {
-            self.sched.is_active(&self.table, sta, ac)
+            self.table.get(sta).membership(ac) != Membership::Idle
         }
     }
 
@@ -524,10 +502,10 @@ mod tests {
         assert_eq!(s.next(BE, |_| true), Some(b));
         // Charging VO does not affect the BE deficit (still the initial
         // quantum).
-        let before = s.table.deficit(a, BE);
+        let before = s.table.get(a).deficit(BE);
         s.charge(a, 0, Nanos::from_millis(10));
-        assert_eq!(s.table.deficit(a, BE), before);
-        assert!(s.table.deficit(a, 0) < 0);
+        assert_eq!(s.table.get(a).deficit(BE), before);
+        assert!(s.table.get(a).deficit(0) < 0);
     }
 
     #[test]
@@ -565,7 +543,7 @@ mod tests {
         let mut s = sched();
         let a = s.register();
         let b = s.register();
-        s.table.set_weight(a, 512);
+        s.table.set_ac_weights(a, [512; QOS_LEVELS]);
         s.notify(a, BE);
         s.notify(b, BE);
         let mut airtime = [0u64; 2];
@@ -589,10 +567,10 @@ mod tests {
         let mut s = sched();
         let a = s.register();
         for ac in 0..QOS_LEVELS {
-            assert_eq!(s.table.ac_weight(a, ac), WEIGHT_NEUTRAL);
+            assert_eq!(s.table.get(a).weight(ac), WEIGHT_NEUTRAL);
         }
-        s.table.set_weight(a, 1024);
-        assert_eq!(s.table.ac_weight(a, BE), 1024);
+        s.table.set_ac_weights(a, [1024; QOS_LEVELS]);
+        assert_eq!(s.table.get(a).weight(BE), 1024);
     }
 
     #[test]
@@ -631,9 +609,13 @@ mod tests {
             let st = s.next(BE, |_| true).unwrap();
             s.charge(st, BE, Nanos::from_micros(450));
         }
-        let before: Vec<i64> = (0..QOS_LEVELS).map(|ac| s.table.deficit(b, ac)).collect();
+        let before: Vec<i64> = (0..QOS_LEVELS)
+            .map(|ac| s.table.get(b).deficit(ac))
+            .collect();
         s.table.set_ac_weights(a, [512, 512, 512, 512]);
-        let after: Vec<i64> = (0..QOS_LEVELS).map(|ac| s.table.deficit(b, ac)).collect();
+        let after: Vec<i64> = (0..QOS_LEVELS)
+            .map(|ac| s.table.get(b).deficit(ac))
+            .collect();
         assert_eq!(before, after, "untouched station's deficits moved");
     }
 
@@ -650,7 +632,7 @@ mod tests {
     fn zero_weight_rejected() {
         let mut s = sched();
         let a = s.register();
-        s.table.set_weight(a, 0);
+        s.table.set_ac_weights(a, [0; QOS_LEVELS]);
     }
 
     #[test]
@@ -666,7 +648,7 @@ mod tests {
     fn removed_station_handle_is_stale() {
         let mut s = sched();
         let a = s.register();
-        s.sched.remove_station(&mut s.table, a);
+        s.table.free(a);
         s.notify(a, BE);
     }
 
@@ -949,7 +931,7 @@ mod tests {
                     OracleOp::Remove { k } => {
                         if !live.is_empty() {
                             let (id, h) = live.swap_remove(k % live.len());
-                            new_sched.remove_station(&mut table, id);
+                            table.free(id);
                             reference.remove_station(h);
                         }
                     }
@@ -995,10 +977,11 @@ mod tests {
                 // Full state agreement after every op.
                 for &(id, h) in &live {
                     for ac in 0..QOS_LEVELS {
-                        prop_assert_eq!(table.deficit(id, ac), reference.deficit(h, ac));
-                        prop_assert_eq!(table.ac_weight(id, ac), reference.stations[h.0].weights[ac]);
+                        let sta = table.get(id);
+                        prop_assert_eq!(sta.deficit(ac), reference.deficit(h, ac));
+                        prop_assert_eq!(sta.weight(ac), reference.stations[h.0].weights[ac]);
                         prop_assert_eq!(
-                            new_sched.is_active(&table, id, ac),
+                            sta.membership(ac) != Membership::Idle,
                             reference.is_active(h, ac)
                         );
                     }

@@ -13,12 +13,12 @@
 //! - **Layout.** The fields a DRR round touches for one `(station, ac)`
 //!   node — deficit, TID handle, weight, intrusive prev/next links and
 //!   list membership — sit together in one 32-byte, 32-aligned `Row`,
-//!   at `rows[slot × QOS_LEVELS + ac]`; a slot's generation and
-//!   occupancy sit in one 8-byte header. The DRR lists are intrusive
-//!   links visited in whatever slot order the rotation has reached, so
-//!   a visit is a random access, not a stripe: with one slab per field
-//!   it touched one cache line per slab, with rows it touches the node's
-//!   row and its slot's header. Cold per-station payload (rate, CoDel
+//!   at `rows[slot][ac]`; a slot's generation and occupancy sit in one
+//!   8-byte header. The DRR lists are intrusive links visited in
+//!   whatever slot order the rotation has reached, so a visit is a
+//!   random access, not a stripe: with one slab per field it touched one
+//!   cache line per slab, with rows it touches the node's row and its
+//!   slot's header. Cold per-station payload (rate, CoDel
 //!   selection state, stashed frames — whatever the embedder supplies as
 //!   `C`) lives in a side table that scheduling never reads.
 //! - **Handles.** [`StaId`] and [`TidId`] are 8-byte generational
@@ -27,6 +27,9 @@
 //!   its generation, so a stale handle panics instead of silently
 //!   addressing the slot's next occupant, and a station-vs-TID mixup is
 //!   a type error instead of an off-by-4×.
+//! - **One check per seam.** [`get`](StationTable::get) checks a handle
+//!   once and lends a [`StaRef`] view of its four rows and cold payload;
+//!   a station read off a scheduling list is live and needs no check.
 //! - **Teardown.** [`free`](StationTable::free) is the *single*
 //!   tombstone path: it unlinks the departing station from every QoS
 //!   level's scheduling list (order of the survivors preserved, exactly
@@ -96,7 +99,7 @@ pub struct TidId {
 
 impl TidId {
     /// A sentinel referring to no TID; any use panics. A table row's TID
-    /// until [`set_tid`](StationTable::set_tid).
+    /// until [`set_tid`](StaMut::set_tid).
     pub const NONE: TidId = TidId { idx: NIL, gen: 0 };
 
     /// The TID slot index this handle refers to.
@@ -160,14 +163,17 @@ const NEW: usize = 0;
 const OLD: usize = 1;
 
 /// One `(station, ac)` node's scheduling state: everything a DRR visit
-/// reads or writes, in one 32-byte row (29 bytes of fields).
+/// reads or writes, in one 32-byte row (29 bytes of fields). The airtime
+/// scheduler owns `deficit`; `weight` is written only by
+/// [`set_ac_weights`](StationTable::set_ac_weights), and the links and
+/// membership only by the list operations.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(32))]
-struct Row {
-    deficit: i64,
+pub(crate) struct Row {
+    pub(crate) deficit: i64,
     /// The MAC FQ TID registered for this (station, ac).
     tid: TidId,
-    weight: u32,
+    pub(crate) weight: u32,
     prev: u32,
     next: u32,
     membership: Membership,
@@ -197,19 +203,86 @@ struct Slot {
 const _: () = assert!(std::mem::size_of::<Row>() == 32);
 const _: () = assert!(std::mem::size_of::<Slot>() <= 8);
 
-/// The station store: one `Row` per (slot, QoS level) and one `Slot`
-/// header per slot. See the module docs for the layout rationale; `C`
-/// is the embedder's cold per-station payload (config, stashes,
-/// telemetry handles — anything a scheduling round does not touch).
+/// One live station's four rows and cold payload, borrowed once its
+/// handle was checked ([`StationTable::get`]) or read off a scheduling
+/// list. Reading a field through it is a plain load.
+#[derive(Debug)]
+pub struct StaRef<'a, C> {
+    rows: &'a [Row; QOS_LEVELS],
+    /// The station's cold payload.
+    pub cold: &'a C,
+}
+
+impl<C> StaRef<'_, C> {
+    fn row(&self, ac: usize) -> &Row {
+        assert!(ac < QOS_LEVELS, "QoS level out of range");
+        &self.rows[ac]
+    }
+
+    /// The airtime deficit at QoS level `ac`.
+    pub fn deficit(&self, ac: usize) -> i64 {
+        self.row(ac).deficit
+    }
+
+    /// The airtime weight at QoS level `ac`.
+    pub fn weight(&self, ac: usize) -> u32 {
+        self.row(ac).weight
+    }
+
+    /// Which scheduling list the station is on at `ac`.
+    pub fn membership(&self, ac: usize) -> Membership {
+        self.row(ac).membership
+    }
+
+    /// The MAC FQ TID registered at `ac`; [`TidId::NONE`] until
+    /// [`StaMut::set_tid`].
+    pub fn tid(&self, ac: usize) -> TidId {
+        self.row(ac).tid
+    }
+}
+
+/// [`StaRef`]'s mutable form. Weights, links and membership stay
+/// read-only: they change only through
+/// [`StationTable::set_ac_weights`] and the list operations.
+#[derive(Debug)]
+pub struct StaMut<'a, C> {
+    rows: &'a mut [Row; QOS_LEVELS],
+    /// The station's cold payload.
+    pub cold: &'a mut C,
+}
+
+impl<C> StaMut<'_, C> {
+    /// The row at `ac`, for the airtime scheduler's deficit writes.
+    pub(crate) fn row_mut(&mut self, ac: usize) -> &mut Row {
+        assert!(ac < QOS_LEVELS, "QoS level out of range");
+        &mut self.rows[ac]
+    }
+
+    /// The MAC FQ TID registered at `ac`.
+    pub fn tid(&self, ac: usize) -> TidId {
+        assert!(ac < QOS_LEVELS, "QoS level out of range");
+        self.rows[ac].tid
+    }
+
+    /// Records the MAC FQ TID registered at `ac`.
+    pub fn set_tid(&mut self, ac: usize, tid: TidId) {
+        self.row_mut(ac).tid = tid;
+    }
+}
+
+/// The station store: four `Row`s and one `Slot` header per slot. See
+/// the module docs for the layout rationale; `C` is the embedder's cold
+/// per-station payload (config, stashes, telemetry handles — anything a
+/// scheduling round does not touch).
 #[derive(Debug)]
 pub struct StationTable<C> {
     slots: Vec<Slot>,
     /// Vacated slots awaiting reuse (LIFO — most recently freed first,
     /// matching every other free list in the stack).
     free: Vec<u32>,
-    live: usize,
-    /// Hot rows, `rows[slot × QOS_LEVELS + ac]`.
-    rows: Vec<Row>,
+    /// Hot rows, `rows[slot][ac]`; node `slot × QOS_LEVELS + ac` names
+    /// one on the scheduling lists.
+    rows: Vec<[Row; QOS_LEVELS]>,
     lists: [AcLists; QOS_LEVELS],
     /// Cold side table, one entry per slot.
     cold: Vec<Option<C>>,
@@ -221,13 +294,31 @@ impl<C> Default for StationTable<C> {
     }
 }
 
+/// Node `slot × QOS_LEVELS + ac`'s row.
+#[inline]
+fn node_row(rows: &mut [[Row; QOS_LEVELS]], node: u32) -> &mut Row {
+    let n = node as usize;
+    &mut rows[n / QOS_LEVELS][n % QOS_LEVELS]
+}
+
+/// The panic of a handle that fails its check (`gen` is its slot's, if
+/// the slot exists), out of line so the check inlines at every seam.
+#[cold]
+#[inline(never)]
+fn bad_handle(sta: StaId, gen: Option<u32>) -> ! {
+    let (s, h) = (sta.idx, sta.gen);
+    match gen {
+        None => panic!("station handle out of range: slot {s}"),
+        Some(g) => panic!("stale station handle: slot {s} gen {g} vs handle gen {h}"),
+    }
+}
+
 impl<C> StationTable<C> {
     /// Creates an empty table.
     pub fn new() -> StationTable<C> {
         StationTable {
             slots: Vec::new(),
             free: Vec::new(),
-            live: 0,
             rows: Vec::new(),
             lists: [AcLists {
                 ends: [ListEnds::EMPTY; 2],
@@ -240,7 +331,7 @@ impl<C> StationTable<C> {
     pub fn with_capacity(n: usize) -> StationTable<C> {
         let mut t = Self::new();
         t.slots.reserve(n);
-        t.rows.reserve(n * QOS_LEVELS);
+        t.rows.reserve(n);
         t.cold.reserve(n);
         t
     }
@@ -248,11 +339,6 @@ impl<C> StationTable<C> {
     /// Number of slots ever allocated (live + tombstoned).
     pub fn slots(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Number of live stations.
-    pub fn live(&self) -> usize {
-        self.live
     }
 
     /// Allocates a slot for a new station, reusing the most recently
@@ -264,7 +350,7 @@ impl<C> StationTable<C> {
             Some(idx) => {
                 let s = idx as usize;
                 debug_assert!(!self.slots[s].occupied, "free-listed slot still occupied");
-                for row in &mut self.rows[s * QOS_LEVELS..(s + 1) * QOS_LEVELS] {
+                for row in &mut self.rows[s] {
                     debug_assert_eq!(row.membership, Membership::Idle);
                     debug_assert!(row.prev == NIL && row.next == NIL);
                     *row = Row::NEUTRAL;
@@ -278,14 +364,13 @@ impl<C> StationTable<C> {
                     gen: 0,
                     occupied: false,
                 });
-                self.rows.extend([Row::NEUTRAL; QOS_LEVELS]);
+                self.rows.push([Row::NEUTRAL; QOS_LEVELS]);
                 self.cold.push(Some(cold));
                 idx
             }
         };
         let slot = &mut self.slots[idx as usize];
         slot.occupied = true;
-        self.live += 1;
         StaId { idx, gen: slot.gen }
     }
 
@@ -302,12 +387,12 @@ impl<C> StationTable<C> {
         let s = self.index(sta);
         for ac in 0..QOS_LEVELS {
             let node = (s * QOS_LEVELS + ac) as u32;
-            match self.rows[node as usize].membership {
+            match self.rows[s][ac].membership {
                 Membership::Idle => {}
                 Membership::New => self.unlink(ac, NEW, node),
                 Membership::Old => self.unlink(ac, OLD, node),
             }
-            let row = &mut self.rows[node as usize];
+            let row = &mut self.rows[s][ac];
             row.membership = Membership::Idle;
             row.tid = TidId::NONE;
         }
@@ -315,11 +400,11 @@ impl<C> StationTable<C> {
         slot.occupied = false;
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(s as u32);
-        self.live -= 1;
         self.cold[s].take().expect("freed slot had no cold payload")
     }
 
-    /// True if the handle refers to the slot's current occupant.
+    /// True if the handle refers to the slot's current occupant — the
+    /// non-panicking probe.
     pub fn is_current(&self, sta: StaId) -> bool {
         self.slots
             .get(sta.idx as usize)
@@ -336,263 +421,208 @@ impl<C> StationTable<C> {
         })
     }
 
-    /// Live station handles in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = StaId> + '_ {
-        (0..self.slots()).filter_map(|s| self.id_at(s))
+    /// The station at `slot`, handle and view, or `None` for a
+    /// tombstoned or never-allocated slot.
+    pub fn get_at(&self, slot: usize) -> Option<(StaId, StaRef<'_, C>)> {
+        let id = self.id_at(slot)?;
+        Some((id, self.view(slot)))
+    }
+
+    /// Live stations in slot order, handle and view.
+    pub fn iter(&self) -> impl Iterator<Item = (StaId, StaRef<'_, C>)> + '_ {
+        (0..self.slots()).filter_map(|s| self.get_at(s))
     }
 
     /// Validates a handle and returns its slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the arena-style staleness message when the handle
-    /// does not match the slot's current occupant.
     #[inline]
     fn index(&self, sta: StaId) -> usize {
         let s = sta.idx as usize;
-        assert!(
-            s < self.slots.len(),
-            "station handle out of range: slot {s}"
-        );
-        let slot = self.slots[s];
-        assert!(
-            slot.occupied && slot.gen == sta.gen,
-            "stale station handle: slot {} gen {} vs handle gen {}",
-            s,
-            slot.gen,
-            sta.gen
-        );
-        s
+        match self.slots.get(s) {
+            Some(slot) if slot.occupied && slot.gen == sta.gen => s,
+            slot => bad_handle(sta, slot.map(|slot| slot.gen)),
+        }
     }
 
+    /// The view of occupied slot `s`.
     #[inline]
-    fn node(&self, sta: StaId, ac: usize) -> usize {
-        assert!(ac < QOS_LEVELS, "QoS level out of range");
-        self.index(sta) * QOS_LEVELS + ac
+    fn view(&self, s: usize) -> StaRef<'_, C> {
+        StaRef {
+            rows: &self.rows[s],
+            cold: self.cold[s].as_ref().expect("live slot has cold payload"),
+        }
     }
 
+    /// Validates `sta` — once — and borrows its station. Panics if `sta`
+    /// is out of range or stale.
     #[inline]
-    fn row(&self, sta: StaId, ac: usize) -> &Row {
-        &self.rows[self.node(sta, ac)]
+    pub fn get(&self, sta: StaId) -> StaRef<'_, C> {
+        self.view(self.index(sta))
     }
 
+    /// [`get`](Self::get), mutably.
     #[inline]
-    fn row_mut(&mut self, sta: StaId, ac: usize) -> &mut Row {
-        let n = self.node(sta, ac);
-        &mut self.rows[n]
-    }
-
-    // ---- hot-field accessors ----
-
-    /// Current airtime deficit for a station at a QoS level.
-    pub fn deficit(&self, sta: StaId, ac: usize) -> i64 {
-        self.row(sta, ac).deficit
-    }
-
-    /// Overwrites a deficit (registration / oracle tests).
-    pub fn set_deficit(&mut self, sta: StaId, ac: usize, deficit: i64) {
-        self.row_mut(sta, ac).deficit = deficit;
-    }
-
-    /// Adds (or, negative, charges) airtime to a deficit.
-    pub fn add_deficit(&mut self, sta: StaId, ac: usize, delta: i64) {
-        self.row_mut(sta, ac).deficit += delta;
-    }
-
-    /// A station's airtime weight at one QoS level.
-    pub fn ac_weight(&self, sta: StaId, ac: usize) -> u32 {
-        self.row(sta, ac).weight
-    }
-
-    /// Sets a station's airtime weight at every QoS level. Deficits are
-    /// untouched: a mid-round reweight takes effect at the next
-    /// replenishment and leaves round state undisturbed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is zero — a zero-weight station could never
-    /// replenish its deficit and would deadlock the scheduling loop.
-    pub fn set_weight(&mut self, sta: StaId, weight: u32) {
-        self.set_ac_weights(sta, [weight; QOS_LEVELS]);
+    pub fn get_mut(&mut self, sta: StaId) -> StaMut<'_, C> {
+        let s = self.index(sta);
+        StaMut {
+            rows: &mut self.rows[s],
+            cold: self.cold[s].as_mut().expect("live slot has cold payload"),
+        }
     }
 
     /// Sets a station's per-QoS-level airtime weights (the compiled
-    /// output of a policy tree). Same deficit-preserving semantics as
-    /// [`set_weight`](Self::set_weight).
+    /// output of a policy tree) — the only way a weight changes.
+    /// Deficits are untouched: a mid-round reweight takes effect at the
+    /// next replenishment and leaves round state undisturbed.
     ///
     /// # Panics
     ///
-    /// Panics if any weight is zero.
+    /// Panics if any weight is zero — a zero-weight station could never
+    /// replenish its deficit and would deadlock the scheduling loop.
     pub fn set_ac_weights(&mut self, sta: StaId, weights: [u32; QOS_LEVELS]) {
         assert!(
             weights.iter().all(|&w| w > 0),
             "airtime weight must be positive"
         );
         let s = self.index(sta);
-        let rows = &mut self.rows[s * QOS_LEVELS..(s + 1) * QOS_LEVELS];
-        for (row, w) in rows.iter_mut().zip(weights) {
+        for (row, w) in self.rows[s].iter_mut().zip(weights) {
             row.weight = w;
         }
     }
 
-    /// Which scheduling list the station is on at `ac`.
-    pub fn membership(&self, sta: StaId, ac: usize) -> Membership {
-        self.row(sta, ac).membership
-    }
-
-    /// The registered TID for `(sta, ac)` — the single access path to a
-    /// station's MAC FQ TIDs. [`TidId::NONE`] until
-    /// [`set_tid`](Self::set_tid).
-    pub fn tid(&self, sta: StaId, ac: usize) -> TidId {
-        self.row(sta, ac).tid
-    }
-
-    /// Records the TID registered for `(sta, ac)`.
-    pub fn set_tid(&mut self, sta: StaId, ac: usize, tid: TidId) {
-        self.row_mut(sta, ac).tid = tid;
-    }
-
-    /// Cold payload, immutable.
-    pub fn cold(&self, sta: StaId) -> &C {
-        let s = self.index(sta);
-        self.cold[s].as_ref().expect("live slot has cold payload")
-    }
-
-    /// Cold payload, mutable.
-    pub fn cold_mut(&mut self, sta: StaId) -> &mut C {
-        let s = self.index(sta);
-        self.cold[s].as_mut().expect("live slot has cold payload")
-    }
-
-    /// Cold payload by slot, or `None` for a tombstoned slot.
-    pub fn cold_at(&self, slot: usize) -> Option<&C> {
-        self.cold.get(slot)?.as_ref()
-    }
-
     // ---- DRR scheduling lists ----
 
+    /// A listed node's row, for the airtime scheduler's replenishment.
+    pub(crate) fn node_mut(&mut self, node: u32) -> &mut Row {
+        node_row(&mut self.rows, node)
+    }
+
     fn link_back(&mut self, ac: usize, kind: usize, node: u32) {
-        debug_assert_eq!(self.rows[node as usize].prev, NIL);
-        debug_assert_eq!(self.rows[node as usize].next, NIL);
+        let rows = &mut self.rows;
+        debug_assert_eq!(node_row(rows, node).prev, NIL);
+        debug_assert_eq!(node_row(rows, node).next, NIL);
         let ends = &mut self.lists[ac].ends[kind];
         if ends.tail == NIL {
             ends.head = node;
             ends.tail = node;
         } else {
-            self.rows[node as usize].prev = ends.tail;
-            self.rows[ends.tail as usize].next = node;
+            node_row(rows, node).prev = ends.tail;
+            node_row(rows, ends.tail).next = node;
             ends.tail = node;
         }
     }
 
     fn unlink(&mut self, ac: usize, kind: usize, node: u32) {
+        let rows = &mut self.rows;
         let Row {
             prev: p, next: n, ..
-        } = self.rows[node as usize];
+        } = *node_row(rows, node);
         let ends = &mut self.lists[ac].ends[kind];
         if p == NIL {
             debug_assert_eq!(ends.head, node, "unlinking node not on its list");
             ends.head = n;
         } else {
-            self.rows[p as usize].next = n;
+            node_row(rows, p).next = n;
         }
         if n == NIL {
             debug_assert_eq!(ends.tail, node, "unlinking node not on its list");
             ends.tail = p;
         } else {
-            self.rows[n as usize].prev = p;
+            node_row(rows, n).prev = p;
         }
-        let row = &mut self.rows[node as usize];
+        let row = node_row(rows, node);
         row.prev = NIL;
         row.next = NIL;
     }
 
+    /// The node at the head of list `kind` at `ac`.
     #[inline]
-    fn front(&self, ac: usize, kind: usize) -> Option<StaId> {
+    fn front(&self, ac: usize, kind: usize) -> Option<u32> {
+        assert!(ac < QOS_LEVELS, "QoS level out of range");
         let node = self.lists[ac].ends[kind].head;
-        if node == NIL {
-            return None;
+        (node != NIL).then_some(node)
+    }
+
+    /// A listed node's station, handle and view: a node on a list is
+    /// live, so there is no handle to check.
+    #[inline]
+    pub(crate) fn listed(&self, node: u32) -> (StaId, StaRef<'_, C>) {
+        let s = node as usize / QOS_LEVELS;
+        debug_assert!(self.slots[s].occupied, "tombstoned slot on a list");
+        let id = StaId {
+            idx: s as u32,
+            gen: self.slots[s].gen,
+        };
+        (id, self.view(s))
+    }
+
+    /// The node at the head of `ac`'s *new* list, else of its *old*
+    /// list, and whether it is the new list's — the airtime scheduler's
+    /// next visit.
+    #[inline]
+    pub(crate) fn head(&self, ac: usize) -> Option<(u32, bool)> {
+        match self.front(ac, NEW) {
+            Some(node) => Some((node, true)),
+            None => Some((self.front(ac, OLD)?, false)),
         }
-        let slot = node as usize / QOS_LEVELS;
-        Some(StaId {
-            idx: slot as u32,
-            gen: self.slots[slot].gen,
-        })
     }
 
-    /// Head of the *new* (sparse-priority) list at `ac`.
-    pub fn new_front(&self, ac: usize) -> Option<StaId> {
-        assert!(ac < QOS_LEVELS, "QoS level out of range");
-        self.front(ac, NEW)
+    /// Head of the *old* list at `ac`: the station whose round-robin
+    /// turn it is, handle and view.
+    #[inline]
+    pub fn old_front(&self, ac: usize) -> Option<(StaId, StaRef<'_, C>)> {
+        Some(self.listed(self.front(ac, OLD)?))
     }
 
-    /// Head of the *old* list at `ac`.
-    pub fn old_front(&self, ac: usize) -> Option<StaId> {
-        assert!(ac < QOS_LEVELS, "QoS level out of range");
-        self.front(ac, OLD)
-    }
-
-    /// Appends an idle station to the *new* list (sparse priority).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the station is not [`Membership::Idle`] at `ac`.
+    /// Appends the station to the *new* list (sparse priority), unless
+    /// it is on a list at `ac` already.
     pub fn enlist_new(&mut self, sta: StaId, ac: usize) {
         self.enlist(sta, ac, NEW, Membership::New);
     }
 
-    /// Appends an idle station to the *old* list (sparse optimisation
-    /// disabled, or anti-gaming demotion on registration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the station is not [`Membership::Idle`] at `ac`.
+    /// Appends the station to the *old* list (sparse optimisation
+    /// disabled, or a round-robin turn), unless it is on a list at `ac`
+    /// already.
     pub fn enlist_old(&mut self, sta: StaId, ac: usize) {
         self.enlist(sta, ac, OLD, Membership::Old);
     }
 
     fn enlist(&mut self, sta: StaId, ac: usize, kind: usize, to: Membership) {
-        let n = self.node(sta, ac);
-        let row = &mut self.rows[n];
-        assert_eq!(
-            row.membership,
-            Membership::Idle,
-            "enlisting a station already listed"
-        );
-        row.membership = to;
-        self.link_back(ac, kind, n as u32);
+        assert!(ac < QOS_LEVELS, "QoS level out of range");
+        let s = self.index(sta);
+        let row = &mut self.rows[s][ac];
+        if row.membership == Membership::Idle {
+            row.membership = to;
+            self.link_back(ac, kind, (s * QOS_LEVELS + ac) as u32);
+        }
     }
 
     /// Pops the head of the *new* list and appends it to the *old* list
     /// (deficit-exhausted rotation, or the anti-gaming demotion of an
     /// emptied sparse station). Returns the rotated station.
     pub fn demote_front_new(&mut self, ac: usize) -> StaId {
-        let sta = self.front(ac, NEW).expect("demote from empty new list");
-        let n = self.node(sta, ac);
-        self.unlink(ac, NEW, n as u32);
-        self.rows[n].membership = Membership::Old;
-        self.link_back(ac, OLD, n as u32);
-        sta
+        let n = self.front(ac, NEW).expect("demote from empty new list");
+        self.unlink(ac, NEW, n);
+        node_row(&mut self.rows, n).membership = Membership::Old;
+        self.link_back(ac, OLD, n);
+        self.listed(n).0
     }
 
     /// Rotates the head of the *old* list to its tail
     /// (deficit-exhausted rotation). Returns the rotated station.
     pub fn rotate_front_old(&mut self, ac: usize) -> StaId {
-        let sta = self.front(ac, OLD).expect("rotate on empty old list");
-        let n = self.node(sta, ac);
-        self.unlink(ac, OLD, n as u32);
-        self.link_back(ac, OLD, n as u32);
-        sta
+        let n = self.front(ac, OLD).expect("rotate on empty old list");
+        self.unlink(ac, OLD, n);
+        self.link_back(ac, OLD, n);
+        self.listed(n).0
     }
 
     /// Pops the head of the *old* list and marks it idle (an emptied
     /// station leaves the rotation). Returns the retired station.
     pub fn retire_front_old(&mut self, ac: usize) -> StaId {
-        let sta = self.front(ac, OLD).expect("retire on empty old list");
-        let n = self.node(sta, ac);
-        self.unlink(ac, OLD, n as u32);
-        self.rows[n].membership = Membership::Idle;
-        sta
+        let n = self.front(ac, OLD).expect("retire on empty old list");
+        self.unlink(ac, OLD, n);
+        node_row(&mut self.rows, n).membership = Membership::Idle;
+        self.listed(n).0
     }
 
     /// Walks both lists at `ac` asserting link/membership consistency
@@ -602,11 +632,12 @@ impl<C> StationTable<C> {
             let mut node = self.lists[ac].ends[kind].head;
             let mut prev = NIL;
             while node != NIL {
-                let row = &self.rows[node as usize];
+                let n = node as usize;
+                let row = &self.rows[n / QOS_LEVELS][n % QOS_LEVELS];
                 assert_eq!(row.prev, prev, "prev link broken");
                 assert_eq!(row.membership, want, "membership out of sync with list");
                 assert!(
-                    self.slots[node as usize / QOS_LEVELS].occupied,
+                    self.slots[n / QOS_LEVELS].occupied,
                     "tombstoned slot on a scheduling list"
                 );
                 prev = node;
@@ -623,6 +654,11 @@ mod tests {
 
     const BE: usize = 2;
 
+    /// The handle at the head of list `kind` at `ac`.
+    fn front<C>(t: &StationTable<C>, ac: usize, kind: usize) -> Option<StaId> {
+        t.front(ac, kind).map(|n| t.listed(n).0)
+    }
+
     #[test]
     fn alloc_free_reuses_lifo_with_fresh_generation() {
         let mut t = StationTable::<u32>::new();
@@ -631,11 +667,11 @@ mod tests {
         let c = t.alloc(30);
         assert_eq!((a.slot(), b.slot(), c.slot()), (0, 1, 2));
         assert_eq!(t.free(b), 20);
-        assert_eq!(t.live(), 2);
+        assert_eq!(t.iter().count(), 2);
         let d = t.alloc(40);
         assert_eq!(d.slot(), 1, "LIFO slot reuse");
         assert_ne!(d, b, "generation distinguishes occupants");
-        assert_eq!(*t.cold(d), 40);
+        assert_eq!(*t.get(d).cold, 40);
         assert_eq!(t.slots(), 3);
     }
 
@@ -646,7 +682,23 @@ mod tests {
         let a = t.alloc(());
         t.free(a);
         let _ = t.alloc(());
-        t.deficit(a, BE);
+        t.get(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "station handle out of range")]
+    fn out_of_range_handle_panics() {
+        let mut t = StationTable::<()>::new();
+        t.alloc(());
+        t.get(StaId::from_raw(3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "QoS level out of range")]
+    fn out_of_range_ac_panics() {
+        let mut t = StationTable::<()>::new();
+        let a = t.alloc(());
+        t.get(a).deficit(QOS_LEVELS);
     }
 
     #[test]
@@ -665,9 +717,11 @@ mod tests {
         assert_eq!(t.id_at(0), Some(a));
         t.free(a);
         assert_eq!(t.id_at(0), None);
+        assert!(t.get_at(0).is_none());
         assert_eq!(t.id_at(7), None);
         let b = t.alloc(());
         assert_eq!(t.id_at(0), Some(b));
+        assert_eq!(t.get_at(0).map(|(id, _)| id), Some(b));
         assert!(!t.is_current(a));
         assert!(t.is_current(b));
     }
@@ -686,7 +740,23 @@ mod tests {
         assert_eq!(t.retire_front_old(BE), ids[0]);
         assert_eq!(t.retire_front_old(BE), ids[2]);
         assert_eq!(t.retire_front_old(BE), ids[3]);
-        assert_eq!(t.old_front(BE), None);
+        assert!(t.old_front(BE).is_none());
+    }
+
+    #[test]
+    fn enlisting_a_listed_station_keeps_its_place() {
+        let mut t = StationTable::<()>::new();
+        let a = t.alloc(());
+        let b = t.alloc(());
+        t.enlist_new(a, BE);
+        t.enlist_old(b, BE);
+        t.enlist_old(a, BE);
+        t.enlist_new(b, BE);
+        assert_eq!(t.get(a).membership(BE), Membership::New);
+        assert_eq!(t.get(b).membership(BE), Membership::Old);
+        assert_eq!(front(&t, BE, NEW), Some(a));
+        assert_eq!(front(&t, BE, OLD), Some(b));
+        t.check_lists(BE);
     }
 
     #[test]
@@ -696,19 +766,28 @@ mod tests {
         let b = t.alloc(());
         t.enlist_new(a, BE);
         t.enlist_old(b, BE);
-        assert_eq!(t.new_front(BE), Some(a));
-        assert_eq!(t.old_front(BE), Some(b));
+        assert_eq!(front(&t, BE, NEW), Some(a));
+        assert_eq!(t.old_front(BE).map(|(id, _)| id), Some(b));
+        assert_eq!(
+            t.head(BE).map(|(n, new)| (t.listed(n).0, new)),
+            Some((a, true))
+        );
         // a demotes behind b.
         assert_eq!(t.demote_front_new(BE), a);
-        assert_eq!(t.membership(a, BE), Membership::Old);
-        assert_eq!(t.old_front(BE), Some(b));
+        assert_eq!(t.get(a).membership(BE), Membership::Old);
+        assert_eq!(front(&t, BE, OLD), Some(b));
+        assert_eq!(
+            t.head(BE).map(|(n, new)| (t.listed(n).0, new)),
+            Some((b, false))
+        );
         // Rotate b to the back; a surfaces.
         assert_eq!(t.rotate_front_old(BE), b);
-        assert_eq!(t.old_front(BE), Some(a));
+        assert_eq!(front(&t, BE, OLD), Some(a));
         // Retire both.
         assert_eq!(t.retire_front_old(BE), a);
         assert_eq!(t.retire_front_old(BE), b);
-        assert_eq!(t.membership(b, BE), Membership::Idle);
+        assert_eq!(t.get(b).membership(BE), Membership::Idle);
+        assert_eq!(t.head(BE), None);
         t.check_lists(BE);
     }
 
@@ -724,8 +803,8 @@ mod tests {
         t.free(a);
         for ac in 0..QOS_LEVELS {
             t.check_lists(ac);
-            assert_eq!(t.new_front(ac), None);
-            assert_eq!(t.old_front(ac), Some(b));
+            assert_eq!(front(&t, ac, NEW), None);
+            assert_eq!(front(&t, ac, OLD), Some(b));
         }
     }
 
@@ -733,14 +812,15 @@ mod tests {
     fn weights_and_deficits_are_per_ac() {
         let mut t = StationTable::<()>::new();
         let a = t.alloc(());
-        assert_eq!(t.ac_weight(a, BE), WEIGHT_NEUTRAL);
+        assert_eq!(t.get(a).weight(BE), WEIGHT_NEUTRAL);
         t.set_ac_weights(a, [1024, 256, 512, 256]);
-        assert_eq!(t.ac_weight(a, 0), 1024);
-        assert_eq!(t.ac_weight(a, BE), 512);
-        t.set_deficit(a, BE, 300);
-        t.add_deficit(a, BE, -100);
-        assert_eq!(t.deficit(a, BE), 200);
-        assert_eq!(t.deficit(a, 0), 0);
+        assert_eq!(t.get(a).weight(0), 1024);
+        assert_eq!(t.get(a).weight(BE), 512);
+        let mut sta = t.get_mut(a);
+        sta.row_mut(BE).deficit = 300;
+        sta.row_mut(BE).deficit -= 100;
+        assert_eq!(t.get(a).deficit(BE), 200);
+        assert_eq!(t.get(a).deficit(0), 0);
     }
 
     #[test]
@@ -748,35 +828,37 @@ mod tests {
     fn zero_weight_rejected() {
         let mut t = StationTable::<()>::new();
         let a = t.alloc(());
-        t.set_weight(a, 0);
+        t.set_ac_weights(a, [0; QOS_LEVELS]);
     }
 
     #[test]
     fn tid_stripe_replaces_index_arithmetic() {
         let mut t = StationTable::<()>::new();
         let a = t.alloc(());
-        assert!(t.tid(a, BE).is_none());
+        assert!(t.get(a).tid(BE).is_none());
         let tid = TidId::from_raw(a.slot() * QOS_LEVELS + BE, 0);
-        t.set_tid(a, BE, tid);
-        assert_eq!(t.tid(a, BE), tid);
+        t.get_mut(a).set_tid(BE, tid);
+        assert_eq!(t.get(a).tid(BE), tid);
+        assert_eq!(t.get_mut(a).tid(BE), tid);
         // Freeing clears the TID for the next occupant.
         t.free(a);
         let b = t.alloc(());
-        assert!(t.tid(b, BE).is_none());
+        assert!(t.get(b).tid(BE).is_none());
     }
 
     #[test]
     fn reused_slot_starts_neutral() {
         let mut t = StationTable::<()>::new();
         let a = t.alloc(());
-        t.set_weight(a, 512);
-        t.set_deficit(a, BE, -5_000);
+        t.set_ac_weights(a, [512; QOS_LEVELS]);
+        t.get_mut(a).row_mut(BE).deficit = -5_000;
         t.enlist_new(a, BE);
         t.free(a);
         let b = t.alloc(());
         assert_eq!(b.slot(), a.slot());
-        assert_eq!(t.ac_weight(b, BE), WEIGHT_NEUTRAL);
-        assert_eq!(t.deficit(b, BE), 0);
-        assert_eq!(t.membership(b, BE), Membership::Idle);
+        let sta = t.get(b);
+        assert_eq!(sta.weight(BE), WEIGHT_NEUTRAL);
+        assert_eq!(sta.deficit(BE), 0);
+        assert_eq!(sta.membership(BE), Membership::Idle);
     }
 }

@@ -7,13 +7,19 @@
 
 use wifiq_core::fq::MacFq;
 use wifiq_core::scheduler::AirtimeScheduler;
-use wifiq_core::table::StaId;
+use wifiq_core::table::{StaId, StaMut};
 use wifiq_phy::AccessCategory;
 use wifiq_sim::Nanos;
 
-use super::{rr_list, rr_next, ColdSta, Table};
+use super::{rr_list, rr_next, ColdSta, Sta, Table};
 use crate::config::{NetworkConfig, SchemeKind};
 use crate::packet::Ticket;
+
+/// Whether the station viewed as `sta` has a frame stashed, or queued in
+/// `fq`, at `aci`.
+pub(super) fn has_frames(fq: &MacFq<Ticket>, sta: Sta<'_>, aci: usize) -> bool {
+    sta.cold.has_stash(aci) || fq.tid_has_data(sta.tid(aci))
+}
 
 /// The MAC FQ structure and the station scheduler above it.
 pub(super) struct FqPath {
@@ -43,7 +49,7 @@ impl FqPath {
         match &mut self.sched {
             Some(s) => {
                 let id = s.register_station(table, cold);
-                table.set_weight(id, weight);
+                table.set_ac_weights(id, [weight; AccessCategory::COUNT]);
                 id
             }
             None => table.alloc(cold),
@@ -58,8 +64,7 @@ impl FqPath {
     /// reclaims the TID set it released — and because the actual TID
     /// handles are stored in the table's rows, nothing downstream
     /// depends on that arithmetic.
-    pub(super) fn attach(&mut self, table: &mut Table, id: StaId) {
-        let slot = id.slot();
+    pub(super) fn attach(&mut self, sta: &mut StaMut<'_, ColdSta>, slot: usize) {
         for ac in 0..AccessCategory::COUNT {
             let tid = self.fq.register_tid();
             debug_assert_eq!(
@@ -67,7 +72,7 @@ impl FqPath {
                 slot,
                 "TID free list out of lockstep with station slots"
             );
-            table.set_tid(id, ac, tid);
+            sta.set_tid(ac, tid);
         }
     }
 
@@ -77,15 +82,14 @@ impl FqPath {
     /// dropped.
     pub(super) fn detach(
         &mut self,
-        table: &Table,
-        id: StaId,
+        sta: &StaMut<'_, ColdSta>,
         now: Nanos,
         mut carry: Option<&mut Vec<Ticket>>,
         mut on_drop: impl FnMut(Ticket),
     ) -> usize {
         let mut dropped = 0;
         for ac in 0..AccessCategory::COUNT {
-            let tid = table.tid(id, ac);
+            let tid = sta.tid(ac);
             match carry.as_deref_mut() {
                 Some(out) => out.extend(self.fq.unregister_tid_migrate(tid)),
                 None => dropped += self.fq.unregister_tid_with(tid, now, &mut on_drop),
@@ -104,10 +108,10 @@ impl FqPath {
         mut on_drop: impl FnMut(Ticket),
     ) {
         let aci = t.ac.index();
-        let id = table
-            .id_at(t.peer())
+        let (id, sta) = table
+            .get_at(t.peer())
             .expect("enqueue for a removed station");
-        if let Some(victim) = self.fq.enqueue(t, table.tid(id, aci), now) {
+        if let Some(victim) = self.fq.enqueue(t, sta.tid(aci), now) {
             on_drop(victim);
         }
         self.reactivate(table, id, aci);
@@ -123,9 +127,7 @@ impl FqPath {
     ) -> Option<StaId> {
         let aci = ac.index();
         let fq = &self.fq;
-        let has = |t: &Table, id| {
-            (t.cold(id).has_stash(aci) || fq.tid_has_data(t.tid(id, aci))) && eligible(id)
-        };
+        let has = |sta: Sta<'_>, id| has_frames(fq, sta, aci) && eligible(id);
         match &mut self.sched {
             Some(s) => s.next_station(table, aci, has),
             None => rr_next(table, aci, has),

@@ -15,7 +15,7 @@ use wifiq_phy::AccessCategory;
 use wifiq_qdisc::Qdisc;
 use wifiq_sim::Nanos;
 
-use super::{rr_list, rr_next, Table};
+use super::{rr_list, rr_next, Sta, Table};
 use crate::config::{NetworkConfig, SchemeKind};
 use crate::packet::{StationIdx, Ticket};
 
@@ -86,9 +86,10 @@ impl Legacy {
         self.qdisc.len() + self.buf_total
     }
 
-    /// Whether `(slot, ac)`'s driver FIFO holds a frame.
-    pub(super) fn has_data(&self, slot: StationIdx, ac: AccessCategory) -> bool {
-        !self.bufq[buf_index(slot, ac)].is_empty()
+    /// Whether the station at `slot`, viewed as `sta`, has a frame
+    /// stashed or in its driver FIFO at `ac`.
+    pub(super) fn has_frames(&self, sta: Sta<'_>, slot: StationIdx, ac: AccessCategory) -> bool {
+        sta.cold.has_stash(ac.index()) || !self.bufq[buf_index(slot, ac)].is_empty()
     }
 
     /// Accepts a downlink packet into the qdisc and refills the driver
@@ -167,9 +168,8 @@ impl Legacy {
     /// The station whose driver FIFO (or stash) at `ac` should build the
     /// next aggregate: the round-robin's front, skipping emptied stations.
     pub(super) fn next_tx(&self, ac: AccessCategory, table: &mut Table) -> Option<StaId> {
-        let aci = ac.index();
-        rr_next(table, aci, |t, id| {
-            t.cold(id).has_stash(aci) || self.has_data(id.slot(), ac)
+        rr_next(table, ac.index(), |sta, id| {
+            self.has_frames(sta, id.slot(), ac)
         })
     }
 

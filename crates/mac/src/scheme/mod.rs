@@ -31,7 +31,7 @@ mod legacy;
 
 use wifiq_codel::{CodelParams, CodelSelector, StationCodel};
 use wifiq_core::scheduler::AirtimeScheduler;
-use wifiq_core::table::{Membership, StaId, StationTable, TidId};
+use wifiq_core::table::{StaId, StaRef, StationTable};
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::Nanos;
 use wifiq_telemetry::Telemetry;
@@ -98,6 +98,9 @@ impl ColdSta {
 /// The station store both paths key their per-station state by.
 type Table = StationTable<ColdSta>;
 
+/// One station's view in [`Table`].
+type Sta<'a> = StaRef<'a, ColdSta>;
+
 /// The AP transmit path: scheme-specific queueing plus station selection
 /// and aggregate construction.
 pub struct ApTxPath {
@@ -129,18 +132,16 @@ fn airtime_sched(inner: &mut PathInner) -> Option<&mut AirtimeScheduler> {
 /// Round-robin: lists a station with traffic at `aci` at the tail of
 /// the turn order, unless it is on it already.
 fn rr_list(table: &mut Table, id: StaId, aci: usize) {
-    if table.membership(id, aci) == Membership::Idle {
-        table.enlist_old(id, aci);
-    }
+    table.enlist_old(id, aci);
 }
 
 /// Round-robin: the station whose turn it is at `aci`, the first for
 /// which `has` holds; the ones before it, with nothing to send, leave
 /// the turn order.
-fn rr_next(table: &mut Table, aci: usize, has: impl Fn(&Table, StaId) -> bool) -> Option<StaId> {
+fn rr_next(table: &mut Table, aci: usize, has: impl Fn(Sta<'_>, StaId) -> bool) -> Option<StaId> {
     loop {
-        let id = table.old_front(aci)?;
-        if has(table, id) {
+        let (id, sta) = table.old_front(aci)?;
+        if has(sta, id) {
             return Some(id);
         }
         table.retire_front_old(aci);
@@ -150,7 +151,7 @@ fn rr_next(table: &mut Table, aci: usize, has: impl Fn(&Table, StaId) -> bool) -
 /// Round-robin: after `id` took its turn at `aci`, it goes to the tail
 /// if it is at the front.
 fn rr_rotate(table: &mut Table, id: StaId, aci: usize) {
-    if table.old_front(aci) == Some(id) {
+    if table.old_front(aci).is_some_and(|(front, _)| front == id) {
         table.rotate_front_old(aci);
     }
 }
@@ -221,13 +222,11 @@ impl ApTxPath {
             PathInner::Legacy(_) => self.table.alloc(cold),
         };
         let slot = id.slot();
-        self.table
-            .cold_mut(id)
-            .codel
-            .set_telemetry(&self.tele, slot as u32);
+        let mut sta = self.table.get_mut(id);
+        sta.cold.codel.set_telemetry(&self.tele, slot as u32);
         match &mut self.inner {
             PathInner::Legacy(l) => l.add_slot(slot),
-            PathInner::Fq(f) => f.attach(&mut self.table, id),
+            PathInner::Fq(f) => f.attach(&mut sta, slot),
         }
         id
     }
@@ -248,8 +247,10 @@ impl ApTxPath {
         mut on_drop: impl FnMut(Ticket),
     ) -> usize {
         let mut dropped = 0;
-        // `cold_mut` validates the handle (stale/double-free panics here).
-        if let Some(stash) = self.table.cold_mut(id).stash.as_deref_mut() {
+        // The handle is checked here, once: a stale handle or a second
+        // detach panics.
+        let sta = self.table.get_mut(id);
+        if let Some(stash) = sta.cold.stash.as_deref_mut() {
             for t in stash.iter_mut().filter_map(Option::take) {
                 match carry.as_deref_mut() {
                     Some(out) => out.push(t),
@@ -262,7 +263,7 @@ impl ApTxPath {
         }
         dropped += match &mut self.inner {
             PathInner::Legacy(l) => l.detach(id.slot(), carry, on_drop),
-            PathInner::Fq(f) => f.detach(&self.table, id, now, carry, on_drop),
+            PathInner::Fq(f) => f.detach(&sta, now, carry, on_drop),
         };
         self.table.free(id);
         dropped
@@ -302,7 +303,7 @@ impl ApTxPath {
     /// probe); `None` under the non-airtime schemes or for a stale handle.
     pub fn station_ac_weight(&self, id: StaId, ac: AccessCategory) -> Option<u32> {
         let airtime = self.kind == SchemeKind::AirtimeFair;
-        (airtime && self.table.is_current(id)).then(|| self.table.ac_weight(id, ac.index()))
+        (airtime && self.table.is_current(id)).then(|| self.table.get(id).weight(ac.index()))
     }
 
     /// Number of station slots ever allocated (active + tombstoned).
@@ -317,12 +318,10 @@ impl ApTxPath {
         if let PathInner::Fq(f) = &mut self.inner {
             f.fq.set_telemetry(tele.clone(), "fq");
         }
-        let ids: Vec<StaId> = self.table.iter().collect();
+        let ids: Vec<StaId> = self.table.iter().map(|(id, _)| id).collect();
         for id in ids {
-            self.table
-                .cold_mut(id)
-                .codel
-                .set_telemetry(&tele, id.slot() as u32);
+            let slot = id.slot() as u32;
+            self.table.get_mut(id).cold.codel.set_telemetry(&tele, slot);
         }
         self.tele = tele;
     }
@@ -345,10 +344,7 @@ impl ApTxPath {
     /// station's stash — what [`ApTxPath::backlog`] leaves out.
     #[cfg(test)]
     pub(crate) fn stashed(&self) -> usize {
-        self.table
-            .iter()
-            .map(|id| self.table.cold(id).stashed())
-            .sum()
+        self.table.iter().map(|(_, sta)| sta.cold.stashed()).sum()
     }
 
     /// Tickets live in the path's FQ arena (the FQ-CoDel qdisc's, or the
@@ -373,14 +369,12 @@ impl ApTxPath {
         }
     }
 
-    /// Whether `(id, ac)` has pending data (stash included).
-    fn tid_has_data(&self, id: StaId, ac: AccessCategory) -> bool {
-        if self.table.cold(id).has_stash(ac.index()) {
-            return true;
-        }
+    /// Whether station `id`, viewed as `sta`, has pending data at `ac`
+    /// (stash included).
+    fn has_frames(&self, sta: Sta<'_>, id: StaId, ac: AccessCategory) -> bool {
         match &self.inner {
-            PathInner::Legacy(l) => l.has_data(id.slot(), ac),
-            PathInner::Fq(f) => f.fq.tid_has_data(self.table.tid(id, ac.index())),
+            PathInner::Legacy(l) => l.has_frames(sta, id.slot(), ac),
+            PathInner::Fq(f) => fq::has_frames(&f.fq, sta, ac.index()),
         }
     }
 
@@ -432,7 +426,7 @@ impl ApTxPath {
     /// so the deficit check rotates them straight to the old list before
     /// any priority is realised.
     pub fn reactivate(&mut self, id: StaId, ac: AccessCategory) {
-        if !self.tid_has_data(id, ac) {
+        if !self.has_frames(self.table.get(id), id, ac) {
             return;
         }
         if let PathInner::Fq(f) = &mut self.inner {
@@ -453,11 +447,10 @@ impl ApTxPath {
         mut on_drop: impl FnMut(Ticket),
     ) -> Option<Aggregate<Ticket>> {
         let (slot, aci) = (id.slot(), ac.index());
-        let fq_tid = match &self.inner {
-            PathInner::Fq(_) => self.table.tid(id, aci),
-            PathInner::Legacy(_) => TidId::NONE,
-        };
-        let cold = self.table.cold_mut(id);
+        let sta = self.table.get_mut(id);
+        // `TidId::NONE` under the legacy path, which registers no TIDs.
+        let fq_tid = sta.tid(aci);
+        let cold = sta.cold;
         let (rate, codel_params) = (cold.rate, cold.codel.current(&self.codel));
         // The stash is offered before the queue.
         let mut stashed = cold.take_stash(aci);
@@ -476,12 +469,7 @@ impl ApTxPath {
         };
         debug_assert!(stashed.is_none(), "a build pulls at least one frame");
         if let Some(t) = leftover {
-            let stash = self
-                .table
-                .cold_mut(id)
-                .stash
-                .get_or_insert_with(Default::default);
-            stash[aci] = Some(t);
+            cold.stash.get_or_insert_with(Default::default)[aci] = Some(t);
         }
         let agg = match built {
             Ok(agg) => Some(agg),
@@ -526,7 +514,7 @@ impl ApTxPath {
         if let Some(s) = airtime_sched(&mut self.inner) {
             s.charge(&mut self.table, id, ac.index(), airtime);
         }
-        self.table.cold_mut(id).codel.update_rate_observed(
+        self.table.get_mut(id).cold.codel.update_rate_observed(
             &self.codel,
             now,
             rate_estimate_bps,
@@ -537,19 +525,19 @@ impl ApTxPath {
 
     /// The rate the next aggregate for the station will be built at.
     pub fn rate_of(&self, id: StaId) -> PhyRate {
-        self.table.cold(id).rate
+        self.table.get(id).cold.rate
     }
 
     /// Whether the §3.1.1 slow-station CoDel parameters are currently
     /// active for the station (recovery tracking for fault injection).
     pub fn codel_degraded(&self, id: StaId) -> bool {
-        self.table.cold(id).codel.is_degraded()
+        self.table.get(id).cold.codel.is_degraded()
     }
 
     /// Overrides the downlink rate for the station (driven by the rate
     /// controller between aggregates).
     pub fn set_rate(&mut self, id: StaId, rate: PhyRate) {
-        self.table.cold_mut(id).rate = rate;
+        self.table.get_mut(id).cold.rate = rate;
     }
 
     /// Charges *received* airtime to a station's deficit (§3.2 point 2:
@@ -565,7 +553,7 @@ impl ApTxPath {
 
     /// Whether any station at `ac` has pending data (stash included).
     pub fn has_data_at(&self, ac: AccessCategory) -> bool {
-        self.table.iter().any(|id| self.tid_has_data(id, ac))
+        self.table.iter().any(|(id, s)| self.has_frames(s, id, ac))
     }
 
     /// CoDel drop count accumulated in the MAC FQ or the FQ-CoDel qdisc

@@ -30,12 +30,16 @@ fn drain_one(path: &mut ApTxPath, now: Nanos) -> Option<Aggregate<Ticket>> {
 
 /// Frames parked in a station slot's stash (test probe).
 fn stashed(path: &ApTxPath, slot: usize) -> usize {
-    path.table.cold_at(slot).map_or(0, ColdSta::stashed)
+    path.table
+        .get_at(slot)
+        .map_or(0, |(_, sta)| sta.cold.stashed())
 }
 
 /// Whether a station slot's stash box has been allocated (test probe).
 fn has_stash_box(path: &ApTxPath, slot: usize) -> bool {
-    path.table.cold_at(slot).is_some_and(|c| c.stash.is_some())
+    path.table
+        .get_at(slot)
+        .is_some_and(|(_, sta)| sta.cold.stash.is_some())
 }
 
 #[test]

@@ -190,6 +190,7 @@ impl StationUplink {
     ///
     /// `now` is needed because the FQ uplink runs CoDel at dequeue; its
     /// victims go to `on_drop`.
+    #[inline]
     pub fn best_ready_ac(
         &mut self,
         now: Nanos,

@@ -99,6 +99,7 @@ impl<P: FqPacket> Qdisc<P> {
     }
 
     /// Whether `band` holds a packet.
+    #[inline]
     pub fn has(&self, band: usize) -> bool {
         match self {
             Qdisc::Fifo(bands) => !bands[band].is_empty(),

@@ -73,7 +73,7 @@ fn main() {
                 sched.notify_active(&mut table, stations[sta], be);
             }
         }
-        let Some(handle) = sched.next_station(&mut table, be, |t, s| fq.tid_has_data(*t.cold(s)))
+        let Some(handle) = sched.next_station(&mut table, be, |sta, _| fq.tid_has_data(*sta.cold))
         else {
             break;
         };

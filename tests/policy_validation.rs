@@ -108,14 +108,14 @@ proptest! {
         }
         let before: Vec<Vec<i64>> = handles
             .iter()
-            .map(|&h| (0..4).map(|ac| table.deficit(h, ac)).collect())
+            .map(|&h| (0..4).map(|ac| table.get(h).deficit(ac)).collect())
             .collect();
         let touched = touched % n;
         table.set_ac_weights(handles[touched], [new_weight; 4]);
         for (sta, (&h, before)) in handles.iter().zip(&before).enumerate() {
             for (ac, &expect) in before.iter().enumerate() {
                 prop_assert_eq!(
-                    table.deficit(h, ac),
+                    table.get(h).deficit(ac),
                     expect,
                     "deficit moved for station {} ac {}",
                     sta,
@@ -123,7 +123,7 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(table.ac_weight(handles[touched], 0), new_weight);
+        prop_assert_eq!(table.get(handles[touched]).weight(0), new_weight);
     }
 
     /// Station churn under a policy tree leaks nothing: every active
