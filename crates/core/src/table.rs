@@ -1,5 +1,6 @@
 //! The flat station/TID state store: one hot row per (station, QoS
-//! level) and a cold side table, keyed by generational handles.
+//! level) and a cold payload per station slot, keyed by generational
+//! handles.
 //!
 //! Per-station structs in a `Vec` plus parallel side vectors indexed by
 //! `4·sta + ac` arithmetic at every call site do not scale: at 100k+
@@ -13,14 +14,14 @@
 //! - **Layout.** The fields a DRR round touches for one `(station, ac)`
 //!   node — deficit, TID handle, weight, intrusive prev/next links and
 //!   list membership — sit together in one 32-byte, 32-aligned `Row`,
-//!   at `rows[slot][ac]`; a slot's generation and occupancy sit in one
-//!   8-byte header. The DRR lists are intrusive links visited in
-//!   whatever slot order the rotation has reached, so a visit is a
-//!   random access, not a stripe: with one slab per field it touched one
-//!   cache line per slab, with rows it touches the node's row and its
-//!   slot's header. Cold per-station payload (rate, CoDel
-//!   selection state, stashed frames — whatever the embedder supplies as
-//!   `C`) lives in a side table that scheduling never reads.
+//!   at `rows[slot][ac]`. A slot's header holds its generation and the
+//!   cold per-station payload (rate, CoDel selection state, stashed
+//!   frames — whatever the embedder supplies as `C`), which is `None`
+//!   while the slot is vacant: the payload is the occupancy, recorded
+//!   once. The DRR lists are intrusive links visited in whatever slot
+//!   order the rotation has reached, so a visit is a random access, not
+//!   a stripe: with one slab per field it touched one cache line per
+//!   slab, with rows it touches the node's row and its slot's header.
 //! - **Handles.** [`StaId`] and [`TidId`] are 8-byte generational
 //!   handles (`u32` slot + `u32` generation), the same discipline as
 //!   [`PacketHandle`](crate::packet::PacketHandle): freeing a slot bumps
@@ -193,15 +194,16 @@ impl Row {
 }
 
 /// A slot's header: the generation, bumped on free so stale handles
-/// panic, and whether the slot currently hosts a station.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
+/// panic, and the cold payload of the station it hosts — `None` while
+/// the slot is vacant, so the payload is the occupancy.
+#[derive(Debug)]
+struct Slot<C> {
     gen: u32,
-    occupied: bool,
+    cold: Option<C>,
 }
 
 const _: () = assert!(std::mem::size_of::<Row>() == 32);
-const _: () = assert!(std::mem::size_of::<Slot>() <= 8);
+const _: () = assert!(std::mem::size_of::<Slot<()>>() <= 8);
 
 /// One live station's four rows and cold payload, borrowed once its
 /// handle was checked ([`StationTable::get`]) or read off a scheduling
@@ -276,7 +278,7 @@ impl<C> StaMut<'_, C> {
 /// scheduling round does not touch).
 #[derive(Debug)]
 pub struct StationTable<C> {
-    slots: Vec<Slot>,
+    slots: Vec<Slot<C>>,
     /// Vacated slots awaiting reuse (LIFO — most recently freed first,
     /// matching every other free list in the stack).
     free: Vec<u32>,
@@ -284,8 +286,6 @@ pub struct StationTable<C> {
     /// one on the scheduling lists.
     rows: Vec<[Row; QOS_LEVELS]>,
     lists: [AcLists; QOS_LEVELS],
-    /// Cold side table, one entry per slot.
-    cold: Vec<Option<C>>,
 }
 
 impl<C> Default for StationTable<C> {
@@ -323,7 +323,6 @@ impl<C> StationTable<C> {
             lists: [AcLists {
                 ends: [ListEnds::EMPTY; 2],
             }; QOS_LEVELS],
-            cold: Vec::new(),
         }
     }
 
@@ -332,7 +331,6 @@ impl<C> StationTable<C> {
         let mut t = Self::new();
         t.slots.reserve(n);
         t.rows.reserve(n);
-        t.cold.reserve(n);
         t
     }
 
@@ -349,29 +347,26 @@ impl<C> StationTable<C> {
         let idx = match self.free.pop() {
             Some(idx) => {
                 let s = idx as usize;
-                debug_assert!(!self.slots[s].occupied, "free-listed slot still occupied");
                 for row in &mut self.rows[s] {
                     debug_assert_eq!(row.membership, Membership::Idle);
                     debug_assert!(row.prev == NIL && row.next == NIL);
                     *row = Row::NEUTRAL;
                 }
-                self.cold[s] = Some(cold);
+                let slot = &mut self.slots[s];
+                debug_assert!(slot.cold.is_none(), "free-listed slot still occupied");
+                slot.cold = Some(cold);
                 idx
             }
             None => {
                 let idx = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    occupied: false,
-                });
+                let cold = Some(cold);
+                self.slots.push(Slot { gen: 0, cold });
                 self.rows.push([Row::NEUTRAL; QOS_LEVELS]);
-                self.cold.push(Some(cold));
                 idx
             }
         };
-        let slot = &mut self.slots[idx as usize];
-        slot.occupied = true;
-        StaId { idx, gen: slot.gen }
+        let gen = self.slots[idx as usize].gen;
+        StaId { idx, gen }
     }
 
     /// Frees a station slot — the single tombstone path. Unlinks the
@@ -384,7 +379,11 @@ impl<C> StationTable<C> {
     ///
     /// Panics if `sta` is stale or already freed.
     pub fn free(&mut self, sta: StaId) -> C {
-        let s = self.index(sta);
+        let s = sta.idx as usize;
+        let slot = self.slots.get_mut(s).filter(|slot| slot.gen == sta.gen);
+        let Some(cold) = slot.and_then(|slot| slot.cold.take()) else {
+            bad_handle(sta, self.slots.get(s).map(|slot| slot.gen))
+        };
         for ac in 0..QOS_LEVELS {
             let node = (s * QOS_LEVELS + ac) as u32;
             match self.rows[s][ac].membership {
@@ -397,10 +396,9 @@ impl<C> StationTable<C> {
             row.tid = TidId::NONE;
         }
         let slot = &mut self.slots[s];
-        slot.occupied = false;
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(s as u32);
-        self.cold[s].take().expect("freed slot had no cold payload")
+        cold
     }
 
     /// True if the handle refers to the slot's current occupant — the
@@ -408,24 +406,25 @@ impl<C> StationTable<C> {
     pub fn is_current(&self, sta: StaId) -> bool {
         self.slots
             .get(sta.idx as usize)
-            .is_some_and(|slot| slot.occupied && slot.gen == sta.gen)
+            .is_some_and(|slot| slot.cold.is_some() && slot.gen == sta.gen)
     }
 
     /// The current handle for `slot`, or `None` for a tombstoned or
     /// never-allocated slot.
     pub fn id_at(&self, slot: usize) -> Option<StaId> {
-        let s = self.slots.get(slot)?;
-        s.occupied.then_some(StaId {
-            idx: slot as u32,
-            gen: s.gen,
-        })
+        Some(self.get_at(slot)?.0)
     }
 
     /// The station at `slot`, handle and view, or `None` for a
     /// tombstoned or never-allocated slot.
+    #[inline]
     pub fn get_at(&self, slot: usize) -> Option<(StaId, StaRef<'_, C>)> {
-        let id = self.id_at(slot)?;
-        Some((id, self.view(slot)))
+        let Slot { gen, cold } = self.slots.get(slot)?;
+        let view = StaRef {
+            rows: &self.rows[slot],
+            cold: cold.as_ref()?,
+        };
+        Some((StaId::from_raw(slot, *gen), view))
     }
 
     /// Live stations in slot order, handle and view.
@@ -433,39 +432,46 @@ impl<C> StationTable<C> {
         (0..self.slots()).filter_map(|s| self.get_at(s))
     }
 
-    /// Validates a handle and returns its slot.
+    /// Validates a handle, as [`get`](Self::get) does, and returns its
+    /// slot.
     #[inline]
     fn index(&self, sta: StaId) -> usize {
-        let s = sta.idx as usize;
-        match self.slots.get(s) {
-            Some(slot) if slot.occupied && slot.gen == sta.gen => s,
-            slot => bad_handle(sta, slot.map(|slot| slot.gen)),
-        }
-    }
-
-    /// The view of occupied slot `s`.
-    #[inline]
-    fn view(&self, s: usize) -> StaRef<'_, C> {
-        StaRef {
-            rows: &self.rows[s],
-            cold: self.cold[s].as_ref().expect("live slot has cold payload"),
-        }
+        self.get(sta);
+        sta.idx as usize
     }
 
     /// Validates `sta` — once — and borrows its station. Panics if `sta`
     /// is out of range or stale.
     #[inline]
     pub fn get(&self, sta: StaId) -> StaRef<'_, C> {
-        self.view(self.index(sta))
+        let s = sta.idx as usize;
+        match self.slots.get(s) {
+            Some(Slot {
+                gen,
+                cold: Some(cold),
+            }) if *gen == sta.gen => StaRef {
+                rows: &self.rows[s],
+                cold,
+            },
+            slot => bad_handle(sta, slot.map(|slot| slot.gen)),
+        }
     }
 
     /// [`get`](Self::get), mutably.
     #[inline]
     pub fn get_mut(&mut self, sta: StaId) -> StaMut<'_, C> {
-        let s = self.index(sta);
-        StaMut {
-            rows: &mut self.rows[s],
-            cold: self.cold[s].as_mut().expect("live slot has cold payload"),
+        let s = sta.idx as usize;
+        let slot = self.slots.get_mut(s);
+        let slot_gen = slot.as_ref().map(|slot| slot.gen);
+        match slot {
+            Some(Slot {
+                gen,
+                cold: Some(cold),
+            }) if *gen == sta.gen => StaMut {
+                rows: &mut self.rows[s],
+                cold,
+            },
+            _ => bad_handle(sta, slot_gen),
         }
     }
 
@@ -546,13 +552,8 @@ impl<C> StationTable<C> {
     /// live, so there is no handle to check.
     #[inline]
     pub(crate) fn listed(&self, node: u32) -> (StaId, StaRef<'_, C>) {
-        let s = node as usize / QOS_LEVELS;
-        debug_assert!(self.slots[s].occupied, "tombstoned slot on a list");
-        let id = StaId {
-            idx: s as u32,
-            gen: self.slots[s].gen,
-        };
-        (id, self.view(s))
+        self.get_at(node as usize / QOS_LEVELS)
+            .expect("tombstoned slot on a list")
     }
 
     /// The node at the head of `ac`'s *new* list, else of its *old*
@@ -637,7 +638,7 @@ impl<C> StationTable<C> {
                 assert_eq!(row.prev, prev, "prev link broken");
                 assert_eq!(row.membership, want, "membership out of sync with list");
                 assert!(
-                    self.slots[n / QOS_LEVELS].occupied,
+                    self.slots[n / QOS_LEVELS].cold.is_some(),
                     "tombstoned slot on a scheduling list"
                 );
                 prev = node;

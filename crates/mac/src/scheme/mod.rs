@@ -523,11 +523,6 @@ impl ApTxPath {
         );
     }
 
-    /// The rate the next aggregate for the station will be built at.
-    pub fn rate_of(&self, id: StaId) -> PhyRate {
-        self.table.get(id).cold.rate
-    }
-
     /// Whether the §3.1.1 slow-station CoDel parameters are currently
     /// active for the station (recovery tracking for fault injection).
     pub fn codel_degraded(&self, id: StaId) -> bool {
@@ -549,11 +544,6 @@ impl ApTxPath {
                 s.charge(&mut self.table, id, ac.index(), airtime);
             }
         }
-    }
-
-    /// Whether any station at `ac` has pending data (stash included).
-    pub fn has_data_at(&self, ac: AccessCategory) -> bool {
-        self.table.iter().any(|(id, s)| self.has_frames(s, id, ac))
     }
 
     /// CoDel drop count accumulated in the MAC FQ or the FQ-CoDel qdisc

@@ -208,8 +208,9 @@ fn backlog_reports_queued_packets() {
             path.enqueue(pkt(0, 1, Nanos::from_nanos(i)), now, ignore);
         }
         assert_eq!(path.backlog(), 20, "{scheme}");
-        assert!(path.has_data_at(AccessCategory::Be), "{scheme}");
-        assert!(!path.has_data_at(AccessCategory::Vo), "{scheme}");
+        let has_data_at = |ac| path.table.iter().any(|(id, s)| path.has_frames(s, id, ac));
+        assert!(has_data_at(AccessCategory::Be), "{scheme}");
+        assert!(!has_data_at(AccessCategory::Vo), "{scheme}");
     }
 }
 
@@ -276,7 +277,7 @@ fn stale_handle_panics_on_use() {
     path.detach_station(id1, now, None, ignore);
     path.add_station(&StationCfg::clean(PhyRate::fast_station()));
     // The slot is occupied again, but this handle predates the churn.
-    path.rate_of(id1);
+    path.codel_degraded(id1);
 }
 
 #[test]

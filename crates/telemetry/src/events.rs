@@ -76,13 +76,6 @@ pub enum EventKind {
         /// New interval.
         interval: Nanos,
     },
-    /// The scheduler granted a transmission opportunity.
-    Schedule {
-        /// Chosen station/flow.
-        label: Label,
-        /// Deficit after the grant, in scheduler units.
-        deficit: i64,
-    },
     /// A physical transmission completed; generalises `TxRecord`.
     Tx {
         /// Transmitting or receiving station.
@@ -112,7 +105,6 @@ impl EventKind {
             EventKind::Drop { .. } => "drop",
             EventKind::Mark { .. } => "mark",
             EventKind::ParamSwitch { .. } => "param_switch",
-            EventKind::Schedule { .. } => "schedule",
             EventKind::Tx { .. } => "tx",
         }
     }
@@ -165,15 +157,6 @@ impl Entry {
                 fields.push(("label".into(), Json::Str(label)));
                 fields.push(("target_ns".into(), Json::U64(target.as_nanos())));
                 fields.push(("interval_ns".into(), Json::U64(interval.as_nanos())));
-            }
-            EventKind::Schedule { label, deficit } => {
-                fields.push(("label".into(), Json::Str(label.to_string())));
-                let d = *deficit;
-                if d >= 0 {
-                    fields.push(("deficit".into(), Json::U64(d as u64)));
-                } else {
-                    fields.push(("deficit".into(), Json::I64(d)));
-                }
             }
             EventKind::Tx {
                 station,

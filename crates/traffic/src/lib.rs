@@ -5,6 +5,13 @@
 //! [`wifiq_mac::WifiNetwork`]: each component owns a namespace of 16 flow
 //! ids and 16 timer tokens, and the app dispatches deliveries by flow id.
 //!
+//! A bulk TCP flow ([`TcpBulk`]) and each of a web session's four
+//! connections ([`WebSession`]) run the same TCP endpoint: one
+//! connection's `wifiq_transport` sender and receiver, their RTO and
+//! delayed-ACK timers, and the plumbing that sends its segments as
+//! [`AppMsg::Tcp`] and answers them. The web session keeps only its
+//! request layer: DNS, GET retries and the stale-request guard.
+//!
 //! ```
 //! use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
 //! use wifiq_sim::Nanos;
@@ -21,6 +28,7 @@
 //! ```
 
 pub mod ctx;
+mod endpoint;
 pub mod flows;
 pub mod msg;
 pub mod tcpflow;
@@ -43,8 +51,8 @@ pub struct FlowHandle(pub usize);
 
 /// One traffic component.
 ///
-/// Variants are boxed where large (a web session owns four TCP endpoint
-/// pairs) so the vector of flows stays dense.
+/// Variants are boxed where large (a web session owns four TCP
+/// connections) so the vector of flows stays dense.
 #[derive(Debug)]
 pub enum Flow {
     /// ICMP ping.

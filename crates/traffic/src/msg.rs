@@ -26,16 +26,17 @@ pub enum AppMsg {
         /// RTP sequence number.
         seq: u64,
     },
-    /// A TCP segment (data or ACK), boxed so that the other payloads do
-    /// not pay for its 96 bytes in every packet the store holds.
-    Tcp(Box<TcpSegment>),
-    /// A TCP segment belonging to web request number `req` — the request
-    /// id guards against stale retransmissions from a previous response
-    /// on the same (reused) connection being mistaken for current data.
-    WebTcp {
-        /// Request index within the page.
+    /// A TCP segment (data or ACK) of a bulk flow or a web connection,
+    /// tagged with the request it belongs to. The tag keeps a stale
+    /// retransmission from a previous response on a reused web connection
+    /// from being mistaken for current data. The segment is boxed so that
+    /// the other payloads do not pay for its 96 bytes in every packet the
+    /// store holds.
+    Tcp {
+        /// Request index within the page (`usize::MAX` answers a request
+        /// the client no longer awaits); 0 for a bulk flow.
         req: usize,
-        /// The segment (boxed, as in [`AppMsg::Tcp`]).
+        /// The segment.
         seg: Box<TcpSegment>,
     },
     /// An HTTP request asking the server to send `size` response bytes on

@@ -9,9 +9,9 @@
 use wifiq_mac::{Delivery, NodeAddr, Packet, StationIdx};
 use wifiq_phy::AccessCategory;
 use wifiq_sim::Nanos;
-use wifiq_transport::{SendOutcome, TcpReceiver, TcpSender};
 
 use crate::ctx::FlowCtx;
+use crate::endpoint::{TcpEndpoint, DELACK, RTO};
 use crate::msg::AppMsg;
 use crate::timer::Deadline;
 
@@ -21,9 +21,7 @@ pub const WEB_CONNS: usize = 4;
 
 const TOK_START: u64 = 0;
 const TOK_DNS_RETRY: u64 = 1;
-const TOK_RTO_BASE: u64 = 4; // +conn
-const TOK_DELACK_BASE: u64 = 8; // +conn
-const TOK_REQ_RETRY_BASE: u64 = 12; // +conn
+const TOK_REQ_RETRY_BASE: u64 = 12; // +conn; 4..12 are the conns' RTO and delayed ACK
 
 const DNS_FLOW: u64 = 15;
 const REQUEST_WIRE_LEN: u64 = 300;
@@ -62,19 +60,14 @@ impl WebPage {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Conn {
-    /// The server-side sender for the in-flight response.
-    sender: Option<TcpSender>,
+    /// The server's sender and the client's receiver of the response.
+    tcp: TcpEndpoint,
     /// Which request the server is currently answering on this conn.
     server_req: Option<usize>,
-    /// The client-side receiver for the in-flight response.
-    receiver: Option<TcpReceiver>,
     /// Which request the client currently awaits.
     client_req: Option<usize>,
-    expected: u64,
-    rto: Deadline,
-    delack: Deadline,
     /// The client's request timeout: live from sending the request until
     /// the first byte of its response.
     retry: Deadline,
@@ -112,12 +105,18 @@ impl WebSession {
             !page.sizes.is_empty(),
             "page must have at least one request"
         );
+        let (server, sta) = (NodeAddr::Server, NodeAddr::Station(station));
         WebSession {
             station,
             ac: AccessCategory::Be,
             start,
             page,
-            conns: Default::default(),
+            conns: std::array::from_fn(|c| Conn {
+                tcp: TcpEndpoint::new(server, sta, c as u64, AccessCategory::Be),
+                server_req: None,
+                client_req: None,
+                retry: Deadline::default(),
+            }),
             next_req: 0,
             completed: 0,
             dns_done: false,
@@ -158,24 +157,20 @@ impl WebSession {
 
     /// Client side: issue the next request on connection `c`, if any.
     fn start_next_request(&mut self, c: usize, now: Nanos, ctx: &mut FlowCtx<'_>) {
-        if self.next_req >= self.page.sizes.len() {
-            self.conns[c].client_req = None;
-            return;
-        }
-        let req = self.next_req;
-        self.next_req += 1;
-        let size = self.page.sizes[req];
         let conn = &mut self.conns[c];
-        conn.client_req = Some(req);
-        conn.receiver = Some(TcpReceiver::new());
-        conn.expected = size;
-        self.send_request(c, now, ctx);
+        // A connection awaiting nothing owes no ACK.
+        conn.tcp.listen();
+        conn.client_req = (self.next_req < self.page.sizes.len()).then_some(self.next_req);
+        if conn.client_req.is_some() {
+            self.next_req += 1;
+            self.send_request(c, now, ctx);
+        }
     }
 
     fn send_request(&mut self, c: usize, now: Nanos, ctx: &mut FlowCtx<'_>) {
         let conn = &mut self.conns[c];
-        assert!(conn.client_req.is_some(), "request must be active");
-        let size = conn.expected;
+        let req = conn.client_req.expect("request must be active");
+        let size = self.page.sizes[req];
         ctx.send(
             NodeAddr::Station(self.station),
             NodeAddr::Server,
@@ -190,80 +185,22 @@ impl WebSession {
         conn.retry.arm(now + RETRY_TIMEOUT, push);
     }
 
-    /// Server side: emit a sender outcome for connection `c`.
-    fn emit(&mut self, c: usize, out: SendOutcome, now: Nanos, ctx: &mut FlowCtx<'_>) {
-        let req = self.conns[c].server_req.expect("server request active");
-        for seg in out.segments {
-            ctx.send(
-                NodeAddr::Server,
-                NodeAddr::Station(self.station),
-                c as u64,
-                seg.wire_len(),
-                self.ac,
-                now,
-                AppMsg::WebTcp {
-                    req,
-                    seg: Box::new(seg),
-                },
-            );
-        }
-        let rto = &mut self.conns[c].rto;
-        match out.rearm_rto {
-            Some(at) => rto.arm(at, |t| ctx.timer(TOK_RTO_BASE + c as u64, t)),
-            None => rto.disarm(),
-        }
-    }
-
-    fn send_client_ack(
-        &mut self,
-        c: usize,
-        req: usize,
-        ack: wifiq_transport::TcpSegment,
-        now: Nanos,
-        ctx: &mut FlowCtx<'_>,
-    ) {
-        ctx.send(
-            NodeAddr::Station(self.station),
-            NodeAddr::Server,
-            c as u64,
-            ack.wire_len(),
-            self.ac,
-            now,
-            AppMsg::WebTcp {
-                req,
-                seg: Box::new(ack),
-            },
-        );
-    }
-
     pub(crate) fn on_timer(&mut self, sub: u64, now: Nanos, ctx: &mut FlowCtx<'_>) {
         match sub {
             TOK_START => {
                 self.started_at = Some(now);
                 self.send_dns_query(now, ctx);
             }
-            TOK_DNS_RETRY if !self.dns_done => {
-                self.send_dns_query(now, ctx);
+            TOK_DNS_RETRY if !self.dns_done => self.send_dns_query(now, ctx),
+            s if (RTO..RTO + WEB_CONNS as u64).contains(&s) => {
+                let conn = &mut self.conns[(s - RTO) as usize];
+                conn.tcp
+                    .fire(s, conn.server_req.unwrap_or(usize::MAX), now, ctx);
             }
-            s if (TOK_RTO_BASE..TOK_RTO_BASE + WEB_CONNS as u64).contains(&s) => {
-                let c = (s - TOK_RTO_BASE) as usize;
-                if self.conns[c].rto.fire(now, |t| ctx.timer(s, t)) {
-                    if let Some(sender) = self.conns[c].sender.as_mut() {
-                        let out = sender.on_rto(now);
-                        self.emit(c, out, now, ctx);
-                    }
-                }
-            }
-            s if (TOK_DELACK_BASE..TOK_DELACK_BASE + WEB_CONNS as u64).contains(&s) => {
-                let c = (s - TOK_DELACK_BASE) as usize;
-                if self.conns[c].delack.fire(now, |t| ctx.timer(s, t)) {
-                    let req = self.conns[c].client_req;
-                    if let (Some(req), Some(rx)) = (req, self.conns[c].receiver.as_mut()) {
-                        if let Some(ack) = rx.on_delack_timer(now) {
-                            self.send_client_ack(c, req, ack, now, ctx);
-                        }
-                    }
-                }
+            s if (DELACK..DELACK + WEB_CONNS as u64).contains(&s) => {
+                let conn = &mut self.conns[(s - DELACK) as usize];
+                conn.tcp
+                    .fire(s, conn.client_req.unwrap_or(usize::MAX), now, ctx);
             }
             s if (TOK_REQ_RETRY_BASE..TOK_REQ_RETRY_BASE + WEB_CONNS as u64).contains(&s) => {
                 let c = (s - TOK_REQ_RETRY_BASE) as usize;
@@ -303,65 +240,37 @@ impl WebSession {
             (AppMsg::WebReq { conn, size }, Delivery::AtServer) => {
                 // Duplicate GETs (client retries) restart the response —
                 // matching an HTTP server re-answering a re-sent request.
-                let mut sender = TcpSender::finite(size);
-                sender.set_telemetry(self.tele.clone(), self.flow_base + conn as u64);
-                let out = sender.start(now);
                 // The client's retry carries the same request id it is
                 // currently waiting for.
-                let req = self.conns[conn].client_req.unwrap_or(usize::MAX);
-                self.conns[conn].sender = Some(sender);
-                self.conns[conn].server_req = Some(req);
-                self.emit(conn, out, now, ctx);
+                let flow = self.flow_base + conn as u64;
+                let conn = &mut self.conns[conn];
+                let req = conn.client_req.unwrap_or(usize::MAX);
+                conn.server_req = Some(req);
+                conn.tcp.respond(size, &self.tele, flow);
+                conn.tcp.start(req, now, ctx);
             }
-            (AppMsg::WebTcp { req, seg }, Delivery::AtStation(_)) => {
+            (msg @ AppMsg::Tcp { req, .. }, at) => {
                 let c = (pkt.flow % crate::ctx::SUBS_PER_FLOW) as usize;
-                if c >= WEB_CONNS || self.conns[c].client_req != Some(req) {
-                    return; // stale segment from a previous request
-                }
-                if seg.len == 0 {
+                let Some(conn) = self.conns.get_mut(c) else {
+                    return;
+                };
+                let current = match at {
+                    Delivery::AtServer => conn.server_req,
+                    Delivery::AtStation(_) => conn.client_req,
+                };
+                // A previous request's segment is stale; only data moves on.
+                if current != Some(req) || !conn.tcp.take(at, &msg, now, ctx) {
                     return;
                 }
-                self.conns[c].retry.disarm();
-                let expected = self.conns[c].expected;
-                let out = {
-                    let rx = self.conns[c].receiver.as_mut().expect("receiver active");
-                    rx.on_data(&seg, now)
-                };
-                if let Some(ack) = out.ack {
-                    self.conns[c].delack.disarm();
-                    self.send_client_ack(c, req, ack, now, ctx);
-                }
-                if let Some(at) = out.arm_delack {
-                    let push = |t| ctx.timer(TOK_DELACK_BASE + c as u64, t);
-                    self.conns[c].delack.arm(at, push);
-                }
-                let done = self.conns[c]
-                    .receiver
-                    .as_ref()
-                    .is_some_and(|rx| rx.delivered_bytes >= expected);
-                if done {
+                conn.retry.disarm();
+                if conn.tcp.delivered_bytes() >= self.page.sizes[req] {
                     self.completed += 1;
-                    self.conns[c].client_req = None;
                     self.start_next_request(c, now, ctx);
                     if self.completed == self.page.sizes.len() && self.plt.is_none() {
                         let t0 = self.started_at.expect("session started");
                         self.plt = Some(now - t0);
                     }
                 }
-            }
-            (AppMsg::WebTcp { req, seg }, Delivery::AtServer) => {
-                let c = (pkt.flow % crate::ctx::SUBS_PER_FLOW) as usize;
-                if c >= WEB_CONNS || self.conns[c].server_req != Some(req) {
-                    return;
-                }
-                if !seg.is_pure_ack() {
-                    return;
-                }
-                let out = {
-                    let tx = self.conns[c].sender.as_mut().expect("sender active");
-                    tx.on_ack(&seg, now)
-                };
-                self.emit(c, out, now, ctx);
             }
             _ => {}
         }
@@ -436,6 +345,69 @@ mod tests {
             }
         }
         (web, exchanged)
+    }
+
+    enum Ev {
+        Pkt(Packet<AppMsg>),
+        Timer(u64),
+    }
+
+    /// Runs a page load over a network that delivers every packet 1 ms
+    /// after it is sent, save those `lost` picks, and fires every timer
+    /// event at its instant (ties in push order), until the page
+    /// completes or nothing is left to run.
+    fn run_lossy(page: WebPage, mut lost: impl FnMut(&Packet<AppMsg>) -> bool) -> WebSession {
+        let mut web = WebSession::new(0, page, Nanos::ZERO);
+        let mut pkt_id = 0u64;
+        let mut queue = vec![(Nanos::ZERO, 0u64, Ev::Timer(TOK_START))];
+        let mut pushed = 0u64;
+        while web.plt.is_none() {
+            let Some(i) = (0..queue.len()).min_by_key(|&i| (queue[i].0, queue[i].1)) else {
+                break;
+            };
+            let (now, _, ev) = queue.swap_remove(i);
+            let (mut cmds, mut rng) = (Commands::new(), rng());
+            let mut cx = ctx(&mut cmds, &mut pkt_id, &mut rng);
+            match ev {
+                Ev::Pkt(pkt) => {
+                    let at = match pkt.dst {
+                        NodeAddr::Server => Delivery::AtServer,
+                        NodeAddr::Station(i) => Delivery::AtStation(i),
+                    };
+                    web.on_packet(at, pkt, now, &mut cx);
+                }
+                Ev::Timer(token) => web.on_timer(token, now, &mut cx),
+            }
+            for &(token, at) in cmds.timers() {
+                pushed += 1;
+                queue.push((at, pushed, Ev::Timer(token)));
+            }
+            for pkt in drain(&mut cmds).into_iter().filter(|p| !lost(p)) {
+                pushed += 1;
+                queue.push((now + Nanos::from_millis(1), pushed, Ev::Pkt(pkt)));
+            }
+            assert!(pushed < 100_000, "page load diverged");
+        }
+        web
+    }
+
+    /// The response's second and last data segment is lost. No later
+    /// segment draws a duplicate ACK and the first byte already stopped
+    /// the request's retry, so only the connection's RTO can re-send it.
+    #[test]
+    fn a_lost_segment_is_resent_by_its_connections_rto() {
+        let mut data_segments = 0;
+        let web = run_lossy(WebPage { sizes: vec![2_000] }, |p| {
+            let AppMsg::Tcp { seg, .. } = &p.payload else {
+                return false;
+            };
+            data_segments += u32::from(seg.len > 0);
+            seg.len > 0 && data_segments == 2
+        });
+        assert_eq!(web.completed(), 1);
+        assert!(web.plt.is_some(), "the page never completed");
+        assert_eq!(web.conns[0].tcp.sender_stats().timeouts, 1);
+        assert_eq!(data_segments, 3, "two segments and one retransmission");
     }
 
     #[test]
@@ -599,8 +571,6 @@ mod tests {
         web.dns_done = true;
         web.next_req = 2;
         web.conns[0].client_req = Some(1);
-        web.conns[0].receiver = Some(TcpReceiver::new());
-        web.conns[0].expected = 10_000;
         let mut pkt_id = 0u64;
         // A data segment tagged with request 0 (stale) arrives.
         let seg = wifiq_transport::TcpSegment {
@@ -621,7 +591,7 @@ mod tests {
             ac: AccessCategory::Be,
             created: Nanos::ZERO,
             enqueued: Nanos::ZERO,
-            payload: AppMsg::WebTcp {
+            payload: AppMsg::Tcp {
                 req: 0,
                 seg: Box::new(seg),
             },
@@ -634,6 +604,6 @@ mod tests {
             &mut pkt_id,
         );
         assert!(replies.is_empty(), "stale segment must be dropped silently");
-        assert_eq!(web.conns[0].receiver.as_ref().unwrap().delivered_bytes, 0);
+        assert_eq!(web.conns[0].tcp.delivered_bytes(), 0);
     }
 }

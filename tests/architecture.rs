@@ -18,6 +18,15 @@ const STEP: &str = concat!(".st", "ep(");
 const THREADS: [&str; 3] = ["thread::scope", "thread::spawn", "mpsc::"];
 const ROSTER: &str = "crates/scale/src/roster.rs";
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+const TCP_ENDPOINT: [&str; 7] = [
+    "TcpSender::bulk(",
+    "TcpSender::finite(",
+    "TcpReceiver::new(",
+    ".on_rto(",
+    ".on_ack(",
+    ".on_data(",
+    ".on_delack_timer(",
+];
 const ROTATION_MOVES: [&str; 3] = [
     concat!("enlist", "_old("),
     concat!("rotate_front", "_old("),
@@ -258,6 +267,17 @@ fn one_qdisc(files: &Files) -> Verdict {
     let outside_core: Vec<(String, String)> = outside_core.cloned().collect();
     let allowed = ["crates/mac/src/scheme/fq.rs", "crates/qdisc/src/lib.rs"];
     only(&outside_core, &["crates/", "src/"], builds, &allowed)
+}
+
+/// One TCP endpoint: outside `wifiq-transport`, where they are defined,
+/// a TCP sender or receiver is built and driven only in the endpoint
+/// module that bulk flows and web connections share.
+fn one_tcp_endpoint(files: &Files) -> Verdict {
+    let drives = |l: &str| TCP_ENDPOINT.iter().any(|n| l.contains(n));
+    let outside = library(files).filter(|(p, _)| !p.starts_with("crates/transport/"));
+    let outside: Vec<(String, String)> = outside.cloned().collect();
+    let allowed = ["crates/traffic/src/endpoint.rs"];
+    only(&outside, &["crates/", "src/"], drives, &allowed)
 }
 
 /// The docs say what is, not which plan asked for it: no "ROADMAP item
@@ -521,6 +541,7 @@ mod rule {
         rotation: "crates/mac/src/scheme/fq.rs" => format!("fn f(t: &mut Table) {{ t.{}0); }}", ROTATION_MOVES[2]);
         one_wheel: "crates/sim/src/planted.rs" => "struct Q { far: std::collections::BinaryHeap<u64> }";
         one_qdisc: "crates/mac/src/station.rs" => "fn f() -> MacFq<Ticket> { MacFq::new(FqParams::default()) }";
+        one_tcp_endpoint: "crates/traffic/src/web.rs" => "fn f(now: Nanos) { TcpSender::finite(1).on_rto(now); }";
         roadmap_citations: "DESIGN.md" => "as ROADMAP\nitem 7 asks";
         doc_references: "DESIGN.md" => "the gate `ext_policy::equal_weights_identity`";
     }
