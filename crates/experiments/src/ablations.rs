@@ -53,9 +53,10 @@ pub fn rx_charging_cell(seed: u64, cfg: &RunCfg) -> ScenarioFile {
 pub fn rx_charging(enabled: bool, cfg: &RunCfg) -> Result<RxChargingResult, String> {
     let config = if enabled { "on" } else { "off" };
     // (jain, slow share) per repetition.
-    let reps: Vec<(f64, f64)> = run_seeds("ablations", "rx_charging", config, cfg, |seed| {
-        let doc = rx_charging_cell(seed, cfg);
+    let reps: Vec<(f64, f64)> = run_seeds("ablations", "rx_charging", config, cfg, |rep| {
+        let doc = rx_charging_cell(rep.seed, cfg);
         let mut built = doc.build_with(|c| c.airtime.charge_rx = enabled)?;
+        built.observe(&rep.hub());
         let shares = airtime_shares(&built.measure(cfg.warmup).meters);
         Ok((jain_index(&shares), shares[SLOW]))
     })?;
@@ -96,9 +97,10 @@ pub fn adaptive_codel(enabled: bool, cfg: &RunCfg) -> Result<AdaptiveCodelResult
     let config = if enabled { "on" } else { "off" };
     // (goodput, drops, retransmissions) per repetition.
     let reps: Vec<(f64, f64, f64)> =
-        run_seeds("ablations", "adaptive_codel", config, cfg, |seed| {
-            let doc = adaptive_codel_cell(seed, cfg);
+        run_seeds("ablations", "adaptive_codel", config, cfg, |rep| {
+            let doc = adaptive_codel_cell(rep.seed, cfg);
             let mut built = doc.build_with(|c| c.adaptive_codel = enabled)?;
+            built.observe(&rep.hub());
             let bytes = built.measure(cfg.warmup).delivered[0];
             let st = built.app.tcp(FlowHandle(0)).sender_stats();
             Ok((
@@ -141,11 +143,12 @@ pub fn drop_policy_cell(seed: u64, cfg: &RunCfg) -> ScenarioFile {
 pub fn drop_policy(policy: DropPolicy, cfg: &RunCfg) -> Result<DropPolicyResult, String> {
     let config = format!("{policy:?}");
     // (fast goodput, fast aggregation) per repetition.
-    let reps: Vec<(f64, f64)> = run_seeds("ablations", "drop_policy", &config, cfg, |seed| {
-        let mut built = drop_policy_cell(seed, cfg).build_with(|c| {
+    let reps: Vec<(f64, f64)> = run_seeds("ablations", "drop_policy", &config, cfg, |rep| {
+        let mut built = drop_policy_cell(rep.seed, cfg).build_with(|c| {
             c.fq.drop_policy = policy;
             c.fq.limit = 512;
         })?;
+        built.observe(&rep.hub());
         let window = built.measure(cfg.warmup);
         Ok((
             bps(window.delivered[0], cfg.window()),
@@ -176,9 +179,10 @@ pub struct QuantumResult {
 pub fn quantum(quantum_us: u64, cfg: &RunCfg) -> Result<QuantumResult, String> {
     let config = format!("{quantum_us}us");
     // (median sparse RTT, jain) per repetition.
-    let reps: Vec<(f64, f64)> = run_seeds("ablations", "quantum", &config, cfg, |seed| {
-        let doc = sparse::cell(BulkKind::Udp, seed, cfg);
+    let reps: Vec<(f64, f64)> = run_seeds("ablations", "quantum", &config, cfg, |rep| {
+        let doc = sparse::cell(BulkKind::Udp, rep.seed, cfg);
         let mut built = doc.build_with(|c| c.airtime.quantum = Nanos::from_micros(quantum_us))?;
+        built.observe(&rep.hub());
         let window = built.measure(cfg.warmup);
         let ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
         Ok((

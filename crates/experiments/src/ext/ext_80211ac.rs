@@ -37,10 +37,11 @@ pub(crate) fn cell(scheme: SchemeKind, seed: u64, cfg: &RunCfg) -> ScenarioFile 
 fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Result<Row, String> {
     // (fast RTTs, slow RTTs, total Mbps) per repetition.
     let reps: Vec<(Vec<f64>, Vec<f64>, f64)> =
-        run_seeds("ext_80211ac", scheme.slug(), "", cfg, |seed| {
-            let mut built = cell(scheme, seed, cfg).build_with(|c| {
+        run_seeds("ext_80211ac", scheme.slug(), "", cfg, |rep| {
+            let mut built = cell(scheme, rep.seed, cfg).build_with(|c| {
                 c.stations[2].rate = PhyRate::vht(0, 1, VhtWidth::Mhz80, true);
             })?;
+            built.observe(&rep.hub());
             let window = built.measure(cfg.warmup);
             let rtts = |flow| to_ms(&built.app.ping(FlowHandle(flow)).rtts_after(window.from));
             let total = window.delivered[2..].iter().map(|&b| bps(b, cfg.window()));

@@ -44,8 +44,9 @@ pub(crate) fn cell(aql_ms: Option<u64>, seed: u64, cfg: &RunCfg) -> ScenarioFile
 fn measure(aql_ms: Option<u64>, cfg: &RunCfg) -> Result<Row, String> {
     let config = aql_ms.map_or("off".to_string(), |ms| format!("{ms}ms"));
     // (fast RTTs in ms, slow Mbps, total Mbps) per repetition.
-    let reps: Vec<(Vec<f64>, f64, f64)> = run_seeds("ext_aql", &config, "", cfg, |seed| {
-        let mut built = cell(aql_ms, seed, cfg).build()?;
+    let reps: Vec<(Vec<f64>, f64, f64)> = run_seeds("ext_aql", &config, "", cfg, |rep| {
+        let mut built = cell(aql_ms, rep.seed, cfg).build()?;
+        built.observe(&rep.hub());
         let window = built.measure(cfg.warmup);
         let fast_ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
         let per: Vec<f64> = window.delivered[1..]

@@ -17,27 +17,22 @@
 //!
 //! Results land in `results/BENCH_chaos.json` with a `gates` block;
 //! any violated gate is an `Err` (and so fails `wifiq all`), and so is a
-//! run too short for the release to fit. A sharded, fault-ridden run
-//! under every impairment kind at once writes its merged telemetry to
-//! `results/chaos_rollup.json`.
+//! run too short for the release to fit. The counters the gates read come
+//! from each repetition's own telemetry hub, which `WIFIQ_METRICS=1`
+//! exports.
 
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::rollup::{write_rollup, Flood};
 use crate::runner::{bps, mean, run_seeds, to_ms};
 use crate::scenario::{self, fault, ping, tcp_down, FAST1, FAST2, SLOW, TESTBED3};
 use crate::scenario_file::{FaultKind, FaultSpec, ScenarioFile};
 use crate::RunCfg;
 use wifiq_mac::meter::airtime_shares;
-use wifiq_mac::{
-    FaultEntry, FaultTarget, Impairment, NetworkConfig, Preset, SchemeKind, WifiNetwork,
-};
-use wifiq_phy::PhyRate;
-use wifiq_scale::ShardCtx;
+use wifiq_mac::SchemeKind;
 use wifiq_sim::Nanos;
 use wifiq_stats::{jain_index, Summary};
-use wifiq_telemetry::{Label, Registry, Telemetry};
+use wifiq_telemetry::Label;
 use wifiq_traffic::FlowHandle;
 
 /// Deep collapse: MCS0 HT20 SGI = 7.2 Mbps, below the 12 Mbps CoDel
@@ -110,10 +105,10 @@ fn run_point(burst_len: f64, collapse: Option<&str>, cfg: &RunCfg) -> Result<Row
     // (airtime shares, fast RTTs ms, total Mbps, forced loss,
     //  param switches, codel recoveries) per repetition.
     type Rep = (Vec<f64>, Vec<f64>, f64, u64, u64, u64);
-    let reps: Vec<Rep> = run_seeds("ext_chaos", &cell_name, "", cfg, |seed| {
-        let mut built = cell(burst_len, collapse, seed, cfg).build()?;
-        let tele = Telemetry::enabled();
-        built.net.set_telemetry(tele.clone());
+    let reps: Vec<Rep> = run_seeds("ext_chaos", &cell_name, "", cfg, |rep| {
+        let mut built = cell(burst_len, collapse, rep.seed, cfg).build()?;
+        let tele = rep.counting_hub();
+        built.observe(&tele);
         let window = built.measure(cfg.warmup);
         let fast_ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
         let total = window.delivered[1..].iter().map(|&b| bps(b, cfg.window()));
@@ -142,50 +137,6 @@ fn run_point(burst_len: f64, collapse: Option<&str>, cfg: &RunCfg) -> Result<Row
         param_switches_max: reps.iter().map(|r| r.4).max().unwrap_or(0),
         codel_recoveries_min: reps.iter().map(|r| r.5).min().unwrap_or(0),
     })
-}
-
-/// One rollup shard: the paper testbed under every impairment kind
-/// at once, flooded for 3 s, returning its telemetry registry.
-fn chaos_shard(ctx: &ShardCtx) -> ((), Option<Registry>) {
-    let end = Nanos::from_secs(3);
-    let cfg = NetworkConfig::builder()
-        .preset(Preset::PaperTestbed)
-        .scheme(SchemeKind::AirtimeFair)
-        .seed(ctx.seed)
-        .fault(FaultEntry::new(
-            Nanos::ZERO,
-            end,
-            FaultTarget::Station(SLOW),
-            Impairment::bursty_loss(0.3, 8.0, 0.9),
-        ))
-        .fault(FaultEntry::new(
-            Nanos::from_secs(1),
-            Nanos::from_secs(2),
-            FaultTarget::Station(FAST2),
-            Impairment::RateCollapse {
-                rate: PhyRate::slow_station(),
-            },
-        ))
-        .fault(FaultEntry::new(
-            Nanos::ZERO,
-            end,
-            FaultTarget::AllStations,
-            Impairment::AckLoss { prob: 0.05 },
-        ))
-        .fault(FaultEntry::new(
-            Nanos::from_millis(1500),
-            Nanos::from_secs(2),
-            FaultTarget::AllStations,
-            Impairment::HwBackpressure { depth: 1 },
-        ))
-        .build();
-    let mut net: WifiNetwork<()> = WifiNetwork::new(cfg);
-    let tele = Telemetry::enabled();
-    net.set_telemetry(tele.clone());
-    let mut app = Flood::new(3);
-    net.seed_timer(0, Nanos::ZERO);
-    net.run(end, &mut app);
-    ((), tele.take_registry())
 }
 
 #[derive(serde::Serialize)]
@@ -265,8 +216,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         .iter()
         .filter(|r| r.collapse == DEEP)
         .all(|r| r.param_switches_min >= 2 && r.codel_recoveries_min >= 1);
-
-    write_rollup(cfg, "chaos", 2, chaos_shard, |_| {});
 
     let gates = Gates {
         jain_min,

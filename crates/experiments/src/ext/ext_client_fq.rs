@@ -39,8 +39,9 @@ pub(crate) fn cell(station_fq: bool, seed: u64, cfg: &RunCfg) -> ScenarioFile {
 fn measure(station_fq: bool, cfg: &RunCfg) -> Result<Row, String> {
     let config = if station_fq { "fq" } else { "fifo" };
     // (ping RTTs in ms, upload Mbps) per repetition.
-    let reps: Vec<(Vec<f64>, f64)> = run_seeds("ext_client_fq", config, "", cfg, |seed| {
-        let mut built = cell(station_fq, seed, cfg).build()?;
+    let reps: Vec<(Vec<f64>, f64)> = run_seeds("ext_client_fq", config, "", cfg, |rep| {
+        let mut built = cell(station_fq, rep.seed, cfg).build()?;
+        built.observe(&rep.hub());
         let window = built.measure(cfg.warmup);
         let rtts: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
         Ok((rtts, mbps(window.delivered[1], cfg.window())))

@@ -56,8 +56,9 @@ fn measure(scheme: SchemeKind, err: f64, cfg: &RunCfg) -> Result<Row, String> {
     let config = format!("err{error_pct}");
     // (slow share, fast RTTs in ms, total Mbps) per repetition.
     let reps: Vec<(f64, Vec<f64>, f64)> =
-        run_seeds("ext_lossy_channel", scheme.slug(), &config, cfg, |seed| {
-            let mut built = cell(scheme, err, seed, cfg).build()?;
+        run_seeds("ext_lossy_channel", scheme.slug(), &config, cfg, |rep| {
+            let mut built = cell(scheme, err, rep.seed, cfg).build()?;
+            built.observe(&rep.hub());
             let window = built.measure(cfg.warmup);
             let fast_ms: Vec<f64> = to_ms(&built.app.ping(FlowHandle(0)).rtts_after(window.from));
             let total = window.delivered[1..].iter().map(|&b| bps(b, cfg.window()));

@@ -8,7 +8,7 @@
 //!
 //! 1. **Achieved airtime tracks the configured tree** — each station's
 //!    measured share is within 3 points of its compiled share at every
-//!    sweep point; per-node `policy/node_airtime_ns` rollups match the
+//!    sweep point; per-node `policy/node_airtime_ns` totals match the
 //!    per-node configured shares within 5 points.
 //! 2. **Runtime switches converge without draining queues** — a mid-run
 //!    `PolicySwitch` reversing a 1:2:4 split settles onto the new shares
@@ -19,28 +19,23 @@
 //! `tests/policy_validation.rs`.
 //!
 //! Results land in `results/BENCH_policy.json` with a `gates` block;
-//! any violated gate is an `Err` (and so fails `wifiq all`). A sharded
-//! policy run with a mid-run switch writes its merged telemetry to
-//! `results/policy_rollup.json`.
+//! any violated gate is an `Err` (and so fails `wifiq all`). The node
+//! counters gate 1 reads come from each repetition's own telemetry hub,
+//! which `WIFIQ_METRICS=1` exports.
 
 use std::fmt::Write as _;
 
 use crate::report::{pct, write_json, Table};
-use crate::rollup::{write_rollup, Flood};
 use crate::runner::{mean, run_seeds};
 use crate::scenario::{self, fault, udp, SLOW, TESTBED3};
 use crate::scenario_file::{FaultKind, ScenarioFile};
 use crate::udp_sat::SAT_MBPS;
 use crate::RunCfg;
 use wifiq_mac::meter::airtime_shares;
-use wifiq_mac::{
-    FaultEntry, FaultTarget, Impairment, NetworkConfig, PolicyNode, PolicySet, PolicyTimeline,
-    Preset, SchemeKind, StationMeter, WifiNetwork,
-};
+use wifiq_mac::{PolicyNode, PolicySet, PolicyTimeline, SchemeKind, StationMeter};
 use wifiq_phy::AccessCategory;
-use wifiq_scale::ShardCtx;
 use wifiq_sim::Nanos;
-use wifiq_telemetry::{Label, Registry, Telemetry};
+use wifiq_telemetry::Label;
 
 const BE: usize = 2; // AccessCategory::Be.index()
 
@@ -84,8 +79,8 @@ struct Row {
 
 /// One repetition of a sweep point: saturating BE UDP to the testbed, or
 /// to three fast stations when `roster` is `"fast"`. Its policy tree is
-/// [`run_point`]'s tune: the trees are shared with the hand-built rollup
-/// shard and compiled for the expected shares.
+/// [`run_point`]'s tune: the trees are compiled for the expected shares
+/// too.
 pub(crate) fn cell(roster: &str, seed: u64, cfg: &RunCfg) -> ScenarioFile {
     let rates = if roster == "fast" {
         ["mcs15"; 3]
@@ -111,11 +106,11 @@ fn run_point(
     let cell_name = format!("{tree}_{roster}");
     // (per-station airtime shares, per-node airtime ns) per repetition.
     type Rep = (Vec<f64>, Vec<u64>);
-    let reps: Vec<Rep> = run_seeds("ext_policy", &cell_name, "", cfg, |seed| {
-        let doc = cell(roster, seed, cfg);
+    let reps: Vec<Rep> = run_seeds("ext_policy", &cell_name, "", cfg, |rep| {
+        let doc = cell(roster, rep.seed, cfg);
         let mut built = doc.build_with(|c| c.policy = PolicyTimeline::fixed(set.clone()))?;
-        let tele = Telemetry::enabled();
-        built.net.set_telemetry(tele.clone());
+        let tele = rep.counting_hub();
+        built.observe(&tele);
         let node_air = |n: usize| tele.counter("policy", "node_airtime_ns", Label::Node(n as u32));
         // The node counters are read at the warm-up's end, which `measure`
         // then runs to again without an event left to process.
@@ -252,32 +247,6 @@ fn convergence_probe(chaos: bool, cfg: &RunCfg) -> Result<f64, String> {
     Ok(converged)
 }
 
-/// One rollup shard: the tenant tree with a mid-run switch and a
-/// burst-loss fault, flooded for 3 s, returning its telemetry registry.
-fn policy_shard(ctx: &ShardCtx) -> ((), Option<Registry>) {
-    let end = Nanos::from_secs(3);
-    let cfg = NetworkConfig::builder()
-        .preset(Preset::PaperTestbed)
-        .scheme(SchemeKind::AirtimeFair)
-        .seed(ctx.seed)
-        .policy(tree_tenants())
-        .policy_switch(Nanos::from_millis(1500), PolicySet::flat(&[4, 2, 1]))
-        .fault(FaultEntry::new(
-            Nanos::from_secs(1),
-            Nanos::from_secs(2),
-            FaultTarget::Station(SLOW),
-            Impairment::bursty_loss(0.3, 8.0, 0.9),
-        ))
-        .build();
-    let mut net: WifiNetwork<()> = WifiNetwork::new(cfg);
-    let tele = Telemetry::enabled();
-    net.set_telemetry(tele.clone());
-    let mut app = Flood::new(3);
-    net.seed_timer(0, Nanos::ZERO);
-    net.run(end, &mut app);
-    ((), tele.take_registry())
-}
-
 #[derive(serde::Serialize)]
 struct Gates {
     share_err_max: f64,
@@ -343,18 +312,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     let convergence_ms = convergence_probe(false, cfg)?;
     let convergence_chaos_ms = convergence_probe(true, cfg)?;
     let convergence_ok = convergence_ms <= 2000.0 && convergence_chaos_ms <= 2000.0;
-
-    // The rollup's metrics snapshot also carries the harness-measured
-    // convergence, so tests/telemetry_validation.rs validates the whole policy
-    // vocabulary.
-    write_rollup(cfg, "policy", 2, policy_shard, |tele| {
-        tele.observe_value(
-            "policy",
-            "convergence_ms",
-            Label::Global,
-            convergence_ms as u64,
-        )
-    });
 
     let gates = Gates {
         share_err_max,

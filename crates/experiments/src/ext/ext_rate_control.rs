@@ -46,8 +46,9 @@ pub(crate) fn cell(scheme: SchemeKind, seed: u64, cfg: &RunCfg) -> ScenarioFile 
 fn measure(scheme: SchemeKind, cfg: &RunCfg) -> Result<Row, String> {
     // (shares, rate estimates Mbps, goodput Mbps) per repetition.
     type RateRep = (Vec<f64>, Vec<f64>, Vec<f64>);
-    let reps: Vec<RateRep> = run_seeds("ext_rate_control", scheme.slug(), "", cfg, |seed| {
-        let mut built = cell(scheme, seed, cfg).build()?;
+    let reps: Vec<RateRep> = run_seeds("ext_rate_control", scheme.slug(), "", cfg, |rep| {
+        let mut built = cell(scheme, rep.seed, cfg).build()?;
+        built.observe(&rep.hub());
         let window = built.measure(cfg.warmup);
         let est: Vec<f64> = (0..3)
             .map(|sta| built.net.rate_estimate(sta) as f64 / 1e6)

@@ -21,13 +21,14 @@
 //! That hand-offs leak nothing and restore each slot's policy weight is
 //! asserted by the engine's unit tests and `tests/roam_validation.rs`.
 //!
-//! Results land in `results/BENCH_roam.json`; one telemetry-on run's
-//! merged rollup lands in `results/roam_rollup.json`.
+//! Results land in `results/BENCH_roam.json`. Under `WIFIQ_METRICS=1`
+//! every BSS of every repetition exports its own snapshot, the `roam/*`
+//! counters of the hand-offs that left or joined it included.
 
 use std::fmt::Write as _;
 
-use crate::report::{write_artifact, write_json, Table};
-use crate::rollup::Flood;
+use crate::flood::Flood;
+use crate::report::{write_json, Table};
 use crate::runner::{mbps, mean, run_seeds};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, StationMeter, WifiNetwork};
@@ -35,7 +36,7 @@ use wifiq_phy::PhyRate;
 use wifiq_scale::{BssHost, RoamCfg, RoamRun, RoamSet, ShardCtx};
 use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
-use wifiq_telemetry::{Registry, Telemetry};
+use wifiq_telemetry::Telemetry;
 
 const PKT_LEN: u64 = 1200;
 const TICK: Nanos = Nanos::from_millis(1);
@@ -43,7 +44,6 @@ const TICK: Nanos = Nanos::from_millis(1);
 struct Host {
     net: WifiNetwork<()>,
     app: Flood,
-    tele: Telemetry,
     settle: Nanos,
     /// The meters at the settle boundary.
     settled: Option<Vec<StationMeter>>,
@@ -75,7 +75,7 @@ struct ShardOut {
     roam_drops: u64,
 }
 
-fn build_host(ctx: &ShardCtx, roster: usize, settle: Nanos, metrics: bool) -> Host {
+fn build_host(ctx: &ShardCtx, roster: usize, settle: Nanos, tele: Telemetry) -> Host {
     // Engine-managed nets must start with an empty roster, and a policy
     // tree cannot reference stations that do not exist yet — so every
     // multi-BSS landing takes the neutral-fallback path here. The
@@ -86,38 +86,29 @@ fn build_host(ctx: &ShardCtx, roster: usize, settle: Nanos, metrics: bool) -> Ho
         .seed(ctx.seed)
         .build();
     let mut net: WifiNetwork<()> = WifiNetwork::new(cfg);
-    let tele = if metrics {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    net.set_telemetry(tele.clone());
+    net.set_telemetry(tele);
     net.seed_timer(0, Nanos::ZERO);
     // A BSS never holds more slots than the roster; one packet per slot
     // per tick, and a vacant slot's share is dropped at the AP.
     Host {
         net,
         app: Flood::paced(roster, roster, PKT_LEN, TICK),
-        tele,
         settle,
         settled: None,
     }
 }
 
-fn finish_host(_shard: u32, host: Host) -> (ShardOut, Option<Registry>) {
+fn finish_host(_shard: u32, host: Host) -> ShardOut {
     let mut settled = host.settled.unwrap_or_default();
     let meters = host.net.meter().all();
     settled.resize(meters.len(), StationMeter::default());
     let bytes = meters.iter().zip(settled).map(|(&m, s)| (m - s).tx_bytes);
-    (
-        ShardOut {
-            bytes: bytes.collect(),
-            active: host.net.active_stations(),
-            slots: host.net.station_slots(),
-            roam_drops: host.net.roam_drops(),
-        },
-        host.tele.take_registry(),
-    )
+    ShardOut {
+        bytes: bytes.collect(),
+        active: host.net.active_stations(),
+        slots: host.net.station_slots(),
+        roam_drops: host.net.roam_drops(),
+    }
 }
 
 /// Sums each schedule station's post-settle bytes across the shards it
@@ -184,10 +175,10 @@ fn run_point(
     // (per-station post-settle bytes, handoffs, roam drops, migrated,
     //  deferred, max reassoc ns, reattach/fallback packed).
     type Rep = (Vec<u64>, u64, u64, u64, u64, u64, Vec<u64>);
-    let reps: Vec<Rep> = run_seeds("ext_roam", &cell, &config, cfg, |seed| {
-        let run = roam_set(bss, roster, dwell, palette, seed).run(
+    let reps: Vec<Rep> = run_seeds("ext_roam", &cell, &config, cfg, |rep| {
+        let run = roam_set(bss, roster, dwell, palette, rep.seed).run(
             duration,
-            |ctx| build_host(ctx, roster, settle, false),
+            |ctx| build_host(ctx, roster, settle, rep.hub()),
             finish_host,
         );
         Ok((
@@ -224,17 +215,6 @@ fn run_point(
         jain_post_settle: mean(&jains),
         throughput_mbps: mean(&throughput),
     })
-}
-
-/// The one telemetry-on run: per-BSS registries merged under `shardN`
-/// labels plus the engine's `roam/*` family, written as an artifact.
-fn write_rollup(cfg: &RunCfg, duration: Nanos, settle: Nanos) {
-    let run = roam_set(4, 8, Nanos::from_millis(200), "mixed", cfg.base_seed).run(
-        duration,
-        |ctx| build_host(ctx, 8, settle, true),
-        finish_host,
-    );
-    write_artifact(cfg, "roam_rollup.json", &run.registry.to_json().pretty());
 }
 
 #[derive(serde::Serialize)]
@@ -329,8 +309,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
         ]);
     }
     out.push_str(&t.render());
-
-    write_rollup(cfg, duration.min(Nanos::from_secs(2)), settle);
 
     let jain_min_uniform = rows
         .iter()

@@ -10,15 +10,14 @@
 //! counters — simulated quantities only, so `results/BENCH_scale.json` is
 //! a pure function of code and seed (host time is `benchmark/`'s job).
 //!
-//! Results land in `results/BENCH_scale.json`; one churned decomposition
-//! run with telemetry on writes its merged rollup to
-//! `results/scale_rollup.json`.
+//! Results land in `results/BENCH_scale.json`. Under `WIFIQ_METRICS=1`
+//! every shard of every repetition exports its own snapshot.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use crate::flood::Flood;
 use crate::report::{write_json, Table};
-use crate::rollup::{write_rollup, Flood};
 use crate::runner::{mbps, mean, run_seeds};
 use crate::RunCfg;
 use wifiq_mac::{NetworkConfig, SchemeKind, WifiNetwork};
@@ -26,7 +25,7 @@ use wifiq_phy::PhyRate;
 use wifiq_scale::{ChurnCfg, ChurnDriver, Roster, ShardCtx, ShardSet};
 use wifiq_sim::Nanos;
 use wifiq_stats::jain_index;
-use wifiq_telemetry::{Registry, Telemetry};
+use wifiq_telemetry::Telemetry;
 
 /// One shard's measurement-window results.
 struct ShardOut {
@@ -49,29 +48,24 @@ fn associated(net: &WifiNetwork<()>) -> BTreeSet<usize> {
         .collect()
 }
 
-/// Runs one BSS shard: `stations` fast stations under the airtime-fair
-/// scheme, flooded downlink, optionally churned. Returns the shard's
-/// window stats plus its telemetry registry (when `metrics`).
+/// Runs one BSS shard, observed through `tele`: `stations` fast stations
+/// under the airtime-fair scheme, flooded downlink, optionally churned.
+/// Returns the shard's window stats.
 fn run_shard(
     ctx: &ShardCtx,
     stations: usize,
     churn: bool,
     warmup: Nanos,
     duration: Nanos,
-    metrics: bool,
-) -> (ShardOut, Option<Registry>) {
+    tele: Telemetry,
+) -> ShardOut {
     let net_cfg = NetworkConfig::builder()
         .stations_at(stations, PhyRate::fast_station())
         .scheme(SchemeKind::AirtimeFair)
         .seed(ctx.seed)
         .build();
     let mut net: WifiNetwork<()> = WifiNetwork::new(net_cfg);
-    let tele = if metrics {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    net.set_telemetry(tele.clone());
+    net.set_telemetry(tele);
 
     // Start at the roster maximum so slot tables never grow past
     // `stations` (the first churn event is forced to be a leave).
@@ -103,19 +97,16 @@ fn run_shard(
         (net.meter().all()[who] - earlier).tx_bytes
     };
     let stayed = associated(&net);
-    (
-        ShardOut {
-            total_bytes: (0..net.meter().all().len()).map(window).sum(),
-            eligible_bytes: present
-                .intersection(&stayed)
-                .map(|&who| window(who))
-                .collect(),
-            joins: roster.churn.as_ref().map_or(0, |d| d.joins),
-            leaves: roster.churn.as_ref().map_or(0, |d| d.leaves),
-            churn_drops: net.churn_drops(),
-        },
-        tele.take_registry(),
-    )
+    ShardOut {
+        total_bytes: (0..net.meter().all().len()).map(window).sum(),
+        eligible_bytes: present
+            .intersection(&stayed)
+            .map(|&who| window(who))
+            .collect(),
+        joins: roster.churn.as_ref().map_or(0, |d| d.joins),
+        leaves: roster.churn.as_ref().map_or(0, |d| d.leaves),
+        churn_drops: net.churn_drops(),
+    }
 }
 
 /// Splits `stations` over `shards` as evenly as possible (early shards
@@ -160,20 +151,13 @@ fn run_point(
     // (window bytes, eligible stations' window bytes across shards,
     // joins, leaves, churn drops) per repetition.
     type Rep = (u64, Vec<u64>, u64, u64, u64);
-    let reps: Vec<Rep> = run_seeds("ext_scale", &cell, &config, cfg, |seed| {
-        // Sweep reps skip per-shard telemetry (the rollup run records it).
-        let run = ShardSet::new(shards, seed).run(|ctx| {
-            run_shard(
-                ctx,
-                per_shard[ctx.shard as usize],
-                churn,
-                warmup,
-                duration,
-                false,
-            )
+    let reps: Vec<Rep> = run_seeds("ext_scale", &cell, &config, cfg, |rep| {
+        let run = ShardSet::new(shards, rep.seed).run(|ctx| {
+            let stations = per_shard[ctx.shard as usize];
+            run_shard(ctx, stations, churn, warmup, duration, rep.hub())
         });
-        let eligible = run.outputs.iter().flat_map(|o| o.eligible_bytes.clone());
-        let sum = |f: fn(&ShardOut) -> u64| run.outputs.iter().map(f).sum::<u64>();
+        let eligible = run.iter().flat_map(|o| o.eligible_bytes.clone());
+        let sum = |f: fn(&ShardOut) -> u64| run.iter().map(f).sum::<u64>();
         Ok((
             sum(|o| o.total_bytes),
             eligible.collect(),
@@ -198,23 +182,6 @@ fn run_point(
         leaves: reps.iter().map(|r| r.3).sum::<u64>() / n,
         churn_drops: reps.iter().map(|r| r.4).sum::<u64>() / n,
     })
-}
-
-/// The telemetry rollup: one churned decomposition with per-shard
-/// telemetry on.
-fn rollup(cfg: &RunCfg, stations: usize, shards: u32, warmup: Nanos, duration: Nanos) {
-    let per_shard = split_stations(stations, shards);
-    let shard = |ctx: &ShardCtx| {
-        run_shard(
-            ctx,
-            per_shard[ctx.shard as usize],
-            true,
-            warmup,
-            duration,
-            true,
-        )
-    };
-    write_rollup(cfg, "scale", shards, shard, |_| {});
 }
 
 pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
@@ -282,9 +249,6 @@ pub fn run(cfg: &RunCfg, _args: &[String]) -> Result<String, String> {
     }
     out.push_str(&t.render());
     out.push('\n');
-
-    let (rollup_sta, rollup_shards) = if quick { (100, 2) } else { (5000, 4) };
-    rollup(cfg, rollup_sta, rollup_shards, warmup, duration);
 
     write_json(cfg, "BENCH_scale", &rows);
     let max = rows.iter().map(|r| r.stations).max().unwrap_or(0);

@@ -1,14 +1,9 @@
-//! The telemetry rollup shared by the sharded extension experiments, and
-//! the transport-free load its shards run.
+//! The transport-free load the multi-network extension experiments run
+//! on every network.
 
 use wifiq_mac::{App, Commands, Delivery, NodeAddr, Packet};
 use wifiq_phy::AccessCategory;
-use wifiq_scale::{ShardCtx, ShardSet};
 use wifiq_sim::Nanos;
-use wifiq_telemetry::{Registry, Telemetry};
-
-use crate::report::write_artifact;
-use crate::runner::{export_metrics, RunCfg};
 
 /// Downlink flood over the first `n` station slots: `per_tick` packets of
 /// `len` bytes every `tick`, round-robin, one flow per slot —
@@ -66,31 +61,4 @@ impl App<()> for Flood {
         }
         cmds.set_timer(0, now + self.tick);
     }
-}
-
-/// Runs a `shards`-way decomposition seeded from `cfg.base_seed` and
-/// writes its merged telemetry rollup to `<name>_rollup.json` under
-/// `cfg.results_dir`.
-///
-/// With `cfg.metrics` on the rollup is re-exported as the `<name>_rollup`
-/// snapshot, so `tests/telemetry_validation.rs` validates the shard-labelled
-/// registry; `annotate` may add harness-side observations to that
-/// snapshot first.
-pub fn write_rollup<T>(
-    cfg: &RunCfg,
-    name: &str,
-    shards: u32,
-    shard_fn: impl Fn(&ShardCtx) -> (T, Option<Registry>),
-    annotate: impl FnOnce(&Telemetry),
-) {
-    let registry = ShardSet::new(shards, cfg.base_seed).run(shard_fn).registry;
-    write_artifact(
-        cfg,
-        &format!("{name}_rollup.json"),
-        &registry.to_json().pretty(),
-    );
-    let tele = cfg.telemetry();
-    tele.absorb_registry(&registry, |l| l);
-    annotate(&tele);
-    export_metrics(cfg, &tele, &format!("{name}_rollup"), cfg.base_seed);
 }

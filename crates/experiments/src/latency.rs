@@ -59,8 +59,9 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg, bidir: bool) -> Result<Schem
     let config = if bidir { "bidir" } else { "down" };
     // (fast RTTs, slow RTTs) in ms, one tuple per repetition.
     let reps: Vec<(Vec<f64>, Vec<f64>)> =
-        run_seeds("latency", scheme.slug(), config, cfg, |seed| {
-            let mut built = cell(scheme, bidir, seed, cfg).build()?;
+        run_seeds("latency", scheme.slug(), config, cfg, |rep| {
+            let mut built = cell(scheme, bidir, rep.seed, cfg).build()?;
+            built.observe(&rep.hub());
             let window = built.measure(cfg.warmup);
             let rtts = |flow| to_ms(&built.app.ping(FlowHandle(flow)).rtts_after(window.from));
             Ok((rtts(0), rtts(1)))

@@ -22,8 +22,8 @@
 //! per-station CoDel parameters, the overlimit drop policy, and the
 //! airtime quantum), reported by `ablation_design_choices`.
 //!
-//! [`rollup`] holds what the sharded extension experiments share: the
-//! one-run telemetry rollup writer and the flood load its shards run.
+//! [`flood`] is the transport-free load the multi-network extension
+//! experiments (`ext_scale`, `ext_roam`) run on each network.
 //!
 //! [`dispatch`] is the row type of `wifiq`'s experiment table and the
 //! in-process `wifiq all` driver over it.
@@ -35,9 +35,9 @@ pub mod ablations;
 pub mod dispatch;
 pub mod ext;
 pub mod figs;
+pub mod flood;
 pub mod latency;
 pub mod report;
-pub mod rollup;
 pub mod runner;
 pub mod scenario;
 pub mod scenario_file;

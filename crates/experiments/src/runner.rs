@@ -1,7 +1,9 @@
 //! Shared experiment-running machinery: the run configuration (the one
 //! place the process environment is read), the harness bridge that fans
-//! repetitions across worker threads, and window arithmetic.
+//! repetitions across worker threads and exports what each observed, and
+//! window arithmetic.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
 
 use wifiq_harness::{workspace_dir, CellDef, Harness};
@@ -128,7 +130,8 @@ impl RunCfg {
             .with_fault(self.fault.clone())
     }
 
-    /// A telemetry handle for one repetition, live when `metrics` is on.
+    /// A telemetry handle for one network of a repetition, live when
+    /// `metrics` is on.
     pub fn telemetry(&self) -> Telemetry {
         if self.metrics {
             Telemetry::enabled()
@@ -144,8 +147,39 @@ impl Default for RunCfg {
     }
 }
 
+/// One repetition, as [`run_seeds`] hands it to its body: the seed, and
+/// the telemetry hubs of the networks the body runs.
+pub struct Rep<'a> {
+    /// The repetition's seed.
+    pub seed: u64,
+    cfg: &'a RunCfg,
+    hubs: RefCell<Vec<Telemetry>>,
+}
+
+impl Rep<'_> {
+    /// The hub of one network this repetition runs, from
+    /// [`RunCfg::telemetry`]: attach it to that network
+    /// ([`BuiltScenario::observe`](crate::scenario_file::BuiltScenario::observe)
+    /// for a scenario). With metrics on, each hub is exported when the
+    /// repetition completes.
+    pub fn hub(&self) -> Telemetry {
+        self.keep(self.cfg.telemetry())
+    }
+
+    /// [`hub`](Self::hub), live whatever the metrics setting, for a body
+    /// that reads its network's counters.
+    pub fn counting_hub(&self) -> Telemetry {
+        self.keep(Telemetry::enabled())
+    }
+
+    fn keep(&self, tele: Telemetry) -> Telemetry {
+        self.hubs.borrow_mut().push(tele.clone());
+        tele
+    }
+}
+
 /// Runs one experiment cell's repetition sweep through the orchestration
-/// harness: `f(seed)` once per repetition, fanned across `cfg.jobs` worker
+/// harness: `f` once per repetition, fanned across `cfg.jobs` worker
 /// threads. Results come back in seed order regardless of completion
 /// order, so parallel runs produce byte-identical artifacts; failed
 /// repetitions (an `Err`, or a panicking simulation caught) are reported
@@ -153,8 +187,14 @@ impl Default for RunCfg {
 /// nothing without a repetition: when every one failed, the `Err` names
 /// `experiment/cell` and the first repetition's error.
 ///
+/// With `cfg.metrics` on, each completed repetition exports one snapshot
+/// per hub it took from its [`Rep`] under `cfg.results_dir/metrics/`:
+/// `<experiment>_<cell>_<config>_seed<seed>` (`.json` and `.csv`), with
+/// `_net<i>` appended for the `i`-th of several networks. A snapshot
+/// holds simulated quantities only, so a re-run exports the same bytes.
+///
 /// `experiment` and `cell`/`config` name the repetitions in logs, in the
-/// harness snapshot's file name and for `WIFIQ_FAULT_CELL`.
+/// snapshots' file names and for `WIFIQ_FAULT_CELL`.
 pub fn run_seeds<T, F>(
     experiment: &str,
     cell: &str,
@@ -164,15 +204,32 @@ pub fn run_seeds<T, F>(
 ) -> Result<Vec<T>, String>
 where
     T: Send,
-    F: Fn(u64) -> Result<T, String> + Sync,
+    F: Fn(&Rep) -> Result<T, String> + Sync,
 {
-    let tele = cfg.telemetry();
+    // The cell path as a filesystem-safe snapshot name.
+    let safe = |p: &str| p.replace(|c: char| !c.is_ascii_alphanumeric(), "_");
+    let parts = [experiment, cell, config]
+        .into_iter()
+        .filter(|p| !p.is_empty());
+    let name = parts.map(safe).collect::<Vec<_>>().join("_");
     let cells = cfg.seeds().map(|seed| CellDef::new(cell, config, seed));
-    let outcome = cfg.harness().with_telemetry(tele.clone()).run(
+    let outcome = cfg.harness().run(
         experiment,
         cfg.duration.as_nanos(),
         cells.collect(),
-        |c: &CellDef| f(c.seed),
+        |c: &CellDef| {
+            let rep = Rep {
+                seed: c.seed,
+                cfg,
+                hubs: RefCell::default(),
+            };
+            let result = f(&rep)?;
+            if cfg.metrics {
+                let snapshot = format!("{name}_seed{}", c.seed);
+                export(cfg, &snapshot, c.seed, &rep.hubs.into_inner());
+            }
+            Ok(result)
+        },
     );
     let summary = outcome.summary();
     if summary.failed > 0 {
@@ -181,10 +238,6 @@ where
             summary.failed, summary.total
         );
     }
-    // The cell path as a filesystem-safe snapshot name.
-    let name = format!("harness_{experiment}_{cell}_{config}")
-        .replace(|c: char| !c.is_ascii_alphanumeric(), "_");
-    export_metrics(cfg, &tele, name.trim_matches('_'), cfg.base_seed);
     if summary.ok == 0 {
         if let Some(err) = outcome.reports.iter().find_map(|r| r.error.as_deref()) {
             return Err(format!(
@@ -195,15 +248,19 @@ where
     Ok(outcome.into_ok_results())
 }
 
-/// Exports one repetition's snapshot as `<name>.json` and `.csv` under
-/// `cfg.results_dir/metrics/`. A disabled handle is a no-op; export
-/// failures warn on stderr rather than aborting the experiment.
-pub fn export_metrics(cfg: &RunCfg, tele: &Telemetry, name: &str, seed: u64) {
-    if !tele.is_enabled() {
-        return;
-    }
-    if let Err(e) = tele.export(&cfg.results_dir.join("metrics"), name, seed) {
-        eprintln!("warning: failed to export metrics for {name}: {e}");
+/// Exports one repetition's `hubs` under `cfg.results_dir/metrics/` as
+/// `<snapshot>.json` and `.csv`, `_net<i>` appended to the `i`-th of
+/// several. Export failures warn on stderr rather than aborting the
+/// experiment.
+fn export(cfg: &RunCfg, snapshot: &str, seed: u64, hubs: &[Telemetry]) {
+    for (i, tele) in hubs.iter().enumerate() {
+        let name = match hubs.len() {
+            1 => snapshot.to_string(),
+            _ => format!("{snapshot}_net{i}"),
+        };
+        if let Err(e) = tele.export(&cfg.results_dir.join("metrics"), &name, seed) {
+            eprintln!("warning: failed to export metrics for {name}: {e}");
+        }
     }
 }
 

@@ -12,6 +12,7 @@ use wifiq_mac::{
 use wifiq_phy::{AccessCategory, ChannelWidth, LegacyRate, PhyRate, VhtWidth};
 use wifiq_scale::{ChurnCfg, ChurnDriver, RoamCfg, Roster, SoloRoam};
 use wifiq_sim::Nanos;
+use wifiq_telemetry::Telemetry;
 use wifiq_traffic::{AppMsg, FlowHandle, TrafficApp, WebPage};
 
 use super::{
@@ -367,6 +368,14 @@ impl BuiltScenario {
     /// [`RoamStats::skipped`](wifiq_scale::RoamStats)).
     pub fn run_to(&mut self, until: Nanos) {
         self.roster.run_to(&mut self.net, &mut self.app, until);
+    }
+
+    /// Attaches `tele` to everything the scenario runs: the network, and
+    /// with it any roaming replayer (which records into the network's
+    /// hub), and the traffic app.
+    pub fn observe(&mut self, tele: &Telemetry) {
+        self.net.set_telemetry(tele.clone());
+        self.app.set_telemetry(tele);
     }
 
     /// Runs the warm-up, then the rest of the scenario, and returns what

@@ -60,9 +60,10 @@ pub fn run_cell(bulk: BulkKind, enabled: bool, cfg: &RunCfg) -> Result<SparseCel
     let config = if enabled { "on" } else { "off" };
     let cell_name = if bulk == BulkKind::Udp { "udp" } else { "tcp" };
     // Ping RTTs in ms, one vector per repetition.
-    let reps: Vec<Vec<f64>> = run_seeds("sparse", cell_name, config, cfg, |seed| {
-        let doc = cell(bulk, seed, cfg);
+    let reps: Vec<Vec<f64>> = run_seeds("sparse", cell_name, config, cfg, |rep| {
+        let doc = cell(bulk, rep.seed, cfg);
         let mut built = doc.build_with(|c| c.airtime.sparse_stations = enabled)?;
+        built.observe(&rep.hub());
         let window = built.measure(cfg.warmup);
         Ok(to_ms(
             &built.app.ping(FlowHandle(0)).rtts_after(window.from),

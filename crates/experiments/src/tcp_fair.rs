@@ -6,7 +6,7 @@ use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::SchemeKind;
 use wifiq_stats::jain_index;
 
-use crate::runner::{bps, export_metrics, mean, run_seeds, RunCfg};
+use crate::runner::{bps, mean, run_seeds, RunCfg};
 use crate::scenario::{self, tcp_down, tcp_up, TESTBED3};
 use crate::scenario_file::{ScenarioFile, Window};
 
@@ -86,11 +86,9 @@ pub fn run_scheme(
     let n = 3;
     // (down bps, up bps, shares, jain) per repetition.
     type TcpRep = (Vec<f64>, Vec<f64>, Vec<f64>, f64);
-    let reps: Vec<TcpRep> = run_seeds("tcp_fair", scheme.slug(), pattern.slug(), cfg, |seed| {
-        let mut built = cell(scheme, pattern, seed, cfg).build()?;
-        let tele = cfg.telemetry();
-        built.net.set_telemetry(tele.clone());
-        built.app.set_telemetry(&tele);
+    let reps: Vec<TcpRep> = run_seeds("tcp_fair", scheme.slug(), pattern.slug(), cfg, |rep| {
+        let mut built = cell(scheme, pattern, rep.seed, cfg).build()?;
+        built.observe(&rep.hub());
         let Window {
             meters, delivered, ..
         } = built.measure(cfg.warmup);
@@ -99,8 +97,6 @@ pub fn run_scheme(
         let up = down.split_off(n);
         let shares = airtime_shares(&meters);
         let jain = jain_index(&shares);
-        let snapshot = format!("tcp_{}_{}_seed{seed}", pattern.slug(), scheme.slug());
-        export_metrics(cfg, &tele, &snapshot, seed);
         Ok((down, up, shares, jain))
     })?;
 

@@ -58,8 +58,9 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> Result<ThirtyResult, Stri
     // (slow share, fast share mean, jain, goodput, slow/fast/sparse RTTs)
     // per repetition.
     type ThirtyRep = (f64, f64, f64, f64, Vec<f64>, Vec<f64>, Vec<f64>);
-    let reps: Vec<ThirtyRep> = run_seeds("thirty", scheme.slug(), "", cfg, |seed| {
-        let mut built = cell(scheme, seed, cfg).build()?;
+    let reps: Vec<ThirtyRep> = run_seeds("thirty", scheme.slug(), "", cfg, |rep| {
+        let mut built = cell(scheme, rep.seed, cfg).build()?;
+        built.observe(&rep.hub());
         let window = built.measure(cfg.warmup);
 
         // Airtime over the 29 stations that carry traffic (the ping-only

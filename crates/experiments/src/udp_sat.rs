@@ -5,7 +5,7 @@ use serde::Serialize;
 use wifiq_mac::meter::airtime_shares;
 use wifiq_mac::{SchemeKind, StationMeter};
 
-use crate::runner::{bps, export_metrics, mean, run_seeds, RunCfg};
+use crate::runner::{bps, mean, run_seeds, RunCfg};
 use crate::scenario::{self, TESTBED3};
 use crate::scenario_file::{ScenarioFile, Window};
 
@@ -54,10 +54,9 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> Result<UdpSatResult, Stri
     let n = 3;
     // (shares, aggregation, goodput) per station, one tuple per repetition.
     let reps: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> =
-        run_seeds("udp_sat", scheme.slug(), "", cfg, |seed| {
-            let mut built = cell(scheme, seed, cfg).build()?;
-            let tele = cfg.telemetry();
-            built.net.set_telemetry(tele.clone());
+        run_seeds("udp_sat", scheme.slug(), "", cfg, |rep| {
+            let mut built = cell(scheme, rep.seed, cfg).build()?;
+            built.observe(&rep.hub());
             let Window {
                 meters, delivered, ..
             } = built.measure(cfg.warmup);
@@ -65,8 +64,6 @@ pub fn run_scheme(scheme: SchemeKind, cfg: &RunCfg) -> Result<UdpSatResult, Stri
             let shares = airtime_shares(&meters);
             let aggr: Vec<f64> = meters.iter().map(StationMeter::mean_aggregation).collect();
             let thr: Vec<f64> = delivered.iter().map(|&b| bps(b, cfg.window())).collect();
-            let snapshot = format!("udp_sat_{}_seed{seed}", scheme.slug());
-            export_metrics(cfg, &tele, &snapshot, seed);
             Ok((shares, aggr, thr))
         })?;
 

@@ -54,8 +54,9 @@ pub fn run_cell(
 ) -> Result<VoipCell, String> {
     let config = format!("{}_{}ms", ac.label(), owd.as_millis());
     // (mos, throughput, delay, loss) per repetition.
-    let reps: Vec<(f64, f64, f64, f64)> = run_seeds("voip", scheme.slug(), &config, cfg, |seed| {
-        let mut built = cell(scheme, ac, seed, cfg).build_with(|c| c.wire_delay = owd)?;
+    let reps: Vec<(f64, f64, f64, f64)> = run_seeds("voip", scheme.slug(), &config, cfg, |rep| {
+        let mut built = cell(scheme, ac, rep.seed, cfg).build_with(|c| c.wire_delay = owd)?;
+        built.observe(&rep.hub());
         let window = built.measure(cfg.warmup);
 
         let delays = built.app.voip(FlowHandle(0)).delays_after(window.from);

@@ -81,9 +81,9 @@ pub fn run_cell(
         }
     );
     // (PLT seconds, completed-within-cap) per repetition.
-    let reps: Vec<(f64, bool)> = run_seeds("web", scheme.slug(), &config, cfg, |seed| {
+    let reps: Vec<(f64, bool)> = run_seeds("web", scheme.slug(), &config, cfg, |rep| {
         let mut net_cfg = NetworkConfig::paper_testbed(scheme);
-        net_cfg.seed = seed;
+        net_cfg.seed = rep.seed;
         let mut net: WifiNetwork<wifiq_traffic::AppMsg> = WifiNetwork::new(net_cfg);
         let mut app = TrafficApp::new();
         // Bulk load starts first; the page load begins once the bulk
@@ -101,6 +101,9 @@ pub fn run_cell(
             }
         };
         app.install(&mut net);
+        let tele = rep.hub();
+        net.set_telemetry(tele.clone());
+        app.set_telemetry(&tele);
         // Run in slices until the page completes or the cap is reached.
         let mut t = start;
         while app.web(web).plt.is_none() && t < start + PLT_CAP {

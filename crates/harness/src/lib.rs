@@ -25,10 +25,6 @@
 //! builder methods. `wifiq` fills them from the one value its
 //! configuration is read into, `wifiq_experiments::RunCfg` (`from_env`
 //! there lists the `WIFIQ_*` names).
-//!
-//! Per-sweep cell counters (total/ok/failed, budget overruns, per-cell
-//! wall time) are recorded into a [`wifiq_telemetry::Telemetry`] handle
-//! when one is attached.
 
 mod pool;
 
@@ -38,8 +34,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-use wifiq_telemetry::{Label, Telemetry};
 
 /// Default worker count: available parallelism.
 pub fn default_jobs() -> usize {
@@ -119,8 +113,6 @@ pub struct SweepSummary {
     pub ok: usize,
     /// Cells that failed.
     pub failed: usize,
-    /// Cells that overran their wall-clock budget.
-    pub budget_exceeded: usize,
 }
 
 impl SweepSummary {
@@ -151,7 +143,6 @@ impl<T> SweepOutcome<T> {
             total: self.reports.len(),
             ok,
             failed: self.reports.len() - ok,
-            budget_exceeded: self.budget_exceeded,
         }
     }
 
@@ -166,17 +157,15 @@ impl<T> SweepOutcome<T> {
 pub struct Harness {
     jobs: usize,
     budget: Option<Duration>,
-    telemetry: Telemetry,
     fault: Option<String>,
 }
 
 impl Harness {
-    /// One worker, no fault injection, no telemetry.
+    /// One worker, no fault injection.
     pub fn new() -> Harness {
         Harness {
             jobs: 1,
             budget: None,
-            telemetry: Telemetry::disabled(),
             fault: None,
         }
     }
@@ -191,13 +180,6 @@ impl Harness {
     /// path contains `fault`.
     pub fn with_fault(mut self, fault: Option<String>) -> Harness {
         self.fault = fault;
-        self
-    }
-
-    /// Attaches a telemetry handle; sweep counters are recorded into it
-    /// (on the calling thread, after the pool joins).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Harness {
-        self.telemetry = telemetry;
         self
     }
 
@@ -238,8 +220,6 @@ impl Harness {
         let mut slots: Vec<Option<(Option<T>, CellReport)>> = (0..n).map(|_| None).collect();
         let budget = self.cell_budget(duration_ns);
         let budget_exceeded = AtomicU64::new(0);
-        // Workers must not capture `self`: the attached Telemetry is
-        // Rc-based (!Sync). Hoist the Sync pieces they need.
         let fault = self.fault.as_deref();
         let jobs = self.jobs.clamp(1, n.max(1));
         let cursor = pool::Cursor::new(n);
@@ -314,34 +294,10 @@ impl Harness {
             .into_iter()
             .map(|slot| slot.expect("every cell reported"))
             .unzip();
-        let outcome = SweepOutcome {
+        SweepOutcome {
             results,
             reports,
             budget_exceeded: budget_exceeded.load(Ordering::Relaxed) as usize,
-        };
-        self.record_telemetry(&outcome);
-        outcome
-    }
-
-    /// Records sweep counters into the attached telemetry handle
-    /// (component `harness`, all `Label::Global`).
-    fn record_telemetry<T>(&self, outcome: &SweepOutcome<T>) {
-        let tele = &self.telemetry;
-        if !tele.is_enabled() {
-            return;
-        }
-        let s = outcome.summary();
-        tele.count("harness", "cells_total", Label::Global, s.total as u64);
-        tele.count("harness", "cells_ok", Label::Global, s.ok as u64);
-        tele.count("harness", "cells_failed", Label::Global, s.failed as u64);
-        tele.count(
-            "harness",
-            "budget_exceeded",
-            Label::Global,
-            s.budget_exceeded as u64,
-        );
-        for r in &outcome.reports {
-            tele.observe_value("harness", "cell_wall_ms", Label::Global, r.wall_ms);
         }
     }
 }
@@ -469,26 +425,6 @@ mod tests {
             });
         assert_eq!(out.budget_exceeded, 1);
         assert!(out.reports[0].ok(), "overrun is advisory");
-    }
-
-    #[test]
-    fn telemetry_counters_record_the_sweep() {
-        let tele = Telemetry::enabled();
-        let sweep = |jobs| {
-            Harness::new()
-                .with_jobs(jobs)
-                .with_fault(Some("tele/cell/cfg/4".into()))
-                .with_telemetry(tele.clone())
-                .run("tele", SEC, cells(5), compute)
-        };
-        sweep(2);
-        assert_eq!(tele.counter("harness", "cells_total", Label::Global), 5);
-        assert_eq!(tele.counter("harness", "cells_ok", Label::Global), 4);
-        assert_eq!(tele.counter("harness", "cells_failed", Label::Global), 1);
-        // A second sweep runs every cell again.
-        sweep(1);
-        assert_eq!(tele.counter("harness", "cells_total", Label::Global), 10);
-        assert_eq!(tele.counter("harness", "cells_ok", Label::Global), 8);
     }
 
     #[test]

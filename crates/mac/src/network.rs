@@ -269,6 +269,14 @@ impl<M: std::fmt::Debug> WifiNetwork<M> {
         self.observe_active_policy();
     }
 
+    /// The attached telemetry handle (disabled until
+    /// [`set_telemetry`](Self::set_telemetry)), for whoever drives this
+    /// network and records beside it: a hand-off's `roam/*` counters land
+    /// in the registry of the network it acts on.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.obs.tele
+    }
+
     /// The effective scheduler weight of `(sta, ac)` under the current
     /// scheme, or `None` when the scheme has no airtime scheduler or the
     /// handle is stale (the station departed).

@@ -17,8 +17,10 @@
 //!   gap) happens on the engine's [`RoamDriver`] stream; the networks
 //!   make none on its behalf.
 //! - Arrivals and departures at one boundary are applied in station-id
-//!   order and registries are merged in shard order, so the rollup is a
-//!   pure function of the set's parameters.
+//!   order, so every BSS's run is a pure function of the set's
+//!   parameters. A hand-off's `roam/*` counters land in the telemetry of
+//!   the network it acts on: the departure on the BSS left, the landing
+//!   on the BSS joined.
 //!
 //! Independent repetitions of a roam set are the parallel unit (the
 //! experiment harness runs them side by side); a single set never
@@ -28,11 +30,10 @@ use std::collections::BTreeMap;
 
 use wifiq_mac::{StaId, StationCfg, WifiNetwork};
 use wifiq_sim::Nanos;
-use wifiq_telemetry::{Registry, Telemetry};
 
 use crate::driver::{RoamCfg, RoamDriver, RoamMove};
 use crate::handoff::{arrive, depart, take_due, RoamStats, Transit};
-use crate::shard::{merge_in_shard_order, ShardCtx, ShardRun, ShardSet};
+use crate::shard::{ShardCtx, ShardSet};
 
 /// One BSS plus whatever drives its traffic.
 ///
@@ -52,14 +53,11 @@ pub trait BssHost {
     fn advance(&mut self, until: Nanos);
 }
 
-/// The merged outcome of a roaming multi-BSS run.
+/// The outcome of a roaming multi-BSS run.
 #[derive(Debug)]
 pub struct RoamRun<T> {
     /// Per-shard results, in shard order.
     pub outputs: Vec<T>,
-    /// Shard registries merged under `shardN` labels (in shard order),
-    /// plus the engine's `roam/*` hand-off telemetry.
-    pub registry: Registry,
     /// Hand-off accounting.
     pub stats: RoamStats,
 }
@@ -110,13 +108,12 @@ impl RoamSet {
     /// `build` constructs one host per shard (the network must start
     /// with an empty roster — the engine places every schedule station
     /// at its home BSS at time zero, under its station number as meter
-    /// identity). `finish` consumes each host into its result and
-    /// optional registry.
+    /// identity). `finish` consumes each host into its result.
     pub fn run<B, T, F, G>(&self, duration: Nanos, build: F, finish: G) -> RoamRun<T>
     where
         B: BssHost,
         F: Fn(&ShardCtx) -> B,
-        G: Fn(u32, B) -> (T, Option<Registry>),
+        G: Fn(u32, B) -> T,
     {
         assert!(!duration.is_zero(), "zero-length run");
         let mut driver = RoamDriver::new(self.cfg.clone(), self.master_seed, self.roster, self.bss);
@@ -136,7 +133,6 @@ impl RoamSet {
             boundaries.push(t);
         }
 
-        let tele = Telemetry::enabled();
         let mut stats = RoamStats::default();
         let mut transit: Vec<Transit<B::M>> = Vec::new();
         // Moves drawn while their station was mid-transit (boundary
@@ -164,7 +160,7 @@ impl RoamSet {
                 let station = t.station;
                 present[station as usize] = true;
                 let (host, slots) = &mut hosts[t.to as usize];
-                let id = arrive(host.net_mut(), t, start, &mut stats, &tele);
+                let id = arrive(host.net_mut(), t, start, &mut stats);
                 slots.insert(station, id);
             }
 
@@ -194,7 +190,7 @@ impl RoamSet {
                 let id = slots
                     .remove(&m.station)
                     .expect("departing station is not on its BSS");
-                let packets = depart(host.net_mut(), id, &mut stats, &tele);
+                let packets = depart(host.net_mut(), id, &mut stats);
                 // First boundary past the reassociation gap; a gap
                 // outliving the run lands at the flush.
                 let rejoin_at = boundaries[wi..]
@@ -216,16 +212,10 @@ impl RoamSet {
         debug_assert!(transit.is_empty(), "hand-off missed the flush window");
 
         let finished = hosts.into_iter().enumerate();
-        let ShardRun {
-            outputs,
-            mut registry,
-        } = merge_in_shard_order(finished.map(|(i, (host, _))| finish(i as u32, host)));
-        if let Some(roam_reg) = tele.take_registry() {
-            registry.merge_relabeled(&roam_reg, |l| l);
-        }
         RoamRun {
-            outputs,
-            registry,
+            outputs: finished
+                .map(|(i, (host, _))| finish(i as u32, host))
+                .collect(),
             stats,
         }
     }
@@ -236,7 +226,7 @@ mod tests {
     use super::*;
     use wifiq_mac::{App, Commands, Delivery, NetworkConfig, NodeAddr, Packet, SchemeKind};
     use wifiq_phy::{AccessCategory, PhyRate};
-    use wifiq_telemetry::Label;
+    use wifiq_telemetry::{Label, Telemetry};
 
     /// Downlink flood to slots `0..slots` (the roster): no BSS holds
     /// more, and the AP drops what is sent to a vacant one.
@@ -316,16 +306,25 @@ mod tests {
         slots: usize,
         delivered: u64,
         drops: u64,
+        /// This BSS's `roam/handoffs` and `roam/{policy_reattach,
+        /// neutral_fallback}` counters.
+        departures: u64,
+        landings: u64,
+        /// The BSS's telemetry snapshot.
+        snapshot: String,
     }
 
-    fn finish(_shard: u32, host: Host) -> (Out, Option<Registry>) {
-        let out = Out {
+    fn finish(shard: u32, host: Host) -> Out {
+        let roam = |metric| host.tele.counter("roam", metric, Label::Global);
+        Out {
             active: host.net.active_stations(),
             slots: host.net.station_slots(),
             delivered: host.app.delivered,
             drops: host.net.roam_drops(),
-        };
-        (out, host.tele.take_registry())
+            departures: roam("handoffs"),
+            landings: roam("policy_reattach") + roam("neutral_fallback"),
+            snapshot: host.tele.snapshot("bss", shard.into()).pretty(),
+        }
     }
 
     fn set() -> RoamSet {
@@ -373,13 +372,17 @@ mod tests {
         }
     }
 
+    /// Each hand-off is counted once, on the BSS the station left, and
+    /// each landing on the BSS it joined.
     #[test]
-    fn coordinator_telemetry_lands_in_the_rollup() {
+    fn handoff_telemetry_lands_on_each_network() {
         for (set, roster) in schedules() {
             let run = set.run(Nanos::from_secs(2), build(roster), finish);
+            let total = |count: fn(&Out) -> u64| run.outputs.iter().map(count).sum::<u64>();
+            assert_eq!(total(|o| o.departures), run.stats.handoffs);
             assert_eq!(
-                run.registry.counter("roam", "handoffs", Label::Global),
-                run.stats.handoffs
+                total(|o| o.landings),
+                run.stats.policy_reattach + run.stats.neutral_fallback
             );
             let drops: u64 = run.outputs.iter().map(|o| o.drops).sum();
             assert_eq!(run.stats.roam_drops, drops);
@@ -415,7 +418,6 @@ mod tests {
             finish(ctx.shard, host)
         });
         assert_eq!(a.stats.handoffs, 0, "schedule was not quiet");
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.registry.to_json().pretty(), b.registry.to_json().pretty());
+        assert_eq!(a.outputs, b);
     }
 }

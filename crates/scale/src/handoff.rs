@@ -16,7 +16,7 @@
 use wifiq_mac::{Packet, StaId, StationCfg, StationIdx, WifiNetwork};
 use wifiq_phy::{AccessCategory, PhyRate};
 use wifiq_sim::Nanos;
-use wifiq_telemetry::{Label, Telemetry};
+use wifiq_telemetry::Label;
 
 use crate::driver::{RoamCfg, RoamDriver};
 
@@ -69,15 +69,15 @@ pub(crate) struct Transit<M> {
 
 /// The departure half of a hand-off, as both schedules execute it:
 /// disassociates `id` mid-flow and accounts for what was lost and what
-/// is carried. Returns the queued downlink frames that travel with the
-/// station.
+/// is carried, in `stats` and in `net`'s telemetry. Returns the queued
+/// downlink frames that travel with the station.
 pub(crate) fn depart<M: std::fmt::Debug>(
     net: &mut WifiNetwork<M>,
     id: StaId,
     stats: &mut RoamStats,
-    tele: &Telemetry,
 ) -> Vec<Packet<M>> {
     let h = net.roam_out(id);
+    let tele = net.telemetry();
     let migrated = h.packets.len() as u64;
     stats.handoffs += 1;
     stats.deferred += u64::from(h.deferred);
@@ -100,13 +100,12 @@ pub(crate) fn depart<M: std::fmt::Debug>(
 /// its carried frames — under its schedule number as meter identity, so
 /// its meter row follows it — and accounts for whether the slot it took is
 /// owned by a policy node (any access category) or falls back to the
-/// neutral weight.
+/// neutral weight, in `stats` and in `net`'s telemetry.
 pub(crate) fn arrive<M: std::fmt::Debug>(
     net: &mut WifiNetwork<M>,
     t: Transit<M>,
     now: Nanos,
     stats: &mut RoamStats,
-    tele: &Telemetry,
 ) -> StaId {
     let id = net.roam_in(StationCfg::clean(t.rate), t.packets, t.station as usize);
     let covered = AccessCategory::ALL
@@ -121,6 +120,7 @@ pub(crate) fn arrive<M: std::fmt::Debug>(
     };
     let reassoc = now - t.departed_at;
     stats.max_reassoc = stats.max_reassoc.max(reassoc);
+    let tele = net.telemetry();
     tele.count("roam", metric, Label::Global, 1);
     tele.observe_value("roam", "reassoc_ms", Label::Global, reassoc.as_millis());
     id
@@ -145,7 +145,6 @@ pub struct SoloRoam<M> {
     /// station is in transit).
     slot_of: Vec<StationIdx>,
     transit: Vec<Transit<M>>,
-    tele: Telemetry,
     /// Running hand-off accounting.
     pub stats: RoamStats,
 }
@@ -159,15 +158,8 @@ impl<M: std::fmt::Debug> SoloRoam<M> {
             driver: RoamDriver::new(cfg, seed, roster, 1),
             slot_of: (0..roster).collect(),
             transit: Vec::new(),
-            tele: Telemetry::disabled(),
             stats: RoamStats::default(),
         }
-    }
-
-    /// Routes `roam/*` counters into `tele` — pass the same hub the
-    /// network uses so the rollup carries one registry.
-    pub fn set_telemetry(&mut self, tele: Telemetry) {
-        self.tele = tele;
     }
 
     /// Stations currently between associations.
@@ -208,10 +200,11 @@ impl<M: std::fmt::Debug> SoloRoam<M> {
         let id = net.station_active(slot).then(|| net.sta_id(slot)).flatten();
         let Some(id) = id else {
             self.stats.skipped += 1;
-            self.tele.count("roam", "skipped_moves", Label::Global, 1);
+            net.telemetry()
+                .count("roam", "skipped_moves", Label::Global, 1);
             return;
         };
-        let packets = depart(net, id, &mut self.stats, &self.tele);
+        let packets = depart(net, id, &mut self.stats);
         self.transit.push(Transit {
             station: m.station,
             to: m.to,
@@ -225,7 +218,7 @@ impl<M: std::fmt::Debug> SoloRoam<M> {
     fn process_rejoins(&mut self, net: &mut WifiNetwork<M>, now: Nanos) {
         for t in take_due(&mut self.transit, now) {
             let station = t.station as usize;
-            let id = arrive(net, t, now, &mut self.stats, &self.tele);
+            let id = arrive(net, t, now, &mut self.stats);
             self.slot_of[station] = id.slot();
         }
     }
@@ -236,6 +229,7 @@ mod tests {
     use super::*;
     use crate::Roster;
     use wifiq_mac::{App, Commands, Delivery, NetworkConfig, NodeAddr, SchemeKind};
+    use wifiq_telemetry::Telemetry;
 
     /// Steady downlink flood to every station slot the app knows about.
     struct Flood {
@@ -348,8 +342,7 @@ mod tests {
             if attach_roam {
                 // Dwell far beyond the horizon: the driver exists but
                 // never fires.
-                let mut roam = SoloRoam::new(roam_cfg(3_600_000), 7, 3);
-                roam.set_telemetry(tele.clone());
+                let roam = SoloRoam::new(roam_cfg(3_600_000), 7, 3);
                 let roam = replay(roam, &mut n, until, &mut app);
                 assert_eq!(roam.stats.handoffs, 0, "schedule was not quiet");
             } else {
@@ -367,8 +360,7 @@ mod tests {
         n.set_telemetry(tele.clone());
         n.seed_timer(0, Nanos::ZERO);
         let mut app = Flood { slots: 4, sent: 0 };
-        let mut roam = SoloRoam::new(roam_cfg(80), 21, 4);
-        roam.set_telemetry(tele.clone());
+        let roam = SoloRoam::new(roam_cfg(80), 21, 4);
         let roam = replay(roam, &mut n, Nanos::from_secs(3), &mut app);
         assert!(roam.stats.is_conserved(roam.in_transit()));
         assert_eq!(

@@ -22,13 +22,14 @@
 //!   everything due — hand-offs first, then churn — and repeat.
 //! - **Sharding.** [`ShardSet`] runs N independent BSS instances one after
 //!   another on the calling thread, each seeded from one master seed, and
-//!   merges their telemetry registries in shard order under `shardN`
-//!   labels.
+//!   returns their results in shard order.
 //!
 //! Every schedule draws from its own RNG stream, so attaching one never
 //! perturbs an experiment's other draws, and every set runs on the
-//! calling thread in a fixed order, so each rollup is a pure function of
-//! its seed; parallelism is the experiment harness's, across repetitions.
+//! calling thread in a fixed order, so each network's run is a pure
+//! function of its seed; parallelism is the experiment harness's, across
+//! repetitions. Each network keeps its own telemetry: nothing here merges
+//! one network's registry into another's.
 //! DESIGN.md §7 and §12 have the full model.
 
 pub mod churn;
@@ -43,4 +44,4 @@ pub use driver::{RoamCfg, RoamDriver, RoamMove, ROAM_SEED_SALT};
 pub use engine::{BssHost, RoamRun, RoamSet};
 pub use handoff::{RoamStats, SoloRoam};
 pub use roster::Roster;
-pub use shard::{ShardCtx, ShardRun, ShardSet};
+pub use shard::{ShardCtx, ShardSet};

@@ -92,7 +92,7 @@ impl Histogram {
     }
 
     /// Folds another histogram into this one. Buckets are summed, so the
-    /// merge of per-shard histograms answers quantile queries exactly as
+    /// merge of per-label histograms answers quantile queries exactly as
     /// if every sample had been recorded here.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {

@@ -274,17 +274,10 @@ impl Telemetry {
 
     /// Takes everything recorded so far out of this handle, leaving every
     /// recorder empty and every resolved id valid; `None` when disabled.
-    /// Lets a shard hand its metrics (a plain value, detached from the
-    /// `Rc`-based handle) to a coordinator for rollup.
+    /// Hands a run's metrics over as a plain value, detached from the
+    /// `Rc`-based handle.
     pub fn take_registry(&self) -> Option<Registry> {
         self.0.as_ref().map(|hub| hub.borrow_mut().registry.take())
-    }
-
-    /// Folds a detached registry into this handle's registry, rewriting
-    /// each label through `relabel` — the cross-shard rollup. No-op when
-    /// disabled.
-    pub fn absorb_registry(&self, other: &Registry, relabel: impl Fn(Label) -> Label) {
-        self.keyed(|r| r.merge_relabeled(other, relabel));
     }
 
     /// Reads a counter, 0 when disabled or never touched.

@@ -25,8 +25,6 @@ pub enum Label {
     Flow(u64),
     /// Per-access-category / TID metric.
     Tid(u32),
-    /// Per-shard metric (one BSS instance in a sharded multi-BSS run).
-    Shard(u32),
     /// Per-policy-node metric (one node of an airtime policy tree).
     Node(u32),
 }
@@ -38,7 +36,6 @@ impl fmt::Display for Label {
             Label::Station(s) => write!(f, "sta{s}"),
             Label::Flow(id) => write!(f, "flow{id}"),
             Label::Tid(t) => write!(f, "tid{t}"),
-            Label::Shard(s) => write!(f, "shard{s}"),
             Label::Node(n) => write!(f, "node{n}"),
         }
     }
@@ -257,37 +254,6 @@ impl Registry {
         self.counters.live().filter(named).map(|(_, v)| *v).sum()
     }
 
-    /// Folds into this registry every metric of `other` whose component
-    /// passes `keep`, its label rewritten through `relabel`. Counters and
-    /// histograms accumulate; a gauge takes the incoming value, in
-    /// `other`'s key order.
-    fn absorb(
-        &mut self,
-        other: &Registry,
-        keep: impl Fn(&str) -> bool,
-        relabel: impl Fn(Label) -> Label,
-    ) {
-        for ((c, m, l), v) in other.counters.live().filter(|((c, ..), _)| keep(c)) {
-            *self.counters.keyed_mut((c, m, relabel(l))) += v;
-        }
-        for ((c, m, l), v) in other.gauges.sorted() {
-            if keep(c) {
-                *self.gauges.keyed_mut((c, m, relabel(l))) = *v;
-            }
-        }
-        for ((c, m, l), h) in other.hists.live().filter(|((c, ..), _)| keep(c)) {
-            self.hists.keyed_mut((c, m, relabel(l))).merge(h);
-        }
-    }
-
-    /// Folds `other` into this registry, rewriting each key's label
-    /// through `relabel` — the cross-shard rollup primitive. Counters and
-    /// histograms accumulate; a gauge takes the incoming value (last merge
-    /// wins), so merge shards in a deterministic order.
-    pub fn merge_relabeled(&mut self, other: &Registry, relabel: impl Fn(Label) -> Label) {
-        self.absorb(other, |_| true, relabel);
-    }
-
     /// A copy of this registry with every metric of `component` removed.
     /// Used by equivalence harnesses that compare two runs' behaviour
     /// while ignoring one subsystem's own bookkeeping (e.g. proving an
@@ -295,7 +261,16 @@ impl Registry {
     /// `policy/*` counters aside).
     pub fn without_component(&self, component: &str) -> Registry {
         let mut out = Registry::new();
-        out.absorb(self, |c| c != component, |l| l);
+        let keep = |(c, ..): &Key| *c != component;
+        for (k, v) in self.counters.live().filter(|(k, _)| keep(k)) {
+            *out.counters.keyed_mut(k) += v;
+        }
+        for (k, v) in self.gauges.live().filter(|(k, _)| keep(k)) {
+            *out.gauges.keyed_mut(k) = *v;
+        }
+        for (k, h) in self.hists.live().filter(|(k, _)| keep(k)) {
+            out.hists.keyed_mut(k).merge(h);
+        }
         out
     }
 
@@ -385,7 +360,7 @@ mod tests {
             Label::Station(0),
             Label::Station(7),
             Label::Tid(3),
-            Label::Shard(1),
+            Label::Node(1),
         ];
         let metrics = [("mac", "tx_frames"), ("mac", "tx_bytes"), ("fq", "drops")];
         let mut r = Registry::new();

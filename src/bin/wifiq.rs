@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use wifiq_experiments::dispatch::{run_table, Experiment};
 use wifiq_experiments::report::{parse_flag, pct, Table};
-use wifiq_experiments::runner::{export_metrics, mbps, to_ms};
+use wifiq_experiments::runner::{mbps, to_ms};
 use wifiq_experiments::scenario::TESTBED3;
 use wifiq_experiments::scenario_file::{InstalledTraffic, ScenarioFile, StationSpec, TrafficSpec};
 use wifiq_experiments::{ext, figs, RunCfg};
@@ -147,13 +147,9 @@ fn one(e: &Experiment, args: &[String], cfg: &RunCfg) {
 /// `wifiq all`: every experiment as one cell of one harness sweep, fanned
 /// across `cfg.jobs` workers, then each report and a summary table.
 fn all(cfg: &RunCfg) {
-    let tele = cfg.telemetry();
     // A cell here is a whole experiment, not one repetition: far longer
     // than the harness's default 20 x simulated-duration allowance.
-    let harness = cfg
-        .harness()
-        .with_budget(Duration::from_secs(1800))
-        .with_telemetry(tele.clone());
+    let harness = cfg.harness().with_budget(Duration::from_secs(1800));
     let jobs = cfg.jobs.min(EXPERIMENTS.len());
     println!(
         "Running {} experiments across {} worker{}; artifacts in results/.",
@@ -187,7 +183,6 @@ fn all(cfg: &RunCfg) {
         );
     }
     println!("\nharness summary: {}", summary.line());
-    export_metrics(cfg, &tele, "harness_all", 0);
     if summary.failed > 0 {
         eprintln!(
             "\n{} of {} experiments failed.",

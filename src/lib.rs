@@ -24,8 +24,7 @@
 //! - [`scale`](mod@crate::scale) — the station lifecycle: deterministic
 //!   churn, seeded inter-BSS roaming (mid-flow hand-offs that migrate
 //!   queued downlink state), the one roster pump that interleaves both
-//!   on a network, and the sharded and roaming multi-BSS engines with
-//!   their telemetry rollups,
+//!   on a network, and the sharded and roaming multi-BSS engines,
 //! - [`chaos`](mod@crate::chaos) — deterministic seeded fault injection
 //!   (burst loss, rate collapse, stalls, backpressure, ACK loss) driven
 //!   by a declarative fault schedule,

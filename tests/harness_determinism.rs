@@ -4,9 +4,10 @@
 //!
 //! The configuration is a value, so each test has its own results
 //! directory and they run concurrently. What a sweep executed is read
-//! from the `harness/*` counters of the snapshot it exports under
-//! `<results_dir>/metrics/`.
+//! from the snapshots its repetitions export under
+//! `<results_dir>/metrics/`: one per completed repetition.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use ending_anomaly::experiments::runner::RunCfg;
@@ -36,20 +37,27 @@ fn run(cfg: &RunCfg) -> (UdpSatResult, String) {
     (result, json)
 }
 
-/// A `harness/*` counter of the sweep `run` last exported under `dir`.
-fn counter(dir: &Path, metric: &str) -> u64 {
-    let path = dir.join("metrics/harness_udp_sat_airtime.json");
-    let text = std::fs::read_to_string(&path).expect("harness snapshot written");
-    let doc = serde_json::from_str(&text).expect("snapshot parses");
-    let counters = doc
-        .get("registry")
-        .and_then(|r| r.get("counters")?.as_array());
-    counters
-        .expect("snapshot has counters")
+/// Every file under `dir/metrics/`, by name, with its bytes.
+fn metrics(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let entries = std::fs::read_dir(dir.join("metrics")).expect("snapshots exported");
+    entries
+        .map(|e| {
+            let path = e.expect("a metrics entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("read a snapshot"))
+        })
+        .collect()
+}
+
+/// The `.json` and `.csv` names of the `udp_sat/airtime` snapshots of
+/// `seeds`, in file-name order.
+fn snapshots(seeds: &[u64]) -> Vec<String> {
+    let names = seeds
         .iter()
-        .find(|c| c.get("metric").and_then(|m| m.as_str()) == Some(metric))
-        .and_then(|c| c.get("value")?.as_u64())
-        .unwrap_or_else(|| panic!("no harness/{metric} in {}", path.display()))
+        .flat_map(|seed| ["csv", "json"].map(|ext| format!("udp_sat_airtime_seed{seed}.{ext}")));
+    let mut names: Vec<String> = names.collect();
+    names.sort();
+    names
 }
 
 #[test]
@@ -64,7 +72,15 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         run(&parallel).1,
         "parallel sweep must be byte-identical to sequential"
     );
-    assert_eq!(counter(&parallel.results_dir, "cells_ok"), 4);
+    let exported = metrics(&parallel.results_dir);
+    assert_eq!(
+        exported.keys().cloned().collect::<Vec<_>>(),
+        snapshots(&[7, 8, 9, 10])
+    );
+    assert!(
+        exported == metrics(&serial.results_dir),
+        "parallel snapshots must be byte-identical to sequential"
+    );
     let _ = std::fs::remove_dir_all(serial.results_dir);
     let _ = std::fs::remove_dir_all(parallel.results_dir);
 }
@@ -77,7 +93,7 @@ fn a_failed_cell_costs_only_itself() {
     };
     let (partial, _) = run(&faulty);
     assert_eq!(partial.rep_shares.len(), 3, "seeds 7, 9 and 10 survive");
-    assert_eq!(counter(&faulty.results_dir, "cells_failed"), 1);
-    assert_eq!(counter(&faulty.results_dir, "cells_ok"), 3);
+    let exported = metrics(&faulty.results_dir).into_keys().collect::<Vec<_>>();
+    assert_eq!(exported, snapshots(&[7, 9, 10]), "only survivors export");
     let _ = std::fs::remove_dir_all(faulty.results_dir);
 }

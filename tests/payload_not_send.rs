@@ -148,7 +148,7 @@ fn a_payload_that_is_not_send_crosses_between_networks() {
                     app: Flood { tally, slots: 4 },
                 }
             },
-            |_, bss| (bss.net.active_stations(), None),
+            |_, bss| bss.net.active_stations(),
         );
     assert!(run.stats.handoffs > 0, "the schedule never moved a station");
     assert!(

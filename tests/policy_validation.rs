@@ -5,7 +5,7 @@
 //! mass when the roster churns underneath a policy tree.
 
 use ending_anomaly::core::{AirtimeParams, AirtimeScheduler, StaId, StationTable, WEIGHT_NEUTRAL};
-use ending_anomaly::experiments::rollup::Flood;
+use ending_anomaly::experiments::flood::Flood;
 use ending_anomaly::mac::{
     NetworkConfig, PolicyNode, PolicySet, SchemeKind, StationCfg, WifiNetwork,
 };

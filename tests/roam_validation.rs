@@ -98,7 +98,7 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64,
         stop: horizon,
         sent: 0,
     };
-    let mut roam = SoloRoam::new(
+    let roam = SoloRoam::new(
         RoamCfg {
             mean_dwell: Nanos::from_millis(dwell_ms),
             ..RoamCfg::default()
@@ -106,7 +106,6 @@ fn interleaving_leaks_nothing(n: usize, dwell_ms: u64, churn_ms: u64, seed: u64,
         seed,
         n,
     );
-    roam.set_telemetry(tele.clone());
     let churn = ChurnDriver::new(
         ChurnCfg {
             mean_interval: Nanos::from_millis(churn_ms),
@@ -300,7 +299,7 @@ fn fingerprint(seed: u64, parked_roam: bool) -> (u64, Vec<u64>, String) {
     if parked_roam {
         // Dwell far beyond the horizon: the driver exists, draws its
         // schedule, and never once touches the network.
-        let mut roam = SoloRoam::new(
+        let roam = SoloRoam::new(
             RoamCfg {
                 mean_dwell: Nanos::from_secs(3_600),
                 ..RoamCfg::default()
@@ -308,7 +307,6 @@ fn fingerprint(seed: u64, parked_roam: bool) -> (u64, Vec<u64>, String) {
             seed ^ 0x0123,
             3,
         );
-        roam.set_telemetry(tele.clone());
         let mut roster = Roster {
             churn: None,
             roam: Some(roam),

@@ -9,7 +9,6 @@
 //! those runs export must keep the exported-snapshot rules.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -540,9 +539,9 @@ fn churn_and_page_loads_do_not_grow_the_recorder_table() {
 
 // --- Exported snapshots -----------------------------------------------
 //
-// Under `WIFIQ_METRICS=1`, `wifiq` exports one snapshot per repetition,
-// per harness sweep and per shard rollup: `<name>.json` beside
-// `<name>.csv`. Each rule below holds for every such pair.
+// Under `WIFIQ_METRICS=1`, `wifiq` exports one snapshot per network of
+// each repetition: `<name>.json` beside `<name>.csv`. Each rule below
+// holds for every such pair.
 
 type Verdict = Result<(), String>;
 type Rule = fn(&Json, &str) -> Verdict;
@@ -593,32 +592,6 @@ fn monotone_quantiles(snap: &Json, _: &str) -> Verdict {
     Ok(())
 }
 
-/// A harness sweep accounts for each cell once: as ok or failed, and as
-/// one `cell_wall_ms` sample.
-fn harness_accounting(snap: &Json, _: &str) -> Verdict {
-    if !entries(snap, "counters").any(|([c, ..], _)| c == "harness") {
-        return Ok(());
-    }
-    let n = |m: &str| stat(snap, &format!("harness/{m}/global"), "value");
-    let total = n("cells_total");
-    let walls = stat(snap, "harness/cell_wall_ms/global", "count");
-    let outcomes = n("cells_ok") + n("cells_failed");
-    let ok = total >= 1.0 && [outcomes, walls] == [total; 2];
-    let why = format!("{total} cells: {outcomes} outcomes, {walls} walls");
-    check(ok && n("budget_exceeded").is_finite(), why)
-}
-
-/// A shard rollup labels each shard's metrics `shard0`, `shard1`, ...
-/// with no gap, and every shard transmitted.
-fn shard_labels(snap: &Json, _: &str) -> Verdict {
-    let labels = entries(snap, "counters").map(|([_, _, l], _)| l);
-    let shards: BTreeSet<&str> = labels.filter(|l| l.starts_with("shard")).collect();
-    let ids: BTreeSet<usize> = shards.iter().filter_map(|l| l[5..].parse().ok()).collect();
-    let sent = |l: &&str| stat(snap, &format!("mac/tx_airtime_ns/{l}"), "value") > 0.0;
-    let ok = ids.len() == shards.len() && ids.iter().copied().eq(0..ids.len());
-    check(ok && shards.iter().all(sent), format!("{shards:?}"))
-}
-
 /// Chaos metrics come from the injector's vocabulary, and no station
 /// leaves degraded CoDel more often than it entered it.
 fn chaos_vocabulary(snap: &Json, _: &str) -> Verdict {
@@ -641,27 +614,27 @@ fn chaos_vocabulary(snap: &Json, _: &str) -> Verdict {
 }
 
 /// Policy metrics come from the engine's vocabulary, and achieved airtime
-/// is labelled by its node (or, rolled up, its shard).
+/// is labelled by its node.
 fn policy_vocabulary(snap: &Json, _: &str) -> Verdict {
     let mut bad = unknown(snap, "counters", "policy", "switches node_airtime_ns");
     bad.extend(unknown(snap, "gauges", "policy", "active_nodes"));
     bad.extend(unknown(snap, "histograms", "policy", "convergence_ms"));
-    let labelled = |l: &str| l.starts_with("node") || l.starts_with("shard");
     let airtime = entries(snap, "counters").map(|(k, _)| k);
-    let odd = airtime.filter(|[c, m, l]| [*c, *m] == ["policy", "node_airtime_ns"] && !labelled(l));
+    let node =
+        |[c, m, l]: &[&str; 3]| [*c, *m] == ["policy", "node_airtime_ns"] && !l.starts_with("node");
+    let odd = airtime.filter(node);
     bad.extend(odd.map(|k| k.join("/")));
     check(bad.is_empty(), format!("{bad:?}"))
 }
 
-/// A repetition's snapshot shows a station transmitting, so a disabled
-/// sink's empty export fails here (a sweep's or a rollup's answers to the
-/// two rules above instead).
+/// Every snapshot shows a station transmitting, so a disabled sink's
+/// empty export fails here, and so does a snapshot of anything but a
+/// network that ran.
 fn station_airtime(snap: &Json, _: &str) -> Verdict {
-    let exempt = |[c, _, l]: [&str; 3]| c == "harness" || l.starts_with("shard");
     let sent = |[c, m, l]: [&str; 3], e| {
         [c, m] == ["mac", "tx_airtime_ns"] && l.starts_with("sta") && num(e, "value") > 0.0
     };
-    let ok = entries(snap, "counters").any(|(k, e)| exempt(k) || sent(k, e));
+    let ok = entries(snap, "counters").any(|(k, e)| sent(k, e));
     check(ok, "no station transmitted".to_string())
 }
 
@@ -672,10 +645,8 @@ fn csv_header(_: &Json, csv: &str) -> Verdict {
     check(ok, header.to_string())
 }
 
-const RULES: [(&str, Rule); 7] = [
+const RULES: [(&str, Rule); 5] = [
     ("monotone_quantiles", monotone_quantiles),
-    ("harness_accounting", harness_accounting),
-    ("shard_labels", shard_labels),
     ("chaos_vocabulary", chaos_vocabulary),
     ("policy_vocabulary", policy_vocabulary),
     ("station_airtime", station_airtime),
@@ -706,11 +677,8 @@ const GOOD: &str = r#"{"run": "r", "seed": 1, "enabled": true, "events": {}, "re
 fn each_snapshot_rule_catches_its_own_violation() {
     let csv = "kind,component,metric,label,stat,value\n";
     assert_eq!(broken(GOOD, csv), Vec::<String>::new());
-    let sweep = r#""counters": [{"component": "harness", "metric": "cells_total", "value": 1},"#;
     let cases = [
         ("monotone_quantiles", "\"p95\": 2", "\"p95\": 4"),
-        ("harness_accounting", "\"counters\": [", sweep),
-        ("shard_labels", "sta1", "shard1"),
         ("chaos_vocabulary", "\"value\": 1}", "\"value\": 3}"),
         ("policy_vocabulary", "node0", "tenant0"),
         ("station_airtime", "\"value\": 9", "\"value\": 0"),
@@ -730,7 +698,12 @@ fn each_snapshot_rule_catches_its_own_violation() {
 /// results directory and under no other environment, and holds every
 /// snapshot it exports to the rules above. Returns the directory.
 fn run_observed(experiment: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(experiment);
+    observe_into(experiment, experiment)
+}
+
+/// [`run_observed`] into the scratch directory `name`.
+fn observe_into(experiment: &str, name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let _ = fs::remove_dir_all(&dir);
     let out = Command::new(env!("CARGO_BIN_EXE_wifiq"))
         .arg(experiment)
@@ -761,6 +734,34 @@ fn run_observed(experiment: &str) -> PathBuf {
     dir
 }
 
+/// A snapshot holds simulated quantities only: two observed runs of the
+/// same experiment export byte-identical `metrics/` directories.
+#[test]
+fn observed_reruns_export_identical_snapshots() {
+    let metrics = |name: &str| {
+        let dir = observe_into("table1_model_validation", name).join("metrics");
+        let files = fs::read_dir(dir).expect("exported metrics").map(|entry| {
+            let path = entry.expect("a metrics entry").path();
+            (
+                path.file_name().unwrap().to_owned(),
+                fs::read(&path).unwrap(),
+            )
+        });
+        files.collect::<std::collections::BTreeMap<_, _>>()
+    };
+    let first = metrics("table1_rerun_a");
+    assert!(!first.is_empty(), "no snapshot exported");
+    let second = metrics("table1_rerun_b");
+    let differ = first
+        .iter()
+        .filter(|(name, bytes)| second.get(*name) != Some(bytes));
+    let differ: Vec<_> = differ.map(|(name, _)| name).collect();
+    assert!(
+        differ.is_empty() && first.len() == second.len(),
+        "{differ:?} differ between two runs"
+    );
+}
+
 /// One test per observed run, so the test harness overlaps them; each
 /// `=> golden` names the figure JSON that must equal its golden
 /// `tests/fixtures/golden/<golden>_quick.json` byte for byte.
@@ -785,8 +786,9 @@ macro_rules! observed_runs {
 /// and batched-dispatch rewrite and survived the SoA station-table
 /// rewrite unchanged; fig05–fig11 pin the full figure set from the SoA
 /// cutover on. The goldens were written with the sink off and these runs
-/// have it on, so they also show that observing a figure changes nothing
-/// it reports. The extensions add the shard, chaos and policy snapshots.
+/// attach a live hub to every network a figure measures, so they also
+/// show that observing a figure changes nothing it reports. The
+/// extensions add per-shard, per-BSS, chaos and policy snapshots.
 mod observed {
     use super::*;
 
@@ -802,5 +804,6 @@ mod observed {
         ext_scale: "ext_scale";
         ext_chaos: "ext_chaos";
         ext_policy: "ext_policy";
+        ext_roam: "ext_roam";
     }
 }
